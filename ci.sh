@@ -59,10 +59,16 @@ fi
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> cargo build --release"
+# Tier-1 is the bare `cargo build --release && cargo test -q`, which covers
+# the workspace `default-members`: the root package and the twelve library
+# crates under crates/. `--workspace` here adds what tier-1 leaves out:
+# `ids-bench` (figure/ablation/perf binaries, benches/micro.rs and its
+# integration tests) and the vendored stand-ins under third_party/
+# (bytes, criterion, parking_lot, proptest, rayon, serde, serde_derive).
+echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
-echo "==> cargo test -q"
+echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
 echo "==> cargo clippy --workspace -- -D warnings"

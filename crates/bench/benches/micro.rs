@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks for the hot kernels under the experiments:
 //! Smith–Waterman alignment (full + banded), DTBA forward pass, docking
-//! pose scoring, dictionary interning, hash join, vector top-k, and cache
-//! get/put.
+//! pose scoring, dictionary interning, hash join, vector top-k, the cache
+//! CRC-32 kernel, and cache get/put.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use ids_cache::{BackingStore, CacheConfig, CacheManager};
@@ -132,6 +132,12 @@ fn bench_cache(c: &mut Criterion) {
         BackingStore::default_store(),
     );
     let payload = bytes::Bytes::from(vec![1u8; 64 << 10]);
+    let mut g = c.benchmark_group("cache_integrity");
+    g.throughput(Throughput::Bytes(payload.len() as u64));
+    g.bench_function("crc32_64k", |bench| {
+        bench.iter(|| black_box(ids_cache::crc32(black_box(&payload))))
+    });
+    g.finish();
     cache.put(RankId(0), "hot", payload.clone());
     c.bench_function("cache_get_local_dram_64k", |bench| {
         bench.iter(|| black_box(cache.get(RankId(0), "hot")))

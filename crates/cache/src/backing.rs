@@ -6,13 +6,15 @@
 //! durable key-value map with a parallel-filesystem-like cost model:
 //! high per-op latency (metadata RPC) plus modest streaming bandwidth.
 //!
-//! Every object is stored alongside a CRC32 recorded at write time, so
-//! a corrupted authoritative copy (simulated via [`BackingStore::corrupt`]
+//! Every object is stored as the [`Sealed`] payload its writer made, so a
+//! corrupted authoritative copy (simulated via [`BackingStore::corrupt`]
 //! or a torn write that was not re-written) is *detected* at read time
 //! rather than silently served — the cache manager then repairs it from
-//! a healthy cached replica instead of propagating the damage.
+//! a healthy cached replica instead of propagating the damage. The store
+//! never hashes on write; [`BackingStore::get_checked`] re-hashes once
+//! per read and releases the bytes only when they match.
 
-use crate::object::crc32;
+use crate::object::Sealed;
 use bytes::Bytes;
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -40,26 +42,46 @@ pub struct BackingAccess<T> {
     pub virtual_secs: f64,
 }
 
-/// A read that was verified against the stored checksum.
+/// A read that was verified against the stored checksum. Only an
+/// intact read carries bytes, so a corrupt payload cannot be served.
 #[derive(Debug, Clone, PartialEq)]
-pub struct VerifiedRead {
-    /// The stored bytes (possibly corrupt — check `intact`).
-    pub data: Bytes,
-    /// True when the data matches the checksum recorded at write time.
-    pub intact: bool,
+pub enum VerifiedRead {
+    /// The payload matches the checksum recorded at write time; the seal
+    /// carries that checksum, so re-caching it needs no second hash.
+    Intact(Sealed),
+    /// The payload no longer matches its recorded checksum; the bytes
+    /// are withheld.
+    Corrupt {
+        /// Size of the payload that was hashed.
+        size: u64,
+    },
 }
 
-struct Stored {
-    data: Bytes,
-    /// CRC32 recorded when the object was written; [`BackingStore::corrupt`]
-    /// deliberately leaves this stale so reads detect the damage.
-    crc: u32,
+impl VerifiedRead {
+    /// Bytes the verification hashed.
+    pub fn size(&self) -> u64 {
+        match self {
+            VerifiedRead::Intact(sealed) => sealed.size(),
+            VerifiedRead::Corrupt { size } => *size,
+        }
+    }
+
+    /// The sealed payload of an intact read.
+    pub fn intact(self) -> Option<Sealed> {
+        match self {
+            VerifiedRead::Intact(sealed) => Some(sealed),
+            VerifiedRead::Corrupt { .. } => None,
+        }
+    }
 }
 
 /// The persistent object store.
 pub struct BackingStore {
     costs: BackingCosts,
-    objects: RwLock<HashMap<String, Stored>>,
+    /// Each payload with the checksum recorded when it was sealed;
+    /// [`BackingStore::corrupt`] deliberately leaves that checksum stale
+    /// so reads detect the damage.
+    objects: RwLock<HashMap<String, Sealed>>,
 }
 
 impl BackingStore {
@@ -73,11 +95,11 @@ impl BackingStore {
         Self::new(BackingCosts::default())
     }
 
-    /// Persist an object (overwrites), recording its CRC32.
-    pub fn put(&self, name: &str, data: Bytes) -> BackingAccess<()> {
-        let cost = self.costs.op_latency + data.len() as f64 / self.costs.bandwidth;
-        let crc = crc32(&data);
-        self.objects.write().insert(name.to_string(), Stored { data, crc });
+    /// Persist an object (overwrites) under the checksum its seal
+    /// already carries.
+    pub fn put(&self, name: &str, sealed: Sealed) -> BackingAccess<()> {
+        let cost = self.costs.op_latency + sealed.size() as f64 / self.costs.bandwidth;
+        self.objects.write().insert(name.to_string(), sealed);
         BackingAccess { value: (), virtual_secs: cost }
     }
 
@@ -85,40 +107,39 @@ impl BackingStore {
     pub fn get(&self, name: &str) -> BackingAccess<Option<Bytes>> {
         let objects = self.objects.read();
         match objects.get(name) {
-            Some(s) => BackingAccess {
-                virtual_secs: self.costs.op_latency + s.data.len() as f64 / self.costs.bandwidth,
-                value: Some(s.data.clone()),
-            },
+            Some(s) => {
+                BackingAccess { virtual_secs: self.read_cost(s), value: Some(s.bytes().clone()) }
+            }
             None => BackingAccess { value: None, virtual_secs: self.costs.op_latency },
         }
     }
 
-    /// Fetch an object *and* verify it against the stored checksum.
-    /// Callers must not serve a read with `intact == false` — repair it
-    /// from a healthy replica (or error) instead.
+    /// Fetch an object *and* verify it against the stored checksum (one
+    /// hash of the payload). A mismatch yields [`VerifiedRead::Corrupt`],
+    /// which carries no bytes — repair it from a healthy replica (or
+    /// error) instead.
     pub fn get_checked(&self, name: &str) -> BackingAccess<Option<VerifiedRead>> {
         let objects = self.objects.read();
         match objects.get(name) {
             Some(s) => BackingAccess {
-                virtual_secs: self.costs.op_latency + s.data.len() as f64 / self.costs.bandwidth,
-                value: Some(VerifiedRead { data: s.data.clone(), intact: crc32(&s.data) == s.crc }),
+                virtual_secs: self.read_cost(s),
+                value: Some(if s.verify() {
+                    VerifiedRead::Intact(s.clone())
+                } else {
+                    VerifiedRead::Corrupt { size: s.size() }
+                }),
             },
             None => BackingAccess { value: None, virtual_secs: self.costs.op_latency },
         }
     }
 
-    /// The CRC32 recorded for an object at write time.
-    pub fn checksum(&self, name: &str) -> Option<u32> {
-        self.objects.read().get(name).map(|s| s.crc)
+    fn read_cost(&self, s: &Sealed) -> f64 {
+        self.costs.op_latency + s.size() as f64 / self.costs.bandwidth
     }
 
-    /// Metadata-cost integrity probe: does the stored payload still match
-    /// its recorded checksum? `None` when the object is absent.
-    pub fn verify(&self, name: &str) -> BackingAccess<Option<bool>> {
-        BackingAccess {
-            value: self.objects.read().get(name).map(|s| crc32(&s.data) == s.crc),
-            virtual_secs: self.costs.op_latency,
-        }
+    /// The CRC32 recorded for an object at write time.
+    pub fn checksum(&self, name: &str) -> Option<u32> {
+        self.objects.read().get(name).map(Sealed::checksum)
     }
 
     /// Chaos/test hook: flip one bit of the stored payload *without*
@@ -128,12 +149,8 @@ impl BackingStore {
     pub fn corrupt(&self, name: &str) -> bool {
         let mut objects = self.objects.write();
         let Some(s) = objects.get_mut(name) else { return false };
-        if s.data.is_empty() {
-            return false;
-        }
-        let mut bytes = s.data.to_vec();
-        bytes[0] ^= 0x80;
-        s.data = Bytes::from(bytes);
+        let Some(rotted) = s.with_flipped_bit() else { return false };
+        *s = rotted;
         true
     }
 
@@ -160,10 +177,18 @@ impl BackingStore {
 mod tests {
     use super::*;
 
+    fn sealed(bytes: &'static [u8]) -> Sealed {
+        Sealed::seal(Bytes::from_static(bytes))
+    }
+
+    fn zeros(n: usize) -> Sealed {
+        Sealed::seal(Bytes::from(vec![0u8; n]))
+    }
+
     #[test]
     fn put_get_round_trip() {
         let bs = BackingStore::default_store();
-        bs.put("vina/a", Bytes::from_static(b"pose-data"));
+        bs.put("vina/a", sealed(b"pose-data"));
         let got = bs.get("vina/a");
         assert_eq!(got.value.as_deref(), Some(&b"pose-data"[..]));
         assert_eq!(bs.get("vina/missing").value, None);
@@ -172,8 +197,8 @@ mod tests {
     #[test]
     fn costs_scale_with_size() {
         let bs = BackingStore::default_store();
-        bs.put("small", Bytes::from(vec![0u8; 1 << 10]));
-        bs.put("large", Bytes::from(vec![0u8; 1 << 26]));
+        bs.put("small", zeros(1 << 10));
+        bs.put("large", zeros(1 << 26));
         let small = bs.get("small").virtual_secs;
         let large = bs.get("large").virtual_secs;
         assert!(large > small * 10.0, "large {large} vs small {small}");
@@ -184,7 +209,7 @@ mod tests {
     #[test]
     fn contains_is_metadata_only() {
         let bs = BackingStore::default_store();
-        bs.put("x", Bytes::from(vec![0u8; 1 << 26]));
+        bs.put("x", zeros(1 << 26));
         let c = bs.contains("x");
         assert!(c.value);
         assert!(c.virtual_secs < bs.get("x").virtual_secs);
@@ -193,8 +218,8 @@ mod tests {
     #[test]
     fn overwrite_replaces() {
         let bs = BackingStore::default_store();
-        bs.put("k", Bytes::from_static(b"v1"));
-        bs.put("k", Bytes::from_static(b"v2"));
+        bs.put("k", sealed(b"v1"));
+        bs.put("k", sealed(b"v2"));
         assert_eq!(bs.get("k").value.as_deref(), Some(&b"v2"[..]));
         assert_eq!(bs.len(), 1);
     }
@@ -202,31 +227,34 @@ mod tests {
     #[test]
     fn checked_reads_verify_integrity() {
         let bs = BackingStore::default_store();
-        bs.put("k", Bytes::from_static(b"payload"));
+        bs.put("k", sealed(b"payload"));
         let clean = bs.get_checked("k").value.unwrap();
-        assert!(clean.intact);
-        assert_eq!(&clean.data[..], b"payload");
-        assert_eq!(bs.checksum("k"), Some(crc32(b"payload")));
-        assert_eq!(bs.verify("k").value, Some(true));
-        assert_eq!(bs.verify("ghost").value, None);
+        assert_eq!(clean.size(), 7);
+        let clean = clean.intact().expect("a fresh write reads back intact");
+        assert_eq!(&clean.bytes()[..], b"payload");
+        assert_eq!(clean.checksum(), sealed(b"payload").checksum());
+        assert_eq!(bs.checksum("k"), Some(clean.checksum()));
         assert_eq!(bs.get_checked("ghost").value, None);
     }
 
     #[test]
     fn corruption_is_detected_and_rewrite_heals() {
         let bs = BackingStore::default_store();
-        bs.put("k", Bytes::from_static(b"payload"));
+        bs.put("k", sealed(b"payload"));
         assert!(bs.corrupt("k"));
         let rotted = bs.get_checked("k").value.unwrap();
-        assert!(!rotted.intact, "stale checksum must flag the flipped bit");
-        assert_ne!(&rotted.data[..], b"payload");
-        assert_eq!(bs.verify("k").value, Some(false));
+        assert_eq!(
+            rotted,
+            VerifiedRead::Corrupt { size: 7 },
+            "stale checksum must flag the flipped bit"
+        );
+        assert_ne!(bs.get("k").value.as_deref(), Some(&b"payload"[..]));
         // A fresh write (repair from a healthy replica) restores integrity.
-        bs.put("k", Bytes::from_static(b"payload"));
-        assert_eq!(bs.verify("k").value, Some(true));
+        bs.put("k", sealed(b"payload"));
+        assert!(bs.get_checked("k").value.unwrap().intact().is_some());
         // Absent/empty objects can't be corrupted.
         assert!(!bs.corrupt("ghost"));
-        bs.put("empty", Bytes::new());
+        bs.put("empty", Sealed::seal(Bytes::new()));
         assert!(!bs.corrupt("empty"));
     }
 }

@@ -54,7 +54,7 @@ pub use inspect::{CacheInspection, TierInspection};
 pub use manager::{
     AntiEntropyReport, CacheConfig, CacheManager, CacheOutcome, CacheStats, FaultTolerance, Tier,
 };
-pub use object::{crc32, object_id, ObjectMeta};
+pub use object::{crc32, object_id, ObjectMeta, Sealed};
 pub use policy::PlacementPolicy;
 pub use tier::{StoredEntry, TierEngine, TierKind, TierStore};
 pub use typed::{IntermediateSolutions, TypedError, TypedSolutionSet};

@@ -18,9 +18,11 @@
 //! every copy and the backing store stays authoritative — replicas are
 //! never stale): `get` fails over across replicas before touching the
 //! backing store, so a node crash no longer forces a re-population. Every
-//! cached copy carries the CRC32 recorded at write time; a copy whose
-//! bytes no longer match (injected bit rot) is *quarantined* — dropped,
-//! metered, and repaired from a healthy replica — never served. A
+//! cached copy is the [`Sealed`] payload made when the object entered the
+//! cache — hashed once, then moved between tiers, replicas and the
+//! backing store without re-hashing; a copy whose bytes no longer match
+//! (injected bit rot) is *quarantined* — dropped, metered, and repaired
+//! from a healthy replica — never served. A
 //! background anti-entropy pass ([`CacheManager::maybe_anti_entropy`],
 //! driven from engine stage boundaries on the virtual clock) scrubs live
 //! copies, re-establishes the replication factor after a crash wiped a
@@ -31,7 +33,7 @@ use crate::backing::BackingStore;
 use crate::error::CacheError;
 use crate::evict::EvictionKind;
 use crate::inspect::{CacheInspection, TierInspection};
-use crate::object::{crc32, object_id, ObjectMeta};
+use crate::object::{object_id, ObjectMeta, Sealed};
 use crate::policy::PlacementPolicy;
 use crate::tier::{StoredEntry, TierEngine, TierKind, TierStore};
 use bytes::Bytes;
@@ -297,6 +299,14 @@ struct State {
     recovery_pending: bool,
 }
 
+/// Add `name` to a name set, allocating the owned key only when it is new
+/// (every put and re-population passes through here).
+fn remember(names: &mut HashSet<String>, name: &str) {
+    if !names.contains(name) {
+        names.insert(name.to_string());
+    }
+}
+
 impl State {
     /// A node is unavailable if the manual switch, the fault plane, or a
     /// permanent-death declaration says so.
@@ -346,11 +356,19 @@ struct CacheMetrics {
     warm_verified: Counter,
     spill_bytes: Histogram,
     promote_bytes: Histogram,
+    /// Payload bytes run through the CRC kernel, by call site.
+    hashed_put: Counter,
+    hashed_backing_read: Counter,
+    hashed_scrub: Counter,
+    hashed_quarantine: Counter,
+    hashed_warm_verify: Counter,
 }
 
 impl CacheMetrics {
     fn new(registry: MetricsRegistry) -> Self {
         let hit = |tier| registry.counter_with("ids_cache_lookup_hits_total", "tier", tier);
+        let hashed =
+            |site| registry.counter_with("ids_cache_checksummed_bytes_total", "site", site);
         Self {
             hits: [hit("local_dram"), hit("remote_dram"), hit("local_nvme"), hit("remote_nvme")],
             backing_fetches: hit("backing"),
@@ -421,6 +439,11 @@ impl CacheMetrics {
             warm_verified: registry.counter("ids_cache_warm_restart_verified_total"),
             spill_bytes: registry.histogram("ids_cache_spill_bytes"),
             promote_bytes: registry.histogram("ids_cache_promote_bytes"),
+            hashed_put: hashed("put"),
+            hashed_backing_read: hashed("backing_read"),
+            hashed_scrub: hashed("scrub"),
+            hashed_quarantine: hashed("quarantine"),
+            hashed_warm_verify: hashed("warm_verify"),
             registry,
         }
     }
@@ -731,13 +754,28 @@ impl CacheManager {
     }
 
     /// Tier invariant: per-tier `used` must equal the sum of its entries'
-    /// sizes and never exceed capacity. Debug builds assert after every
-    /// mutation batch; release builds self-heal drift (see
-    /// [`TierStore::check_accounting`]).
+    /// sizes and never exceed capacity. Recomputing the sum walks every
+    /// entry of every tier, so only debug builds do it after each
+    /// mutation batch.
     fn debug_check_accounting(&self, st: &mut State) {
+        if cfg!(debug_assertions) {
+            self.check_accounting(st);
+        }
+    }
+
+    /// Recompute-and-heal every tier's accounting (see
+    /// [`TierStore::check_accounting`]); release builds run it where a
+    /// full scan already happens — anti-entropy and [`Self::inspect`].
+    fn check_accounting(&self, st: &mut State) {
         for t in st.dram.iter_mut().chain(st.nvme.iter_mut()) {
             t.check_accounting();
         }
+    }
+
+    /// Ingest: the one hash a put pays, metered.
+    fn seal_put(&self, data: Bytes) -> Sealed {
+        self.metrics.hashed_put.add(data.len() as u64);
+        Sealed::seal(data)
     }
 
     /// Store an object: persists to the backing store (authoritative) and
@@ -751,8 +789,8 @@ impl CacheManager {
     pub fn put(&self, from: RankId, name: &str, data: Bytes) -> f64 {
         let plane = self.faults.lock().clone();
         let size = data.len() as u64;
-        let crc = crc32(&data);
-        let mut cost = self.backing.put(name, data.clone()).virtual_secs;
+        let sealed = self.seal_put(data);
+        let mut cost = self.backing.put(name, sealed.clone()).virtual_secs;
         if plane.as_ref().is_some_and(|p| p.torn_write(from)) {
             // The persistent write tore: bytes landed, checksum did not.
             self.backing.corrupt(name);
@@ -769,7 +807,7 @@ impl CacheManager {
             st.nvme[ni].remove(name);
         }
         st.sketch.record(name);
-        st.ever_cached.insert(name.to_string());
+        remember(&mut st.ever_cached, name);
         // A durable overwrite upgrades a previously ephemeral name: the
         // backing copy written above is now authoritative.
         st.ephemeral.remove(name);
@@ -779,7 +817,7 @@ impl CacheManager {
         let link = plane.as_ref().map_or(LinkFactors::NONE, |p| p.link_factors());
         for &node in &replicas {
             cost += self.dram_transfer(from, node, size) * link.cost_mult();
-            let (_, spill_cost) = self.insert_dram(&mut st, node, name, data.clone(), crc);
+            let (_, spill_cost) = self.insert_dram(&mut st, node, name, sealed.clone());
             cost += spill_cost;
         }
         if replicas.len() < self.cfg.replication {
@@ -804,7 +842,7 @@ impl CacheManager {
     pub fn put_ephemeral(&self, from: RankId, name: &str, data: Bytes) -> f64 {
         let plane = self.faults.lock().clone();
         let size = data.len() as u64;
-        let crc = crc32(&data);
+        let sealed = self.seal_put(data);
         let mut cost = 0.0;
 
         let mut st = self.state.lock();
@@ -816,12 +854,12 @@ impl CacheManager {
             st.nvme[ni].remove(name);
         }
         st.sketch.record(name);
-        st.ephemeral.insert(name.to_string());
+        remember(&mut st.ephemeral, name);
         let replicas = self.place_live_replicas(&mut st, self.topo.node_of(from));
         let link = plane.as_ref().map_or(LinkFactors::NONE, |p| p.link_factors());
         for &node in &replicas {
             cost += self.dram_transfer(from, node, size) * link.cost_mult();
-            let (_, spill_cost) = self.insert_dram(&mut st, node, name, data.clone(), crc);
+            let (_, spill_cost) = self.insert_dram(&mut st, node, name, sealed.clone());
             cost += spill_cost;
         }
         if replicas.len() < self.cfg.replication {
@@ -850,19 +888,12 @@ impl CacheManager {
     /// cost covers every spill the insert forced (charged to whichever
     /// operation triggered it). Objects too big for DRAM route straight
     /// to NVMe and report `landed_in_dram = false`.
-    fn insert_dram(
-        &self,
-        st: &mut State,
-        node: NodeId,
-        name: &str,
-        data: Bytes,
-        crc: u32,
-    ) -> (bool, f64) {
-        let size = data.len() as u64;
+    fn insert_dram(&self, st: &mut State, node: NodeId, name: &str, sealed: Sealed) -> (bool, f64) {
+        let size = sealed.size();
         let ni = node.index();
         if size > self.cfg.dram_capacity {
             // Too big for DRAM entirely; go straight to NVMe if it fits.
-            let (_, cost) = self.insert_nvme(st, node, name, data, crc);
+            let (_, cost) = self.insert_nvme(st, node, name, sealed);
             return (false, cost);
         }
         let clock = st.clock;
@@ -877,7 +908,7 @@ impl CacheManager {
                 if st.sketch.estimate(name) <= st.sketch.estimate(&victim) {
                     self.stats.lock().admission_rejects += 1;
                     self.metrics.admission_rejects_dram.inc();
-                    let (_, cost) = self.insert_nvme(st, node, name, data, crc);
+                    let (_, cost) = self.insert_nvme(st, node, name, sealed);
                     return (false, cost);
                 }
             }
@@ -888,7 +919,7 @@ impl CacheManager {
             self.metrics.victim_pops.inc();
             cost += self.spill_victim(st, node, &victim, e);
         }
-        if !st.dram[ni].insert(name, data, crc, clock) {
+        if !st.dram[ni].insert(name, sealed, clock) {
             self.metrics.update_sizes(st);
             return (false, cost);
         }
@@ -903,7 +934,7 @@ impl CacheManager {
     /// backing store stays authoritative). Returns the device cost of
     /// the spill write (zero when dropped).
     fn spill_victim(&self, st: &mut State, node: NodeId, victim: &str, e: StoredEntry) -> f64 {
-        let size = e.data.len() as u64;
+        let size = e.sealed.size();
         let ni = node.index();
         self.metrics.evictions_dram.inc();
         self.metrics.evicted_bytes_dram.add(size);
@@ -915,7 +946,7 @@ impl CacheManager {
             self.metrics.update_sizes(st);
             return 0.0;
         }
-        let (stored, cost) = self.insert_nvme(st, node, victim, e.data, e.crc);
+        let (stored, cost) = self.insert_nvme(st, node, victim, e.sealed);
         if stored {
             self.stats.lock().evictions_to_nvme += 1;
             self.metrics.spills.inc();
@@ -928,15 +959,8 @@ impl CacheManager {
     /// the object fits. Returns `(stored, device_cost)`; objects too big
     /// for the tier are refused with zero cost — only the backing store
     /// holds them.
-    fn insert_nvme(
-        &self,
-        st: &mut State,
-        node: NodeId,
-        name: &str,
-        data: Bytes,
-        crc: u32,
-    ) -> (bool, f64) {
-        let size = data.len() as u64;
+    fn insert_nvme(&self, st: &mut State, node: NodeId, name: &str, sealed: Sealed) -> (bool, f64) {
+        let size = sealed.size();
         if size > self.cfg.nvme_capacity {
             return (false, 0.0);
         }
@@ -948,9 +972,9 @@ impl CacheManager {
             self.metrics.victim_pops.inc();
             self.stats.lock().evictions_dropped += 1;
             self.metrics.evictions_nvme.inc();
-            self.metrics.evicted_bytes_nvme.add(e.data.len() as u64);
+            self.metrics.evicted_bytes_nvme.add(e.sealed.size());
         }
-        if !st.nvme[ni].insert(name, data, crc, clock) {
+        if !st.nvme[ni].insert(name, sealed, clock) {
             self.metrics.update_sizes(st);
             return (false, 0.0);
         }
@@ -971,8 +995,8 @@ impl CacheManager {
             return self.put(from, name, data);
         }
         let size = data.len() as u64;
-        let crc = crc32(&data);
-        let mut cost = self.backing.put(name, data.clone()).virtual_secs;
+        let sealed = self.seal_put(data);
+        let mut cost = self.backing.put(name, sealed.clone()).virtual_secs;
         let mut st = self.state.lock();
         st.clock += 1;
         st.placement_counter += 1;
@@ -981,7 +1005,7 @@ impl CacheManager {
             st.nvme[ni].remove(name);
         }
         st.sketch.record(name);
-        st.ever_cached.insert(name.to_string());
+        remember(&mut st.ever_cached, name);
         // Hinted primary, then capacity-weighted secondaries (most free
         // DRAM first, ties to the lowest index) up to the replication
         // factor.
@@ -998,7 +1022,7 @@ impl CacheManager {
         }
         for &node in &replicas {
             cost += self.dram_transfer(from, node, size);
-            let (_, spill_cost) = self.insert_dram(&mut st, node, name, data.clone(), crc);
+            let (_, spill_cost) = self.insert_dram(&mut st, node, name, sealed.clone());
             cost += spill_cost;
         }
         if replicas.len() < self.cfg.replication {
@@ -1023,25 +1047,21 @@ impl CacheManager {
         // are not eligible sources — they are lost on recovery anyway).
         // With replication > 1 this moves the first copy found; the other
         // replicas stay where they are.
-        let mut found: Option<(usize, Bytes, u32)> = None;
+        let mut found: Option<(usize, Sealed)> = None;
         for ni in 0..self.cfg.cache_nodes {
             if st.is_down(ni) {
                 continue;
             }
-            if let Some(e) = st.dram[ni].remove(name) {
-                found = Some((ni, e.data, e.crc));
-                break;
-            }
-            if let Some(e) = st.nvme[ni].remove(name) {
-                found = Some((ni, e.data, e.crc));
+            if let Some(e) = st.dram[ni].remove(name).or_else(|| st.nvme[ni].remove(name)) {
+                found = Some((ni, e.sealed));
                 break;
             }
         }
-        let (from_node, data, crc) = found?;
-        let size = data.len() as u64;
+        let (from_node, sealed) = found?;
+        let size = sealed.size();
         // Node-to-node transfer cost (inter-node unless already there).
         let mut cost = if from_node == to.index() { 0.0 } else { self.net.inter_cost(size) };
-        let (_, spill_cost) = self.insert_dram(&mut st, to, name, data, crc);
+        let (_, spill_cost) = self.insert_dram(&mut st, to, name, sealed);
         cost += spill_cost;
         self.debug_check_accounting(&mut st);
         Some(cost)
@@ -1052,16 +1072,34 @@ impl CacheManager {
     /// copy — it is dropped and metered, never served. Returns `false`
     /// for empty payloads (nothing to rot).
     fn quarantine_if_rotted(&self, st: &mut State, ni: usize, dram: bool, name: &str) -> bool {
-        let tier = if dram { &mut st.dram[ni] } else { &mut st.nvme[ni] };
-        let Some(e) = tier.get(name) else { return false };
-        if e.data.is_empty() {
+        let tier = if dram { &st.dram[ni] } else { &st.nvme[ni] };
+        let Some(rotted) = tier.get(name).and_then(|e| e.sealed.with_flipped_bit()) else {
             return false;
-        }
-        let mut rotted = e.data.to_vec();
-        rotted[0] ^= 0x80;
-        if crc32(&rotted) == e.crc {
+        };
+        self.metrics.hashed_quarantine.add(rotted.size());
+        if rotted.verify() {
             return false; // unreachable for a real CRC, kept for honesty
         }
+        self.quarantine(st, ni, dram, name)
+    }
+
+    /// Re-hash an NVMe entry retained across a warm restart before it is
+    /// trusted (nothing is hashed for entries already verified). Returns
+    /// true when the copy failed its checksum and was quarantined.
+    fn quarantine_if_stale(&self, st: &mut State, ni: usize, name: &str) -> bool {
+        let Some(intact) = st.nvme[ni].reverify(name) else { return false };
+        self.metrics.hashed_warm_verify.add(st.nvme[ni].size_of(name).unwrap_or(0));
+        if intact {
+            self.metrics.warm_verified.inc();
+            return false;
+        }
+        self.quarantine(st, ni, false, name)
+    }
+
+    /// Drop a copy that failed its checksum and meter the quarantine.
+    /// Returns false when the copy was already gone.
+    fn quarantine(&self, st: &mut State, ni: usize, dram: bool, name: &str) -> bool {
+        let tier = if dram { &mut st.dram[ni] } else { &mut st.nvme[ni] };
         if tier.remove(name).is_none() {
             return false;
         }
@@ -1115,12 +1153,15 @@ impl CacheManager {
         let mut spent = 0.0f64;
 
         // Tier search order: local DRAM, remote DRAM, local NVMe, remote
-        // NVMe — live nodes only.
+        // NVMe — live nodes only (availability is fixed for this get by
+        // the sync above).
         let my = my_node.index();
-        let live_order: Vec<usize> = std::iter::once(my)
-            .chain((0..self.cfg.cache_nodes).filter(|&n| n != my))
-            .filter(|&n| n < self.cfg.cache_nodes && !st.is_down(n))
-            .collect();
+        let nodes = self.cfg.cache_nodes;
+        let search_order = || {
+            std::iter::once(my)
+                .chain((0..nodes).filter(move |&n| n != my))
+                .filter(move |&n| n < nodes)
+        };
 
         // A copy fenced on a down node: failover metering counts it, and
         // strict mode refuses to silently degrade past it.
@@ -1137,9 +1178,12 @@ impl CacheManager {
         let mut exhausted: Option<String> = None;
         let mut quarantined: Vec<NodeId> = Vec::new();
 
-        // (data, crc, serving node, tier) once a healthy copy answers.
-        let mut serve: Option<(Bytes, u32, usize, Tier)> = None;
-        for &ni in &live_order {
+        // (copy, serving node, tier) once a healthy copy answers.
+        let mut serve: Option<(Sealed, usize, Tier)> = None;
+        for ni in search_order() {
+            if st.is_down(ni) {
+                continue;
+            }
             let Some(size) = st.dram[ni].size_of(name) else { continue };
             let local = ni == my;
             let cost = self.dram_transfer(from, NodeId(ni as u32), size) * link.cost_mult();
@@ -1160,11 +1204,14 @@ impl CacheManager {
             st.dram[ni].touch(name, clock);
             let Some(e) = st.dram[ni].get(name) else { continue };
             let tier = if local { Tier::LocalDram } else { Tier::RemoteDram };
-            serve = Some((e.data.clone(), e.crc, ni, tier));
+            serve = Some((e.sealed.clone(), ni, tier));
             break;
         }
         if serve.is_none() {
-            for &ni in &live_order {
+            for ni in search_order() {
+                if st.is_down(ni) {
+                    continue;
+                }
                 let Some(size) = st.nvme[ni].size_of(name) else { continue };
                 let local = ni == my;
                 let cost = self.nvme_transfer(from, NodeId(ni as u32), size) * link.cost_mult();
@@ -1178,20 +1225,21 @@ impl CacheManager {
                     quarantined.push(NodeId(ni as u32));
                     continue;
                 }
-                // A clean checked read re-verifies an entry retained
-                // across a warm restart.
-                if st.nvme[ni].mark_verified(name) {
-                    self.metrics.warm_verified.inc();
+                // An entry retained across a warm restart is re-hashed
+                // before its first serve; a mismatch fails over like rot.
+                if self.quarantine_if_stale(&mut st, ni, name) {
+                    quarantined.push(NodeId(ni as u32));
+                    continue;
                 }
                 st.nvme[ni].touch(name, clock);
                 let Some(e) = st.nvme[ni].get(name) else { continue };
                 let tier = if local { Tier::LocalNvme } else { Tier::RemoteNvme };
-                serve = Some((e.data.clone(), e.crc, ni, tier));
+                serve = Some((e.sealed.clone(), ni, tier));
                 break;
             }
         }
 
-        if let Some((data, crc, ni, tier)) = serve {
+        if let Some((sealed, ni, tier)) = serve {
             let failover = fenced.is_some() || exhausted.is_some() || !quarantined.is_empty();
             {
                 let mut stats = self.stats.lock();
@@ -1216,11 +1264,11 @@ impl CacheManager {
             // a true move: once the DRAM copy lands, the NVMe copy is
             // released. The DRAM write and any cascaded spills are
             // charged to this get.
-            let size = data.len() as u64;
+            let size = sealed.size();
             if matches!(tier, Tier::LocalNvme | Tier::RemoteNvme) && size <= self.cfg.dram_capacity
             {
                 let (landed, spill_cost) =
-                    self.insert_dram(&mut st, NodeId(ni as u32), name, data.clone(), crc);
+                    self.insert_dram(&mut st, NodeId(ni as u32), name, sealed.clone());
                 spent += spill_cost;
                 if landed {
                     st.nvme[ni].remove(name);
@@ -1238,13 +1286,13 @@ impl CacheManager {
                 if node.index() != ni {
                     spent += self.net.inter_cost(size);
                 }
-                let (_, spill_cost) = self.insert_dram(&mut st, node, name, data.clone(), crc);
+                let (_, spill_cost) = self.insert_dram(&mut st, node, name, sealed.clone());
                 spent += spill_cost;
                 self.stats.lock().repairs += 1;
                 self.metrics.repairs_replicate.inc();
             }
             self.debug_check_accounting(&mut st);
-            return Ok(Some((data, CacheOutcome { tier, virtual_secs: spent })));
+            return Ok(Some((sealed.into_bytes(), CacheOutcome { tier, virtual_secs: spent })));
         }
 
         // Strict mode: a cached copy exists but every live one failed, or
@@ -1278,7 +1326,8 @@ impl CacheManager {
         // re-population of a full replica set.
         let fetched = self.backing.get_checked(name);
         match fetched.value {
-            Some(vr) => {
+            Some(read) => {
+                self.metrics.hashed_backing_read.add(read.size());
                 let cost = fetched.virtual_secs * link.cost_mult();
                 if !self.attempt_access(plane_ref, &ft, from, true, cost, &mut spent, deadline)? {
                     return Err(CacheError::RetriesExhausted {
@@ -1287,7 +1336,7 @@ impl CacheManager {
                         detail: "backing store fetch".into(),
                     });
                 }
-                if !vr.intact {
+                let Some(sealed) = read.intact() else {
                     // Torn write or rot in the authoritative copy, and no
                     // healthy replica remained to serve or repair it this
                     // read. Never serve corrupt bytes.
@@ -1297,8 +1346,7 @@ impl CacheManager {
                         name: name.to_string(),
                         spent_secs: spent,
                     });
-                }
-                let data = vr.data;
+                };
                 {
                     let mut stats = self.stats.lock();
                     stats.backing_fetches += 1;
@@ -1311,17 +1359,17 @@ impl CacheManager {
                     }
                 }
                 self.metrics.tier_hit(Tier::Backing);
-                let crc = crc32(&data);
                 let replicas = self.place_live_replicas(&mut st, my_node);
                 for &node in &replicas {
-                    let (_, spill_cost) = self.insert_dram(&mut st, node, name, data.clone(), crc);
+                    let (_, spill_cost) = self.insert_dram(&mut st, node, name, sealed.clone());
                     spent += spill_cost;
                 }
                 if !replicas.is_empty() {
-                    st.ever_cached.insert(name.to_string());
+                    remember(&mut st.ever_cached, name);
                 }
                 self.debug_check_accounting(&mut st);
-                Ok(Some((data, CacheOutcome { tier: Tier::Backing, virtual_secs: spent })))
+                let outcome = CacheOutcome { tier: Tier::Backing, virtual_secs: spent };
+                Ok(Some((sealed.into_bytes(), outcome)))
             }
             None => {
                 self.stats.lock().total_misses += 1;
@@ -1361,9 +1409,9 @@ impl CacheManager {
                 return Some(ObjectMeta {
                     name: name.to_string(),
                     id: object_id(name),
-                    size: e.data.len() as u64,
+                    size: e.sealed.size(),
                     node: NodeId(ni as u32),
-                    checksum: e.crc,
+                    checksum: e.sealed.checksum(),
                 });
             }
         }
@@ -1503,10 +1551,10 @@ impl CacheManager {
                     && self.quarantine_if_rotted(st, ni, dram, &name)
                 {
                     report.corruptions += 1;
-                } else if !dram && st.nvme[ni].mark_verified(&name) {
-                    // The scrub's clean checksum pass re-admits an entry
-                    // retained across a warm restart.
-                    self.metrics.warm_verified.inc();
+                } else if !dram && self.quarantine_if_stale(st, ni, &name) {
+                    // The scrub re-hashes every entry retained across a
+                    // warm restart; this one rotted while the node was down.
+                    report.corruptions += 1;
                 }
             }
         }
@@ -1527,10 +1575,8 @@ impl CacheManager {
                 .filter(|&ni| st.dram[ni].contains(name) || st.nvme[ni].contains(name))
                 .collect();
             let Some(&src) = holders.first() else { continue };
-            let Some((data, crc)) = st.dram[src]
-                .get(name)
-                .or_else(|| st.nvme[src].get(name))
-                .map(|e| (e.data.clone(), e.crc))
+            let Some(sealed) =
+                st.dram[src].get(name).or_else(|| st.nvme[src].get(name)).map(|e| e.sealed.clone())
             else {
                 continue; // holder lost its copy between scans
             };
@@ -1538,14 +1584,17 @@ impl CacheManager {
             // 2. Backing integrity: a torn/rotted authoritative copy is
             //    rewritten from the healthy replica before any read can
             //    trip over it.
-            if self.backing.verify(name).value == Some(false) {
-                report.corruptions += 1;
-                self.stats.lock().corruptions_detected += 1;
-                self.metrics.corruptions_backing.inc();
-                self.backing.put(name, data.clone());
-                report.backing_repairs += 1;
-                self.stats.lock().repairs += 1;
-                self.metrics.repairs_backing.inc();
+            if let Some(read) = self.backing.get_checked(name).value {
+                self.metrics.hashed_scrub.add(read.size());
+                if read.intact().is_none() {
+                    report.corruptions += 1;
+                    self.stats.lock().corruptions_detected += 1;
+                    self.metrics.corruptions_backing.inc();
+                    self.backing.put(name, sealed.clone());
+                    report.backing_repairs += 1;
+                    self.stats.lock().repairs += 1;
+                    self.metrics.repairs_backing.inc();
+                }
             }
 
             // 3. Re-replication: restore the replication factor for
@@ -1562,14 +1611,14 @@ impl CacheManager {
                 live.iter().copied().filter(|ni| !holders.contains(ni)).collect();
             dests.sort_by_key(|&ni| (std::cmp::Reverse(free[ni]), ni));
             for &dest in dests.iter().take(target - holders.len()) {
-                let _ = self.insert_dram(st, NodeId(dest as u32), name, data.clone(), crc);
+                let _ = self.insert_dram(st, NodeId(dest as u32), name, sealed.clone());
                 report.re_replicated += 1;
                 self.stats.lock().repairs += 1;
                 self.metrics.repairs_replicate.inc();
             }
         }
 
-        self.debug_check_accounting(st);
+        self.check_accounting(st);
         self.metrics.registry.spans().record(
             "cache.anti_entropy",
             format!(
@@ -1603,6 +1652,7 @@ impl CacheManager {
         let plane = self.faults.lock().clone();
         let mut st = self.state.lock();
         self.sync_with_plane(&mut st, plane.as_deref());
+        self.check_accounting(&mut st);
         let mut tiers = Vec::new();
         for stores in [&st.dram, &st.nvme] {
             for (ni, t) in stores.iter().enumerate() {
@@ -2020,7 +2070,7 @@ mod tests {
     #[test]
     fn cold_backing_fetch_is_not_a_repopulation() {
         let backing = BackingStore::default_store();
-        backing.put("cold", payload(64, 9));
+        backing.put("cold", Sealed::seal(payload(64, 9)));
         let c = CacheManager::new(
             Topology::new(4, 2),
             NetworkModel::slingshot(),
@@ -2221,7 +2271,7 @@ mod tests {
         assert_eq!(holders, vec![NodeId(0), NodeId(1)], "distinct nodes hold the replicas");
         assert!(cost2 > cost1, "each replica write is charged: {cost2} vs {cost1}");
         // Metadata carries the content checksum.
-        assert_eq!(c2.meta("obj").unwrap().checksum, crc32(&payload(1 << 16, 5)));
+        assert_eq!(c2.meta("obj").unwrap().checksum, Sealed::seal(payload(1 << 16, 5)).checksum());
     }
 
     #[test]
@@ -2353,7 +2403,7 @@ mod tests {
     #[test]
     fn corrupt_backing_with_no_replica_is_detected_never_served() {
         let backing = BackingStore::default_store();
-        backing.put("poison", payload(256, 4));
+        backing.put("poison", Sealed::seal(payload(256, 4)));
         backing.corrupt("poison");
         let c = CacheManager::new(
             Topology::new(4, 2),
@@ -2527,6 +2577,101 @@ mod tests {
         // The DRAM casualty re-populates from backing as before.
         let (_, b) = c.get(RankId(0), "b").unwrap().unwrap();
         assert_eq!(b.tier, Tier::Backing);
+    }
+
+    #[test]
+    fn warm_restart_rehashes_retained_entries_and_quarantines_rot() {
+        let hashed = |c: &CacheManager| {
+            c.metrics().snapshot().counter("ids_cache_checksummed_bytes_total", "warm_verify")
+        };
+        // Read path: "a" rots on node 0's NVMe while the node is down.
+        let c = cache_cfg(CacheConfig::new(2, 1000, 1 << 20));
+        c.put(RankId(0), "a", payload(900, 1));
+        c.put(RankId(0), "b", payload(900, 2)); // "a" spills to node 0's NVMe
+        c.fail_node(NodeId(0));
+        assert!(c.state.lock().nvme[0].corrupt("a"));
+        c.recover_node(NodeId(0));
+        assert_eq!(c.stats().warm_restart_retained, 1);
+        let (data, out) = c.get(RankId(0), "a").unwrap().unwrap();
+        assert_eq!(data, payload(900, 1), "the rotted bytes were never served");
+        assert_eq!(out.tier, Tier::Backing, "no healthy replica: the backing store answers");
+        assert_eq!(hashed(&c), 900, "one hash of the retained entry");
+        assert_eq!(c.stats().corruptions_detected, 1);
+        let snap = c.metrics().snapshot();
+        assert_eq!(snap.counter("ids_cache_quarantines_total", ""), 1);
+        assert_eq!(snap.counter("ids_cache_warm_restart_verified_total", ""), 0);
+        assert_eq!(c.inspect().tiers.iter().map(|t| t.unverified).sum::<u64>(), 0);
+
+        // With a second replica the healthy copy serves and the
+        // quarantined one is repaired from it.
+        let c = cache_cfg(CacheConfig::new(2, 1000, 1 << 20).with_replication(2));
+        c.put(RankId(0), "a", payload(900, 1));
+        c.put(RankId(0), "b", payload(900, 2)); // "a" spills to NVMe on both nodes
+        c.fail_node(NodeId(0));
+        assert!(c.state.lock().nvme[0].corrupt("a"));
+        c.recover_node(NodeId(0));
+        let (data, out) = c.get(RankId(0), "a").unwrap().unwrap();
+        assert_eq!(data, payload(900, 1));
+        assert_eq!(out.tier, Tier::RemoteNvme, "failed over to node 1's copy");
+        assert_eq!(c.stats().failover_reads, 1);
+        assert_eq!(c.stats().repairs, 1, "node 0's copy was rewritten from the healthy serve");
+        assert_eq!(c.stats().backing_fetches, 0);
+        assert_eq!(hashed(&c), 900, "node 1 never restarted: its copy is not re-hashed");
+
+        // Scrub path: anti-entropy re-hashes every retained entry once.
+        let c = cache_cfg(CacheConfig::new(2, 1000, 1 << 20));
+        c.put(RankId(0), "a", payload(900, 1));
+        c.put(RankId(0), "b", payload(900, 2));
+        c.put(RankId(0), "c", payload(900, 3)); // "a" and "b" now on NVMe
+        c.fail_node(NodeId(0));
+        assert!(c.state.lock().nvme[0].corrupt("a"));
+        c.recover_node(NodeId(0));
+        let report = c.anti_entropy();
+        assert_eq!(report.corruptions, 1);
+        assert_eq!(hashed(&c), 1800);
+        assert_eq!(c.locality("a"), vec![], "the rotted copy is gone");
+        assert_eq!(c.locality("b"), vec![(NodeId(0), Tier::LocalNvme)]);
+        c.anti_entropy();
+        assert_eq!(hashed(&c), 1800, "verified entries are not hashed again");
+    }
+
+    #[test]
+    fn checksummed_bytes_count_one_hash_per_ingest_and_per_verification() {
+        let c = cache_cfg(CacheConfig::new(2, 4000, 1 << 20).with_replication(2));
+        let hashed =
+            |site: &str| c.metrics().snapshot().counter("ids_cache_checksummed_bytes_total", site);
+        let total = || c.metrics().snapshot().counter_sum("ids_cache_checksummed_bytes_total");
+
+        // An n-byte put hashes n bytes — not once more for the backing
+        // write, and not once per replica.
+        c.put(RankId(0), "a", payload(1000, 1));
+        assert_eq!((hashed("put"), total()), (1000, 1000));
+        c.put_ephemeral(RankId(0), "e", payload(300, 2));
+        c.put_with_hint(RankId(0), "h", payload(200, 3), NodeId(1));
+        assert_eq!((hashed("put"), total()), (1500, 1500));
+
+        // DRAM hits, spills, promotes and NVMe hits move sealed payloads.
+        c.put(RankId(0), "b", payload(3000, 4)); // spills "a" to NVMe
+        let (_, out) = c.get(RankId(0), "b").unwrap().unwrap();
+        assert_eq!(out.tier, Tier::LocalDram);
+        let (_, out) = c.get(RankId(0), "a").unwrap().unwrap();
+        assert_eq!(out.tier, Tier::LocalNvme, "served from NVMe, then promoted");
+        assert_eq!((hashed("put"), total()), (4500, 4500));
+
+        // A backing fetch hashes the payload once and re-caches the seal.
+        c.invalidate("a");
+        let (_, out) = c.get(RankId(0), "a").unwrap().unwrap();
+        assert_eq!(out.tier, Tier::Backing);
+        assert_eq!((hashed("backing_read"), total()), (1000, 5500));
+        assert_eq!(c.meta("a").unwrap().checksum, Sealed::seal(payload(1000, 1)).checksum());
+
+        // Anti-entropy verifies the backing copy of every cached durable
+        // name (the ephemeral one has none) and nothing else.
+        let cached_durable: u64 =
+            ["a", "b", "h"].iter().filter_map(|n| c.meta(n)).map(|m| m.size).sum();
+        assert_eq!(cached_durable, 4200);
+        c.anti_entropy();
+        assert_eq!((hashed("scrub"), total()), (4200, 9700));
     }
 
     #[test]

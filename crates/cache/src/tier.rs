@@ -7,15 +7,19 @@
 //! rejects occupancy arithmetic anywhere else in `crates/cache` — so
 //! the invariant `used == Σ entry sizes ≤ capacity` is enforceable in
 //! one place ([`TierStore::check_accounting`]) and the eviction policies
-//! (`evict.rs`) stay pure victim-choosers.
+//! (`evict.rs`) stay pure victim-choosers. That check recomputes the sum
+//! over every entry, so it runs per operation in debug builds only;
+//! release builds run it (and heal any drift) where a full scan already
+//! happens — each anti-entropy pass and each `CacheManager::inspect`.
 //!
-//! Entries carry the CRC recorded at write time plus a `verified` flag
-//! used by warm restart: a node recovery wipes DRAM (volatile) but
-//! *retains* NVMe entries, marking them unverified until their first
-//! clean read or the next anti-entropy scrub re-checks the checksum.
+//! Entries hold the [`Sealed`] payload made at ingest — moving one
+//! between stores never hashes — plus a `verified` flag used by warm
+//! restart: a node recovery wipes DRAM (volatile) but *retains* NVMe
+//! entries, marking them unverified until [`TierStore::reverify`]
+//! re-hashes them, on their first read or the next anti-entropy scrub.
 
 use crate::evict::{EvictionKind, PolicyState};
-use bytes::Bytes;
+use crate::object::Sealed;
 
 /// Which hardware tier a store models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -39,10 +43,8 @@ impl TierKind {
 /// One resident cache entry.
 #[derive(Debug, Clone)]
 pub struct StoredEntry {
-    /// The object bytes.
-    pub data: Bytes,
-    /// CRC32 recorded at write time; serving requires a match.
-    pub crc: u32,
+    /// The object bytes with the CRC32 recorded when they were sealed.
+    pub sealed: Sealed,
     /// False for entries that survived a node restart on a persistent
     /// tier and have not yet been re-verified against their checksum.
     pub verified: bool,
@@ -75,7 +77,7 @@ pub trait TierEngine {
     /// must fit ([`TierEngine::fits`] after removing the old copy); the
     /// caller makes room first via [`TierEngine::pop_victim`]. Returns
     /// false (and stores nothing) when it cannot fit even alone.
-    fn insert(&mut self, name: &str, data: Bytes, crc: u32, now: u64) -> bool;
+    fn insert(&mut self, name: &str, sealed: Sealed, now: u64) -> bool;
     /// Remove and return `name`'s entry.
     fn remove(&mut self, name: &str) -> Option<StoredEntry>;
     /// Evict the policy's chosen victim and return it.
@@ -119,7 +121,7 @@ impl TierStore {
 
     /// Size in bytes of `name`'s entry, if resident.
     pub fn size_of(&self, name: &str) -> Option<u64> {
-        self.entries.get(name).map(|e| e.data.len() as u64)
+        self.entries.get(name).map(|e| e.sealed.size())
     }
 
     /// Resident names in sorted order (deterministic iteration for
@@ -130,16 +132,25 @@ impl TierStore {
         names
     }
 
-    /// Mark `name` as checksum-verified (clean read or scrub).
-    /// Returns true when the entry existed and was previously unverified.
-    pub fn mark_verified(&mut self, name: &str) -> bool {
-        match self.entries.get_mut(name) {
-            Some(e) if !e.verified => {
-                e.verified = true;
-                true
-            }
-            _ => false,
-        }
+    /// Re-hash an entry retained across a warm restart. `None` when
+    /// `name` is absent or already verified (nothing is hashed);
+    /// otherwise whether the payload still matches its checksum — a match
+    /// marks the entry verified, a mismatch leaves it for the caller to
+    /// quarantine.
+    pub fn reverify(&mut self, name: &str) -> Option<bool> {
+        let e = self.entries.get_mut(name).filter(|e| !e.verified)?;
+        e.verified = e.sealed.verify();
+        Some(e.verified)
+    }
+
+    /// Chaos/test hook mirroring `BackingStore::corrupt`: flip one bit of
+    /// `name`'s payload *without* updating its recorded checksum. Returns
+    /// false when the entry is absent or empty (nothing to flip).
+    pub fn corrupt(&mut self, name: &str) -> bool {
+        let Some(e) = self.entries.get_mut(name) else { return false };
+        let Some(rotted) = e.sealed.with_flipped_bit() else { return false };
+        e.sealed = rotted;
+        true
     }
 
     /// Warm restart: keep every entry but drop its verified status, so
@@ -174,12 +185,13 @@ impl TierStore {
 
     /// Sum of entry sizes — `used` recomputed from first principles.
     fn recompute_used(&self) -> u64 {
-        self.entries.values().map(|e| e.data.len() as u64).sum()
+        self.entries.values().map(|e| e.sealed.size()).sum()
     }
 
     /// Accounting invariant: `used` equals the sum of entry sizes and
-    /// never exceeds capacity. Debug builds assert after every mutation
-    /// batch; release builds self-heal drift instead of panicking.
+    /// never exceeds capacity. Debug builds assert; release builds
+    /// self-heal drift instead of panicking. O(entries): see the module
+    /// doc for where each build runs it.
     pub fn check_accounting(&mut self) {
         let sum = self.recompute_used();
         debug_assert_eq!(
@@ -227,13 +239,13 @@ impl TierEngine for TierStore {
         self.entries.contains_key(name)
     }
 
-    fn insert(&mut self, name: &str, data: Bytes, crc: u32, now: u64) -> bool {
-        let size = data.len() as u64;
+    fn insert(&mut self, name: &str, sealed: Sealed, now: u64) -> bool {
+        let size = sealed.size();
         if size > self.capacity {
             return false;
         }
         if let Some(old) = self.entries.remove(name) {
-            self.used = self.used.saturating_sub(old.data.len() as u64);
+            self.used = self.used.saturating_sub(old.sealed.size());
             self.policy.on_remove(name);
         }
         if !self.fits(size) {
@@ -243,14 +255,14 @@ impl TierEngine for TierStore {
         }
         self.used += size;
         self.entries
-            .insert(name.to_string(), StoredEntry { data, crc, verified: true, last_access: now });
+            .insert(name.to_string(), StoredEntry { sealed, verified: true, last_access: now });
         self.policy.on_insert(name, now);
         true
     }
 
     fn remove(&mut self, name: &str) -> Option<StoredEntry> {
         let e = self.entries.remove(name)?;
-        self.used = self.used.saturating_sub(e.data.len() as u64);
+        self.used = self.used.saturating_sub(e.sealed.size());
         self.policy.on_remove(name);
         Some(e)
     }
@@ -261,7 +273,7 @@ impl TierEngine for TierStore {
             // Policy state may lag the entry map (lazy removal); skip
             // names no longer resident.
             let Some(e) = self.entries.remove(&name) else { continue };
-            self.used = self.used.saturating_sub(e.data.len() as u64);
+            self.used = self.used.saturating_sub(e.sealed.size());
             self.victim_pops += 1;
             return Some((name, e));
         }
@@ -284,22 +296,23 @@ impl TierEngine for TierStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
 
-    fn payload(n: usize, tag: u8) -> Bytes {
-        Bytes::from(vec![tag; n])
+    fn payload(n: usize, tag: u8) -> Sealed {
+        Sealed::seal(Bytes::from(vec![tag; n]))
     }
 
     #[test]
     fn insert_remove_keeps_exact_accounting() {
         let mut t = TierStore::new(TierKind::Dram, 1000, EvictionKind::Lru);
-        assert!(t.insert("a", payload(400, 1), 7, 1));
-        assert!(t.insert("b", payload(400, 2), 8, 2));
+        assert!(t.insert("a", payload(400, 1), 1));
+        assert!(t.insert("b", payload(400, 2), 2));
         assert_eq!(t.used(), 800);
         assert!(!t.fits(400));
         // Overwrite replaces, not adds.
-        assert!(t.insert("a", payload(100, 3), 9, 3));
+        assert!(t.insert("a", payload(100, 3), 3));
         assert_eq!(t.used(), 500);
-        assert_eq!(t.remove("b").map(|e| e.data.len()), Some(400));
+        assert_eq!(t.remove("b").map(|e| e.sealed.size()), Some(400));
         assert_eq!(t.used(), 100);
         t.check_accounting();
     }
@@ -307,9 +320,9 @@ mod tests {
     #[test]
     fn insert_refuses_rather_than_busting_the_cap() {
         let mut t = TierStore::new(TierKind::Nvme, 100, EvictionKind::Lru);
-        assert!(!t.insert("big", payload(200, 1), 0, 1), "oversized alone");
-        assert!(t.insert("a", payload(80, 1), 0, 1));
-        assert!(!t.insert("b", payload(50, 2), 0, 2), "no room and no eviction ran");
+        assert!(!t.insert("big", payload(200, 1), 1), "oversized alone");
+        assert!(t.insert("a", payload(80, 1), 1));
+        assert!(!t.insert("b", payload(50, 2), 2), "no room and no eviction ran");
         assert_eq!(t.used(), 80);
         assert_eq!(t.len(), 1);
     }
@@ -317,9 +330,9 @@ mod tests {
     #[test]
     fn lru_victims_come_out_in_recency_order() {
         let mut t = TierStore::new(TierKind::Dram, 10_000, EvictionKind::Lru);
-        t.insert("a", payload(10, 1), 0, 1);
-        t.insert("b", payload(10, 2), 0, 2);
-        t.insert("c", payload(10, 3), 0, 3);
+        t.insert("a", payload(10, 1), 1);
+        t.insert("b", payload(10, 2), 2);
+        t.insert("c", payload(10, 3), 3);
         t.touch("a", 4); // refresh a → b is now the LRU
         let (v1, _) = t.pop_victim().unwrap();
         assert_eq!(v1, "b");
@@ -331,13 +344,19 @@ mod tests {
     #[test]
     fn warm_restart_marks_unverified_then_reverifies() {
         let mut t = TierStore::new(TierKind::Nvme, 1000, EvictionKind::Lru);
-        t.insert("x", payload(10, 1), 0, 1);
-        t.insert("y", payload(10, 2), 0, 2);
+        t.insert("x", payload(10, 1), 1);
+        t.insert("y", payload(10, 2), 2);
         assert_eq!(t.unverified(), 0);
         assert_eq!(t.mark_all_unverified(), 2);
         assert_eq!(t.unverified(), 2);
-        assert!(t.mark_verified("x"));
-        assert!(!t.mark_verified("x"), "already verified");
+        assert_eq!(t.reverify("x"), Some(true));
+        assert_eq!(t.reverify("x"), None, "already verified: nothing to hash");
         assert_eq!(t.unverified(), 1);
+        // A retained entry that rotted while the node was down fails its
+        // re-check and stays unverified.
+        assert!(t.corrupt("y"));
+        assert_eq!(t.reverify("y"), Some(false));
+        assert_eq!(t.unverified(), 1);
+        assert!(!t.corrupt("ghost"));
     }
 }

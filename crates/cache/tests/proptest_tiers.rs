@@ -18,7 +18,7 @@
 
 use bytes::Bytes;
 use ids_cache::{
-    crc32, BackingStore, CacheConfig, CacheManager, EvictionKind, TierEngine, TierKind, TierStore,
+    BackingStore, CacheConfig, CacheManager, EvictionKind, Sealed, TierEngine, TierKind, TierStore,
 };
 use ids_simrt::faults::{FaultConfig, FaultPlane};
 use ids_simrt::{NetworkModel, NodeId, RankId, Topology};
@@ -106,20 +106,21 @@ proptest! {
                 StoreOp::Insert { key, len, tag } => {
                     let name = format!("k{key}");
                     let data = vec![tag; len as usize];
-                    let crc = crc32(&data);
+                    let sealed = Sealed::seal(Bytes::from(data.clone()));
+                    let crc = sealed.checksum();
                     // Mimic the manager: evict until the entry fits
                     // (replacement frees the old copy first).
                     let old = model.get(&name).map_or(0, |(d, _)| d.len() as u64);
                     while t.used() - old.min(t.used()) + len as u64 > t.capacity() {
                         let Some((victim, e)) = t.pop_victim() else { break };
                         let (vd, vcrc) = model.remove(&victim).expect("victim was modeled");
-                        prop_assert_eq!(&e.data[..], &vd[..], "evicted bytes changed");
-                        prop_assert_eq!(e.crc, vcrc, "evicted crc changed");
+                        prop_assert_eq!(&e.sealed.bytes()[..], &vd[..], "evicted bytes changed");
+                        prop_assert_eq!(e.sealed.checksum(), vcrc, "evicted crc changed");
                     }
                     // A replacement drops the old copy even when the new
                     // one is refused, so the model forgets it first.
                     model.remove(&name);
-                    if t.insert(&name, Bytes::from(data.clone()), crc, clock) {
+                    if t.insert(&name, sealed, clock) {
                         model.insert(name, (data, crc));
                     }
                 }
@@ -129,8 +130,8 @@ proptest! {
                     match model.remove(&name) {
                         Some((d, crc)) => {
                             let e = got.expect("model says resident");
-                            prop_assert_eq!(&e.data[..], &d[..]);
-                            prop_assert_eq!(e.crc, crc);
+                            prop_assert_eq!(&e.sealed.bytes()[..], &d[..]);
+                            prop_assert_eq!(e.sealed.checksum(), crc);
                         }
                         None => prop_assert!(got.is_none(), "phantom entry {name}"),
                     }
@@ -139,8 +140,8 @@ proptest! {
                 StoreOp::PopVictim => {
                     if let Some((victim, e)) = t.pop_victim() {
                         let (d, crc) = model.remove(&victim).expect("victim was modeled");
-                        prop_assert_eq!(&e.data[..], &d[..]);
-                        prop_assert_eq!(e.crc, crc);
+                        prop_assert_eq!(&e.sealed.bytes()[..], &d[..]);
+                        prop_assert_eq!(e.sealed.checksum(), crc);
                     } else {
                         prop_assert!(model.is_empty(), "refused to evict a resident entry");
                     }
@@ -172,7 +173,7 @@ proptest! {
                 t.touch(&name, clock);
                 naive.insert(name, clock);
             } else {
-                t.insert(&name, Bytes::from(vec![1u8; 8]), 0, clock);
+                t.insert(&name, Sealed::seal(Bytes::from(vec![1u8; 8])), clock);
                 naive.insert(name, clock);
             }
         }

@@ -427,6 +427,21 @@ fn render_replication_block(out: &mut String, snapshot: &MetricsSnapshot) {
              {re_replicated} re-replications, {rewrites} backing rewrites\n"
         ));
     }
+    // What the integrity work above cost in hashing; on its own (every
+    // put hashes) it does not open the block.
+    let hashed = snapshot.counter_sum("ids_cache_checksummed_bytes_total");
+    if hashed > 0 {
+        let site = |s| snapshot.counter("ids_cache_checksummed_bytes_total", s);
+        out.push_str(&format!(
+            "    checksummed: {hashed} bytes ({} put, {} backing read, {} scrub, \
+             {} quarantine, {} warm verify)\n",
+            site("put"),
+            site("backing_read"),
+            site("scrub"),
+            site("quarantine"),
+            site("warm_verify"),
+        ));
+    }
 }
 
 /// Append the query-survivability block when the recovery plane or the
@@ -718,6 +733,19 @@ mod tests {
         assert!(out.contains("2 failover reads"));
         assert!(out.contains("1 corruptions detected (1 cache, 0 backing)"));
         assert!(out.contains("4 runs, 9 objects scrubbed, 3 re-replications"));
+        assert!(!out.contains("checksummed"), "nothing hashed, nothing listed: {out}");
+
+        reg.counter_with("ids_cache_checksummed_bytes_total", "site", "put").add(4096);
+        reg.counter_with("ids_cache_checksummed_bytes_total", "site", "scrub").add(1024);
+        out.clear();
+        render_replication_block(&mut out, &reg.snapshot());
+        assert!(
+            out.contains(
+                "checksummed: 5120 bytes (4096 put, 0 backing read, 1024 scrub, \
+                 0 quarantine, 0 warm verify)"
+            ),
+            "{out}"
+        );
     }
 
     #[test]
