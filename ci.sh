@@ -71,6 +71,13 @@ cargo build --workspace --release
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> model-kernel exactness at full size (ids-models, release)"
+# The striped Smith–Waterman, lane-parallel DTBA and reach-pruned docking
+# kernels against their scalar / all-pairs references: the same
+# properties tier-1 runs unoptimised at lengths <= 200, here to 1500
+# residues and 412-residue targets, where the debug reference is too slow.
+cargo test -p ids-models --release -- kernels
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -1,14 +1,14 @@
 //! Criterion micro-benchmarks for the hot kernels under the experiments:
-//! Smith–Waterman alignment (full + banded), DTBA forward pass, docking
-//! pose scoring, dictionary interning, hash join, vector top-k, the cache
-//! CRC-32 kernel, and cache get/put.
+//! Smith–Waterman alignment (one-shot and against a prepared target), DTBA
+//! forward pass, docking pose scoring, dictionary interning, hash join,
+//! vector top-k, the cache CRC-32 kernel, and cache get/put.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use ids_cache::{BackingStore, CacheConfig, CacheManager};
 use ids_chem::sequence::ProteinSequence;
 use ids_chem::smiles::parse_smiles;
 use ids_graph::{ops, Dictionary, SolutionSet, Term, TermId};
-use ids_models::{DockingEngine, DtbaModel, MoleculeGenerator, SmithWaterman};
+use ids_models::{DockingEngine, DtbaModel, MoleculeGenerator, SmithWaterman, StructurePredictor};
 use ids_simrt::rng::SplitMix64;
 use ids_simrt::{NetworkModel, RankId, Topology};
 use ids_vector::store::{Metric, VectorStore};
@@ -25,8 +25,9 @@ fn bench_smith_waterman(c: &mut Criterion) {
     g.bench_function("full_412x412", |bench| {
         bench.iter(|| black_box(sw.align(black_box(&a), black_box(&b))))
     });
-    g.bench_function("banded_412x412_w32", |bench| {
-        bench.iter(|| black_box(sw.align_banded(black_box(&a), black_box(&b), 32)))
+    let prepared = sw.prepare(&a);
+    g.bench_function("prepared_412x412", |bench| {
+        bench.iter(|| black_box(prepared.align(black_box(&b))))
     });
     g.finish();
 }
@@ -35,29 +36,27 @@ fn bench_dtba(c: &mut Criterion) {
     let mut rng = SplitMix64::new(2, 1);
     let target = ProteinSequence::random(412, &mut rng);
     let model = DtbaModel::pretrained();
-    c.bench_function("dtba_forward_412aa", |bench| {
+    c.bench_function("dtba_forward_412", |bench| {
         bench.iter(|| black_box(model.predict(black_box(&target), "CC(=O)Oc1ccccc1C(=O)O")))
     });
 }
 
 fn bench_docking_score(c: &mut Criterion) {
-    let mut receptor = ids_chem::Structure3D::new();
+    // The workflow's shape: a predicted 412-residue receptor (one site per
+    // residue) and a 25-heavy-atom ligand posed at its surface.
     let mut rng = SplitMix64::new(3, 1);
-    for _ in 0..400 {
-        receptor.push(
-            ids_chem::Element::C,
-            ids_chem::Vec3::new(
-                rng.next_range(-30.0, 30.0),
-                rng.next_range(-30.0, 30.0),
-                rng.next_range(-30.0, 30.0),
-            ),
-        );
-    }
-    let lig = parse_smiles("CC(=O)Oc1ccccc1C(=O)O").unwrap();
-    let pose = DockingEngine::embed_ligand(&lig, 7);
-    let engine = DockingEngine::test_engine();
-    c.bench_function("docking_score_400x13", |bench| {
+    let target = ProteinSequence::random(412, &mut rng);
+    let receptor = StructurePredictor::default_model().predict(&target).structure;
+    let lig = parse_smiles("CC(C)Cc1ccc(cc1)C(C)C(=O)Nc1ccc(O)cc1CCN").unwrap();
+    assert_eq!(lig.atom_count(), 25);
+    let conformer = DockingEngine::embed_ligand(&lig, 7);
+    let pose = conformer.translated(receptor.atoms()[200].pos - conformer.centroid());
+    let engine = DockingEngine::default_engine();
+    c.bench_function("score_pose_412x25", |bench| {
         bench.iter(|| black_box(engine.score_pose(black_box(&receptor), black_box(&pose), 3)))
+    });
+    c.bench_function("dock_412x25", |bench| {
+        bench.iter(|| black_box(engine.dock(black_box(&receptor), black_box(&lig)).energy))
     });
 }
 

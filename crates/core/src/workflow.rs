@@ -181,8 +181,9 @@ pub fn register_workflow_udfs(
     // re-install the outcome is identical either way.
 
     // --- sw_similarity -----------------------------------------------------
-    let sw = models.sw;
-    let target_seq = target.sequence.clone();
+    // The target's striped profile is built once, here; each call aligns
+    // one database sequence against it.
+    let prepared_target = models.sw.prepare(&target.sequence);
     registry
         .register_static(
             "sw_similarity",
@@ -190,7 +191,7 @@ pub fn register_workflow_udfs(
                 let seq_str = args.first().and_then(|v| v.as_str()).unwrap_or("");
                 match ProteinSequence::parse(seq_str) {
                     Ok(seq) => {
-                        let r = sw.align(&target_seq, &seq);
+                        let r = prepared_target.align(&seq);
                         UdfOutput::new(UdfValue::F64(r.similarity), r.virtual_secs * scale)
                     }
                     Err(_) => UdfOutput::new(UdfValue::F64(0.0), 1.0e-6),
@@ -210,15 +211,16 @@ pub fn register_workflow_udfs(
                 let smiles = args.first().and_then(|v| v.as_str()).unwrap_or("");
                 // Optional second arg: the protein the assay is against
                 // (IRI id or string); defaults to the workflow target.
-                let protein = match args.get(1) {
-                    Some(UdfValue::Str(s)) => s.clone(),
-                    Some(UdfValue::Id(id)) => dict_for_pic50
-                        .decode(ids_graph::TermId(*id))
-                        .and_then(|t| t.as_str().map(String::from))
-                        .unwrap_or_else(|| accession.clone()),
-                    _ => accession.clone(),
+                let decoded;
+                let protein: &str = match args.get(1) {
+                    Some(UdfValue::Str(s)) => s,
+                    Some(UdfValue::Id(id)) => {
+                        decoded = dict_for_pic50.decode(ids_graph::TermId(*id));
+                        decoded.as_ref().and_then(|t| t.as_str()).unwrap_or(&accession)
+                    }
+                    _ => &accession,
                 };
-                let p = pic50.assay(smiles, &protein);
+                let p = pic50.assay(smiles, protein);
                 UdfOutput::new(UdfValue::F64(p.pic50), p.virtual_secs * scale)
             }),
         )

@@ -18,6 +18,13 @@
 //!   Metropolis acceptance, multiple restarts ("exhaustiveness"), best pose
 //!   kept.
 //!
+//! Scoring visits only the receptor atoms a pose can reach: an atom farther
+//! from the pose's centroid than `cutoff + pose radius` is farther than
+//! `cutoff` from every ligand atom (triangle inequality), so the cutoff
+//! test would skip each of its pairs anyway. The surviving pairs are summed
+//! in their original order, which keeps every energy bit-identical to the
+//! all-pairs loop.
+//!
 //! The search is fully deterministic in its inputs: the RNG is seeded from
 //! a content hash of (receptor coordinates, ligand graph), so a cache hit
 //! is indistinguishable from re-execution — the invariant the paper's
@@ -200,17 +207,53 @@ impl DockingEngine {
     /// Score a ligand pose against the receptor: Vina-flavoured
     /// intermolecular terms with the rotor penalty applied.
     pub fn score_pose(&self, receptor: &Structure3D, pose: &Structure3D, n_rotors: usize) -> f64 {
+        let terms: Vec<AtomTerms> = pose.atoms().iter().map(|a| AtomTerms::of(a.element)).collect();
+        let positions: Vec<Vec3> = pose.atoms().iter().map(|a| a.pos).collect();
+        let sites = receptor.atoms().iter().map(Site::of);
+        self.score_sites(sites, &terms, &positions, n_rotors, &mut Vec::new())
+    }
+
+    /// The scoring function over prepared atoms: `terms[i]` at
+    /// `positions[i]` is the ligand, `sites` the receptor in its original
+    /// order. `near` is scratch for the sites within reach of this pose.
+    fn score_sites(
+        &self,
+        sites: impl Iterator<Item = Site>,
+        terms: &[AtomTerms],
+        positions: &[Vec3],
+        n_rotors: usize,
+        near: &mut Vec<Site>,
+    ) -> f64 {
         let w = &self.weights;
         let cutoff = self.params.cutoff;
+
+        // Everything within `cutoff` of any ligand atom lies within
+        // `cutoff + radius` of the centroid. Compared squared (no root per
+        // receptor atom): the margin moves the squared bound by ~1e-5 Å²,
+        // the rounding of either side is ~1e-13. Written as "not farther"
+        // so a NaN coordinate stays in, as it stays in the `r > cutoff`
+        // test below.
+        near.clear();
+        if !positions.is_empty() {
+            let center = centroid(positions);
+            let radius = positions.iter().map(|p| p.distance(center)).fold(0.0, f64::max);
+            let reach = cutoff + radius + REACH_MARGIN;
+            near.extend(sites.filter(|s| {
+                let d = s.pos - center;
+                let out_of_reach = d.dot(d) > reach * reach;
+                !out_of_reach
+            }));
+        }
+
         let mut raw = 0.0;
-        for la in pose.atoms() {
-            for ra in receptor.atoms() {
-                let r = la.pos.distance(ra.pos);
+        for (la, &lpos) in terms.iter().zip(positions) {
+            for ra in near.iter() {
+                let r = lpos.distance(ra.pos);
                 if r > cutoff {
                     continue;
                 }
                 // Surface distance.
-                let d = r - (la.element.vdw_radius() + ra.element.vdw_radius());
+                let d = r - (la.vdw_radius + ra.terms.vdw_radius);
                 let g1 = (-(d / 0.5) * (d / 0.5)).exp();
                 let g2 = {
                     let t = (d - 3.0) / 2.0;
@@ -220,8 +263,7 @@ impl DockingEngine {
                 if d < 0.0 {
                     raw += w.repulsion * d * d;
                 }
-                let both_carbon = la.element == Element::C && ra.element == Element::C;
-                if both_carbon {
+                if la.carbon && ra.terms.carbon {
                     let h = if d < 0.5 {
                         1.0
                     } else if d < 1.5 {
@@ -231,8 +273,7 @@ impl DockingEngine {
                     };
                     raw += w.hydrophobic * h;
                 }
-                let polar_pair = la.element.is_hbond_acceptor() && ra.element.is_hbond_acceptor();
-                if polar_pair {
+                if la.acceptor && ra.terms.acceptor {
                     let h = if d < -0.7 {
                         1.0
                     } else if d < 0.0 {
@@ -258,9 +299,23 @@ impl DockingEngine {
             .bounding_box(self.params.box_margin)
             .expect("non-empty receptor has a bounding box");
 
+        // Per-atom constants once per job; poses are bare coordinates in
+        // three buffers reused across every Monte-Carlo step.
+        let sites: Vec<Site> = receptor.atoms().iter().map(Site::of).collect();
         let conformer = Self::embed_ligand(ligand, job);
+        let terms: Vec<AtomTerms> =
+            conformer.atoms().iter().map(|a| AtomTerms::of(a.element)).collect();
+        let conformer_pos: Vec<Vec3> = conformer.atoms().iter().map(|a| a.pos).collect();
+        let mut near = Vec::with_capacity(sites.len());
+        let mut score = |positions: &[Vec3]| {
+            self.score_sites(sites.iter().copied(), &terms, positions, n_rotors, &mut near)
+        };
+
+        let conformer_center = centroid(&conformer_pos);
         let mut best_energy = f64::INFINITY;
-        let mut best_pose = conformer.clone();
+        let mut best_pose = conformer_pos.clone();
+        let mut pose = conformer_pos.clone();
+        let mut cand = conformer_pos.clone();
         let mut evals: u64 = 0;
 
         for _ in 0..self.params.exhaustiveness {
@@ -270,8 +325,11 @@ impl DockingEngine {
                 rng.next_range(gbox.min.y, gbox.max.y),
                 rng.next_range(gbox.min.z, gbox.max.z),
             );
-            let mut pose = conformer.translated(start - conformer.centroid());
-            let mut energy = self.score_pose(receptor, &pose, n_rotors);
+            let shift = start - conformer_center;
+            for (p, &c) in pose.iter_mut().zip(&conformer_pos) {
+                *p = c + shift;
+            }
+            let mut energy = score(&pose);
             evals += 1;
 
             for _ in 0..self.params.steps {
@@ -287,35 +345,89 @@ impl DockingEngine {
                     rng.next_range(-1.0, 1.0),
                 );
                 let angle = rng.next_range(-0.5, 0.5);
-                let cand = pose.translated(delta).rotated_about_centroid(axis, angle);
+                // Translate, then rotate about the translated centroid.
+                for (c, &p) in cand.iter_mut().zip(&pose) {
+                    *c = p + delta;
+                }
+                let pivot = centroid(&cand);
+                let axis = axis.normalized();
+                for c in cand.iter_mut() {
+                    *c = (*c - pivot).rotated(axis, angle) + pivot;
+                }
                 // Reject poses wandering out of the search box.
-                if !gbox.contains(cand.centroid()) {
+                if !gbox.contains(centroid(&cand)) {
                     continue;
                 }
-                let cand_energy = self.score_pose(receptor, &cand, n_rotors);
+                let cand_energy = score(&cand);
                 evals += 1;
                 let accept = cand_energy < energy || {
                     let boltzmann = ((energy - cand_energy) / self.params.temperature).exp();
                     rng.next_f64() < boltzmann
                 };
                 if accept {
-                    pose = cand;
+                    std::mem::swap(&mut pose, &mut cand);
                     energy = cand_energy;
                 }
                 if energy < best_energy {
                     best_energy = energy;
-                    best_pose = pose.clone();
+                    best_pose.copy_from_slice(&pose);
                 }
             }
         }
 
+        let atoms = conformer.atoms().iter().zip(best_pose);
         DockingResult {
             energy: best_energy,
-            pose: best_pose,
+            pose: Structure3D::from_atoms(
+                atoms.map(|(a, pos)| PlacedAtom { element: a.element, pos }).collect(),
+            ),
             evaluations: evals,
             virtual_secs: self.cost.docking_cost(n_rotors, job),
         }
     }
+}
+
+/// Slack on the pruning radius (Å): far above the rounding error of the
+/// distances compared, far below anything that would admit extra work.
+const REACH_MARGIN: f64 = 1.0e-6;
+
+/// What the scoring function needs to know about an atom besides where it
+/// is — looked up once per structure instead of once per pair.
+#[derive(Debug, Clone, Copy)]
+struct AtomTerms {
+    vdw_radius: f64,
+    carbon: bool,
+    acceptor: bool,
+}
+
+impl AtomTerms {
+    fn of(element: Element) -> Self {
+        Self {
+            vdw_radius: element.vdw_radius(),
+            carbon: element == Element::C,
+            acceptor: element.is_hbond_acceptor(),
+        }
+    }
+}
+
+/// A receptor atom as the scoring function sees it.
+#[derive(Debug, Clone, Copy)]
+struct Site {
+    pos: Vec3,
+    terms: AtomTerms,
+}
+
+impl Site {
+    fn of(atom: &PlacedAtom) -> Self {
+        Self { pos: atom.pos, terms: AtomTerms::of(atom.element) }
+    }
+}
+
+/// Mean position, with [`Structure3D::centroid`]'s arithmetic (the search
+/// box test must see the same bits). `points` is non-empty.
+fn centroid(points: &[Vec3]) -> Vec3 {
+    let sum = points.iter().fold(Vec3::ZERO, |acc, &p| acc + p);
+    sum * (1.0 / points.len() as f64)
 }
 
 #[cfg(test)]
@@ -477,5 +589,213 @@ mod tests {
         let eq = quick.dock(&r, &lig).energy;
         let et = thorough.dock(&r, &lig).energy;
         assert!(et <= eq, "thorough {et} vs quick {eq}");
+    }
+
+    /// The pruned, prepared scorer and search against the all-pairs scorer
+    /// they replaced, bit for bit. Sizes grow in release builds (`ci.sh`
+    /// runs `cargo test --release -- kernels`).
+    mod kernels {
+        use super::*;
+        use crate::structure_pred::StructurePredictor;
+        use ids_chem::sequence::ProteinSequence;
+        use proptest::prelude::*;
+
+        const FULL: bool = !cfg!(debug_assertions);
+
+        /// The previous `score_pose`, verbatim: every ligand atom against
+        /// every receptor atom, per-pair element lookups.
+        fn score_pose_unpruned(
+            e: &DockingEngine,
+            receptor: &Structure3D,
+            pose: &Structure3D,
+            n_rotors: usize,
+        ) -> f64 {
+            let w = &e.weights;
+            let cutoff = e.params.cutoff;
+            let mut raw = 0.0;
+            for la in pose.atoms() {
+                for ra in receptor.atoms() {
+                    let r = la.pos.distance(ra.pos);
+                    if r > cutoff {
+                        continue;
+                    }
+                    let d = r - (la.element.vdw_radius() + ra.element.vdw_radius());
+                    let g1 = (-(d / 0.5) * (d / 0.5)).exp();
+                    let g2 = {
+                        let t = (d - 3.0) / 2.0;
+                        (-t * t).exp()
+                    };
+                    raw += w.gauss1 * g1 + w.gauss2 * g2;
+                    if d < 0.0 {
+                        raw += w.repulsion * d * d;
+                    }
+                    let both_carbon = la.element == Element::C && ra.element == Element::C;
+                    if both_carbon {
+                        let h = if d < 0.5 {
+                            1.0
+                        } else if d < 1.5 {
+                            1.5 - d
+                        } else {
+                            0.0
+                        };
+                        raw += w.hydrophobic * h;
+                    }
+                    let polar_pair =
+                        la.element.is_hbond_acceptor() && ra.element.is_hbond_acceptor();
+                    if polar_pair {
+                        let h = if d < -0.7 {
+                            1.0
+                        } else if d < 0.0 {
+                            -d / 0.7
+                        } else {
+                            0.0
+                        };
+                        raw += w.hbond * h;
+                    }
+                }
+            }
+            raw / (1.0 + w.rotor_penalty * n_rotors as f64)
+        }
+
+        fn predicted_receptor(residues: usize, seed: u64) -> Structure3D {
+            let mut rng = SplitMix64::new(seed, 3);
+            let seq = ProteinSequence::random(residues, &mut rng);
+            StructurePredictor::default_model().predict(&seq).structure
+        }
+
+        const LIGANDS: [&str; 6] = [
+            "CCO",
+            "c1ccccc1",
+            "CC(=O)Oc1ccccc1C(=O)O",
+            "CN1C=NC2=C1C(=O)N(C(=O)N2C)C",
+            "CC(C)Cc1ccc(cc1)C(C)C(=O)O",
+            "NCCc1ccc(O)c(O)c1",
+        ];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(if FULL { 400 } else { 64 }))]
+
+            /// Random rigid placements around and inside a predicted
+            /// receptor: near the surface, buried, grazing, out of reach.
+            #[test]
+            fn pruned_score_equals_all_pairs_score(
+                seed in 0u64..1_000_000,
+                ligand in 0usize..LIGANDS.len(),
+                spread in 0.0f64..45.0,
+                rotors in 0usize..12,
+            ) {
+                let e = DockingEngine::default_engine();
+                let receptor = predicted_receptor(if FULL { 412 } else { 120 }, seed % 5);
+                let lig = parse_smiles(LIGANDS[ligand]).unwrap();
+                let conf = DockingEngine::embed_ligand(&lig, seed);
+                let mut rng = SplitMix64::new(seed, 0x905e);
+                let anchor = receptor.atoms()[rng.next_below(receptor.len() as u64) as usize].pos;
+                let offset = Vec3::new(
+                    rng.next_range(-1.0, 1.0),
+                    rng.next_range(-1.0, 1.0),
+                    rng.next_range(-1.0, 1.0),
+                ) * spread;
+                let axis = Vec3::new(rng.next_range(-1.0, 1.0), rng.next_range(-1.0, 1.0), 1.0);
+                let pose = conf
+                    .translated(anchor + offset - conf.centroid())
+                    .rotated_about_centroid(axis, rng.next_range(-3.0, 3.0));
+                let got = e.score_pose(&receptor, &pose, rotors);
+                let expect = score_pose_unpruned(&e, &receptor, &pose, rotors);
+                prop_assert_eq!(got.to_bits(), expect.to_bits());
+            }
+
+            /// Receptor atoms placed within 1e-9 Å of the interaction cutoff
+            /// from a ligand atom, on either side: pruning by reach must
+            /// never drop (or add) a pair the cutoff test keeps.
+            #[test]
+            fn atoms_at_the_cutoff_are_kept_or_dropped_alike(
+                seed in 0u64..1_000_000,
+                ligand in 0usize..LIGANDS.len(),
+            ) {
+                let e = DockingEngine::default_engine();
+                let cutoff = e.params.cutoff;
+                let lig = parse_smiles(LIGANDS[ligand]).unwrap();
+                let pose = DockingEngine::embed_ligand(&lig, seed)
+                    .translated(Vec3::new(17.0, -3.0, 5.5));
+                let center = pose.centroid();
+                let outermost = pose
+                    .atoms()
+                    .iter()
+                    .map(|a| a.pos)
+                    .max_by(|a, b| a.distance(center).total_cmp(&b.distance(center)))
+                    .unwrap();
+                let mut rng = SplitMix64::new(seed, 0xc07);
+                let mut receptor = Structure3D::new();
+                for i in 0..40 {
+                    // Every fourth atom sits straight out from the outermost
+                    // ligand atom — the one geometry where the reach bound
+                    // is tight as well.
+                    let (from, dir) = if i % 4 == 0 {
+                        (outermost, (outermost - center).normalized())
+                    } else {
+                        let from = pose.atoms()[rng.next_below(pose.len() as u64) as usize].pos;
+                        let dir = Vec3::new(
+                            rng.next_range(-1.0, 1.0),
+                            rng.next_range(-1.0, 1.0),
+                            rng.next_range(-1.0, 1.0),
+                        );
+                        (from, dir.normalized())
+                    };
+                    let nudge = rng.next_range(-1.0e-9, 1.0e-9);
+                    let element = [Element::C, Element::N, Element::O][i % 3];
+                    receptor.push(element, from + dir * (cutoff + nudge));
+                }
+                let got = e.score_pose(&receptor, &pose, 2);
+                let expect = score_pose_unpruned(&e, &receptor, &pose, 2);
+                prop_assert_eq!(got.to_bits(), expect.to_bits());
+            }
+        }
+
+        #[test]
+        fn empty_pose_and_non_finite_coordinates_score_like_all_pairs() {
+            let e = DockingEngine::default_engine();
+            let r = receptor();
+            assert_eq!(e.score_pose(&r, &Structure3D::new(), 3).to_bits(), 0f64.to_bits());
+            let lig = parse_smiles("CCO").unwrap();
+            let mut atoms = DockingEngine::embed_ligand(&lig, 1).atoms().to_vec();
+            atoms[1].pos.x = f64::NAN;
+            let pose = Structure3D::from_atoms(atoms);
+            assert!(e.score_pose(&r, &pose, 0).is_nan());
+            assert!(score_pose_unpruned(&e, &r, &pose, 0).is_nan());
+        }
+
+        /// `(SMILES, energy bits, evaluations)` of the default search (4
+        /// restarts × 250 steps) against `predicted_receptor(150, 0x29274)`,
+        /// captured before the scorer was pruned and the pose buffers were
+        /// reused.
+        const PINNED: [(&str, u64, u64); 6] = [
+            ("CCO", 0xbfc9_9ee7_8c4a_acd5, 1004),
+            ("c1ccccc1", 0x0000_0000_0000_0000, 994),
+            ("CC(=O)Oc1ccccc1C(=O)O", 0xbfc3_2b96_77eb_3c39, 1003),
+            ("CN1C=NC2=C1C(=O)N(C(=O)N2C)C", 0xbfa2_e183_913f_746c, 994),
+            ("CC(C)Cc1ccc(cc1)C(C)C(=O)O", 0xbfe3_ada7_6720_2375, 986),
+            ("NCCc1ccc(O)c(O)c1", 0xbf92_1c8d_ca68_7398, 993),
+        ];
+
+        #[test]
+        fn dock_energies_and_evaluations_match_the_pinned_search() {
+            let receptor = predicted_receptor(150, 0x29274);
+            let e = DockingEngine::new(
+                ScoringWeights::default(),
+                DockingParams::default(),
+                CostModel::free(),
+            );
+            for (smiles, energy, evaluations) in PINNED {
+                let lig = parse_smiles(smiles).unwrap();
+                let res = e.dock(&receptor, &lig);
+                assert_eq!(res.energy.to_bits(), energy, "energy of {smiles}");
+                assert_eq!(res.evaluations, evaluations, "evaluations of {smiles}");
+                // The reported pose is the one that scored the energy.
+                if res.energy != 0.0 {
+                    let rescored = e.score_pose(&receptor, &res.pose, lig.rotatable_bonds());
+                    assert_eq!(rescored.to_bits(), energy, "best pose of {smiles}");
+                }
+            }
+        }
     }
 }

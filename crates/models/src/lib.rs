@@ -7,9 +7,11 @@
 //! prediction (tenths of a second), and AutoDock Vina docking (tens of
 //! seconds per ligand). This crate implements each one:
 //!
-//! * [`smith_waterman`] — full affine-gap Smith–Waterman local alignment
-//!   with BLOSUM62, plus a banded variant (implemented for real; the paper
-//!   uses the SSW SIMD library).
+//! * [`smith_waterman`] — exact affine-gap Smith–Waterman local alignment
+//!   with BLOSUM62 (implemented for real; the paper uses the SSW SIMD
+//!   library): a striped eight-lane `i16` kernel behind a prepare-once /
+//!   align-many split like SSW's, with the scalar Gotoh loop for inputs
+//!   whose scores could leave `i16` range.
 //! * [`pic50`] — compound-potency computation and a deterministic synthetic
 //!   assay model.
 //! * [`dtba`] — a from-scratch DeepDTA-style drug–target binding-affinity
@@ -46,5 +48,5 @@ pub use docking::{DockingEngine, DockingParams, DockingResult};
 pub use dtba::DtbaModel;
 pub use molgen::MoleculeGenerator;
 pub use repo::{ModelKind, ModelMeta, ModelRepository};
-pub use smith_waterman::{SmithWaterman, SwParams};
+pub use smith_waterman::{PreparedQuery, SmithWaterman, SwParams};
 pub use structure_pred::StructurePredictor;
