@@ -78,6 +78,15 @@ echo "==> model-kernel exactness at full size (ids-models, release)"
 # residues and 412-residue targets, where the debug reference is too slow.
 cargo test -p ids-models --release -- kernels
 
+echo "==> BGP-kernel exactness at full size (ids-graph + ids-core, release)"
+# The column-at-a-time scan, hash join, gather/append, repartition and
+# result gather against the row-at-a-time loops they replaced (rows,
+# order, column widths, streamed byte matrix): the same properties tier-1
+# runs unoptimised at a few hundred rows, here at thousands of rows and
+# hundreds of ranks.
+cargo test -p ids-graph --release -- kernels
+cargo test -p ids-core --release -- kernels
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -1,13 +1,16 @@
 //! Criterion micro-benchmarks for the hot kernels under the experiments:
 //! Smith–Waterman alignment (one-shot and against a prepared target), DTBA
 //! forward pass, docking pose scoring, dictionary interning, hash join,
-//! vector top-k, the cache CRC-32 kernel, and cache get/put.
+//! the BGP data plane (batch join, repartition, result gather), vector
+//! top-k, the cache CRC-32 kernel, and cache get/put.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use ids_cache::{BackingStore, CacheConfig, CacheManager};
 use ids_chem::sequence::ProteinSequence;
 use ids_chem::smiles::parse_smiles;
-use ids_graph::{ops, Dictionary, SolutionSet, Term, TermId};
+use ids_core::engine::{repartition_by_vars, shape_result};
+use ids_core::Datastore;
+use ids_graph::{ops, Dictionary, SolutionBatch, SolutionSet, Term, TermId};
 use ids_models::{DockingEngine, DtbaModel, MoleculeGenerator, SmithWaterman, StructurePredictor};
 use ids_simrt::rng::SplitMix64;
 use ids_simrt::{NetworkModel, RankId, Topology};
@@ -106,6 +109,64 @@ fn bench_hash_join(c: &mut Criterion) {
     g.finish();
 }
 
+/// `rows` rows of (`k`, `v`): `k` cycles through `keys` values in a
+/// scattered order, `v` counts up from `v0`.
+fn keyed_batch(vars: [&str; 2], rows: u64, keys: u64, v0: u64) -> SolutionBatch {
+    let mut b = SolutionBatch::empty(vars.map(String::from).to_vec());
+    for i in 0..rows {
+        b.push_row(&[TermId(i.wrapping_mul(2_654_435_761) % keys), TermId(v0 + i)]);
+    }
+    b
+}
+
+/// The column-at-a-time BGP kernels at `bgp-join`'s sizes (≈ 50 k rows
+/// over 16 ranks) and, for the exchange, at `ncnpr-udf`'s shape as well:
+/// about as many rows over 2048 ranks, twenty to a source, where any work
+/// per (source, destination) pair instead of per row is 4.2 M steps.
+fn bench_bgp_kernels(c: &mut Criterion) {
+    let left = keyed_batch(["k", "l"], 50_000, 2_200, 0);
+    let right = keyed_batch(["k", "r"], 2_200, 2_200, 1 << 20);
+    let mut g = c.benchmark_group("bgp");
+    g.throughput(Throughput::Elements(52_200));
+    g.bench_function("hash_join_batch_50k", |bench| {
+        bench.iter(|| black_box(ops::hash_join_batch(black_box(&left), black_box(&right))))
+    });
+
+    let keys = ["k".to_string()];
+    for (name, ranks, per_rank) in
+        [("repartition_50k_x16", 16usize, 3_125u64), ("repartition_40k_x2048", 2048, 20)]
+    {
+        let sets: Vec<SolutionBatch> = (0..ranks as u64)
+            .map(|r| keyed_batch(["k", "v"], per_rank, 2_200, r * per_rank))
+            .collect();
+        g.throughput(Throughput::Elements(ranks as u64 * per_rank));
+        g.bench_function(name, |bench| {
+            bench.iter_batched(
+                || sets.clone(),
+                |sets| black_box(repartition_by_vars(sets, &keys, ranks)),
+                BatchSize::LargeInput,
+            )
+        });
+    }
+
+    // Four id columns in join order, every id in the dictionary, no ORDER
+    // BY: canonical sort, SELECT in another order, one materialisation.
+    let ds = Datastore::new(1);
+    let ids: Vec<TermId> = (0..50_000).map(|i| ds.encode(&Term::iri(format!("e:{i}")))).collect();
+    let mut merged =
+        SolutionBatch::empty(["protein", "seq", "compound", "smiles"].map(String::from).to_vec());
+    for i in 0..50_000usize {
+        let compound = ids[i.wrapping_mul(40_503) % 50_000];
+        merged.push_row(&[ids[i % 2_200], ids[(i % 2_200) + 2_200], compound, ids[i]]);
+    }
+    let select = ["compound", "smiles", "protein", "seq"].map(String::from);
+    g.throughput(Throughput::Elements(50_000));
+    g.bench_function("gather_sort_50k", |bench| {
+        bench.iter(|| black_box(shape_result(black_box(&merged), None, &select, false, None, &ds)))
+    });
+    g.finish();
+}
+
 fn bench_vector_search(c: &mut Criterion) {
     let mut store = VectorStore::new(64);
     let mut rng = SplitMix64::new(4, 1);
@@ -168,6 +229,7 @@ criterion_group!(
     bench_docking_score,
     bench_dictionary,
     bench_hash_join,
+    bench_bgp_kernels,
     bench_vector_search,
     bench_cache,
     bench_molgen

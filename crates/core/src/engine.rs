@@ -21,6 +21,7 @@ use crate::binding::RowBindings;
 use crate::datastore::Datastore;
 use crate::planner::{PhysicalPattern, PhysicalPlan, PhysicalStage};
 use ids_cache::{CacheManager, IntermediateSolutions, TypedSolutionSet};
+use ids_graph::batch::Column;
 use ids_graph::ops as gops;
 use ids_graph::{BatchChannel, SolutionBatch, SolutionSet, TermId};
 use ids_obs::MetricsRegistry;
@@ -32,7 +33,7 @@ use ids_udf::{
     UdfRegistry,
 };
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -1663,73 +1664,16 @@ impl PlanRun {
         );
         anti_entropy_tick(cache, metrics, cluster.elapsed());
 
+        require_bound(&solutions, "gather")?;
         let plan = &self.plan;
-        // Row-oriented processing is fine at the gather boundary: the
-        // result set is final-sized and ORDER BY/project/distinct operate
-        // on whole rows anyway.
-        let mut gathered = gops::merge_batches(solutions).to_set();
-        // Canonicalize before any result-shaping (DESIGN.md §5l): the BGP
-        // join order is an optimizer choice — and under adaptive
-        // re-planning can change mid-query — while the solution *multiset*
-        // is order-independent. Fixing the column order lexicographically
-        // and sorting rows by term id makes everything downstream (the
-        // stable ORDER BY re-sort, SELECT projection, DISTINCT's
-        // first-occurrence rule, LIMIT's prefix) a pure function of that
-        // multiset, so static and adaptive plans return byte-identical
-        // results.
-        let canon: Vec<String> = {
-            let mut c = gathered.vars().to_vec();
-            c.sort_unstable();
-            c
-        };
-        if gathered.vars() != canon.as_slice() {
-            let cols: Vec<&str> = canon.iter().map(String::as_str).collect();
-            gathered = gops::project(&gathered, &cols);
-        }
-        {
-            let vars = gathered.vars().to_vec();
-            let mut rows = gathered.take_rows();
-            rows.sort_unstable();
-            gathered = SolutionSet::new(vars, rows);
-        }
-        // ORDER BY runs before projection so the sort variable need not be
-        // projected; DISTINCT and LIMIT run after, on the final shape.
-        if let Some((var, descending)) = &plan.order_by {
-            let idx = gathered.var_index(var).ok_or_else(|| {
-                ExecError::msg(format!("ORDER BY variable ?{var} is never bound"))
-            })?;
-            let dict = ds.dictionary();
-            let mut rows = gathered.take_rows();
-            rows.sort_by(|a, b| {
-                let ta = dict.decode(a[idx]);
-                let tb = dict.decode(b[idx]);
-                let ord = compare_terms(ta.as_ref(), tb.as_ref());
-                if *descending {
-                    ord.reverse()
-                } else {
-                    ord
-                }
-            });
-            let vars = gathered.vars().to_vec();
-            gathered = SolutionSet::new(vars, rows);
-        }
-        if !plan.select.is_empty() {
-            let cols: Vec<&str> = plan.select.iter().map(String::as_str).collect();
-            for c in &cols {
-                if gathered.var_index(c).is_none() {
-                    return Err(ExecError::msg(format!("projected variable ?{c} is never bound")));
-                }
-            }
-            gathered = gops::project(&gathered, &cols);
-        }
-        if plan.distinct {
-            gathered = gops::distinct(&gathered);
-        }
-        if let Some(limit) = plan.limit {
-            let vars = gathered.vars().to_vec();
-            let rows: Vec<Vec<TermId>> = gathered.rows().iter().take(limit).cloned().collect();
-            gathered = SolutionSet::new(vars, rows);
-        }
+        let gathered = shape_result(
+            &gops::merge_batches(solutions),
+            plan.order_by.as_ref(),
+            &plan.select,
+            plan.distinct,
+            plan.limit,
+            ds,
+        )?;
 
         let elapsed_secs = cluster.elapsed() - self.t0;
         metrics.histogram("ids_engine_query_secs").observe(elapsed_secs);
@@ -1828,6 +1772,114 @@ pub fn execute_plan(
             return Ok(*outcome);
         }
     }
+}
+
+/// Shape the merged solutions into the client's result: canonical row
+/// order, then ORDER BY, SELECT, DISTINCT and LIMIT.
+///
+/// Canonicalize before any result-shaping (DESIGN.md §5l): the BGP join
+/// order is an optimizer choice — and under adaptive re-planning can
+/// change mid-query — while the solution *multiset* is order-independent.
+/// Fixing the column order lexicographically and sorting rows by term id
+/// makes everything downstream (the stable ORDER BY re-sort, SELECT
+/// projection, DISTINCT's first-occurrence rule, LIMIT's prefix) a pure
+/// function of that multiset, so static and adaptive plans return
+/// byte-identical results.
+///
+/// Every step reorders or thins a row permutation over `merged`'s id
+/// columns; rows are materialised once, at the end, in their final shape.
+/// ORDER BY runs before projection so the sort variable need not be
+/// projected; DISTINCT and LIMIT run after, on the final shape.
+///
+/// `merged` must be fully bound (the caller checks). Public so the micro
+/// benches can time the gather's data plane alone.
+pub fn shape_result(
+    merged: &SolutionBatch,
+    order_by: Option<&(String, bool)>,
+    select: &[String],
+    distinct: bool,
+    limit: Option<usize>,
+    ds: &Datastore,
+) -> Result<SolutionSet, ExecError> {
+    let mut canon: Vec<usize> = (0..merged.vars().len()).collect();
+    canon.sort_unstable_by_key(|&c| &merged.vars()[c]);
+    let mut perm = canonical_permutation(merged, &canon)?;
+
+    if let Some((var, descending)) = order_by {
+        let idx = merged
+            .var_index(var)
+            .ok_or_else(|| ExecError::msg(format!("ORDER BY variable ?{var} is never bound")))?;
+        // One decode per row, not two per comparison.
+        let dict = ds.dictionary();
+        let col = merged.column(idx);
+        let keys: Vec<Option<ids_graph::Term>> =
+            (0..merged.len()).map(|row| dict.decode(TermId(col.get(row)))).collect();
+        perm.sort_by(|&a, &b| {
+            let ord = compare_terms(keys[a as usize].as_ref(), keys[b as usize].as_ref());
+            if *descending {
+                ord.reverse()
+            } else {
+                ord
+            }
+        });
+    }
+
+    let (vars, cols): (Vec<String>, Vec<usize>) = if select.is_empty() {
+        (canon.iter().map(|&c| merged.vars()[c].clone()).collect(), canon)
+    } else {
+        let cols = select
+            .iter()
+            .map(|v| {
+                merged.var_index(v).ok_or_else(|| {
+                    ExecError::msg(format!("projected variable ?{v} is never bound"))
+                })
+            })
+            .collect::<Result<_, _>>()?;
+        (select.to_vec(), cols)
+    };
+    let cols: Vec<&Column> = cols.into_iter().map(|c| merged.column(c)).collect();
+
+    let limit = limit.unwrap_or(usize::MAX);
+    let mut rows: Vec<Vec<TermId>> =
+        Vec::with_capacity(if distinct { 0 } else { perm.len().min(limit) });
+    let mut seen: HashSet<Vec<TermId>> = HashSet::new();
+    for &row in &perm {
+        if rows.len() >= limit {
+            break;
+        }
+        let shaped: Vec<TermId> = cols.iter().map(|c| TermId(c.get(row as usize))).collect();
+        // First occurrence wins.
+        if distinct && !seen.insert(shaped.clone()) {
+            continue;
+        }
+        rows.push(shaped);
+    }
+    Ok(SolutionSet::new(vars, rows))
+}
+
+/// The permutation that sorts `batch`'s rows lexicographically by the id
+/// columns `cols`. Rows that tie on every column are identical, so their
+/// relative order cannot show in any result.
+fn canonical_permutation(batch: &SolutionBatch, cols: &[usize]) -> Result<Vec<u32>, ExecError> {
+    let rows = u32::try_from(batch.len())
+        .map_err(|_| ExecError::msg("result exceeds the u32 row index space"))?;
+    let Some((&first, rest)) = cols.split_first() else {
+        return Ok((0..rows).collect());
+    };
+    // Carry the leading column's id beside the row index: most comparisons
+    // are settled there without touching the batch.
+    let lead = batch.column(first);
+    let mut keyed: Vec<(u64, u32)> = (0..rows).map(|row| (lead.get(row as usize), row)).collect();
+    let rest: Vec<&Column> = rest.iter().map(|&c| batch.column(c)).collect();
+    keyed.sort_unstable_by(|&(ka, a), &(kb, b)| {
+        ka.cmp(&kb).then_with(|| {
+            rest.iter()
+                .map(|c| c.get(a as usize).cmp(&c.get(b as usize)))
+                .find(|ord| ord.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        })
+    });
+    Ok(keyed.into_iter().map(|(_, row)| row).collect())
 }
 
 /// Total order over decoded terms for ORDER BY: numerics sort numerically
@@ -1960,6 +2012,8 @@ fn distributed_join(
     tally: &mut ExchangeTally,
 ) -> Result<Vec<SolutionBatch>, ExecError> {
     let ranks = left.len();
+    require_bound(&left, "join")?;
+    require_bound(&right, "join")?;
     let left_vars = left[0].vars().to_vec();
     let right_vars = right[0].vars().to_vec();
     let shared: Vec<String> =
@@ -2106,13 +2160,63 @@ fn fold_matrix_by_owner(cluster: &Cluster, matrix: &[u64], ranks: usize) -> Vec<
     out
 }
 
-/// Redistribute rows so equal join keys land on equal ranks.
-fn repartition_by_vars(
-    sets: Vec<SolutionBatch>,
+/// Refuse a batch with unbound cells before it reaches a kernel that
+/// reads columns as plain ids: BGP solutions are fully bound, so a null
+/// here is an upstream bug — reported as a query error, not a panic on a
+/// rank's hot path.
+fn require_bound(batches: &[SolutionBatch], stage: &str) -> Result<(), ExecError> {
+    match batches.iter().position(SolutionBatch::has_nulls) {
+        None => Ok(()),
+        Some(shard) => Err(ExecError::msg(format!(
+            "{stage} input on shard {shard} has unbound (null) bindings; \
+             BGP solutions must be fully bound"
+        ))),
+    }
+}
+
+/// The exchange's placement rule: the destination shard of every row of
+/// `set`, from its key columns. The hash is part of the engine's
+/// determinism contract (row placement fixes per-rank order, which fixes
+/// every downstream charge), so it is computed a column at a time but
+/// never changed.
+fn destinations(set: &SolutionBatch, key_idx: &[usize], ranks: usize) -> Vec<u32> {
+    fn place(h: u64, id: u64) -> u64 {
+        hash_combine(h, fnv1a(&id.to_le_bytes()))
+    }
+    let mut hashes = vec![0xA17C_E55Eu64; set.len()];
+    for &k in key_idx {
+        match set.column(k) {
+            Column::U32(ids) => {
+                for (h, &id) in hashes.iter_mut().zip(ids) {
+                    *h = place(*h, u64::from(id));
+                }
+            }
+            Column::U64(ids) => {
+                for (h, &id) in hashes.iter_mut().zip(ids) {
+                    *h = place(*h, id);
+                }
+            }
+        }
+    }
+    hashes.into_iter().map(|h| (h % ranks as u64) as u32).collect()
+}
+
+/// Cut each source batch into per-destination selection vectors and hand
+/// every non-empty `(src, dst)` group to `deliver` with its rows in source
+/// order; sources are visited in rank order. Both exchange forms are this
+/// pass plus a delivery rule.
+///
+/// Work scales with rows, not ranks²: the per-destination counters are
+/// allocated once and only the destinations a source actually touched are
+/// visited and reset, so 2048 sources of twenty rows each cost 2048 × 20
+/// steps, not 2048 × 2048.
+fn partition_by_keys(
+    sets: &[SolutionBatch],
     vars: &[String],
     ranks: usize,
-) -> Result<Vec<SolutionBatch>, ExecError> {
-    let schema = sets[0].vars().to_vec();
+    mut deliver: impl FnMut(usize, &SolutionBatch, usize, &[u32]),
+) -> Result<(), ExecError> {
+    let schema = sets[0].vars();
     // The shared variables were computed from this schema, so lookup only
     // fails on an internal planner bug — report it instead of panicking.
     let key_idx: Vec<usize> = vars
@@ -2123,19 +2227,60 @@ fn repartition_by_vars(
             })
         })
         .collect::<Result<_, _>>()?;
-    let mut out: Vec<SolutionBatch> =
-        (0..ranks).map(|_| SolutionBatch::empty(schema.clone())).collect();
-    let mut rowbuf: Vec<TermId> = Vec::new();
-    for set in sets {
-        for i in 0..set.len() {
-            set.copy_row(i, &mut rowbuf);
-            let mut h = 0xA17C_E55Eu64;
-            for &k in &key_idx {
-                h = hash_combine(h, fnv1a(&rowbuf[k].raw().to_le_bytes()));
+    require_bound(sets, "exchange")?;
+    if u32::try_from(ranks).is_err() || sets.iter().any(|s| u32::try_from(s.len()).is_err()) {
+        return Err(ExecError::msg("exchange exceeds the u32 row/rank index space"));
+    }
+
+    // `cursor[d]`: rows bound for `d` while counting, then the next free
+    // slot of `d`'s span in `sel`; zero again once the source is done.
+    let mut cursor = vec![0u32; ranks];
+    let mut spans: Vec<(u32, u32, u32)> = Vec::new(); // (dst, start, len)
+    let mut sel: Vec<u32> = Vec::new();
+    for (src, set) in sets.iter().enumerate() {
+        if set.is_empty() {
+            continue;
+        }
+        let dest = destinations(set, &key_idx, ranks);
+        spans.clear();
+        for &d in &dest {
+            if cursor[d as usize] == 0 {
+                spans.push((d, 0, 0));
             }
-            out[(h % ranks as u64) as usize].push_row(&rowbuf);
+            cursor[d as usize] += 1;
+        }
+        let mut start = 0u32;
+        for span in &mut spans {
+            let len = std::mem::replace(&mut cursor[span.0 as usize], start);
+            (span.1, span.2) = (start, len);
+            start += len;
+        }
+        sel.clear();
+        sel.resize(dest.len(), 0);
+        for (row, &d) in dest.iter().enumerate() {
+            let slot = &mut cursor[d as usize];
+            sel[*slot as usize] = row as u32;
+            *slot += 1;
+        }
+        for &(d, start, len) in &spans {
+            cursor[d as usize] = 0;
+            deliver(src, set, d as usize, &sel[start as usize..(start + len) as usize]);
         }
     }
+    Ok(())
+}
+
+/// Redistribute rows so equal join keys land on equal ranks: `out[dst]`
+/// holds its rows ordered by (src, row-within-src).
+///
+/// Public so the micro benches can time the exchange's data plane alone.
+pub fn repartition_by_vars(
+    sets: Vec<SolutionBatch>,
+    vars: &[String],
+    ranks: usize,
+) -> Result<Vec<SolutionBatch>, ExecError> {
+    let mut out = vec![SolutionBatch::empty(sets[0].vars().to_vec()); ranks];
+    partition_by_keys(&sets, vars, ranks, |_, set, dst, rows| out[dst].extend_gather(set, rows))?;
     Ok(out)
 }
 
@@ -2149,6 +2294,9 @@ fn repartition_by_vars(
 /// processed in rank order and each source's channels are fully drained
 /// before the next source starts, so `out[dst]` holds rows ordered by
 /// (src, row-within-src) — exactly what the barriered path produces.
+/// A flow's selection vector is cut every `batch_rows` rows, the same
+/// sub-batches a row-at-a-time sender would fill, so each sub-batch picks
+/// its own column widths and the channel's byte tally is unchanged.
 /// A full channel hands the batch back; the sender drains the receiver
 /// side and retries (the matching virtual-time stall is charged by
 /// `Cluster::streamed_exchange_cost`).
@@ -2158,49 +2306,19 @@ fn repartition_streamed(
     ranks: usize,
     opts: &ExecOptions,
 ) -> Result<(Vec<SolutionBatch>, Vec<u64>), ExecError> {
-    let schema = sets[0].vars().to_vec();
-    let key_idx: Vec<usize> = vars
-        .iter()
-        .map(|v| {
-            sets[0].var_index(v).ok_or_else(|| {
-                ExecError::msg(format!("join key ?{v} missing from schema {schema:?}"))
-            })
-        })
-        .collect::<Result<_, _>>()?;
     let batch_rows = opts.batch_rows.max(1);
-    let mut out: Vec<SolutionBatch> =
-        (0..ranks).map(|_| SolutionBatch::empty(schema.clone())).collect();
+    let mut out = vec![SolutionBatch::empty(sets[0].vars().to_vec()); ranks];
     let mut bytes = vec![0u64; ranks * ranks];
-    let mut rowbuf: Vec<TermId> = Vec::new();
-    for (src, set) in sets.into_iter().enumerate() {
-        let mut chans: Vec<BatchChannel> =
-            (0..ranks).map(|_| BatchChannel::new(opts.exchange_channel_capacity)).collect();
-        let mut pending: Vec<SolutionBatch> =
-            (0..ranks).map(|_| SolutionBatch::empty(schema.clone())).collect();
-        for i in 0..set.len() {
-            set.copy_row(i, &mut rowbuf);
-            let mut h = 0xA17C_E55Eu64;
-            for &k in &key_idx {
-                h = hash_combine(h, fnv1a(&rowbuf[k].raw().to_le_bytes()));
-            }
-            let dst = (h % ranks as u64) as usize;
-            pending[dst].push_row(&rowbuf);
-            if pending[dst].len() >= batch_rows {
-                let full =
-                    std::mem::replace(&mut pending[dst], SolutionBatch::empty(schema.clone()));
-                channel_send(&mut chans[dst], &mut out[dst], full);
-            }
+    partition_by_keys(&sets, vars, ranks, |src, set, dst, rows| {
+        let mut chan = BatchChannel::new(opts.exchange_channel_capacity);
+        for sub in rows.chunks(batch_rows) {
+            channel_send(&mut chan, &mut out[dst], SolutionBatch::gather(set, sub));
         }
-        for (dst, (mut chan, tail)) in chans.into_iter().zip(pending).enumerate() {
-            if !tail.is_empty() {
-                channel_send(&mut chan, &mut out[dst], tail);
-            }
-            for batch in chan.drain() {
-                out[dst].append(batch);
-            }
-            bytes[src * ranks + dst] = chan.pushed_bytes();
+        for batch in chan.drain() {
+            out[dst].append(batch);
         }
-    }
+        bytes[src * ranks + dst] = chan.pushed_bytes();
+    })?;
     Ok((out, bytes))
 }
 
@@ -2938,5 +3056,350 @@ mod tests {
         assert_eq!(anns.len(), 1);
         // The rank survives beyond u32::MAX un-truncated.
         assert_eq!(anns[0].rank, u32::MAX as u64 + 7);
+    }
+
+    #[test]
+    fn nullable_input_is_a_query_error_not_a_panic() {
+        let vars = vec!["k".to_string(), "v".to_string()];
+        let mut holed = SolutionBatch::empty(vars.clone());
+        holed.push_opt_row(&[Some(TermId(1)), None]);
+        let sets = vec![SolutionBatch::empty(vars.clone()), holed];
+        let keys = vec!["k".to_string()];
+        let is_null_error = |e: ExecError, stage: &str| {
+            let text = e.to_string();
+            text.contains(stage) && text.contains("shard 1") && text.contains("unbound (null)")
+        };
+
+        let err = repartition_by_vars(sets.clone(), &keys, 2).unwrap_err();
+        assert!(is_null_error(err, "exchange"));
+        let err =
+            repartition_streamed(sets.clone(), &keys, 2, &ExecOptions::default()).unwrap_err();
+        assert!(is_null_error(err, "exchange"));
+        assert!(is_null_error(require_bound(&sets, "gather").unwrap_err(), "gather"));
+
+        // The join checks both sides before any exchange or kernel runs,
+        // cross products included.
+        let topo = ids_simrt::Topology::new(1, 2);
+        for other_vars in [vars.clone(), vec!["z".to_string()]] {
+            let mut cluster = Cluster::new(topo, ids_simrt::NetworkModel::slingshot(), 1);
+            let other = vec![SolutionBatch::empty(other_vars); 2];
+            let err = distributed_join(
+                &mut cluster,
+                other,
+                sets.clone(),
+                &ExecOptions::default(),
+                &MetricsRegistry::new(),
+                &[0.0; 2],
+                &mut ExchangeTally::default(),
+            )
+            .unwrap_err();
+            assert!(is_null_error(err, "join"));
+        }
+    }
+
+    /// The column-at-a-time repartition and gather against the
+    /// row-at-a-time code they replaced, kept here verbatim as oracles.
+    /// Sizes grow in release builds (`ci.sh` runs
+    /// `cargo test -p ids-core --release -- kernels`).
+    mod kernels {
+        use super::*;
+        use ids_simrt::rng::SplitMix64;
+        use proptest::prelude::*;
+
+        const FULL: bool = !cfg!(debug_assertions);
+
+        /// The previous `repartition_by_vars`: one `copy_row`, one key hash
+        /// and one `push_row` per row.
+        fn reference_repartition(
+            sets: Vec<SolutionBatch>,
+            vars: &[String],
+            ranks: usize,
+        ) -> Vec<SolutionBatch> {
+            let schema = sets[0].vars().to_vec();
+            let key_idx: Vec<usize> = vars.iter().map(|v| sets[0].var_index(v).unwrap()).collect();
+            let mut out: Vec<SolutionBatch> =
+                (0..ranks).map(|_| SolutionBatch::empty(schema.clone())).collect();
+            let mut rowbuf: Vec<TermId> = Vec::new();
+            for set in sets {
+                for i in 0..set.len() {
+                    set.copy_row(i, &mut rowbuf);
+                    let mut h = 0xA17C_E55Eu64;
+                    for &k in &key_idx {
+                        h = hash_combine(h, fnv1a(&rowbuf[k].raw().to_le_bytes()));
+                    }
+                    out[(h % ranks as u64) as usize].push_row(&rowbuf);
+                }
+            }
+            out
+        }
+
+        /// The previous `repartition_streamed`: a channel and a pending
+        /// sub-batch per (src, dst), filled a row at a time and sent when
+        /// `batch_rows` long.
+        fn reference_repartition_streamed(
+            sets: Vec<SolutionBatch>,
+            vars: &[String],
+            ranks: usize,
+            opts: &ExecOptions,
+        ) -> (Vec<SolutionBatch>, Vec<u64>) {
+            let schema = sets[0].vars().to_vec();
+            let key_idx: Vec<usize> = vars.iter().map(|v| sets[0].var_index(v).unwrap()).collect();
+            let batch_rows = opts.batch_rows.max(1);
+            let mut out: Vec<SolutionBatch> =
+                (0..ranks).map(|_| SolutionBatch::empty(schema.clone())).collect();
+            let mut bytes = vec![0u64; ranks * ranks];
+            let mut rowbuf: Vec<TermId> = Vec::new();
+            for (src, set) in sets.into_iter().enumerate() {
+                let mut chans: Vec<BatchChannel> =
+                    (0..ranks).map(|_| BatchChannel::new(opts.exchange_channel_capacity)).collect();
+                let mut pending: Vec<SolutionBatch> =
+                    (0..ranks).map(|_| SolutionBatch::empty(schema.clone())).collect();
+                for i in 0..set.len() {
+                    set.copy_row(i, &mut rowbuf);
+                    let mut h = 0xA17C_E55Eu64;
+                    for &k in &key_idx {
+                        h = hash_combine(h, fnv1a(&rowbuf[k].raw().to_le_bytes()));
+                    }
+                    let dst = (h % ranks as u64) as usize;
+                    pending[dst].push_row(&rowbuf);
+                    if pending[dst].len() >= batch_rows {
+                        let full = std::mem::replace(
+                            &mut pending[dst],
+                            SolutionBatch::empty(schema.clone()),
+                        );
+                        channel_send(&mut chans[dst], &mut out[dst], full);
+                    }
+                }
+                for (dst, (mut chan, tail)) in chans.into_iter().zip(pending).enumerate() {
+                    if !tail.is_empty() {
+                        channel_send(&mut chan, &mut out[dst], tail);
+                    }
+                    for batch in chan.drain() {
+                        out[dst].append(batch);
+                    }
+                    bytes[src * ranks + dst] = chan.pushed_bytes();
+                }
+            }
+            (out, bytes)
+        }
+
+        /// The previous gather: materialise every row, project to the
+        /// canonical column order, sort the rows, stable-sort again for
+        /// ORDER BY (decoding both terms at every comparison), project to
+        /// SELECT, then DISTINCT and LIMIT, each building a new set.
+        fn reference_shape(
+            merged: &SolutionBatch,
+            order_by: Option<&(String, bool)>,
+            select: &[String],
+            distinct: bool,
+            limit: Option<usize>,
+            ds: &Datastore,
+        ) -> Result<SolutionSet, ExecError> {
+            let mut gathered = merged.to_set();
+            let canon: Vec<String> = {
+                let mut c = gathered.vars().to_vec();
+                c.sort_unstable();
+                c
+            };
+            if gathered.vars() != canon.as_slice() {
+                let cols: Vec<&str> = canon.iter().map(String::as_str).collect();
+                gathered = gops::project(&gathered, &cols);
+            }
+            {
+                let vars = gathered.vars().to_vec();
+                let mut rows = gathered.take_rows();
+                rows.sort_unstable();
+                gathered = SolutionSet::new(vars, rows);
+            }
+            if let Some((var, descending)) = order_by {
+                let idx = gathered.var_index(var).ok_or_else(|| {
+                    ExecError::msg(format!("ORDER BY variable ?{var} is never bound"))
+                })?;
+                let dict = ds.dictionary();
+                let mut rows = gathered.take_rows();
+                rows.sort_by(|a, b| {
+                    let ta = dict.decode(a[idx]);
+                    let tb = dict.decode(b[idx]);
+                    let ord = compare_terms(ta.as_ref(), tb.as_ref());
+                    if *descending {
+                        ord.reverse()
+                    } else {
+                        ord
+                    }
+                });
+                let vars = gathered.vars().to_vec();
+                gathered = SolutionSet::new(vars, rows);
+            }
+            if !select.is_empty() {
+                let cols: Vec<&str> = select.iter().map(String::as_str).collect();
+                for c in &cols {
+                    if gathered.var_index(c).is_none() {
+                        return Err(ExecError::msg(format!(
+                            "projected variable ?{c} is never bound"
+                        )));
+                    }
+                }
+                gathered = gops::project(&gathered, &cols);
+            }
+            if distinct {
+                gathered = gops::distinct(&gathered);
+            }
+            if let Some(limit) = limit {
+                let vars = gathered.vars().to_vec();
+                let rows: Vec<Vec<TermId>> = gathered.rows().iter().take(limit).cloned().collect();
+                gathered = SolutionSet::new(vars, rows);
+            }
+            Ok(gathered)
+        }
+
+        /// One batch per source rank over `vars`, some empty. Ids come from
+        /// `0..domain`; with `big_ids` about one in six is past `u32::MAX`;
+        /// with `wide_small` a first row of huge ids is split off again,
+        /// leaving `U64` columns that hold only small values.
+        fn random_sets(
+            vars: &[String],
+            sources: usize,
+            max_rows: usize,
+            domain: u64,
+            big_ids: bool,
+            wide_small: bool,
+            rng: &mut SplitMix64,
+        ) -> Vec<SolutionBatch> {
+            (0..sources)
+                .map(|_| {
+                    let mut b = SolutionBatch::empty(vars.to_vec());
+                    if wide_small {
+                        b.push_row(&vec![TermId(u64::MAX - 1); vars.len()]);
+                    }
+                    let rows = if rng.next_below(4) == 0 {
+                        0
+                    } else {
+                        rng.next_below(max_rows as u64 + 1) as usize
+                    };
+                    for _ in 0..rows {
+                        let row: Vec<TermId> = vars
+                            .iter()
+                            .map(|_| {
+                                let v = rng.next_below(domain);
+                                TermId(if big_ids && rng.next_below(6) == 0 {
+                                    v + (1 << 32)
+                                } else {
+                                    v
+                                })
+                            })
+                            .collect();
+                        b.push_row(&row);
+                    }
+                    if wide_small {
+                        b = b.split_off(1);
+                    }
+                    b
+                })
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(if FULL { 160 } else { 48 }))]
+
+            /// `==` on the batches: rows, per-destination order and column
+            /// widths, so every later `byte_size()` agrees.
+            #[test]
+            fn repartition_equals_the_row_loop(
+                seed in 0u64..1_000_000,
+                // Few ranks and fat sources, or far more ranks than rows.
+                ranks in prop_oneof![1usize..=16, 100usize..=(if FULL { 700 } else { 200 })],
+                keys in 1usize..=2,
+                domain in 1u64..=500,
+                flags in 0u8..4,
+            ) {
+                let mut rng = SplitMix64::new(seed, 0x9a97);
+                let vars: Vec<String> = ["p", "k0", "q", "k1"].map(String::from).to_vec();
+                let key_vars: Vec<String> = ["k1", "k0"][..keys].iter().map(|k| k.to_string()).collect();
+                let max_rows = if ranks > 16 { 3 } else if FULL { 4000 } else { 200 };
+                let sets =
+                    random_sets(&vars, ranks, max_rows, domain, flags & 1 != 0, flags & 2 != 0, &mut rng);
+
+                let want = reference_repartition(sets.clone(), &key_vars, ranks);
+                let got = repartition_by_vars(sets.clone(), &key_vars, ranks).unwrap();
+                prop_assert_eq!(&got, &want);
+
+                for batch_rows in [1usize, 7, 4096] {
+                    for exchange_channel_capacity in [1usize, 8] {
+                        let opts = ExecOptions {
+                            batch_rows,
+                            exchange_channel_capacity,
+                            ..ExecOptions::default()
+                        };
+                        let (want, want_bytes) =
+                            reference_repartition_streamed(sets.clone(), &key_vars, ranks, &opts);
+                        let (got, got_bytes) =
+                            repartition_streamed(sets.clone(), &key_vars, ranks, &opts).unwrap();
+                        prop_assert_eq!(&got, &want);
+                        prop_assert_eq!(got_bytes, want_bytes);
+                    }
+                }
+            }
+
+            #[test]
+            fn gather_equals_materialise_project_sort_project(
+                seed in 0u64..1_000_000,
+                rows in 0usize..=(if FULL { 3000 } else { 150 }),
+                domain in 1u64..=24,
+                order in 0usize..=10,
+                picks in 0usize..=5,
+                distinct in any::<bool>(),
+                limit in prop_oneof![Just(None), (0usize..=40).prop_map(Some), Just(Some(usize::MAX))],
+                wide_small in any::<bool>(),
+            ) {
+                let mut rng = SplitMix64::new(seed, 0x9a7e);
+                // Ids 0..24 decode to terms with ties under `compare_terms`
+                // (`Int(3)` and `3.0` are distinct ids, one sort key) and
+                // every kind the order ranks; ids past the dictionary do not
+                // decode and sort last.
+                let ds = Datastore::new(1);
+                for i in 0..6 {
+                    ds.encode(&ids_graph::Term::Int(i / 2));
+                    ds.encode(&ids_graph::Term::float((i / 2) as f64));
+                    ds.encode(&ids_graph::Term::str(format!("s{}", 5 - i)));
+                    ds.encode(&ids_graph::Term::iri(format!("e:{i}")));
+                }
+                // Join order, not name order — the gather canonicalises.
+                let vars: Vec<String> = ["m", "b", "z", "a"].map(String::from).to_vec();
+                let mut merged = SolutionBatch::empty(vars.clone());
+                if wide_small {
+                    // `U64` columns that will hold only small ids.
+                    merged.push_row(&vec![TermId(u64::MAX - 1); vars.len()]);
+                    merged = merged.split_off(1);
+                }
+                for _ in 0..rows {
+                    let row: Vec<TermId> = vars
+                        .iter()
+                        .map(|_| {
+                            let id = rng.next_below(domain);
+                            // Some ids the dictionary never minted.
+                            TermId(if rng.next_below(9) == 0 { id + 10_000 } else { id })
+                        })
+                        .collect();
+                    merged.push_row(&row);
+                }
+
+                // 0 → no ORDER BY; then each variable both ways; then a
+                // variable that is never bound.
+                let names = ["m", "b", "z", "a", "ghost"];
+                let order_by = (order > 0)
+                    .then(|| (names[(order - 1) / 2].to_string(), order.is_multiple_of(2)));
+                // A random SELECT list: a permutation prefix, now and then
+                // with a repeated or an unbound variable.
+                let mut select: Vec<String> = Vec::new();
+                for _ in 0..picks {
+                    let choices = if rng.next_below(12) == 0 { 5 } else { 4 };
+                    select.push(names[rng.next_below(choices) as usize].to_string());
+                }
+
+                let want = reference_shape(&merged, order_by.as_ref(), &select, distinct, limit, &ds);
+                let got = shape_result(&merged, order_by.as_ref(), &select, distinct, limit, &ds);
+                prop_assert_eq!(got, want);
+            }
+        }
     }
 }

@@ -34,11 +34,17 @@ pub enum Column {
 }
 
 impl Column {
-    fn len(&self) -> usize {
+    /// Number of values.
+    pub fn len(&self) -> usize {
         match self {
             Column::U32(v) => v.len(),
             Column::U64(v) => v.len(),
         }
+    }
+
+    /// Whether the column holds no values.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
     /// Wire width in bytes per value.
@@ -49,7 +55,13 @@ impl Column {
         }
     }
 
-    fn get(&self, i: usize) -> u64 {
+    /// The id at row `i`, widened. Kernels that walk a whole column match
+    /// on the variant once and read the slice instead.
+    ///
+    /// # Panics
+    /// Panics if `i` is out of bounds.
+    #[inline]
+    pub fn get(&self, i: usize) -> u64 {
         match self {
             Column::U32(v) => u64::from(v[i]),
             Column::U64(v) => v[i],
@@ -60,14 +72,65 @@ impl Column {
         match self {
             Column::U32(v) => match u32::try_from(value) {
                 Ok(narrow) => v.push(narrow),
-                Err(_) => {
-                    // Dictionary-overflow promotion: widen the whole column.
-                    let mut wide: Vec<u64> = v.iter().map(|&x| u64::from(x)).collect();
-                    wide.push(value);
-                    *self = Column::U64(wide);
-                }
+                Err(_) => self.extend(std::iter::once(value)),
             },
             Column::U64(v) => v.push(value),
+        }
+    }
+
+    /// Append ids under the width rule every constructor here follows: a
+    /// `U32` column stays `U32` until the first id past `u32::MAX`, which
+    /// widens the whole column. The result depends only on the ids the
+    /// column has seen, never on how they were batched — `byte_size()`
+    /// feeds the exchange, gather and cache-admission charges, so a
+    /// gathered column must weigh what a row-at-a-time one would.
+    fn extend(&mut self, mut ids: impl ExactSizeIterator<Item = u64>) {
+        if let Column::U32(narrow) = self {
+            narrow.reserve(ids.len());
+            for id in ids.by_ref() {
+                match u32::try_from(id) {
+                    Ok(id) => narrow.push(id),
+                    Err(_) => {
+                        // Dictionary-overflow promotion.
+                        let mut wide = Vec::with_capacity(narrow.len() + 1 + ids.len());
+                        wide.extend(narrow.iter().map(|&x| u64::from(x)));
+                        wide.push(id);
+                        *self = Column::U64(wide);
+                        break;
+                    }
+                }
+            }
+        }
+        if let Column::U64(wide) = self {
+            wide.extend(ids);
+        }
+    }
+
+    /// A column of `ids` at the narrowest width that holds them all.
+    pub(crate) fn collect(ids: impl ExactSizeIterator<Item = u64>) -> Column {
+        let mut out = Column::U32(Vec::new());
+        out.extend(ids);
+        out
+    }
+
+    /// Append all of `src`, slice-wise where the widths agree.
+    fn extend_all(&mut self, src: &Column) {
+        match (&mut *self, src) {
+            (Column::U32(dst), Column::U32(src)) => dst.extend_from_slice(src),
+            (Column::U64(dst), Column::U64(src)) => dst.extend_from_slice(src),
+            (_, Column::U32(src)) => self.extend(src.iter().map(|&x| u64::from(x))),
+            (_, Column::U64(src)) => self.extend(src.iter().copied()),
+        }
+    }
+
+    /// Append `src[i]` for each `i` in `sel`, in `sel` order.
+    fn extend_gather(&mut self, src: &Column, sel: &[u32]) {
+        match (&mut *self, src) {
+            (Column::U32(dst), Column::U32(src)) => {
+                dst.extend(sel.iter().map(|&i| src[i as usize]));
+            }
+            (_, Column::U32(src)) => self.extend(sel.iter().map(|&i| u64::from(src[i as usize]))),
+            (_, Column::U64(src)) => self.extend(sel.iter().map(|&i| src[i as usize])),
         }
     }
 
@@ -91,7 +154,12 @@ pub struct ColumnData {
 
 impl ColumnData {
     fn new() -> Self {
-        Self { values: Column::U32(Vec::new()), nulls: None, null_count: 0 }
+        Self::bound(Column::U32(Vec::new()))
+    }
+
+    /// A fully bound column.
+    fn bound(values: Column) -> Self {
+        Self { values, nulls: None, null_count: 0 }
     }
 
     fn is_null(&self, i: usize) -> bool {
@@ -109,6 +177,32 @@ impl ColumnData {
         }
         words[word] |= 1 << (i % 64);
         self.null_count += 1;
+    }
+
+    /// Append rows `sel` of `src`. A null cell stores id 0 under its
+    /// bitmap bit (see [`SolutionBatch::push_opt_row`]), so copying the
+    /// value and re-marking the bit reproduces it.
+    fn extend_gather(&mut self, src: &ColumnData, sel: &[u32]) {
+        let base = self.values.len();
+        self.values.extend_gather(&src.values, sel);
+        if src.null_count > 0 {
+            for (k, &i) in sel.iter().enumerate() {
+                if src.is_null(i as usize) {
+                    self.set_null(base + k);
+                }
+            }
+        }
+    }
+
+    /// Append every row of `src`.
+    fn append(&mut self, src: &ColumnData) {
+        let base = self.values.len();
+        self.values.extend_all(&src.values);
+        if src.null_count > 0 {
+            for i in (0..src.values.len()).filter(|&i| src.is_null(i)) {
+                self.set_null(base + i);
+            }
+        }
     }
 }
 
@@ -128,6 +222,56 @@ impl SolutionBatch {
     pub fn empty(vars: Vec<String>) -> Self {
         let cols = vars.iter().map(|_| ColumnData::new()).collect();
         Self { vars, cols, rows: 0 }
+    }
+
+    /// A fully bound batch of `rows` rows from one id column per variable
+    /// (a zero-variable batch still counts its rows).
+    ///
+    /// # Panics
+    /// Panics if the column count differs from the schema or a column's
+    /// length from `rows`.
+    pub(crate) fn from_columns(vars: Vec<String>, columns: Vec<Column>, rows: usize) -> Self {
+        assert_eq!(columns.len(), vars.len(), "one column per variable");
+        assert!(columns.iter().all(|c| c.len() == rows), "every column holds one id per row");
+        Self { vars, cols: columns.into_iter().map(ColumnData::bound).collect(), rows }
+    }
+
+    /// Rows `sel` of `src`, in `sel` order (a selection vector may repeat
+    /// or skip rows). Each output column is `U32` exactly when every
+    /// gathered id fits — what pushing the same rows one by one builds.
+    ///
+    /// # Panics
+    /// Panics if a selected row is out of bounds.
+    pub fn gather(src: &SolutionBatch, sel: &[u32]) -> Self {
+        let mut out = Self::empty(src.vars.clone());
+        out.extend_gather(src, sel);
+        out
+    }
+
+    /// A batch of `rows` rows whose column `k` is column `picks[k].1` of
+    /// batch `picks[k].0` gathered through selection vector `picks[k].2` —
+    /// the output of a join, whose columns come from two inputs through
+    /// two selection vectors of one length.
+    ///
+    /// # Panics
+    /// Panics if the pick count differs from the schema, a selection
+    /// vector's length from `rows`, or a selected cell is out of bounds.
+    pub(crate) fn gather_columns(
+        vars: Vec<String>,
+        picks: &[(&SolutionBatch, usize, &[u32])],
+        rows: usize,
+    ) -> Self {
+        assert_eq!(picks.len(), vars.len(), "one pick per variable");
+        let cols = picks
+            .iter()
+            .map(|&(src, col, sel)| {
+                assert_eq!(sel.len(), rows, "every selection vector holds one index per row");
+                let mut out = ColumnData::new();
+                out.extend_gather(&src.cols[col], sel);
+                out
+            })
+            .collect();
+        Self { vars, cols, rows }
     }
 
     /// Convert a row-oriented set (row order preserved).
@@ -183,9 +327,24 @@ impl SolutionBatch {
         Some(TermId(c.values.get(row)))
     }
 
+    /// Borrow the ids of column `col` at their stored width. Null cells
+    /// read as id 0; callers that cannot tell check [`Self::has_nulls`]
+    /// first.
+    ///
+    /// # Panics
+    /// Panics if `col` is out of bounds.
+    pub fn column(&self, col: usize) -> &Column {
+        &self.cols[col].values
+    }
+
     /// Total null bindings across all columns.
     pub fn null_count(&self) -> usize {
         self.cols.iter().map(|c| c.null_count).sum()
+    }
+
+    /// Whether any binding is null.
+    pub fn has_nulls(&self) -> bool {
+        self.cols.iter().any(|c| c.null_count > 0)
     }
 
     /// Copy row `i` into `buf` (cleared first).
@@ -245,18 +404,23 @@ impl SolutionBatch {
     /// Panics if schemas differ.
     pub fn append(&mut self, other: SolutionBatch) {
         assert_eq!(self.vars, other.vars, "merge requires identical schemas");
-        let base = self.rows;
-        for (dst, src) in self.cols.iter_mut().zip(other.cols) {
-            for i in 0..src.values.len() {
-                if src.is_null(i) {
-                    dst.values.push(0);
-                    dst.set_null(base + i);
-                } else {
-                    dst.values.push(src.values.get(i));
-                }
-            }
+        for (dst, src) in self.cols.iter_mut().zip(&other.cols) {
+            dst.append(src);
         }
         self.rows += other.rows;
+    }
+
+    /// Append rows `sel` of `src`, in `sel` order (schemas must match
+    /// exactly) — [`Self::gather`] onto an existing batch.
+    ///
+    /// # Panics
+    /// Panics if schemas differ or a selected row is out of bounds.
+    pub fn extend_gather(&mut self, src: &SolutionBatch, sel: &[u32]) {
+        assert_eq!(self.vars, src.vars, "gather requires identical schemas");
+        for (dst, src) in self.cols.iter_mut().zip(&src.cols) {
+            dst.extend_gather(src, sel);
+        }
+        self.rows += sel.len();
     }
 
     /// Split off rows `[at, len)` into a new batch, keeping `[0, at)`.
@@ -267,11 +431,8 @@ impl SolutionBatch {
     pub fn split_off(&mut self, at: usize) -> SolutionBatch {
         assert!(at <= self.rows, "split point out of bounds");
         assert_eq!(self.null_count(), 0, "split_off on a batch with nulls");
-        let cols = self
-            .cols
-            .iter_mut()
-            .map(|c| ColumnData { values: c.values.split_off(at), nulls: None, null_count: 0 })
-            .collect();
+        let cols =
+            self.cols.iter_mut().map(|c| ColumnData::bound(c.values.split_off(at))).collect();
         let moved = self.rows - at;
         self.rows = at;
         SolutionBatch { vars: self.vars.clone(), cols, rows: moved }
@@ -399,5 +560,154 @@ mod tests {
     fn mismatched_row_rejected() {
         let mut b = SolutionBatch::empty(vec!["a".into(), "b".into()]);
         b.push_row(&[id(1)]);
+    }
+
+    #[test]
+    fn gather_repeats_skips_and_narrows() {
+        // A `U64` column whose big id is not selected gathers to `U32`.
+        let mut src = SolutionBatch::empty(vec!["x".into()]);
+        for v in [5, u64::from(u32::MAX) + 9, 6, 7] {
+            src.push_row(&[id(v)]);
+        }
+        assert_eq!(src.column(0).width(), 8);
+        let picked = SolutionBatch::gather(&src, &[3, 0, 0, 2]);
+        assert_eq!(picked.column(0), &Column::U32(vec![7, 5, 5, 6]));
+        let wide = SolutionBatch::gather(&src, &[0, 1]);
+        assert_eq!(wide.column(0).width(), 8);
+        assert!(!wide.has_nulls());
+        assert!(SolutionBatch::gather(&src, &[]).is_empty());
+    }
+
+    /// The gather and append kernels against the row-at-a-time loops they
+    /// replaced, as `==` on the batches — values, column widths, null
+    /// bitmaps — so `byte_size()` agrees too. Sizes grow in release builds
+    /// (`ci.sh` runs `cargo test -p ids-graph --release -- kernels`).
+    mod kernels {
+        use super::*;
+        use ids_simrt::rng::SplitMix64;
+        use proptest::prelude::*;
+
+        const FULL: bool = !cfg!(debug_assertions);
+        const MAX_ROWS: usize = if FULL { 6000 } else { 300 };
+
+        /// How a random batch's columns come to be `U32` or `U64`.
+        #[derive(Clone, Copy)]
+        enum Ids {
+            /// Every id fits in 32 bits.
+            Small,
+            /// About one id in eight is past `u32::MAX`.
+            Mixed,
+            /// `U64` columns holding only small ids — what `split_off`
+            /// leaves when the column's big ids stayed in the other half.
+            WideButSmall,
+        }
+
+        fn random_batch(
+            cols: usize,
+            rows: usize,
+            ids: Ids,
+            nulls: bool,
+            rng: &mut SplitMix64,
+        ) -> SolutionBatch {
+            let mut b = SolutionBatch::empty((0..cols).map(|c| format!("v{c}")).collect());
+            for _ in 0..rows {
+                let row: Vec<Option<TermId>> = (0..cols)
+                    .map(|_| {
+                        if nulls && rng.next_below(5) == 0 {
+                            return None;
+                        }
+                        let small = rng.next_below(50);
+                        let big = matches!(ids, Ids::Mixed) && rng.next_below(8) == 0;
+                        Some(id(if big { small + (1 << 32) } else { small }))
+                    })
+                    .collect();
+                b.push_opt_row(&row);
+            }
+            if matches!(ids, Ids::WideButSmall) {
+                for c in &mut b.cols {
+                    if let Column::U32(v) = &c.values {
+                        c.values = Column::U64(v.iter().map(|&x| u64::from(x)).collect());
+                    }
+                }
+            }
+            b
+        }
+
+        fn ids_mode(mode: u8) -> Ids {
+            [Ids::Small, Ids::Mixed, Ids::WideButSmall][mode as usize % 3]
+        }
+
+        /// The loop every kernel here replaced: one `push_opt_row` per row.
+        fn push_rows(
+            dst: &mut SolutionBatch,
+            src: &SolutionBatch,
+            rows: impl Iterator<Item = usize>,
+        ) {
+            for r in rows {
+                let row: Vec<Option<TermId>> =
+                    (0..src.vars().len()).map(|c| src.get(r, c)).collect();
+                dst.push_opt_row(&row);
+            }
+        }
+
+        fn random_sel(len: usize, src_rows: usize, rng: &mut SplitMix64) -> Vec<u32> {
+            if src_rows == 0 {
+                return Vec::new();
+            }
+            (0..len).map(|_| rng.next_below(src_rows as u64) as u32).collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(if FULL { 256 } else { 64 }))]
+
+            #[test]
+            fn gather_equals_pushing_the_selected_rows(
+                seed in 0u64..1_000_000,
+                cols in 0usize..=4,
+                rows in 0usize..=MAX_ROWS,
+                picks in 0usize..=MAX_ROWS,
+                mode in 0u8..3,
+                nulls in any::<bool>(),
+            ) {
+                let mut rng = SplitMix64::new(seed, 0x6a7e);
+                let src = random_batch(cols, rows, ids_mode(mode), nulls, &mut rng);
+                let sel = random_sel(picks, src.len(), &mut rng);
+                let mut want = SolutionBatch::empty(src.vars().to_vec());
+                push_rows(&mut want, &src, sel.iter().map(|&i| i as usize));
+                let got = SolutionBatch::gather(&src, &sel);
+                prop_assert_eq!(got.byte_size(), want.byte_size());
+                prop_assert_eq!(got, want);
+            }
+
+            #[test]
+            fn extend_gather_and_append_equal_pushing_onto_the_batch(
+                seed in 0u64..1_000_000,
+                cols in 0usize..=4,
+                dst_rows in 0usize..=MAX_ROWS / 4,
+                src_rows in 0usize..=MAX_ROWS,
+                dst_mode in 0u8..3,
+                src_mode in 0u8..3,
+                nulls in any::<bool>(),
+            ) {
+                let mut rng = SplitMix64::new(seed, 0xa99e);
+                let dst = random_batch(cols, dst_rows, ids_mode(dst_mode), nulls, &mut rng);
+                let src = random_batch(cols, src_rows, ids_mode(src_mode), nulls, &mut rng);
+
+                let sel = random_sel(src.len() / 2, src.len(), &mut rng);
+                let mut want = dst.clone();
+                push_rows(&mut want, &src, sel.iter().map(|&i| i as usize));
+                let mut got = dst.clone();
+                got.extend_gather(&src, &sel);
+                prop_assert_eq!(got.byte_size(), want.byte_size());
+                prop_assert_eq!(got, want);
+
+                let mut want = dst.clone();
+                push_rows(&mut want, &src, 0..src.len());
+                let mut got = dst;
+                got.append(src);
+                prop_assert_eq!(got.byte_size(), want.byte_size());
+                prop_assert_eq!(got, want);
+            }
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! those operations, executed per rank on local solution sets. Cross-rank
 //! movement is the engine's job (ids-core); everything here is pure.
 
-use crate::batch::SolutionBatch;
+use crate::batch::{Column, SolutionBatch};
 use crate::solution::SolutionSet;
 use crate::store::TriplePattern;
 use crate::term::TermId;
@@ -59,7 +59,8 @@ pub fn scan_to_solutions(
 }
 
 /// Columnar twin of [`scan_to_solutions`]: bind wildcards directly into a
-/// [`SolutionBatch`], producing the same rows in the same order.
+/// [`SolutionBatch`], producing the same rows in the same order. Each
+/// variable's column is filled straight from its triple position.
 ///
 /// # Panics
 /// Panics if a variable is supplied for a bound position.
@@ -73,27 +74,22 @@ pub fn scan_to_batch(
     assert!(!(pattern.s.is_some() && var_s.is_some()), "subject is bound; no variable allowed");
     assert!(!(pattern.p.is_some() && var_p.is_some()), "predicate is bound; no variable allowed");
     assert!(!(pattern.o.is_some() && var_o.is_some()), "object is bound; no variable allowed");
-    let mut vars = Vec::new();
-    for v in [var_s, var_p, var_o].into_iter().flatten() {
+    debug_assert!(triples.iter().all(|t| pattern.matches(t)));
+    let mut vars = Vec::with_capacity(3);
+    let mut columns = Vec::with_capacity(3);
+    if let Some(v) = var_s {
         vars.push(v.to_string());
+        columns.push(Column::collect(triples.iter().map(|t| t.s.raw())));
     }
-    let mut out = SolutionBatch::empty(vars);
-    let mut row: Vec<TermId> = Vec::with_capacity(3);
-    for t in triples {
-        debug_assert!(pattern.matches(t));
-        row.clear();
-        if var_s.is_some() {
-            row.push(t.s);
-        }
-        if var_p.is_some() {
-            row.push(t.p);
-        }
-        if var_o.is_some() {
-            row.push(t.o);
-        }
-        out.push_row(&row);
+    if let Some(v) = var_p {
+        vars.push(v.to_string());
+        columns.push(Column::collect(triples.iter().map(|t| t.p.raw())));
     }
-    out
+    if let Some(v) = var_o {
+        vars.push(v.to_string());
+        columns.push(Column::collect(triples.iter().map(|t| t.o.raw())));
+    }
+    SolutionBatch::from_columns(vars, columns, triples.len())
 }
 
 /// Hash join on all shared variables. The output schema is the left schema
@@ -137,7 +133,26 @@ pub fn hash_join(left: &SolutionSet, right: &SolutionSet) -> SolutionSet {
 /// Columnar twin of [`hash_join`]: identical join semantics and output row
 /// order (build on the right side in insertion order, probe left rows in
 /// order), so a batch execution stays byte-identical to a row execution.
+///
+/// Works a column at a time: the key columns of each side hash into one
+/// `u64` per row, the right side's hashes are threaded into a chained
+/// table, the probe emits a pair of selection vectors, and every output
+/// column is one gather. Output columns follow the batch width rule (`U32`
+/// exactly when every id fits), so `byte_size()` is what pushing the same
+/// rows one by one would give.
+///
+/// # Panics
+/// Panics if either input has a null binding — BGP solutions are fully
+/// bound, and a join key cannot be unbound; callers holding batches of
+/// unknown provenance check [`SolutionBatch::has_nulls`] first. Also
+/// panics if a side has `u32::MAX` rows or more, the selection-vector
+/// index space.
 pub fn hash_join_batch(left: &SolutionBatch, right: &SolutionBatch) -> SolutionBatch {
+    assert!(!left.has_nulls() && !right.has_nulls(), "join input is fully bound");
+    assert!(
+        left.len() < NIL as usize && right.len() < NIL as usize,
+        "join side exceeds the u32 selection-vector index space"
+    );
     let shared: Vec<(usize, usize)> = left
         .vars()
         .iter()
@@ -149,36 +164,103 @@ pub fn hash_join_batch(left: &SolutionBatch, right: &SolutionBatch) -> SolutionB
 
     let mut vars: Vec<String> = left.vars().to_vec();
     vars.extend(right_extra.iter().map(|&ri| right.vars()[ri].clone()));
-    let mut out = SolutionBatch::empty(vars);
-
-    let mut table: HashMap<Vec<TermId>, Vec<usize>> = HashMap::new();
-    for idx in 0..right.len() {
-        let key: Vec<TermId> = shared
-            .iter()
-            .map(|&(_, ri)| right.get(idx, ri).expect("join input is fully bound"))
-            .collect();
-        table.entry(key).or_default().push(idx);
+    if left.is_empty() || right.is_empty() {
+        return SolutionBatch::empty(vars);
     }
 
-    let mut row: Vec<TermId> = Vec::with_capacity(out.vars().len());
-    let mut lrow: Vec<TermId> = Vec::with_capacity(left.vars().len());
-    for li in 0..left.len() {
-        left.copy_row(li, &mut lrow);
-        let key: Vec<TermId> = shared.iter().map(|&(i, _)| lrow[i]).collect();
-        if let Some(matches) = table.get(&key) {
-            for &ridx in matches {
-                row.clear();
-                row.extend_from_slice(&lrow);
-                row.extend(
-                    right_extra
-                        .iter()
-                        .map(|&ri| right.get(ridx, ri).expect("join input is fully bound")),
-                );
-                out.push_row(&row);
+    let (lsel, rsel) = if shared.is_empty() {
+        cross_selection(left.len(), right.len())
+    } else {
+        probe_selection(left, right, &shared)
+    };
+    let picks: Vec<(&SolutionBatch, usize, &[u32])> = (0..left.vars().len())
+        .map(|li| (left, li, lsel.as_slice()))
+        .chain(right_extra.iter().map(|&ri| (right, ri, rsel.as_slice())))
+        .collect();
+    SolutionBatch::gather_columns(vars, &picks, lsel.len())
+}
+
+/// End of a bucket chain; also bounds the rows a join side may hold.
+const NIL: u32 = u32::MAX;
+
+/// Selection vectors of a cross product: every left row, in order, paired
+/// with every right row, in order.
+fn cross_selection(left_rows: usize, right_rows: usize) -> (Vec<u32>, Vec<u32>) {
+    let mut lsel = Vec::with_capacity(left_rows * right_rows);
+    let mut rsel = Vec::with_capacity(left_rows * right_rows);
+    for l in 0..left_rows as u32 {
+        lsel.extend(std::iter::repeat_n(l, right_rows));
+        rsel.extend(0..right_rows as u32);
+    }
+    (lsel, rsel)
+}
+
+/// One hash per row over the key columns `cols`, a column at a time.
+fn hash_keys(batch: &SolutionBatch, cols: impl Iterator<Item = usize>) -> Vec<u64> {
+    // FxHash-style multiply-rotate: cheap, and its high bits (the ones the
+    // bucket index takes) depend on every key bit.
+    fn mix(h: u64, id: u64) -> u64 {
+        (h.rotate_left(5) ^ id).wrapping_mul(0x517c_c1b7_2722_0a95)
+    }
+    let mut hashes = vec![0u64; batch.len()];
+    for col in cols {
+        match batch.column(col) {
+            Column::U32(ids) => {
+                for (h, &id) in hashes.iter_mut().zip(ids) {
+                    *h = mix(*h, u64::from(id));
+                }
+            }
+            Column::U64(ids) => {
+                for (h, &id) in hashes.iter_mut().zip(ids) {
+                    *h = mix(*h, id);
+                }
             }
         }
     }
-    out
+    hashes
+}
+
+/// Selection vectors of an equi-join on the `shared` (left, right) column
+/// pairs: for each left row in order, its matching right rows in insertion
+/// order.
+fn probe_selection(
+    left: &SolutionBatch,
+    right: &SolutionBatch,
+    shared: &[(usize, usize)],
+) -> (Vec<u32>, Vec<u32>) {
+    let left_hashes = hash_keys(left, shared.iter().map(|&(li, _)| li));
+    let right_hashes = hash_keys(right, shared.iter().map(|&(_, ri)| ri));
+
+    // Chained table over the right side: `heads[bucket]` is the first row
+    // of the bucket, `next[row]` the one after it. Rows are linked in
+    // reverse so every chain runs in insertion order.
+    let buckets = (right.len() * 2).next_power_of_two();
+    let shift = 64 - buckets.trailing_zeros();
+    let mut heads = vec![NIL; buckets];
+    let mut next = vec![NIL; right.len()];
+    for (row, &h) in right_hashes.iter().enumerate().rev() {
+        let bucket = (h >> shift) as usize;
+        next[row] = heads[bucket];
+        heads[bucket] = row as u32;
+    }
+
+    let keys: Vec<(&Column, &Column)> =
+        shared.iter().map(|&(li, ri)| (left.column(li), right.column(ri))).collect();
+    let mut lsel = Vec::with_capacity(left.len());
+    let mut rsel = Vec::with_capacity(left.len());
+    for (l, &h) in left_hashes.iter().enumerate() {
+        let mut r = heads[(h >> shift) as usize];
+        while r != NIL {
+            let row = r as usize;
+            // Equal hashes are a hint, equal keys the join condition.
+            if right_hashes[row] == h && keys.iter().all(|(lc, rc)| lc.get(l) == rc.get(row)) {
+                lsel.push(l as u32);
+                rsel.push(r);
+            }
+            r = next[row];
+        }
+    }
+    (lsel, rsel)
 }
 
 /// Union of solution sets with identical schemas ("merge" in CGE terms).
@@ -404,5 +486,199 @@ mod tests {
         );
         let d = distinct(&s);
         assert_eq!(d.rows().iter().map(|r| r[0].0).collect::<Vec<_>>(), vec![2, 1, 3]);
+    }
+
+    #[test]
+    fn batch_join_with_an_empty_side_keeps_the_output_schema() {
+        let left = SolutionBatch::from_set(&SolutionSet::new(
+            vec!["a".into(), "k".into()],
+            vec![vec![id(1), id(2)]],
+        ));
+        let right = SolutionBatch::empty(vec!["k".into(), "b".into()]);
+        for (l, r, vars) in [(&left, &right, ["a", "k", "b"]), (&right, &left, ["k", "b", "a"])] {
+            let out = hash_join_batch(l, r);
+            assert!(out.is_empty());
+            assert_eq!(out.vars(), vars.map(String::from));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "join input is fully bound")]
+    fn batch_join_rejects_a_null_binding_up_front() {
+        let left = SolutionBatch::from_set(&SolutionSet::new(vec!["k".into()], vec![vec![id(1)]]));
+        let mut right = SolutionBatch::empty(vec!["k".into(), "b".into()]);
+        right.push_opt_row(&[Some(id(1)), None]);
+        hash_join_batch(&left, &right);
+    }
+
+    /// The column-at-a-time scan and join against the row-at-a-time loops
+    /// they replaced: the same rows in the same order as the row operators,
+    /// and `==` with the batch the old `push_row` loop built, so column
+    /// widths — hence `byte_size()` and every charge computed from it —
+    /// cannot drift. Sizes grow in release builds (`ci.sh` runs
+    /// `cargo test -p ids-graph --release -- kernels`).
+    mod kernels {
+        use super::*;
+        use ids_simrt::rng::SplitMix64;
+        use proptest::prelude::*;
+
+        const FULL: bool = !cfg!(debug_assertions);
+        const MAX_ROWS: usize = if FULL { 5000 } else { 250 };
+
+        /// The previous `hash_join_batch`, verbatim: a `Vec<TermId>` key per
+        /// build and per probe row, output through `push_row`.
+        fn reference_join_batch(left: &SolutionBatch, right: &SolutionBatch) -> SolutionBatch {
+            let shared: Vec<(usize, usize)> = left
+                .vars()
+                .iter()
+                .enumerate()
+                .filter_map(|(li, v)| right.var_index(v).map(|ri| (li, ri)))
+                .collect();
+            let right_extra: Vec<usize> = (0..right.vars().len())
+                .filter(|ri| !shared.iter().any(|&(_, sri)| sri == *ri))
+                .collect();
+            let mut vars: Vec<String> = left.vars().to_vec();
+            vars.extend(right_extra.iter().map(|&ri| right.vars()[ri].clone()));
+            let mut out = SolutionBatch::empty(vars);
+
+            let mut table: HashMap<Vec<TermId>, Vec<usize>> = HashMap::new();
+            for idx in 0..right.len() {
+                let key: Vec<TermId> =
+                    shared.iter().map(|&(_, ri)| right.get(idx, ri).unwrap()).collect();
+                table.entry(key).or_default().push(idx);
+            }
+            let mut row: Vec<TermId> = Vec::new();
+            let mut lrow: Vec<TermId> = Vec::new();
+            for li in 0..left.len() {
+                left.copy_row(li, &mut lrow);
+                let key: Vec<TermId> = shared.iter().map(|&(i, _)| lrow[i]).collect();
+                if let Some(matches) = table.get(&key) {
+                    for &ridx in matches {
+                        row.clear();
+                        row.extend_from_slice(&lrow);
+                        row.extend(right_extra.iter().map(|&ri| right.get(ridx, ri).unwrap()));
+                        out.push_row(&row);
+                    }
+                }
+            }
+            out
+        }
+
+        /// A batch of `rows` random rows. Ids are drawn from `0..domain`
+        /// (small domains make duplicate keys); with `big_ids` about one in
+        /// six is pushed past `u32::MAX`; with `wide_small` a first row of
+        /// huge ids is split off again, leaving `U64` columns that hold
+        /// only small values.
+        fn random_batch(
+            vars: &[String],
+            rows: usize,
+            domain: u64,
+            big_ids: bool,
+            wide_small: bool,
+            rng: &mut SplitMix64,
+        ) -> SolutionBatch {
+            let mut b = SolutionBatch::empty(vars.to_vec());
+            if wide_small {
+                b.push_row(&vec![id(u64::MAX - 1); vars.len()]);
+            }
+            let mut row = Vec::new();
+            for _ in 0..rows {
+                row.clear();
+                row.extend(vars.iter().map(|_| {
+                    let v = rng.next_below(domain);
+                    id(if big_ids && rng.next_below(6) == 0 { v + (1 << 32) } else { v })
+                }));
+                b.push_row(&row);
+            }
+            if wide_small {
+                b = b.split_off(1);
+            }
+            b
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(if FULL { 256 } else { 96 }))]
+
+            #[test]
+            fn join_equals_row_join_and_the_push_row_batch(
+                seed in 0u64..1_000_000,
+                shared in 0usize..=3,
+                left_rows in 0usize..=MAX_ROWS,
+                right_rows in 0usize..=MAX_ROWS,
+                domain in 1u64..=40,
+                flags in 0u8..16,
+                payload in 0u8..4,
+            ) {
+                let mut rng = SplitMix64::new(seed, 0x101a);
+                // A cross product's output is the product of its inputs.
+                let cap = if shared == 0 { 40 } else { MAX_ROWS };
+                // More key columns thin the matches; widen the odds again.
+                let domain = if shared > 1 { domain.min(6) } else { domain };
+                let keys: Vec<String> = (0..shared).map(|k| format!("k{k}")).collect();
+                // Keys sit at different positions, in a different order, on
+                // the two sides; a side without payload columns may have no
+                // columns at all and still counts its rows.
+                let mut left_vars = keys.clone();
+                let mut right_vars: Vec<String> = keys.iter().rev().cloned().collect();
+                if payload & 1 != 0 {
+                    left_vars.insert(0, "l0".to_string());
+                    left_vars.push("l1".to_string());
+                }
+                if payload & 2 != 0 {
+                    right_vars.insert(right_vars.len() / 2, "r0".to_string());
+                }
+                let left = random_batch(
+                    &left_vars, left_rows.min(cap), domain, flags & 1 != 0, flags & 2 != 0, &mut rng,
+                );
+                let right = random_batch(
+                    &right_vars, right_rows.min(cap), domain, flags & 4 != 0, flags & 8 != 0, &mut rng,
+                );
+
+                let got = hash_join_batch(&left, &right);
+                let want = reference_join_batch(&left, &right);
+                prop_assert_eq!(got.byte_size(), want.byte_size());
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(got.to_set(), hash_join(&left.to_set(), &right.to_set()));
+            }
+
+            #[test]
+            fn scan_equals_the_push_row_batch(
+                seed in 0u64..1_000_000,
+                triples in 0usize..=MAX_ROWS,
+                bound in 0u8..8,
+                big_ids in any::<bool>(),
+            ) {
+                let mut rng = SplitMix64::new(seed, 0x5ca9);
+                let mut term = || {
+                    let v = rng.next_below(1000);
+                    id(if big_ids && rng.next_below(6) == 0 { v + (1 << 32) } else { v })
+                };
+                let triples: Vec<Triple> =
+                    (0..triples).map(|_| Triple::new(term(), term(), term())).collect();
+                // Bit k of `bound` leaves position k to a variable.
+                let var = |bit: u8, name: &'static str| (bound & bit != 0).then_some(name);
+                let (var_s, var_p, var_o) = (var(1, "s"), var(2, "p"), var(4, "o"));
+                let pat = TriplePattern::new(None, None, None);
+
+                let mut want = SolutionBatch::empty(
+                    [var_s, var_p, var_o].into_iter().flatten().map(String::from).collect(),
+                );
+                let mut row = Vec::new();
+                for t in &triples {
+                    row.clear();
+                    row.extend(var_s.map(|_| t.s));
+                    row.extend(var_p.map(|_| t.p));
+                    row.extend(var_o.map(|_| t.o));
+                    want.push_row(&row);
+                }
+                let got = scan_to_batch(&pat, var_s, var_p, var_o, &triples);
+                prop_assert_eq!(got.byte_size(), want.byte_size());
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(
+                    got.to_set(),
+                    scan_to_solutions(&pat, var_s, var_p, var_o, &triples)
+                );
+            }
+        }
     }
 }
