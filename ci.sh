@@ -87,6 +87,26 @@ echo "==> BGP-kernel exactness at full size (ids-graph + ids-core, release)"
 cargo test -p ids-graph --release -- kernels
 cargo test -p ids-core --release -- kernels
 
+echo "==> prepared-query golden (tests/prepared_golden.rs, release)"
+# Cold vs warm prepared-query cache: same rows, latency bits, resume
+# ordinals and slice-trace hash, the hash pinned to the pre-cache commit;
+# epoch invalidation; 5 000 distinct texts within capacity.
+cargo test --release --test prepared_golden -q
+
+echo "==> serve-mix model outputs (perf --verify-repeat, seed 7)"
+# The whole submit/slice path under the benchmark's own output checks: two
+# runs must agree on every virtual time, count and digest, and the window
+# digest must be the one every commit since the benchmark landed printed.
+# (The window is the first 16 384 operations, so it does not depend on
+# --seconds.)
+perf_out=$(cargo run --release -p ids-bench --bin perf -- \
+    --workload serve-mix --seed 7 --seconds 2 --verify-repeat)
+grep -q '^bench.result_digest  *0x28e6fdbcde9ba4d0$' <<<"$perf_out" || {
+  echo "$perf_out"
+  echo "error: serve-mix result digest moved at seed 7" >&2
+  exit 1
+}
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -14,6 +14,7 @@ use ids_vector::store::{Metric, SearchHit};
 use ids_vector::{IvfIndex, VectorStore};
 use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The unified datastore.
@@ -28,6 +29,10 @@ pub struct Datastore {
     keywords: RwLock<KeywordIndex>,
     /// IVF indexes per vector collection (built on demand).
     ann: RwLock<HashMap<String, IvfIndex>>,
+    /// Bumped (`Release`) after every graph mutation and read with
+    /// `Acquire` by [`Self::version`], so whoever observes a version also
+    /// observes the triples written before it was bumped.
+    version: AtomicU64,
 }
 
 impl Datastore {
@@ -40,6 +45,7 @@ impl Datastore {
             vectors: RwLock::new(HashMap::new()),
             keywords: RwLock::new(KeywordIndex::new()),
             ann: RwLock::new(HashMap::new()),
+            version: AtomicU64::new(0),
         }
     }
 
@@ -58,12 +64,13 @@ impl Datastore {
     /// Intern three terms and buffer the fact.
     pub fn add_fact(&self, s: &Term, p: &Term, o: &Term) {
         let t = Triple::new(self.dict.encode(s), self.dict.encode(p), self.dict.encode(o));
-        self.graph.write().insert(t);
+        self.add_triple(t);
     }
 
     /// Buffer an already-encoded triple.
     pub fn add_triple(&self, t: Triple) {
         self.graph.write().insert(t);
+        self.version.fetch_add(1, Ordering::Release);
     }
 
     /// Sort and deduplicate shard indexes and rebuild the keyword index;
@@ -82,6 +89,15 @@ impl Datastore {
             }
         }
         *self.keywords.write() = kw;
+        self.version.fetch_add(1, Ordering::Release);
+    }
+
+    /// Graph-content version: bumped by [`Self::add_fact`],
+    /// [`Self::add_triple`] and [`Self::build_indexes`], so anything derived
+    /// from the triples (plans, statistics, reuse salts) can be keyed on it
+    /// and rebuilt when it moves.
+    pub fn version(&self) -> u64 {
+        self.version.load(Ordering::Acquire)
     }
 
     /// Keyword search (single token, case-insensitive) over all string

@@ -33,9 +33,9 @@ use ids_udf::{
     UdfRegistry,
 };
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Lock a worker-side list even if a panicking worker poisoned it: the
 /// lists are append-only, so the data is valid regardless of where the
@@ -544,14 +544,17 @@ pub struct ReuseCheckpoint {
     pub fingerprint: u64,
     /// Metrics label (`"bgp"`, `"where"`, `"stage0"`, …).
     pub label: String,
-    /// This query's variable name → canonical name for the fragment.
-    pub rename: BTreeMap<String, String>,
+    /// `(this query's variable name, canonical name)` for every variable
+    /// in the fragment's scope, sorted by the former. A handful of pairs
+    /// held for the life of a prepared query, so a flat list, not a map.
+    pub rename: Vec<(String, String)>,
 }
 
 /// The checkpoint schedule for a [`PlanRun`]: which execution prefixes may
-/// be loaded from / stored to the shared cache. Built by the service layer
-/// from [`crate::iql::checkpoint_fragments`]; the engine itself knows
-/// nothing about IQL canonicalization.
+/// be loaded from / stored to the shared cache. Built by
+/// [`IdsInstance::prepare_run`](crate::instance::IdsInstance::prepare_run)
+/// from [`crate::iql::fragment`]; the engine itself knows nothing about IQL
+/// canonicalization.
 #[derive(Debug, Clone)]
 pub struct ReusePlan {
     /// State after the basic graph pattern (scans + joins).
@@ -571,7 +574,7 @@ impl ReusePlan {
 
 /// Where a [`PlanRun`] currently stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RunPhase {
+pub enum RunPhase {
     /// About to execute pattern `i` (scan + join with prior state).
     Pattern(usize),
     /// About to run the WHERE filter (no-op if the plan has none).
@@ -582,6 +585,20 @@ enum RunPhase {
     Gather,
     /// Finished; `step` must not be called again.
     Done,
+}
+
+impl RunPhase {
+    /// Stage label (`pattern0`, `where-filter`, `stage1`, `gather`, `done`)
+    /// — stable across runs, part of the scheduler trace.
+    pub fn label(self) -> String {
+        match self {
+            RunPhase::Pattern(i) => format!("pattern{i}"),
+            RunPhase::WhereFilter => "where-filter".to_string(),
+            RunPhase::Stage(i) => format!("stage{i}"),
+            RunPhase::Gather => "gather".to_string(),
+            RunPhase::Done => "done".to_string(),
+        }
+    }
 }
 
 /// Result of one [`PlanRun::step`].
@@ -642,9 +659,12 @@ pub enum StepOutcome {
 /// reuse) and resumes past it; completed checkpoints are stored back so
 /// later overlapping queries can do the same.
 pub struct PlanRun {
-    plan: PhysicalPlan,
+    /// Shared with the instance's prepared-query cache: read in place,
+    /// copied on write (`Arc::make_mut`) by the adaptive re-plan, so a run
+    /// can never alter the plan another run starts from.
+    plan: Arc<PhysicalPlan>,
     opts: ExecOptions,
-    reuse: Option<ReusePlan>,
+    reuse: Option<Arc<ReusePlan>>,
     phase: RunPhase,
     started: bool,
     t0: f64,
@@ -730,7 +750,7 @@ static NEXT_RUN_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64:
 
 impl PlanRun {
     /// Prepare a run. Nothing executes until the first [`Self::step`].
-    pub fn new(plan: PhysicalPlan, opts: ExecOptions, reuse: Option<ReusePlan>) -> Self {
+    pub fn new(plan: Arc<PhysicalPlan>, opts: ExecOptions, reuse: Option<Arc<ReusePlan>>) -> Self {
         Self {
             plan,
             opts,
@@ -761,13 +781,18 @@ impl PlanRun {
     /// Label of the next stage to execute (stable across runs — part of
     /// the scheduler trace).
     pub fn phase_label(&self) -> String {
-        match self.phase {
-            RunPhase::Pattern(i) => format!("pattern{i}"),
-            RunPhase::WhereFilter => "where-filter".to_string(),
-            RunPhase::Stage(i) => format!("stage{i}"),
-            RunPhase::Gather => "gather".to_string(),
-            RunPhase::Done => "done".to_string(),
-        }
+        self.phase.label()
+    }
+
+    /// The next stage to execute, as a `Copy` value (what the scheduler
+    /// logs per slice; [`RunPhase::label`] renders it).
+    pub fn phase(&self) -> RunPhase {
+        self.phase
+    }
+
+    /// The plan this run executes (after any adaptive re-plan so far).
+    pub fn plan(&self) -> &PhysicalPlan {
+        &self.plan
     }
 
     /// Checkpoint ordinal this run resumed from (−1 when it started cold)
@@ -1233,10 +1258,12 @@ impl PlanRun {
     ) {
         let (order, rows_after) = crate::cost::replan_suffix(&self.plan.patterns, i + 1, observed);
         let reordered = order.iter().enumerate().filter(|&(k, &idx)| idx != i + 1 + k).count();
+        // The only place a run writes its plan: un-share it first.
+        let plan = Arc::make_mut(&mut self.plan);
         // Refresh suffix estimates either way: the observed seed is
         // strictly better information than the plan-time prediction.
         for (k, &r) in rows_after.iter().enumerate() {
-            if let Some(slot) = self.plan.est_rows_after.get_mut(i + 1 + k) {
+            if let Some(slot) = plan.est_rows_after.get_mut(i + 1 + k) {
                 *slot = r.max(0.0) as u64;
             }
         }
@@ -1246,7 +1273,7 @@ impl PlanRun {
         // Permute the suffix in place (order is a permutation of
         // i+1..n by construction; a malformed one degrades to no-op).
         let mut slots: Vec<Option<PhysicalPattern>> =
-            self.plan.patterns.drain(i + 1..).map(Some).collect();
+            plan.patterns.drain(i + 1..).map(Some).collect();
         let mut suffix = Vec::with_capacity(slots.len());
         for &idx in &order {
             if let Some(p) = slots.get_mut(idx - i - 1).and_then(Option::take) {
@@ -1254,7 +1281,7 @@ impl PlanRun {
             }
         }
         suffix.extend(slots.into_iter().flatten());
-        self.plan.patterns.extend(suffix);
+        plan.patterns.extend(suffix);
         self.adaptive.replans += 1;
         metrics.counter("ids_adaptive_replans_total").inc();
         metrics.spans().record(
@@ -1386,8 +1413,8 @@ impl PlanRun {
         for s in sets {
             let mut vars = Vec::with_capacity(s.vars().len());
             for v in s.vars() {
-                match cp.rename.get(v) {
-                    Some(c) => vars.push(c.clone()),
+                match cp.rename.iter().find(|(orig, _)| orig == v) {
+                    Some((_, c)) => vars.push(c.clone()),
                     None => return, // schema var outside the fragment scope
                 }
             }
@@ -1764,7 +1791,7 @@ pub fn execute_plan(
     metrics: &MetricsRegistry,
     cache: Option<&CacheManager>,
 ) -> Result<QueryOutcome, ExecError> {
-    let mut run = PlanRun::new(plan.clone(), *opts, None);
+    let mut run = PlanRun::new(Arc::new(plan.clone()), *opts, None);
     loop {
         if let StepOutcome::Done(outcome) =
             run.step(cluster, ds, registry, profilers, metrics, cache)?

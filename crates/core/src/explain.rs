@@ -190,6 +190,18 @@ pub fn explain_with_metrics(
         ));
     }
 
+    let prepared_hits = snapshot.counter("ids_prepared_hits_total", "");
+    let prepares = prepared_hits + snapshot.counter("ids_prepared_misses_total", "");
+    if prepares > 0 {
+        out.push_str(&format!(
+            "    prepared queries: {prepared_hits} hits / {prepares} prepares, {} cached, \
+             {} evicted, {} dropped stale\n",
+            snapshot.gauge("ids_prepared_entries", ""),
+            snapshot.counter("ids_prepared_evictions_total", ""),
+            snapshot.counter("ids_prepared_stale_total", ""),
+        ));
+    }
+
     let reordered = snapshot.counter("ids_engine_reorder_decisions_total", "reordered");
     let kept = snapshot.counter("ids_engine_reorder_decisions_total", "kept");
     if reordered + kept > 0 {

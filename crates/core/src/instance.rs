@@ -15,6 +15,7 @@ use crate::engine::{
 };
 use crate::iql::{self, FragmentSpec};
 use crate::planner::{self, PhysicalPlan};
+use crate::prepared::{PlanEpoch, Prepared, PreparedCache};
 use crate::stats::StatsCatalog;
 use ids_cache::CacheManager;
 use ids_models::ModelRepository;
@@ -73,9 +74,15 @@ pub struct IdsInstance {
     faults: Option<Arc<FaultPlane>>,
     metrics: MetricsRegistry,
     /// Cached statistics catalog for cost-based planning, keyed on the
-    /// datastore's triple count at collection time so ingest invalidates
-    /// it. Interior mutability keeps `explain`/`prepare_run` `&self`.
-    stats: Mutex<Option<(usize, Arc<StatsCatalog>)>>,
+    /// datastore's version at collection time so ingest invalidates it.
+    /// Interior mutability keeps `explain`/`prepare_run` `&self`.
+    stats: Mutex<Option<(u64, Arc<StatsCatalog>)>>,
+    /// Bumped whenever exec options or the attached cache may have
+    /// changed; with the datastore's version it forms the plan epoch.
+    config_generation: u64,
+    /// Prepared queries by text, valid for one plan epoch. Built on the
+    /// first `prepare_run` so an idle instance exports no series for it.
+    prepared: Mutex<Option<PreparedCache>>,
 }
 
 impl IdsInstance {
@@ -94,6 +101,8 @@ impl IdsInstance {
             faults: None,
             metrics: MetricsRegistry::new(),
             stats: Mutex::new(None),
+            config_generation: 0,
+            prepared: Mutex::new(None),
         }
     }
 
@@ -104,6 +113,7 @@ impl IdsInstance {
             cache.attach_faults(plane.clone());
         }
         self.cache = Some(cache);
+        self.config_generation += 1;
     }
 
     /// Attach a deterministic fault-injection plane: the cluster (crash
@@ -215,7 +225,10 @@ impl IdsInstance {
     }
 
     /// Execution options (mutable so benches can flip ablation knobs).
+    /// Handing out the borrow starts a new plan epoch: prepared queries and
+    /// the reuse salt are rebuilt on their next use.
     pub fn exec_options_mut(&mut self) -> &mut ExecOptions {
+        self.config_generation += 1;
         &mut self.config.exec
     }
 
@@ -228,18 +241,18 @@ impl IdsInstance {
 
     /// The statistics catalog for cost-based planning. The expensive part
     /// (one scan pass over every shard) is cached and re-collected only
-    /// when the datastore's triple count changes; UDF cost/selectivity
+    /// when the datastore's version moves; UDF cost/selectivity
     /// profiles are re-attached fresh on every call so the planner always
     /// prices WHERE conjuncts from the latest observed behaviour.
     pub fn stats_catalog(&self) -> Arc<StatsCatalog> {
-        let triples = self.datastore.triple_count();
+        let version = self.datastore.version();
         let base = {
             let mut guard = self.stats.lock();
             match guard.as_ref() {
-                Some((n, cat)) if *n == triples => cat.clone(),
+                Some((v, cat)) if *v == version => cat.clone(),
                 _ => {
                     let cat = Arc::new(StatsCatalog::collect(&self.datastore));
-                    *guard = Some((triples, cat.clone()));
+                    *guard = Some((version, cat.clone()));
                     cat
                 }
             }
@@ -273,7 +286,7 @@ impl IdsInstance {
     /// reordering decisions from queries run so far (no execution
     /// happens).
     pub fn explain(&self, iql_text: &str) -> Result<String, QueryError> {
-        let parsed = iql::parse_query(iql_text).map_err(|e| QueryError::Parse(e.to_string()))?;
+        let parsed = parse(iql_text)?;
         // Snapshot before planning so EXPLAIN reports what queries have
         // done, not its own planner bookkeeping.
         let snapshot = self.metrics_snapshot();
@@ -287,7 +300,7 @@ impl IdsInstance {
 
     /// Parse, plan, and execute an IQL query.
     pub fn query(&mut self, iql_text: &str) -> Result<QueryOutcome, QueryError> {
-        let parsed = iql::parse_query(iql_text).map_err(|e| QueryError::Parse(e.to_string()))?;
+        let parsed = parse(iql_text)?;
         self.query_parsed(&parsed)
     }
 
@@ -313,7 +326,8 @@ impl IdsInstance {
     /// for semantic reuse are salted with this so instances with different
     /// data or configuration sharing one cache never cross-resume. The
     /// salt is a pure function of instance inputs, keeping replay
-    /// deterministic.
+    /// deterministic. Every input is fixed within a plan epoch, so
+    /// `prepare_run` renders it once per epoch, not per query.
     fn reuse_salt(&self) -> u64 {
         let rendered = format!(
             "ids-reuse-salt-v1|ranks={}|seed={}|shards={}|triples={}|exec={:?}",
@@ -326,54 +340,101 @@ impl IdsInstance {
         fnv1a(rendered.as_bytes())
     }
 
+    /// Everything `iql_text` prepares to, derived from scratch with no
+    /// cache involved (salt included) — the oracle a cached
+    /// [`IdsInstance::prepared`] entry must equal.
+    pub fn prepare_fresh(&self, iql_text: &str, reuse: bool) -> Result<Prepared, QueryError> {
+        let salt = (reuse && self.cache.is_some()).then(|| self.reuse_salt());
+        self.build_prepared(iql_text, salt)
+    }
+
+    /// Parse, lower, and — when `reuse_salt` is given — canonicalise the
+    /// fragments the plan schedules into reuse checkpoints salted with it.
+    fn build_prepared(
+        &self,
+        iql_text: &str,
+        reuse_salt: Option<u64>,
+    ) -> Result<Prepared, QueryError> {
+        let ast = parse(iql_text)?;
+        let plan = self.plan_query(&ast)?;
+        let reuse = reuse_salt.map(|salt| {
+            let checkpoint = |spec: FragmentSpec, label: String| {
+                let frag = iql::fragment(&ast, spec);
+                ReuseCheckpoint {
+                    key: format!("reuse/{salt:016x}/{:016x}", frag.fingerprint),
+                    fingerprint: frag.fingerprint,
+                    label,
+                    rename: frag.rename.into_iter().collect(),
+                }
+            };
+            // Only the fragments the plan has a boundary for: a filter-less
+            // query's WHERE fragment is its BGP fragment.
+            Arc::new(ReusePlan {
+                after_bgp: Some(checkpoint(FragmentSpec::Bgp, "bgp".to_string())),
+                after_where: plan
+                    .where_filter
+                    .is_some()
+                    .then(|| checkpoint(FragmentSpec::Where, "where".to_string())),
+                after_stage: (0..plan.stages.len())
+                    .map(|i| Some(checkpoint(FragmentSpec::Stages(i + 1), format!("stage{i}"))))
+                    .collect(),
+                max_object_bytes: ReusePlan::DEFAULT_MAX_OBJECT_BYTES,
+            })
+        });
+        Ok(Prepared { plan: Arc::new(plan), reuse })
+    }
+
+    /// The prepared form of `iql_text` for the current plan epoch — the
+    /// datastore's version plus this instance's exec options and attached
+    /// cache — from the instance's bounded cache, built and cached on a
+    /// miss. An entry from an earlier epoch is never returned. The flag
+    /// says whether the entry was built by this call.
+    fn prepared_entry(
+        &self,
+        iql_text: &str,
+        reuse: bool,
+    ) -> Result<(Arc<Prepared>, bool), QueryError> {
+        let reuse = reuse && self.cache.is_some();
+        let mut guard = self.prepared.lock();
+        let cache = guard.get_or_insert_with(|| PreparedCache::new(&self.metrics));
+        let epoch = PlanEpoch { store: self.datastore.version(), config: self.config_generation };
+        cache.enter(epoch, || self.reuse_salt());
+        if let Some(hit) = cache.get(iql_text, reuse) {
+            return Ok((hit, false));
+        }
+        let built = Arc::new(self.build_prepared(iql_text, reuse.then(|| cache.salt()))?);
+        cache.insert(iql_text, reuse, built.clone());
+        Ok((built, true))
+    }
+
+    /// [`IdsInstance::prepare_run`]'s cached half, exposed so tests can
+    /// compare an entry with [`IdsInstance::prepare_fresh`].
+    pub fn prepared(&self, iql_text: &str, reuse: bool) -> Result<Arc<Prepared>, QueryError> {
+        self.prepared_entry(iql_text, reuse).map(|(prepared, _)| prepared)
+    }
+
     /// Parse and plan `iql_text` into a resumable [`PlanRun`] that a
     /// scheduler can interleave with other runs via
     /// [`IdsInstance::step_run`]. With `reuse` set (and a cache attached),
     /// the run probes/stores canonical plan-fragment checkpoints so
     /// overlapping queries — even α-renamed ones from different clients —
     /// share intermediate results.
+    ///
+    /// Repeated texts are served from the prepared-query cache (see
+    /// [`crate::prepared`]): the run shares the cached plan and checkpoints
+    /// and copies the plan only if it re-plans. With `exec.adaptive` on,
+    /// the planner's inputs (UDF profiles, harvested statistics) move from
+    /// query to query, so a cached entry contributes only its checkpoints
+    /// (canonicalisation is ≈ 30× lex + parse) and the text is parsed and
+    /// lowered again.
     pub fn prepare_run(&self, iql_text: &str, reuse: bool) -> Result<PlanRun, QueryError> {
-        let parsed = iql::parse_query(iql_text).map_err(|e| QueryError::Parse(e.to_string()))?;
-        let plan = self.plan_query(&parsed)?;
-        let reuse_plan = if reuse && self.cache.is_some() {
-            let salt = self.reuse_salt();
-            let mut rp = ReusePlan {
-                after_bgp: None,
-                after_where: None,
-                after_stage: vec![None; plan.stages.len()],
-                max_object_bytes: ReusePlan::DEFAULT_MAX_OBJECT_BYTES,
-            };
-            for (spec, frag) in iql::checkpoint_fragments(&parsed) {
-                let label = match spec {
-                    FragmentSpec::Bgp => "bgp".to_string(),
-                    FragmentSpec::Where => "where".to_string(),
-                    FragmentSpec::Stages(n) => format!("stage{}", n.saturating_sub(1)),
-                };
-                let cp = ReuseCheckpoint {
-                    key: format!("reuse/{salt:016x}/{:016x}", frag.fingerprint),
-                    fingerprint: frag.fingerprint,
-                    label,
-                    rename: frag.rename.clone(),
-                };
-                match spec {
-                    FragmentSpec::Bgp => rp.after_bgp = Some(cp),
-                    // A filter-less query's WHERE fragment is the BGP
-                    // fragment; only schedule the checkpoint when the
-                    // filter stage actually exists.
-                    FragmentSpec::Where if plan.where_filter.is_some() => rp.after_where = Some(cp),
-                    FragmentSpec::Where => {}
-                    FragmentSpec::Stages(n) => {
-                        if (1..=plan.stages.len()).contains(&n) {
-                            rp.after_stage[n - 1] = Some(cp);
-                        }
-                    }
-                }
-            }
-            Some(rp)
+        let (prepared, built_now) = self.prepared_entry(iql_text, reuse)?;
+        let plan = if self.config.exec.adaptive && !built_now {
+            Arc::new(self.plan_query(&parse(iql_text)?)?)
         } else {
-            None
+            prepared.plan.clone()
         };
-        Ok(PlanRun::new(plan, self.config.exec, reuse_plan))
+        Ok(PlanRun::new(plan, self.config.exec, prepared.reuse.clone()))
     }
 
     /// Advance a prepared run by one pipeline stage against this
@@ -400,6 +461,10 @@ impl IdsInstance {
             }
         }
     }
+}
+
+fn parse(iql_text: &str) -> Result<iql::ast::Query, QueryError> {
+    iql::parse_query(iql_text).map_err(|e| QueryError::Parse(e.to_string()))
 }
 
 /// Any failure between IQL text and results. Execution failures keep
@@ -841,6 +906,12 @@ mod tests {
             rows
         };
         assert_eq!(decode(&cold), decode(&replay), "reused rows match re-execution");
+
+        // q1, q2 and the replay: three prepares, the replay served from the
+        // prepared-query cache — so the planner lowered only twice.
+        let text = inst.explain(q1).unwrap();
+        assert!(text.contains("prepared queries: 1 hits / 3 prepares, 2 cached"), "{text}");
+        assert_eq!(snap.counter("ids_planner_plans_total", ""), 2);
     }
 
     #[test]

@@ -20,6 +20,8 @@
 //! * [`planner`] — pattern ordering by cardinality estimates plus the
 //!   §2.4 adaptive pieces (conjunct reordering, throughput re-balancing)
 //!   delegated to `ids-udf`.
+//! * [`prepared`] — the bounded, epoch-checked cache of prepared queries
+//!   behind [`instance::IdsInstance::prepare_run`].
 //! * [`instance`] — [`instance::IdsInstance`]: the launcher/client facade
 //!   that owns the cluster, datastore, model repository, UDF registry,
 //!   profilers, and (optionally shared) global cache.
@@ -35,14 +37,16 @@ pub mod explain;
 pub mod instance;
 pub mod iql;
 pub mod planner;
+pub mod prepared;
 pub mod stats;
 pub mod workflow;
 
 pub use datastore::Datastore;
 pub use engine::{
     DegradedKind, ErrorAnnotation, ExecError, ExecOptions, PlanRun, QueryOutcome, RecoveryReport,
-    ReuseCheckpoint, ReusePlan, StageBreakdown, StepOutcome,
+    ReuseCheckpoint, ReusePlan, RunPhase, StageBreakdown, StepOutcome,
 };
 pub use instance::{IdsConfig, IdsInstance, QueryError};
 pub use iql::ast::Query;
+pub use prepared::Prepared;
 pub use stats::StatsCatalog;

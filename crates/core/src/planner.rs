@@ -313,7 +313,12 @@ pub fn lower_with_metrics(
     lower_with_stats(query, ds, None, metrics)
 }
 
-/// Lower a full query, optionally consulting a statistics catalog. With a
+/// Lower a full query, optionally consulting a statistics catalog. The
+/// `ids_planner_*` counters recorded into `metrics` count *lowerings
+/// performed*: behind `IdsInstance::prepare_run` that is one per
+/// prepared-query cache miss (plus one per hit under `exec.adaptive`),
+/// not one per query served — `ids_prepared_{hits,misses}_total` carry
+/// the per-query view. With a
 /// catalog, join ordering switches from the cardinality-greedy heuristic
 /// to the [`crate::cost`] model (exact DP up to
 /// [`cost::DP_MAX_PATTERNS`] patterns, greedy cost-based beyond) and

@@ -32,10 +32,12 @@
 use crate::elastic::{ElasticityController, ScaleDecision, ScaleEvent};
 use crate::error::{Refusal, ServeError};
 use crate::slo::{ShedConfig, ShedController, SloClass};
-use ids_core::{ExecError, IdsInstance, PlanRun, QueryError, QueryOutcome, StepOutcome};
+use ids_core::{ExecError, IdsInstance, PlanRun, QueryError, QueryOutcome, RunPhase, StepOutcome};
+use ids_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use ids_simrt::rng::{fnv1a, hash_combine};
 use ids_simrt::{NodeId, RankId};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 /// Service-wide configuration.
 #[derive(Debug, Clone, Copy)]
@@ -143,16 +145,18 @@ pub struct SessionId(pub u64);
 pub struct QueryId(pub u64);
 
 /// One scheduler slice: which query ran which pipeline stage, and when on
-/// the virtual clock. The full slice sequence is the scheduler trace.
+/// the virtual clock. The full slice sequence is the scheduler trace, one
+/// record per slice for the life of the service — so a record owns no heap
+/// data of its own.
 #[derive(Debug, Clone)]
 pub struct SliceRecord {
-    /// Tenant that was charged.
-    pub tenant: String,
+    /// Tenant that was charged (the name is shared with the tenant table).
+    pub tenant: Arc<str>,
     /// Query that ran.
     pub query: QueryId,
-    /// Pipeline stage label (`pattern0`, `where-filter`, `stage1`,
-    /// `gather`).
-    pub phase: String,
+    /// Pipeline stage that ran; [`RunPhase::label`] renders it
+    /// (`pattern0`, `where-filter`, `stage1`, `gather`).
+    pub phase: RunPhase,
     /// Virtual time when the slice started.
     pub started_at: f64,
     /// Virtual time when the slice ended.
@@ -194,12 +198,54 @@ struct Job {
 
 struct Tenant {
     cfg: TenantConfig,
+    /// `cfg.name`, shared with sessions and slice records.
+    name: Arc<str>,
     deficit: f64,
     queue: VecDeque<Job>,
+    meters: TenantMeters,
+}
+
+/// The metric handles every served query touches, resolved once per
+/// tenant (and its SLO class) instead of by name per query. Refusals,
+/// aborts and recovery events stay by-name look-ups at their call sites.
+struct TenantMeters {
+    admitted: Counter,
+    queue_depth: Gauge,
+    slices: Counter,
+    queue_wait: Histogram,
+    latency: Histogram,
+    completed: Counter,
+    class_admitted: Counter,
+    class_latency: Histogram,
+    class_completed: Counter,
+}
+
+impl TenantMeters {
+    fn resolve(m: &MetricsRegistry, tenant: &str, class: SloClass) -> Self {
+        Self {
+            admitted: m.counter_with("ids_serve_admitted_total", "tenant", tenant),
+            queue_depth: m.gauge_with("ids_serve_queue_depth", "tenant", tenant),
+            slices: m.counter_with("ids_serve_slices_total", "tenant", tenant),
+            queue_wait: m.histogram_with("ids_serve_queue_wait_secs", "tenant", tenant),
+            latency: m.histogram_with("ids_serve_latency_secs", "tenant", tenant),
+            completed: m.counter_with("ids_serve_completed_total", "tenant", tenant),
+            class_admitted: m.counter_with(
+                "ids_serve_class_admitted_total",
+                "class",
+                class.label(),
+            ),
+            class_latency: m.histogram_with("ids_serve_class_latency_secs", "class", class.label()),
+            class_completed: m.counter_with(
+                "ids_serve_class_completed_total",
+                "class",
+                class.label(),
+            ),
+        }
+    }
 }
 
 struct Session {
-    tenant: String,
+    tenant: Arc<str>,
     open: bool,
 }
 
@@ -263,23 +309,30 @@ impl QueryService {
     /// Register a tenant (idempotent by name: re-registering replaces the
     /// policy but keeps any queued work).
     pub fn register_tenant(&mut self, cfg: TenantConfig) {
-        let name = cfg.name.clone();
-        match self.tenants.get_mut(&name) {
-            Some(t) => t.cfg = cfg,
+        let meters = TenantMeters::resolve(self.inst.metrics(), &cfg.name, cfg.class);
+        match self.tenants.get_mut(&cfg.name) {
+            Some(t) => {
+                t.cfg = cfg;
+                t.meters = meters;
+            }
             None => {
-                self.tenants.insert(name, Tenant { cfg, deficit: 0.0, queue: VecDeque::new() });
+                let name: Arc<str> = Arc::from(cfg.name.as_str());
+                self.tenants.insert(
+                    cfg.name.clone(),
+                    Tenant { cfg, name, deficit: 0.0, queue: VecDeque::new(), meters },
+                );
             }
         }
     }
 
     /// Open a session for `tenant`.
     pub fn open_session(&mut self, tenant: &str) -> Result<SessionId, ServeError> {
-        if !self.tenants.contains_key(tenant) {
+        let Some(t) = self.tenants.get(tenant) else {
             return Err(ServeError::UnknownTenant(tenant.to_string()));
-        }
+        };
         let id = self.next_session;
         self.next_session += 1;
-        self.sessions.insert(id, Session { tenant: tenant.to_string(), open: true });
+        self.sessions.insert(id, Session { tenant: t.name.clone(), open: true });
         self.inst
             .metrics()
             .counter_with("ids_serve_sessions_total", "tenant", tenant.to_string())
@@ -314,8 +367,8 @@ impl QueryService {
         let total_queued: usize = self.tenants.values().map(|t| t.queue.len()).sum();
         let tenant = self
             .tenants
-            .get(&tenant_name)
-            .ok_or_else(|| ServeError::UnknownTenant(tenant_name.clone()))?;
+            .get_mut(&*tenant_name)
+            .ok_or_else(|| ServeError::UnknownTenant(tenant_name.to_string()))?;
         let class = tenant.cfg.class;
         // Load shedding runs before the per-tenant queue bound: the
         // controller observes the current occupancy and refuses sheddable
@@ -323,10 +376,10 @@ impl QueryService {
         self.shed.observe(total_queued as f64 / self.cfg.max_in_flight.max(1) as f64);
         if self.shed.sheds(class) {
             let m = self.inst.metrics();
-            m.counter_with("ids_serve_shed_total", "class", class.label().to_string()).inc();
-            m.counter_with("ids_serve_shed_tenant_total", "tenant", tenant_name.clone()).inc();
+            m.counter_with("ids_serve_shed_total", "class", class.label()).inc();
+            m.counter_with("ids_serve_shed_tenant_total", "tenant", &*tenant_name).inc();
             let refusal = Refusal::backoff(
-                tenant_name,
+                &*tenant_name,
                 total_queued,
                 self.cfg.quantum_secs,
                 tenant.cfg.weight * class.weight_mult(),
@@ -337,10 +390,10 @@ impl QueryService {
         if tenant.queue.len() >= tenant.cfg.max_queued || total_queued >= self.cfg.max_in_flight {
             self.inst
                 .metrics()
-                .counter_with("ids_serve_overloaded_total", "tenant", tenant_name.clone())
+                .counter_with("ids_serve_overloaded_total", "tenant", &*tenant_name)
                 .inc();
             let err = ServeError::Overloaded(Refusal::backoff(
-                tenant_name,
+                &*tenant_name,
                 tenant.queue.len(),
                 self.cfg.quantum_secs,
                 tenant.cfg.weight,
@@ -353,7 +406,7 @@ impl QueryService {
             Err(e) => {
                 self.inst
                     .metrics()
-                    .counter_with("ids_serve_rejected_total", "tenant", tenant_name.clone())
+                    .counter_with("ids_serve_rejected_total", "tenant", &*tenant_name)
                     .inc();
                 return Err(ServeError::Rejected(e.to_string()));
             }
@@ -361,23 +414,9 @@ impl QueryService {
         let id = QueryId(self.next_query);
         self.next_query += 1;
         let enqueued_at = self.inst.cluster().elapsed();
-        let m = self.inst.metrics();
-        m.counter_with("ids_serve_admitted_total", "tenant", tenant_name.clone()).inc();
-        m.counter_with("ids_serve_class_admitted_total", "class", class.label().to_string()).inc();
-        m.gauge_with("ids_serve_queue_depth", "tenant", tenant_name.clone())
-            .set(tenant.queue.len() as i64 + 1);
-        // Looked up immutably above; a miss here means the tenant table
-        // mutated mid-submit. Degrade to a typed error instead of panicking
-        // so the service survives the broken invariant.
-        let Some(tenant) = self.tenants.get_mut(&tenant_name) else {
-            self.inst
-                .metrics()
-                .counter_with("ids_serve_internal_errors_total", "tenant", tenant_name.clone())
-                .inc();
-            return Err(ServeError::Internal(format!(
-                "tenant {tenant_name:?} vanished during submit"
-            )));
-        };
+        tenant.meters.admitted.inc();
+        tenant.meters.class_admitted.inc();
+        tenant.meters.queue_depth.set(tenant.queue.len() as i64 + 1);
         tenant.queue.push_back(Job {
             id,
             session,
@@ -428,10 +467,10 @@ impl QueryService {
         // whose head query has aged past its promotion threshold runs one
         // class up this round (deadline-based promotion), earning the
         // higher class's deficit rate and position in the round.
-        let mut buckets: [Vec<(String, u32)>; 3] = [Vec::new(), Vec::new(), Vec::new()];
+        let mut buckets: [Vec<(Arc<str>, u32)>; 3] = [Vec::new(), Vec::new(), Vec::new()];
         let inst = &self.inst;
         let cfg = &self.cfg;
-        for (name, t) in self.tenants.iter_mut() {
+        for t in self.tenants.values_mut() {
             if t.queue.is_empty() {
                 // WDRR: idle tenants don't bank credit.
                 t.deficit = 0.0;
@@ -449,11 +488,7 @@ impl QueryService {
                     if promote {
                         eff = base.promoted();
                         inst.metrics()
-                            .counter_with(
-                                "ids_serve_promotions_total",
-                                "class",
-                                base.label().to_string(),
-                            )
+                            .counter_with("ids_serve_promotions_total", "class", base.label())
                             .inc();
                     }
                 }
@@ -463,7 +498,7 @@ impl QueryService {
                 SloClass::Batch => 1,
                 SloClass::BestEffort => 2,
             };
-            buckets[slot].push((name.clone(), eff.weight_mult()));
+            buckets[slot].push((t.name.clone(), eff.weight_mult()));
         }
         for bucket in buckets {
             for (name, class_mult) in bucket {
@@ -489,7 +524,6 @@ impl QueryService {
             tenant.deficit = 0.0;
             return;
         }
-        let class = tenant.cfg.class;
         tenant.deficit += (tenant.cfg.weight * class_mult) as f64 * self.cfg.quantum_secs;
         // Progress floor: even a tenant deep in deficit debt (one
         // expensive stage can overdraw many quanta) steps at least once
@@ -517,23 +551,17 @@ impl QueryService {
                             .inc();
                         break;
                     };
-                    let tenant_name = tenant.cfg.name.clone();
                     self.inst
                         .metrics()
-                        .counter_with(
-                            "ids_serve_deadline_aborts_total",
-                            "tenant",
-                            tenant_name.clone(),
-                        )
+                        .counter_with("ids_serve_deadline_aborts_total", "tenant", name)
                         .inc();
                     done.push(finish(
                         &self.inst,
-                        tenant_name.clone(),
-                        class,
+                        tenant,
                         job,
                         now,
                         Err(ServeError::DeadlineExceeded {
-                            tenant: tenant_name,
+                            tenant: name.to_string(),
                             deadline_secs: deadline,
                         }),
                     ));
@@ -543,23 +571,20 @@ impl QueryService {
             let started_at = now;
             job.first_slice_at.get_or_insert(started_at);
             job.slices += 1;
-            // The label of the stage about to run, captured before the
-            // step advances the run's phase.
-            let phase = job.run.phase_label();
+            // The stage about to run, captured before the step advances
+            // the run's phase.
+            let phase = job.run.phase();
             let step = self.inst.step_run(&mut job.run);
             let ended_at = self.inst.cluster().elapsed();
             tenant.deficit -= ended_at - started_at;
             self.trace.push(SliceRecord {
-                tenant: name.to_string(),
+                tenant: tenant.name.clone(),
                 query: job.id,
                 phase,
                 started_at,
                 ended_at,
             });
-            self.inst
-                .metrics()
-                .counter_with("ids_serve_slices_total", "tenant", name.to_string())
-                .inc();
+            tenant.meters.slices.inc();
             match step {
                 Ok(StepOutcome::Pending) => {}
                 Ok(StepOutcome::BatchReady { batches, .. }) => {
@@ -630,14 +655,7 @@ impl QueryService {
                             .inc();
                         break;
                     };
-                    done.push(finish(
-                        &self.inst,
-                        name.to_string(),
-                        class,
-                        job,
-                        ended_at,
-                        Ok(*outcome),
-                    ));
+                    done.push(finish(&self.inst, tenant, job, ended_at, Ok(*outcome)));
                 }
                 Err(e) => {
                     let Some(job) = tenant.queue.pop_front() else {
@@ -679,7 +697,7 @@ impl QueryService {
                         }
                         other => ServeError::Exec(other.to_string()),
                     };
-                    done.push(finish(&self.inst, name.to_string(), class, job, ended_at, Err(err)));
+                    done.push(finish(&self.inst, tenant, job, ended_at, Err(err)));
                 }
             }
         }
@@ -773,7 +791,7 @@ impl QueryService {
         for s in &self.trace {
             h = hash_combine(h, fnv1a(s.tenant.as_bytes()));
             h = hash_combine(h, s.query.0);
-            h = hash_combine(h, fnv1a(s.phase.as_bytes()));
+            h = hash_combine(h, fnv1a(s.phase.label().as_bytes()));
             h = hash_combine(h, s.started_at.to_bits());
             h = hash_combine(h, s.ended_at.to_bits());
         }
@@ -837,30 +855,26 @@ impl QueryService {
 /// Build the completion record and emit per-tenant service metrics.
 fn finish(
     inst: &IdsInstance,
-    tenant: String,
-    class: SloClass,
+    tenant: &Tenant,
     job: Job,
     finished_at: f64,
     result: Result<QueryOutcome, ServeError>,
 ) -> Completed {
     let queue_wait_secs = job.first_slice_at.unwrap_or(finished_at) - job.enqueued_at;
     let latency_secs = finished_at - job.enqueued_at;
-    let m = inst.metrics();
-    m.histogram_with("ids_serve_queue_wait_secs", "tenant", tenant.clone())
-        .observe(queue_wait_secs.max(0.0));
-    m.histogram_with("ids_serve_latency_secs", "tenant", tenant.clone())
-        .observe(latency_secs.max(0.0));
-    m.histogram_with("ids_serve_class_latency_secs", "class", class.label().to_string())
-        .observe(latency_secs.max(0.0));
-    let counter =
-        if result.is_ok() { "ids_serve_completed_total" } else { "ids_serve_failed_total" };
-    m.counter_with(counter, "tenant", tenant.clone()).inc();
+    let meters = &tenant.meters;
+    meters.queue_wait.observe(queue_wait_secs.max(0.0));
+    meters.latency.observe(latency_secs.max(0.0));
+    meters.class_latency.observe(latency_secs.max(0.0));
     if result.is_ok() {
-        m.counter_with("ids_serve_class_completed_total", "class", class.label().to_string()).inc();
+        meters.completed.inc();
+        meters.class_completed.inc();
+    } else {
+        inst.metrics().counter_with("ids_serve_failed_total", "tenant", &*tenant.name).inc();
     }
     Completed {
-        tenant,
-        class,
+        tenant: tenant.cfg.name.clone(),
+        class: tenant.cfg.class,
         session: job.session,
         query: job.id,
         result,
@@ -1061,8 +1075,8 @@ mod tests {
         // The trace interleaves tenants rather than running one to
         // exhaustion: bob must get slices before alice's last query ends.
         let trace = svc.trace();
-        let first_bob = trace.iter().position(|s| s.tenant == "bob").unwrap();
-        let last_alice = trace.iter().rposition(|s| s.tenant == "alice").unwrap();
+        let first_bob = trace.iter().position(|s| &*s.tenant == "bob").unwrap();
+        let last_alice = trace.iter().rposition(|s| &*s.tenant == "alice").unwrap();
         assert!(first_bob < last_alice, "slices interleave across tenants");
         // Weight 3 lets alice finish her backlog no later than bob.
         let finish_of = |t: &str| done.iter().rposition(|c| c.tenant == t).unwrap();

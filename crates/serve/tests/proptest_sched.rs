@@ -86,7 +86,7 @@ proptest! {
             completed += svc.run_round().len();
             // Who got sliced this round?
             let sliced: BTreeSet<&str> =
-                svc.trace()[trace_before..].iter().map(|s| s.tenant.as_str()).collect();
+                svc.trace()[trace_before..].iter().map(|s| &*s.tenant).collect();
             let depths_after = svc.queue_depths();
             for (name, before) in &depths_before {
                 if *before == 0 {

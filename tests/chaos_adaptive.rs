@@ -16,7 +16,7 @@
 //! nearly 1× with no row floor, forcing re-plans at every slightly
 //! divergent boundary: byte-identity must still hold.
 
-use ids::core::{IdsConfig, IdsInstance, QueryOutcome};
+use ids::core::{IdsConfig, IdsInstance, QueryOutcome, StepOutcome};
 use ids::graph::Term;
 use ids::simrt::faults::StragglerConfig;
 use ids::simrt::{FaultConfig, FaultPlane, Topology};
@@ -237,5 +237,32 @@ fn aggressive_replanning_stays_byte_identical() {
                 );
             }
         }
+    }
+}
+
+/// A run started from the prepared-query cache shares the cached plan; a
+/// re-plan must copy it first, leaving the entry as a fresh prepare would
+/// build it — for every later run of the same text.
+#[test]
+fn replanning_run_leaves_the_prepared_entry_untouched() {
+    for seed in chaos_seeds() {
+        let spec = RunSpec { seed, pipelined: false, adaptive: true, threshold: None };
+        let mut adap = launch(&spec, build_trap);
+        // The first prepare builds the entry and runs on its plan as is.
+        let mut run = adap.prepare_run(QUERY, false).unwrap();
+        let entry = adap.prepared(QUERY, false).unwrap();
+        assert!(std::ptr::eq(run.plan(), &*entry.plan), "seed {seed}: run shares the cached plan");
+        let cached = format!("{:?}", entry.plan);
+
+        let out = loop {
+            if let StepOutcome::Done(out) = adap.step_run(&mut run).unwrap() {
+                break out;
+            }
+        };
+        assert!(out.adaptive.replans >= 1, "seed {seed}: trap must re-plan: {:?}", out.adaptive);
+        assert_ne!(format!("{:?}", run.plan()), cached, "seed {seed}: the run's own plan moved");
+        assert_eq!(format!("{:?}", entry.plan), cached, "seed {seed}: re-plan wrote the entry");
+        assert!(Arc::ptr_eq(&entry, &adap.prepared(QUERY, false).unwrap()));
+        assert_eq!(cached, format!("{:?}", adap.prepare_fresh(QUERY, false).unwrap().plan));
     }
 }

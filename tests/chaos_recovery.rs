@@ -22,7 +22,7 @@ use ids::cache::{BackingStore, CacheConfig, CacheManager};
 use ids::core::workflow::{
     install_workflow, repurposing_query, RepurposingThresholds, WorkflowModels,
 };
-use ids::core::{ExecError, IdsConfig, IdsInstance, QueryError, QueryOutcome};
+use ids::core::{ExecError, IdsConfig, IdsInstance, QueryError, QueryOutcome, StepOutcome};
 use ids::simrt::faults::StragglerConfig;
 use ids::simrt::{FaultConfig, FaultPlane, NetworkModel, NodeId, Topology};
 use ids::workloads::ncnpr::{build, Band, NcnprConfig};
@@ -336,4 +336,31 @@ fn killing_the_speculation_winner_still_resumes_byte_identical() {
             out.recovery
         );
     }
+}
+
+/// A run started from the prepared-query cache that rolls back around a
+/// dead node resumes byte-identical and leaves the cached entry — plan and
+/// reuse checkpoints — exactly as a fresh prepare would build it.
+#[test]
+fn rolled_back_run_leaves_the_prepared_entry_untouched() {
+    let spec =
+        RunSpec { pipelined: false, replication: 2, seed: 1, kill: None, speculation: false };
+    let base_out = launch(spec).query(&query()).unwrap();
+    let &(_, t) = base_out.recovery.checkpoint_times.first().expect("baseline checkpoints");
+
+    let mut inst = launch(RunSpec { kill: Some((1, t + 1e-9)), ..spec });
+    let mut run = inst.prepare_run(&query(), true).unwrap();
+    let entry = inst.prepared(&query(), true).unwrap();
+    assert!(entry.reuse.is_some(), "cache attached: reuse checkpoints scheduled");
+    let cached = format!("{entry:?}");
+    let out = loop {
+        if let StepOutcome::Done(out) = inst.step_run(&mut run).unwrap() {
+            break out;
+        }
+    };
+    assert!(out.recovery.rollbacks >= 1, "kill must force a rollback: {:?}", out.recovery);
+    assert_eq!(raw_rows(&out), raw_rows(&base_out));
+    assert!(Arc::ptr_eq(&entry, &inst.prepared(&query(), true).unwrap()));
+    assert_eq!(format!("{entry:?}"), cached);
+    assert_eq!(cached, format!("{:?}", inst.prepare_fresh(&query(), true).unwrap()));
 }

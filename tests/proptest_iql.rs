@@ -4,8 +4,12 @@
 //! fingerprints while keeping semantically distinct queries apart —
 //! the correctness contract behind cross-client semantic result reuse.
 
+use ids::cache::{BackingStore, CacheConfig, CacheManager};
 use ids::core::iql::{canonical_query, checkpoint_fragments, parse_query};
+use ids::core::{IdsConfig, IdsInstance};
+use ids::graph::Term;
 use ids::simrt::rng::SplitMix64;
+use ids::simrt::{NetworkModel, Topology};
 use proptest::prelude::*;
 
 /// Deterministically build a parseable query from a seed: 1–3 triple
@@ -69,8 +73,66 @@ fn rotate_patterns(q: &str) -> String {
     format!("{}{{ {rebuilt}{rest} }}{}", &q[..open], &q[close + 1..])
 }
 
+/// An instance over the generator's vocabulary (`<p:0>`…`<p:4>`, integer
+/// objects below 50) with a cache attached, so prepared entries carry
+/// reuse checkpoints.
+fn vocabulary_instance() -> IdsInstance {
+    let topo = Topology::new(2, 2);
+    let mut cfg = IdsConfig::laptop(topo.total_ranks(), 3);
+    cfg.topology = topo;
+    let mut inst = IdsInstance::launch(cfg);
+    inst.attach_cache(std::sync::Arc::new(CacheManager::new(
+        topo,
+        NetworkModel::slingshot(),
+        CacheConfig::new(2, 16 << 20, 64 << 20),
+        BackingStore::default_store(),
+    )));
+    inst.registry()
+        .register_static(
+            "score",
+            std::sync::Arc::new(|_: &[ids::udf::UdfValue]| {
+                ids::udf::UdfOutput::new(ids::udf::UdfValue::F64(1.0), 0.0)
+            }),
+        )
+        .unwrap();
+    let ds = inst.datastore();
+    for s in 0..60i64 {
+        for p in 0..5 {
+            ds.add_fact(&Term::Int(s), &Term::iri(format!("p:{p}")), &Term::Int((s * 7 + p) % 50));
+        }
+    }
+    ds.build_indexes();
+    inst
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A prepared-cache entry — first built, then served from the cache —
+    /// equals what a fresh prepare derives: same plan, same reuse keys,
+    /// same fingerprints, same rename pairs. α-renamed and pattern-rotated
+    /// twins are distinct texts (own entries) that share every key.
+    #[test]
+    fn prepared_equals_fresh(seed in 0u64..1500) {
+        let inst = vocabulary_instance();
+        let text = build_query(seed);
+        let mut keys = Vec::new();
+        for t in [text.clone(), rename_vars(&text), rotate_patterns(&text)] {
+            let fresh = format!("{:?}", inst.prepare_fresh(&t, true).unwrap());
+            let built = inst.prepared(&t, true).unwrap();
+            prop_assert_eq!(&format!("{built:?}"), &fresh, "built entry diverged: {}", t);
+            let hit = inst.prepared(&t, true).unwrap();
+            prop_assert!(std::sync::Arc::ptr_eq(&built, &hit), "second prepare missed: {}", t);
+            let reuse = hit.reuse.as_ref().unwrap();
+            let checkpoints = [&reuse.after_bgp, &reuse.after_where].into_iter()
+                .chain(&reuse.after_stage)
+                .map(|cp| cp.as_ref().map(|cp| (cp.key.clone(), cp.fingerprint)));
+            keys.push(checkpoints.collect::<Vec<_>>());
+        }
+        prop_assert!(keys[0].iter().all(Option::is_some), "every boundary scheduled: {}", text);
+        prop_assert_eq!(&keys[0], &keys[1], "rename changed a reuse key: {}", text);
+        prop_assert_eq!(&keys[0], &keys[2], "rotation changed a reuse key: {}", text);
+    }
 
     /// Mangled query text — truncations, byte flips, injected garbage —
     /// must produce `Err(ParseError)` or a successful parse, never a
