@@ -64,7 +64,7 @@ cargo fmt --all --check
 # crates under crates/. `--workspace` here adds what tier-1 leaves out:
 # `ids-bench` (figure/ablation/perf binaries, benches/micro.rs and its
 # integration tests) and the vendored stand-ins under third_party/
-# (bytes, criterion, parking_lot, proptest, rayon, serde, serde_derive).
+# (bytes, criterion, parking_lot, proptest, serde, serde_derive).
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
@@ -92,6 +92,27 @@ echo "==> prepared-query golden (tests/prepared_golden.rs, release)"
 # ordinals and slice-trace hash, the hash pinned to the pre-cache commit;
 # epoch invalidation; 5 000 distinct texts within capacity.
 cargo test --release --test prepared_golden -q
+
+echo "==> parallel determinism golden (tests/parallel_determinism.rs, release)"
+# Ranks on host threads: failing, deadline-bound, term-minting, dynamically
+# loaded and cache-attached stages at 64 ranks, eight runs each, must return
+# the rows, latency bits, breakdowns, annotations and error text of the
+# last one-thread commit.
+cargo test --release --test parallel_determinism -q
+
+echo "==> ncnpr-udf model outputs (perf --verify-repeat, seed 7)"
+# 2 048 ranks through the shard pool: two runs must agree on every virtual
+# time, count and digest, and the window's median latency and digest must
+# be the ones the one-thread executor printed. (The window is the first 5
+# queries, so it does not depend on --seconds.)
+perf_out=$(cargo run --release -p ids-bench --bin perf -- \
+    --workload ncnpr-udf --seed 7 --seconds 2 --verify-repeat)
+grep -q '^virtual_s_p50  *105\.875830230 s' <<<"$perf_out" \
+  && grep -q '^bench.result_digest  *0xb6b4dcb81871314c$' <<<"$perf_out" || {
+  echo "$perf_out"
+  echo "error: ncnpr-udf virtual latency or result digest moved at seed 7" >&2
+  exit 1
+}
 
 echo "==> serve-mix model outputs (perf --verify-repeat, seed 7)"
 # The whole submit/slice path under the benchmark's own output checks: two

@@ -26,21 +26,21 @@ use ids_graph::ops as gops;
 use ids_graph::{BatchChannel, SolutionBatch, SolutionSet, TermId};
 use ids_obs::MetricsRegistry;
 use ids_simrt::rng::{fnv1a, hash_combine};
-use ids_simrt::{Cluster, ExchangeCost, RankId, SpeculationPolicy, SpeculationReport};
+use ids_simrt::{Cluster, ExchangeCost, Fanout, RankId, SpeculationPolicy, SpeculationReport};
 use ids_udf::expr::EvalCtx;
 use ids_udf::{
     order_conjuncts, plan_count_based, plan_throughput_based, Expr, RebalancePlan, UdfProfiler,
-    UdfRegistry,
+    UdfRegistry, UdfValue,
 };
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Lock a worker-side list even if a panicking worker poisoned it: the
-/// lists are append-only, so the data is valid regardless of where the
-/// holder died. Poisoning must not turn a reportable query error into an
-/// executor crash.
+/// Lock a rank's stage profiler even if a panicking worker poisoned it:
+/// a poisoned profiler belongs to a stage that failed, and a failed stage
+/// never commits its profilers. Poisoning must not turn a reportable
+/// query error into an executor crash.
 fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -62,6 +62,11 @@ thread_local! {
 
 /// The rank whose solutions the current thread is evaluating. Cache-aware
 /// UDFs use this to attribute cache traffic to the right node.
+///
+/// Set at the start of every FILTER/APPLY shard by whichever host thread
+/// runs that shard (see [`ids_simrt::pool`]), so inside a UDF it always
+/// names the rank the call is for. A UDF must be a pure function of its
+/// arguments and this rank: ranks run concurrently, in no fixed order.
 pub fn current_rank() -> RankId {
     RankId(CURRENT_RANK.with(|c| c.get()))
 }
@@ -1569,7 +1574,7 @@ impl PlanRun {
         if let Some(filter) = &self.plan.where_filter {
             let solutions = self.sets.take().unwrap_or_default();
             let t = cluster.elapsed();
-            let filtered = run_filter_stage(
+            let (filtered, rebalance) = run_filter_stage(
                 cluster,
                 ds,
                 registry,
@@ -1577,14 +1582,15 @@ impl PlanRun {
                 solutions,
                 filter,
                 &self.opts,
-                &mut self.breakdown,
+                cache,
                 "filter",
                 metrics,
                 &mut self.annotations,
                 &mut self.recovery,
             )?;
             let end = cluster.elapsed();
-            self.breakdown.filter_secs += end - t - take_rebalance_delta(&mut self.breakdown);
+            self.breakdown.rebalance_secs += rebalance;
+            self.breakdown.filter_secs += end - t - rebalance;
             let kept: usize = filtered.iter().map(SolutionBatch::len).sum();
             record_stage(metrics, "filter", t, end, format!("{kept} rows kept"));
             anti_entropy_tick(cache, metrics, end);
@@ -1614,7 +1620,7 @@ impl PlanRun {
         match &stage {
             PhysicalStage::Filter(expr) => {
                 let t = cluster.elapsed();
-                let filtered = run_filter_stage(
+                let (filtered, rebalance) = run_filter_stage(
                     cluster,
                     ds,
                     registry,
@@ -1622,14 +1628,15 @@ impl PlanRun {
                     solutions,
                     expr,
                     &self.opts,
-                    &mut self.breakdown,
+                    cache,
                     "stage-filter",
                     metrics,
                     &mut self.annotations,
                     &mut self.recovery,
                 )?;
                 let end = cluster.elapsed();
-                self.breakdown.filter_secs += end - t - take_rebalance_delta(&mut self.breakdown);
+                self.breakdown.rebalance_secs += rebalance;
+                self.breakdown.filter_secs += end - t - rebalance;
                 let kept: usize = filtered.iter().map(SolutionBatch::len).sum();
                 record_stage(metrics, "filter", t, end, format!("{kept} rows kept"));
                 anti_entropy_tick(cache, metrics, end);
@@ -1637,7 +1644,7 @@ impl PlanRun {
             }
             PhysicalStage::Apply { udf, args, bind_as } => {
                 let t = cluster.elapsed();
-                let applied = run_apply_stage(
+                let (applied, rebalance) = run_apply_stage(
                     cluster,
                     ds,
                     registry,
@@ -1647,13 +1654,14 @@ impl PlanRun {
                     args,
                     bind_as,
                     &self.opts,
-                    &mut self.breakdown,
+                    cache,
                     metrics,
                     &mut self.annotations,
                     &mut self.recovery,
                 )?;
                 let end = cluster.elapsed();
-                let spent = end - t - take_rebalance_delta(&mut self.breakdown);
+                self.breakdown.rebalance_secs += rebalance;
+                let spent = end - t - rebalance;
                 *self.breakdown.apply_secs.entry(udf.clone()).or_insert(0.0) += spent;
                 record_stage(metrics, "apply", t, end, udf.clone());
                 anti_entropy_tick(cache, metrics, end);
@@ -1927,22 +1935,6 @@ fn compare_terms(a: Option<&ids_graph::Term>, b: Option<&ids_graph::Term>) -> st
     // total_cmp keeps the sort a strict weak order even if a term decodes
     // to NaN (it sorts after every other numeric, before strings).
     ka.cmp(&kb).then(va.total_cmp(&vb)).then(sa.cmp(&sb))
-}
-
-// Rebalance time is recorded inside run_*_stage via this side channel so the
-// caller can subtract it from the stage's own bucket.
-thread_local! {
-    static REBALANCE_DELTA: Cell<f64> = const { Cell::new(0.0) };
-}
-
-fn add_rebalance_delta(secs: f64) {
-    REBALANCE_DELTA.with(|c| c.set(c.get() + secs));
-}
-
-fn take_rebalance_delta(breakdown: &mut StageBreakdown) -> f64 {
-    let d = REBALANCE_DELTA.with(|c| c.replace(0.0));
-    breakdown.rebalance_secs += d;
-    d
 }
 
 /// Per-batch dispatch accounting for one operator in columnar mode:
@@ -2368,12 +2360,13 @@ fn channel_send(chan: &mut BatchChannel, out: &mut SolutionBatch, batch: Solutio
 }
 
 /// Move rows between ranks to match a re-balancing plan (round-robin from
-/// surplus ranks to deficit ranks) and charge the exchange.
+/// surplus ranks to deficit ranks) and charge the exchange. Returns the
+/// moved rows and the virtual seconds the exchange took.
 fn apply_rebalance_plan(
     cluster: &mut Cluster,
     mut solutions: Vec<SolutionBatch>,
     plan: &RebalancePlan,
-) -> Vec<SolutionBatch> {
+) -> (Vec<SolutionBatch>, f64) {
     let t0 = cluster.elapsed();
     let mut surplus: Vec<Vec<TermId>> = Vec::new();
     let mut moved_bytes = vec![0u64; solutions.len()];
@@ -2411,8 +2404,7 @@ fn apply_rebalance_plan(
         }
     }
     cluster.alltoallv_cost(&moved_bytes);
-    add_rebalance_delta(cluster.elapsed() - t0);
-    solutions
+    (solutions, cluster.elapsed() - t0)
 }
 
 /// Estimate each rank's throughput (solutions/second) through `expr` from
@@ -2459,6 +2451,10 @@ fn estimate_rates(expr: &Expr, profilers: &[UdfProfiler], opts: &ExecOptions) ->
         .collect()
 }
 
+/// Re-balance solutions before a UDF stage per [`ExecOptions::rebalance`].
+/// Returns the placed rows and the virtual seconds spent re-balancing —
+/// which the caller books to [`StageBreakdown::rebalance_secs`], not to
+/// the stage.
 fn maybe_rebalance(
     cluster: &mut Cluster,
     solutions: Vec<SolutionBatch>,
@@ -2466,13 +2462,13 @@ fn maybe_rebalance(
     profilers: &[UdfProfiler],
     opts: &ExecOptions,
     metrics: &MetricsRegistry,
-) -> Vec<SolutionBatch> {
+) -> (Vec<SolutionBatch>, f64) {
     let total: u64 = solutions.iter().map(|s| s.len() as u64).sum();
     if total == 0 {
-        return solutions;
+        return (solutions, 0.0);
     }
     match opts.rebalance {
-        RebalanceMode::None => solutions,
+        RebalanceMode::None => (solutions, 0.0),
         RebalanceMode::CountBased => {
             metrics.counter_with("ids_engine_rebalances_total", "mode", "count").inc();
             let plan = plan_count_based(total, solutions.len());
@@ -2569,8 +2565,8 @@ fn retry_row<T>(
     }
 }
 
-/// Per-rank degradation tally accumulated while a stage runs, flushed to
-/// the shared annotation list as at most one annotation per failure kind.
+/// Per-rank degradation tally accumulated while a stage runs, turned into
+/// at most one annotation per failure kind when the rank finishes.
 #[derive(Default)]
 struct RankDegradation {
     panic_rows: u64,
@@ -2581,20 +2577,19 @@ struct RankDegradation {
 }
 
 impl RankDegradation {
-    fn flush(
+    fn into_annotations(
         self,
         stage: &str,
         rank: usize,
         deadline_secs: f64,
-        out: &Mutex<Vec<ErrorAnnotation>>,
-    ) {
+    ) -> Vec<ErrorAnnotation> {
         // `u64::from` would not accept usize; `try_into` documents that the
         // conversion is checked. Ranks come from `RankId` (u32) today, so
         // the debug assert is a tripwire for a future wider rank space, and
         // the release-mode fallback keeps annotation plumbing total.
         debug_assert!(u64::try_from(rank).is_ok(), "rank {rank} exceeds u64 annotation field");
         let rank = u64::try_from(rank).unwrap_or(u64::MAX);
-        let mut anns = lock_unpoisoned(out);
+        let mut anns = Vec::new();
         if self.panic_rows > 0 {
             anns.push(ErrorAnnotation {
                 stage: stage.to_string(),
@@ -2622,6 +2617,77 @@ impl RankDegradation {
                 rows_dropped: self.deadline_rows,
             });
         }
+        anns
+    }
+}
+
+/// One rank's share of a FILTER/APPLY stage as its worker returns it: the
+/// rank's output plus its fatal errors and degradation annotations. The
+/// calling thread merges the parts in rank order
+/// ([`merge_rank_parts`]), so error text and annotation order never
+/// depend on which host thread ran which rank.
+struct RankPart<T> {
+    out: T,
+    errors: Vec<String>,
+    annotations: Vec<ErrorAnnotation>,
+}
+
+/// Merge a stage's per-rank parts in rank order. Any error fails the
+/// stage with the first one (and the total count); otherwise the
+/// annotations join `annotations` and the outputs come back in rank order.
+fn merge_rank_parts<T>(
+    parts: Vec<RankPart<T>>,
+    annotations: &mut Vec<ErrorAnnotation>,
+) -> Result<Vec<T>, ExecError> {
+    if let Some(first) = parts.iter().find_map(|p| p.errors.first()) {
+        let total: usize = parts.iter().map(|p| p.errors.len()).sum();
+        return Err(ExecError::msg(format!("{first} ({total} total failures)")));
+    }
+    Ok(parts
+        .into_iter()
+        .map(|p| {
+            annotations.extend(p.annotations);
+            p.out
+        })
+        .collect())
+}
+
+/// The host threads a FILTER/APPLY stage calling `udfs` may use. Ranks run
+/// concurrently in no fixed order, so the stage keeps to one worker — the
+/// calling thread, ranks in order — whenever call order is observable:
+/// with a cache attached (the cache-aware UDFs move LRU and tier state and
+/// draw faults per call) or while a called dynamic UDF is not yet loaded
+/// (its first caller pays the module-load charge).
+fn stage_fanout(registry: &UdfRegistry, udfs: &[&str], cache: Option<&CacheManager>) -> Fanout {
+    if cache.is_some() || !udfs.iter().all(|u| registry.is_loaded(u)) {
+        Fanout::One
+    } else {
+        Fanout::Host
+    }
+}
+
+/// Each rank's profiler for one stage: cloned on the calling thread
+/// before the fan-out, updated in place by the rank's worker, and
+/// committed by the calling thread ([`commit_profilers`]) only when the
+/// stage succeeds.
+fn stage_profilers(profilers: &[UdfProfiler]) -> Vec<Mutex<UdfProfiler>> {
+    profilers.iter().cloned().map(Mutex::new).collect()
+}
+
+fn commit_profilers(profilers: &mut [UdfProfiler], staged: Vec<Mutex<UdfProfiler>>) {
+    for (p, s) in profilers.iter_mut().zip(staged) {
+        *p = s.into_inner().unwrap_or_else(PoisonError::into_inner);
+    }
+}
+
+/// The virtual cost of evaluating one row outside its UDFs. Columnar mode
+/// amortizes it (registry lookups, dispatch) across a batch; the UDF's own
+/// charged time is real work and is never amortized.
+fn eval_overhead_secs(opts: &ExecOptions) -> f64 {
+    if opts.columnar {
+        opts.eval_secs_per_row / opts.columnar_eval_amortization.max(1.0)
+    } else {
+        opts.eval_secs_per_row
     }
 }
 
@@ -2629,6 +2695,10 @@ impl RankDegradation {
 /// Worker panics are retried per row ([`ExecOptions::row_retries`]); with
 /// [`ExecOptions::degrade`] on, rows that still fail (or fall past the
 /// stage deadline) are dropped and annotated instead of failing the query.
+/// Returns the kept rows and the virtual seconds spent re-balancing.
+///
+/// Workers return each rank's kept rows as a selection vector; the calling
+/// thread gathers the kept batches after the fan-out.
 #[allow(clippy::too_many_arguments)]
 fn run_filter_stage(
     cluster: &mut Cluster,
@@ -2638,13 +2708,14 @@ fn run_filter_stage(
     solutions: Vec<SolutionBatch>,
     expr: &Expr,
     opts: &ExecOptions,
-    _breakdown: &mut StageBreakdown,
+    cache: Option<&CacheManager>,
     phase_name: &str,
     metrics: &MetricsRegistry,
     annotations: &mut Vec<ErrorAnnotation>,
     recovery: &mut RecoveryReport,
-) -> Result<Vec<SolutionBatch>, ExecError> {
-    let solutions = maybe_rebalance(cluster, solutions, expr, profilers, opts, metrics);
+) -> Result<(Vec<SolutionBatch>, f64), ExecError> {
+    let (solutions, rebalance) =
+        maybe_rebalance(cluster, solutions, expr, profilers, opts, metrics);
     let dict = ds.dictionary().clone();
 
     // §2.4.3 decision counters: did this rank's profile change the
@@ -2654,24 +2725,17 @@ fn run_filter_stage(
     let kept_ctr = metrics.counter_with("ids_engine_reorder_decisions_total", "decision", "kept");
     let fault_ctrs = StageFaultCtrs::new(metrics);
     let batch_meter = BatchMeter::new(metrics, "filter");
-    // Columnar mode amortizes the per-row evaluation overhead (registry
-    // lookups, dispatch) across a batch; the UDF's own charged time is
-    // real work and is never amortized.
-    let eval_overhead = if opts.columnar {
-        opts.eval_secs_per_row / opts.columnar_eval_amortization.max(1.0)
-    } else {
-        opts.eval_secs_per_row
-    };
+    let eval_overhead = eval_overhead_secs(opts);
+    let staged = stage_profilers(profilers);
+    let fanout = stage_fanout(registry, &expr.udf_names(), cache);
 
-    let errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let stage_anns: Mutex<Vec<ErrorAnnotation>> = Mutex::new(Vec::new());
     let policy = speculation_policy(opts);
-    let (results, spec): (Vec<(SolutionBatch, UdfProfiler, u64)>, _) = cluster
-        .execute_with_speculation(phase_name, policy.as_ref(), |ctx| {
+    let (parts, spec) =
+        cluster.execute_with_speculation(phase_name, policy.as_ref(), fanout, |ctx| {
             let r = ctx.rank().index();
             set_current_rank(ctx.rank());
             let input = &solutions[r];
-            let mut profiler = profilers[r].clone();
+            let mut profiler = lock_unpoisoned(&staged[r]);
 
             // §2.4.3: per-rank conjunct reordering. Reordering itself must not
             // panic; row evaluation below is individually contained.
@@ -2696,7 +2760,8 @@ fn run_filter_stage(
                 expr.clone()
             };
 
-            let mut kept = SolutionBatch::empty(input.vars().to_vec());
+            let mut kept: Vec<u32> = Vec::new();
+            let mut errors = Vec::new();
             let mut evals = 0u64;
             let mut spent = 0.0f64;
             let mut deg = RankDegradation::default();
@@ -2721,7 +2786,7 @@ fn run_filter_stage(
                     if opts.degrade {
                         deg.deadline_rows = remaining;
                     } else {
-                        lock_unpoisoned(&errors).push(format!(
+                        errors.push(format!(
                             "rank {r} {phase_name} stage exceeded its {:.6}s deadline \
                          with {remaining} rows unprocessed",
                             opts.stage_deadline_secs
@@ -2751,7 +2816,7 @@ fn run_filter_stage(
                         spent += c;
                         evals += 1;
                         if pass {
-                            kept.push_row(&rowbuf);
+                            kept.push(i as u32);
                         }
                     }
                     Ok((Err(e), charged)) => {
@@ -2762,7 +2827,7 @@ fn run_filter_stage(
                             deg.eval_rows += 1;
                             deg.eval_first.get_or_insert_with(|| e.to_string());
                         } else {
-                            lock_unpoisoned(&errors).push(e.to_string());
+                            errors.push(e.to_string());
                         }
                     }
                     Err(msg) => {
@@ -2773,17 +2838,19 @@ fn run_filter_stage(
                         } else {
                             // Fail fast, like the pre-retry executor: record
                             // the panic and stop this rank's work.
-                            lock_unpoisoned(&errors)
-                                .push(format!("rank {r} filter worker panicked: {msg}"));
+                            errors.push(format!("rank {r} filter worker panicked: {msg}"));
                             break;
                         }
                     }
                 }
             }
-            deg.flush(phase_name, r, opts.stage_deadline_secs, &stage_anns);
             ctx.count("filter_evals", evals);
             ctx.count("filter_kept", kept.len() as u64);
-            (kept, profiler, evals)
+            RankPart {
+                out: kept,
+                errors,
+                annotations: deg.into_annotations(phase_name, r, opts.stage_deadline_secs),
+            }
         });
     note_speculation(recovery, metrics, &spec);
     if !opts.pipelined {
@@ -2793,23 +2860,42 @@ fn run_filter_stage(
         cluster.barrier();
     }
 
-    let errs = errors.into_inner().unwrap_or_else(PoisonError::into_inner);
-    if let Some(first) = errs.first() {
-        return Err(ExecError::msg(format!("{} ({} total failures)", first, errs.len())));
-    }
-    annotations.extend(stage_anns.into_inner().unwrap_or_else(PoisonError::into_inner));
+    let kept = merge_rank_parts(parts, annotations)?;
+    commit_profilers(profilers, staged);
+    let out = solutions.iter().zip(&kept).map(|(input, sel)| SolutionBatch::gather(input, sel));
+    Ok((out.collect(), rebalance))
+}
 
-    let mut out = Vec::with_capacity(results.len());
-    for (r, (kept, profiler, _)) in results.into_iter().enumerate() {
-        profilers[r] = profiler;
-        out.push(kept);
+/// An APPLY output as a worker hands it back: an existing term id, or a
+/// term the calling thread interns after the fan-out.
+enum Bound {
+    Id(TermId),
+    Term(ids_graph::Term),
+}
+
+impl Bound {
+    /// The term a UDF value binds to; `None` for a null, which drops the
+    /// row (SPARQL error semantics).
+    fn of(value: UdfValue) -> Option<Self> {
+        Some(Bound::Term(match value {
+            UdfValue::F64(v) => ids_graph::Term::float(v),
+            UdfValue::I64(v) => ids_graph::Term::Int(v),
+            UdfValue::Str(s) => ids_graph::Term::str(s),
+            UdfValue::Bool(b) => ids_graph::Term::Int(b as i64),
+            UdfValue::Id(id) => return Some(Bound::Id(TermId(id))),
+            UdfValue::Null => return None,
+        }))
     }
-    Ok(out)
 }
 
 /// Run an APPLY stage: re-balance, invoke the UDF per row, bind the
 /// output. Same per-row retry/deadline/degradation treatment as
-/// [`run_filter_stage`].
+/// [`run_filter_stage`], and the same return shape.
+///
+/// Workers return each rank's `(row, output)` pairs; the calling thread
+/// builds the output batches after the fan-out and interns new output
+/// terms there, in rank then row order, so the dictionary ids they mint do
+/// not depend on the schedule.
 #[allow(clippy::too_many_arguments)]
 fn run_apply_stage(
     cluster: &mut Cluster,
@@ -2821,43 +2907,38 @@ fn run_apply_stage(
     args: &[Expr],
     bind_as: &str,
     opts: &ExecOptions,
-    _breakdown: &mut StageBreakdown,
+    cache: Option<&CacheManager>,
     metrics: &MetricsRegistry,
     annotations: &mut Vec<ErrorAnnotation>,
     recovery: &mut RecoveryReport,
-) -> Result<Vec<SolutionBatch>, ExecError> {
+) -> Result<(Vec<SolutionBatch>, f64), ExecError> {
     // Re-balance using the UDF itself as the cost driver.
     let probe_expr = Expr::udf(udf.to_string(), vec![]);
-    let solutions = maybe_rebalance(cluster, solutions, &probe_expr, profilers, opts, metrics);
+    let (solutions, rebalance) =
+        maybe_rebalance(cluster, solutions, &probe_expr, profilers, opts, metrics);
     let dict = ds.dictionary().clone();
     let fault_ctrs = StageFaultCtrs::new(metrics);
     let batch_meter = BatchMeter::new(metrics, "apply");
-    let eval_overhead = if opts.columnar {
-        opts.eval_secs_per_row / opts.columnar_eval_amortization.max(1.0)
-    } else {
-        opts.eval_secs_per_row
-    };
+    let eval_overhead = eval_overhead_secs(opts);
     let stage_name = format!("apply:{udf}");
+    // The call expression is identical for every row of every rank.
+    let call = Expr::udf(udf.to_string(), args.to_vec());
+    let staged = stage_profilers(profilers);
+    let fanout = stage_fanout(registry, &call.udf_names(), cache);
 
-    let errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let stage_anns: Mutex<Vec<ErrorAnnotation>> = Mutex::new(Vec::new());
     let policy = speculation_policy(opts);
-    let (results, spec): (Vec<(SolutionBatch, UdfProfiler)>, _) =
-        cluster.execute_with_speculation(&stage_name, policy.as_ref(), |ctx| {
+    let (parts, spec) =
+        cluster.execute_with_speculation(&stage_name, policy.as_ref(), fanout, |ctx| {
             let r = ctx.rank().index();
             set_current_rank(ctx.rank());
             let input = &solutions[r];
-            let mut profiler = profilers[r].clone();
+            let mut profiler = lock_unpoisoned(&staged[r]);
 
-            let mut vars = input.vars().to_vec();
-            vars.push(bind_as.to_string());
-            let mut out = SolutionBatch::empty(vars);
+            let mut bound: Vec<(u32, Bound)> = Vec::new();
+            let mut errors = Vec::new();
             let mut spent = 0.0f64;
             let mut deg = RankDegradation::default();
             let mut rowbuf: Vec<TermId> = Vec::new();
-            // The call expression is identical for every row — build it once
-            // per rank instead of re-allocating it inside the hot loop.
-            let call = Expr::udf(udf.to_string(), args.to_vec());
             let n_rows = input.len();
             for i in 0..n_rows {
                 if opts.columnar && i % opts.batch_rows.max(1) == 0 {
@@ -2874,7 +2955,7 @@ fn run_apply_stage(
                     if opts.degrade {
                         deg.deadline_rows = remaining;
                     } else {
-                        lock_unpoisoned(&errors).push(format!(
+                        errors.push(format!(
                             "rank {r} {stage_name} stage exceeded its {:.6}s deadline \
                          with {remaining} rows unprocessed",
                             opts.stage_deadline_secs
@@ -2902,26 +2983,9 @@ fn run_apply_stage(
                         let c = charged + eval_overhead;
                         ctx.charge(c);
                         spent += c;
-                        // Bind the output: encode into the dictionary so it
-                        // flows like any other term.
-                        let term = match value {
-                            ids_udf::UdfValue::F64(v) => ids_graph::Term::float(v),
-                            ids_udf::UdfValue::I64(v) => ids_graph::Term::Int(v),
-                            ids_udf::UdfValue::Str(s) => ids_graph::Term::str(s),
-                            ids_udf::UdfValue::Bool(b) => ids_graph::Term::Int(b as i64),
-                            ids_udf::UdfValue::Id(id) => {
-                                rowbuf.push(TermId(id));
-                                out.push_row(&rowbuf);
-                                continue;
-                            }
-                            ids_udf::UdfValue::Null => {
-                                // Nulls drop the row (SPARQL error semantics).
-                                continue;
-                            }
-                        };
-                        let id = dict.encode(&term);
-                        rowbuf.push(id);
-                        out.push_row(&rowbuf);
+                        if let Some(b) = Bound::of(value) {
+                            bound.push((i as u32, b));
+                        }
                     }
                     Ok((Err(e), charged)) => {
                         ctx.charge(charged);
@@ -2931,7 +2995,7 @@ fn run_apply_stage(
                             deg.eval_rows += 1;
                             deg.eval_first.get_or_insert_with(|| e.to_string());
                         } else {
-                            lock_unpoisoned(&errors).push(e.to_string());
+                            errors.push(e.to_string());
                         }
                     }
                     Err(msg) => {
@@ -2940,16 +3004,18 @@ fn run_apply_stage(
                             deg.panic_rows += 1;
                             deg.panic_first.get_or_insert(msg);
                         } else {
-                            lock_unpoisoned(&errors)
-                                .push(format!("rank {r} apply worker panicked: {msg}"));
+                            errors.push(format!("rank {r} apply worker panicked: {msg}"));
                             break;
                         }
                     }
                 }
             }
-            deg.flush(&stage_name, r, opts.stage_deadline_secs, &stage_anns);
-            ctx.count("apply_rows", out.len() as u64);
-            (out, profiler)
+            ctx.count("apply_rows", bound.len() as u64);
+            RankPart {
+                out: bound,
+                errors,
+                annotations: deg.into_annotations(&stage_name, r, opts.stage_deadline_secs),
+            }
         });
     note_speculation(recovery, metrics, &spec);
     if !opts.pipelined {
@@ -2958,18 +3024,24 @@ fn run_apply_stage(
         cluster.barrier();
     }
 
-    let errs = errors.into_inner().unwrap_or_else(PoisonError::into_inner);
-    if let Some(first) = errs.first() {
-        return Err(ExecError::msg(format!("{} ({} total failures)", first, errs.len())));
-    }
-    annotations.extend(stage_anns.into_inner().unwrap_or_else(PoisonError::into_inner));
-
-    let mut out = Vec::with_capacity(results.len());
-    for (r, (set, profiler)) in results.into_iter().enumerate() {
-        profilers[r] = profiler;
-        out.push(set);
-    }
-    Ok(out)
+    let bound = merge_rank_parts(parts, annotations)?;
+    commit_profilers(profilers, staged);
+    let mut rowbuf: Vec<TermId> = Vec::new();
+    let out = solutions.iter().zip(bound).map(|(input, rows)| {
+        let mut vars = input.vars().to_vec();
+        vars.push(bind_as.to_string());
+        let mut out = SolutionBatch::empty(vars);
+        for (i, b) in rows {
+            input.copy_row(i as usize, &mut rowbuf);
+            rowbuf.push(match b {
+                Bound::Id(id) => id,
+                Bound::Term(term) => dict.encode(&term),
+            });
+            out.push_row(&rowbuf);
+        }
+        out
+    });
+    Ok((out.collect(), rebalance))
 }
 
 #[cfg(test)]
@@ -3077,9 +3149,7 @@ mod tests {
             panic_first: Some("boom".into()),
             ..Default::default()
         };
-        let out = Mutex::new(Vec::new());
-        deg.flush("filter", u32::MAX as usize + 7, f64::INFINITY, &out);
-        let anns = out.into_inner().unwrap();
+        let anns = deg.into_annotations("filter", u32::MAX as usize + 7, f64::INFINITY);
         assert_eq!(anns.len(), 1);
         // The rank survives beyond u32::MAX un-truncated.
         assert_eq!(anns[0].rank, u32::MAX as u64 + 7);

@@ -4,11 +4,10 @@
 //! user-defined functions (UDFs) and graph algorithms such as PageRank" as
 //! a core objective. This module provides PageRank and weakly-connected
 //! components over the edge set selected by a predicate (or the whole
-//! graph), computed shard-parallel with rayon.
+//! graph), computed shard by shard.
 
 use crate::store::{PartitionedStore, TriplePattern};
 use crate::term::TermId;
-use rayon::prelude::*;
 use std::collections::HashMap;
 
 /// Extract the (directed) edge list selected by `predicate` (`None` = all
@@ -16,8 +15,7 @@ use std::collections::HashMap;
 pub fn edges(store: &PartitionedStore, predicate: Option<TermId>) -> Vec<(TermId, TermId)> {
     let pat = TriplePattern::new(None, predicate, None);
     (0..store.num_shards())
-        .into_par_iter()
-        .flat_map_iter(|s| store.scan_shard(s, &pat).into_iter().map(|t| (t.s, t.o)))
+        .flat_map(|s| store.scan_shard(s, &pat).into_iter().map(|t| (t.s, t.o)))
         .collect()
 }
 

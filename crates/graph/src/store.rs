@@ -4,12 +4,11 @@
 //! subject id, as CGE shards its graph. Each shard keeps three sorted
 //! indexes (SPO, POS, OSP) so any triple pattern scans in
 //! O(log n + answers): subject-bound lookups use SPO, predicate scans use
-//! POS, object lookups use OSP. Index builds are parallel (rayon) and
-//! ingest is buffered, mirroring CGE's bulk-load-then-query lifecycle.
+//! POS, object lookups use OSP. Ingest is buffered and indexes are built
+//! in one pass per shard, mirroring CGE's bulk-load-then-query lifecycle.
 
 use crate::term::TermId;
 use crate::triple::Triple;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// A triple pattern: `None` positions are wildcards ("variables").
@@ -199,9 +198,9 @@ impl PartitionedStore {
         }
     }
 
-    /// Sort and deduplicate all shard indexes (parallel).
+    /// Sort and deduplicate all shard indexes.
     pub fn build_indexes(&mut self) {
-        self.shards.par_iter_mut().for_each(Shard::build);
+        self.shards.iter_mut().for_each(Shard::build);
     }
 
     /// Scan one shard for a pattern. Ranks call this on their own shard.

@@ -7,10 +7,11 @@
 //! weighted deficit-round-robin (WDRR) scheduler running on the instance's
 //! virtual clock: each scheduling slice steps one query's [`PlanRun`]
 //! through one BSP stage, charges the stage's virtual cost against the
-//! tenant's deficit, and moves on. Everything is single-threaded and
-//! seeded, so a given (seed, workload) pair replays byte-identically —
-//! including the scheduler's slice trace, which hashes to a stable digest
-//! via [`QueryService::trace_hash`].
+//! tenant's deficit, and moves on. The scheduler is single-threaded (only
+//! a stage's ranks fan out to host threads, and they return bit-identical
+//! results whatever the schedule) and seeded, so a given (seed, workload)
+//! pair replays byte-identically — including the scheduler's slice trace,
+//! which hashes to a stable digest via [`QueryService::trace_hash`].
 //!
 //! Three overload-survivability mechanisms ride on top of the scheduler
 //! (see `crate::slo` and `crate::elastic` for the controllers):

@@ -2,8 +2,9 @@
 //! synchronize with costed collectives.
 //!
 //! Execution alternates **compute phases** — every rank runs the same
-//! closure on its own state, in parallel on the host thread pool — and
-//! **collectives** that synchronize the per-rank virtual clocks. This is the
+//! closure on its own state, in parallel on the host's cores (see
+//! [`crate::pool`]) — and **collectives** that synchronize the per-rank
+//! virtual clocks. This is the
 //! structure of the Cray Graph Engine's query execution (scan → exchange →
 //! join → exchange → filter → …), and it makes thousands of virtual ranks
 //! cheap: a rank is just an index plus a clock, not an OS thread.
@@ -12,10 +13,10 @@ use crate::clock::VirtualClock;
 use crate::collective::ReduceOp;
 use crate::faults::FaultPlane;
 use crate::net::{DeviceModel, NetworkModel};
+use crate::pool::{self, Fanout};
 use crate::rng::SplitMix64;
 use crate::stats::{PhaseStats, RankStats, StatSummary};
 use crate::topology::{NodeId, RankId, Topology};
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// Execution context handed to a rank program during a compute phase.
@@ -375,9 +376,10 @@ impl Cluster {
     }
 
     /// Run a compute phase: every logical shard executes `f` with its own
-    /// context, in parallel. Returns per-shard results in shard order. No
-    /// clock synchronization happens here — follow with [`Self::barrier`]
-    /// or another collective to close the phase.
+    /// context, in parallel on every host core. Returns per-shard results
+    /// in shard order, whatever the schedule was. No clock synchronization
+    /// happens here — follow with [`Self::barrier`] or another collective
+    /// to close the phase.
     ///
     /// The context's `rank()` is the *shard* id, so every data-plane
     /// decision (rng streams, hash placement) is a function of the shard
@@ -390,7 +392,7 @@ impl Cluster {
         T: Send,
         F: Fn(&mut RankCtx) -> T + Sync,
     {
-        self.execute_with_speculation(name, None, f).0
+        self.execute_with_speculation(name, None, Fanout::Host, f).0
     }
 
     /// [`Self::execute`] plus optional speculative re-execution: with a
@@ -400,11 +402,13 @@ impl Cluster {
     /// original wins exact ties), the loser's cost is still charged to
     /// its host up to the cancellation instant, and the data plane is
     /// untouched — speculation is pure virtual-clock arithmetic, so
-    /// results stay byte-identical with it on or off.
+    /// results stay byte-identical with it on or off. `fanout` bounds the
+    /// host threads the shards run on; it never changes a result either.
     pub fn execute_with_speculation<T, F>(
         &mut self,
         name: &str,
         policy: Option<&SpeculationPolicy>,
+        fanout: Fanout,
         f: F,
     ) -> (Vec<T>, SpeculationReport)
     where
@@ -419,22 +423,17 @@ impl Cluster {
         // this is exactly the per-rank snapshot of the classic BSP model.
         let starts: Vec<f64> = self.owners.iter().map(|&o| self.clocks[o as usize]).collect();
 
-        let mut results: Vec<(f64, RankStats, T)> = Vec::with_capacity(starts.len());
-        starts
-            .par_iter()
-            .enumerate()
-            .map(|(s, &start)| {
-                let mut ctx = RankCtx {
-                    rank: RankId(s as u32),
-                    topo,
-                    clock: VirtualClock::at(start),
-                    rng: SplitMix64::new(seed, phase_id.wrapping_mul(0x1_0000_0001) ^ s as u64),
-                    stats: RankStats::default(),
-                };
-                let out = f(&mut ctx);
-                (ctx.clock.now(), ctx.stats, out)
-            })
-            .collect_into_vec(&mut results);
+        let results = pool::run_shards(starts.len(), fanout, |s| {
+            let mut ctx = RankCtx {
+                rank: RankId(s as u32),
+                topo,
+                clock: VirtualClock::at(starts[s]),
+                rng: SplitMix64::new(seed, phase_id.wrapping_mul(0x1_0000_0001) ^ s as u64),
+                stats: RankStats::default(),
+            };
+            let out = f(&mut ctx);
+            (ctx.clock.now(), ctx.stats, out)
+        });
 
         let n = self.clocks.len();
         let mut busy = Vec::with_capacity(results.len());
@@ -847,6 +846,35 @@ mod tests {
     }
 
     #[test]
+    fn threaded_phase_keeps_shard_rng_streams_and_stat_totals() {
+        // 256 shards of 100 µs: long enough for the pool to fan out.
+        let run = |fanout: Fanout| {
+            let mut c = Cluster::new(Topology::new(16, 16), NetworkModel::ideal(), 5);
+            c.execute("warm-up", |_| ());
+            let (draws, _) = c.execute_with_speculation("draw", None, fanout, |ctx| {
+                std::thread::sleep(std::time::Duration::from_micros(100));
+                ctx.count("shards", 1);
+                ctx.count("rank_sum", u64::from(ctx.rank().0));
+                ctx.charge(1e-3 * f64::from(ctx.rank().0 % 7));
+                ctx.rng().next_u64()
+            });
+            (draws, c.phases()[1].totals.clone(), c.clocks().to_vec())
+        };
+        let (draws, totals, clocks) = run(Fanout::Host);
+        for (s, &d) in draws.iter().enumerate() {
+            // Phase 1's stream for shard s, exactly as the sequential
+            // executor derived it.
+            let expected = SplitMix64::new(5, 0x1_0000_0001 ^ s as u64).next_u64();
+            assert_eq!(d, expected, "shard {s} drew from another stream");
+        }
+        assert_eq!(totals.get("shards"), 256);
+        assert_eq!(totals.get("rank_sum"), 255 * 256 / 2);
+        let (one_draws, _, one_clocks) = run(Fanout::One);
+        assert_eq!(draws, one_draws, "one worker and every core draw the same bits");
+        assert_eq!(clocks, one_clocks, "and charge the same clocks");
+    }
+
+    #[test]
     fn network_costs_show_up_in_elapsed() {
         let mut c = Cluster::new(Topology::new(4, 2), NetworkModel::slingshot(), 1);
         c.barrier();
@@ -1145,10 +1173,11 @@ mod tests {
         // threshold fired) and its host is charged until cancellation.
         let run = |policy: Option<SpeculationPolicy>| {
             let mut c = Cluster::new(Topology::new(1, 4), NetworkModel::ideal(), 1);
-            let (out, rep) = c.execute_with_speculation("udf", policy.as_ref(), |ctx| {
-                ctx.charge(if ctx.rank().0 == 0 { 10.0 } else { 1.0 });
-                ctx.rank().0
-            });
+            let (out, rep) =
+                c.execute_with_speculation("udf", policy.as_ref(), Fanout::Host, |ctx| {
+                    ctx.charge(if ctx.rank().0 == 0 { 10.0 } else { 1.0 });
+                    ctx.rank().0
+                });
             (out, rep, c.clocks().to_vec())
         };
         let (out_off, rep_off, _) = run(None);
@@ -1189,10 +1218,11 @@ mod tests {
                 4,
                 100.0,
             )));
-            let (out, rep) = c.execute_with_speculation("udf", policy.as_ref(), |ctx| {
-                ctx.charge(1.0);
-                ctx.rank().0
-            });
+            let (out, rep) =
+                c.execute_with_speculation("udf", policy.as_ref(), Fanout::Host, |ctx| {
+                    ctx.charge(1.0);
+                    ctx.rank().0
+                });
             (out, rep, c.elapsed())
         };
         let (out_off, _, t_off) = mk(None);

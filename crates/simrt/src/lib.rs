@@ -5,7 +5,9 @@
 //! replaces that hardware with a deterministic *cluster simulator*:
 //!
 //! * **Virtual ranks** — thousands of logical ranks are multiplexed onto the
-//!   host's cores via rayon. Rank programs execute real Rust code.
+//!   host's cores by a scoped shard pool ([`pool`]): one worker per core,
+//!   shards claimed one at a time, results returned in shard order. Rank
+//!   programs execute real Rust code.
 //! * **Virtual clocks** — each rank carries a clock in *virtual seconds*.
 //!   Compute kernels charge their cost (from calibrated cost models) to the
 //!   clock of the rank that ran them; collectives synchronize clocks exactly
@@ -27,6 +29,7 @@ pub mod cluster;
 pub mod collective;
 pub mod faults;
 pub mod net;
+pub mod pool;
 pub mod rng;
 pub mod stats;
 pub mod topology;
@@ -39,6 +42,7 @@ pub use faults::{
     Deadline, FaultConfig, FaultPlane, LinkFactors, PermanentCrashConfig, RetryPolicy,
 };
 pub use net::{DeviceModel, NetworkModel};
+pub use pool::Fanout;
 pub use stats::{PhaseStats, RankStats, StatSummary};
 pub use topology::{NodeId, RankId, Topology};
 pub use trace::phase_trace_hash;

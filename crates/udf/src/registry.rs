@@ -12,6 +12,7 @@
 use crate::value::UdfValue;
 use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// A UDF invocation's result: value plus the virtual cost it charged.
@@ -47,7 +48,9 @@ struct Entry {
     func: UdfFn,
     /// Dynamic modules pay this once, on first call after (re)load.
     load_cost: f64,
-    loaded: bool,
+    /// Flipped by the first call, under the map's read lock: concurrent
+    /// callers never serialize on it, and exactly one pays `load_cost`.
+    loaded: AtomicBool,
     generation: u64,
 }
 
@@ -77,7 +80,13 @@ impl UdfRegistry {
         }
         map.insert(
             name.to_string(),
-            Entry { kind: UdfKind::Static, func, load_cost: 0.0, loaded: true, generation: 0 },
+            Entry {
+                kind: UdfKind::Static,
+                func,
+                load_cost: 0.0,
+                loaded: AtomicBool::new(true),
+                generation: 0,
+            },
         );
         Ok(())
     }
@@ -99,7 +108,13 @@ impl UdfRegistry {
         }
         map.insert(
             name,
-            Entry { kind: UdfKind::Dynamic, func, load_cost, loaded: false, generation: 0 },
+            Entry {
+                kind: UdfKind::Dynamic,
+                func,
+                load_cost,
+                loaded: AtomicBool::new(false),
+                generation: 0,
+            },
         );
         Ok(())
     }
@@ -120,7 +135,7 @@ impl UdfRegistry {
             Some(e) if e.kind == UdfKind::Dynamic => {
                 e.func = func;
                 e.load_cost = load_cost;
-                e.loaded = false;
+                *e.loaded.get_mut() = false;
                 e.generation += 1;
                 Ok(e.generation)
             }
@@ -139,17 +154,24 @@ impl UdfRegistry {
         self.entries.read().get(name).map(|e| e.generation)
     }
 
+    /// Whether `name` is registered and its module is loaded: static UDFs
+    /// always are, a dynamic one once a call has paid its load cost.
+    /// Whichever call comes first pays it, so a caller that needs that
+    /// charge to land deterministically checks here and calls in order.
+    pub fn is_loaded(&self, name: &str) -> bool {
+        self.entries.read().get(name).is_some_and(|e| e.loaded.load(Ordering::Acquire))
+    }
+
     /// Invoke a UDF. Returns the output with the module-load cost folded
     /// into `virtual_secs` on the first call after (re)load — the module
     /// cache the paper describes.
     pub fn call(&self, name: &str, args: &[UdfValue]) -> Result<UdfOutput, String> {
         // Clone the Arc out so user code runs without holding the lock.
         let (func, first_load_cost) = {
-            let mut map = self.entries.write();
-            let e = map.get_mut(name).ok_or_else(|| format!("unknown UDF {name:?}"))?;
-            let cost = if e.loaded { 0.0 } else { e.load_cost };
-            e.loaded = true;
-            (Arc::clone(&e.func), cost)
+            let map = self.entries.read();
+            let e = map.get(name).ok_or_else(|| format!("unknown UDF {name:?}"))?;
+            let first = !e.loaded.swap(true, Ordering::AcqRel);
+            (Arc::clone(&e.func), if first { e.load_cost } else { 0.0 })
         };
         let mut out = func(args);
         out.virtual_secs += first_load_cost;
@@ -213,6 +235,38 @@ mod tests {
             "cached module: {}",
             second.virtual_secs
         );
+    }
+
+    #[test]
+    fn concurrent_first_calls_charge_the_load_cost_exactly_once() {
+        let r = UdfRegistry::new();
+        r.register_dynamic("mymod", "score", 2.5, double()).unwrap();
+        assert!(!r.is_loaded("mymod.score"));
+        let start = std::sync::Barrier::new(8);
+        let loads: usize = std::thread::scope(|s| {
+            let callers: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        // All eight race for the first call.
+                        start.wait();
+                        (0..50)
+                            .filter(|_| {
+                                r.call("mymod.score", &[UdfValue::F64(1.0)]).unwrap().virtual_secs
+                                    > 1.0
+                            })
+                            .count()
+                    })
+                })
+                .collect();
+            callers.into_iter().map(|c| c.join().unwrap()).sum()
+        });
+        assert_eq!(loads, 1, "one of 400 concurrent calls pays the import");
+        assert!(r.is_loaded("mymod.score"));
+        r.reload_dynamic("mymod", "score", 2.5, double()).unwrap();
+        assert!(!r.is_loaded("mymod.score"), "a reload unloads the module");
+        r.register_static("dbl", double()).unwrap();
+        assert!(r.is_loaded("dbl"), "static UDFs are loaded at registration");
+        assert!(!r.is_loaded("nope"));
     }
 
     #[test]

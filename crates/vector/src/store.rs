@@ -1,12 +1,11 @@
 //! The flat vector store with exact parallel top-k search.
 //!
 //! Vectors live in one contiguous `Vec<f32>` (row-major, fixed dimension) —
-//! cache-friendly linear scans, no per-vector allocation. Search
-//! parallelizes across rayon workers and merges per-worker heaps.
+//! cache-friendly linear scans, no per-vector allocation. Search scores
+//! every vector and keeps the top k under a total order.
 
 use crate::kernel::{cosine, l2_squared};
 use ids_obs::{Counter, MetricsRegistry};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -119,28 +118,15 @@ impl VectorStore {
             m.searches.inc();
             m.scanned.add(self.len() as u64);
         }
-        // Parallel chunked scan; each chunk keeps its own top-k, merged at
-        // the end (cheaper than a shared concurrent heap).
-        let chunk = (self.len() / rayon::current_num_threads().max(1)).max(1024);
         let mut hits: Vec<SearchHit> = (0..self.len())
-            .into_par_iter()
-            .chunks(chunk)
-            .map(|idxs| {
-                let mut local: Vec<SearchHit> = idxs
-                    .into_iter()
-                    .map(|i| {
-                        let v = self.vector_at(i);
-                        let score = match metric {
-                            Metric::Cosine => cosine(query, v),
-                            Metric::L2 => -l2_squared(query, v),
-                        };
-                        SearchHit { id: self.ids[i], score }
-                    })
-                    .collect();
-                keep_top_k(&mut local, k);
-                local
+            .map(|i| {
+                let v = self.vector_at(i);
+                let score = match metric {
+                    Metric::Cosine => cosine(query, v),
+                    Metric::L2 => -l2_squared(query, v),
+                };
+                SearchHit { id: self.ids[i], score }
             })
-            .flatten()
             .collect();
         keep_top_k(&mut hits, k);
         hits

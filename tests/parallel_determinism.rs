@@ -1,0 +1,272 @@
+//! Golden: running ranks on host threads never changes an answer. Each
+//! case below runs at 64 ranks with FILTER/APPLY stages that panic, fail,
+//! hit a deadline, mint new terms, load a dynamic UDF or go through an
+//! attached cache, and pins everything the query returns — raw `TermId`
+//! rows, the `elapsed_secs` bits, every `StageBreakdown` field, the
+//! annotations in order, or the error text — to constants recorded when
+//! every rank ran on one thread. Each case runs 8 times: the order in
+//! which workers claim ranks changes from run to run, the bits must not.
+//!
+//! The UDFs are pure functions of their arguments, as the engine requires
+//! of any UDF once ranks run concurrently; failures are keyed by row
+//! content, so the same rows fail on every run.
+
+use ids::cache::{BackingStore, CacheConfig, CacheManager};
+use ids::core::workflow::{
+    install_workflow, repurposing_query, RepurposingThresholds, WorkflowModels,
+};
+use ids::core::{IdsConfig, IdsInstance, QueryError, QueryOutcome};
+use ids::graph::Term;
+use ids::simrt::rng::fnv1a;
+use ids::simrt::{NetworkModel, Topology};
+use ids::udf::{UdfOutput, UdfValue};
+use ids::workloads::ncnpr::{build, NcnprConfig};
+use std::fmt::Write as _;
+use std::sync::Arc;
+
+/// 8 nodes × 8 ranks.
+fn topology() -> Topology {
+    Topology::new(8, 8)
+}
+
+const RUNS: usize = 8;
+
+/// 640 entities `e:i` with an integer `val` each, hashed across all 64
+/// ranks, plus the content-keyed UDFs the cases call.
+fn launch() -> IdsInstance {
+    let mut cfg = IdsConfig::laptop(64, 7);
+    cfg.topology = topology();
+    let inst = IdsInstance::launch(cfg);
+    let ds = inst.datastore();
+    for i in 0..640i64 {
+        ds.add_fact(&Term::iri(format!("e:{i}")), &Term::iri("val"), &Term::Int(i));
+    }
+    ds.build_indexes();
+    let reg = inst.registry();
+    let int = |args: &[UdfValue]| args.first().and_then(UdfValue::as_f64).unwrap_or(0.0) as i64;
+    // FILTER verdict: panics on v ≡ 5 (mod 13), returns a non-boolean
+    // (an evaluation error) on v ≡ 4 (mod 11); costs vary by row.
+    reg.register_static(
+        "gate",
+        Arc::new(move |args: &[UdfValue]| {
+            let v = int(args);
+            if v % 13 == 5 {
+                panic!("gate rejected row {v}");
+            }
+            let cost = 1.0e-3 + (v % 5) as f64 * 2.0e-4;
+            if v % 11 == 4 {
+                return UdfOutput::new(UdfValue::Str(format!("no verdict for {v}")), cost);
+            }
+            UdfOutput::new(UdfValue::Bool(v % 3 != 0), cost)
+        }),
+    )
+    .unwrap();
+    // APPLY value: a new float term per row; panics on v ≡ 2 (mod 17).
+    reg.register_static(
+        "score",
+        Arc::new(move |args: &[UdfValue]| {
+            let v = int(args);
+            if v % 17 == 2 {
+                panic!("score failed on row {v}");
+            }
+            UdfOutput::new(UdfValue::F64(v as f64 * 0.37 + 0.01), 2.0e-3 + (v % 7) as f64 * 1e-4)
+        }),
+    )
+    .unwrap();
+    // A clean APPLY value: a new float term per row, never failing.
+    reg.register_static(
+        "ratio",
+        Arc::new(move |args: &[UdfValue]| {
+            let v = int(args);
+            UdfOutput::new(UdfValue::F64(v as f64 / 7.0), 2.0e-3 + (v % 7) as f64 * 1e-4)
+        }),
+    )
+    .unwrap();
+    // A probe whose output is incomparable (a string) on v ≡ 4 (mod 11),
+    // so an APPLY argument `probe(?v) >= 0.0` fails on those rows.
+    reg.register_static(
+        "probe",
+        Arc::new(move |args: &[UdfValue]| {
+            let v = int(args);
+            let out = if v % 11 == 4 { UdfValue::Str("n/a".into()) } else { UdfValue::F64(1.0) };
+            UdfOutput::new(out, 5.0e-4)
+        }),
+    )
+    .unwrap();
+    inst
+}
+
+/// Everything a query returned, rendered canonically.
+fn render(result: &Result<QueryOutcome, QueryError>) -> String {
+    let out = match result {
+        Err(e) => return format!("error: {e}"),
+        Ok(out) => out,
+    };
+    let mut s = String::new();
+    for row in out.solutions.rows() {
+        let ids: Vec<u64> = row.iter().map(|t| t.raw()).collect();
+        writeln!(s, "row {ids:?}").unwrap();
+    }
+    let b = &out.breakdown;
+    writeln!(s, "elapsed {:016x}", out.elapsed_secs.to_bits()).unwrap();
+    for (name, v) in [
+        ("scan", b.scan_secs),
+        ("join", b.join_secs),
+        ("rebalance", b.rebalance_secs),
+        ("filter", b.filter_secs),
+        ("gather", b.gather_secs),
+    ] {
+        writeln!(s, "{name} {:016x}", v.to_bits()).unwrap();
+    }
+    let mut apply: Vec<_> = b.apply_secs.iter().collect();
+    apply.sort_by(|a, b| a.0.cmp(b.0));
+    for (udf, v) in apply {
+        writeln!(s, "apply {udf} {:016x}", v.to_bits()).unwrap();
+    }
+    for a in &out.annotations {
+        writeln!(s, "ann {} r{} {:?} {:?} {}", a.stage, a.rank, a.kind, a.detail, a.rows_dropped)
+            .unwrap();
+    }
+    s
+}
+
+/// A short human-readable summary for failure messages.
+fn summary(result: &Result<QueryOutcome, QueryError>) -> String {
+    match result {
+        Err(e) => format!("error: {e}"),
+        Ok(out) => format!(
+            "{} rows, {} annotations, elapsed {}",
+            out.solutions.len(),
+            out.annotations.len(),
+            out.elapsed_secs
+        ),
+    }
+}
+
+/// Run `case` [`RUNS`] times; every run must render to `expected`.
+fn check(name: &str, expected: u64, case: impl Fn() -> Vec<Result<QueryOutcome, QueryError>>) {
+    for run in 0..RUNS {
+        let results = case();
+        let rendered: String = results.iter().map(render).collect::<Vec<_>>().join("--\n");
+        let digest = fnv1a(rendered.as_bytes());
+        let summaries: Vec<String> = results.iter().map(summary).collect();
+        assert_eq!(digest, expected, "{name}, run {run}: {summaries:?}");
+    }
+}
+
+fn query_with(
+    setup: impl Fn(&mut IdsInstance),
+    text: &str,
+) -> Vec<Result<QueryOutcome, QueryError>> {
+    let mut inst = launch();
+    setup(&mut inst);
+    vec![inst.query(text)]
+}
+
+const FILTER_Q: &str = "SELECT ?e ?v WHERE { ?e <val> ?v . FILTER(gate(?v)) }";
+const APPLY_Q: &str =
+    "SELECT ?e ?s WHERE { ?e <val> ?v . } APPLY score(?v, probe(?v) >= 0.0) AS ?s";
+
+#[test]
+fn filter_failures_fail_the_query_with_the_same_first_error() {
+    check("filter strict", 0x0b95_652c_15c1_f760, || query_with(|_| {}, FILTER_Q));
+}
+
+#[test]
+fn filter_failures_degrade_to_the_same_rows_and_annotations() {
+    check("filter degrade", 0x2bfd_209c_8055_b3a2, || {
+        query_with(|i| i.exec_options_mut().degrade = true, FILTER_Q)
+    });
+}
+
+#[test]
+fn apply_failures_fail_the_query_with_the_same_first_error() {
+    check("apply strict", 0xe24d_eef1_da59_9129, || query_with(|_| {}, APPLY_Q));
+}
+
+#[test]
+fn apply_failures_degrade_to_the_same_rows_and_annotations() {
+    check("apply degrade", 0x650a_179a_9b48_91fb, || {
+        query_with(|i| i.exec_options_mut().degrade = true, APPLY_Q)
+    });
+}
+
+#[test]
+fn stage_deadline_drops_or_fails_the_same_rows() {
+    // ~10 rows of ~2.3 ms per rank against a 12 ms budget: every rank
+    // runs out part-way, at a row that depends on its own rows only.
+    let deadline = |degrade: bool| {
+        move |i: &mut IdsInstance| {
+            let o = i.exec_options_mut();
+            o.stage_deadline_secs = 1.2e-2;
+            o.degrade = degrade;
+        }
+    };
+    let q = "SELECT ?e ?s WHERE { ?e <val> ?v . } APPLY ratio(?v) AS ?s";
+    // Strict first, on the same thread: the re-balance time of a stage
+    // that fails must not leak into the next query's breakdown.
+    check("deadline strict", 0x3ee6_9fe9_208c_94ac, || query_with(deadline(false), q));
+    check("deadline degrade", 0x9e35_ff03_7082_9dff, || query_with(deadline(true), q));
+}
+
+#[test]
+fn apply_mints_new_float_terms_in_the_same_order() {
+    // Every surviving row binds a float the dictionary has not seen, so
+    // ids are minted on all 64 ranks in one stage.
+    let q = "SELECT ?e ?v ?s WHERE { ?e <val> ?v . FILTER(?v >= 20) } APPLY ratio(?v) AS ?s";
+    check("apply mint", 0x611c_10b0_a40d_4e33, || query_with(|_| {}, q));
+}
+
+#[test]
+fn dynamic_udf_first_load_is_charged_to_the_same_rank() {
+    check("dynamic load", 0xd3a4_307e_4933_e00a, || {
+        let mut inst = launch();
+        inst.registry()
+            .register_dynamic(
+                "lab",
+                "assay",
+                2.5,
+                Arc::new(|args: &[UdfValue]| {
+                    let v = args.first().and_then(UdfValue::as_f64).unwrap_or(0.0);
+                    UdfOutput::new(UdfValue::F64(v / 640.0), 1.0e-3 + v * 1.0e-6)
+                }),
+            )
+            .unwrap();
+        let q = "SELECT ?e ?v WHERE { ?e <val> ?v . FILTER(lab.assay(?v) > 0.5) }";
+        // The first query pays the module load, the second does not.
+        let first = inst.query(q);
+        inst.reset_clocks();
+        vec![first, inst.query(q)]
+    });
+}
+
+#[test]
+fn cache_attached_ncnpr_query_repeats_cold_and_warm() {
+    check("ncnpr cache", 0xfe9f_67a2_b478_eca7, || {
+        let topo = topology();
+        let cache = Arc::new(CacheManager::new(
+            topo,
+            NetworkModel::slingshot(),
+            CacheConfig::new(2, 64 << 20, 256 << 20),
+            BackingStore::default_store(),
+        ));
+        let mut cfg = IdsConfig::laptop(64, 11);
+        cfg.topology = topo;
+        let mut inst = IdsInstance::launch(cfg);
+        inst.attach_cache(cache);
+        let mut ncfg = NcnprConfig::default();
+        ncfg.bands.truncate(2);
+        ncfg.background_proteins = 8;
+        ncfg.sequence_len = 96;
+        let dataset = build(inst.datastore(), &ncfg);
+        install_workflow(&mut inst, &dataset.target, WorkflowModels::test_models());
+        let q = repurposing_query(&RepurposingThresholds {
+            sw_similarity: 0.9,
+            min_pic50: 3.0,
+            min_dtba: 3.0,
+        });
+        let cold = inst.query(&q);
+        inst.reset_clocks();
+        vec![cold, inst.query(&q)]
+    });
+}
