@@ -78,6 +78,13 @@ echo "==> model-kernel exactness at full size (ids-models, release)"
 # residues and 412-residue targets, where the debug reference is too slow.
 cargo test -p ids-models --release -- kernels
 
+echo "==> prepared UDF arguments vs the scalar closures (ids-core, release)"
+# sw_similarity / dtba through a stage memo and through a direct call,
+# against the per-call parse + kernel closures they replaced: value and
+# charge bits, parse failures and the cached-DTBA path included, here at
+# 412-residue targets and sequences to 1500 residues.
+cargo test -p ids-core --release -- prepared_args
+
 echo "==> BGP-kernel exactness at full size (ids-graph + ids-core, release)"
 # The column-at-a-time scan, hash join, gather/append, repartition and
 # result gather against the row-at-a-time loops they replaced (rows,

@@ -22,25 +22,35 @@ impl<'a> RowBindings<'a> {
         debug_assert_eq!(vars.len(), row.len());
         Self { vars, row, dict }
     }
+
+    fn id(&self, var: &str) -> Option<TermId> {
+        let idx = self.vars.iter().position(|v| v == var)?;
+        Some(self.row[idx])
+    }
 }
 
-/// Convert a decoded term into a UDF value. IRIs keep their id (entities
-/// are opaque to UDFs); literals decode to typed values.
-pub fn term_to_value(term: &Term, id: TermId) -> UdfValue {
+/// Convert a decoded term into a UDF value, moving a string literal's
+/// text. IRIs keep their id (entities are opaque to UDFs); literals decode
+/// to typed values.
+pub fn term_to_value(term: Term, id: TermId) -> UdfValue {
     match term {
         Term::Iri(_) => UdfValue::Id(id.raw()),
-        Term::Str(s) => UdfValue::Str(s.clone()),
-        Term::Int(i) => UdfValue::I64(*i),
-        Term::FloatBits(b) => UdfValue::F64(f64::from_bits(*b)),
+        Term::Str(s) => UdfValue::Str(s),
+        Term::Int(i) => UdfValue::I64(i),
+        Term::FloatBits(b) => UdfValue::F64(f64::from_bits(b)),
     }
 }
 
 impl Bindings for RowBindings<'_> {
     fn get(&self, var: &str) -> Option<UdfValue> {
-        let idx = self.vars.iter().position(|v| v == var)?;
-        let id = self.row[idx];
-        let term = self.dict.decode(id)?;
-        Some(term_to_value(&term, id))
+        let id = self.id(var)?;
+        Some(term_to_value(self.dict.decode(id)?, id))
+    }
+
+    /// The row's dictionary id: one id is one term for the dictionary's
+    /// life.
+    fn key(&self, var: &str) -> Option<u64> {
+        self.id(var).map(TermId::raw)
     }
 }
 
@@ -63,5 +73,7 @@ mod tests {
         assert_eq!(b.get("score"), Some(UdfValue::F64(0.92)));
         assert_eq!(b.get("n"), Some(UdfValue::I64(42)));
         assert_eq!(b.get("missing"), None);
+        assert_eq!(b.key("seq"), Some(seq.raw()));
+        assert_eq!(b.key("missing"), None);
     }
 }

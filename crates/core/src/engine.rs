@@ -29,8 +29,8 @@ use ids_simrt::rng::{fnv1a, hash_combine};
 use ids_simrt::{Cluster, ExchangeCost, Fanout, RankId, SpeculationPolicy, SpeculationReport};
 use ids_udf::expr::EvalCtx;
 use ids_udf::{
-    order_conjuncts, plan_count_based, plan_throughput_based, Expr, RebalancePlan, UdfProfiler,
-    UdfRegistry, UdfValue,
+    order_conjuncts, plan_count_based, plan_throughput_based, Expr, RebalancePlan, StageMemo,
+    UdfProfiler, UdfRegistry, UdfValue,
 };
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
@@ -2680,6 +2680,16 @@ fn commit_profilers(profilers: &mut [UdfProfiler], staged: Vec<Mutex<UdfProfiler
     }
 }
 
+/// Book a finished stage's distinct prepared arguments to
+/// `ids_udf_prepares_total{udf}` — host work, the wall-side counterpart of
+/// the per-row calls the profiles count. Run after the join, as the memo
+/// is dropped.
+fn note_prepares(metrics: &MetricsRegistry, memo: StageMemo) {
+    for (udf, prepares) in memo.counts().into_iter().filter(|&(_, n)| n > 0) {
+        metrics.counter_with("ids_udf_prepares_total", "udf", udf).add(prepares);
+    }
+}
+
 /// The virtual cost of evaluating one row outside its UDFs. Columnar mode
 /// amortizes it (registry lookups, dispatch) across a batch; the UDF's own
 /// charged time is real work and is never amortized.
@@ -2728,6 +2738,7 @@ fn run_filter_stage(
     let eval_overhead = eval_overhead_secs(opts);
     let staged = stage_profilers(profilers);
     let fanout = stage_fanout(registry, &expr.udf_names(), cache);
+    let memo = StageMemo::new(registry, expr);
 
     let policy = speculation_policy(opts);
     let (parts, spec) =
@@ -2804,7 +2815,7 @@ fn run_filter_stage(
                         spent += secs;
                     },
                     || {
-                        let mut cx = EvalCtx::new(registry, &mut profiler);
+                        let mut cx = EvalCtx::new(registry, &mut profiler).with_memo(&memo);
                         let out = local_expr.eval_bool(&bindings, &mut cx);
                         (out, cx.charged_secs)
                     },
@@ -2853,6 +2864,7 @@ fn run_filter_stage(
             }
         });
     note_speculation(recovery, metrics, &spec);
+    note_prepares(metrics, memo);
     if !opts.pipelined {
         // BSP closes the stage with a barrier; pipelined mode leaves the
         // per-rank clocks skewed — the next stage's dependencies (its own
@@ -2925,6 +2937,7 @@ fn run_apply_stage(
     let call = Expr::udf(udf.to_string(), args.to_vec());
     let staged = stage_profilers(profilers);
     let fanout = stage_fanout(registry, &call.udf_names(), cache);
+    let memo = StageMemo::new(registry, &call);
 
     let policy = speculation_policy(opts);
     let (parts, spec) =
@@ -2973,7 +2986,7 @@ fn run_apply_stage(
                         spent += secs;
                     },
                     || {
-                        let mut cx = EvalCtx::new(registry, &mut profiler);
+                        let mut cx = EvalCtx::new(registry, &mut profiler).with_memo(&memo);
                         let res = call.eval(&bindings, &mut cx);
                         (res, cx.charged_secs)
                     },
@@ -3018,6 +3031,7 @@ fn run_apply_stage(
             }
         });
     note_speculation(recovery, metrics, &spec);
+    note_prepares(metrics, memo);
     if !opts.pipelined {
         // Same stage-closing policy as run_filter_stage: barrier only in
         // BSP mode.

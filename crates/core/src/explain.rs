@@ -210,6 +210,21 @@ pub fn explain_with_metrics(
         ));
     }
 
+    // Distinct first arguments a prepared UDF's stage memos prepared, over
+    // the calls its rows made.
+    let prepared: Vec<String> = snapshot
+        .counters
+        .iter()
+        .filter(|(k, _)| k.name == "ids_udf_prepares_total")
+        .map(|(k, n)| {
+            let calls = snapshot.gauge("ids_udf_profile_calls", &k.label_value);
+            format!("{} {n} / {calls} calls", k.label_value)
+        })
+        .collect();
+    if !prepared.is_empty() {
+        out.push_str(&format!("    prepared args: {}\n", prepared.join(", ")));
+    }
+
     render_adaptive_block(&mut out, snapshot);
     render_columnar_block(&mut out, snapshot);
     render_exchange_block(&mut out, snapshot);

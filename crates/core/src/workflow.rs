@@ -20,7 +20,7 @@ use ids_chem::Element;
 use ids_graph::Dictionary;
 use ids_models::cost::CostModel;
 use ids_models::docking::{DockingEngine, DockingResult};
-use ids_models::dtba::DtbaModel;
+use ids_models::dtba::{DtbaModel, ProteinFeatures};
 use ids_models::pic50::Pic50Model;
 use ids_models::smith_waterman::SmithWaterman;
 use ids_models::structure_pred::StructurePredictor;
@@ -161,8 +161,10 @@ pub fn decode_docking_result(b: &[u8]) -> Option<DockingResult> {
 ///
 /// * `sw_similarity(?seq)` — normalized Smith–Waterman similarity of the
 ///   bound sequence against the target (cheapest, most pruning).
+///   Prepared: one alignment per distinct sequence per stage.
 /// * `pic50(?smiles)` / `pic50(?smiles, ?protein)` — assay potency.
-/// * `dtba(?seq, ?smiles)` — AI binding-affinity prediction.
+/// * `dtba(?seq, ?smiles)` — AI binding-affinity prediction. Prepared: one
+///   protein-branch pass per distinct sequence per stage.
 /// * `vina_docking(?smiles)` — blind docking against the target receptor,
 ///   cache-accelerated when `cache` is provided (most expensive).
 pub fn register_workflow_udfs(
@@ -181,22 +183,23 @@ pub fn register_workflow_udfs(
     // re-install the outcome is identical either way.
 
     // --- sw_similarity -----------------------------------------------------
-    // The target's striped profile is built once, here; each call aligns
-    // one database sequence against it.
+    // The target's striped profile is built once, here. The score depends
+    // on the database sequence alone, so it is the prepared half: a stage
+    // aligns each distinct sequence once, and every row is charged its cost.
     let prepared_target = models.sw.prepare(&target.sequence);
     registry
-        .register_static(
+        .register_prepared(
             "sw_similarity",
-            Arc::new(move |args: &[UdfValue]| {
-                let seq_str = args.first().and_then(|v| v.as_str()).unwrap_or("");
-                match ProteinSequence::parse(seq_str) {
-                    Ok(seq) => {
-                        let r = prepared_target.align(&seq);
-                        UdfOutput::new(UdfValue::F64(r.similarity), r.virtual_secs * scale)
-                    }
-                    Err(_) => UdfOutput::new(UdfValue::F64(0.0), 1.0e-6),
+            move |seq: &UdfValue| match ProteinSequence::parse(seq.as_str().unwrap_or("")) {
+                Ok(seq) => {
+                    let r = prepared_target.align(&seq);
+                    (r.similarity, r.virtual_secs * scale)
                 }
-            }),
+                Err(_) => (0.0, 1.0e-6),
+            },
+            |&(similarity, secs): &(f64, f64), _: &[UdfValue]| {
+                UdfOutput::new(UdfValue::F64(similarity), secs)
+            },
         )
         .ok();
 
@@ -227,22 +230,29 @@ pub fn register_workflow_udfs(
         .ok();
 
     // --- dtba ---------------------------------------------------------------
-    let dtba = models.dtba;
+    // The protein branch is the prepared half; the cache protocol and the
+    // ligand branch run per row, on the row's rank.
+    let dtba = Arc::new(models.dtba);
+    let dtba_for_prepare = Arc::clone(&dtba);
     let dtba_cache = if models.cache_dtba { cache.clone() } else { None };
     registry
-        .register_static(
+        .register_prepared(
             "dtba",
-            Arc::new(move |args: &[UdfValue]| {
-                let seq_str = args.first().and_then(|v| v.as_str()).unwrap_or("");
-                let smiles = args.get(1).and_then(|v| v.as_str()).unwrap_or("");
+            move |seq: &UdfValue| {
+                let seq_str = seq.as_str().unwrap_or("");
+                DtbaProtein {
+                    name_hash: fnv1a(seq_str.as_bytes()),
+                    features: ProteinSequence::parse(seq_str)
+                        .ok()
+                        .map(|seq| dtba_for_prepare.protein_features(&seq)),
+                }
+            },
+            move |protein: &DtbaProtein, rest: &[UdfValue]| {
+                let smiles = rest.first().and_then(|v| v.as_str()).unwrap_or("");
                 // §8 extension: DTBA predictions are cacheable artifacts
                 // too (8-byte pKd objects keyed by sequence + ligand).
                 let name = dtba_cache.as_ref().map(|_| {
-                    format!(
-                        "dtba/{:016x}/{:016x}",
-                        fnv1a(seq_str.as_bytes()),
-                        fnv1a(smiles.as_bytes())
-                    )
+                    format!("dtba/{:016x}/{:016x}", protein.name_hash, fnv1a(smiles.as_bytes()))
                 });
                 let mut fault_cost = 0.0;
                 if let (Some(cache), Some(name)) = (&dtba_cache, &name) {
@@ -263,9 +273,9 @@ pub fn register_workflow_udfs(
                         Err(e) => fault_cost = e.spent_secs(),
                     }
                 }
-                match ProteinSequence::parse(seq_str) {
-                    Ok(seq) => {
-                        let a = dtba.predict(&seq, smiles);
+                match &protein.features {
+                    Some(features) => {
+                        let a = dtba.predict_with(features, smiles);
                         let mut cost = a.virtual_secs * dtba_scale + fault_cost;
                         if let (Some(cache), Some(name)) = (&dtba_cache, &name) {
                             cost += cache.put(
@@ -276,9 +286,9 @@ pub fn register_workflow_udfs(
                         }
                         UdfOutput::new(UdfValue::F64(a.pkd), cost)
                     }
-                    Err(_) => UdfOutput::new(UdfValue::F64(0.0), 1.0e-6),
+                    None => UdfOutput::new(UdfValue::F64(0.0), 1.0e-6),
                 }
-            }),
+            },
         )
         .ok();
 
@@ -329,6 +339,14 @@ pub fn register_workflow_udfs(
         .ok();
 }
 
+/// The prepared first argument of `dtba`: what its cache object name
+/// keys on, and the protein branch (`None` when the text is not a
+/// sequence).
+struct DtbaProtein {
+    name_hash: u64,
+    features: Option<ProteinFeatures>,
+}
+
 /// Thresholds for the re-purposing query. `sw` is the Table 2
 /// "Selectivity" knob (0.99 → 0.20).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -375,6 +393,7 @@ pub fn install_workflow(inst: &mut IdsInstance, target: &Target, models: Workflo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ids_graph::Term;
     use ids_simrt::rng::SplitMix64;
 
     fn target() -> Target {
@@ -520,5 +539,213 @@ mod tests {
         let second = registry.call("dtba", &args).unwrap();
         assert_eq!(first.value, second.value, "cached prediction identical");
         assert!(cache.stats().cache_hits() >= 1, "second call served from cache");
+    }
+
+    #[test]
+    fn explain_counts_prepared_arguments_per_distinct_sequence() {
+        let mut inst = IdsInstance::launch(crate::IdsConfig::laptop(4, 7));
+        let ds = inst.datastore();
+        let mut rng = SplitMix64::new(0x5e9, 3);
+        // 6 proteins × 5 compounds: 30 rows over 6 distinct sequences.
+        for p in 0..6 {
+            let protein = Term::iri(format!("p:{p}"));
+            let seq = ProteinSequence::random(40, &mut rng).to_string_code();
+            ds.add_fact(&protein, &Term::iri("up:sequence"), &Term::str(seq));
+            for c in 0..5 {
+                let compound = Term::iri(format!("c:{p}/{c}"));
+                ds.add_fact(&compound, &Term::iri("chembl:inhibits"), &protein);
+                ds.add_fact(&compound, &Term::iri("chembl:smiles"), &Term::str("C".repeat(c + 1)));
+            }
+        }
+        ds.build_indexes();
+        let t = target();
+        install_workflow(&mut inst, &t, WorkflowModels::test_models());
+        let q = "SELECT ?compound WHERE { ?protein <up:sequence> ?seq . \
+                 ?compound <chembl:inhibits> ?protein . ?compound <chembl:smiles> ?smiles . \
+                 FILTER(sw_similarity(?seq) >= 0.0) FILTER(dtba(?seq, ?smiles) >= 0.0) }";
+        assert_eq!(inst.query(q).unwrap().solutions.len(), 30);
+        let text = inst.explain(q).unwrap();
+        assert!(
+            text.contains("prepared args: dtba 6 / 30 calls, sw_similarity 6 / 30 calls\n"),
+            "{text}"
+        );
+    }
+
+    /// The prepared `sw_similarity` and `dtba` against the scalar closures
+    /// they replaced, bit for bit, through a stage memo and through a
+    /// direct call. Sizes grow in release builds (`ci.sh` runs
+    /// `cargo test -p ids-core --release -- prepared_args`).
+    mod prepared_args {
+        use super::*;
+        use crate::binding::RowBindings;
+        use ids_cache::{BackingStore, CacheConfig};
+        use ids_models::smith_waterman::PreparedQuery;
+        use ids_simrt::{NetworkModel, Topology};
+        use ids_udf::expr::EvalCtx;
+        use ids_udf::{Expr, StageMemo, UdfProfiler};
+        use proptest::prelude::*;
+
+        const FULL: bool = !cfg!(debug_assertions);
+        const SW_SCALE: f64 = 3.5;
+        const DTBA_SCALE: f64 = 1.7;
+
+        /// The scalar `sw_similarity`: parse and align on every call.
+        fn scalar_sw(target: &PreparedQuery, seq: &str) -> UdfOutput {
+            match ProteinSequence::parse(seq) {
+                Ok(seq) => {
+                    let r = target.align(&seq);
+                    UdfOutput::new(UdfValue::F64(r.similarity), r.virtual_secs * SW_SCALE)
+                }
+                Err(_) => UdfOutput::new(UdfValue::F64(0.0), 1.0e-6),
+            }
+        }
+
+        /// The scalar `dtba`: cache get, parse, predict, cache put on every
+        /// call.
+        fn scalar_dtba(
+            dtba: &DtbaModel,
+            cache: Option<&CacheManager>,
+            seq: &str,
+            smiles: &str,
+        ) -> UdfOutput {
+            let name = cache.map(|_| {
+                format!("dtba/{:016x}/{:016x}", fnv1a(seq.as_bytes()), fnv1a(smiles.as_bytes()))
+            });
+            let mut fault_cost = 0.0;
+            if let (Some(cache), Some(name)) = (cache, &name) {
+                match cache.get(current_rank(), name) {
+                    Ok(Some((bytes, outcome))) if bytes.len() == 8 => {
+                        if let Ok(raw) = <[u8; 8]>::try_from(&bytes[..]) {
+                            let pkd = f64::from_le_bytes(raw);
+                            return UdfOutput::new(UdfValue::F64(pkd), outcome.virtual_secs);
+                        }
+                    }
+                    Ok(_) => {}
+                    Err(e) => fault_cost = e.spent_secs(),
+                }
+            }
+            match ProteinSequence::parse(seq) {
+                Ok(seq) => {
+                    let a = dtba.predict(&seq, smiles);
+                    let mut cost = a.virtual_secs * DTBA_SCALE + fault_cost;
+                    if let (Some(cache), Some(name)) = (cache, &name) {
+                        let pkd = Bytes::copy_from_slice(&a.pkd.to_le_bytes());
+                        cost += cache.put(current_rank(), name, pkd);
+                    }
+                    UdfOutput::new(UdfValue::F64(a.pkd), cost)
+                }
+                Err(_) => UdfOutput::new(UdfValue::F64(0.0), 1.0e-6),
+            }
+        }
+
+        fn models(cache_dtba: bool) -> WorkflowModels {
+            WorkflowModels {
+                analytics_scale: SW_SCALE,
+                dtba_scale: DTBA_SCALE,
+                cache_dtba,
+                ..WorkflowModels::paper_models()
+            }
+        }
+
+        fn small_cache() -> Arc<CacheManager> {
+            Arc::new(CacheManager::new(
+                Topology::new(1, 4),
+                NetworkModel::slingshot(),
+                CacheConfig::new(1, 1 << 20, 1 << 22),
+                BackingStore::default_store(),
+            ))
+        }
+
+        /// A sequence as a row may carry it: canonical, lower case, with
+        /// blanks (the cache name hashes the text, the charge the
+        /// residues), or not a sequence at all.
+        fn sequence_text(len: usize, rng: &mut SplitMix64) -> String {
+            let code = ProteinSequence::random(len, rng).to_string_code();
+            match rng.next_below(4) {
+                0 => code,
+                1 => code.to_ascii_lowercase(),
+                2 => code.chars().flat_map(|c| [c, ' ']).collect(),
+                _ => format!("{code}7"),
+            }
+        }
+
+        fn smiles_text(rng: &mut SplitMix64) -> String {
+            const POOL: [&str; 6] =
+                ["CCO", "c1ccccc1CN", "CC(=O)Oc1ccccc1C(=O)O", "", "C", "é[Zn]?"];
+            let base = POOL[rng.next_below(POOL.len() as u64) as usize];
+            format!("{base}{}", "C".repeat(rng.next_below(3) as usize))
+        }
+
+        fn assert_same_bits(got: &UdfOutput, want: &UdfOutput, what: &str) {
+            let bits =
+                |o: &UdfOutput| (o.value.as_f64().map(f64::to_bits), o.virtual_secs.to_bits());
+            assert_eq!(bits(got), bits(want), "{what}: {got:?} vs {want:?}");
+        }
+
+        fn check(seed: u64, sequences: usize, max_len: usize, rows: usize, cached: bool) {
+            let mut rng = SplitMix64::new(seed, 0x9a5e);
+            let target_len = if FULL { 412 } else { 48 };
+            let t = Target::from_sequence("P29274", ProteinSequence::random(target_len, &mut rng));
+            let reference = models(cached);
+            let target_profile = reference.sw.prepare(&t.sequence);
+            let ref_cache = small_cache();
+            let registry = UdfRegistry::new();
+            let dict = Arc::new(Dictionary::new());
+            register_workflow_udfs(&registry, &dict, &t, models(cached), Some(small_cache()));
+
+            let seqs: Vec<String> = (0..sequences)
+                .map(|_| sequence_text(rng.next_below(max_len as u64 + 1) as usize, &mut rng))
+                .collect();
+            let vars = ["seq".to_string(), "smiles".to_string()];
+            let sw = Expr::udf("sw_similarity", vec![Expr::var("seq")]);
+            let dtba = Expr::udf("dtba", vec![Expr::var("seq"), Expr::var("smiles")]);
+            let memo = StageMemo::new(&registry, &Expr::And(vec![sw.clone(), dtba.clone()]));
+            let mut profiler = UdfProfiler::new();
+            let mut seen = std::collections::HashSet::new();
+            for _ in 0..rows {
+                let seq = &seqs[rng.next_below(sequences as u64) as usize];
+                let smiles = smiles_text(&mut rng);
+                seen.insert(seq.as_str());
+                let row = [dict.str(seq), dict.str(&smiles)];
+                let bindings = RowBindings::new(&vars, &row, &dict);
+                let mut eval = |e: &Expr| {
+                    let mut cx = EvalCtx::new(&registry, &mut profiler).with_memo(&memo);
+                    let value = e.eval(&bindings, &mut cx).unwrap();
+                    UdfOutput::new(value, cx.charged_secs)
+                };
+                let want_sw = scalar_sw(&target_profile, seq);
+                assert_same_bits(&eval(&sw), &want_sw, "memoised sw_similarity");
+                let want_dtba =
+                    scalar_dtba(&reference.dtba, cached.then_some(&*ref_cache), seq, &smiles);
+                assert_same_bits(&eval(&dtba), &want_dtba, "memoised dtba");
+
+                let direct = registry.call("sw_similarity", &[UdfValue::Str(seq.clone())]).unwrap();
+                assert_same_bits(&direct, &want_sw, "direct sw_similarity");
+                if !cached {
+                    // (A cached direct call would move the cache past the
+                    // reference's.)
+                    let args = [UdfValue::Str(seq.clone()), UdfValue::Str(smiles.clone())];
+                    let direct = registry.call("dtba", &args).unwrap();
+                    assert_same_bits(&direct, &want_dtba, "direct dtba");
+                }
+            }
+            let distinct = seen.len() as u64;
+            assert_eq!(memo.counts(), vec![("sw_similarity", distinct), ("dtba", distinct)]);
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(if FULL { 64 } else { 12 }))]
+
+            #[test]
+            fn prepared_equals_scalar_bit_for_bit(
+                seed in 0u64..1_000_000,
+                sequences in 1usize..=8,
+                rows in 1usize..=(if FULL { 200 } else { 24 }),
+                cached in 0u8..2,
+            ) {
+                let max_len = if FULL { 1500 } else { 120 };
+                check(seed, sequences, max_len, rows, cached == 1);
+            }
+        }
     }
 }

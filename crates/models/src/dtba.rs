@@ -281,35 +281,46 @@ impl DtbaModel {
         Self::with_seed(DtbaConfig::default(), CostModel::paper_calibrated(), 0x5EED_D7BA)
     }
 
-    /// Predict binding affinity of `smiles` against the protein `target`.
+    /// Predict binding affinity of `smiles` against the protein `target`:
+    /// [`Self::protein_features`] then [`Self::predict_with`].
     pub fn predict(&self, target: &ProteinSequence, smiles: &str) -> Affinity {
-        let (p_feat, s_feat) = self.features(target, smiles);
-        let h = hash_combine(fnv1a(smiles.as_bytes()), residue_code_hash(target));
-        Affinity {
-            pkd: self.head(p_feat, &s_feat),
-            virtual_secs: self.cost.dtba_cost(target.len().min(self.cfg.max_protein_len), h),
+        self.predict_with(&self.protein_features(target), smiles)
+    }
+
+    /// The ligand-independent half of a prediction: the protein branch's
+    /// pooled features and what the charge keys on. Worth keeping when one
+    /// protein meets many ligands.
+    pub fn protein_features(&self, target: &ProteinSequence) -> ProteinFeatures {
+        let residues = target.residues().iter().take(self.cfg.max_protein_len);
+        ProteinFeatures {
+            feat: self.protein.forward(residues.map(|a| a.index() as u8 + 1)),
+            len: target.len().min(self.cfg.max_protein_len),
+            code_hash: residue_code_hash(target),
         }
     }
 
-    /// Label-encode both inputs straight into their branches; the pooled
-    /// features of the protein and the SMILES branch.
-    fn features(&self, target: &ProteinSequence, smiles: &str) -> (Vec<f32>, Vec<f32>) {
-        let residues = target.residues().iter().take(self.cfg.max_protein_len);
+    /// Predict binding affinity of `smiles` against a protein whose
+    /// features [`Self::protein_features`] computed.
+    pub fn predict_with(&self, protein: &ProteinFeatures, smiles: &str) -> Affinity {
+        let h = hash_combine(fnv1a(smiles.as_bytes()), protein.code_hash);
+        Affinity {
+            pkd: self.head(&protein.feat, &self.smiles_features(smiles)),
+            virtual_secs: self.cost.dtba_cost(protein.len, h),
+        }
+    }
+
+    /// Label-encode `smiles` straight into its branch; the pooled features.
+    fn smiles_features(&self, smiles: &str) -> Vec<f32> {
         let chars = smiles.chars().take(self.cfg.max_smiles_len);
-        (
-            self.protein.forward(residues.map(|a| a.index() as u8 + 1)),
-            self.smiles
-                .forward(chars.map(|c| u8::try_from(c).map_or(0, |b| SMILES_LABEL[b as usize]))),
-        )
+        self.smiles.forward(chars.map(|c| u8::try_from(c).map_or(0, |b| SMILES_LABEL[b as usize])))
     }
 
     /// Concat → dense ReLU → dense → sigmoid-scaled pKd in [3, 11].
-    fn head(&self, p_feat: Vec<f32>, s_feat: &[f32]) -> f64 {
-        let mut concat = p_feat;
-        concat.extend_from_slice(s_feat);
+    fn head(&self, p_feat: &[f32], s_feat: &[f32]) -> f64 {
         let mut hidden = vec![0f32; self.cfg.hidden];
         for (h, (w_row, b)) in hidden.iter_mut().zip(self.dense1.iter().zip(&self.dense1_bias)) {
-            let z: f32 = w_row.iter().zip(&concat).map(|(w, x)| w * x).sum::<f32>() + b;
+            let concat = p_feat.iter().chain(s_feat);
+            let z: f32 = w_row.iter().zip(concat).map(|(w, x)| w * x).sum::<f32>() + b;
             *h = z.max(0.0);
         }
         let z: f32 =
@@ -317,6 +328,18 @@ impl DtbaModel {
         let sig = 1.0 / (1.0 + (-z as f64 * 2.0).exp());
         3.0 + 8.0 * sig
     }
+}
+
+/// A protein's pooled DTBA features, ready to meet any ligand
+/// ([`DtbaModel::predict_with`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ProteinFeatures {
+    /// The protein branch's pooled features.
+    pub feat: Vec<f32>,
+    /// Residues the model consumed (the length the charge keys on).
+    pub len: usize,
+    /// FNV-1a of the one-letter code string (the charge's jitter key).
+    pub code_hash: u64,
 }
 
 /// FNV-1a over the sequence's one-letter codes — `fnv1a` of
@@ -539,7 +562,7 @@ mod tests {
             smiles: &str,
         ) {
             let m = DtbaModel::with_seed(cfg, CostModel::free(), seed);
-            let (p, s) = m.features(target, smiles);
+            let (p, s) = (m.protein_features(target).feat, m.smiles_features(smiles));
             let (p_ref, s_ref) =
                 reference_features(&cfg, &Checkpoint::generate(&cfg, seed), target, smiles);
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

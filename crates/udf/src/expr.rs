@@ -10,8 +10,9 @@
 //! per-rank profiler, attributing rejections to the UDF whose conjunct
 //! rejected.
 
+use crate::memo::StageMemo;
 use crate::profile::UdfProfiler;
-use crate::registry::UdfRegistry;
+use crate::registry::{UdfOutput, UdfRegistry};
 use crate::value::UdfValue;
 use std::cmp::Ordering;
 
@@ -19,6 +20,13 @@ use std::cmp::Ordering;
 pub trait Bindings {
     /// The value bound to `var`, if any.
     fn get(&self, var: &str) -> Option<UdfValue>;
+
+    /// An id that names `var`'s value without decoding it: equal ids mean
+    /// equal values. Rows of dictionary ids answer with the id; bindings
+    /// that hold values directly have none.
+    fn key(&self, _var: &str) -> Option<u64> {
+        None
+    }
 }
 
 impl Bindings for std::collections::HashMap<String, UdfValue> {
@@ -104,11 +112,14 @@ impl std::fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// Evaluation context: registry to resolve UDFs, profiler to feed, and the
-/// accumulated virtual cost of everything executed so far.
+/// Evaluation context: registry to resolve UDFs, profiler to feed, the
+/// stage's prepared arguments, and the accumulated virtual cost of
+/// everything executed so far.
 pub struct EvalCtx<'a> {
     pub registry: &'a UdfRegistry,
     pub profiler: &'a mut UdfProfiler,
+    /// Prepared first arguments shared by the stage, if any.
+    pub memo: Option<&'a StageMemo>,
     /// Virtual seconds charged by UDF executions during evaluation.
     pub charged_secs: f64,
 }
@@ -116,7 +127,12 @@ pub struct EvalCtx<'a> {
 impl<'a> EvalCtx<'a> {
     /// Fresh context over a registry and profiler.
     pub fn new(registry: &'a UdfRegistry, profiler: &'a mut UdfProfiler) -> Self {
-        Self { registry, profiler, charged_secs: 0.0 }
+        Self { registry, profiler, memo: None, charged_secs: 0.0 }
+    }
+
+    /// Look prepared UDFs' first arguments up in `memo`.
+    pub fn with_memo(self, memo: &'a StageMemo) -> Self {
+        Self { memo: Some(memo), ..self }
     }
 }
 
@@ -139,22 +155,24 @@ impl Expr {
     /// Names of all UDFs referenced in this subtree, in evaluation order.
     pub fn udf_names(&self) -> Vec<&str> {
         let mut out = Vec::new();
-        self.collect_udfs(&mut out);
+        self.for_each_udf(&mut |name| out.push(name));
         out
     }
 
-    fn collect_udfs<'e>(&'e self, out: &mut Vec<&'e str>) {
+    /// Visit the name of every UDF referenced in this subtree, in
+    /// evaluation order, without collecting them.
+    pub fn for_each_udf<'e>(&'e self, f: &mut impl FnMut(&'e str)) {
         match self {
             Expr::Const(_) | Expr::Var(_) => {}
             Expr::Cmp(_, a, b) => {
-                a.collect_udfs(out);
-                b.collect_udfs(out);
+                a.for_each_udf(f);
+                b.for_each_udf(f);
             }
-            Expr::And(es) | Expr::Or(es) => es.iter().for_each(|e| e.collect_udfs(out)),
-            Expr::Not(e) => e.collect_udfs(out),
+            Expr::And(es) | Expr::Or(es) => es.iter().for_each(|e| e.for_each_udf(f)),
+            Expr::Not(e) => e.for_each_udf(f),
             Expr::Udf { name, args } => {
-                out.push(name);
-                args.iter().for_each(|a| a.collect_udfs(out));
+                f(name);
+                args.iter().for_each(|a| a.for_each_udf(f));
             }
         }
     }
@@ -179,9 +197,7 @@ impl Expr {
                     if !e.eval_bool(bindings, cx)? {
                         // Attribute the rejection to the UDFs in the failing
                         // conjunct (§2.4.1: rejection counts per UDF).
-                        for udf in e.udf_names() {
-                            cx.profiler.record_rejection(udf);
-                        }
+                        e.for_each_udf(&mut |udf| cx.profiler.record_rejection(udf));
                         return Ok(UdfValue::Bool(false));
                     }
                 }
@@ -197,16 +213,49 @@ impl Expr {
             }
             Expr::Not(e) => Ok(UdfValue::Bool(!e.eval_bool(bindings, cx)?)),
             Expr::Udf { name, args } => {
-                let mut arg_vals = Vec::with_capacity(args.len());
-                for a in args {
-                    arg_vals.push(a.eval(bindings, cx)?);
-                }
-                let out = cx.registry.call(name, &arg_vals).map_err(EvalError::UdfFailed)?;
+                let out = Self::call_udf(name, args, bindings, cx)?;
                 cx.charged_secs += out.virtual_secs;
                 cx.profiler.record_call(name, out.virtual_secs);
                 Ok(out.value)
             }
         }
+    }
+
+    /// Run one UDF call. A prepared UDF whose first argument is a bound
+    /// variable takes that argument's prepared form from the stage memo —
+    /// on a hit without decoding it — and calls it with the rest.
+    fn call_udf(
+        name: &str,
+        args: &[Expr],
+        bindings: &dyn Bindings,
+        cx: &mut EvalCtx,
+    ) -> Result<UdfOutput, EvalError> {
+        if let (Some(memo), Some((Expr::Var(var), rest))) = (cx.memo, args.split_first()) {
+            if let Some((slot, key)) = memo.slot(name).and_then(|s| Some((s, bindings.key(var)?))) {
+                // A miss decodes the first argument now (an unbound one
+                // fails first, as in the scalar path) but prepares it only
+                // once the other arguments have evaluated, as `call` would.
+                let hit = match memo.get(slot, key) {
+                    Some(p) => Ok(p),
+                    None => Err(bindings
+                        .get(var)
+                        .ok_or_else(|| EvalError::UnboundVariable(var.clone()))?),
+                };
+                let rest = Self::eval_args(rest, bindings, cx)?;
+                let prepared = hit.unwrap_or_else(|first| memo.prepare(slot, key, &first));
+                return Ok(prepared(&rest));
+            }
+        }
+        let arg_vals = Self::eval_args(args, bindings, cx)?;
+        cx.registry.call(name, &arg_vals).map_err(EvalError::UdfFailed)
+    }
+
+    fn eval_args(
+        args: &[Expr],
+        bindings: &dyn Bindings,
+        cx: &mut EvalCtx,
+    ) -> Result<Vec<UdfValue>, EvalError> {
+        args.iter().map(|a| a.eval(bindings, cx)).collect()
     }
 
     /// Evaluate expecting a boolean.
@@ -219,7 +268,6 @@ impl Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::UdfOutput;
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
     use std::sync::Arc;

@@ -32,6 +32,13 @@ impl UdfOutput {
 /// The callable backing a UDF.
 pub type UdfFn = Arc<dyn Fn(&[UdfValue]) -> UdfOutput + Send + Sync>;
 
+/// A prepared UDF's `call` bound to what its `prepare` returned for one
+/// first-argument value; it takes the remaining arguments.
+pub(crate) type PreparedArg = Arc<dyn Fn(&[UdfValue]) -> UdfOutput + Send + Sync>;
+
+/// The `prepare` half of a prepared UDF, with its result bound to `call`.
+pub(crate) type PrepareFn = Arc<dyn Fn(&UdfValue) -> PreparedArg + Send + Sync>;
+
 /// How a UDF was registered (paper §2.4.1: "IDS tracks statically linked
 /// UDFs using their unique name and dynamically loaded UDFs using the
 /// Python module name and method name").
@@ -43,9 +50,19 @@ pub enum UdfKind {
     Dynamic,
 }
 
+/// What runs when a UDF is called.
+#[derive(Clone)]
+enum Body {
+    /// One closure over all the arguments.
+    Scalar(UdfFn),
+    /// `prepare` over the first argument, then `call` over the rest
+    /// ([`UdfRegistry::register_prepared`]).
+    Prepared(PrepareFn),
+}
+
 struct Entry {
     kind: UdfKind,
-    func: UdfFn,
+    body: Body,
     /// Dynamic modules pay this once, on first call after (re)load.
     load_cost: f64,
     /// Flipped by the first call, under the map's read lock: concurrent
@@ -74,6 +91,35 @@ impl UdfRegistry {
     /// Register a statically linked UDF. Errors if the name exists —
     /// static UDFs "cannot be modified once IDS launched".
     pub fn register_static(&self, name: &str, func: UdfFn) -> Result<(), String> {
+        self.insert_static(name, Body::Scalar(func))
+    }
+
+    /// Register a statically linked UDF whose first argument is worth
+    /// preparing once and reusing. `prepare` maps the first argument's
+    /// value to a `P`; it must be a pure function of that value — it may
+    /// not read `current_rank()` or a cache. `call` gets the `P` and the
+    /// remaining arguments once per row, and may read the rank.
+    ///
+    /// [`Self::call`] runs `prepare` then `call`. A FILTER/APPLY stage
+    /// holding a [`StageMemo`](crate::memo::StageMemo) runs `prepare` once
+    /// per distinct dictionary id of the first argument instead, and still
+    /// runs `call`, and charges it, once per row. Same duplicate rule as
+    /// [`Self::register_static`].
+    pub fn register_prepared<P, F, C>(&self, name: &str, prepare: F, call: C) -> Result<(), String>
+    where
+        P: Send + Sync + 'static,
+        F: Fn(&UdfValue) -> P + Send + Sync + 'static,
+        C: Fn(&P, &[UdfValue]) -> UdfOutput + Send + Sync + 'static,
+    {
+        let call = Arc::new(call);
+        let prepare: PrepareFn = Arc::new(move |first: &UdfValue| {
+            let (p, call) = (prepare(first), Arc::clone(&call));
+            Arc::new(move |rest: &[UdfValue]| call(&p, rest)) as PreparedArg
+        });
+        self.insert_static(name, Body::Prepared(prepare))
+    }
+
+    fn insert_static(&self, name: &str, body: Body) -> Result<(), String> {
         let mut map = self.entries.write();
         if map.contains_key(name) {
             return Err(format!("static UDF {name:?} already registered"));
@@ -82,7 +128,7 @@ impl UdfRegistry {
             name.to_string(),
             Entry {
                 kind: UdfKind::Static,
-                func,
+                body,
                 load_cost: 0.0,
                 loaded: AtomicBool::new(true),
                 generation: 0,
@@ -110,7 +156,7 @@ impl UdfRegistry {
             name,
             Entry {
                 kind: UdfKind::Dynamic,
-                func,
+                body: Body::Scalar(func),
                 load_cost,
                 loaded: AtomicBool::new(false),
                 generation: 0,
@@ -133,7 +179,7 @@ impl UdfRegistry {
         let mut map = self.entries.write();
         match map.get_mut(&name) {
             Some(e) if e.kind == UdfKind::Dynamic => {
-                e.func = func;
+                e.body = Body::Scalar(func);
                 e.load_cost = load_cost;
                 *e.loaded.get_mut() = false;
                 e.generation += 1;
@@ -162,18 +208,33 @@ impl UdfRegistry {
         self.entries.read().get(name).is_some_and(|e| e.loaded.load(Ordering::Acquire))
     }
 
+    /// The `prepare` half of `name`, if it was registered with
+    /// [`Self::register_prepared`].
+    pub(crate) fn prepare_fn(&self, name: &str) -> Option<PrepareFn> {
+        match &self.entries.read().get(name)?.body {
+            Body::Prepared(prepare) => Some(Arc::clone(prepare)),
+            Body::Scalar(_) => None,
+        }
+    }
+
     /// Invoke a UDF. Returns the output with the module-load cost folded
     /// into `virtual_secs` on the first call after (re)load — the module
     /// cache the paper describes.
     pub fn call(&self, name: &str, args: &[UdfValue]) -> Result<UdfOutput, String> {
         // Clone the Arc out so user code runs without holding the lock.
-        let (func, first_load_cost) = {
+        let (body, first_load_cost) = {
             let map = self.entries.read();
             let e = map.get(name).ok_or_else(|| format!("unknown UDF {name:?}"))?;
             let first = !e.loaded.swap(true, Ordering::AcqRel);
-            (Arc::clone(&e.func), if first { e.load_cost } else { 0.0 })
+            (e.body.clone(), if first { e.load_cost } else { 0.0 })
         };
-        let mut out = func(args);
+        let mut out = match body {
+            Body::Scalar(func) => func(args),
+            Body::Prepared(prepare) => match args.split_first() {
+                Some((first, rest)) => prepare(first)(rest),
+                None => prepare(&UdfValue::Null)(&[]),
+            },
+        };
         out.virtual_secs += first_load_cost;
         Ok(out)
     }

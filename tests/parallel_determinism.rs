@@ -6,6 +6,9 @@
 //! annotations in order, or the error text — to constants recorded when
 //! every rank ran on one thread. Each case runs 8 times: the order in
 //! which workers claim ranks changes from run to run, the bits must not.
+//! A cache-free NCNPR query runs its stages on every worker, so workers
+//! share one stage's prepared `sw_similarity` / `dtba` arguments; its
+//! constant was recorded before those arguments were prepared at all.
 //!
 //! The UDFs are pure functions of their arguments, as the engine requires
 //! of any UDF once ranks run concurrently; failures are keyed by row
@@ -17,6 +20,7 @@ use ids::core::workflow::{
 };
 use ids::core::{IdsConfig, IdsInstance, QueryError, QueryOutcome};
 use ids::graph::Term;
+use ids::models::{DtbaModel, SmithWaterman};
 use ids::simrt::rng::fnv1a;
 use ids::simrt::{NetworkModel, Topology};
 use ids::udf::{UdfOutput, UdfValue};
@@ -262,6 +266,35 @@ fn cache_attached_ncnpr_query_repeats_cold_and_warm() {
         install_workflow(&mut inst, &dataset.target, WorkflowModels::test_models());
         let q = repurposing_query(&RepurposingThresholds {
             sw_similarity: 0.9,
+            min_pic50: 3.0,
+            min_dtba: 3.0,
+        });
+        let cold = inst.query(&q);
+        inst.reset_clocks();
+        vec![cold, inst.query(&q)]
+    });
+}
+
+#[test]
+fn cache_free_ncnpr_query_repeats_across_workers() {
+    check("ncnpr threads", 0x0412_1420_ff85_ded1, || {
+        let mut cfg = IdsConfig::laptop(64, 11);
+        cfg.topology = topology();
+        let mut inst = IdsInstance::launch(cfg);
+        let mut ncfg = NcnprConfig::default();
+        ncfg.bands.truncate(2);
+        ncfg.background_proteins = 8;
+        ncfg.sequence_len = 96;
+        let dataset = build(inst.datastore(), &ncfg);
+        // Paper-calibrated SW and DTBA, so every row's charge is in the bits.
+        let models = WorkflowModels {
+            sw: SmithWaterman::default_model(),
+            dtba: DtbaModel::pretrained(),
+            ..WorkflowModels::test_models()
+        };
+        install_workflow(&mut inst, &dataset.target, models);
+        let q = repurposing_query(&RepurposingThresholds {
+            sw_similarity: 0.5,
             min_pic50: 3.0,
             min_dtba: 3.0,
         });
