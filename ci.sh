@@ -94,6 +94,16 @@ echo "==> BGP-kernel exactness at full size (ids-graph + ids-core, release)"
 cargo test -p ids-graph --release -- kernels
 cargo test -p ids-core --release -- kernels
 
+echo "==> shard pool x50 and streamed wire bytes at full size (ids-simrt + ids-graph, release)"
+# The span-stealing pool's order, skew and panic tests race real threads,
+# so one pass says little: run them fifty times. Then the streamed
+# exchange's per-sub-batch wire size (`gather_byte_size`) against the
+# gathered batch's `byte_size()`, at thousands of rows.
+for _ in $(seq 50); do
+  cargo test -p ids-simrt --release -q -- pool
+done
+cargo test -p ids-graph --release -- gather_byte_size
+
 echo "==> prepared-query golden (tests/prepared_golden.rs, release)"
 # Cold vs warm prepared-query cache: same rows, latency bits, resume
 # ordinals and slice-trace hash, the hash pinned to the pre-cache commit;

@@ -14,6 +14,7 @@ use ids_vector::store::{Metric, SearchHit};
 use ids_vector::{IvfIndex, VectorStore};
 use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -109,6 +110,12 @@ impl Datastore {
     /// Conjunctive keyword search: subjects matching every token.
     pub fn keyword_search_all(&self, tokens: &[&str]) -> Vec<TermId> {
         self.keywords.read().search_all(tokens)
+    }
+
+    /// The graph under its read lock, for a phase that reads many shards:
+    /// one acquisition instead of one per shard.
+    pub fn graph(&self) -> impl Deref<Target = PartitionedStore> + '_ {
+        self.graph.read()
     }
 
     /// Scan one shard (rank-local view).

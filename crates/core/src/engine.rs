@@ -23,7 +23,7 @@ use crate::planner::{PhysicalPattern, PhysicalPlan, PhysicalStage};
 use ids_cache::{CacheManager, IntermediateSolutions, TypedSolutionSet};
 use ids_graph::batch::Column;
 use ids_graph::ops as gops;
-use ids_graph::{BatchChannel, SolutionBatch, SolutionSet, TermId};
+use ids_graph::{SolutionBatch, SolutionSet, TermId};
 use ids_obs::MetricsRegistry;
 use ids_simrt::rng::{fnv1a, hash_combine};
 use ids_simrt::{Cluster, ExchangeCost, Fanout, RankId, SpeculationPolicy, SpeculationReport};
@@ -954,10 +954,10 @@ impl PlanRun {
     /// Void every streamed-exchange sub-batch the doomed stage put in
     /// flight — both the untaken tally and any already-yielded
     /// [`StepOutcome::BatchReady`] being discarded by the rollback — and
-    /// meter the loss. The bounded channels themselves are stage-local
-    /// ([`repartition_streamed`] drains them before returning), so
-    /// "discard" here is an accounting truth: those batches will be
-    /// re-produced from the checkpoint, never half-consumed downstream.
+    /// meter the loss. The channels are a cost-model concept (the data
+    /// plane delivers a stage's rows before it returns), so "discard" here
+    /// is an accounting truth: those batches will be re-produced from the
+    /// checkpoint, never half-consumed downstream.
     fn discard_in_flight_exchange(
         &mut self,
         discarded_outcome: Option<&StepOutcome>,
@@ -1195,17 +1195,9 @@ impl PlanRun {
                 ),
             });
         }
-        let mut sets = Vec::with_capacity(ranks);
-        let mut rowbuf: Vec<TermId> = Vec::new();
-        for ts in obj.sets {
-            let mut batch = SolutionBatch::empty(ts.vars.clone());
-            for row in &ts.rows {
-                rowbuf.clear();
-                rowbuf.extend(row.iter().copied().map(TermId));
-                batch.push_row(&rowbuf);
-            }
-            sets.push(batch);
-        }
+        let sets = typed_batches(&obj.sets, |v| Some(v.to_string())).ok_or_else(|| {
+            ExecError::CheckpointLost { ordinal: ord, detail: "unnamed checkpoint column".into() }
+        })?;
         let rows: u64 = sets.iter().map(|s| s.len() as u64).sum();
         self.recovery.rows_restored += rows;
         metrics.counter("ids_recovery_rows_restored_total").add(rows);
@@ -1463,27 +1455,31 @@ impl PlanRun {
                 let vars: Vec<String> = pat.variables().iter().map(|s| s.to_string()).collect();
                 self.sets = Some(vec![SolutionBatch::empty(vars); ranks]);
             } else {
-                // Scan phase: triples bind straight into columnar batches.
+                // Scan phase: each rank's index range binds straight into
+                // a columnar batch of the pattern's one schema, under one
+                // read lock for the whole phase.
                 let opts = self.opts;
+                let schema = gops::scan_schema(
+                    &pat.pattern,
+                    pat.var_s.as_deref(),
+                    pat.var_p.as_deref(),
+                    pat.var_o.as_deref(),
+                );
                 let scan_start = cluster.elapsed();
                 // The scan is the producing window of the join exchange
                 // below: in pipelined mode batches stream out as each
                 // rank's scan progresses, so snapshot the per-rank clocks
                 // before the phase starts.
                 let produce_start = cluster.clocks().to_vec();
-                let scanned: Vec<SolutionBatch> = cluster.execute("scan", |ctx| {
-                    let shard = ctx.rank().index();
-                    let triples = ds.scan_shard(shard, &pat.pattern);
-                    ctx.charge(1.0e-5 + triples.len() as f64 * opts.scan_secs_per_triple);
-                    ctx.count("triples_scanned", triples.len() as u64);
-                    gops::scan_to_batch(
-                        &pat.pattern,
-                        pat.var_s.as_deref(),
-                        pat.var_p.as_deref(),
-                        pat.var_o.as_deref(),
-                        &triples,
-                    )
-                });
+                let scanned: Vec<SolutionBatch> = {
+                    let graph = ds.graph();
+                    let graph = &*graph;
+                    cluster.execute("scan", |ctx| {
+                        let triples = graph.candidates(ctx.rank().index(), &pat.pattern);
+                        ctx.charge(1.0e-5 + triples.len() as f64 * opts.scan_secs_per_triple);
+                        gops::scan_with(&schema, triples)
+                    })
+                };
                 if !opts.pipelined {
                     // BSP: the world syncs before the exchange. Pipelined
                     // mode instead lets the exchange impose only real
@@ -1760,22 +1756,35 @@ fn load_checkpoint(
     }
     let canon_to_orig: HashMap<&str, &str> =
         cp.rename.iter().map(|(o, c)| (c.as_str(), o.as_str())).collect();
-    let mut sets = Vec::with_capacity(obj.sets.len());
+    let sets = typed_batches(&obj.sets, |v| canon_to_orig.get(v).map(|o| o.to_string()))?;
+    Some((sets, obj.pre_filter_counts))
+}
+
+/// Per-rank batches from decoded typed sets, each column named through
+/// `rename` (`None` if a name has no rename). Ranks whose schema matches
+/// the previous rank's share its renamed schema.
+fn typed_batches(
+    sets: &[TypedSolutionSet],
+    rename: impl Fn(&str) -> Option<String>,
+) -> Option<Vec<SolutionBatch>> {
+    let mut out = Vec::with_capacity(sets.len());
     let mut rowbuf: Vec<TermId> = Vec::new();
-    for ts in obj.sets {
-        let mut vars = Vec::with_capacity(ts.vars.len());
-        for v in &ts.vars {
-            vars.push((*canon_to_orig.get(v.as_str())?).to_string());
+    let mut named: &[String] = &[];
+    let mut schema: Arc<[String]> = Arc::new([]);
+    for (i, ts) in sets.iter().enumerate() {
+        if i == 0 || ts.vars != named {
+            schema = ts.vars.iter().map(|v| rename(v)).collect::<Option<Vec<String>>>()?.into();
+            named = &ts.vars;
         }
-        let mut batch = SolutionBatch::empty(vars);
+        let mut batch = SolutionBatch::with_schema(schema.clone());
         for r in &ts.rows {
             rowbuf.clear();
             rowbuf.extend(r.iter().copied().map(TermId));
             batch.push_row(&rowbuf);
         }
-        sets.push(batch);
+        out.push(batch);
     }
-    Some((sets, obj.pre_filter_counts))
+    Some(out)
 }
 
 /// Execute a plan on the cluster. `profilers[r]` is rank r's UDF profile
@@ -2033,10 +2042,11 @@ fn distributed_join(
     let ranks = left.len();
     require_bound(&left, "join")?;
     require_bound(&right, "join")?;
-    let left_vars = left[0].vars().to_vec();
-    let right_vars = right[0].vars().to_vec();
+    // One output layout for every rank: the exchange keeps each side's
+    // schema, so each rank's inputs are the ones it was built for.
+    let schema = gops::join_schema(left[0].schema(), right[0].schema());
     let shared: Vec<String> =
-        left_vars.iter().filter(|v| right_vars.contains(v)).cloned().collect();
+        left[0].vars().iter().filter(|v| right[0].vars().contains(v)).cloned().collect();
 
     // `matrix[s * ranks + d]` = wire bytes from rank s to rank d (pipelined
     // cost model); `exchanged_bytes` is the BSP aggregate charge.
@@ -2128,7 +2138,7 @@ fn distributed_join(
     let meter = BatchMeter::new(metrics, "join");
     let joined: Vec<SolutionBatch> = cluster.execute("join", |ctx| {
         let r = ctx.rank().index();
-        let out = gops::hash_join_batch(&left[r], &right[r]);
+        let out = gops::hash_join_with(&schema, &left[r], &right[r]);
         let rows = left[r].len() + right[r].len() + out.len();
         if opts.columnar {
             ctx.charge(columnar_cost(
@@ -2141,7 +2151,6 @@ fn distributed_join(
         } else {
             ctx.charge(rows as f64 * opts.join_secs_per_row);
         }
-        ctx.count("joined_rows", out.len() as u64);
         out
     });
     match exchange {
@@ -2194,30 +2203,33 @@ fn require_bound(batches: &[SolutionBatch], stage: &str) -> Result<(), ExecError
 }
 
 /// The exchange's placement rule: the destination shard of every row of
-/// `set`, from its key columns. The hash is part of the engine's
-/// determinism contract (row placement fixes per-rank order, which fixes
-/// every downstream charge), so it is computed a column at a time but
-/// never changed.
-fn destinations(set: &SolutionBatch, key_idx: &[usize], ranks: usize) -> Vec<u32> {
+/// `set`, from its key columns, written over `dest`. The hash is part of
+/// the engine's determinism contract (row placement fixes per-rank order,
+/// which fixes every downstream charge), so it is computed a column at a
+/// time but never changed.
+fn destinations(set: &SolutionBatch, key_idx: &[usize], ranks: usize, dest: &mut Vec<u64>) {
     fn place(h: u64, id: u64) -> u64 {
         hash_combine(h, fnv1a(&id.to_le_bytes()))
     }
-    let mut hashes = vec![0xA17C_E55Eu64; set.len()];
+    dest.clear();
+    dest.resize(set.len(), 0xA17C_E55E);
     for &k in key_idx {
         match set.column(k) {
             Column::U32(ids) => {
-                for (h, &id) in hashes.iter_mut().zip(ids) {
+                for (h, &id) in dest.iter_mut().zip(ids) {
                     *h = place(*h, u64::from(id));
                 }
             }
             Column::U64(ids) => {
-                for (h, &id) in hashes.iter_mut().zip(ids) {
+                for (h, &id) in dest.iter_mut().zip(ids) {
                     *h = place(*h, id);
                 }
             }
         }
     }
-    hashes.into_iter().map(|h| (h % ranks as u64) as u32).collect()
+    for h in dest.iter_mut() {
+        *h %= ranks as u64;
+    }
 }
 
 /// Cut each source batch into per-destination selection vectors and hand
@@ -2225,10 +2237,11 @@ fn destinations(set: &SolutionBatch, key_idx: &[usize], ranks: usize) -> Vec<u32
 /// order; sources are visited in rank order. Both exchange forms are this
 /// pass plus a delivery rule.
 ///
-/// Work scales with rows, not ranks²: the per-destination counters are
-/// allocated once and only the destinations a source actually touched are
-/// visited and reset, so 2048 sources of twenty rows each cost 2048 × 20
-/// steps, not 2048 × 2048.
+/// Work scales with rows, not ranks²: the per-destination counters and the
+/// destination and selection scratch are allocated once per exchange, and
+/// only the destinations a source actually touched are visited and reset,
+/// so 2048 sources of twenty rows each cost 2048 × 20 steps, not
+/// 2048 × 2048.
 fn partition_by_keys(
     sets: &[SolutionBatch],
     vars: &[String],
@@ -2255,16 +2268,17 @@ fn partition_by_keys(
     // slot of `d`'s span in `sel`; zero again once the source is done.
     let mut cursor = vec![0u32; ranks];
     let mut spans: Vec<(u32, u32, u32)> = Vec::new(); // (dst, start, len)
+    let mut dest: Vec<u64> = Vec::new();
     let mut sel: Vec<u32> = Vec::new();
     for (src, set) in sets.iter().enumerate() {
         if set.is_empty() {
             continue;
         }
-        let dest = destinations(set, &key_idx, ranks);
+        destinations(set, &key_idx, ranks, &mut dest);
         spans.clear();
         for &d in &dest {
             if cursor[d as usize] == 0 {
-                spans.push((d, 0, 0));
+                spans.push((d as u32, 0, 0));
             }
             cursor[d as usize] += 1;
         }
@@ -2290,7 +2304,8 @@ fn partition_by_keys(
 }
 
 /// Redistribute rows so equal join keys land on equal ranks: `out[dst]`
-/// holds its rows ordered by (src, row-within-src).
+/// holds its rows ordered by (src, row-within-src), and shares the
+/// sources' schema.
 ///
 /// Public so the micro benches can time the exchange's data plane alone.
 pub fn repartition_by_vars(
@@ -2298,27 +2313,23 @@ pub fn repartition_by_vars(
     vars: &[String],
     ranks: usize,
 ) -> Result<Vec<SolutionBatch>, ExecError> {
-    let mut out = vec![SolutionBatch::empty(sets[0].vars().to_vec()); ranks];
+    let mut out = vec![SolutionBatch::with_schema(sets[0].schema().clone()); ranks];
     partition_by_keys(&sets, vars, ranks, |_, set, dst, rows| out[dst].extend_gather(set, rows))?;
     Ok(out)
 }
 
-/// Redistribute rows like [`repartition_by_vars`], but stream each
-/// (src, dst) flow through a bounded [`BatchChannel`] in sub-batches of
-/// [`ExecOptions::batch_rows`], returning the merged per-destination
-/// batches plus the `ranks × ranks` wire-byte matrix the streamed cost
-/// model consumes.
+/// Redistribute rows exactly like [`repartition_by_vars`], plus the
+/// `ranks × ranks` wire-byte matrix the streamed cost model consumes.
 ///
-/// Row order is a structural invariant, not a timing artifact: sources are
-/// processed in rank order and each source's channels are fully drained
-/// before the next source starts, so `out[dst]` holds rows ordered by
-/// (src, row-within-src) — exactly what the barriered path produces.
-/// A flow's selection vector is cut every `batch_rows` rows, the same
-/// sub-batches a row-at-a-time sender would fill, so each sub-batch picks
-/// its own column widths and the channel's byte tally is unchanged.
-/// A full channel hands the batch back; the sender drains the receiver
-/// side and retries (the matching virtual-time stall is charged by
-/// `Cluster::streamed_exchange_cost`).
+/// A streamed flow ships its selection vector in sub-batches of
+/// [`ExecOptions::batch_rows`] rows, each choosing its own column widths,
+/// so entry `(src, dst)` is the sum of those sub-batches' exact sizes
+/// ([`SolutionBatch::gather_byte_size`]) — what a row-at-a-time sender
+/// filling and sending them would have put on the wire. The channel they
+/// would travel through (its capacity, the sender's stalls) is a
+/// cost-model concept, priced by `Cluster::streamed_exchange_cost`; its
+/// data plane would only re-append the rows in push order, which is what
+/// the delivery here does directly.
 fn repartition_streamed(
     sets: Vec<SolutionBatch>,
     vars: &[String],
@@ -2326,37 +2337,14 @@ fn repartition_streamed(
     opts: &ExecOptions,
 ) -> Result<(Vec<SolutionBatch>, Vec<u64>), ExecError> {
     let batch_rows = opts.batch_rows.max(1);
-    let mut out = vec![SolutionBatch::empty(sets[0].vars().to_vec()); ranks];
+    let mut out = vec![SolutionBatch::with_schema(sets[0].schema().clone()); ranks];
     let mut bytes = vec![0u64; ranks * ranks];
     partition_by_keys(&sets, vars, ranks, |src, set, dst, rows| {
-        let mut chan = BatchChannel::new(opts.exchange_channel_capacity);
-        for sub in rows.chunks(batch_rows) {
-            channel_send(&mut chan, &mut out[dst], SolutionBatch::gather(set, sub));
-        }
-        for batch in chan.drain() {
-            out[dst].append(batch);
-        }
-        bytes[src * ranks + dst] = chan.pushed_bytes();
+        out[dst].extend_gather(set, rows);
+        bytes[src * ranks + dst] =
+            rows.chunks(batch_rows).map(|sub| set.gather_byte_size(sub)).sum();
     })?;
     Ok((out, bytes))
-}
-
-/// Push one sub-batch onto a channel, draining the receiver side first if
-/// the buffer is full. A drained channel accepts the retry unless its
-/// capacity is zero; that degenerate configuration delivers the batch
-/// directly instead of panicking in the exchange hot path.
-fn channel_send(chan: &mut BatchChannel, out: &mut SolutionBatch, batch: SolutionBatch) {
-    match chan.push(batch) {
-        Ok(()) => {}
-        Err(batch) => {
-            for b in chan.drain() {
-                out.append(b);
-            }
-            if let Err(batch) = chan.push(batch) {
-                out.append(batch);
-            }
-        }
-    }
 }
 
 /// Move rows between ranks to match a re-balancing plan (round-robin from
@@ -2741,128 +2729,123 @@ fn run_filter_stage(
     let memo = StageMemo::new(registry, expr);
 
     let policy = speculation_policy(opts);
-    let (parts, spec) =
-        cluster.execute_with_speculation(phase_name, policy.as_ref(), fanout, |ctx| {
-            let r = ctx.rank().index();
-            set_current_rank(ctx.rank());
-            let input = &solutions[r];
-            let mut profiler = lock_unpoisoned(&staged[r]);
+    let (parts, spec) = cluster.execute_with_speculation(policy.as_ref(), fanout, |ctx| {
+        let r = ctx.rank().index();
+        set_current_rank(ctx.rank());
+        let input = &solutions[r];
+        let mut profiler = lock_unpoisoned(&staged[r]);
 
-            // §2.4.3: per-rank conjunct reordering. Reordering itself must not
-            // panic; row evaluation below is individually contained.
-            let local_expr = if opts.reorder_conjuncts {
-                if let Expr::And(conjuncts) = expr {
-                    let order = order_conjuncts(
-                        conjuncts,
-                        &profiler,
-                        |_| opts.udf_cost_prior,
-                        opts.udf_rejection_prior,
-                    );
-                    if order.iter().enumerate().any(|(pos, &i)| pos != i) {
-                        reordered_ctr.inc();
-                    } else {
-                        kept_ctr.inc();
-                    }
-                    ids_udf::reorder::reorder_and(conjuncts.clone(), &order)
+        // §2.4.3: per-rank conjunct reordering. Reordering itself must not
+        // panic; row evaluation below is individually contained.
+        let local_expr = if opts.reorder_conjuncts {
+            if let Expr::And(conjuncts) = expr {
+                let order = order_conjuncts(
+                    conjuncts,
+                    &profiler,
+                    |_| opts.udf_cost_prior,
+                    opts.udf_rejection_prior,
+                );
+                if order.iter().enumerate().any(|(pos, &i)| pos != i) {
+                    reordered_ctr.inc();
                 } else {
-                    expr.clone()
+                    kept_ctr.inc();
                 }
+                ids_udf::reorder::reorder_and(conjuncts.clone(), &order)
             } else {
                 expr.clone()
-            };
+            }
+        } else {
+            expr.clone()
+        };
 
-            let mut kept: Vec<u32> = Vec::new();
-            let mut errors = Vec::new();
-            let mut evals = 0u64;
-            let mut spent = 0.0f64;
-            let mut deg = RankDegradation::default();
-            let mut rowbuf: Vec<TermId> = Vec::new();
-            let n_rows = input.len();
-            for i in 0..n_rows {
-                // Batch boundary: in columnar mode the engine dispatches the
-                // filter once per batch of rows, not once per row.
-                if opts.columnar && i % opts.batch_rows.max(1) == 0 {
-                    let this_batch = (n_rows - i).min(opts.batch_rows.max(1));
-                    batch_meter.batches.inc();
-                    batch_meter.rows.observe(this_batch as f64);
-                    ctx.charge(opts.batch_dispatch_secs);
-                    spent += opts.batch_dispatch_secs;
-                }
-                // Per-rank stage deadline: stop evaluating once the budget is
-                // spent; the remaining rows are dropped (degrade) or fatal.
-                if spent > opts.stage_deadline_secs {
-                    let remaining = (n_rows - i) as u64;
-                    fault_ctrs.deadline_hits.inc();
-                    fault_ctrs.dropped_rows.add(remaining);
-                    if opts.degrade {
-                        deg.deadline_rows = remaining;
-                    } else {
-                        errors.push(format!(
-                            "rank {r} {phase_name} stage exceeded its {:.6}s deadline \
+        let mut kept: Vec<u32> = Vec::new();
+        let mut errors = Vec::new();
+        let mut spent = 0.0f64;
+        let mut deg = RankDegradation::default();
+        let mut rowbuf: Vec<TermId> = Vec::new();
+        let n_rows = input.len();
+        for i in 0..n_rows {
+            // Batch boundary: in columnar mode the engine dispatches the
+            // filter once per batch of rows, not once per row.
+            if opts.columnar && i % opts.batch_rows.max(1) == 0 {
+                let this_batch = (n_rows - i).min(opts.batch_rows.max(1));
+                batch_meter.batches.inc();
+                batch_meter.rows.observe(this_batch as f64);
+                ctx.charge(opts.batch_dispatch_secs);
+                spent += opts.batch_dispatch_secs;
+            }
+            // Per-rank stage deadline: stop evaluating once the budget is
+            // spent; the remaining rows are dropped (degrade) or fatal.
+            if spent > opts.stage_deadline_secs {
+                let remaining = (n_rows - i) as u64;
+                fault_ctrs.deadline_hits.inc();
+                fault_ctrs.dropped_rows.add(remaining);
+                if opts.degrade {
+                    deg.deadline_rows = remaining;
+                } else {
+                    errors.push(format!(
+                        "rank {r} {phase_name} stage exceeded its {:.6}s deadline \
                          with {remaining} rows unprocessed",
-                            opts.stage_deadline_secs
-                        ));
-                    }
-                    break;
+                        opts.stage_deadline_secs
+                    ));
                 }
-                input.copy_row(i, &mut rowbuf);
-                let bindings = RowBindings::new(input.vars(), &rowbuf, &dict);
-                let verdict = retry_row(
-                    opts,
-                    &fault_ctrs,
-                    |secs| {
-                        ctx.charge(secs);
-                        spent += secs;
-                    },
-                    || {
-                        let mut cx = EvalCtx::new(registry, &mut profiler).with_memo(&memo);
-                        let out = local_expr.eval_bool(&bindings, &mut cx);
-                        (out, cx.charged_secs)
-                    },
-                );
-                match verdict {
-                    Ok((Ok(pass), charged)) => {
-                        let c = charged + eval_overhead;
-                        ctx.charge(c);
-                        spent += c;
-                        evals += 1;
-                        if pass {
-                            kept.push(i as u32);
-                        }
+                break;
+            }
+            input.copy_row(i, &mut rowbuf);
+            let bindings = RowBindings::new(input.vars(), &rowbuf, &dict);
+            let verdict = retry_row(
+                opts,
+                &fault_ctrs,
+                |secs| {
+                    ctx.charge(secs);
+                    spent += secs;
+                },
+                || {
+                    let mut cx = EvalCtx::new(registry, &mut profiler).with_memo(&memo);
+                    let out = local_expr.eval_bool(&bindings, &mut cx);
+                    (out, cx.charged_secs)
+                },
+            );
+            match verdict {
+                Ok((Ok(pass), charged)) => {
+                    let c = charged + eval_overhead;
+                    ctx.charge(c);
+                    spent += c;
+                    if pass {
+                        kept.push(i as u32);
                     }
-                    Ok((Err(e), charged)) => {
-                        ctx.charge(charged);
-                        spent += charged;
-                        if opts.degrade {
-                            fault_ctrs.dropped_rows.inc();
-                            deg.eval_rows += 1;
-                            deg.eval_first.get_or_insert_with(|| e.to_string());
-                        } else {
-                            errors.push(e.to_string());
-                        }
+                }
+                Ok((Err(e), charged)) => {
+                    ctx.charge(charged);
+                    spent += charged;
+                    if opts.degrade {
+                        fault_ctrs.dropped_rows.inc();
+                        deg.eval_rows += 1;
+                        deg.eval_first.get_or_insert_with(|| e.to_string());
+                    } else {
+                        errors.push(e.to_string());
                     }
-                    Err(msg) => {
-                        if opts.degrade {
-                            fault_ctrs.dropped_rows.inc();
-                            deg.panic_rows += 1;
-                            deg.panic_first.get_or_insert(msg);
-                        } else {
-                            // Fail fast, like the pre-retry executor: record
-                            // the panic and stop this rank's work.
-                            errors.push(format!("rank {r} filter worker panicked: {msg}"));
-                            break;
-                        }
+                }
+                Err(msg) => {
+                    if opts.degrade {
+                        fault_ctrs.dropped_rows.inc();
+                        deg.panic_rows += 1;
+                        deg.panic_first.get_or_insert(msg);
+                    } else {
+                        // Fail fast, like the pre-retry executor: record
+                        // the panic and stop this rank's work.
+                        errors.push(format!("rank {r} filter worker panicked: {msg}"));
+                        break;
                     }
                 }
             }
-            ctx.count("filter_evals", evals);
-            ctx.count("filter_kept", kept.len() as u64);
-            RankPart {
-                out: kept,
-                errors,
-                annotations: deg.into_annotations(phase_name, r, opts.stage_deadline_secs),
-            }
-        });
+        }
+        RankPart {
+            out: kept,
+            errors,
+            annotations: deg.into_annotations(phase_name, r, opts.stage_deadline_secs),
+        }
+    });
     note_speculation(recovery, metrics, &spec);
     note_prepares(metrics, memo);
     if !opts.pipelined {
@@ -2940,96 +2923,94 @@ fn run_apply_stage(
     let memo = StageMemo::new(registry, &call);
 
     let policy = speculation_policy(opts);
-    let (parts, spec) =
-        cluster.execute_with_speculation(&stage_name, policy.as_ref(), fanout, |ctx| {
-            let r = ctx.rank().index();
-            set_current_rank(ctx.rank());
-            let input = &solutions[r];
-            let mut profiler = lock_unpoisoned(&staged[r]);
+    let (parts, spec) = cluster.execute_with_speculation(policy.as_ref(), fanout, |ctx| {
+        let r = ctx.rank().index();
+        set_current_rank(ctx.rank());
+        let input = &solutions[r];
+        let mut profiler = lock_unpoisoned(&staged[r]);
 
-            let mut bound: Vec<(u32, Bound)> = Vec::new();
-            let mut errors = Vec::new();
-            let mut spent = 0.0f64;
-            let mut deg = RankDegradation::default();
-            let mut rowbuf: Vec<TermId> = Vec::new();
-            let n_rows = input.len();
-            for i in 0..n_rows {
-                if opts.columnar && i % opts.batch_rows.max(1) == 0 {
-                    let this_batch = (n_rows - i).min(opts.batch_rows.max(1));
-                    batch_meter.batches.inc();
-                    batch_meter.rows.observe(this_batch as f64);
-                    ctx.charge(opts.batch_dispatch_secs);
-                    spent += opts.batch_dispatch_secs;
-                }
-                if spent > opts.stage_deadline_secs {
-                    let remaining = (n_rows - i) as u64;
-                    fault_ctrs.deadline_hits.inc();
-                    fault_ctrs.dropped_rows.add(remaining);
-                    if opts.degrade {
-                        deg.deadline_rows = remaining;
-                    } else {
-                        errors.push(format!(
-                            "rank {r} {stage_name} stage exceeded its {:.6}s deadline \
+        let mut bound: Vec<(u32, Bound)> = Vec::new();
+        let mut errors = Vec::new();
+        let mut spent = 0.0f64;
+        let mut deg = RankDegradation::default();
+        let mut rowbuf: Vec<TermId> = Vec::new();
+        let n_rows = input.len();
+        for i in 0..n_rows {
+            if opts.columnar && i % opts.batch_rows.max(1) == 0 {
+                let this_batch = (n_rows - i).min(opts.batch_rows.max(1));
+                batch_meter.batches.inc();
+                batch_meter.rows.observe(this_batch as f64);
+                ctx.charge(opts.batch_dispatch_secs);
+                spent += opts.batch_dispatch_secs;
+            }
+            if spent > opts.stage_deadline_secs {
+                let remaining = (n_rows - i) as u64;
+                fault_ctrs.deadline_hits.inc();
+                fault_ctrs.dropped_rows.add(remaining);
+                if opts.degrade {
+                    deg.deadline_rows = remaining;
+                } else {
+                    errors.push(format!(
+                        "rank {r} {stage_name} stage exceeded its {:.6}s deadline \
                          with {remaining} rows unprocessed",
-                            opts.stage_deadline_secs
-                        ));
-                    }
-                    break;
+                        opts.stage_deadline_secs
+                    ));
                 }
-                input.copy_row(i, &mut rowbuf);
-                let bindings = RowBindings::new(input.vars(), &rowbuf, &dict);
-                let verdict = retry_row(
-                    opts,
-                    &fault_ctrs,
-                    |secs| {
-                        ctx.charge(secs);
-                        spent += secs;
-                    },
-                    || {
-                        let mut cx = EvalCtx::new(registry, &mut profiler).with_memo(&memo);
-                        let res = call.eval(&bindings, &mut cx);
-                        (res, cx.charged_secs)
-                    },
-                );
-                match verdict {
-                    Ok((Ok(value), charged)) => {
-                        let c = charged + eval_overhead;
-                        ctx.charge(c);
-                        spent += c;
-                        if let Some(b) = Bound::of(value) {
-                            bound.push((i as u32, b));
-                        }
+                break;
+            }
+            input.copy_row(i, &mut rowbuf);
+            let bindings = RowBindings::new(input.vars(), &rowbuf, &dict);
+            let verdict = retry_row(
+                opts,
+                &fault_ctrs,
+                |secs| {
+                    ctx.charge(secs);
+                    spent += secs;
+                },
+                || {
+                    let mut cx = EvalCtx::new(registry, &mut profiler).with_memo(&memo);
+                    let res = call.eval(&bindings, &mut cx);
+                    (res, cx.charged_secs)
+                },
+            );
+            match verdict {
+                Ok((Ok(value), charged)) => {
+                    let c = charged + eval_overhead;
+                    ctx.charge(c);
+                    spent += c;
+                    if let Some(b) = Bound::of(value) {
+                        bound.push((i as u32, b));
                     }
-                    Ok((Err(e), charged)) => {
-                        ctx.charge(charged);
-                        spent += charged;
-                        if opts.degrade {
-                            fault_ctrs.dropped_rows.inc();
-                            deg.eval_rows += 1;
-                            deg.eval_first.get_or_insert_with(|| e.to_string());
-                        } else {
-                            errors.push(e.to_string());
-                        }
+                }
+                Ok((Err(e), charged)) => {
+                    ctx.charge(charged);
+                    spent += charged;
+                    if opts.degrade {
+                        fault_ctrs.dropped_rows.inc();
+                        deg.eval_rows += 1;
+                        deg.eval_first.get_or_insert_with(|| e.to_string());
+                    } else {
+                        errors.push(e.to_string());
                     }
-                    Err(msg) => {
-                        if opts.degrade {
-                            fault_ctrs.dropped_rows.inc();
-                            deg.panic_rows += 1;
-                            deg.panic_first.get_or_insert(msg);
-                        } else {
-                            errors.push(format!("rank {r} apply worker panicked: {msg}"));
-                            break;
-                        }
+                }
+                Err(msg) => {
+                    if opts.degrade {
+                        fault_ctrs.dropped_rows.inc();
+                        deg.panic_rows += 1;
+                        deg.panic_first.get_or_insert(msg);
+                    } else {
+                        errors.push(format!("rank {r} apply worker panicked: {msg}"));
+                        break;
                     }
                 }
             }
-            ctx.count("apply_rows", bound.len() as u64);
-            RankPart {
-                out: bound,
-                errors,
-                annotations: deg.into_annotations(&stage_name, r, opts.stage_deadline_secs),
-            }
-        });
+        }
+        RankPart {
+            out: bound,
+            errors,
+            annotations: deg.into_annotations(&stage_name, r, opts.stage_deadline_secs),
+        }
+    });
     note_speculation(recovery, metrics, &spec);
     note_prepares(metrics, memo);
     if !opts.pipelined {
@@ -3041,10 +3022,17 @@ fn run_apply_stage(
     let bound = merge_rank_parts(parts, annotations)?;
     commit_profilers(profilers, staged);
     let mut rowbuf: Vec<TermId> = Vec::new();
+    // Ranks that share an input schema share the output schema too.
+    let mut input_schema: Option<&Arc<[String]>> = None;
+    let mut schema: Arc<[String]> = Arc::new([]);
     let out = solutions.iter().zip(bound).map(|(input, rows)| {
-        let mut vars = input.vars().to_vec();
-        vars.push(bind_as.to_string());
-        let mut out = SolutionBatch::empty(vars);
+        if !input_schema.is_some_and(|s| Arc::ptr_eq(s, input.schema())) {
+            let vars: Vec<String> =
+                input.vars().iter().cloned().chain([bind_as.to_string()]).collect();
+            schema = vars.into();
+            input_schema = Some(input.schema());
+        }
+        let mut out = SolutionBatch::with_schema(schema.clone());
         for (i, b) in rows {
             input.copy_row(i as usize, &mut rowbuf);
             rowbuf.push(match b {
@@ -3116,8 +3104,8 @@ mod tests {
 
     #[test]
     fn streamed_repartition_matches_barriered_rows_and_order() {
-        // Whatever the channel batching does, the per-destination rows —
-        // and their (src, row) order — must equal the barriered path's.
+        // Whatever the sub-batch size, the per-destination rows — and
+        // their (src, row) order — must equal the barriered path's.
         let vars = vec!["a".to_string(), "b".to_string()];
         let mut sets = Vec::new();
         let mut id = 0u64;
@@ -3130,28 +3118,12 @@ mod tests {
             sets.push(b);
         }
         let keys = vec!["a".to_string()];
-        let mut opts =
-            ExecOptions { batch_rows: 4, exchange_channel_capacity: 2, ..Default::default() };
+        let opts = ExecOptions { batch_rows: 4, ..Default::default() };
         let barriered = repartition_by_vars(sets.clone(), &keys, 3).unwrap();
         let (streamed, bytes) = repartition_streamed(sets, &keys, 3, &opts).unwrap();
-        for (b, s) in barriered.iter().zip(&streamed) {
-            assert_eq!(b.vars(), s.vars());
-            assert_eq!(b.len(), s.len());
-            for i in 0..b.len() {
-                assert_eq!(b.row(i), s.row(i), "row order diverged at {i}");
-            }
-        }
+        assert_eq!(streamed, barriered);
         assert_eq!(bytes.len(), 9);
         assert!(bytes.iter().sum::<u64>() > 0);
-        // A pathological capacity must not change the data plane either.
-        opts.exchange_channel_capacity = 0;
-        let mut sets2 = Vec::new();
-        for b in &barriered {
-            sets2.push(b.clone());
-        }
-        let (again, _) = repartition_streamed(sets2, &keys, 3, &opts).unwrap();
-        let total: usize = again.iter().map(SolutionBatch::len).sum();
-        assert_eq!(total, barriered.iter().map(SolutionBatch::len).sum::<usize>());
     }
 
     // A rank id beyond u32::MAX only exists on 64-bit hosts.
@@ -3244,27 +3216,28 @@ mod tests {
             out
         }
 
-        /// The previous `repartition_streamed`: a channel and a pending
-        /// sub-batch per (src, dst), filled a row at a time and sent when
-        /// `batch_rows` long.
+        /// The previous `repartition_streamed`: a pending sub-batch per
+        /// (src, dst), filled a row at a time, sent when `batch_rows` long,
+        /// and counted on the wire at its own `byte_size()`.
         fn reference_repartition_streamed(
             sets: Vec<SolutionBatch>,
             vars: &[String],
             ranks: usize,
-            opts: &ExecOptions,
+            batch_rows: usize,
         ) -> (Vec<SolutionBatch>, Vec<u64>) {
             let schema = sets[0].vars().to_vec();
             let key_idx: Vec<usize> = vars.iter().map(|v| sets[0].var_index(v).unwrap()).collect();
-            let batch_rows = opts.batch_rows.max(1);
             let mut out: Vec<SolutionBatch> =
                 (0..ranks).map(|_| SolutionBatch::empty(schema.clone())).collect();
             let mut bytes = vec![0u64; ranks * ranks];
             let mut rowbuf: Vec<TermId> = Vec::new();
             for (src, set) in sets.into_iter().enumerate() {
-                let mut chans: Vec<BatchChannel> =
-                    (0..ranks).map(|_| BatchChannel::new(opts.exchange_channel_capacity)).collect();
                 let mut pending: Vec<SolutionBatch> =
                     (0..ranks).map(|_| SolutionBatch::empty(schema.clone())).collect();
+                let mut send = |dst: usize, sub: SolutionBatch, out: &mut Vec<SolutionBatch>| {
+                    bytes[src * ranks + dst] += sub.byte_size();
+                    out[dst].append(sub);
+                };
                 for i in 0..set.len() {
                     set.copy_row(i, &mut rowbuf);
                     let mut h = 0xA17C_E55Eu64;
@@ -3278,17 +3251,13 @@ mod tests {
                             &mut pending[dst],
                             SolutionBatch::empty(schema.clone()),
                         );
-                        channel_send(&mut chans[dst], &mut out[dst], full);
+                        send(dst, full, &mut out);
                     }
                 }
-                for (dst, (mut chan, tail)) in chans.into_iter().zip(pending).enumerate() {
+                for (dst, tail) in pending.into_iter().enumerate() {
                     if !tail.is_empty() {
-                        channel_send(&mut chan, &mut out[dst], tail);
+                        send(dst, tail, &mut out);
                     }
-                    for batch in chan.drain() {
-                        out[dst].append(batch);
-                    }
-                    bytes[src * ranks + dst] = chan.pushed_bytes();
                 }
             }
             (out, bytes)
@@ -3435,19 +3404,13 @@ mod tests {
                 prop_assert_eq!(&got, &want);
 
                 for batch_rows in [1usize, 7, 4096] {
-                    for exchange_channel_capacity in [1usize, 8] {
-                        let opts = ExecOptions {
-                            batch_rows,
-                            exchange_channel_capacity,
-                            ..ExecOptions::default()
-                        };
-                        let (want, want_bytes) =
-                            reference_repartition_streamed(sets.clone(), &key_vars, ranks, &opts);
-                        let (got, got_bytes) =
-                            repartition_streamed(sets.clone(), &key_vars, ranks, &opts).unwrap();
-                        prop_assert_eq!(&got, &want);
-                        prop_assert_eq!(got_bytes, want_bytes);
-                    }
+                    let opts = ExecOptions { batch_rows, ..ExecOptions::default() };
+                    let (want, want_bytes) =
+                        reference_repartition_streamed(sets.clone(), &key_vars, ranks, batch_rows);
+                    let (got, got_bytes) =
+                        repartition_streamed(sets.clone(), &key_vars, ranks, &opts).unwrap();
+                    prop_assert_eq!(&got, &want);
+                    prop_assert_eq!(got_bytes, want_bytes);
                 }
             }
 

@@ -23,6 +23,7 @@
 
 use crate::solution::SolutionSet;
 use crate::term::TermId;
+use std::sync::Arc;
 
 /// Term-id values of one column, at the narrowest sufficient width.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -209,10 +210,13 @@ impl ColumnData {
 /// A columnar table of variable bindings.
 ///
 /// Schema and row order match the equivalent [`SolutionSet`] exactly; only
-/// the in-memory (and wire) layout differs.
+/// the in-memory (and wire) layout differs. The schema is shared: every
+/// batch a stage derives from another (gather, split, exchange, join)
+/// holds the same `Arc`, so a stage over thousands of ranks names its
+/// variables once.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SolutionBatch {
-    vars: Vec<String>,
+    vars: Arc<[String]>,
     cols: Vec<ColumnData>,
     rows: usize,
 }
@@ -220,8 +224,13 @@ pub struct SolutionBatch {
 impl SolutionBatch {
     /// An empty batch with the given schema.
     pub fn empty(vars: Vec<String>) -> Self {
-        let cols = vars.iter().map(|_| ColumnData::new()).collect();
-        Self { vars, cols, rows: 0 }
+        Self::with_schema(vars.into())
+    }
+
+    /// An empty batch sharing `schema` with the batches it came from.
+    pub fn with_schema(schema: Arc<[String]>) -> Self {
+        let cols = schema.iter().map(|_| ColumnData::new()).collect();
+        Self { vars: schema, cols, rows: 0 }
     }
 
     /// A fully bound batch of `rows` rows from one id column per variable
@@ -230,7 +239,7 @@ impl SolutionBatch {
     /// # Panics
     /// Panics if the column count differs from the schema or a column's
     /// length from `rows`.
-    pub(crate) fn from_columns(vars: Vec<String>, columns: Vec<Column>, rows: usize) -> Self {
+    pub(crate) fn from_columns(vars: Arc<[String]>, columns: Vec<Column>, rows: usize) -> Self {
         assert_eq!(columns.len(), vars.len(), "one column per variable");
         assert!(columns.iter().all(|c| c.len() == rows), "every column holds one id per row");
         Self { vars, cols: columns.into_iter().map(ColumnData::bound).collect(), rows }
@@ -243,9 +252,33 @@ impl SolutionBatch {
     /// # Panics
     /// Panics if a selected row is out of bounds.
     pub fn gather(src: &SolutionBatch, sel: &[u32]) -> Self {
-        let mut out = Self::empty(src.vars.clone());
+        let mut out = Self::with_schema(src.vars.clone());
         out.extend_gather(src, sel);
         out
+    }
+
+    /// `SolutionBatch::gather(self, sel).byte_size()`, without building
+    /// the batch: a column is 8 bytes wide exactly when a selected id is
+    /// past `u32::MAX`, and carries a bitmap exactly when a selected cell
+    /// is null.
+    ///
+    /// # Panics
+    /// Panics if a selected row is out of bounds.
+    pub fn gather_byte_size(&self, sel: &[u32]) -> u64 {
+        assert!(sel.iter().all(|&i| (i as usize) < self.rows), "selected row out of bounds");
+        let rows = sel.len() as u64;
+        let mut total = 2u64 + 8;
+        for (v, c) in self.vars.iter().zip(&self.cols) {
+            let wide = match &c.values {
+                Column::U32(_) => false,
+                Column::U64(ids) => sel.iter().any(|&i| ids[i as usize] > u64::from(u32::MAX)),
+            };
+            total += 2 + v.len() as u64 + 1 + rows * if wide { 8 } else { 4 };
+            if c.null_count > 0 && sel.iter().any(|&i| c.is_null(i as usize)) {
+                total += rows.div_ceil(8);
+            }
+        }
+        total
     }
 
     /// A batch of `rows` rows whose column `k` is column `picks[k].1` of
@@ -257,7 +290,7 @@ impl SolutionBatch {
     /// Panics if the pick count differs from the schema, a selection
     /// vector's length from `rows`, or a selected cell is out of bounds.
     pub(crate) fn gather_columns(
-        vars: Vec<String>,
+        vars: Arc<[String]>,
         picks: &[(&SolutionBatch, usize, &[u32])],
         rows: usize,
     ) -> Self {
@@ -294,12 +327,23 @@ impl SolutionBatch {
         for i in 0..self.rows {
             rows.push(self.cols.iter().map(|c| TermId(c.values.get(i))).collect());
         }
-        SolutionSet::new(self.vars.clone(), rows)
+        SolutionSet::new(self.vars.to_vec(), rows)
     }
 
     /// Variable names (column order).
     pub fn vars(&self) -> &[String] {
         &self.vars
+    }
+
+    /// The shared schema, for building batches that keep it.
+    pub fn schema(&self) -> &Arc<[String]> {
+        &self.vars
+    }
+
+    /// Whether `other` has this batch's schema: the same `Arc`, or equal
+    /// names in the same order.
+    pub(crate) fn same_schema(&self, other: &[String]) -> bool {
+        std::ptr::eq(&*self.vars, other) || *self.vars == *other
     }
 
     /// Number of rows.
@@ -403,7 +447,7 @@ impl SolutionBatch {
     /// # Panics
     /// Panics if schemas differ.
     pub fn append(&mut self, other: SolutionBatch) {
-        assert_eq!(self.vars, other.vars, "merge requires identical schemas");
+        assert!(self.same_schema(&other.vars), "merge requires identical schemas");
         for (dst, src) in self.cols.iter_mut().zip(&other.cols) {
             dst.append(src);
         }
@@ -416,7 +460,7 @@ impl SolutionBatch {
     /// # Panics
     /// Panics if schemas differ or a selected row is out of bounds.
     pub fn extend_gather(&mut self, src: &SolutionBatch, sel: &[u32]) {
-        assert_eq!(self.vars, src.vars, "gather requires identical schemas");
+        assert!(self.same_schema(&src.vars), "gather requires identical schemas");
         for (dst, src) in self.cols.iter_mut().zip(&src.cols) {
             dst.extend_gather(src, sel);
         }
@@ -578,6 +622,90 @@ mod tests {
         assert!(SolutionBatch::gather(&src, &[]).is_empty());
     }
 
+    #[test]
+    fn derived_batches_share_the_schema() {
+        let mut src = SolutionBatch::from_set(&demo_set());
+        let schema = src.schema().clone();
+        let picked = SolutionBatch::gather(&src, &[1, 2]);
+        let tail = src.split_off(4);
+        let empty = SolutionBatch::with_schema(schema.clone());
+        for b in [&src, &picked, &tail, &empty] {
+            assert!(Arc::ptr_eq(b.schema(), &schema));
+        }
+    }
+
+    #[test]
+    fn append_and_extend_gather_accept_an_equal_schema_in_another_arc() {
+        let mut a = SolutionBatch::from_set(&demo_set());
+        let b = SolutionBatch::from_set(&demo_set());
+        assert!(!Arc::ptr_eq(a.schema(), b.schema()));
+        a.extend_gather(&b, &[9]);
+        a.append(b);
+        assert_eq!(a.len(), 21);
+        assert_eq!(a.row(10), vec![id(9), id(109)]);
+        assert_eq!(a.row(11), vec![id(0), id(100)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "merge requires identical schemas")]
+    fn append_rejects_another_schema() {
+        let mut a = SolutionBatch::empty(vec!["x".into(), "y".into()]);
+        a.append(SolutionBatch::empty(vec!["y".into(), "x".into()]));
+    }
+
+    #[test]
+    #[should_panic(expected = "gather requires identical schemas")]
+    fn extend_gather_rejects_another_schema() {
+        let mut a = SolutionBatch::empty(vec!["x".into()]);
+        let mut b = SolutionBatch::empty(vec!["y".into()]);
+        b.push_row(&[id(1)]);
+        a.extend_gather(&b, &[0]);
+    }
+
+    #[test]
+    fn gather_byte_size_of_no_rows_is_the_header() {
+        let src = SolutionBatch::from_set(&demo_set());
+        // 2 (nvars) + 8 (nrows) + 2+7+1 ("protein") + 2+8+1 ("compound")
+        assert_eq!(src.gather_byte_size(&[]), 31);
+        assert_eq!(src.gather_byte_size(&[]), SolutionBatch::gather(&src, &[]).byte_size());
+    }
+
+    #[test]
+    fn gather_byte_size_is_wide_only_when_a_selected_id_is() {
+        let mut src = SolutionBatch::empty(vec!["x".into()]);
+        for v in [5, u64::from(u32::MAX), u64::from(u32::MAX) + 1, 7] {
+            src.push_row(&[id(v)]);
+        }
+        assert_eq!(src.column(0).width(), 8);
+        // `u32::MAX` itself still fits a four-byte cell.
+        for (sel, want) in [(&[0, 1, 3][..], 14 + 3 * 4), (&[2, 0][..], 14 + 2 * 8)] {
+            assert_eq!(src.gather_byte_size(sel), want, "{sel:?}");
+            assert_eq!(src.gather_byte_size(sel), SolutionBatch::gather(&src, sel).byte_size());
+        }
+    }
+
+    #[test]
+    fn gather_byte_size_charges_a_bitmap_only_when_a_selected_cell_is_null() {
+        let mut src = SolutionBatch::empty(vec!["a".into(), "b".into()]);
+        src.push_opt_row(&[Some(id(1)), None]);
+        for i in 0..9 {
+            src.push_row(&[id(i), id(i)]);
+        }
+        let dense: Vec<u32> = (1..10).collect();
+        let with_null: Vec<u32> = (0..9).collect();
+        // Nine rows: a two-byte bitmap, on column `b` alone.
+        assert_eq!(src.gather_byte_size(&with_null), src.gather_byte_size(&dense) + 2);
+        for sel in [&dense, &with_null] {
+            assert_eq!(src.gather_byte_size(sel), SolutionBatch::gather(&src, sel).byte_size());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "selected row out of bounds")]
+    fn gather_byte_size_rejects_an_out_of_bounds_row() {
+        SolutionBatch::from_set(&demo_set()).gather_byte_size(&[10]);
+    }
+
     /// The gather and append kernels against the row-at-a-time loops they
     /// replaced, as `==` on the batches — values, column widths, null
     /// bitmaps — so `byte_size()` agrees too. Sizes grow in release builds
@@ -595,7 +723,8 @@ mod tests {
         enum Ids {
             /// Every id fits in 32 bits.
             Small,
-            /// About one id in eight is past `u32::MAX`.
+            /// About one id in eight is within two of `u32::MAX`, half of
+            /// those past it.
             Mixed,
             /// `U64` columns holding only small ids — what `split_off`
             /// leaves when the column's big ids stayed in the other half.
@@ -618,7 +747,7 @@ mod tests {
                         }
                         let small = rng.next_below(50);
                         let big = matches!(ids, Ids::Mixed) && rng.next_below(8) == 0;
-                        Some(id(if big { small + (1 << 32) } else { small }))
+                        Some(id(if big { u64::from(u32::MAX) - 1 + small % 4 } else { small }))
                     })
                     .collect();
                 b.push_opt_row(&row);
@@ -677,6 +806,27 @@ mod tests {
                 let got = SolutionBatch::gather(&src, &sel);
                 prop_assert_eq!(got.byte_size(), want.byte_size());
                 prop_assert_eq!(got, want);
+            }
+
+            /// The streamed exchange's wire bytes: every sub-batch size it
+            /// charges is the size of the batch it no longer builds.
+            #[test]
+            fn gather_byte_size_equals_the_gathered_batch(
+                seed in 0u64..1_000_000,
+                cols in 0usize..=4,
+                rows in 0usize..=MAX_ROWS,
+                picks in 0usize..=MAX_ROWS,
+                chunk in 1usize..=64,
+                mode in 0u8..3,
+                nulls in any::<bool>(),
+            ) {
+                let mut rng = SplitMix64::new(seed, 0xb17e);
+                let src = random_batch(cols, rows, ids_mode(mode), nulls, &mut rng);
+                let sel = random_sel(picks, src.len(), &mut rng);
+                prop_assert_eq!(src.gather_byte_size(&sel), SolutionBatch::gather(&src, &sel).byte_size());
+                for sub in sel.chunks(chunk) {
+                    prop_assert_eq!(src.gather_byte_size(sub), SolutionBatch::gather(&src, sub).byte_size());
+                }
             }
 
             #[test]

@@ -24,7 +24,6 @@
 
 pub mod algo;
 pub mod batch;
-pub mod channel;
 pub mod dict;
 pub mod ntriples;
 pub mod ops;
@@ -37,7 +36,6 @@ pub mod triple;
 
 pub use algo::{connected_components, pagerank};
 pub use batch::SolutionBatch;
-pub use channel::BatchChannel;
 pub use dict::Dictionary;
 pub use ntriples::{parse_ntriples, write_ntriples};
 pub use sketch::KmvSketch;

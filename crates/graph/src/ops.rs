@@ -11,6 +11,7 @@ use crate::store::TriplePattern;
 use crate::term::TermId;
 use crate::triple::Triple;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Bind a scanned pattern's wildcards to variables, producing solutions.
 ///
@@ -58,9 +59,60 @@ pub fn scan_to_solutions(
     out
 }
 
-/// Columnar twin of [`scan_to_solutions`]: bind wildcards directly into a
-/// [`SolutionBatch`], producing the same rows in the same order. Each
-/// variable's column is filled straight from its triple position.
+/// What a pattern's scan binds, worked out once per pattern: the output
+/// schema (the variables of its wildcard positions, in subject,
+/// predicate, object order), shared by every shard's batch, and which
+/// triple positions fill its columns.
+#[derive(Debug, Clone)]
+pub struct ScanSchema {
+    pattern: TriplePattern,
+    vars: Arc<[String]>,
+    bind: [bool; 3],
+}
+
+/// The [`ScanSchema`] of `pattern` with `var_s` / `var_p` / `var_o` naming
+/// its unbound positions (`None` for bound positions).
+///
+/// # Panics
+/// Panics if a variable is supplied for a bound position.
+pub fn scan_schema(
+    pattern: &TriplePattern,
+    var_s: Option<&str>,
+    var_p: Option<&str>,
+    var_o: Option<&str>,
+) -> ScanSchema {
+    assert!(!(pattern.s.is_some() && var_s.is_some()), "subject is bound; no variable allowed");
+    assert!(!(pattern.p.is_some() && var_p.is_some()), "predicate is bound; no variable allowed");
+    assert!(!(pattern.o.is_some() && var_o.is_some()), "object is bound; no variable allowed");
+    let vars: Vec<String> = [var_s, var_p, var_o].into_iter().flatten().map(String::from).collect();
+    ScanSchema {
+        pattern: *pattern,
+        vars: vars.into(),
+        bind: [var_s.is_some(), var_p.is_some(), var_o.is_some()],
+    }
+}
+
+/// Columnar twin of [`scan_to_solutions`]: bind `triples`, every one a
+/// match of the schema's pattern, into a batch of that schema — the same
+/// rows in the same order. Each variable's column is filled straight from
+/// its triple position.
+pub fn scan_with(schema: &ScanSchema, triples: &[Triple]) -> SolutionBatch {
+    debug_assert!(triples.iter().all(|t| schema.pattern.matches(t)));
+    let [s, p, o] = schema.bind;
+    let mut columns = Vec::with_capacity(schema.vars.len());
+    if s {
+        columns.push(Column::collect(triples.iter().map(|t| t.s.raw())));
+    }
+    if p {
+        columns.push(Column::collect(triples.iter().map(|t| t.p.raw())));
+    }
+    if o {
+        columns.push(Column::collect(triples.iter().map(|t| t.o.raw())));
+    }
+    SolutionBatch::from_columns(schema.vars.clone(), columns, triples.len())
+}
+
+/// [`scan_with`] under a schema built for this one call.
 ///
 /// # Panics
 /// Panics if a variable is supplied for a bound position.
@@ -71,25 +123,7 @@ pub fn scan_to_batch(
     var_o: Option<&str>,
     triples: &[Triple],
 ) -> SolutionBatch {
-    assert!(!(pattern.s.is_some() && var_s.is_some()), "subject is bound; no variable allowed");
-    assert!(!(pattern.p.is_some() && var_p.is_some()), "predicate is bound; no variable allowed");
-    assert!(!(pattern.o.is_some() && var_o.is_some()), "object is bound; no variable allowed");
-    debug_assert!(triples.iter().all(|t| pattern.matches(t)));
-    let mut vars = Vec::with_capacity(3);
-    let mut columns = Vec::with_capacity(3);
-    if let Some(v) = var_s {
-        vars.push(v.to_string());
-        columns.push(Column::collect(triples.iter().map(|t| t.s.raw())));
-    }
-    if let Some(v) = var_p {
-        vars.push(v.to_string());
-        columns.push(Column::collect(triples.iter().map(|t| t.p.raw())));
-    }
-    if let Some(v) = var_o {
-        vars.push(v.to_string());
-        columns.push(Column::collect(triples.iter().map(|t| t.o.raw())));
-    }
-    SolutionBatch::from_columns(vars, columns, triples.len())
+    scan_with(&scan_schema(pattern, var_s, var_p, var_o), triples)
 }
 
 /// Hash join on all shared variables. The output schema is the left schema
@@ -130,9 +164,38 @@ pub fn hash_join(left: &SolutionSet, right: &SolutionSet) -> SolutionSet {
     out
 }
 
+/// A join's output layout, worked out once per pair of input schemas:
+/// the output schema (the left variables, then the right's unshared
+/// ones, matching SPARQL BGP semantics), the shared (left, right) key
+/// columns, and the right columns the output appends.
+#[derive(Debug, Clone)]
+pub struct JoinSchema {
+    left: Arc<[String]>,
+    right: Arc<[String]>,
+    vars: Arc<[String]>,
+    shared: Vec<(usize, usize)>,
+    right_extra: Vec<usize>,
+}
+
+/// The [`JoinSchema`] of joining batches of schema `left` with batches of
+/// schema `right`.
+pub fn join_schema(left: &Arc<[String]>, right: &Arc<[String]>) -> JoinSchema {
+    let shared: Vec<(usize, usize)> = left
+        .iter()
+        .enumerate()
+        .filter_map(|(li, v)| right.iter().position(|r| r == v).map(|ri| (li, ri)))
+        .collect();
+    let right_extra: Vec<usize> =
+        (0..right.len()).filter(|ri| !shared.iter().any(|&(_, sri)| sri == *ri)).collect();
+    let vars: Vec<String> =
+        left.iter().chain(right_extra.iter().map(|&ri| &right[ri])).cloned().collect();
+    JoinSchema { left: left.clone(), right: right.clone(), vars: vars.into(), shared, right_extra }
+}
+
 /// Columnar twin of [`hash_join`]: identical join semantics and output row
 /// order (build on the right side in insertion order, probe left rows in
 /// order), so a batch execution stays byte-identical to a row execution.
+/// The output carries `schema`'s shared output schema.
 ///
 /// Works a column at a time: the key columns of each side hash into one
 /// `u64` per row, the right side's hashes are threaded into a chained
@@ -142,42 +205,47 @@ pub fn hash_join(left: &SolutionSet, right: &SolutionSet) -> SolutionSet {
 /// rows one by one would give.
 ///
 /// # Panics
-/// Panics if either input has a null binding — BGP solutions are fully
-/// bound, and a join key cannot be unbound; callers holding batches of
-/// unknown provenance check [`SolutionBatch::has_nulls`] first. Also
-/// panics if a side has `u32::MAX` rows or more, the selection-vector
-/// index space.
-pub fn hash_join_batch(left: &SolutionBatch, right: &SolutionBatch) -> SolutionBatch {
+/// Panics if an input's schema is not the one `schema` was built for, or
+/// if either input has a null binding — BGP solutions are fully bound, and
+/// a join key cannot be unbound; callers holding batches of unknown
+/// provenance check [`SolutionBatch::has_nulls`] first. Also panics if a
+/// side has `u32::MAX` rows or more, the selection-vector index space.
+pub fn hash_join_with(
+    schema: &JoinSchema,
+    left: &SolutionBatch,
+    right: &SolutionBatch,
+) -> SolutionBatch {
+    assert!(
+        left.same_schema(&schema.left) && right.same_schema(&schema.right),
+        "join inputs must have the schemas their layout was built for"
+    );
     assert!(!left.has_nulls() && !right.has_nulls(), "join input is fully bound");
     assert!(
         left.len() < NIL as usize && right.len() < NIL as usize,
         "join side exceeds the u32 selection-vector index space"
     );
-    let shared: Vec<(usize, usize)> = left
-        .vars()
-        .iter()
-        .enumerate()
-        .filter_map(|(li, v)| right.var_index(v).map(|ri| (li, ri)))
-        .collect();
-    let right_extra: Vec<usize> =
-        (0..right.vars().len()).filter(|ri| !shared.iter().any(|&(_, sri)| sri == *ri)).collect();
-
-    let mut vars: Vec<String> = left.vars().to_vec();
-    vars.extend(right_extra.iter().map(|&ri| right.vars()[ri].clone()));
     if left.is_empty() || right.is_empty() {
-        return SolutionBatch::empty(vars);
+        return SolutionBatch::with_schema(schema.vars.clone());
     }
 
-    let (lsel, rsel) = if shared.is_empty() {
+    let (lsel, rsel) = if schema.shared.is_empty() {
         cross_selection(left.len(), right.len())
     } else {
-        probe_selection(left, right, &shared)
+        probe_selection(left, right, &schema.shared)
     };
     let picks: Vec<(&SolutionBatch, usize, &[u32])> = (0..left.vars().len())
         .map(|li| (left, li, lsel.as_slice()))
-        .chain(right_extra.iter().map(|&ri| (right, ri, rsel.as_slice())))
+        .chain(schema.right_extra.iter().map(|&ri| (right, ri, rsel.as_slice())))
         .collect();
-    SolutionBatch::gather_columns(vars, &picks, lsel.len())
+    SolutionBatch::gather_columns(schema.vars.clone(), &picks, lsel.len())
+}
+
+/// [`hash_join_with`] under a layout built for this one call.
+///
+/// # Panics
+/// As [`hash_join_with`], for a null binding or an oversized side.
+pub fn hash_join_batch(left: &SolutionBatch, right: &SolutionBatch) -> SolutionBatch {
+    hash_join_with(&join_schema(left.schema(), right.schema()), left, right)
 }
 
 /// End of a bucket chain; also bounds the rows a join side may hold.
@@ -509,6 +577,69 @@ mod tests {
         let mut right = SolutionBatch::empty(vec!["k".into(), "b".into()]);
         right.push_opt_row(&[Some(id(1)), None]);
         hash_join_batch(&left, &right);
+    }
+
+    fn schema(vars: &[&str]) -> Arc<[String]> {
+        vars.iter().map(|v| v.to_string()).collect()
+    }
+
+    fn batch_of(schema: &Arc<[String]>, rows: &[&[u64]]) -> SolutionBatch {
+        let mut b = SolutionBatch::with_schema(schema.clone());
+        for row in rows {
+            b.push_row(&row.iter().map(|&v| id(v)).collect::<Vec<_>>());
+        }
+        b
+    }
+
+    #[test]
+    fn one_scan_schema_binds_every_shard_like_scan_to_batch() {
+        let pat = TriplePattern::new(None, Some(id(9)), None);
+        let scan = scan_schema(&pat, Some("s"), None, Some("o"));
+        let shards = [vec![t(1, 9, 11)], vec![], vec![t(2, 9, 12), t(3, 9, 13)]];
+        let batches: Vec<SolutionBatch> = shards.iter().map(|tr| scan_with(&scan, tr)).collect();
+        for (b, tr) in batches.iter().zip(&shards) {
+            assert!(Arc::ptr_eq(b.schema(), batches[0].schema()));
+            assert_eq!(*b, scan_to_batch(&pat, Some("s"), None, Some("o"), tr));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "object is bound")]
+    fn scan_schema_rejects_var_on_bound_position() {
+        scan_schema(&TriplePattern::new(None, None, Some(id(3))), None, None, Some("o"));
+    }
+
+    #[test]
+    fn join_schema_keeps_the_left_vars_then_the_rights_unshared_ones() {
+        let js = join_schema(&schema(&["a", "k", "j"]), &schema(&["j", "b", "k"]));
+        assert_eq!(*js.vars, *schema(&["a", "k", "j", "b"]));
+        assert_eq!(js.shared, vec![(1, 2), (2, 0)]);
+        assert_eq!(js.right_extra, vec![1]);
+    }
+
+    #[test]
+    fn one_join_layout_serves_every_shard_with_one_output_schema() {
+        let (ls, rs) = (schema(&["p", "seq"]), schema(&["c", "p"]));
+        let js = join_schema(&ls, &rs);
+        let shards = [
+            (batch_of(&ls, &[&[1, 21], &[2, 22]]), batch_of(&rs, &[&[31, 1], &[32, 1]])),
+            (batch_of(&ls, &[&[3, 23]]), batch_of(&rs, &[])),
+            (batch_of(&ls, &[&[4, 24]]), batch_of(&rs, &[&[34, 4], &[39, 9]])),
+        ];
+        let outs: Vec<SolutionBatch> =
+            shards.iter().map(|(l, r)| hash_join_with(&js, l, r)).collect();
+        for (out, (l, r)) in outs.iter().zip(&shards) {
+            assert!(Arc::ptr_eq(out.schema(), outs[0].schema()));
+            assert_eq!(*out, hash_join_batch(l, r));
+        }
+        assert_eq!(outs.iter().map(SolutionBatch::len).collect::<Vec<_>>(), vec![2, 0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "join inputs must have the schemas")]
+    fn hash_join_with_rejects_inputs_of_another_schema() {
+        let js = join_schema(&schema(&["a"]), &schema(&["a", "b"]));
+        hash_join_with(&js, &batch_of(&schema(&["a"]), &[]), &batch_of(&schema(&["b"]), &[]));
     }
 
     /// The column-at-a-time scan and join against the row-at-a-time loops

@@ -36,22 +36,38 @@ impl TriplePattern {
 
 /// One rank's shard: the same triples in three sort orders.
 #[derive(Debug, Default)]
-struct Shard {
+struct ShardIndex {
     spo: Vec<Triple>,
     pos: Vec<Triple>,
     osp: Vec<Triple>,
     pending: Vec<Triple>,
 }
 
-fn pos_key(t: &Triple) -> (TermId, TermId, TermId) {
-    (t.p, t.o, t.s)
+fn spo_key(t: &Triple) -> [TermId; 3] {
+    [t.s, t.p, t.o]
 }
 
-fn osp_key(t: &Triple) -> (TermId, TermId, TermId) {
-    (t.o, t.s, t.p)
+fn pos_key(t: &Triple) -> [TermId; 3] {
+    [t.p, t.o, t.s]
 }
 
-impl Shard {
+fn osp_key(t: &Triple) -> [TermId; 3] {
+    [t.o, t.s, t.p]
+}
+
+/// The run of `index` (sorted by `key`) whose key starts with `prefix`.
+fn prefix_range<'a>(
+    index: &'a [Triple],
+    key: fn(&Triple) -> [TermId; 3],
+    prefix: &[TermId],
+) -> &'a [Triple] {
+    let n = prefix.len();
+    let lo = index.partition_point(|t| key(t)[..n] < *prefix);
+    let len = index[lo..].partition_point(|t| key(t)[..n] == *prefix);
+    &index[lo..lo + len]
+}
+
+impl ShardIndex {
     fn build(&mut self) {
         if self.pending.is_empty() {
             return;
@@ -67,60 +83,21 @@ impl Shard {
         self.osp.dedup();
     }
 
-    fn scan(&self, pat: &TriplePattern) -> Vec<Triple> {
+    /// Every triple matching `pat`, as one index range: the index whose
+    /// sort order leads with the bound positions, cut to the run where
+    /// they hold, in that index's order. This is the one range lookup;
+    /// scans and counts both read it.
+    fn candidates(&self, pat: &TriplePattern) -> &[Triple] {
         debug_assert!(self.pending.is_empty(), "scan before build_indexes()");
         match (pat.s, pat.p, pat.o) {
-            // Subject bound: SPO prefix range.
-            (Some(s), _, _) => {
-                let lo = self.spo.partition_point(|t| t.s < s);
-                self.spo[lo..]
-                    .iter()
-                    .take_while(|t| t.s == s)
-                    .filter(|t| pat.matches(t))
-                    .copied()
-                    .collect()
-            }
-            // Predicate bound: POS prefix range.
-            (None, Some(p), o) => {
-                let lo = self.pos.partition_point(|t| t.p < p);
-                self.pos[lo..]
-                    .iter()
-                    .take_while(|t| t.p == p)
-                    .filter(|t| o.is_none_or(|o| o == t.o))
-                    .copied()
-                    .collect()
-            }
-            // Object bound only: OSP prefix range.
-            (None, None, Some(o)) => {
-                let lo = self.osp.partition_point(|t| t.o < o);
-                self.osp[lo..].iter().take_while(|t| t.o == o).copied().collect()
-            }
-            // Fully unbound: full scan.
-            (None, None, None) => self.spo.clone(),
-        }
-    }
-
-    fn count(&self, pat: &TriplePattern) -> usize {
-        // Same ranges as scan, but without materializing (used by the
-        // planner for cardinality estimates).
-        match (pat.s, pat.p, pat.o) {
-            (Some(s), _, _) => {
-                let lo = self.spo.partition_point(|t| t.s < s);
-                self.spo[lo..].iter().take_while(|t| t.s == s).filter(|t| pat.matches(t)).count()
-            }
-            (None, Some(p), o) => {
-                let lo = self.pos.partition_point(|t| t.p < p);
-                self.pos[lo..]
-                    .iter()
-                    .take_while(|t| t.p == p)
-                    .filter(|t| o.is_none_or(|ov| ov == t.o))
-                    .count()
-            }
-            (None, None, Some(o)) => {
-                let lo = self.osp.partition_point(|t| t.o < o);
-                self.osp[lo..].iter().take_while(|t| t.o == o).count()
-            }
-            (None, None, None) => self.spo.len(),
+            (Some(s), Some(p), Some(o)) => prefix_range(&self.spo, spo_key, &[s, p, o]),
+            (Some(s), Some(p), None) => prefix_range(&self.spo, spo_key, &[s, p]),
+            (Some(s), None, Some(o)) => prefix_range(&self.osp, osp_key, &[o, s]),
+            (Some(s), None, None) => prefix_range(&self.spo, spo_key, &[s]),
+            (None, Some(p), Some(o)) => prefix_range(&self.pos, pos_key, &[p, o]),
+            (None, Some(p), None) => prefix_range(&self.pos, pos_key, &[p]),
+            (None, None, Some(o)) => prefix_range(&self.osp, osp_key, &[o]),
+            (None, None, None) => &self.spo,
         }
     }
 }
@@ -152,7 +129,7 @@ impl ShardStats {
 
 /// The store: one shard per rank, subject-hash partitioned.
 pub struct PartitionedStore {
-    shards: Vec<Shard>,
+    shards: Vec<ShardIndex>,
 }
 
 /// Mix a term id into a well-distributed placement hash. Dense sequential
@@ -170,7 +147,7 @@ impl PartitionedStore {
     /// A store sharded `num_shards` ways (one shard per rank).
     pub fn new(num_shards: usize) -> Self {
         assert!(num_shards > 0, "need at least one shard");
-        Self { shards: (0..num_shards).map(|_| Shard::default()).collect() }
+        Self { shards: (0..num_shards).map(|_| ShardIndex::default()).collect() }
     }
 
     /// Number of shards.
@@ -200,17 +177,23 @@ impl PartitionedStore {
 
     /// Sort and deduplicate all shard indexes.
     pub fn build_indexes(&mut self) {
-        self.shards.iter_mut().for_each(Shard::build);
+        self.shards.iter_mut().for_each(ShardIndex::build);
     }
 
-    /// Scan one shard for a pattern. Ranks call this on their own shard.
+    /// One shard's matches for a pattern, borrowed from its index in index
+    /// order. Ranks read their own shard.
+    pub fn candidates(&self, shard: usize, pat: &TriplePattern) -> &[Triple] {
+        self.shards[shard].candidates(pat)
+    }
+
+    /// Scan one shard for a pattern into an owned vector.
     pub fn scan_shard(&self, shard: usize, pat: &TriplePattern) -> Vec<Triple> {
-        self.shards[shard].scan(pat)
+        self.candidates(shard, pat).to_vec()
     }
 
     /// Count matches in one shard without materializing.
     pub fn count_shard(&self, shard: usize, pat: &TriplePattern) -> usize {
-        self.shards[shard].count(pat)
+        self.candidates(shard, pat).len()
     }
 
     /// Scan every shard (single-node convenience / tests).
@@ -220,7 +203,7 @@ impl PartitionedStore {
 
     /// Global match count for a pattern.
     pub fn count_all(&self, pat: &TriplePattern) -> usize {
-        self.shards.iter().map(|s| s.count(pat)).sum()
+        self.shards.iter().map(|s| s.candidates(pat).len()).sum()
     }
 
     /// Total triples stored.
@@ -344,6 +327,119 @@ mod tests {
         let stats = st.stats();
         assert!(stats.imbalance() < 1.2, "imbalance {}", stats.imbalance());
         assert_eq!(stats.total(), 16_000);
+    }
+
+    #[test]
+    fn candidates_borrow_a_range_of_the_shard_index() {
+        let st = demo_store(4);
+        let within = |part: &[Triple], index: &[Triple]| {
+            let span = index.as_ptr_range();
+            part.is_empty() || (span.start <= part.as_ptr() && part.as_ptr_range().end <= span.end)
+        };
+        for (shard, index) in st.shards.iter().enumerate() {
+            for bound in 0u8..8 {
+                // Bit k of `bound` binds position k; subject 7 links to 8.
+                let [s, p, o] = [(1u8, 7), (2, 1002), (4, 8)]
+                    .map(|(bit, v)| (bound & bit != 0).then_some(TermId(v)));
+                let pat = TriplePattern::new(s, p, o);
+                let got = st.candidates(shard, &pat);
+                assert!(
+                    [&index.spo, &index.pos, &index.osp].iter().any(|ix| within(got, ix)),
+                    "{pat:?} copied its matches"
+                );
+                assert!(got.iter().all(|tr| pat.matches(tr)), "{pat:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn subject_and_object_bound_reads_in_predicate_order() {
+        let mut st = PartitionedStore::new(1);
+        for tr in [t(1, 5, 9), t(1, 3, 9), t(1, 4, 8), t(2, 1, 9)] {
+            st.insert(tr);
+        }
+        st.build_indexes();
+        let pat = TriplePattern::new(Some(TermId(1)), None, Some(TermId(9)));
+        assert_eq!(st.candidates(0, &pat), &[t(1, 3, 9), t(1, 5, 9)]);
+        assert_eq!(st.count_shard(0, &pat), 2);
+    }
+
+    #[test]
+    fn ids_outside_the_stored_range_match_nothing() {
+        // Subjects are 0..100, predicates 1000..=1002, objects at most 3099
+        // and at least 1: every bound id below sits before the first or
+        // after the last key of the index range it probes.
+        let st = demo_store(2);
+        for [s, p, o] in [
+            [None, Some(999), None],
+            [None, Some(5000), None],
+            [None, None, Some(0)],
+            [None, None, Some(99_999)],
+            [Some(100_000), None, None],
+            [None, Some(1000), Some(0)],
+            [None, Some(1000), Some(99_999)],
+            [Some(3), Some(999), None],
+            [Some(3), Some(5000), None],
+            [Some(3), None, Some(0)],
+            [Some(3), Some(1002), Some(99_999)],
+        ] {
+            let pat = TriplePattern::new(s.map(TermId), p.map(TermId), o.map(TermId));
+            for shard in 0..2 {
+                assert!(st.candidates(shard, &pat).is_empty(), "{pat:?}");
+            }
+            assert_eq!(st.count_all(&pat), 0, "{pat:?}");
+        }
+    }
+
+    /// The exact index ranges against the old lookups: the range of the
+    /// leading bound position's index, filtered by `matches`, in that
+    /// index's order. Ids come from a small domain so bound positions both
+    /// hit and miss.
+    mod ranges {
+        use super::*;
+        use ids_simrt::rng::SplitMix64;
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn scans_and_counts_are_the_matching_triples_in_index_order(
+                seed in 0u64..1_000_000,
+                triples in 0usize..=400,
+                shards in 1usize..=4,
+                domain in 1u64..=12,
+                bound in 0u8..8,
+            ) {
+                let mut rng = SplitMix64::new(seed, 0x5708);
+                let mut st = PartitionedStore::new(shards);
+                for _ in 0..triples {
+                    let [s, p, o] = [(); 3].map(|_| TermId(rng.next_below(domain)));
+                    st.insert(Triple::new(s, p, o));
+                }
+                st.build_indexes();
+                // Bit k of `bound` binds position k to a random id.
+                let [s, p, o] = [1u8, 2, 4]
+                    .map(|bit| (bound & bit != 0).then(|| TermId(rng.next_below(domain))));
+                let pat = TriplePattern::new(s, p, o);
+                for (shard, index) in st.shards.iter().enumerate() {
+                    let got = st.scan_shard(shard, &pat);
+                    prop_assert_eq!(st.count_shard(shard, &pat), got.len());
+                    let led = match (s, p, o) {
+                        (None, Some(_), _) => &index.pos,
+                        (None, None, Some(_)) => &index.osp,
+                        _ => &index.spo,
+                    };
+                    let want: Vec<Triple> = led.iter().filter(|t| pat.matches(t)).copied().collect();
+                    prop_assert_eq!(got, want);
+                }
+                let mut got = st.scan_all(&pat);
+                got.sort_unstable();
+                let mut want = st.scan_all(&TriplePattern::default());
+                want.retain(|t| pat.matches(t));
+                want.sort_unstable();
+                prop_assert_eq!(st.count_all(&pat), want.len());
+                prop_assert_eq!(got, want);
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,6 @@ use crate::faults::FaultPlane;
 use crate::net::{DeviceModel, NetworkModel};
 use crate::pool::{self, Fanout};
 use crate::rng::SplitMix64;
-use crate::stats::{PhaseStats, RankStats, StatSummary};
 use crate::topology::{NodeId, RankId, Topology};
 use std::sync::Arc;
 
@@ -25,7 +24,6 @@ pub struct RankCtx {
     topo: Topology,
     clock: VirtualClock,
     rng: SplitMix64,
-    stats: RankStats,
 }
 
 impl RankCtx {
@@ -68,12 +66,6 @@ impl RankCtx {
     #[inline]
     pub fn rng(&mut self) -> &mut SplitMix64 {
         &mut self.rng
-    }
-
-    /// Bump a named counter.
-    #[inline]
-    pub fn count(&mut self, name: &'static str, n: u64) {
-        self.stats.add(name, n);
     }
 }
 
@@ -149,8 +141,7 @@ pub struct SpeculationReport {
     pub first_win: Option<(u32, f64)>,
 }
 
-/// A simulated cluster: topology + network model + per-rank clocks, plus a
-/// history of completed phases for post-hoc analysis.
+/// A simulated cluster: topology + network model + per-rank clocks.
 ///
 /// Recovery additions: each rank is either **live** or permanently
 /// retired, and each *logical shard* (there are exactly `total_ranks`
@@ -165,7 +156,6 @@ pub struct Cluster {
     net: NetworkModel,
     devices: DeviceModel,
     clocks: Vec<f64>,
-    phases: Vec<PhaseStats>,
     seed: u64,
     phase_counter: u64,
     faults: Option<Arc<FaultPlane>>,
@@ -185,7 +175,6 @@ impl Cluster {
             net,
             devices: DeviceModel::testbed(),
             clocks: vec![0.0; n],
-            phases: Vec::new(),
             seed,
             phase_counter: 0,
             faults: None,
@@ -338,16 +327,10 @@ impl Cluster {
         &self.clocks
     }
 
-    /// History of completed phases.
-    pub fn phases(&self) -> &[PhaseStats] {
-        &self.phases
-    }
-
-    /// Reset all clocks to zero and clear phase history (data structures
-    /// owned by higher layers are untouched). Used between repeated queries.
+    /// Reset all clocks to zero (data structures owned by higher layers are
+    /// untouched). Used between repeated queries.
     pub fn reset_clocks(&mut self) {
         self.clocks.iter_mut().for_each(|c| *c = 0.0);
-        self.phases.clear();
     }
 
     /// Charge `secs` of synchronized virtual time to every rank: all clocks
@@ -379,7 +362,8 @@ impl Cluster {
     /// context, in parallel on every host core. Returns per-shard results
     /// in shard order, whatever the schedule was. No clock synchronization
     /// happens here — follow with [`Self::barrier`] or another collective
-    /// to close the phase.
+    /// to close the phase. The first argument labels the phase at its call
+    /// site; the cluster keeps no per-phase history.
     ///
     /// The context's `rank()` is the *shard* id, so every data-plane
     /// decision (rng streams, hash placement) is a function of the shard
@@ -387,12 +371,12 @@ impl Cluster {
     /// **owner** (identity until a recovery re-plan moves shards off dead
     /// ranks). A rank owning several shards executes them serially on its
     /// own clock, dilated by its straggler factor.
-    pub fn execute<T, F>(&mut self, name: &str, f: F) -> Vec<T>
+    pub fn execute<T, F>(&mut self, _name: &str, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(&mut RankCtx) -> T + Sync,
     {
-        self.execute_with_speculation(name, None, Fanout::Host, f).0
+        self.execute_with_speculation(None, Fanout::Host, f).0
     }
 
     /// [`Self::execute`] plus optional speculative re-execution: with a
@@ -406,7 +390,6 @@ impl Cluster {
     /// host threads the shards run on; it never changes a result either.
     pub fn execute_with_speculation<T, F>(
         &mut self,
-        name: &str,
         policy: Option<&SpeculationPolicy>,
         fanout: Fanout,
         f: F,
@@ -429,27 +412,20 @@ impl Cluster {
                 topo,
                 clock: VirtualClock::at(starts[s]),
                 rng: SplitMix64::new(seed, phase_id.wrapping_mul(0x1_0000_0001) ^ s as u64),
-                stats: RankStats::default(),
             };
             let out = f(&mut ctx);
-            (ctx.clock.now(), ctx.stats, out)
+            (ctx.clock.now(), out)
         });
 
-        let n = self.clocks.len();
-        let mut busy = Vec::with_capacity(results.len());
-        let mut owner_busy = vec![0.0; n];
-        let mut totals = RankStats::default();
+        let mut owner_busy = vec![0.0; self.clocks.len()];
         let mut outs = Vec::with_capacity(results.len());
-        for (s, (end, stats, out)) in results.into_iter().enumerate() {
+        for (s, (end, out)) in results.into_iter().enumerate() {
             // Straggler ranks (from the fault plane) run the same work,
             // but their busy time is dilated by a constant factor — the
             // factor of the *owner*, who actually runs the shard.
             let o = self.owners[s] as usize;
             let factor = self.faults.as_ref().map_or(1.0, |p| p.straggler_factor(RankId(o as u32)));
-            let b = (end - starts[s]) * factor;
-            busy.push(b);
-            owner_busy[o] += b;
-            totals.merge(&stats);
+            owner_busy[o] += (end - starts[s]) * factor;
             outs.push(out);
         }
         for (o, &b) in owner_busy.iter().enumerate() {
@@ -459,12 +435,6 @@ impl Cluster {
             Some(p) => self.speculate(p, &owner_busy),
             None => SpeculationReport::default(),
         };
-        self.phases.push(PhaseStats {
-            name: name.to_string(),
-            busy: StatSummary::of(&busy),
-            completed_at: self.elapsed(),
-            totals,
-        });
         self.sync_faults();
         (outs, spec)
     }
@@ -813,21 +783,6 @@ mod tests {
     }
 
     #[test]
-    fn phase_stats_capture_straggler() {
-        let mut c = small();
-        c.execute("skewed", |ctx| {
-            ctx.charge(if ctx.rank().0 == 0 { 8.0 } else { 1.0 });
-            ctx.count("solutions", 10);
-        });
-        let p = &c.phases()[0];
-        assert_eq!(p.busy.max, 8.0);
-        assert_eq!(p.busy.min, 1.0);
-        assert!(p.busy.imbalance() > 3.0);
-        assert_eq!(p.totals.get("solutions"), 80);
-        assert_eq!(p.critical_path(), 8.0);
-    }
-
-    #[test]
     fn rank_rng_is_deterministic_across_runs() {
         let draw = || {
             let mut c = Cluster::new(Topology::new(1, 4), NetworkModel::ideal(), 99);
@@ -846,30 +801,26 @@ mod tests {
     }
 
     #[test]
-    fn threaded_phase_keeps_shard_rng_streams_and_stat_totals() {
+    fn threaded_phase_keeps_shard_rng_streams_and_clocks() {
         // 256 shards of 100 µs: long enough for the pool to fan out.
         let run = |fanout: Fanout| {
             let mut c = Cluster::new(Topology::new(16, 16), NetworkModel::ideal(), 5);
             c.execute("warm-up", |_| ());
-            let (draws, _) = c.execute_with_speculation("draw", None, fanout, |ctx| {
+            let (draws, _) = c.execute_with_speculation(None, fanout, |ctx| {
                 std::thread::sleep(std::time::Duration::from_micros(100));
-                ctx.count("shards", 1);
-                ctx.count("rank_sum", u64::from(ctx.rank().0));
                 ctx.charge(1e-3 * f64::from(ctx.rank().0 % 7));
                 ctx.rng().next_u64()
             });
-            (draws, c.phases()[1].totals.clone(), c.clocks().to_vec())
+            (draws, c.clocks().to_vec())
         };
-        let (draws, totals, clocks) = run(Fanout::Host);
+        let (draws, clocks) = run(Fanout::Host);
         for (s, &d) in draws.iter().enumerate() {
             // Phase 1's stream for shard s, exactly as the sequential
             // executor derived it.
             let expected = SplitMix64::new(5, 0x1_0000_0001 ^ s as u64).next_u64();
             assert_eq!(d, expected, "shard {s} drew from another stream");
         }
-        assert_eq!(totals.get("shards"), 256);
-        assert_eq!(totals.get("rank_sum"), 255 * 256 / 2);
-        let (one_draws, _, one_clocks) = run(Fanout::One);
+        let (one_draws, one_clocks) = run(Fanout::One);
         assert_eq!(draws, one_draws, "one worker and every core draw the same bits");
         assert_eq!(clocks, one_clocks, "and charge the same clocks");
     }
@@ -894,13 +845,12 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_time_and_history() {
+    fn reset_clears_time() {
         let mut c = small();
         c.execute("work", |ctx| ctx.charge(2.0));
         c.barrier();
         c.reset_clocks();
         assert_eq!(c.elapsed(), 0.0);
-        assert!(c.phases().is_empty());
     }
 
     #[test]
@@ -1173,11 +1123,10 @@ mod tests {
         // threshold fired) and its host is charged until cancellation.
         let run = |policy: Option<SpeculationPolicy>| {
             let mut c = Cluster::new(Topology::new(1, 4), NetworkModel::ideal(), 1);
-            let (out, rep) =
-                c.execute_with_speculation("udf", policy.as_ref(), Fanout::Host, |ctx| {
-                    ctx.charge(if ctx.rank().0 == 0 { 10.0 } else { 1.0 });
-                    ctx.rank().0
-                });
+            let (out, rep) = c.execute_with_speculation(policy.as_ref(), Fanout::Host, |ctx| {
+                ctx.charge(if ctx.rank().0 == 0 { 10.0 } else { 1.0 });
+                ctx.rank().0
+            });
             (out, rep, c.clocks().to_vec())
         };
         let (out_off, rep_off, _) = run(None);
@@ -1218,11 +1167,10 @@ mod tests {
                 4,
                 100.0,
             )));
-            let (out, rep) =
-                c.execute_with_speculation("udf", policy.as_ref(), Fanout::Host, |ctx| {
-                    ctx.charge(1.0);
-                    ctx.rank().0
-                });
+            let (out, rep) = c.execute_with_speculation(policy.as_ref(), Fanout::Host, |ctx| {
+                ctx.charge(1.0);
+                ctx.rank().0
+            });
             (out, rep, c.elapsed())
         };
         let (out_off, _, t_off) = mk(None);

@@ -6,7 +6,8 @@
 //!
 //! * **Virtual ranks** — thousands of logical ranks are multiplexed onto the
 //!   host's cores by a scoped shard pool ([`pool`]): one worker per core,
-//!   shards claimed one at a time, results returned in shard order. Rank
+//!   each claiming shards from its own span and stealing half of the
+//!   fullest span when it runs dry, results returned in shard order. Rank
 //!   programs execute real Rust code.
 //! * **Virtual clocks** — each rank carries a clock in *virtual seconds*.
 //!   Compute kernels charge their cost (from calibrated cost models) to the
@@ -31,9 +32,7 @@ pub mod faults;
 pub mod net;
 pub mod pool;
 pub mod rng;
-pub mod stats;
 pub mod topology;
-pub mod trace;
 
 pub use clock::VirtualClock;
 pub use cluster::{Cluster, ExchangeCost, RankCtx, SpeculationPolicy, SpeculationReport};
@@ -43,6 +42,4 @@ pub use faults::{
 };
 pub use net::{DeviceModel, NetworkModel};
 pub use pool::Fanout;
-pub use stats::{PhaseStats, RankStats, StatSummary};
 pub use topology::{NodeId, RankId, Topology};
-pub use trace::phase_trace_hash;
