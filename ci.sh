@@ -131,6 +131,21 @@ grep -q '^virtual_s_p50  *105\.875830230 s' <<<"$perf_out" \
   exit 1
 }
 
+echo "==> bgp-join model outputs (perf --verify-repeat, seed 7)"
+# 16 ranks of fat batches through scan, join, exchange and the result
+# gather: two runs must agree on every virtual time, count and digest, and
+# the window's median latency and digest must be the values recorded when
+# this gate was added. (The window is the first 100 queries, so it does not
+# depend on --seconds.)
+perf_out=$(cargo run --release -p ids-bench --bin perf -- \
+    --workload bgp-join --seed 7 --seconds 2 --verify-repeat)
+grep -q '^virtual_s_p50  *0\.000410734 s' <<<"$perf_out" \
+  && grep -q '^bench.result_digest  *0xa58800310e64b3e5$' <<<"$perf_out" || {
+  echo "$perf_out"
+  echo "error: bgp-join virtual latency or result digest moved at seed 7" >&2
+  exit 1
+}
+
 echo "==> serve-mix model outputs (perf --verify-repeat, seed 7)"
 # The whole submit/slice path under the benchmark's own output checks: two
 # runs must agree on every virtual time, count and digest, and the window

@@ -1104,10 +1104,7 @@ impl PlanRun {
         let key = self.recovery_key(ord);
         let typed_sets: Vec<TypedSolutionSet> = sets
             .iter()
-            .map(|s| TypedSolutionSet {
-                vars: s.vars().to_vec(),
-                rows: (0..s.len()).map(|i| s.row(i).iter().map(|t| t.raw()).collect()).collect(),
-            })
+            .map(|s| TypedSolutionSet { vars: s.vars().to_vec(), rows: typed_rows(s) })
             .collect();
         let obj = IntermediateSolutions {
             fingerprint: fnv1a(key.as_bytes()),
@@ -1415,10 +1412,7 @@ impl PlanRun {
                     None => return, // schema var outside the fragment scope
                 }
             }
-            typed_sets.push(TypedSolutionSet {
-                vars,
-                rows: (0..s.len()).map(|i| s.row(i).iter().map(|t| t.raw()).collect()).collect(),
-            });
+            typed_sets.push(TypedSolutionSet { vars, rows: typed_rows(s) });
         }
         let obj = IntermediateSolutions {
             fingerprint: cp.fingerprint,
@@ -1787,6 +1781,15 @@ fn typed_batches(
     Some(out)
 }
 
+/// A batch's rows as the raw ids of a typed checkpoint, read straight from
+/// its columns. Checkpoints are taken between stages, whose batches are
+/// fully bound.
+fn typed_rows(s: &SolutionBatch) -> Vec<Vec<u64>> {
+    debug_assert!(!s.has_nulls(), "a checkpointed batch is fully bound");
+    let cols: Vec<&Column> = (0..s.vars().len()).map(|c| s.column(c)).collect();
+    (0..s.len()).map(|i| cols.iter().map(|c| c.get(i)).collect()).collect()
+}
+
 /// Execute a plan on the cluster. `profilers[r]` is rank r's UDF profile
 /// store, updated in place (it persists across queries, §2.4.1).
 /// `metrics` receives operator timings, spans, and reordering decisions.
@@ -1831,7 +1834,8 @@ pub fn execute_plan(
 /// byte-identical results.
 ///
 /// Every step reorders or thins a row permutation over `merged`'s id
-/// columns; rows are materialised once, at the end, in their final shape.
+/// columns; the result is built once, at the end, in its final shape: one
+/// row-major buffer filled a column at a time.
 /// ORDER BY runs before projection so the sort variable need not be
 /// projected; DISTINCT and LIMIT run after, on the final shape.
 ///
@@ -1853,13 +1857,14 @@ pub fn shape_result(
         let idx = merged
             .var_index(var)
             .ok_or_else(|| ExecError::msg(format!("ORDER BY variable ?{var} is never bound")))?;
-        // One decode per row, not two per comparison.
+        // One decode and one key per row, not two `String`s per comparison.
         let dict = ds.dictionary();
         let col = merged.column(idx);
-        let keys: Vec<Option<ids_graph::Term>> =
-            (0..merged.len()).map(|row| dict.decode(TermId(col.get(row)))).collect();
+        let keys: Vec<OrderKey> = (0..merged.len())
+            .map(|row| order_key(dict.decode(TermId(col.get(row))).as_ref()))
+            .collect();
         perm.sort_by(|&a, &b| {
-            let ord = compare_terms(keys[a as usize].as_ref(), keys[b as usize].as_ref());
+            let ord = compare_keys(&keys[a as usize], &keys[b as usize]);
             if *descending {
                 ord.reverse()
             } else {
@@ -1881,24 +1886,24 @@ pub fn shape_result(
             .collect::<Result<_, _>>()?;
         (select.to_vec(), cols)
     };
-    let cols: Vec<&Column> = cols.into_iter().map(|c| merged.column(c)).collect();
 
     let limit = limit.unwrap_or(usize::MAX);
-    let mut rows: Vec<Vec<TermId>> =
-        Vec::with_capacity(if distinct { 0 } else { perm.len().min(limit) });
-    let mut seen: HashSet<Vec<TermId>> = HashSet::new();
-    for &row in &perm {
-        if rows.len() >= limit {
-            break;
-        }
-        let shaped: Vec<TermId> = cols.iter().map(|c| TermId(c.get(row as usize))).collect();
+    if distinct {
         // First occurrence wins.
-        if distinct && !seen.insert(shaped.clone()) {
-            continue;
-        }
-        rows.push(shaped);
+        let picked: Vec<&Column> = cols.iter().map(|&c| merged.column(c)).collect();
+        let mut seen: HashSet<Vec<TermId>> = HashSet::new();
+        let mut row: Vec<TermId> = Vec::with_capacity(picked.len());
+        perm.retain(|&i| {
+            if seen.len() >= limit {
+                return false;
+            }
+            row.clear();
+            row.extend(picked.iter().map(|c| TermId(c.get(i as usize))));
+            !seen.contains(&row) && seen.insert(row.clone())
+        });
     }
-    Ok(SolutionSet::new(vars, rows))
+    perm.truncate(limit);
+    Ok(merged.select_rows(vars, &cols, &perm))
 }
 
 /// The permutation that sorts `batch`'s rows lexicographically by the id
@@ -1910,40 +1915,92 @@ fn canonical_permutation(batch: &SolutionBatch, cols: &[usize]) -> Result<Vec<u3
     let Some((&first, rest)) = cols.split_first() else {
         return Ok((0..rows).collect());
     };
-    // Carry the leading column's id beside the row index: most comparisons
-    // are settled there without touching the batch.
-    let lead = batch.column(first);
-    let mut keyed: Vec<(u64, u32)> = (0..rows).map(|row| (lead.get(row as usize), row)).collect();
     let rest: Vec<&Column> = rest.iter().map(|&c| batch.column(c)).collect();
-    keyed.sort_unstable_by(|&(ka, a), &(kb, b)| {
-        ka.cmp(&kb).then_with(|| {
-            rest.iter()
-                .map(|c| c.get(a as usize).cmp(&c.get(b as usize)))
-                .find(|ord| ord.is_ne())
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
-    });
-    Ok(keyed.into_iter().map(|(_, row)| row).collect())
+    Ok(match batch.column(first) {
+        Column::U32(lead) => packed_permutation::<u64>(lead, &rest),
+        Column::U64(lead) => packed_permutation::<u128>(lead, &rest),
+    })
 }
 
-/// Total order over decoded terms for ORDER BY: numerics sort numerically
-/// and before everything else; strings/IRIs sort lexically; unbound
-/// (undecodable) terms sort last.
-fn compare_terms(a: Option<&ids_graph::Term>, b: Option<&ids_graph::Term>) -> std::cmp::Ordering {
-    let key = |t: Option<&ids_graph::Term>| -> (u8, f64, String) {
-        match t {
-            Some(t) => match t.as_f64() {
-                Some(v) => (0, v, String::new()),
-                None => (1, 0.0, t.to_string()),
-            },
-            None => (2, 0.0, String::new()),
+/// An integer holding a lead-column id above a 32-bit row index, so one
+/// integer comparison orders rows by (id, index).
+trait PackedKey: Ord + Copy {
+    /// The lead column's stored id.
+    type Id: Copy;
+    fn pack(id: Self::Id, row: u32) -> Self;
+    fn row(self) -> u32;
+    /// The lead id, widened.
+    fn lead(self) -> u64;
+}
+
+impl PackedKey for u64 {
+    type Id = u32;
+    fn pack(id: u32, row: u32) -> u64 {
+        (u64::from(id) << 32) | u64::from(row)
+    }
+    fn row(self) -> u32 {
+        self as u32
+    }
+    fn lead(self) -> u64 {
+        self >> 32
+    }
+}
+
+impl PackedKey for u128 {
+    type Id = u64;
+    fn pack(id: u64, row: u32) -> u128 {
+        (u128::from(id) << 32) | u128::from(row)
+    }
+    fn row(self) -> u32 {
+        self as u32
+    }
+    fn lead(self) -> u64 {
+        (self >> 32) as u64
+    }
+}
+
+/// Row indices sorted by `lead` through one integer sort of packed keys,
+/// then each run of rows that tie on the lead re-sorted by the `rest`
+/// columns. `lead` holds fewer than `u32::MAX` rows.
+fn packed_permutation<K: PackedKey>(lead: &[K::Id], rest: &[&Column]) -> Vec<u32> {
+    let mut keys: Vec<K> = (0..).zip(lead).map(|(row, &id)| K::pack(id, row)).collect();
+    keys.sort_unstable();
+    let mut perm: Vec<u32> = Vec::with_capacity(keys.len());
+    for run in keys.chunk_by(|a, b| a.lead() == b.lead()) {
+        let start = perm.len();
+        perm.extend(run.iter().map(|k| k.row()));
+        if run.len() > 1 && !rest.is_empty() {
+            perm[start..].sort_unstable_by(|&a, &b| {
+                rest.iter()
+                    .map(|c| c.get(a as usize).cmp(&c.get(b as usize)))
+                    .find(|ord| ord.is_ne())
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
         }
-    };
-    let (ka, va, sa) = key(a);
-    let (kb, vb, sb) = key(b);
-    // total_cmp keeps the sort a strict weak order even if a term decodes
-    // to NaN (it sorts after every other numeric, before strings).
-    ka.cmp(&kb).then(va.total_cmp(&vb)).then(sa.cmp(&sb))
+    }
+    perm
+}
+
+/// ORDER BY's sort key for one decoded term: numerics first, by value;
+/// then strings and IRIs, lexically by display form; unbound
+/// (undecodable) terms last.
+type OrderKey = (u8, f64, String);
+
+fn order_key(t: Option<&ids_graph::Term>) -> OrderKey {
+    match t {
+        Some(t) => match t.as_f64() {
+            Some(v) => (0, v, String::new()),
+            None => (1, 0.0, t.to_string()),
+        },
+        None => (2, 0.0, String::new()),
+    }
+}
+
+/// The total order over [`OrderKey`]s. `total_cmp` keeps the sort a strict
+/// weak order even if a term decodes to NaN (it sorts after every other
+/// numeric, before strings).
+fn compare_keys(a: &OrderKey, b: &OrderKey) -> std::cmp::Ordering {
+    a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then_with(|| a.2.cmp(&b.2))
 }
 
 /// Per-batch dispatch accounting for one operator in columnar mode:
@@ -3052,6 +3109,11 @@ mod tests {
     use ids_graph::Term;
     use std::cmp::Ordering;
 
+    /// ORDER BY's comparison of two decoded terms.
+    fn compare_terms(a: Option<&Term>, b: Option<&Term>) -> Ordering {
+        compare_keys(&order_key(a), &order_key(b))
+    }
+
     #[test]
     fn compare_terms_orders_numbers_before_strings() {
         let a = Term::Int(5);
@@ -3287,7 +3349,7 @@ mod tests {
             }
             {
                 let vars = gathered.vars().to_vec();
-                let mut rows = gathered.take_rows();
+                let mut rows = gathered.rows().to_vec();
                 rows.sort_unstable();
                 gathered = SolutionSet::new(vars, rows);
             }
@@ -3296,7 +3358,7 @@ mod tests {
                     ExecError::msg(format!("ORDER BY variable ?{var} is never bound"))
                 })?;
                 let dict = ds.dictionary();
-                let mut rows = gathered.take_rows();
+                let mut rows = gathered.rows().to_vec();
                 rows.sort_by(|a, b| {
                     let ta = dict.decode(a[idx]);
                     let tb = dict.decode(b[idx]);
@@ -3326,7 +3388,8 @@ mod tests {
             }
             if let Some(limit) = limit {
                 let vars = gathered.vars().to_vec();
-                let rows: Vec<Vec<TermId>> = gathered.rows().iter().take(limit).cloned().collect();
+                let rows: Vec<Vec<TermId>> =
+                    gathered.rows().iter().take(limit).map(<[TermId]>::to_vec).collect();
                 gathered = SolutionSet::new(vars, rows);
             }
             Ok(gathered)
@@ -3418,12 +3481,14 @@ mod tests {
             fn gather_equals_materialise_project_sort_project(
                 seed in 0u64..1_000_000,
                 rows in 0usize..=(if FULL { 3000 } else { 150 }),
-                domain in 1u64..=24,
+                // Low domains tie many rows on the lead column.
+                domain in prop_oneof![1u64..=3, 1u64..=24],
                 order in 0usize..=10,
                 picks in 0usize..=5,
                 distinct in any::<bool>(),
                 limit in prop_oneof![Just(None), (0usize..=40).prop_map(Some), Just(Some(usize::MAX))],
                 wide_small in any::<bool>(),
+                big_ids in any::<bool>(),
             ) {
                 let mut rng = SplitMix64::new(seed, 0x9a7e);
                 // Ids 0..24 decode to terms with ties under `compare_terms`
@@ -3450,8 +3515,14 @@ mod tests {
                         .iter()
                         .map(|_| {
                             let id = rng.next_below(domain);
-                            // Some ids the dictionary never minted.
-                            TermId(if rng.next_below(9) == 0 { id + 10_000 } else { id })
+                            // Some ids the dictionary never minted; with
+                            // `big_ids`, some past `u32::MAX`, so a `U64`
+                            // lead column sorts real wide ids.
+                            TermId(match rng.next_below(9) {
+                                0 => id + 10_000,
+                                1 | 2 if big_ids => id + (1 << 32),
+                                _ => id,
+                            })
                         })
                         .collect();
                     merged.push_row(&row);

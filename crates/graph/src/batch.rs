@@ -323,11 +323,33 @@ impl SolutionBatch {
     /// unbound cells, and the engine never checkpoints or returns them.
     pub fn to_set(&self) -> SolutionSet {
         assert_eq!(self.null_count(), 0, "cannot convert a batch with nulls to a SolutionSet");
-        let mut rows = Vec::with_capacity(self.rows);
-        for i in 0..self.rows {
-            rows.push(self.cols.iter().map(|c| TermId(c.values.get(i))).collect());
+        let all: Vec<usize> = (0..self.cols.len()).collect();
+        let rows = u32::try_from(self.rows).expect("batch rows fit the u32 row index space");
+        self.select_rows(self.vars.to_vec(), &all, &(0..rows).collect::<Vec<u32>>())
+    }
+
+    /// Rows `sel` (in `sel` order, repeats allowed) of columns `cols` (in
+    /// `cols` order) as a row-major [`SolutionSet`] named `vars`: one
+    /// buffer, filled a column at a time. Null cells read as id 0, as in
+    /// [`Self::column`].
+    ///
+    /// # Panics
+    /// Panics if `vars` and `cols` differ in length or a column or
+    /// selected row is out of bounds.
+    pub fn select_rows(&self, vars: Vec<String>, cols: &[usize], sel: &[u32]) -> SolutionSet {
+        assert_eq!(vars.len(), cols.len(), "one column per variable");
+        let width = cols.len();
+        let mut cells = vec![TermId(0); sel.len() * width];
+        for (k, &c) in cols.iter().enumerate() {
+            let dst = cells.iter_mut().skip(k).step_by(width);
+            match &self.cols[c].values {
+                Column::U32(ids) => {
+                    dst.zip(sel).for_each(|(d, &i)| *d = TermId(u64::from(ids[i as usize])));
+                }
+                Column::U64(ids) => dst.zip(sel).for_each(|(d, &i)| *d = TermId(ids[i as usize])),
+            }
         }
-        SolutionSet::new(self.vars.to_vec(), rows)
+        SolutionSet::from_cells(vars, cells, sel.len())
     }
 
     /// Variable names (column order).
@@ -704,6 +726,24 @@ mod tests {
     #[should_panic(expected = "selected row out of bounds")]
     fn gather_byte_size_rejects_an_out_of_bounds_row() {
         SolutionBatch::from_set(&demo_set()).gather_byte_size(&[10]);
+    }
+
+    #[test]
+    fn select_rows_fills_the_picked_columns_of_the_selected_rows() {
+        let mut src = SolutionBatch::empty(vec!["x".into(), "y".into()]);
+        for v in [5, u64::from(u32::MAX) + 9, 6] {
+            src.push_row(&[id(v), id(v + 100)]);
+        }
+        let set = src.select_rows(vec!["y".into(), "x".into()], &[1, 0], &[2, 0, 2]);
+        assert_eq!(set.vars(), ["y", "x"]);
+        let want = [vec![id(106), id(6)], vec![id(105), id(5)], vec![id(106), id(6)]];
+        assert_eq!(set.rows().to_vec(), want);
+        let wide = src.select_rows(vec!["x".into()], &[0], &[1]);
+        assert_eq!(wide.rows()[0], [id(u64::from(u32::MAX) + 9)]);
+        // No columns: the selected rows are still counted.
+        let bare = src.select_rows(vec![], &[], &[0, 1, 2, 1]);
+        assert_eq!((bare.len(), bare.rows().iter().count()), (4, 4));
+        assert_eq!(SolutionBatch::from_set(&bare).to_set(), bare);
     }
 
     /// The gather and append kernels against the row-at-a-time loops they

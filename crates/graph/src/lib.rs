@@ -39,7 +39,7 @@ pub use batch::SolutionBatch;
 pub use dict::Dictionary;
 pub use ntriples::{parse_ntriples, write_ntriples};
 pub use sketch::KmvSketch;
-pub use solution::SolutionSet;
+pub use solution::{RowIter, Rows, SolutionSet};
 pub use store::{PartitionedStore, ShardStats, TriplePattern};
 pub use term::{Term, TermId};
 pub use text::KeywordIndex;

@@ -54,7 +54,7 @@ pub fn scan_to_solutions(
         if var_o.is_some() {
             row.push(t.o);
         }
-        out.push(row);
+        out.push(&row);
     }
     out
 }
@@ -155,9 +155,9 @@ pub fn hash_join(left: &SolutionSet, right: &SolutionSet) -> SolutionSet {
         if let Some(matches) = table.get(&key) {
             for &ridx in matches {
                 let rrow = &right.rows()[ridx];
-                let mut row = lrow.clone();
+                let mut row = lrow.to_vec();
                 row.extend(right_extra.iter().map(|&ri| rrow[ri]));
-                out.push(row);
+                out.push(&row);
             }
         }
     }
@@ -367,8 +367,11 @@ pub fn project(input: &SolutionSet, vars: &[&str]) -> SolutionSet {
         .map(|v| input.var_index(v).unwrap_or_else(|| panic!("unknown variable ?{v}")))
         .collect();
     let mut out = SolutionSet::empty(vars.iter().map(|s| s.to_string()).collect());
+    let mut buf = Vec::with_capacity(idx.len());
     for row in input.rows() {
-        out.push(idx.iter().map(|&i| row[i]).collect());
+        buf.clear();
+        buf.extend(idx.iter().map(|&i| row[i]));
+        out.push(&buf);
     }
     out
 }
@@ -378,8 +381,8 @@ pub fn distinct(input: &SolutionSet) -> SolutionSet {
     let mut seen: HashSet<&[TermId]> = HashSet::with_capacity(input.len());
     let mut out = SolutionSet::empty(input.vars().to_vec());
     for row in input.rows() {
-        if seen.insert(row.as_slice()) {
-            out.push(row.clone());
+        if seen.insert(row) {
+            out.push(row);
         }
     }
     out
@@ -404,7 +407,7 @@ mod tests {
         let triples = vec![t(1, 9, 11), t(2, 9, 12)];
         let sols = scan_to_solutions(&pat, Some("s"), None, Some("o"), &triples);
         assert_eq!(sols.vars(), &["s".to_string(), "o".to_string()]);
-        assert_eq!(sols.rows(), &[vec![id(1), id(11)], vec![id(2), id(12)]]);
+        assert_eq!(sols.rows().to_vec(), [vec![id(1), id(11)], vec![id(2), id(12)]]);
     }
 
     #[test]
@@ -433,8 +436,8 @@ mod tests {
         let joined = hash_join(&left, &right);
         assert_eq!(joined.vars(), &["p".to_string(), "seq".to_string(), "c".to_string()]);
         assert_eq!(joined.len(), 3, "p=1 matches twice, p=3 once, p=2/9 drop");
-        assert!(joined.rows().contains(&vec![id(1), id(21), id(32)]));
-        assert!(joined.rows().contains(&vec![id(3), id(23), id(33)]));
+        assert!(joined.rows().iter().any(|r| r == [id(1), id(21), id(32)]));
+        assert!(joined.rows().iter().any(|r| r == [id(3), id(23), id(33)]));
     }
 
     #[test]
@@ -543,7 +546,7 @@ mod tests {
             vec![vec![id(2)], vec![id(3)]],
         ));
         let merged = merge_batches(vec![a, b]);
-        assert_eq!(merged.to_set().rows(), &[vec![id(1)], vec![id(2)], vec![id(3)]]);
+        assert_eq!(merged.to_set().rows().to_vec(), [vec![id(1)], vec![id(2)], vec![id(3)]]);
     }
 
     #[test]

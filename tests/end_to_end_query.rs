@@ -221,3 +221,19 @@ fn error_paths_are_reported_not_panics() {
         "exec error: unknown UDF"
     );
 }
+
+#[test]
+fn fully_bound_bgp_counts_zero_variable_rows() {
+    let mut inst = library();
+    // Every position bound: an existence test whose result has no columns
+    // and one row per match.
+    let hit = inst
+        .query("SELECT WHERE { <paper:0> <cites> <paper:1> . <paper:0> <reviewed> 1 . }")
+        .unwrap();
+    assert!(hit.solutions.vars().is_empty());
+    assert_eq!(hit.solutions.len(), 1);
+    assert_eq!(hit.solutions.rows().iter().map(<[_]>::len).collect::<Vec<_>>(), [0]);
+    let miss = inst.query("SELECT WHERE { <paper:0> <cites> <paper:2> . }").unwrap();
+    assert!(miss.solutions.vars().is_empty());
+    assert_eq!(miss.solutions.len(), 0);
+}

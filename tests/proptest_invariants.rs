@@ -162,27 +162,4 @@ proptest! {
         prop_assert_eq!(decoded.evaluations, result.evaluations);
         prop_assert_eq!(decoded.pose, result.pose);
     }
-
-    /// SolutionSet::split_even partitions without loss or reorder.
-    #[test]
-    fn split_even_partitions(
-        rows in proptest::collection::vec(0u64..1000, 0..200),
-        parts in 1usize..12,
-    ) {
-        let s = SolutionSet::new(
-            vec!["x".into()],
-            rows.iter().map(|&v| vec![TermId(v)]).collect(),
-        );
-        let chunks = s.split_even(parts);
-        prop_assert_eq!(chunks.len(), parts);
-        let reassembled: Vec<u64> = chunks
-            .iter()
-            .flat_map(|c| c.rows().iter().map(|r| r[0].0))
-            .collect();
-        prop_assert_eq!(reassembled, rows.clone());
-        // Sizes differ by at most one.
-        let sizes: Vec<usize> = chunks.iter().map(|c| c.len()).collect();
-        let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-        prop_assert!(max - min <= 1);
-    }
 }
