@@ -10,7 +10,7 @@ use ids_chem::sequence::ProteinSequence;
 use ids_chem::smiles::parse_smiles;
 use ids_core::engine::{repartition_by_vars, shape_result};
 use ids_core::Datastore;
-use ids_graph::{ops, Dictionary, SolutionBatch, SolutionSet, Term, TermId};
+use ids_graph::{ops, Dictionary, SolutionBatch, Term, TermId};
 use ids_models::{DockingEngine, DtbaModel, MoleculeGenerator, SmithWaterman, StructurePredictor};
 use ids_simrt::rng::SplitMix64;
 use ids_simrt::{NetworkModel, RankId, Topology};
@@ -90,23 +90,6 @@ fn bench_dictionary(c: &mut Criterion) {
             black_box(n)
         })
     });
-}
-
-fn bench_hash_join(c: &mut Criterion) {
-    let left = SolutionSet::new(
-        vec!["k".into(), "l".into()],
-        (0..10_000u64).map(|i| vec![TermId(i % 1000), TermId(i)]).collect(),
-    );
-    let right = SolutionSet::new(
-        vec!["k".into(), "r".into()],
-        (0..1000u64).map(|i| vec![TermId(i), TermId(i + 50_000)]).collect(),
-    );
-    let mut g = c.benchmark_group("join");
-    g.throughput(Throughput::Elements(10_000));
-    g.bench_function("hash_join_10k_x_1k", |bench| {
-        bench.iter(|| black_box(ops::hash_join(black_box(&left), black_box(&right))))
-    });
-    g.finish();
 }
 
 /// `rows` rows of (`k`, `v`): `k` cycles through `keys` values in a
@@ -228,7 +211,6 @@ criterion_group!(
     bench_dtba,
     bench_docking_score,
     bench_dictionary,
-    bench_hash_join,
     bench_bgp_kernels,
     bench_vector_search,
     bench_cache,

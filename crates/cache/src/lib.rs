@@ -33,6 +33,9 @@
 //!   format the service layer uses to share per-rank plan checkpoints
 //!   between clients (semantic result reuse).
 
+// Typed errors, never panics, outside tests (DESIGN.md §5i).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod admit;
 pub mod backing;
 pub mod error;

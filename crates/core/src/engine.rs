@@ -115,35 +115,21 @@ pub struct ExecOptions {
     /// reported as [`ErrorAnnotation`]s on the outcome instead of failing
     /// the whole query. Default `false` (fail fast).
     pub degrade: bool,
-    /// Columnar batch execution (default `true`): joins and FILTER/APPLY
-    /// stages process solutions in batches of [`Self::batch_rows`],
-    /// charging one [`Self::batch_dispatch_secs`] per batch and an
-    /// amortized per-row overhead instead of the row engine's full per-row
-    /// dispatch cost. Data semantics are identical in both modes — only
-    /// the virtual-time cost model differs — so results are byte-identical
-    /// (`false` is the ablation baseline).
-    pub columnar: bool,
-    /// Rows per batch in columnar mode.
+    /// Rows per batch: joins and FILTER/APPLY stages charge one
+    /// [`Self::batch_dispatch_secs`] per batch of this many rows.
     pub batch_rows: usize,
     /// Virtual cost of dispatching one batch through an operator
     /// (registry/expression setup paid once per batch, not per row).
     pub batch_dispatch_secs: f64,
-    /// How much of [`Self::eval_secs_per_row`] batching amortizes away:
-    /// per-row eval overhead in columnar mode is `eval_secs_per_row /
-    /// columnar_eval_amortization`. UDF virtual costs are never amortized
-    /// — the model's work is the same either way.
-    pub columnar_eval_amortization: f64,
-    /// Same for [`Self::join_secs_per_row`] in batched joins.
-    pub columnar_join_amortization: f64,
     /// Pipelined streaming exchange (default `false` = BSP). When on,
     /// stage boundaries stop barriering: scans, joins, and FILTER/APPLY
     /// stages leave per-rank clocks skewed, and the join exchange streams
     /// repartitioned batches through per-(src,dst) channels costed by
     /// `Cluster::streamed_exchange_cost` — a receiver starts when its
     /// *first* inbound batch lands and finishes no earlier than its last,
-    /// instead of the whole world syncing to the slowest rank. Like
-    /// [`Self::columnar`] this selects only a virtual-time cost model; the
-    /// data plane is identical, so results are byte-identical across modes.
+    /// instead of the whole world syncing to the slowest rank. This
+    /// selects only a virtual-time cost model; the data plane is
+    /// identical, so results are byte-identical across modes.
     pub pipelined: bool,
     /// Target wire bytes per streamed exchange batch (pipelined mode).
     pub exchange_batch_bytes: u64,
@@ -206,11 +192,8 @@ impl Default for ExecOptions {
             row_retries: 2,
             retry_backoff_secs: 1.0e-3,
             degrade: false,
-            columnar: true,
             batch_rows: 1024,
             batch_dispatch_secs: 5.0e-7,
-            columnar_eval_amortization: 8.0,
-            columnar_join_amortization: 4.0,
             pipelined: false,
             exchange_batch_bytes: 256 << 10,
             exchange_channel_capacity: 8,
@@ -1445,20 +1428,29 @@ impl PlanRun {
         ranks: usize,
     ) -> Result<(), ExecError> {
         if let Some(pat) = self.plan.patterns.get(i) {
+            let schema = gops::scan_schema(
+                &pat.pattern,
+                pat.var_s.as_deref(),
+                pat.var_p.as_deref(),
+                pat.var_o.as_deref(),
+            );
             if pat.impossible {
-                let vars: Vec<String> = pat.variables().iter().map(|s| s.to_string()).collect();
-                self.sets = Some(vec![SolutionBatch::empty(vars); ranks]);
+                // Nothing matches: no rows on any rank, under the schema
+                // joining the pattern would have produced.
+                let none = gops::scan_with(&schema, &[]);
+                let none = match self.sets.as_ref().and_then(|sets| sets.first()) {
+                    Some(acc) => gops::hash_join_batch(
+                        &SolutionBatch::with_schema(acc.schema().clone()),
+                        &none,
+                    ),
+                    None => none,
+                };
+                self.sets = Some(vec![none; ranks]);
             } else {
                 // Scan phase: each rank's index range binds straight into
                 // a columnar batch of the pattern's one schema, under one
                 // read lock for the whole phase.
                 let opts = self.opts;
-                let schema = gops::scan_schema(
-                    &pat.pattern,
-                    pat.var_s.as_deref(),
-                    pat.var_p.as_deref(),
-                    pat.var_o.as_deref(),
-                );
                 let scan_start = cluster.elapsed();
                 // The scan is the producing window of the join exchange
                 // below: in pipelined mode batches stream out as each
@@ -2003,17 +1995,21 @@ fn compare_keys(a: &OrderKey, b: &OrderKey) -> std::cmp::Ordering {
     a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then_with(|| a.2.cmp(&b.2))
 }
 
-/// Per-batch dispatch accounting for one operator in columnar mode:
+/// How much of [`ExecOptions::join_secs_per_row`] batching amortizes away:
+/// a batched join charges `join_secs_per_row / JOIN_AMORTIZATION` per row.
+const JOIN_AMORTIZATION: f64 = 4.0;
+
+/// How much of [`ExecOptions::eval_secs_per_row`] batching amortizes away:
+/// a FILTER/APPLY row costs `eval_secs_per_row / EVAL_AMORTIZATION` outside
+/// its UDFs. UDF virtual costs are never amortized — the model's work is
+/// the same however rows are dispatched.
+const EVAL_AMORTIZATION: f64 = 8.0;
+
+/// Per-batch dispatch accounting for one rank's join over `rows` rows:
 /// charges `⌈rows / batch_rows⌉` dispatches plus the amortized per-row
 /// cost, and feeds the `ids_engine_batches_total` / `ids_engine_batch_rows`
 /// observability series. Returns the virtual seconds to charge.
-fn columnar_cost(
-    rows: usize,
-    secs_per_row: f64,
-    amortization: f64,
-    opts: &ExecOptions,
-    meter: &BatchMeter,
-) -> f64 {
+fn join_cost(rows: usize, opts: &ExecOptions, meter: &BatchMeter) -> f64 {
     let batch_rows = opts.batch_rows.max(1);
     let batches = rows.div_ceil(batch_rows).max(1);
     meter.batches.add(batches as u64);
@@ -2023,7 +2019,8 @@ fn columnar_cost(
         meter.rows.observe(this as f64);
         remaining -= this;
     }
-    batches as f64 * opts.batch_dispatch_secs + rows as f64 * secs_per_row / amortization.max(1.0)
+    batches as f64 * opts.batch_dispatch_secs
+        + rows as f64 * opts.join_secs_per_row / JOIN_AMORTIZATION
 }
 
 /// Batch observability series for one operator, pre-resolved so worker
@@ -2188,26 +2185,13 @@ fn distributed_join(
         None
     };
 
-    // Rank-local joins. The data plane is identical in both modes (the
-    // same batch hash-join); `opts.columnar` only selects the cost model —
-    // per-batch dispatch with an amortized per-row probe versus the legacy
-    // per-row charge.
+    // Rank-local joins: per-batch dispatch with an amortized per-row probe.
     let meter = BatchMeter::new(metrics, "join");
     let joined: Vec<SolutionBatch> = cluster.execute("join", |ctx| {
         let r = ctx.rank().index();
         let out = gops::hash_join_with(&schema, &left[r], &right[r]);
         let rows = left[r].len() + right[r].len() + out.len();
-        if opts.columnar {
-            ctx.charge(columnar_cost(
-                rows,
-                opts.join_secs_per_row,
-                opts.columnar_join_amortization,
-                opts,
-                &meter,
-            ));
-        } else {
-            ctx.charge(rows as f64 * opts.join_secs_per_row);
-        }
+        ctx.charge(join_cost(rows, opts, &meter));
         out
     });
     match exchange {
@@ -2455,11 +2439,10 @@ fn apply_rebalance_plan(
 /// Estimate each rank's throughput (solutions/second) through `expr` from
 /// its own profiling data — the per-rank estimates §2.4.2 exchanges.
 ///
-/// Deliberately **mode-independent**: it uses the nominal
-/// `eval_secs_per_row` in both row and columnar execution, so rebalance
-/// targets — and therefore row placement and output order — are identical
-/// whichever cost model is active. This is what keeps columnar results
-/// byte-for-byte equal to the row engine's.
+/// It prices a row at the nominal `eval_secs_per_row`, not at the
+/// batch-amortized charge the stage actually pays: the rebalance targets,
+/// and every row placement and virtual time downstream of them, are
+/// calibrated against the nominal rate.
 fn estimate_rates(expr: &Expr, profilers: &[UdfProfiler], opts: &ExecOptions) -> Vec<f64> {
     profilers
         .iter()
@@ -2735,15 +2718,11 @@ fn note_prepares(metrics: &MetricsRegistry, memo: StageMemo) {
     }
 }
 
-/// The virtual cost of evaluating one row outside its UDFs. Columnar mode
-/// amortizes it (registry lookups, dispatch) across a batch; the UDF's own
-/// charged time is real work and is never amortized.
+/// The virtual cost of evaluating one row outside its UDFs, amortized
+/// (registry lookups, dispatch) across a batch; the UDF's own charged time
+/// is real work and is never amortized.
 fn eval_overhead_secs(opts: &ExecOptions) -> f64 {
-    if opts.columnar {
-        opts.eval_secs_per_row / opts.columnar_eval_amortization.max(1.0)
-    } else {
-        opts.eval_secs_per_row
-    }
+    opts.eval_secs_per_row / EVAL_AMORTIZATION
 }
 
 /// Run a FILTER stage: re-balance, per-rank reorder, evaluate, retain.
@@ -2822,9 +2801,9 @@ fn run_filter_stage(
         let mut rowbuf: Vec<TermId> = Vec::new();
         let n_rows = input.len();
         for i in 0..n_rows {
-            // Batch boundary: in columnar mode the engine dispatches the
-            // filter once per batch of rows, not once per row.
-            if opts.columnar && i % opts.batch_rows.max(1) == 0 {
+            // Batch boundary: the engine dispatches the filter once per
+            // batch of rows, not once per row.
+            if i % opts.batch_rows.max(1) == 0 {
                 let this_batch = (n_rows - i).min(opts.batch_rows.max(1));
                 batch_meter.batches.inc();
                 batch_meter.rows.observe(this_batch as f64);
@@ -2993,7 +2972,7 @@ fn run_apply_stage(
         let mut rowbuf: Vec<TermId> = Vec::new();
         let n_rows = input.len();
         for i in 0..n_rows {
-            if opts.columnar && i % opts.batch_rows.max(1) == 0 {
+            if i % opts.batch_rows.max(1) == 0 {
                 let this_batch = (n_rows - i).min(opts.batch_rows.max(1));
                 batch_meter.batches.inc();
                 batch_meter.rows.observe(this_batch as f64);
@@ -3242,6 +3221,46 @@ mod tests {
         }
     }
 
+    /// A merged batch over `vars` whose rows hold the given integers, as
+    /// terms of `ds`.
+    fn int_batch(ds: &Datastore, vars: &[&str], rows: &[&[i64]]) -> SolutionBatch {
+        let mut b = SolutionBatch::empty(vars.iter().map(|v| v.to_string()).collect());
+        for row in rows {
+            b.push_row(&row.iter().map(|&v| ds.encode(&Term::Int(v))).collect::<Vec<_>>());
+        }
+        b
+    }
+
+    #[test]
+    fn gather_select_reorders_and_drops_columns() {
+        let ds = Datastore::new(1);
+        let merged = int_batch(&ds, &["a", "b", "c"], &[&[1, 2, 3]]);
+        let select = ["c".to_string(), "a".to_string()];
+        let out = shape_result(&merged, None, &select, false, None, &ds).unwrap();
+        assert_eq!(out.vars(), select);
+        assert_eq!(out.rows().to_vec(), [[3, 1].map(|v| ds.encode(&Term::Int(v)))]);
+    }
+
+    #[test]
+    fn gather_select_of_an_unknown_variable_is_a_query_error() {
+        let ds = Datastore::new(1);
+        let merged = int_batch(&ds, &["a"], &[]);
+        let err = shape_result(&merged, None, &["zzz".to_string()], false, None, &ds).unwrap_err();
+        assert!(err.to_string().contains("projected variable ?zzz is never bound"), "{err}");
+    }
+
+    #[test]
+    fn gather_distinct_keeps_first_occurrences_in_order() {
+        // ORDER BY k DESC lines x up as 2, 1, 2, 3, 1; DISTINCT keeps the
+        // first of each.
+        let ds = Datastore::new(1);
+        let rows: [&[i64]; 5] = [&[1, 1], &[2, 3], &[3, 2], &[4, 1], &[5, 2]];
+        let merged = int_batch(&ds, &["k", "x"], &rows);
+        let order = ("k".to_string(), true);
+        let out = shape_result(&merged, Some(&order), &["x".to_string()], true, None, &ds).unwrap();
+        assert_eq!(out.rows().to_vec(), [2, 1, 3].map(|v| [ds.encode(&Term::Int(v))]));
+    }
+
     /// The column-at-a-time repartition and gather against the
     /// row-at-a-time code they replaced, kept here verbatim as oracles.
     /// Sizes grow in release builds (`ci.sh` runs
@@ -3337,28 +3356,19 @@ mod tests {
             limit: Option<usize>,
             ds: &Datastore,
         ) -> Result<SolutionSet, ExecError> {
-            let mut gathered = merged.to_set();
-            let canon: Vec<String> = {
-                let mut c = gathered.vars().to_vec();
-                c.sort_unstable();
-                c
-            };
-            if gathered.vars() != canon.as_slice() {
-                let cols: Vec<&str> = canon.iter().map(String::as_str).collect();
-                gathered = gops::project(&gathered, &cols);
-            }
-            {
-                let vars = gathered.vars().to_vec();
-                let mut rows = gathered.rows().to_vec();
-                rows.sort_unstable();
-                gathered = SolutionSet::new(vars, rows);
-            }
+            let set = merged.to_set();
+            // Canonical column order: every row rebuilt over sorted names.
+            let mut vars = set.vars().to_vec();
+            vars.sort_unstable();
+            let canon: Vec<usize> = vars.iter().map(|v| set.var_index(v).unwrap()).collect();
+            let mut rows: Vec<Vec<TermId>> =
+                set.rows().iter().map(|r| canon.iter().map(|&c| r[c]).collect()).collect();
+            rows.sort_unstable();
             if let Some((var, descending)) = order_by {
-                let idx = gathered.var_index(var).ok_or_else(|| {
+                let idx = vars.iter().position(|v| v == var).ok_or_else(|| {
                     ExecError::msg(format!("ORDER BY variable ?{var} is never bound"))
                 })?;
                 let dict = ds.dictionary();
-                let mut rows = gathered.rows().to_vec();
                 rows.sort_by(|a, b| {
                     let ta = dict.decode(a[idx]);
                     let tb = dict.decode(b[idx]);
@@ -3369,30 +3379,26 @@ mod tests {
                         ord
                     }
                 });
-                let vars = gathered.vars().to_vec();
-                gathered = SolutionSet::new(vars, rows);
             }
             if !select.is_empty() {
-                let cols: Vec<&str> = select.iter().map(String::as_str).collect();
-                for c in &cols {
-                    if gathered.var_index(c).is_none() {
-                        return Err(ExecError::msg(format!(
-                            "projected variable ?{c} is never bound"
-                        )));
-                    }
-                }
-                gathered = gops::project(&gathered, &cols);
+                let cols = select
+                    .iter()
+                    .map(|c| {
+                        vars.iter().position(|v| v == c).ok_or_else(|| {
+                            ExecError::msg(format!("projected variable ?{c} is never bound"))
+                        })
+                    })
+                    .collect::<Result<Vec<usize>, _>>()?;
+                rows = rows.iter().map(|r| cols.iter().map(|&c| r[c]).collect()).collect();
+                vars = select.to_vec();
             }
             if distinct {
-                gathered = gops::distinct(&gathered);
+                // First occurrence wins.
+                let mut seen = HashSet::new();
+                rows.retain(|r| seen.insert(r.clone()));
             }
-            if let Some(limit) = limit {
-                let vars = gathered.vars().to_vec();
-                let rows: Vec<Vec<TermId>> =
-                    gathered.rows().iter().take(limit).map(<[TermId]>::to_vec).collect();
-                gathered = SolutionSet::new(vars, rows);
-            }
-            Ok(gathered)
+            rows.truncate(limit.unwrap_or(usize::MAX));
+            Ok(SolutionSet::new(vars, rows))
         }
 
         /// One batch per source rank over `vars`, some empty. Ids come from

@@ -275,8 +275,8 @@ fn render_adaptive_block(out: &mut String, snapshot: &MetricsSnapshot) {
 }
 
 /// Append the columnar execution block when any batch counter has fired:
-/// batches dispatched per operator and the mean/max batch occupancy. Row
-/// -mode runs (and instances that executed nothing) render nothing here.
+/// batches dispatched per operator and the mean/max batch occupancy. An
+/// instance that has run no join or FILTER/APPLY stage renders nothing.
 fn render_columnar_block(out: &mut String, snapshot: &MetricsSnapshot) {
     let total_batches = snapshot.counter_sum("ids_engine_batches_total");
     if total_batches == 0 {
@@ -780,7 +780,7 @@ mod tests {
         let reg = ids_obs::MetricsRegistry::new();
         let mut out = String::new();
         render_columnar_block(&mut out, &reg.snapshot());
-        assert!(out.is_empty(), "row-mode run adds no columnar block");
+        assert!(out.is_empty(), "no batch dispatched, no columnar block");
 
         reg.counter_with("ids_engine_batches_total", "op", "filter").add(3);
         reg.counter_with("ids_engine_batches_total", "op", "join").add(2);

@@ -29,6 +29,9 @@
 //!   model-invocation helpers (docking results stashed in the global
 //!   cache, §4).
 
+// Typed errors, never panics, outside tests (DESIGN.md §5i).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod binding;
 pub mod cost;
 pub mod datastore;

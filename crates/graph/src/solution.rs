@@ -26,22 +26,13 @@ pub struct SolutionSet {
 }
 
 impl SolutionSet {
-    /// An empty set with the given schema.
-    pub fn empty(vars: Vec<String>) -> Self {
-        Self { vars, cells: Vec::new(), rows: 0 }
-    }
-
     /// Build from a schema and rows.
     ///
     /// # Panics
     /// Panics if any row's width differs from the schema.
     pub fn new(vars: Vec<String>, rows: Vec<Vec<TermId>>) -> Self {
-        let mut out = Self::empty(vars);
-        out.cells.reserve(rows.len() * out.vars.len());
-        for r in &rows {
-            out.push(r);
-        }
-        out
+        assert!(rows.iter().all(|r| r.len() == vars.len()), "row width must match schema");
+        Self::from_cells(vars, rows.concat(), rows.len())
     }
 
     /// Build from a schema and `rows` rows stored row-major in `cells`.
@@ -76,32 +67,6 @@ impl SolutionSet {
     /// Index of a variable in the schema.
     pub fn var_index(&self, var: &str) -> Option<usize> {
         self.vars.iter().position(|v| v == var)
-    }
-
-    /// The column of values bound to `var`.
-    pub fn column(&self, var: &str) -> Option<Vec<TermId>> {
-        let i = self.var_index(var)?;
-        Some(self.rows().iter().map(|r| r[i]).collect())
-    }
-
-    /// Append a row.
-    ///
-    /// # Panics
-    /// Panics on width mismatch.
-    pub fn push(&mut self, row: &[TermId]) {
-        assert_eq!(row.len(), self.vars.len(), "row width must match schema");
-        self.cells.extend_from_slice(row);
-        self.rows += 1;
-    }
-
-    /// Append all rows of `other` (schemas must match exactly).
-    ///
-    /// # Panics
-    /// Panics if schemas differ.
-    pub fn append(&mut self, other: SolutionSet) {
-        assert_eq!(self.vars, other.vars, "merge requires identical schemas");
-        self.cells.extend(other.cells);
-        self.rows += other.rows;
     }
 
     /// Exact serialized size in bytes under the columnar wire layout used
@@ -238,7 +203,6 @@ mod tests {
         assert_eq!(s.len(), 10);
         assert_eq!(s.var_index("compound"), Some(1));
         assert_eq!(s.var_index("missing"), None);
-        assert_eq!(s.column("protein").unwrap()[3], id(3));
     }
 
     #[test]
@@ -272,29 +236,24 @@ mod tests {
 
     #[test]
     fn zero_width_rows_are_counted() {
-        let mut s = SolutionSet::new(vec![], vec![vec![]; 4]);
+        let s = SolutionSet::new(vec![], vec![vec![]; 4]);
         assert_eq!((s.len(), s.rows().len()), (4, 4));
         assert!(!s.is_empty());
         assert_eq!(s.rows().iter().count(), 4);
         assert!(s.rows().iter().all(<[TermId]>::is_empty));
         assert_eq!(&s.rows()[3], &[] as &[TermId]);
-        s.push(&[]);
-        s.append(SolutionSet::from_cells(vec![], vec![], 2));
-        assert_eq!(s.len(), 7);
-        assert_eq!(s, SolutionSet::from_cells(vec![], vec![], 7));
-        assert_ne!(s, SolutionSet::from_cells(vec![], vec![], 6));
+        assert_eq!(s, SolutionSet::from_cells(vec![], vec![], 4));
+        assert_ne!(s, SolutionSet::from_cells(vec![], vec![], 3));
         // Header only: 2 (nvars) + 8 (nrows).
         assert_eq!(s.byte_size(), 10);
     }
 
     #[test]
     fn zero_rows() {
-        let s = SolutionSet::empty(vec!["x".into(), "y".into()]);
+        let s = SolutionSet::new(vec!["x".into(), "y".into()], vec![]);
         assert!(s.is_empty() && s.rows().is_empty());
         assert_eq!(s.rows().iter().next(), None);
         assert_eq!(s.rows().get(0), None);
-        assert_eq!(s.column("y"), Some(vec![]));
-        assert_eq!(s, SolutionSet::new(vec!["x".into(), "y".into()], vec![]));
         assert_eq!(s, SolutionSet::from_cells(vec!["x".into(), "y".into()], vec![], 0));
     }
 
@@ -311,9 +270,8 @@ mod tests {
         let mut changed = s.rows().to_vec();
         changed[7][1] = id(0);
         assert_ne!(s, SolutionSet::new(s.vars().to_vec(), changed));
-        let mut longer = demo();
-        longer.push(&[id(0), id(100)]);
-        assert_ne!(s, longer);
+        let longer = [s.rows().to_vec(), vec![vec![id(0), id(100)]]].concat();
+        assert_ne!(s, SolutionSet::new(s.vars().to_vec(), longer));
     }
 
     #[test]
@@ -329,36 +287,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "row width")]
-    fn mismatched_row_rejected() {
-        let mut s = demo();
-        s.push(&[id(1)]);
-    }
-
-    #[test]
-    fn append_requires_same_schema() {
-        let mut a = demo();
-        let b = demo();
-        a.append(b);
-        assert_eq!(a.len(), 20);
-        assert_eq!(a.rows()[15], [id(5), id(105)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "identical schemas")]
-    fn append_rejects_schema_mismatch() {
-        let mut a = demo();
-        a.append(SolutionSet::empty(vec!["x".into()]));
-    }
-
-    #[test]
     fn byte_size_is_exact_columnar_wire_size() {
         // Header: 2 (nvars) + 8 (nrows) + (2+7) "protein" + (2+8) "compound"
         // + 2 tag bytes = 31; both columns hold ids < 2^32 → 4 bytes/cell.
         assert_eq!(demo().byte_size(), 31 + 10 * 2 * 4);
         // A wide id promotes only its own column to 8-byte cells.
-        let mut s = demo();
-        s.push(&[id(u64::from(u32::MAX) + 1), id(5)]);
+        let wide = [demo().rows().to_vec(), vec![vec![id(u64::from(u32::MAX) + 1), id(5)]]];
+        let s = SolutionSet::new(demo().vars().to_vec(), wide.concat());
         assert_eq!(s.byte_size(), 31 + 11 * 8 + 11 * 4);
     }
 }

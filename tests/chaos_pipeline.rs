@@ -1,7 +1,7 @@
 //! Pipelined/BSP parity under chaos: the `pipelined` execution option
 //! replaces whole-stage barriers with streamed, bounded exchange
-//! channels — but like `columnar` it selects a virtual-time *cost
-//! model*, never a data plane. The streamed repartition drains sources
+//! channels — but it selects a virtual-time *cost model*, never a data
+//! plane. The streamed repartition drains sources
 //! in rank order and channels in FIFO order, so whatever
 //! straggler/crash schedule the chaos matrix throws at the cluster,
 //! the pipelined engine returns **byte-identical** `QueryOutcome` rows
@@ -11,7 +11,7 @@
 //! ids). Under faults the two modes accrue different virtual times —
 //! that is the point of the pipeline — so fault windows can intersect
 //! stages differently; rows are compared as sorted decoded multisets,
-//! the same tolerance `chaos_columnar.rs` grants dilated clocks.
+//! the same tolerance `chaos_faults.rs` grants dilated clocks.
 
 use ids::cache::{BackingStore, CacheConfig, CacheManager};
 use ids::core::workflow::{
@@ -33,7 +33,7 @@ fn chaos_seeds() -> Vec<u64> {
 /// Stragglers and crashes only: the two fault classes the streamed
 /// exchange interacts with directly (per-channel delays instead of
 /// whole-stage barriers). Transient/link/storage faults are covered by
-/// `chaos_columnar.rs` and `chaos_faults.rs`.
+/// `chaos_faults.rs` and `engine_vs_oracle.rs`.
 fn pipeline_chaos() -> FaultConfig {
     use ids::simrt::faults::{CrashConfig, StragglerConfig};
     FaultConfig {
@@ -68,8 +68,8 @@ fn small_config() -> NcnprConfig {
 }
 
 /// Launch one instance with the full NCNPR workflow installed and the
-/// exchange mode pinned; identical to the `chaos_columnar.rs` harness
-/// except the switch is `pipelined` instead of `columnar`.
+/// exchange mode pinned; the `chaos_faults.rs` harness plus the
+/// `pipelined` switch.
 fn launch(topo: Topology, faults: Option<(u64, FaultConfig)>, pipelined: bool) -> IdsInstance {
     let cache = Arc::new(CacheManager::new(
         topo,

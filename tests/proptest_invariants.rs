@@ -5,7 +5,7 @@ use ids::cache::{BackingStore, CacheConfig, CacheManager};
 use ids::chem::sequence::ProteinSequence;
 use ids::chem::smiles::{parse_smiles, write_smiles};
 use ids::core::workflow::{decode_docking_result, encode_docking_result};
-use ids::graph::{ops, Dictionary, SolutionSet, Term, TermId};
+use ids::graph::{ops, Dictionary, SolutionBatch, Term, TermId};
 use ids::models::{DockingEngine, MoleculeGenerator, SmithWaterman};
 use ids::simrt::{NetworkModel, RankId, Topology};
 use ids::udf::{plan_count_based, plan_throughput_based};
@@ -75,21 +75,22 @@ proptest! {
         }
     }
 
-    /// Join/merge invariants: row counts and schema composition.
+    /// Join invariants: row counts and schema composition.
     #[test]
     fn join_row_bounds(
         left_keys in proptest::collection::vec(0u64..20, 0..60),
         right_keys in proptest::collection::vec(0u64..20, 0..60),
     ) {
-        let left = SolutionSet::new(
-            vec!["k".into(), "l".into()],
-            left_keys.iter().map(|&k| vec![TermId(k), TermId(100 + k)]).collect(),
-        );
-        let right = SolutionSet::new(
-            vec!["k".into(), "r".into()],
-            right_keys.iter().map(|&k| vec![TermId(k), TermId(200 + k)]).collect(),
-        );
-        let joined = ops::hash_join(&left, &right);
+        let batch = |vars: [&str; 2], keys: &[u64], offset: u64| {
+            let mut b = SolutionBatch::empty(vars.map(String::from).to_vec());
+            for &k in keys {
+                b.push_row(&[TermId(k), TermId(offset + k)]);
+            }
+            b
+        };
+        let left = batch(["k", "l"], &left_keys, 100);
+        let right = batch(["k", "r"], &right_keys, 200);
+        let joined = ops::hash_join_batch(&left, &right);
         // |join| = sum over keys of count_l(k) * count_r(k).
         let mut expect = 0usize;
         for k in 0..20u64 {
@@ -99,8 +100,6 @@ proptest! {
         }
         prop_assert_eq!(joined.len(), expect);
         prop_assert_eq!(joined.vars(), &["k".to_string(), "l".to_string(), "r".to_string()]);
-        // Distinct never grows.
-        prop_assert!(ops::distinct(&joined).len() <= joined.len());
     }
 
     /// Re-balancing plans always conserve the solution total and respect
