@@ -73,9 +73,12 @@ echo "==> BGP-kernel exactness at full size (ids-graph + ids-core, release)"
 # result gather against the row-at-a-time loops they replaced (rows,
 # order, column widths, streamed byte matrix): the same properties tier-1
 # runs unoptimised at a few hundred rows, here at thousands of rows and
-# hundreds of ranks.
+# hundreds of ranks. Then the rank-segmented stage layout against the
+# per-rank batch path it replaced (scan, exchange, join, FILTER/APPLY
+# gathers, rebalance, result gather) at 1, 3, 16 and 2 048 ranks.
 cargo test -p ids-graph --release -- kernels
 cargo test -p ids-core --release -- kernels
+cargo test -p ids-core --release -- stage_layout
 
 echo "==> shard pool x50 and streamed wire bytes at full size (ids-simrt + ids-graph, release)"
 # The span-stealing pool's order, skew and panic tests race real threads,

@@ -10,7 +10,7 @@ use ids_chem::sequence::ProteinSequence;
 use ids_chem::smiles::parse_smiles;
 use ids_core::engine::{repartition_by_vars, shape_result};
 use ids_core::Datastore;
-use ids_graph::{ops, Dictionary, SolutionBatch, Term, TermId};
+use ids_graph::{ops, Dictionary, SolutionBatch, StageBatch, Term, TermId};
 use ids_models::{DockingEngine, DtbaModel, MoleculeGenerator, SmithWaterman, StructurePredictor};
 use ids_simrt::rng::SplitMix64;
 use ids_simrt::{NetworkModel, RankId, Topology};
@@ -122,13 +122,10 @@ fn bench_bgp_kernels(c: &mut Criterion) {
         let sets: Vec<SolutionBatch> = (0..ranks as u64)
             .map(|r| keyed_batch(["k", "v"], per_rank, 2_200, r * per_rank))
             .collect();
+        let stage = StageBatch::from_batches(&sets).expect("one schema, fully bound");
         g.throughput(Throughput::Elements(ranks as u64 * per_rank));
         g.bench_function(name, |bench| {
-            bench.iter_batched(
-                || sets.clone(),
-                |sets| black_box(repartition_by_vars(sets, &keys, ranks)),
-                BatchSize::LargeInput,
-            )
+            bench.iter(|| black_box(repartition_by_vars(black_box(&stage), &keys)))
         });
     }
 
@@ -145,7 +142,9 @@ fn bench_bgp_kernels(c: &mut Criterion) {
     let select = ["compound", "smiles", "protein", "seq"].map(String::from);
     g.throughput(Throughput::Elements(50_000));
     g.bench_function("gather_sort_50k", |bench| {
-        bench.iter(|| black_box(shape_result(black_box(&merged), None, &select, false, None, &ds)))
+        bench.iter(|| {
+            black_box(shape_result(black_box(merged.view()), None, &select, false, None, &ds))
+        })
     });
     g.finish();
 }

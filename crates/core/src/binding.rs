@@ -6,26 +6,45 @@
 //! stay opaque (`UdfValue::Id`) so UDFs that only route entities don't pay
 //! for string materialization.
 
+use ids_graph::batch::BatchView;
 use ids_graph::{Dictionary, Term, TermId};
 use ids_udf::{Bindings, UdfValue};
 
 /// Bindings view over one solution row.
 pub struct RowBindings<'a> {
     vars: &'a [String],
-    row: &'a [TermId],
+    row: Row<'a>,
     dict: &'a Dictionary,
+}
+
+/// Where a [`RowBindings`] reads its ids: a row of its own, or a row of a
+/// batch or stage segment, read in place.
+enum Row<'a> {
+    Ids(&'a [TermId]),
+    At(BatchView<'a>, usize),
 }
 
 impl<'a> RowBindings<'a> {
     /// Wrap a row with its schema and dictionary.
     pub fn new(vars: &'a [String], row: &'a [TermId], dict: &'a Dictionary) -> Self {
         debug_assert_eq!(vars.len(), row.len());
-        Self { vars, row, dict }
+        Self { vars, row: Row::Ids(row), dict }
+    }
+
+    /// Row `i` of `view`, read in place.
+    ///
+    /// # Panics
+    /// Panics (on lookup) if `i` is out of bounds.
+    pub fn at(view: BatchView<'a>, i: usize, dict: &'a Dictionary) -> Self {
+        Self { vars: view.vars(), row: Row::At(view, i), dict }
     }
 
     fn id(&self, var: &str) -> Option<TermId> {
         let idx = self.vars.iter().position(|v| v == var)?;
-        Some(self.row[idx])
+        Some(match self.row {
+            Row::Ids(row) => row[idx],
+            Row::At(view, i) => TermId(view.column(idx).get(i)),
+        })
     }
 }
 

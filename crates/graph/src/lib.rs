@@ -15,7 +15,10 @@
 //!   terminology), the boundary representation for results and tests.
 //! * [`batch`] — columnar solution batches (per-variable `u32`/`u64`
 //!   term-id columns + null bitmaps) with exact wire-size accounting; the
-//!   engine's hot-path representation.
+//!   per-rank boundary representation (checkpoints, public kernels).
+//! * [`stage`] — rank-segmented stage batches: one column buffer per
+//!   variable for a whole pipeline stage, segmented by rank, with each
+//!   rank's exact wire width; the engine's hot-path representation.
 //! * [`sketch`] — KMV (bottom-k) distinct-value sketches over term ids,
 //!   feeding the planner's join-key NDV statistics.
 //! * [`ops`] — shard-local relational operators: pattern scan, hash join,
@@ -29,6 +32,7 @@ pub mod ntriples;
 pub mod ops;
 pub mod sketch;
 pub mod solution;
+pub mod stage;
 pub mod store;
 pub mod term;
 pub mod text;
@@ -40,6 +44,7 @@ pub use dict::Dictionary;
 pub use ntriples::{parse_ntriples, write_ntriples};
 pub use sketch::KmvSketch;
 pub use solution::{RowIter, Rows, SolutionSet};
+pub use stage::StageBatch;
 pub use store::{PartitionedStore, ShardStats, TriplePattern};
 pub use term::{Term, TermId};
 pub use text::KeywordIndex;

@@ -398,6 +398,30 @@ impl Cluster {
         T: Send,
         F: Fn(&mut RankCtx) -> T + Sync,
     {
+        let (outs, _, spec) = self.execute_with_state(policy, fanout, |_| (), |_, ctx| f(ctx));
+        (outs, spec)
+    }
+
+    /// [`Self::execute_with_speculation`] with one piece of state per host
+    /// worker ([`pool::map_shards_with`]): worker `w` builds its state with
+    /// `init(w)` and passes it to every shard it runs, so a phase's shards
+    /// can reuse buffers or append their output to their worker's. Returns
+    /// the per-shard results in shard order and the states in worker
+    /// order; which worker ran which shard depends on the schedule, so a
+    /// shard that writes into its state says where in its result.
+    pub fn execute_with_state<S, T, I, F>(
+        &mut self,
+        policy: Option<&SpeculationPolicy>,
+        fanout: Fanout,
+        init: I,
+        f: F,
+    ) -> (Vec<T>, Vec<S>, SpeculationReport)
+    where
+        S: Send,
+        T: Send,
+        I: Fn(usize) -> S + Sync,
+        F: Fn(&mut S, &mut RankCtx) -> T + Sync,
+    {
         let phase_id = self.phase_counter;
         self.phase_counter += 1;
         let topo = self.topo;
@@ -406,14 +430,14 @@ impl Cluster {
         // this is exactly the per-rank snapshot of the classic BSP model.
         let starts: Vec<f64> = self.owners.iter().map(|&o| self.clocks[o as usize]).collect();
 
-        let results = pool::run_shards(starts.len(), fanout, |s| {
+        let (results, states) = pool::map_shards_with(starts.len(), fanout, init, |state, s| {
             let mut ctx = RankCtx {
                 rank: RankId(s as u32),
                 topo,
                 clock: VirtualClock::at(starts[s]),
                 rng: SplitMix64::new(seed, phase_id.wrapping_mul(0x1_0000_0001) ^ s as u64),
             };
-            let out = f(&mut ctx);
+            let out = f(state, &mut ctx);
             (ctx.clock.now(), out)
         });
 
@@ -436,7 +460,7 @@ impl Cluster {
             None => SpeculationReport::default(),
         };
         self.sync_faults();
-        (outs, spec)
+        (outs, states, spec)
     }
 
     /// Hedge straggling ranks' remaining phase work onto the least-loaded

@@ -154,16 +154,32 @@ fn claim(spans: &[Span], w: usize) -> Option<(usize, usize)> {
 /// shard id.
 type Runs<T> = Vec<(usize, Vec<T>)>;
 
-/// Run `job(s)` for every shard `s` in `0..shards` on up to
-/// `fanout.workers()` threads and return the results in shard order.
+/// Run `job(state, s)` for every shard `s` in `0..shards` on up to
+/// `fanout.workers()` threads and return the results in shard order,
+/// with one piece of state per worker: worker `w` builds its state with
+/// `init(w)` and passes it to every job it runs, so a job can reuse
+/// buffers (or accumulate output) across the shards its worker claims.
+/// The states come back in worker order; which worker ran which shard
+/// depends on the schedule, so a job that writes into its state records
+/// where (for instance its worker id and an offset) in its result.
+///
+/// For data-plane work that charges no virtual clock: a compute phase that
+/// does goes through [`crate::Cluster::execute_with_state`].
 ///
 /// # Panics
 /// Re-raises the panic of the lowest-numbered shard whose job panicked.
 /// Panics if `shards` does not fit in a `u32`.
-pub(crate) fn run_shards<T, F>(shards: usize, fanout: Fanout, job: F) -> Vec<T>
+pub fn map_shards_with<S, T, I, F>(
+    shards: usize,
+    fanout: Fanout,
+    init: I,
+    job: F,
+) -> (Vec<T>, Vec<S>)
 where
+    S: Send,
     T: Send,
-    F: Fn(usize) -> T + Sync,
+    I: Fn(usize) -> S + Sync,
+    F: Fn(&mut S, usize) -> T + Sync,
 {
     let Ok(all) = u32::try_from(shards) else { panic!("{shards} shards exceed the u32 span") };
     let workers = fanout.workers().min(shards).max(1);
@@ -175,12 +191,12 @@ where
     let lowest_panic = AtomicUsize::new(usize::MAX);
     let first_panic: Mutex<Option<(usize, Panic)>> = Mutex::new(None);
     // Claim and run worker `w`'s next shard; false once nothing is left.
-    let run_one = |w: usize, runs: &mut Runs<T>| {
+    let run_one = |w: usize, state: &mut S, runs: &mut Runs<T>| {
         let Some((s, end)) = claim(&spans, w) else { return false };
         if s >= lowest_panic.load(Relaxed) {
             return true;
         }
-        match panic::catch_unwind(AssertUnwindSafe(|| job(s))) {
+        match panic::catch_unwind(AssertUnwindSafe(|| job(state, s))) {
             Ok(out) => match runs.last_mut() {
                 Some((start, run)) if *start + run.len() == s => run.push(out),
                 _ => {
@@ -203,18 +219,20 @@ where
     };
     let patience = if workers > 1 { spawn_cost() } else { Duration::ZERO };
     let mut runs: Runs<T> = Vec::new();
+    let mut states = vec![init(0)];
     thread::scope(|scope| {
         let start = Instant::now();
         let mut helpers = Vec::new();
-        while run_one(0, &mut runs) {
+        while run_one(0, &mut states[0], &mut runs) {
             if helpers.len() + 1 < workers && start.elapsed() >= patience {
-                let run_one = &run_one;
+                let (run_one, init) = (&run_one, &init);
                 helpers = (1..workers)
                     .map(|w| {
                         scope.spawn(move || {
+                            let mut state = init(w);
                             let mut runs = Vec::new();
-                            while run_one(w, &mut runs) {}
-                            runs
+                            while run_one(w, &mut state, &mut runs) {}
+                            (runs, state)
                         })
                     })
                     .collect();
@@ -222,7 +240,10 @@ where
         }
         for helper in helpers {
             // Jobs panic inside `catch_unwind`; anything else is re-raised.
-            runs.extend(helper.join().unwrap_or_else(|payload| panic::resume_unwind(payload)));
+            let (more, state) =
+                helper.join().unwrap_or_else(|payload| panic::resume_unwind(payload));
+            runs.extend(more);
+            states.push(state);
         }
     });
     if let Some((_, payload)) = first_panic.into_inner().unwrap_or_else(PoisonError::into_inner) {
@@ -239,7 +260,7 @@ where
         }
     }
     assert_eq!(out.len(), shards, "every shard ran exactly once");
-    out
+    (out, states)
 }
 
 #[cfg(test)]
@@ -249,6 +270,15 @@ mod tests {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::MutexGuard;
     use std::thread::ThreadId;
+
+    /// The pool without worker state: `job(s)` per shard, in shard order.
+    fn run_shards<T: Send>(
+        shards: usize,
+        fanout: Fanout,
+        job: impl Fn(usize) -> T + Sync,
+    ) -> Vec<T> {
+        map_shards_with(shards, fanout, |_| (), |_, s| job(s)).0
+    }
 
     fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
         m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -275,6 +305,29 @@ mod tests {
                 });
                 assert_eq!(out, (0..shards).map(|s| s * 3).collect::<Vec<_>>(), "{fanout:?}");
             }
+        }
+    }
+
+    #[test]
+    fn worker_states_collect_every_shard_once_and_results_say_where() {
+        for fanout in [Fanout::Host, Fanout::One] {
+            let (out, states) = map_shards_with(
+                500,
+                fanout,
+                |w| (w, Vec::new()),
+                |(w, seen): &mut (usize, Vec<usize>), s| {
+                    if s == 0 {
+                        thread::sleep(spawn_cost() * 2);
+                    }
+                    seen.push(s);
+                    (*w, seen.len() - 1)
+                },
+            );
+            assert!(states.iter().enumerate().all(|(i, (w, _))| i == *w), "{fanout:?}");
+            for (s, &(w, at)) in out.iter().enumerate() {
+                assert_eq!(states[w].1[at], s, "{fanout:?}");
+            }
+            assert_eq!(states.iter().map(|(_, seen)| seen.len()).sum::<usize>(), 500);
         }
     }
 

@@ -37,5 +37,5 @@ pub use memo::StageMemo;
 pub use profile::{UdfProfile, UdfProfiler};
 pub use rebalance::{estimate_completion, plan_count_based, plan_throughput_based, RebalancePlan};
 pub use registry::{UdfKind, UdfOutput, UdfRegistry};
-pub use reorder::order_conjuncts;
+pub use reorder::{order_by_udfs, order_conjuncts};
 pub use value::{nan_comparison_count, UdfValue};

@@ -52,10 +52,20 @@ pub fn estimate_conjunct(
     cost_prior: impl Fn(&str) -> f64,
     rejection_prior: f64,
 ) -> ConjunctEstimate {
-    let udfs = e.udf_names();
+    estimate_udfs(&e.udf_names(), profiler, cost_prior, rejection_prior)
+}
+
+/// [`estimate_conjunct`] of a conjunct calling `udfs` (its
+/// [`Expr::udf_names`], resolved once by the caller).
+pub fn estimate_udfs(
+    udfs: &[&str],
+    profiler: &UdfProfiler,
+    cost_prior: impl Fn(&str) -> f64,
+    rejection_prior: f64,
+) -> ConjunctEstimate {
     let mut cost = 0.0;
     let mut rejection: f64 = 0.0;
-    for u in &udfs {
+    for u in udfs {
         cost += profiler.estimated_cost(u, cost_prior(u));
         rejection = rejection.max(profiler.estimated_rejection(u, rejection_prior));
     }
@@ -80,19 +90,35 @@ pub fn order_conjuncts(
     cost_prior: impl Fn(&str) -> f64,
     rejection_prior: f64,
 ) -> Vec<usize> {
-    let est: Vec<ConjunctEstimate> = conjuncts
-        .iter()
-        .map(|e| estimate_conjunct(e, profiler, &cost_prior, rejection_prior))
-        .collect();
-    let mut idx: Vec<usize> = (0..conjuncts.len()).collect();
-    idx.sort_by(|&a, &b| {
+    let names: Vec<Vec<&str>> = conjuncts.iter().map(Expr::udf_names).collect();
+    let mut order = Vec::new();
+    order_by_udfs(&names, profiler, cost_prior, rejection_prior, &mut Vec::new(), &mut order);
+    order
+}
+
+/// [`order_conjuncts`] of conjuncts given by their UDF names (`udfs[i]`
+/// is conjunct `i`'s [`Expr::udf_names`], resolved once per stage),
+/// written over `order`; `est` is scratch. The same order, without
+/// allocating once the buffers have grown — one call per rank per stage.
+pub fn order_by_udfs(
+    udfs: &[Vec<&str>],
+    profiler: &UdfProfiler,
+    cost_prior: impl Fn(&str) -> f64,
+    rejection_prior: f64,
+    est: &mut Vec<ConjunctEstimate>,
+    order: &mut Vec<usize>,
+) {
+    est.clear();
+    est.extend(udfs.iter().map(|u| estimate_udfs(u, profiler, &cost_prior, rejection_prior)));
+    order.clear();
+    order.extend(0..udfs.len());
+    order.sort_by(|&a, &b| {
         let (ea, eb) = (est[a], est[b]);
         cost_bucket(ea.cost)
             .cmp(&cost_bucket(eb.cost))
             .then_with(|| eb.rejection.total_cmp(&ea.rejection))
             .then_with(|| a.cmp(&b))
     });
-    idx
 }
 
 /// Apply an order to a conjunction, producing the reordered `Expr::And`.
