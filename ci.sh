@@ -54,19 +54,22 @@ cargo build --workspace --release
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+# Every `cargo test ... -- <filter>` step below goes through
+# scripts/cargo-test-filtered.sh, which fails a filter that runs no test.
+
 echo "==> model-kernel exactness at full size (ids-models, release)"
 # The striped Smith–Waterman, lane-parallel DTBA and reach-pruned docking
 # kernels against their scalar / all-pairs references: the same
 # properties tier-1 runs unoptimised at lengths <= 200, here to 1500
 # residues and 412-residue targets, where the debug reference is too slow.
-cargo test -p ids-models --release -- kernels
+scripts/cargo-test-filtered.sh -p ids-models --release -- kernels
 
 echo "==> prepared UDF arguments vs the scalar closures (ids-core, release)"
 # sw_similarity / dtba through a stage memo and through a direct call,
 # against the per-call parse + kernel closures they replaced: value and
 # charge bits, parse failures and the cached-DTBA path included, here at
 # 412-residue targets and sequences to 1500 residues.
-cargo test -p ids-core --release -- prepared_args
+scripts/cargo-test-filtered.sh -p ids-core --release -- prepared_args
 
 echo "==> BGP-kernel exactness at full size (ids-graph + ids-core, release)"
 # The column-at-a-time scan, hash join, gather/append, repartition and
@@ -76,19 +79,22 @@ echo "==> BGP-kernel exactness at full size (ids-graph + ids-core, release)"
 # hundreds of ranks. Then the rank-segmented stage layout against the
 # per-rank batch path it replaced (scan, exchange, join, FILTER/APPLY
 # gathers, rebalance, result gather) at 1, 3, 16 and 2 048 ranks.
-cargo test -p ids-graph --release -- kernels
-cargo test -p ids-core --release -- kernels
-cargo test -p ids-core --release -- stage_layout
+scripts/cargo-test-filtered.sh -p ids-graph --release -- kernels
+scripts/cargo-test-filtered.sh -p ids-core --release -- kernels
+scripts/cargo-test-filtered.sh -p ids-core --release -- stage_layout
 
-echo "==> shard pool x50 and streamed wire bytes at full size (ids-simrt + ids-graph, release)"
+echo "==> shard pool x50 and streamed wire bytes at full size (ids-simrt + ids-core, release)"
 # The span-stealing pool's order, skew and panic tests race real threads,
 # so one pass says little: run them fifty times. Then the streamed
-# exchange's per-sub-batch wire size (`gather_byte_size`) against the
-# gathered batch's `byte_size()`, at thousands of rows.
+# exchange's rows, order and (source, destination) byte matrix against
+# the barriered exchange and the per-rank sub-batch loop, at thousands of
+# rows.
 for _ in $(seq 50); do
-  cargo test -p ids-simrt --release -q -- pool
+  scripts/cargo-test-filtered.sh -p ids-simrt --release -q -- pool
 done
-cargo test -p ids-graph --release -- gather_byte_size
+scripts/cargo-test-filtered.sh -p ids-core --release -- \
+    streamed_repartition_matches_barriered_rows_and_order \
+    exchange_and_join_equal_the_per_rank_path
 
 echo "==> prepared-query golden (tests/prepared_golden.rs, release)"
 # Cold vs warm prepared-query cache: same rows, latency bits, resume
@@ -153,10 +159,10 @@ grep -q '^bench.result_digest  *0x28e6fdbcde9ba4d0$' <<<"$perf_out" || {
 }
 
 echo "==> cargo clippy --workspace -- -D warnings"
-# Also enforces ids-core's and ids-cache's crate-level deny of
+# Also enforces ids-core's, ids-cache's and ids-graph's crate-level deny of
 # unwrap()/expect() outside tests (DESIGN.md 5i): those paths return typed
-# errors, since a panic in one rank's stage closure would poison the whole
-# simulated cluster.
+# errors or `None`, since a panic in one rank's stage closure would poison
+# the whole simulated cluster.
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc --no-deps (warning-clean)"

@@ -10,7 +10,8 @@ use ids_chem::sequence::ProteinSequence;
 use ids_chem::smiles::parse_smiles;
 use ids_core::engine::{repartition_by_vars, shape_result};
 use ids_core::Datastore;
-use ids_graph::{ops, Dictionary, SolutionBatch, StageBatch, Term, TermId};
+use ids_graph::stage::StagePart;
+use ids_graph::{ops, Dictionary, StageBatch, Term, TermId};
 use ids_models::{DockingEngine, DtbaModel, MoleculeGenerator, SmithWaterman, StructurePredictor};
 use ids_simrt::rng::SplitMix64;
 use ids_simrt::{NetworkModel, RankId, Topology};
@@ -94,12 +95,22 @@ fn bench_dictionary(c: &mut Criterion) {
 
 /// `rows` rows of (`k`, `v`): `k` cycles through `keys` values in a
 /// scattered order, `v` counts up from `v0`.
-fn keyed_batch(vars: [&str; 2], rows: u64, keys: u64, v0: u64) -> SolutionBatch {
-    let mut b = SolutionBatch::empty(vars.map(String::from).to_vec());
-    for i in 0..rows {
-        b.push_row(&[TermId(i.wrapping_mul(2_654_435_761) % keys), TermId(v0 + i)]);
-    }
-    b
+fn keyed_rows(rows: u64, keys: u64, v0: u64) -> Vec<[u64; 2]> {
+    (0..rows).map(|i| [i.wrapping_mul(2_654_435_761) % keys, v0 + i]).collect()
+}
+
+/// The stage over `vars` whose rank `r` holds `ranks[r]`.
+fn stage<const N: usize>(vars: [&str; N], ranks: &[Vec<[u64; N]>]) -> StageBatch {
+    let mut part = StagePart::new(N);
+    let spans: Vec<(usize, usize, usize)> = ranks
+        .iter()
+        .map(|rows| {
+            let (first, n) = part.push_rank(rows).expect("one id per variable");
+            (0, first, n)
+        })
+        .collect();
+    let vars = vars.map(String::from).to_vec().into();
+    StageBatch::assemble(vars, vec![part], &spans).expect("rows fit the u32 row index space")
 }
 
 /// The column-at-a-time BGP kernels at `bgp-join`'s sizes (≈ 50 k rows
@@ -107,22 +118,26 @@ fn keyed_batch(vars: [&str; 2], rows: u64, keys: u64, v0: u64) -> SolutionBatch 
 /// about as many rows over 2048 ranks, twenty to a source, where any work
 /// per (source, destination) pair instead of per row is 4.2 M steps.
 fn bench_bgp_kernels(c: &mut Criterion) {
-    let left = keyed_batch(["k", "l"], 50_000, 2_200, 0);
-    let right = keyed_batch(["k", "r"], 2_200, 2_200, 1 << 20);
+    let left = stage(["k", "l"], &[keyed_rows(50_000, 2_200, 0)]);
+    let right = stage(["k", "r"], &[keyed_rows(2_200, 2_200, 1 << 20)]);
+    let schema = ops::join_schema(left.schema(), right.schema());
     let mut g = c.benchmark_group("bgp");
     g.throughput(Throughput::Elements(52_200));
     g.bench_function("hash_join_batch_50k", |bench| {
-        bench.iter(|| black_box(ops::hash_join_batch(black_box(&left), black_box(&right))))
+        bench.iter(|| {
+            let mut worker = ops::JoinWorker::new(&schema);
+            worker.join(&schema, black_box(left.view()), black_box(right.view()));
+            black_box(worker.into_part())
+        })
     });
 
     let keys = ["k".to_string()];
     for (name, ranks, per_rank) in
         [("repartition_50k_x16", 16usize, 3_125u64), ("repartition_40k_x2048", 2048, 20)]
     {
-        let sets: Vec<SolutionBatch> = (0..ranks as u64)
-            .map(|r| keyed_batch(["k", "v"], per_rank, 2_200, r * per_rank))
-            .collect();
-        let stage = StageBatch::from_batches(&sets).expect("one schema, fully bound");
+        let sets: Vec<Vec<[u64; 2]>> =
+            (0..ranks as u64).map(|r| keyed_rows(per_rank, 2_200, r * per_rank)).collect();
+        let stage = stage(["k", "v"], &sets);
         g.throughput(Throughput::Elements(ranks as u64 * per_rank));
         g.bench_function(name, |bench| {
             bench.iter(|| black_box(repartition_by_vars(black_box(&stage), &keys)))
@@ -133,12 +148,13 @@ fn bench_bgp_kernels(c: &mut Criterion) {
     // BY: canonical sort, SELECT in another order, one materialisation.
     let ds = Datastore::new(1);
     let ids: Vec<TermId> = (0..50_000).map(|i| ds.encode(&Term::iri(format!("e:{i}")))).collect();
-    let mut merged =
-        SolutionBatch::empty(["protein", "seq", "compound", "smiles"].map(String::from).to_vec());
-    for i in 0..50_000usize {
-        let compound = ids[i.wrapping_mul(40_503) % 50_000];
-        merged.push_row(&[ids[i % 2_200], ids[(i % 2_200) + 2_200], compound, ids[i]]);
-    }
+    let rows: Vec<[u64; 4]> = (0..50_000usize)
+        .map(|i| {
+            let compound = ids[i.wrapping_mul(40_503) % 50_000];
+            [ids[i % 2_200], ids[(i % 2_200) + 2_200], compound, ids[i]].map(TermId::raw)
+        })
+        .collect();
+    let merged = stage(["protein", "seq", "compound", "smiles"], &[rows]);
     let select = ["compound", "smiles", "protein", "seq"].map(String::from);
     g.throughput(Throughput::Elements(50_000));
     g.bench_function("gather_sort_50k", |bench| {

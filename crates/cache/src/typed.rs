@@ -21,7 +21,8 @@ const MAGIC: u32 = 0x4953_4449;
 /// Current encoding version. Version 2 switched the row payload from
 /// row-major `u64` cells to per-variable columns at the narrowest
 /// sufficient width (a `u32` column costs half the bytes), matching the
-/// engine's columnar `SolutionBatch` layout and making
+/// per-rank column widths of the engine's stage layout
+/// (`ids_graph::StageBatch`) and making
 /// [`IntermediateSolutions::encoded_len`] exact.
 const VERSION: u16 = 2;
 /// Hard cap on declared counts, so corrupt headers cannot trigger huge

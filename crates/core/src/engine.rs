@@ -24,7 +24,7 @@ use ids_cache::{CacheManager, IntermediateSolutions, TypedSolutionSet};
 use ids_graph::batch::{BatchView, ColumnSlice};
 use ids_graph::ops as gops;
 use ids_graph::stage::{offsets_from_counts, partition_permutation, StagePart};
-use ids_graph::{SolutionBatch, SolutionSet, StageBatch, TermId};
+use ids_graph::{SolutionSet, StageBatch, TermId};
 use ids_obs::MetricsRegistry;
 use ids_simrt::pool::map_shards_with;
 use ids_simrt::rng::{fnv1a, hash_combine};
@@ -1760,9 +1760,10 @@ fn load_checkpoint(
 }
 
 /// The stage of decoded typed sets (one per rank), each column named
-/// through `rename`. `None` if a name has no rename or the ranks disagree
-/// on their schema. Each rank's rows are rebuilt as a per-rank batch first,
-/// so every segment has the widths its rows give it.
+/// through `rename`. `None` if a name has no rename, the ranks disagree on
+/// their schema, or a row does not hold one id per variable. The ranks'
+/// rows fill one part, and every segment gets the widths its own rows give
+/// it.
 fn typed_stage(
     sets: &[TypedSolutionSet],
     rename: impl Fn(&str) -> Option<String>,
@@ -1770,21 +1771,17 @@ fn typed_stage(
     let first = sets.first()?;
     let schema: Arc<[String]> =
         first.vars.iter().map(|v| rename(v)).collect::<Option<Vec<String>>>()?.into();
-    let mut rowbuf: Vec<TermId> = Vec::new();
-    let mut batches = Vec::with_capacity(sets.len());
+    let rows = sets.iter().map(|ts| ts.rows.len()).sum();
+    let mut part = StagePart::with_capacity(schema.len(), rows);
+    let mut spans = Vec::with_capacity(sets.len());
     for ts in sets {
         if ts.vars != first.vars {
             return None;
         }
-        let mut batch = SolutionBatch::with_schema(schema.clone());
-        for r in &ts.rows {
-            rowbuf.clear();
-            rowbuf.extend(r.iter().copied().map(TermId));
-            batch.push_row(&rowbuf);
-        }
-        batches.push(batch);
+        let (at, n) = part.push_rank(&ts.rows)?;
+        spans.push((0, at, n));
     }
-    StageBatch::from_batches(&batches)
+    StageBatch::assemble(schema, vec![part], &spans)
 }
 
 /// One rank's rows as the raw ids of a typed checkpoint, read straight
@@ -3166,20 +3163,16 @@ mod tests {
     fn streamed_repartition_matches_barriered_rows_and_order() {
         // Whatever the sub-batch size, the per-destination rows — and
         // their (src, row) order — must equal the barriered path's.
-        let vars = vec!["a".to_string(), "b".to_string()];
+        let vars = schema(&["a", "b"]);
         let mut sets = Vec::new();
         let mut id = 0u64;
-        for src in 0..3usize {
-            let mut b = SolutionBatch::empty(vars.clone());
-            for _ in 0..(src * 7 + 5) {
-                b.push_row(&[TermId(id % 13), TermId(id)]);
-                id += 1;
-            }
-            sets.push(b);
+        for src in 0..3u64 {
+            sets.push(RankRows::of(&vars, (id..id + src * 7 + 5).map(|i| vec![i % 13, i])));
+            id += src * 7 + 5;
         }
         let keys = vec!["a".to_string()];
         let opts = ExecOptions { batch_rows: 4, ..Default::default() };
-        let stage = StageBatch::from_batches(&sets).unwrap();
+        let stage = stage_of(&sets);
         let barriered = repartition_by_vars(&stage, &keys).unwrap();
         let (streamed, bytes) = repartition_streamed(&stage, &keys, &opts).unwrap();
         assert_eq!(streamed, barriered);
@@ -3215,14 +3208,277 @@ mod tests {
         assert!(typed_stage(&[set(&["k"])], |_| None).is_none());
     }
 
-    /// A merged batch over `vars` whose rows hold the given integers, as
-    /// terms of `ds`.
-    fn int_batch(ds: &Datastore, vars: &[&str], rows: &[&[i64]]) -> SolutionBatch {
-        let mut b = SolutionBatch::empty(vars.iter().map(|v| v.to_string()).collect());
-        for row in rows {
-            b.push_row(&row.iter().map(|&v| ds.encode(&Term::Int(v))).collect::<Vec<_>>());
+    #[test]
+    fn a_checkpoint_of_no_ranks_or_a_ragged_row_is_refused() {
+        let named = |v: &str| Some(v.to_string());
+        assert!(typed_stage(&[], named).is_none());
+        let vars = vec!["k".to_string(), "v".to_string()];
+        let whole = TypedSolutionSet { vars: vars.clone(), rows: vec![vec![1, 2]] };
+        let ragged = TypedSolutionSet { vars, rows: vec![vec![1, 2], vec![3]] };
+        assert!(typed_stage(&[whole.clone(), whole.clone()], named).is_some());
+        assert!(typed_stage(&[whole, ragged], named).is_none());
+    }
+
+    #[test]
+    fn a_reuse_checkpoint_loads_under_the_querys_names() {
+        let set =
+            |rows: Vec<Vec<u64>>| TypedSolutionSet { vars: vec!["v0".into(), "v1".into()], rows };
+        let obj = IntermediateSolutions {
+            fingerprint: 0xf00d,
+            pre_filter_counts: vec![1, 0],
+            sets: vec![set(vec![vec![4, 5]]), set(Vec::new())],
+        };
+        let bytes = obj.encode();
+        let cp = ReuseCheckpoint {
+            key: "k".into(),
+            fingerprint: 0xf00d,
+            label: "bgp".into(),
+            rename: vec![("protein".into(), "v1".into()), ("seq".into(), "v0".into())],
+        };
+        let (stage, counts) = load_checkpoint(&bytes, &cp, 2).unwrap();
+        assert_eq!(stage.vars(), ["seq", "protein"]);
+        assert_eq!((stage.rank_offsets(), counts), (&[0, 1, 1][..], vec![1, 0]));
+        assert_eq!(stage.segment(0).column(1).get(0), 5);
+        // Another rank count, fingerprint or an unknown name is a miss.
+        assert!(load_checkpoint(&bytes, &cp, 3).is_none());
+        assert!(
+            load_checkpoint(&bytes, &ReuseCheckpoint { fingerprint: 1, ..cp.clone() }, 2).is_none()
+        );
+        let unnamed = ReuseCheckpoint { rename: cp.rename[..1].to_vec(), ..cp };
+        assert!(load_checkpoint(&bytes, &unnamed, 2).is_none());
+    }
+
+    #[test]
+    fn a_checkpoint_reloads_every_rank_at_its_own_widths() {
+        // Only rank 1 holds an id past `u32::MAX`, in column `v`.
+        let vars = schema(&["k", "v"]);
+        let stage = stage_of(&[
+            RankRows::of(&vars, [vec![1, 2], vec![3, 4]]),
+            RankRows::of(&vars, [vec![5, 1 << 33], vec![6, 7], vec![8, 9]]),
+        ]);
+        let obj = IntermediateSolutions {
+            fingerprint: 0xc4ec,
+            pre_filter_counts: vec![2, 3],
+            sets: (0..2)
+                .map(|r| TypedSolutionSet {
+                    vars: stage.vars().to_vec(),
+                    rows: typed_rows(stage.segment(r)),
+                })
+                .collect(),
+        };
+        let decoded = IntermediateSolutions::decode(&obj.encode(), 0xc4ec).unwrap();
+        let loaded = typed_stage(&decoded.sets, |v| Some(v.to_string())).unwrap();
+        assert_eq!(loaded.ranks(), 2);
+        for r in 0..2 {
+            assert_eq!(RankRows::segment(&loaded, r), RankRows::segment(&stage, r), "rank {r}");
+            for c in 0..2 {
+                assert_eq!(loaded.segment_width(r, c), stage.segment_width(r, c), "rank {r}");
+            }
+            assert_eq!(loaded.segment_byte_size(r), stage.segment_byte_size(r), "rank {r}");
         }
-        b
+        assert_eq!((loaded.segment_width(0, 1), loaded.segment_width(1, 1)), (4, 8));
+        assert_eq!(loaded.segment_width(1, 0), 4);
+    }
+
+    fn schema(vars: &[&str]) -> Arc<[String]> {
+        vars.iter().map(|v| v.to_string()).collect()
+    }
+
+    /// One rank's solutions as the per-rank layout held them: its rows, and
+    /// per column whether the rank's column is eight bytes wide. A column
+    /// widens on its first id past `u32::MAX` and stays wide when rows are
+    /// split off. The reference every stage kernel is checked against.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct RankRows {
+        vars: Arc<[String]>,
+        rows: Vec<Vec<u64>>,
+        wide: Vec<bool>,
+    }
+
+    impl RankRows {
+        fn new(vars: &Arc<[String]>) -> Self {
+            Self { vars: vars.clone(), rows: Vec::new(), wide: vec![false; vars.len()] }
+        }
+
+        /// `rows` pushed one by one.
+        fn of(vars: &Arc<[String]>, rows: impl IntoIterator<Item = Vec<u64>>) -> Self {
+            let mut out = Self::new(vars);
+            rows.into_iter().for_each(|row| out.push_row(row));
+            out
+        }
+
+        /// Rank `r` of `stage`, at its segment widths.
+        fn segment(stage: &StageBatch, r: usize) -> Self {
+            let s = stage.segment(r);
+            let cols = 0..s.vars().len();
+            Self {
+                vars: stage.schema().clone(),
+                rows: (0..s.len())
+                    .map(|i| cols.clone().map(|c| s.column(c).get(i)).collect())
+                    .collect(),
+                wide: cols.map(|c| stage.segment_width(r, c) == 8).collect(),
+            }
+        }
+
+        fn len(&self) -> usize {
+            self.rows.len()
+        }
+
+        fn var_index(&self, var: &str) -> usize {
+            self.vars.iter().position(|v| v == var).unwrap()
+        }
+
+        fn push_row(&mut self, row: Vec<u64>) {
+            assert_eq!(row.len(), self.vars.len(), "row width must match schema");
+            for (w, &id) in self.wide.iter_mut().zip(&row) {
+                *w |= id > u64::from(u32::MAX);
+            }
+            self.rows.push(row);
+        }
+
+        /// Append `other`'s rows: this rank's widths widen only on ids.
+        fn append(&mut self, other: &RankRows) {
+            other.rows.iter().for_each(|row| self.push_row(row.clone()));
+        }
+
+        /// Split off rows `[at, len)`; both halves keep the widths.
+        fn split_off(&mut self, at: usize) -> Self {
+            Self { vars: self.vars.clone(), rows: self.rows.split_off(at), wide: self.wide.clone() }
+        }
+
+        /// The serialized size: `u16` var count; per var a `u16` length +
+        /// name bytes and a tag byte; `u64` row count; `rows × width` bytes
+        /// per column.
+        fn byte_size(&self) -> u64 {
+            let names: u64 = self.vars.iter().map(|v| 2 + v.len() as u64 + 1).sum();
+            let cells: u64 = self.wide.iter().map(|&w| if w { 8 } else { 4 }).sum();
+            2 + 8 + names + self.len() as u64 * cells
+        }
+
+        /// The rows as a boundary set.
+        fn to_set(&self) -> SolutionSet {
+            let rows = self.rows.iter().map(|r| r.iter().copied().map(TermId).collect()).collect();
+            SolutionSet::new(self.vars.to_vec(), rows)
+        }
+    }
+
+    /// `stage` holds `want[r]` on every rank r, at its widths and sizes.
+    fn assert_stage(stage: &StageBatch, want: &[RankRows]) {
+        assert_eq!(stage.ranks(), want.len());
+        for (r, w) in want.iter().enumerate() {
+            assert_eq!(&RankRows::segment(stage, r), w, "rank {r}");
+            assert_eq!(stage.segment_byte_size(r), w.byte_size(), "rank {r}");
+        }
+        assert_eq!(stage.byte_size(), want.iter().map(RankRows::byte_size).sum::<u64>());
+    }
+
+    /// The stage whose rank r holds `ranks[r]` at its widths. The rows fill
+    /// one part; a rank wider than its rows gets one more row, of wide ids
+    /// in its wide columns, which a rebalance to the ranks' own row counts
+    /// drops again (a kept segment keeps its widths).
+    fn stage_of(ranks: &[RankRows]) -> StageBatch {
+        let mut part = StagePart::new(ranks[0].vars.len());
+        let spans: Vec<(usize, usize, usize)> = ranks
+            .iter()
+            .map(|t| {
+                let mut rows = t.rows.clone();
+                if RankRows::of(&t.vars, t.rows.clone()).wide != t.wide {
+                    rows.push(t.wide.iter().map(|&w| if w { u64::MAX - 1 } else { 0 }).collect());
+                }
+                let (first, n) = part.push_rank(&rows).unwrap();
+                (0, first, n)
+            })
+            .collect();
+        let stage = StageBatch::assemble(ranks[0].vars.clone(), vec![part], &spans).unwrap();
+        let targets: Vec<u64> = ranks.iter().map(|t| t.len() as u64).collect();
+        let (stage, _) = stage.rebalance(&targets).unwrap();
+        assert_stage(&stage, ranks);
+        stage
+    }
+
+    /// The per-rank exchange: each source's rows cut by destination and
+    /// appended, sources in rank order; with `batch_rows`, the wire
+    /// bytes of its sub-batches per (source, destination).
+    fn per_rank_repartition(
+        sets: &[RankRows],
+        vars: &[String],
+        batch_rows: usize,
+    ) -> (Vec<RankRows>, Vec<u64>) {
+        let ranks = sets.len();
+        let key_idx: Vec<usize> = vars.iter().map(|v| sets[0].var_index(v)).collect();
+        let mut out = vec![RankRows::new(&sets[0].vars); ranks];
+        let mut bytes = vec![0u64; ranks * ranks];
+        for (src, set) in sets.iter().enumerate() {
+            let mut by_dst: Vec<Vec<Vec<u64>>> = vec![Vec::new(); ranks];
+            for row in &set.rows {
+                let mut h = 0xA17C_E55Eu64;
+                for &k in &key_idx {
+                    h = hash_combine(h, fnv1a(&row[k].to_le_bytes()));
+                }
+                by_dst[(h % ranks as u64) as usize].push(row.clone());
+            }
+            for (dst, rows) in by_dst.into_iter().enumerate() {
+                bytes[src * ranks + dst] = rows
+                    .chunks(batch_rows)
+                    .map(|sub| RankRows::of(&set.vars, sub.to_vec()).byte_size())
+                    .sum();
+                rows.into_iter().for_each(|row| out[dst].push_row(row));
+            }
+        }
+        (out, bytes)
+    }
+
+    /// One rank's rows per rank over `vars`: `0..=max_rows` rows each
+    /// (a quarter of ranks empty), ids from `0..domain`, about one in
+    /// six past `u32::MAX` with `big`; with `sticky`, wide columns
+    /// holding only small ids on every rank (a split-off wide row).
+    fn random_ranks(
+        vars: &[&str],
+        ranks: usize,
+        max_rows: usize,
+        domain: u64,
+        (big, sticky): (bool, bool),
+        rng: &mut ids_simrt::rng::SplitMix64,
+    ) -> Vec<RankRows> {
+        let schema = schema(vars);
+        (0..ranks)
+            .map(|_| {
+                let mut b = RankRows::new(&schema);
+                if sticky {
+                    b.push_row(vec![u64::MAX - 1; vars.len()]);
+                }
+                let rows = if rng.next_below(4) == 0 {
+                    0
+                } else {
+                    rng.next_below(max_rows as u64 + 1) as usize
+                };
+                for _ in 0..rows {
+                    let row: Vec<u64> = vars
+                        .iter()
+                        .map(|_| {
+                            let v = rng.next_below(domain);
+                            if big && rng.next_below(6) == 0 {
+                                v + (1 << 32)
+                            } else {
+                                v
+                            }
+                        })
+                        .collect();
+                    b.push_row(row);
+                }
+                if sticky {
+                    b = b.split_off(1);
+                }
+                b
+            })
+            .collect()
+    }
+
+    /// A one-rank stage over `vars` whose rows hold the given integers, as
+    /// terms of `ds`.
+    fn int_batch(ds: &Datastore, vars: &[&str], rows: &[&[i64]]) -> StageBatch {
+        let rows = rows.iter().map(|row| row.iter().map(|&v| ds.encode(&Term::Int(v)).raw()));
+        stage_of(&[RankRows::of(&schema(vars), rows.map(Iterator::collect))])
     }
 
     #[test]
@@ -3258,9 +3514,9 @@ mod tests {
     }
 
     /// The column-at-a-time repartition and gather against the
-    /// row-at-a-time code they replaced, kept here verbatim as oracles.
-    /// Sizes grow in release builds (`ci.sh` runs
-    /// `cargo test -p ids-core --release -- kernels`).
+    /// row-at-a-time code they replaced: the per-rank exchange above, and
+    /// the previous gather kept here verbatim. Sizes grow in release builds
+    /// (`ci.sh` runs `cargo test -p ids-core --release -- kernels`).
     mod kernels {
         use super::*;
         use ids_simrt::rng::SplitMix64;
@@ -3268,84 +3524,12 @@ mod tests {
 
         const FULL: bool = !cfg!(debug_assertions);
 
-        /// The previous `repartition_by_vars`: one `copy_row`, one key hash
-        /// and one `push_row` per row.
-        fn reference_repartition(
-            sets: Vec<SolutionBatch>,
-            vars: &[String],
-            ranks: usize,
-        ) -> Vec<SolutionBatch> {
-            let schema = sets[0].vars().to_vec();
-            let key_idx: Vec<usize> = vars.iter().map(|v| sets[0].var_index(v).unwrap()).collect();
-            let mut out: Vec<SolutionBatch> =
-                (0..ranks).map(|_| SolutionBatch::empty(schema.clone())).collect();
-            let mut rowbuf: Vec<TermId> = Vec::new();
-            for set in sets {
-                for i in 0..set.len() {
-                    set.copy_row(i, &mut rowbuf);
-                    let mut h = 0xA17C_E55Eu64;
-                    for &k in &key_idx {
-                        h = hash_combine(h, fnv1a(&rowbuf[k].raw().to_le_bytes()));
-                    }
-                    out[(h % ranks as u64) as usize].push_row(&rowbuf);
-                }
-            }
-            out
-        }
-
-        /// The previous `repartition_streamed`: a pending sub-batch per
-        /// (src, dst), filled a row at a time, sent when `batch_rows` long,
-        /// and counted on the wire at its own `byte_size()`.
-        fn reference_repartition_streamed(
-            sets: Vec<SolutionBatch>,
-            vars: &[String],
-            ranks: usize,
-            batch_rows: usize,
-        ) -> (Vec<SolutionBatch>, Vec<u64>) {
-            let schema = sets[0].vars().to_vec();
-            let key_idx: Vec<usize> = vars.iter().map(|v| sets[0].var_index(v).unwrap()).collect();
-            let mut out: Vec<SolutionBatch> =
-                (0..ranks).map(|_| SolutionBatch::empty(schema.clone())).collect();
-            let mut bytes = vec![0u64; ranks * ranks];
-            let mut rowbuf: Vec<TermId> = Vec::new();
-            for (src, set) in sets.into_iter().enumerate() {
-                let mut pending: Vec<SolutionBatch> =
-                    (0..ranks).map(|_| SolutionBatch::empty(schema.clone())).collect();
-                let mut send = |dst: usize, sub: SolutionBatch, out: &mut Vec<SolutionBatch>| {
-                    bytes[src * ranks + dst] += sub.byte_size();
-                    out[dst].append(sub);
-                };
-                for i in 0..set.len() {
-                    set.copy_row(i, &mut rowbuf);
-                    let mut h = 0xA17C_E55Eu64;
-                    for &k in &key_idx {
-                        h = hash_combine(h, fnv1a(&rowbuf[k].raw().to_le_bytes()));
-                    }
-                    let dst = (h % ranks as u64) as usize;
-                    pending[dst].push_row(&rowbuf);
-                    if pending[dst].len() >= batch_rows {
-                        let full = std::mem::replace(
-                            &mut pending[dst],
-                            SolutionBatch::empty(schema.clone()),
-                        );
-                        send(dst, full, &mut out);
-                    }
-                }
-                for (dst, tail) in pending.into_iter().enumerate() {
-                    if !tail.is_empty() {
-                        send(dst, tail, &mut out);
-                    }
-                }
-            }
-            (out, bytes)
-        }
-
         /// The previous gather: materialise every row, project to the
         /// canonical column order, sort the rows, stable-sort again for
         /// ORDER BY (decoding both terms at every comparison), project to
         /// SELECT, then DISTINCT and LIMIT, each building a new set.
         fn reference_shape(
-            merged: &SolutionBatch,
+            merged: &RankRows,
             order_by: Option<&(String, bool)>,
             select: &[String],
             distinct: bool,
@@ -3397,57 +3581,11 @@ mod tests {
             Ok(SolutionSet::new(vars, rows))
         }
 
-        /// One batch per source rank over `vars`, some empty. Ids come from
-        /// `0..domain`; with `big_ids` about one in six is past `u32::MAX`;
-        /// with `wide_small` a first row of huge ids is split off again,
-        /// leaving `U64` columns that hold only small values.
-        fn random_sets(
-            vars: &[String],
-            sources: usize,
-            max_rows: usize,
-            domain: u64,
-            big_ids: bool,
-            wide_small: bool,
-            rng: &mut SplitMix64,
-        ) -> Vec<SolutionBatch> {
-            (0..sources)
-                .map(|_| {
-                    let mut b = SolutionBatch::empty(vars.to_vec());
-                    if wide_small {
-                        b.push_row(&vec![TermId(u64::MAX - 1); vars.len()]);
-                    }
-                    let rows = if rng.next_below(4) == 0 {
-                        0
-                    } else {
-                        rng.next_below(max_rows as u64 + 1) as usize
-                    };
-                    for _ in 0..rows {
-                        let row: Vec<TermId> = vars
-                            .iter()
-                            .map(|_| {
-                                let v = rng.next_below(domain);
-                                TermId(if big_ids && rng.next_below(6) == 0 {
-                                    v + (1 << 32)
-                                } else {
-                                    v
-                                })
-                            })
-                            .collect();
-                        b.push_row(&row);
-                    }
-                    if wide_small {
-                        b = b.split_off(1);
-                    }
-                    b
-                })
-                .collect()
-        }
-
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(if FULL { 160 } else { 48 }))]
 
-            /// `==` on the batches: rows, per-destination order and column
-            /// widths, so every later `byte_size()` agrees.
+            /// `==` on every rank's rows, their per-destination order and
+            /// column widths, so every later `byte_size()` agrees.
             #[test]
             fn repartition_equals_the_row_loop(
                 seed in 0u64..1_000_000,
@@ -3458,23 +3596,21 @@ mod tests {
                 flags in 0u8..4,
             ) {
                 let mut rng = SplitMix64::new(seed, 0x9a97);
-                let vars: Vec<String> = ["p", "k0", "q", "k1"].map(String::from).to_vec();
+                let vars = ["p", "k0", "q", "k1"];
                 let key_vars: Vec<String> = ["k1", "k0"][..keys].iter().map(|k| k.to_string()).collect();
                 let max_rows = if ranks > 16 { 3 } else if FULL { 4000 } else { 200 };
                 let sets =
-                    random_sets(&vars, ranks, max_rows, domain, flags & 1 != 0, flags & 2 != 0, &mut rng);
+                    random_ranks(&vars, ranks, max_rows, domain, (flags & 1 != 0, flags & 2 != 0), &mut rng);
 
-                let want = reference_repartition(sets.clone(), &key_vars, ranks);
-                let stage = StageBatch::from_batches(&sets).unwrap();
-                let got = repartition_by_vars(&stage, &key_vars).unwrap().to_batches();
-                prop_assert_eq!(&got, &want);
+                let (want, _) = per_rank_repartition(&sets, &key_vars, 1);
+                let stage = stage_of(&sets);
+                assert_stage(&repartition_by_vars(&stage, &key_vars).unwrap(), &want);
 
                 for batch_rows in [1usize, 7, 4096] {
                     let opts = ExecOptions { batch_rows, ..ExecOptions::default() };
-                    let (want, want_bytes) =
-                        reference_repartition_streamed(sets.clone(), &key_vars, ranks, batch_rows);
+                    let (want, want_bytes) = per_rank_repartition(&sets, &key_vars, batch_rows);
                     let (got, got_bytes) = repartition_streamed(&stage, &key_vars, &opts).unwrap();
-                    prop_assert_eq!(&got.to_batches(), &want);
+                    assert_stage(&got, &want);
                     prop_assert_eq!(got_bytes, want_bytes);
                 }
             }
@@ -3505,29 +3641,29 @@ mod tests {
                     ds.encode(&ids_graph::Term::iri(format!("e:{i}")));
                 }
                 // Join order, not name order — the gather canonicalises.
-                let vars: Vec<String> = ["m", "b", "z", "a"].map(String::from).to_vec();
-                let mut merged = SolutionBatch::empty(vars.clone());
+                let vars = schema(&["m", "b", "z", "a"]);
+                let mut merged = RankRows::new(&vars);
                 if wide_small {
                     // `U64` columns that will hold only small ids.
-                    merged.push_row(&vec![TermId(u64::MAX - 1); vars.len()]);
+                    merged.push_row(vec![u64::MAX - 1; vars.len()]);
                     merged = merged.split_off(1);
                 }
                 for _ in 0..rows {
-                    let row: Vec<TermId> = vars
+                    let row: Vec<u64> = vars
                         .iter()
                         .map(|_| {
                             let id = rng.next_below(domain);
                             // Some ids the dictionary never minted; with
                             // `big_ids`, some past `u32::MAX`, so a `U64`
                             // lead column sorts real wide ids.
-                            TermId(match rng.next_below(9) {
+                            match rng.next_below(9) {
                                 0 => id + 10_000,
                                 1 | 2 if big_ids => id + (1 << 32),
                                 _ => id,
-                            })
+                            }
                         })
                         .collect();
-                    merged.push_row(&row);
+                    merged.push_row(row);
                 }
 
                 // 0 → no ORDER BY; then each variable both ways; then a
@@ -3544,19 +3680,20 @@ mod tests {
                 }
 
                 let want = reference_shape(&merged, order_by.as_ref(), &select, distinct, limit, &ds);
-                let got = shape_result(merged.view(), order_by.as_ref(), &select, distinct, limit, &ds);
+                let stage = stage_of(std::slice::from_ref(&merged));
+                let got = shape_result(stage.view(), order_by.as_ref(), &select, distinct, limit, &ds);
                 prop_assert_eq!(got, want);
             }
         }
     }
 
-    /// The rank-segmented stage against the per-rank `Vec<SolutionBatch>`
-    /// path it replaced, kept here as the oracle: scan, exchange (barriered
-    /// and streamed), join (keyed and cross), the FILTER/APPLY gathers,
-    /// rebalance and the result gather, at 1, 3, 16 and 2048 ranks, with
-    /// ids past `u32::MAX` and `U64` columns holding only small ids. Every
-    /// comparison is `==` on per-rank batches — rows, their order and
-    /// column widths — plus each rank's `byte_size()` and the moved bytes.
+    /// The rank-segmented stage against the per-rank path it replaced,
+    /// kept here as the oracle over [`RankRows`]: scan, exchange
+    /// (barriered and streamed), join (keyed and cross), the FILTER/APPLY
+    /// gathers, rebalance and the result gather, at 1, 3, 16 and 2048
+    /// ranks, with ids past `u32::MAX` and wide columns holding only small
+    /// ids. Every comparison is `==` on each rank's rows, their order and
+    /// column widths, plus each rank's byte size and the moved bytes.
     /// (`ci.sh` runs `cargo test -p ids-core --release -- stage_layout`.)
     mod stage_layout {
         use super::*;
@@ -3566,58 +3703,37 @@ mod tests {
 
         const FULL: bool = !cfg!(debug_assertions);
 
-        /// `stage` holds `want[r]` on every rank r, at its widths and sizes.
-        fn assert_stage(stage: &StageBatch, want: &[SolutionBatch]) {
-            assert_eq!(stage.ranks(), want.len());
-            assert_eq!(stage.to_batches(), want);
-            for (r, b) in want.iter().enumerate() {
-                assert_eq!(stage.segment_byte_size(r), b.byte_size(), "rank {r}");
-            }
-            assert_eq!(stage.byte_size(), want.iter().map(SolutionBatch::byte_size).sum::<u64>());
-        }
-
-        /// The per-rank exchange: each source's rows cut by destination and
-        /// appended, sources in rank order; with `batch_rows`, the wire
-        /// bytes of its sub-batches per (source, destination).
-        fn per_rank_repartition(
-            sets: &[SolutionBatch],
-            vars: &[String],
-            batch_rows: usize,
-        ) -> (Vec<SolutionBatch>, Vec<u64>) {
-            let ranks = sets.len();
-            let key_idx: Vec<usize> = vars.iter().map(|v| sets[0].var_index(v).unwrap()).collect();
-            let mut out = vec![SolutionBatch::with_schema(sets[0].schema().clone()); ranks];
-            let mut bytes = vec![0u64; ranks * ranks];
-            for (src, set) in sets.iter().enumerate() {
-                let mut by_dst: Vec<Vec<u32>> = vec![Vec::new(); ranks];
-                for row in 0..set.len() {
-                    let mut h = 0xA17C_E55Eu64;
-                    for &k in &key_idx {
-                        h = hash_combine(h, fnv1a(&set.get(row, k).unwrap().raw().to_le_bytes()));
-                    }
-                    by_dst[(h % ranks as u64) as usize].push(row as u32);
-                }
-                for (dst, rows) in by_dst.iter().enumerate().filter(|(_, r)| !r.is_empty()) {
-                    out[dst].extend_gather(set, rows);
-                    bytes[src * ranks + dst] =
-                        rows.chunks(batch_rows).map(|sub| set.gather_byte_size(sub)).sum();
+        /// One rank's join, nested loops: each left row in order with every
+        /// right row that agrees on the shared variables, in order.
+        fn join_rows(left: &RankRows, right: &RankRows) -> RankRows {
+            let shared: Vec<(usize, usize)> = (0..left.vars.len())
+                .filter_map(|l| right.vars.iter().position(|v| *v == left.vars[l]).map(|r| (l, r)))
+                .collect();
+            let extra: Vec<usize> =
+                (0..right.vars.len()).filter(|r| !shared.iter().any(|s| s.1 == *r)).collect();
+            let vars: Arc<[String]> =
+                left.vars.iter().chain(extra.iter().map(|&r| &right.vars[r])).cloned().collect();
+            let mut out = RankRows::new(&vars);
+            for l in &left.rows {
+                for r in right.rows.iter().filter(|r| shared.iter().all(|&(a, b)| l[a] == r[b])) {
+                    out.push_row(l.iter().copied().chain(extra.iter().map(|&k| r[k])).collect());
                 }
             }
-            (out, bytes)
+            out
         }
 
         /// The per-rank join: exchange both sides (or replicate the
         /// smaller side of a cross product), then join rank by rank.
-        fn per_rank_join(left: &[SolutionBatch], right: &[SolutionBatch]) -> Vec<SolutionBatch> {
+        fn per_rank_join(left: &[RankRows], right: &[RankRows]) -> Vec<RankRows> {
             let ranks = left.len();
-            let schema = gops::join_schema(left[0].schema(), right[0].schema());
             let shared: Vec<String> =
-                left[0].vars().iter().filter(|v| right[0].vars().contains(v)).cloned().collect();
+                left[0].vars.iter().filter(|v| right[0].vars.contains(v)).cloned().collect();
             let (l, r) = if shared.is_empty() {
-                let count = |s: &[SolutionBatch]| s.iter().map(SolutionBatch::len).sum::<usize>();
+                let count = |s: &[RankRows]| s.iter().map(RankRows::len).sum::<usize>();
                 let small_is_left = count(left) <= count(right);
                 let small = if small_is_left { left } else { right };
-                let merged = gops::merge_batches(small.to_vec());
+                let mut merged = small[0].clone();
+                small[1..].iter().for_each(|b| merged.append(b));
                 let replicated = vec![merged; ranks];
                 if small_is_left {
                     (replicated, right.to_vec())
@@ -3630,22 +3746,22 @@ mod tests {
                     per_rank_repartition(right, &shared, 1).0,
                 )
             };
-            (0..ranks).map(|i| gops::hash_join_with(&schema, &l[i], &r[i])).collect()
+            l.iter().zip(&r).map(|(l, r)| join_rows(l, r)).collect()
         }
 
         /// The per-rank rebalance: surplus ranks `split_off` their tails,
         /// whose rows are `push_row`ed round-robin onto deficit ranks.
         fn per_rank_rebalance(
-            mut sets: Vec<SolutionBatch>,
+            mut sets: Vec<RankRows>,
             targets: &[u64],
-        ) -> (Vec<SolutionBatch>, Vec<u64>) {
-            let mut surplus: Vec<Vec<TermId>> = Vec::new();
+        ) -> (Vec<RankRows>, Vec<u64>) {
+            let mut surplus: Vec<Vec<u64>> = Vec::new();
             let mut moved = vec![0u64; sets.len()];
             for (r, set) in sets.iter_mut().enumerate() {
                 if set.len() > targets[r] as usize {
                     let give = set.split_off(targets[r] as usize);
                     moved[r] = give.byte_size();
-                    surplus.extend((0..give.len()).map(|i| give.row(i)));
+                    surplus.extend(give.rows);
                 }
             }
             let deficits: Vec<usize> =
@@ -3661,57 +3777,40 @@ mod tests {
                             break 'deal;
                         }
                     }
-                    sets[deficits[di]].push_row(&row);
+                    sets[deficits[di]].push_row(row);
                     di = (di + 1) % deficits.len();
                 }
             }
             (sets, moved)
         }
 
-        /// One batch per rank over `vars`: `0..=max_rows` rows each (a
-        /// quarter of ranks empty), ids from `0..domain`, about one in six
-        /// past `u32::MAX` with `big`; with `sticky`, `U64` columns
-        /// holding only small ids on every rank (a split-off wide row).
-        fn random_ranks(
-            vars: &[&str],
-            ranks: usize,
-            max_rows: usize,
-            domain: u64,
-            (big, sticky): (bool, bool),
-            rng: &mut SplitMix64,
-        ) -> Vec<SolutionBatch> {
-            let schema: Arc<[String]> = vars.iter().map(|v| v.to_string()).collect();
-            (0..ranks)
-                .map(|_| {
-                    let mut b = SolutionBatch::with_schema(schema.clone());
-                    if sticky {
-                        b.push_row(&vec![TermId(u64::MAX - 1); vars.len()]);
+        /// One rank's scan, a triple at a time: the variables of `names`
+        /// (subject, predicate, object; a repeated name is one column, bound
+        /// where its positions agree), one row per agreeing triple.
+        fn per_rank_scan(names: [Option<&str>; 3], triples: &[Triple]) -> RankRows {
+            let mut vars: Vec<String> = Vec::new();
+            let mut slot = [None; 3];
+            for (pos, name) in names.iter().enumerate() {
+                if let Some(n) = name {
+                    let at = vars.iter().position(|v| v == n).unwrap_or(vars.len());
+                    if at == vars.len() {
+                        vars.push(n.to_string());
                     }
-                    let rows = if rng.next_below(4) == 0 {
-                        0
-                    } else {
-                        rng.next_below(max_rows as u64 + 1) as usize
-                    };
-                    for _ in 0..rows {
-                        let row: Vec<TermId> = vars
-                            .iter()
-                            .map(|_| {
-                                let v = rng.next_below(domain);
-                                TermId(if big && rng.next_below(6) == 0 {
-                                    v + (1 << 32)
-                                } else {
-                                    v
-                                })
-                            })
-                            .collect();
-                        b.push_row(&row);
-                    }
-                    if sticky {
-                        b = b.split_off(1);
-                    }
-                    b
-                })
-                .collect()
+                    slot[pos] = Some(at);
+                }
+            }
+            let mut out = RankRows::new(&vars.into());
+            for t in triples {
+                let mut row: Vec<Option<u64>> = vec![None; out.vars.len()];
+                let agrees = [t.s, t.p, t.o].iter().zip(slot).all(|(id, at)| match at {
+                    Some(at) => *row[at].get_or_insert(id.raw()) == id.raw(),
+                    None => true,
+                });
+                if agrees {
+                    out.push_row(row.into_iter().flatten().collect());
+                }
+            }
+            out
         }
 
         /// Bind every rank's range into three parts, the ranks dealt to
@@ -3758,8 +3857,7 @@ mod tests {
                 let sets = random_ranks(
                     &["a", "b", "c"], ranks, max_rows(ranks), 50, (flags & 1 != 0, flags & 2 != 0), &mut rng,
                 );
-                let stage = StageBatch::from_batches(&sets).unwrap();
-                assert_stage(&stage, &sets);
+                let stage = stage_of(&sets);
 
                 // FILTER: a selection per rank, gathered once.
                 let kept: Vec<Vec<u32>> = sets
@@ -3774,36 +3872,41 @@ mod tests {
                     .collect();
                 let offsets = offsets_from_counts(kept.iter().map(Vec::len)).unwrap();
                 let filtered = stage.gather(&global, offsets.clone());
-                let want: Vec<SolutionBatch> =
-                    sets.iter().zip(&kept).map(|(b, k)| SolutionBatch::gather(b, k)).collect();
+                let want: Vec<RankRows> = sets
+                    .iter()
+                    .zip(&kept)
+                    .map(|(b, k)| RankRows::of(&b.vars, k.iter().map(|&i| b.rows[i as usize].clone())))
+                    .collect();
                 assert_stage(&filtered, &want);
 
                 // APPLY: the kept rows plus one bound id each, pushed row by row.
                 let ids: Vec<u64> = global.iter().map(|&i| u64::from(i) * 7 + (1 << 33) * u64::from(i % 5 == 0)).collect();
-                let schema: Arc<[String]> = ["a", "b", "c", "e"].map(String::from).to_vec().into();
+                let schema = schema(&["a", "b", "c", "e"]);
                 let applied = stage.gather_with_column(&global, offsets, schema.clone(), &ids);
                 let mut next = ids.iter();
-                let want: Vec<SolutionBatch> = sets
+                let want: Vec<RankRows> = sets
                     .iter()
                     .zip(&kept)
                     .map(|(b, k)| {
-                        let mut out = SolutionBatch::with_schema(schema.clone());
+                        let mut out = RankRows::new(&schema);
                         for &i in k {
-                            let mut row = b.row(i as usize);
-                            row.push(TermId(*next.next().unwrap()));
-                            out.push_row(&row);
+                            let mut row = b.rows[i as usize].clone();
+                            row.push(*next.next().unwrap());
+                            out.push_row(row);
                         }
                         out
                     })
                     .collect();
                 assert_stage(&applied, &want);
 
-                // The result gather reads the merged batch.
-                let merged = gops::merge_batches(sets.clone());
+                // The result gather reads every rank's rows appended to
+                // rank 0's.
+                let mut merged = sets[0].clone();
+                sets[1..].iter().for_each(|b| merged.append(b));
                 let all: Vec<usize> = (0..3).collect();
                 let every: Vec<u32> = (0..merged.len() as u32).collect();
-                let names = merged.vars().to_vec();
-                assert_eq!(stage.view().select_rows(names.clone(), &all, &every), merged.select_rows(names, &all, &every));
+                let names = merged.vars.to_vec();
+                assert_eq!(stage.view().select_rows(names, &all, &every), merged.to_set());
                 assert_eq!(stage.merged_byte_size(), merged.byte_size());
             }
 
@@ -3837,8 +3940,7 @@ mod tests {
                     (Some("s"), Some("p"), Some("o")),
                 ][shape as usize];
                 let schema = gops::scan_schema(&pat, s, p, o);
-                let want: Vec<SolutionBatch> =
-                    ranges.iter().map(|t| gops::scan_with(&schema, t)).collect();
+                let want: Vec<RankRows> = ranges.iter().map(|t| per_rank_scan([s, p, o], t)).collect();
                 assert_stage(&scan_in_parts(&schema, &ranges), &want);
             }
 
@@ -3860,8 +3962,7 @@ mod tests {
                 let rows = if keys == 0 { max_rows(ranks).min(12) } else { max_rows(ranks) };
                 let left = random_ranks(lvars, ranks, rows, domain, (flags & 1 != 0, flags & 2 != 0), &mut rng);
                 let right = random_ranks(rvars, ranks, rows, domain, (flags & 4 != 0, flags & 8 != 0), &mut rng);
-                let (lstage, rstage) =
-                    (StageBatch::from_batches(&left).unwrap(), StageBatch::from_batches(&right).unwrap());
+                let (lstage, rstage) = (stage_of(&left), stage_of(&right));
 
                 if keys > 0 {
                     let shared: Vec<String> = lvars
@@ -3928,7 +4029,7 @@ mod tests {
                         t
                     }
                 };
-                let stage = StageBatch::from_batches(&sets).unwrap();
+                let stage = stage_of(&sets);
                 let (want, want_moved) = per_rank_rebalance(sets, &targets);
                 let (got, got_moved) = stage.rebalance(&targets).unwrap();
                 assert_stage(&got, &want);

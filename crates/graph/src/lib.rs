@@ -13,21 +13,26 @@
 //!   sorted indexes for pattern scans.
 //! * [`solution`] — row-oriented binding tables ("solutions" in CGE
 //!   terminology), the boundary representation for results and tests.
-//! * [`batch`] — columnar solution batches (per-variable `u32`/`u64`
-//!   term-id columns + null bitmaps) with exact wire-size accounting; the
-//!   per-rank boundary representation (checkpoints, public kernels).
+//! * [`batch`] — per-variable `u32`/`u64` term-id columns at the narrowest
+//!   width that holds their ids, and the borrowed views the kernels read.
 //! * [`stage`] — rank-segmented stage batches: one column buffer per
 //!   variable for a whole pipeline stage, segmented by rank, with each
-//!   rank's exact wire width; the engine's hot-path representation.
+//!   rank's exact wire width; the engine's one intermediate layout, from
+//!   the first scan through checkpoints to the result gather.
 //! * [`sketch`] — KMV (bottom-k) distinct-value sketches over term ids,
 //!   feeding the planner's join-key NDV statistics.
-//! * [`ops`] — shard-local relational operators: pattern scan, hash join,
-//!   merge (union), project, distinct — the "set-theoretic" operators of
-//!   the paper's unified query engine.
+//! * [`ops`] — shard-local relational operators: pattern scan and hash
+//!   join — the "set-theoretic" operators of the paper's unified query
+//!   engine.
+
+// No `unwrap`/`expect` outside tests (DESIGN.md §5i).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod algo;
 pub mod batch;
 pub mod dict;
+#[doc(hidden)]
+pub mod legacy;
 pub mod ntriples;
 pub mod ops;
 pub mod sketch;
@@ -39,8 +44,9 @@ pub mod text;
 pub mod triple;
 
 pub use algo::{connected_components, pagerank};
-pub use batch::SolutionBatch;
 pub use dict::Dictionary;
+#[doc(hidden)]
+pub use legacy::SolutionBatch;
 pub use ntriples::{parse_ntriples, write_ntriples};
 pub use sketch::KmvSketch;
 pub use solution::{RowIter, Rows, SolutionSet};

@@ -55,16 +55,15 @@ pub fn write_term(t: &Term) -> String {
     }
 }
 
-/// Serialize decoded triples as N-Triples text.
+/// Serialize decoded triples as N-Triples text; `None` if a triple holds
+/// an id `dict` never minted.
 pub fn write_ntriples<'a>(
     triples: impl IntoIterator<Item = &'a Triple>,
     dict: &Dictionary,
-) -> String {
+) -> Option<String> {
     let mut out = String::new();
     for t in triples {
-        let s = dict.decode(t.s).expect("subject in dictionary");
-        let p = dict.decode(t.p).expect("predicate in dictionary");
-        let o = dict.decode(t.o).expect("object in dictionary");
+        let (s, p, o) = (dict.decode(t.s)?, dict.decode(t.p)?, dict.decode(t.o)?);
         out.push_str(&write_term(&s));
         out.push(' ');
         out.push_str(&write_term(&p));
@@ -72,7 +71,7 @@ pub fn write_ntriples<'a>(
         out.push_str(&write_term(&o));
         out.push_str(" .\n");
     }
-    out
+    Some(out)
 }
 
 struct Cursor<'a> {
@@ -225,6 +224,7 @@ pub fn parse_ntriples(text: &str, dict: &Dictionary) -> Result<Vec<Triple>, NtEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::term::TermId;
 
     #[test]
     fn parse_basic_triples() {
@@ -257,9 +257,24 @@ mod tests {
         let dict = Dictionary::new();
         let text = "<a> <b> <c> .\n<a> <n> \"42\"^^<http://www.w3.org/2001/XMLSchema#integer> .\n";
         let triples = parse_ntriples(text, &dict).unwrap();
-        let written = write_ntriples(&triples, &dict);
+        let written = write_ntriples(&triples, &dict).unwrap();
         let reparsed = parse_ntriples(&written, &dict).unwrap();
         assert_eq!(triples, reparsed);
+    }
+
+    #[test]
+    fn writing_an_id_the_dictionary_never_minted_is_refused() {
+        let dict = Dictionary::new();
+        let triples = parse_ntriples("<a> <b> <c> .", &dict).unwrap();
+        let unknown = TermId(triples[0].o.raw() + 1_000);
+        for t in [
+            Triple::new(unknown, triples[0].p, triples[0].o),
+            Triple::new(triples[0].s, unknown, triples[0].o),
+            Triple::new(triples[0].s, triples[0].p, unknown),
+        ] {
+            assert_eq!(write_ntriples(&[triples[0], t], &dict), None);
+        }
+        assert_eq!(write_ntriples(&[], &dict), Some(String::new()));
     }
 
     #[test]

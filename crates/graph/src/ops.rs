@@ -7,11 +7,14 @@
 //! everything here is pure. Projection, DISTINCT and the rest of the
 //! result shaping run in the engine's gather (`ids_core::engine::shape_result`).
 
-use crate::batch::{BatchView, ColumnSlice, SolutionBatch};
+use crate::batch::{BatchView, ColumnSlice};
 use crate::stage::StagePart;
 use crate::store::TriplePattern;
 use crate::triple::Triple;
 use std::sync::Arc;
+
+#[doc(hidden)]
+pub use crate::legacy::{hash_join_batch, merge_batches, scan_to_batch};
 
 /// What a pattern's scan binds, worked out once per pattern: the output
 /// schema (the distinct variables of its wildcard positions, in subject,
@@ -59,16 +62,6 @@ pub fn scan_schema(
     ScanSchema { pattern: *pattern, vars: vars.into(), bind, repeats }
 }
 
-/// Bind `triples`, every one a match of the schema's pattern, into a
-/// batch of that schema: one row per triple, in order, skipping triples
-/// that disagree at a repeated variable's positions. Each variable's
-/// column is filled straight from its triple position.
-pub fn scan_with(schema: &ScanSchema, triples: &[Triple]) -> SolutionBatch {
-    let mut part = StagePart::new(schema.vars.len());
-    let (_, rows) = scan_into(schema, triples, &mut part);
-    SolutionBatch::from_columns(schema.vars.clone(), part.into_columns(), rows)
-}
-
 impl ScanSchema {
     /// The output schema.
     pub fn vars(&self) -> &Arc<[String]> {
@@ -76,10 +69,11 @@ impl ScanSchema {
     }
 }
 
-/// Bind one shard's matches (every one a match of the schema's pattern)
-/// as [`scan_with`] binds them, appended to `part` as one rank's rows,
-/// each variable's column filled straight from its triple position.
-/// Returns where they went among the part's rows.
+/// Bind one shard's matches (every one a match of the schema's pattern),
+/// appended to `part` as one rank's rows: one row per triple, in order,
+/// skipping triples that disagree at a repeated variable's positions. Each
+/// variable's column is filled straight from its triple position. Returns
+/// where the rows went among the part's rows.
 pub fn scan_into(schema: &ScanSchema, triples: &[Triple], part: &mut StagePart) -> (usize, usize) {
     debug_assert!(triples.iter().all(|t| schema.pattern.matches(t)));
     let positions = (0..3).filter(|&p| schema.bind[p]);
@@ -108,20 +102,6 @@ pub fn scan_into(schema: &ScanSchema, triples: &[Triple], part: &mut StagePart) 
 fn agrees(schema: &ScanSchema, t: &Triple) -> bool {
     let at = |pos: usize| [t.s, t.p, t.o][pos];
     schema.repeats.iter().all(|&(a, b)| at(a) == at(b))
-}
-
-/// [`scan_with`] under a schema built for this one call.
-///
-/// # Panics
-/// Panics if a variable is supplied for a bound position.
-pub fn scan_to_batch(
-    pattern: &TriplePattern,
-    var_s: Option<&str>,
-    var_p: Option<&str>,
-    var_o: Option<&str>,
-    triples: &[Triple],
-) -> SolutionBatch {
-    scan_with(&scan_schema(pattern, var_s, var_p, var_o), triples)
 }
 
 /// A join's output layout, worked out once per pair of input schemas:
@@ -168,41 +148,6 @@ impl JoinSchema {
     }
 }
 
-/// Hash join on all shared variables; with none it is a cross product.
-/// Output rows come in probe order: each left row in order, paired with
-/// its matching right rows in insertion order. The output carries
-/// `schema`'s shared output schema.
-///
-/// Works a column at a time ([`JoinWorker::join`]): the probe emits a
-/// pair of selection vectors and every output column is one gather. Output columns follow
-/// the batch width rule (`U32` exactly when every id fits), so
-/// `byte_size()` is what pushing the same rows one by one would give.
-///
-/// # Panics
-/// Panics if an input's schema is not the one `schema` was built for, or
-/// if either input has a null binding — BGP solutions are fully bound, and
-/// a join key cannot be unbound; callers holding batches of unknown
-/// provenance check [`SolutionBatch::has_nulls`] first. Also panics if a
-/// side has `u32::MAX` rows or more, the selection-vector index space.
-pub fn hash_join_with(
-    schema: &JoinSchema,
-    left: &SolutionBatch,
-    right: &SolutionBatch,
-) -> SolutionBatch {
-    assert!(!left.has_nulls() && !right.has_nulls(), "join input is fully bound");
-    let mut worker = JoinWorker::new(schema);
-    let (_, rows) = worker.join(schema, left.view(), right.view());
-    SolutionBatch::from_columns(schema.vars.clone(), worker.part.into_columns(), rows)
-}
-
-/// [`hash_join_with`] under a layout built for this one call.
-///
-/// # Panics
-/// As [`hash_join_with`], for a null binding or an oversized side.
-pub fn hash_join_batch(left: &SolutionBatch, right: &SolutionBatch) -> SolutionBatch {
-    hash_join_with(&join_schema(left.schema(), right.schema()), left, right)
-}
-
 /// End of a bucket chain; also bounds the rows a join side may hold.
 const NIL: u32 = u32::MAX;
 
@@ -244,9 +189,13 @@ impl JoinWorker {
         self.part
     }
 
-    /// Join one rank's inputs ([`hash_join_with`]'s rows and order) and
-    /// append the output rows. Returns `(first, count)`: where they went
-    /// among this worker's rows.
+    /// Hash join one rank's inputs on all shared variables (with none, a
+    /// cross product) and append the output rows. Output rows come in
+    /// probe order: each left row in order, paired with its matching right
+    /// rows in order. Every output column is one gather of a selection
+    /// vector, so it follows the column width rule (`U32` exactly when
+    /// every id fits). Returns `(first, count)`: where the rows went among
+    /// this worker's rows.
     ///
     /// # Panics
     /// Panics if an input's schema is not the one `schema` was built for,
@@ -371,23 +320,11 @@ fn hash_keys(view: &BatchView<'_>, cols: impl Iterator<Item = usize>, hashes: &m
     }
 }
 
-/// Union of batches with identical schemas ("merge" in CGE terms):
-/// concatenate them in order.
-///
-/// # Panics
-/// Panics if schemas differ or the input is empty.
-pub fn merge_batches(batches: Vec<SolutionBatch>) -> SolutionBatch {
-    let mut it = batches.into_iter();
-    let mut first = it.next().expect("merge needs at least one input");
-    for b in it {
-        first.append(b);
-    }
-    first
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::Column;
+    use crate::stage::StageBatch;
     use crate::term::TermId;
     use crate::triple::Triple;
 
@@ -399,115 +336,135 @@ mod tests {
         Triple::new(id(s), id(p), id(o))
     }
 
+    fn schema(vars: &[&str]) -> Arc<[String]> {
+        vars.iter().map(|v| v.to_string()).collect()
+    }
+
+    /// One rank's rows as the join reads them: a column per variable.
+    struct Table {
+        vars: Arc<[String]>,
+        cols: Vec<Column>,
+        rows: usize,
+    }
+
+    impl Table {
+        fn view(&self) -> BatchView<'_> {
+            BatchView::of_columns(&self.vars, &self.cols, 0..self.rows)
+        }
+    }
+
+    /// `rows` pushed one id at a time, each column widening on its first
+    /// id past `u32::MAX`.
+    fn table(vars: &Arc<[String]>, rows: &[Vec<u64>]) -> Table {
+        let mut cols = vec![Column::U32(Vec::new()); vars.len()];
+        for row in rows {
+            cols.iter_mut().zip(row).for_each(|(c, &v)| c.push(v));
+        }
+        Table { vars: vars.clone(), cols, rows: rows.len() }
+    }
+
+    fn table_of(vars: &Arc<[String]>, rows: &[&[u64]]) -> Table {
+        table(vars, &rows.iter().map(|r| r.to_vec()).collect::<Vec<_>>())
+    }
+
+    /// The one-rank stage of `table`, at its widths.
+    fn one_rank(table: Table) -> StageBatch {
+        StageBatch::from_columns(table.vars, table.cols, vec![0, table.rows as u32])
+    }
+
+    /// `triples` bound as one rank's scan.
+    fn scan(schema: &ScanSchema, triples: &[Triple]) -> StageBatch {
+        let mut part = StagePart::new(schema.vars.len());
+        let (first, n) = scan_into(schema, triples, &mut part);
+        StageBatch::assemble(schema.vars.clone(), vec![part], &[(0, first, n)]).unwrap()
+    }
+
+    /// `left` joined with `right` as one rank's join.
+    fn join(left: &Table, right: &Table) -> StageBatch {
+        let schema = join_schema(&left.vars, &right.vars);
+        let mut worker = JoinWorker::new(&schema);
+        let (first, n) = worker.join(&schema, left.view(), right.view());
+        StageBatch::assemble(schema.vars.clone(), vec![worker.into_part()], &[(0, first, n)])
+            .unwrap()
+    }
+
+    fn rows(view: BatchView<'_>) -> Vec<Vec<u64>> {
+        (0..view.len())
+            .map(|i| (0..view.vars().len()).map(|c| view.column(c).get(i)).collect())
+            .collect()
+    }
+
     #[test]
     fn scan_binds_wildcards_only() {
         let pat = TriplePattern::new(None, Some(id(9)), None);
         let triples = vec![t(1, 9, 11), t(2, 9, 12)];
-        let sols = scan_to_batch(&pat, Some("s"), None, Some("o"), &triples).to_set();
+        let sols = scan(&scan_schema(&pat, Some("s"), None, Some("o")), &triples);
         assert_eq!(sols.vars(), &["s".to_string(), "o".to_string()]);
-        assert_eq!(sols.rows().to_vec(), [vec![id(1), id(11)], vec![id(2), id(12)]]);
+        assert_eq!(rows(sols.view()), [[1, 11], [2, 12]]);
     }
 
     #[test]
     #[should_panic(expected = "predicate is bound")]
     fn scan_rejects_var_on_bound_position() {
         let pat = TriplePattern::new(None, Some(id(9)), None);
-        scan_to_batch(&pat, Some("s"), Some("p"), None, &[]);
+        scan_schema(&pat, Some("s"), Some("p"), None);
     }
 
     #[test]
     fn join_on_shared_var() {
         // proteins: (?p, ?seq)   inhibitors: (?p, ?c)
-        let left = batch_of(&schema(&["p", "seq"]), &[&[1, 21], &[2, 22], &[3, 23]]);
-        let right = batch_of(&schema(&["p", "c"]), &[&[1, 31], &[1, 32], &[3, 33], &[9, 39]]);
-        let joined = hash_join_batch(&left, &right).to_set();
+        let left = table_of(&schema(&["p", "seq"]), &[&[1, 21], &[2, 22], &[3, 23]]);
+        let right = table_of(&schema(&["p", "c"]), &[&[1, 31], &[1, 32], &[3, 33], &[9, 39]]);
+        let joined = join(&left, &right);
         assert_eq!(joined.vars(), &["p".to_string(), "seq".to_string(), "c".to_string()]);
         // p=1 matches twice, p=3 once, p=2/9 drop; left rows probe in order.
-        let want = [[1, 21, 31], [1, 21, 32], [3, 23, 33]].map(|r| r.map(id).to_vec());
-        assert_eq!(joined.rows().to_vec(), want);
+        assert_eq!(rows(joined.view()), [[1, 21, 31], [1, 21, 32], [3, 23, 33]]);
     }
 
     #[test]
     fn join_without_shared_vars_is_cross_product() {
-        let left = batch_of(&schema(&["a"]), &[&[1], &[2]]);
-        let right = batch_of(&schema(&["b"]), &[&[10], &[20], &[30]]);
-        let joined = hash_join_batch(&left, &right).to_set();
-        let want: Vec<Vec<TermId>> =
-            [1, 2].iter().flat_map(|&a| [10, 20, 30].map(|b| vec![id(a), id(b)])).collect();
-        assert_eq!(joined.rows().to_vec(), want);
+        let left = table_of(&schema(&["a"]), &[&[1], &[2]]);
+        let right = table_of(&schema(&["b"]), &[&[10], &[20], &[30]]);
+        let want: Vec<Vec<u64>> =
+            [1, 2].iter().flat_map(|&a| [10, 20, 30].map(|b| vec![a, b])).collect();
+        assert_eq!(rows(join(&left, &right).view()), want);
     }
 
     #[test]
     fn join_on_multiple_shared_vars() {
-        let left = batch_of(&schema(&["x", "y"]), &[&[1, 2], &[1, 3]]);
-        let right = batch_of(&schema(&["y", "x"]), &[&[2, 1], &[3, 9]]);
-        let joined = hash_join_batch(&left, &right).to_set();
-        assert_eq!(joined.len(), 1, "both x and y must agree");
-        assert_eq!(joined.rows()[0], vec![id(1), id(2)]);
+        let left = table_of(&schema(&["x", "y"]), &[&[1, 2], &[1, 3]]);
+        let right = table_of(&schema(&["y", "x"]), &[&[2, 1], &[3, 9]]);
+        assert_eq!(rows(join(&left, &right).view()), [[1, 2]], "both x and y must agree");
     }
 
     #[test]
-    fn join_with_empty_side_is_empty() {
-        let left = batch_of(&schema(&["a"]), &[&[1]]);
-        let right = batch_of(&schema(&["a"]), &[]);
-        assert!(hash_join_batch(&left, &right).is_empty());
-        assert!(hash_join_batch(&right, &left).is_empty());
-    }
-
-    #[test]
-    fn merge_concatenates_in_order() {
-        let x = schema(&["x"]);
-        let merged = merge_batches(vec![batch_of(&x, &[&[1]]), batch_of(&x, &[&[2], &[3]])]);
-        assert_eq!(merged.to_set().rows().to_vec(), [vec![id(1)], vec![id(2)], vec![id(3)]]);
-    }
-
-    #[test]
-    #[should_panic(expected = "merge needs at least one input")]
-    fn merge_of_no_batches_panics() {
-        merge_batches(Vec::new());
-    }
-
-    #[test]
-    fn batch_join_with_an_empty_side_keeps_the_output_schema() {
-        let left = batch_of(&schema(&["a", "k"]), &[&[1, 2]]);
-        let right = SolutionBatch::empty(vec!["k".into(), "b".into()]);
+    fn join_with_an_empty_side_is_empty_and_keeps_the_output_schema() {
+        let left = table_of(&schema(&["a", "k"]), &[&[1, 2]]);
+        let right = table_of(&schema(&["k", "b"]), &[]);
         for (l, r, vars) in [(&left, &right, ["a", "k", "b"]), (&right, &left, ["k", "b", "a"])] {
-            let out = hash_join_batch(l, r);
+            let out = join(l, r);
             assert!(out.is_empty());
             assert_eq!(out.vars(), vars.map(String::from));
         }
     }
 
     #[test]
-    #[should_panic(expected = "join input is fully bound")]
-    fn batch_join_rejects_a_null_binding_up_front() {
-        let left = batch_of(&schema(&["k"]), &[&[1]]);
-        let mut right = SolutionBatch::empty(vec!["k".into(), "b".into()]);
-        right.push_opt_row(&[Some(id(1)), None]);
-        hash_join_batch(&left, &right);
-    }
-
-    fn schema(vars: &[&str]) -> Arc<[String]> {
-        vars.iter().map(|v| v.to_string()).collect()
-    }
-
-    fn batch_of(schema: &Arc<[String]>, rows: &[&[u64]]) -> SolutionBatch {
-        let mut b = SolutionBatch::with_schema(schema.clone());
-        for row in rows {
-            b.push_row(&row.iter().map(|&v| id(v)).collect::<Vec<_>>());
-        }
-        b
-    }
-
-    #[test]
-    fn one_scan_schema_binds_every_shard_like_scan_to_batch() {
+    fn one_scan_schema_binds_every_shard_into_one_part() {
         let pat = TriplePattern::new(None, Some(id(9)), None);
-        let scan = scan_schema(&pat, Some("s"), None, Some("o"));
+        let scan_s = scan_schema(&pat, Some("s"), None, Some("o"));
         let shards = [vec![t(1, 9, 11)], vec![], vec![t(2, 9, 12), t(3, 9, 13)]];
-        let batches: Vec<SolutionBatch> = shards.iter().map(|tr| scan_with(&scan, tr)).collect();
-        for (b, tr) in batches.iter().zip(&shards) {
-            assert!(Arc::ptr_eq(b.schema(), batches[0].schema()));
-            assert_eq!(*b, scan_to_batch(&pat, Some("s"), None, Some("o"), tr));
+        let mut part = StagePart::new(2);
+        let spans: Vec<_> = shards
+            .iter()
+            .map(|tr| {
+                let (first, n) = scan_into(&scan_s, tr, &mut part);
+                (0, first, n)
+            })
+            .collect();
+        let stage = StageBatch::assemble(scan_s.vars().clone(), vec![part], &spans).unwrap();
+        assert!(Arc::ptr_eq(stage.schema(), scan_s.vars()));
+        for (r, tr) in shards.iter().enumerate() {
+            assert_eq!(rows(stage.segment(r)), rows(scan(&scan_s, tr).view()));
         }
     }
 
@@ -515,12 +472,12 @@ mod tests {
     fn a_repeated_variable_is_one_column_bound_where_its_positions_agree() {
         let pat = TriplePattern::new(None, Some(id(9)), None);
         let triples = [t(1, 9, 1), t(2, 9, 3), t(4, 9, 4)];
-        let scan = scan_to_batch(&pat, Some("x"), None, Some("x"), &triples).to_set();
-        assert_eq!(scan.vars(), ["x"]);
-        assert_eq!(scan.rows().to_vec(), [vec![id(1)], vec![id(4)]]);
+        let bound = scan(&scan_schema(&pat, Some("x"), None, Some("x")), &triples);
+        assert_eq!(bound.vars(), ["x"]);
+        assert_eq!(rows(bound.view()), [[1], [4]]);
         let all = TriplePattern::new(None, None, None);
-        let scan = scan_to_batch(&all, Some("x"), Some("y"), Some("x"), &[t(5, 6, 5), t(5, 6, 7)]);
-        assert_eq!(scan.to_set().rows().to_vec(), [vec![id(5), id(6)]]);
+        let schema = scan_schema(&all, Some("x"), Some("y"), Some("x"));
+        assert_eq!(rows(scan(&schema, &[t(5, 6, 5), t(5, 6, 7)]).view()), [[5, 6]]);
     }
 
     #[test]
@@ -535,37 +492,76 @@ mod tests {
         assert_eq!(*js.vars, *schema(&["a", "k", "j", "b"]));
         assert_eq!(js.shared, vec![(1, 2), (2, 0)]);
         assert_eq!(js.right_extra, vec![1]);
+        assert_eq!((js.output_source(1), js.output_source(3)), ((false, 1), (true, 1)));
     }
 
     #[test]
-    fn one_join_layout_serves_every_shard_with_one_output_schema() {
+    fn one_join_worker_serves_every_shard_with_one_output_schema() {
         let (ls, rs) = (schema(&["p", "seq"]), schema(&["c", "p"]));
         let js = join_schema(&ls, &rs);
         let shards = [
-            (batch_of(&ls, &[&[1, 21], &[2, 22]]), batch_of(&rs, &[&[31, 1], &[32, 1]])),
-            (batch_of(&ls, &[&[3, 23]]), batch_of(&rs, &[])),
-            (batch_of(&ls, &[&[4, 24]]), batch_of(&rs, &[&[34, 4], &[39, 9]])),
+            (table_of(&ls, &[&[1, 21], &[2, 22]]), table_of(&rs, &[&[31, 1], &[32, 1]])),
+            (table_of(&ls, &[&[3, 23]]), table_of(&rs, &[])),
+            (table_of(&ls, &[&[4, 24]]), table_of(&rs, &[&[34, 4], &[39, 9]])),
         ];
-        let outs: Vec<SolutionBatch> =
-            shards.iter().map(|(l, r)| hash_join_with(&js, l, r)).collect();
-        for (out, (l, r)) in outs.iter().zip(&shards) {
-            assert!(Arc::ptr_eq(out.schema(), outs[0].schema()));
-            assert_eq!(*out, hash_join_batch(l, r));
+        let mut worker = JoinWorker::new(&js);
+        let spans: Vec<_> = shards
+            .iter()
+            .map(|(l, r)| {
+                let (first, n) = worker.join(&js, l.view(), r.view());
+                (0, first, n)
+            })
+            .collect();
+        let stage = StageBatch::assemble(js.vars().clone(), vec![worker.into_part()], &spans);
+        let stage = stage.unwrap();
+        assert!(Arc::ptr_eq(stage.schema(), js.vars()));
+        assert_eq!(stage.rank_offsets(), [0, 2, 2, 3]);
+        for (r, (l, rt)) in shards.iter().enumerate() {
+            assert_eq!(rows(stage.segment(r)), rows(join(l, rt).view()));
         }
-        assert_eq!(outs.iter().map(SolutionBatch::len).collect::<Vec<_>>(), vec![2, 0, 1]);
+    }
+
+    #[test]
+    fn join_keys_match_across_column_widths() {
+        // A key stored at eight bytes on one side and four on the other.
+        let left = Table {
+            vars: schema(&["k", "l"]),
+            cols: vec![Column::U64(vec![1, 2, 1 << 40]), Column::U32(vec![10, 20, 30])],
+            rows: 3,
+        };
+        let right = table_of(&schema(&["k", "r"]), &[&[2, 7], &[1, 8], &[1 << 40, 9]]);
+        let joined = join(&left, &right);
+        assert_eq!(rows(joined.view()), [[1, 10, 8], [2, 20, 7], [1 << 40, 30, 9]]);
+        assert_eq!(joined.segment_width(0, 0), 8);
+        let small = join(&table_of(&schema(&["k", "l"]), &[&[2, 20]]), &right);
+        assert_eq!((small.segment_width(0, 0), small.len()), (4, 1));
+    }
+
+    #[test]
+    fn a_shard_without_matches_is_an_empty_rank() {
+        let schema = scan_schema(&TriplePattern::new(None, None, None), Some("s"), None, None);
+        let mut part = StagePart::new(1);
+        assert_eq!(scan_into(&schema, &[t(1, 2, 3)], &mut part), (0, 1));
+        assert_eq!(scan_into(&schema, &[], &mut part), (1, 0));
+        assert_eq!(scan_into(&schema, &[t(4, 2, 3)], &mut part), (1, 1));
+        let spans = [(0, 0, 1), (0, 1, 0), (0, 1, 1)];
+        let stage = StageBatch::assemble(schema.vars().clone(), vec![part], &spans).unwrap();
+        assert_eq!(stage.rank_offsets(), [0, 1, 1, 2]);
     }
 
     #[test]
     #[should_panic(expected = "join inputs must have the schemas")]
-    fn hash_join_with_rejects_inputs_of_another_schema() {
+    fn join_rejects_inputs_of_another_schema() {
         let js = join_schema(&schema(&["a"]), &schema(&["a", "b"]));
-        hash_join_with(&js, &batch_of(&schema(&["a"]), &[]), &batch_of(&schema(&["b"]), &[]));
+        let (l, r) = (table_of(&schema(&["a"]), &[]), table_of(&schema(&["b"]), &[]));
+        JoinWorker::new(&js).join(&js, l.view(), r.view());
     }
 
     /// The column-at-a-time scan and join against the row-at-a-time loops
-    /// they replaced: `==` with the batch the old `push_row` loop built, so
-    /// rows, their order and column widths — hence `byte_size()` and every
-    /// charge computed from it — cannot drift. Sizes grow in release builds (`ci.sh` runs
+    /// they replaced: `==` with the one-rank stage of the columns the old
+    /// row-at-a-time loop built, so rows, their order and column widths —
+    /// hence `byte_size()` and every charge computed from it — cannot
+    /// drift. Sizes grow in release builds (`ci.sh` runs
     /// `cargo test -p ids-graph --release -- kernels`).
     mod kernels {
         use super::*;
@@ -576,75 +572,74 @@ mod tests {
         const FULL: bool = !cfg!(debug_assertions);
         const MAX_ROWS: usize = if FULL { 5000 } else { 250 };
 
-        /// The previous `hash_join_batch`, verbatim: a `Vec<TermId>` key per
-        /// build and per probe row, output through `push_row`.
-        fn reference_join_batch(left: &SolutionBatch, right: &SolutionBatch) -> SolutionBatch {
+        /// The first batch `hash_join_batch`: a `Vec<u64>` key per build
+        /// and per probe row, output a row at a time.
+        fn reference_join(left: &Table, right: &Table) -> StageBatch {
             let shared: Vec<(usize, usize)> = left
-                .vars()
+                .vars
                 .iter()
                 .enumerate()
-                .filter_map(|(li, v)| right.var_index(v).map(|ri| (li, ri)))
+                .filter_map(|(li, v)| right.vars.iter().position(|r| r == v).map(|ri| (li, ri)))
                 .collect();
-            let right_extra: Vec<usize> = (0..right.vars().len())
+            let right_extra: Vec<usize> = (0..right.vars.len())
                 .filter(|ri| !shared.iter().any(|&(_, sri)| sri == *ri))
                 .collect();
-            let mut vars: Vec<String> = left.vars().to_vec();
-            vars.extend(right_extra.iter().map(|&ri| right.vars()[ri].clone()));
-            let mut out = SolutionBatch::empty(vars);
+            let mut vars: Vec<String> = left.vars.to_vec();
+            vars.extend(right_extra.iter().map(|&ri| right.vars[ri].clone()));
 
-            let mut table: HashMap<Vec<TermId>, Vec<usize>> = HashMap::new();
-            for idx in 0..right.len() {
-                let key: Vec<TermId> =
-                    shared.iter().map(|&(_, ri)| right.get(idx, ri).unwrap()).collect();
-                table.entry(key).or_default().push(idx);
+            let mut table_: HashMap<Vec<u64>, Vec<usize>> = HashMap::new();
+            for idx in 0..right.rows {
+                let key: Vec<u64> = shared.iter().map(|&(_, ri)| right.cols[ri].get(idx)).collect();
+                table_.entry(key).or_default().push(idx);
             }
-            let mut row: Vec<TermId> = Vec::new();
-            let mut lrow: Vec<TermId> = Vec::new();
-            for li in 0..left.len() {
-                left.copy_row(li, &mut lrow);
-                let key: Vec<TermId> = shared.iter().map(|&(i, _)| lrow[i]).collect();
-                if let Some(matches) = table.get(&key) {
-                    for &ridx in matches {
-                        row.clear();
-                        row.extend_from_slice(&lrow);
-                        row.extend(right_extra.iter().map(|&ri| right.get(ridx, ri).unwrap()));
-                        out.push_row(&row);
-                    }
+            let mut out = Vec::new();
+            for li in 0..left.rows {
+                let lrow: Vec<u64> = left.cols.iter().map(|c| c.get(li)).collect();
+                let key: Vec<u64> = shared.iter().map(|&(i, _)| lrow[i]).collect();
+                for &ridx in table_.get(&key).into_iter().flatten() {
+                    let mut row = lrow.clone();
+                    row.extend(right_extra.iter().map(|&ri| right.cols[ri].get(ridx)));
+                    out.push(row);
                 }
             }
-            out
+            one_rank(table(&vars.into(), &out))
         }
 
-        /// A batch of `rows` random rows. Ids are drawn from `0..domain`
+        /// A table of `rows` random rows. Ids are drawn from `0..domain`
         /// (small domains make duplicate keys); with `big_ids` about one in
-        /// six is pushed past `u32::MAX`; with `wide_small` a first row of
-        /// huge ids is split off again, leaving `U64` columns that hold
-        /// only small values.
-        fn random_batch(
+        /// six is pushed past `u32::MAX`; with `wide_small` every column is
+        /// `U64` even where it holds only small values.
+        fn random_table(
             vars: &[String],
             rows: usize,
             domain: u64,
             big_ids: bool,
             wide_small: bool,
             rng: &mut SplitMix64,
-        ) -> SolutionBatch {
-            let mut b = SolutionBatch::empty(vars.to_vec());
+        ) -> Table {
+            let rows: Vec<Vec<u64>> = (0..rows)
+                .map(|_| {
+                    vars.iter()
+                        .map(|_| {
+                            let v = rng.next_below(domain);
+                            if big_ids && rng.next_below(6) == 0 {
+                                v + (1 << 32)
+                            } else {
+                                v
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut t = table(&vars.iter().cloned().collect(), &rows);
             if wide_small {
-                b.push_row(&vec![id(u64::MAX - 1); vars.len()]);
+                for c in &mut t.cols {
+                    if let Column::U32(v) = c {
+                        *c = Column::U64(v.iter().map(|&x| u64::from(x)).collect());
+                    }
+                }
             }
-            let mut row = Vec::new();
-            for _ in 0..rows {
-                row.clear();
-                row.extend(vars.iter().map(|_| {
-                    let v = rng.next_below(domain);
-                    id(if big_ids && rng.next_below(6) == 0 { v + (1 << 32) } else { v })
-                }));
-                b.push_row(&row);
-            }
-            if wide_small {
-                b = b.split_off(1);
-            }
-            b
+            t
         }
 
         proptest! {
@@ -678,15 +673,15 @@ mod tests {
                 if payload & 2 != 0 {
                     right_vars.insert(right_vars.len() / 2, "r0".to_string());
                 }
-                let left = random_batch(
+                let left = random_table(
                     &left_vars, left_rows.min(cap), domain, flags & 1 != 0, flags & 2 != 0, &mut rng,
                 );
-                let right = random_batch(
+                let right = random_table(
                     &right_vars, right_rows.min(cap), domain, flags & 4 != 0, flags & 8 != 0, &mut rng,
                 );
 
-                let got = hash_join_batch(&left, &right);
-                let want = reference_join_batch(&left, &right);
+                let got = join(&left, &right);
+                let want = reference_join(&left, &right);
                 prop_assert_eq!(got.byte_size(), want.byte_size());
                 prop_assert_eq!(&got, &want);
             }
@@ -710,18 +705,20 @@ mod tests {
                 let (var_s, var_p, var_o) = (var(1, "s"), var(2, "p"), var(4, "o"));
                 let pat = TriplePattern::new(None, None, None);
 
-                let mut want = SolutionBatch::empty(
-                    [var_s, var_p, var_o].into_iter().flatten().map(String::from).collect(),
-                );
-                let mut row = Vec::new();
-                for t in &triples {
-                    row.clear();
-                    row.extend(var_s.map(|_| t.s));
-                    row.extend(var_p.map(|_| t.p));
-                    row.extend(var_o.map(|_| t.o));
-                    want.push_row(&row);
-                }
-                let got = scan_to_batch(&pat, var_s, var_p, var_o, &triples);
+                let vars: Arc<[String]> =
+                    [var_s, var_p, var_o].into_iter().flatten().map(String::from).collect();
+                let want: Vec<Vec<u64>> = triples
+                    .iter()
+                    .map(|t| {
+                        let mut row = Vec::new();
+                        row.extend(var_s.map(|_| t.s.raw()));
+                        row.extend(var_p.map(|_| t.p.raw()));
+                        row.extend(var_o.map(|_| t.o.raw()));
+                        row
+                    })
+                    .collect();
+                let want = one_rank(table(&vars, &want));
+                let got = scan(&scan_schema(&pat, var_s, var_p, var_o), &triples);
                 prop_assert_eq!(got.byte_size(), want.byte_size());
                 prop_assert_eq!(&got, &want);
             }

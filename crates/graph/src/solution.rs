@@ -70,14 +70,14 @@ impl SolutionSet {
     }
 
     /// Exact serialized size in bytes under the columnar wire layout used
-    /// by [`crate::batch::SolutionBatch`] and the typed cache objects:
+    /// by stage segments and the typed cache objects:
     /// `u16` var count; per var a `u16` length + name bytes; `u64` row
     /// count; per column one tag byte plus `rows × width` value bytes,
     /// where width is 4 unless some id in the column overflows `u32`.
     ///
     /// This scans every cell to pick column widths; the engine's hot path
-    /// uses [`crate::batch::SolutionBatch::byte_size`], which knows its
-    /// widths in O(1).
+    /// uses [`crate::stage::StageBatch::segment_byte_size`], which knows
+    /// its widths.
     pub fn byte_size(&self) -> u64 {
         let rows = self.rows as u64;
         let mut total = 2u64 + 8;

@@ -4,23 +4,23 @@
 //! Between two stages the engine holds every rank's solutions. A
 //! [`StageBatch`] stores them as one id column per variable for the whole
 //! stage plus `rank_offsets`, a CSR index over ranks: rank `r`'s rows are
-//! rows `rank_offsets[r]..rank_offsets[r + 1]`, in the order a per-rank
-//! [`SolutionBatch`] would hold them. Creating, exchanging and freeing a
-//! stage costs a handful of allocations whatever the rank count.
+//! rows `rank_offsets[r]..rank_offsets[r + 1]`, in rank order. Creating,
+//! exchanging and freeing a stage costs a handful of allocations whatever
+//! the rank count. It is the engine's one intermediate layout: filled
+//! through [`StagePart`]s, read through [`BatchView`]s.
 //!
-//! **Per-rank widths.** A rank's segment weighs what its own
-//! [`SolutionBatch`] would: a column's segment is eight bytes per cell
-//! exactly when that batch's column would be [`Column::U64`]. The stage
-//! keeps that set of ranks per column. Every constructor here decides it
-//! by content (a segment is wide when it holds an id past `u32::MAX`),
-//! except [`StageBatch::rebalance`], where a kept segment keeps its width
-//! and a receiving one only widens, as `split_off` and `push_row` do.
-//! [`StageBatch::segment_byte_size`] is therefore the per-rank
-//! `byte_size()` every exchange, gather and cache-admission charge uses.
-//! A stage column is stored at eight bytes exactly when some rank's
-//! segment is wide.
+//! **Per-rank widths.** A rank's segment weighs what that rank's rows
+//! would weigh on their own: a column's segment is eight bytes per cell
+//! exactly when its rank holds (or, after a rebalance, held) an id past
+//! `u32::MAX`. The stage keeps that set of ranks per column. Every
+//! constructor here decides it by content (a segment is wide when it holds
+//! an id past `u32::MAX`), except [`StageBatch::rebalance`], where a kept
+//! segment keeps its width and a receiving one only widens.
+//! [`StageBatch::segment_byte_size`] is therefore the per-rank wire size
+//! every exchange, gather and cache-admission charge uses. A stage column
+//! is stored at eight bytes exactly when some rank's segment is wide.
 
-use crate::batch::{BatchView, Column, ColumnSlice, SolutionBatch};
+use crate::batch::{BatchView, Column, ColumnSlice};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -93,60 +93,6 @@ impl StageBatch {
         Self { vars, cols, wide, offsets }
     }
 
-    /// The stage whose rank `r` holds `batches[r]`, at each batch's own
-    /// column widths — how a checkpoint's per-rank batches re-enter the
-    /// pipeline. `None` if there are no batches, their schemas differ, a
-    /// batch has an unbound cell (stages are fully bound), or the rows do
-    /// not fit the `u32` row index space.
-    pub fn from_batches(batches: &[SolutionBatch]) -> Option<Self> {
-        let first = batches.first()?;
-        if batches.iter().any(|b| !b.same_schema(first.vars()) || b.has_nulls()) {
-            return None;
-        }
-        let offsets = offsets_from_counts(batches.iter().map(SolutionBatch::len))?;
-        let mut cols = Vec::with_capacity(first.vars().len());
-        let mut wide = Vec::with_capacity(first.vars().len());
-        for c in 0..first.vars().len() {
-            let ranks: Vec<u32> = (0..batches.len() as u32)
-                .filter(|&r| batches[r as usize].column(c).width() == 8)
-                .collect();
-            let mut col = if ranks.is_empty() {
-                Column::U32(Vec::with_capacity(offsets[batches.len()] as usize))
-            } else {
-                Column::U64(Vec::with_capacity(offsets[batches.len()] as usize))
-            };
-            for b in batches {
-                col.extend_slice(b.column(c).as_slice());
-            }
-            cols.push(col);
-            wide.push(ranks);
-        }
-        Some(Self { vars: first.schema().clone(), cols, wide, offsets })
-    }
-
-    /// Rank `r`'s segment as its own batch, at the segment's widths — the
-    /// per-rank view checkpoints and the test oracles compare against.
-    pub fn segment_batch(&self, r: usize) -> SolutionBatch {
-        let range = self.segment_range(r);
-        let cols = (0..self.cols.len())
-            .map(|c| {
-                let mut out = if self.segment_width(r, c) == 8 {
-                    Column::U64(Vec::with_capacity(range.len()))
-                } else {
-                    Column::U32(Vec::with_capacity(range.len()))
-                };
-                out.extend_slice(self.cols[c].as_slice().slice(range.clone()));
-                out
-            })
-            .collect();
-        SolutionBatch::from_columns(self.vars.clone(), cols, range.len())
-    }
-
-    /// Every rank's segment as its own batch ([`Self::segment_batch`]).
-    pub fn to_batches(&self) -> Vec<SolutionBatch> {
-        (0..self.ranks()).map(|r| self.segment_batch(r)).collect()
-    }
-
     /// Number of ranks.
     pub fn ranks(&self) -> usize {
         self.offsets.len() - 1
@@ -209,7 +155,7 @@ impl StageBatch {
     }
 
     /// Bytes per cell of rank `r`'s segment of column `col`: 8 exactly
-    /// when the rank's own batch would hold a `U64` column.
+    /// when the segment is wide (see the module documentation).
     pub fn segment_width(&self, r: usize, col: usize) -> u64 {
         if self.wide[col].binary_search(&(r as u32)).is_ok() {
             8
@@ -218,8 +164,10 @@ impl StageBatch {
         }
     }
 
-    /// Rank `r`'s exact serialized size: [`SolutionBatch::byte_size`] of
-    /// [`Self::segment_batch`], without building it.
+    /// Rank `r`'s exact serialized size under the columnar wire layout:
+    /// `u16` var count; per var a `u16` length + name bytes; `u64` row
+    /// count; per column one tag byte plus `rows × width` value bytes, at
+    /// the segment's widths ([`Self::segment_width`]).
     pub fn segment_byte_size(&self, r: usize) -> u64 {
         self.byte_size_at(r, self.segment_len(r))
     }
@@ -243,10 +191,9 @@ impl StageBatch {
         total
     }
 
-    /// The size of every rank's rows merged into one batch (ranks in
-    /// order, as `merge_batches` appends them): a column is eight bytes
-    /// wide when rank 0's segment is or any row holds an id past
-    /// `u32::MAX`.
+    /// The serialized size of every rank's rows as one segment, ranks in
+    /// order, appended to rank 0's: a column is eight bytes wide when rank
+    /// 0's segment is or any row holds an id past `u32::MAX`.
     pub fn merged_byte_size(&self) -> u64 {
         let rows = self.len() as u64;
         let mut total = 2u64 + 8;
@@ -310,7 +257,8 @@ impl StageBatch {
     /// Returns the placed stage and each rank's shipped bytes: the
     /// serialized size of its shipped rows at its own column widths. A
     /// kept segment keeps its widths and a receiving one widens only on an
-    /// id past `u32::MAX` (`split_off` and `push_row` on a per-rank batch).
+    /// id past `u32::MAX`, as splitting a column and pushing ids onto one
+    /// do.
     /// `None` if the placed rows do not fit the `u32` row index space,
     /// which moving rows alone cannot cause.
     ///
@@ -431,6 +379,20 @@ impl StagePart {
         self.rows == 0
     }
 
+    /// Append one rank's rows, each holding one id per column, and count
+    /// them as that rank's; returns `(first, rows)`, where they sit among
+    /// this part's rows. `None`, with nothing appended, if a row holds
+    /// another number of ids.
+    pub fn push_rank<R: AsRef<[u64]>>(&mut self, rows: &[R]) -> Option<(usize, usize)> {
+        if rows.iter().any(|r| r.as_ref().len() != self.cols.len()) {
+            return None;
+        }
+        for (c, col) in self.cols.iter_mut().enumerate() {
+            col.extend(rows.iter().map(|r| r.as_ref()[c]));
+        }
+        Some(self.close_rank(rows.len()))
+    }
+
     /// The columns, each as long as the part.
     pub(crate) fn into_columns(self) -> Vec<Column> {
         self.cols
@@ -533,46 +495,53 @@ pub fn partition_permutation(dest: &[u32], ranks: usize) -> Option<(Vec<u32>, Ve
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::term::TermId;
 
-    fn batch(vars: &[&str], rows: &[&[u64]]) -> SolutionBatch {
-        let mut b = SolutionBatch::empty(vars.iter().map(|v| v.to_string()).collect());
-        for row in rows {
-            b.push_row(&row.iter().map(|&v| TermId(v)).collect::<Vec<_>>());
-        }
-        b
+    /// The stage whose rank `r` holds `ranks[r]`, each row one id per
+    /// variable, filled through one part.
+    fn stage(vars: &[&str], ranks: &[&[&[u64]]]) -> StageBatch {
+        let mut part = StagePart::new(vars.len());
+        let spans: Vec<(usize, usize, usize)> = ranks
+            .iter()
+            .map(|rows| {
+                let (first, n) = part.push_rank(rows).unwrap();
+                (0, first, n)
+            })
+            .collect();
+        let vars: Arc<[String]> = vars.iter().map(|v| v.to_string()).collect();
+        StageBatch::assemble(vars, vec![part], &spans).unwrap()
+    }
+
+    fn rows(stage: &StageBatch, r: usize) -> Vec<Vec<u64>> {
+        let s = stage.segment(r);
+        (0..s.len()).map(|i| (0..s.vars().len()).map(|c| s.column(c).get(i)).collect()).collect()
     }
 
     const BIG: u64 = 1 << 32;
 
     #[test]
-    fn batches_round_trip_with_their_widths() {
-        let mut sticky = batch(&["x", "y"], &[&[1, 2], &[BIG, 3]]);
-        sticky.split_off(1); // `U64` column `x` holding only a small id
-        let batches = vec![
-            batch(&["x", "y"], &[&[5, 6]]),
-            SolutionBatch::with_schema(sticky.schema().clone()),
-            sticky,
-            batch(&["x", "y"], &[&[7, BIG + 1], &[8, 9]]),
-        ];
-        let stage = StageBatch::from_batches(&batches).unwrap();
+    fn pushed_ranks_get_the_widths_of_their_own_rows() {
+        let stage = stage(&["x", "y"], &[&[&[5, 6]], &[], &[&[1, 2]], &[&[7, BIG + 1], &[8, 9]]]);
         assert_eq!(stage.ranks(), 4);
         assert_eq!(stage.rank_offsets(), [0, 1, 1, 2, 4]);
-        assert_eq!(stage.to_batches(), batches);
-        for (r, b) in batches.iter().enumerate() {
-            assert_eq!(stage.segment_byte_size(r), b.byte_size());
-        }
-        assert_eq!(stage.byte_size(), batches.iter().map(SolutionBatch::byte_size).sum::<u64>());
-        assert_eq!(stage.segment(3).column(1).get(0), BIG + 1);
+        assert_eq!(rows(&stage, 3), [[7, BIG + 1], [8, 9]]);
+        // Only rank 3's `y` segment is wide, though the part's column was.
+        let widths: Vec<u64> = (0..4).map(|r| stage.segment_width(r, 1)).collect();
+        assert_eq!(widths, [4, 4, 4, 8]);
+        // 2 + 8 + (2 + 1 + 1) × 2 header bytes, then the cells.
+        let header = 18;
+        let sizes: Vec<u64> = (0..4).map(|r| stage.segment_byte_size(r)).collect();
+        assert_eq!(sizes, [header + 8, header, header + 8, header + 2 * 12]);
+        assert_eq!(stage.byte_size(), sizes.iter().sum::<u64>());
+        assert_eq!(stage.merged_byte_size(), header + 4 * 12);
     }
 
     #[test]
-    fn from_batches_refuses_nulls_and_mixed_schemas() {
-        let mut holed = SolutionBatch::empty(vec!["x".into()]);
-        holed.push_opt_row(&[None]);
-        assert!(StageBatch::from_batches(&[batch(&["x"], &[]), holed]).is_none());
-        assert!(StageBatch::from_batches(&[batch(&["x"], &[]), batch(&["y"], &[])]).is_none());
-        assert!(StageBatch::from_batches(&[]).is_none());
+    fn push_rank_refuses_a_row_of_another_width() {
+        let mut part = StagePart::new(2);
+        assert_eq!(part.push_rank(&[[1u64, 2]]), Some((0, 1)));
+        assert_eq!(part.push_rank(&[vec![3u64, 4], vec![5]]), None);
+        assert_eq!(part.push_rank::<[u64; 2]>(&[]), Some((1, 0)));
+        assert_eq!(part.len(), 1);
     }
 
     #[test]
@@ -598,22 +567,24 @@ mod tests {
 
     #[test]
     fn rebalance_keeps_a_prefix_and_deals_the_rest_round_robin() {
-        let batches = vec![
-            batch(&["x"], &[&[1], &[2], &[BIG], &[4]]),
-            batch(&["x"], &[]),
-            batch(&["x"], &[&[9]]),
-        ];
-        let stage = StageBatch::from_batches(&batches).unwrap();
+        let stage = stage(&["x"], &[&[&[1], &[2], &[BIG], &[4]], &[], &[&[9]]]);
         let (placed, moved) = stage.rebalance(&[1, 2, 2]).unwrap();
-        let rows = |r: usize| -> Vec<u64> {
-            let s = placed.segment(r);
-            (0..s.len()).map(|i| s.column(0).get(i)).collect()
-        };
-        assert_eq!((rows(0), rows(1), rows(2)), (vec![1], vec![2, 4], vec![9, BIG]));
+        let got = |r: usize| -> Vec<u64> { rows(&placed, r).concat() };
+        assert_eq!((got(0), got(1), got(2)), (vec![1], vec![2, 4], vec![9, BIG]));
         // Rank 0 shipped three rows at its own (wide) width; rank 0 keeps it.
         assert_eq!(moved, [10 + 4 + 3 * 8, 0, 0]);
         assert_eq!((placed.segment_width(0, 0), placed.segment_width(1, 0)), (8, 4));
         assert_eq!(placed.segment_width(2, 0), 8);
+    }
+
+    #[test]
+    fn rebalance_drops_rows_no_rank_has_room_for_and_keeps_widths() {
+        let stage = stage(&["x"], &[&[&[1], &[BIG]], &[&[2]]]);
+        let (placed, moved) = stage.rebalance(&[1, 1]).unwrap();
+        assert_eq!((rows(&placed, 0), rows(&placed, 1)), (vec![vec![1]], vec![vec![2]]));
+        // Rank 0 shipped its wide row and still weighs eight bytes a cell.
+        assert_eq!((placed.segment_width(0, 0), placed.segment_width(1, 0)), (8, 4));
+        assert_eq!(moved, [10 + 4 + 8, 0]);
     }
 
     #[test]
@@ -642,5 +613,134 @@ mod tests {
         let (first, n) = part.close_rank(side * side - 1);
         let stage = StageBatch::assemble(Arc::new([]), vec![part], &[(0, first, n)]).unwrap();
         assert_eq!(stage.len(), side * side - 1);
+    }
+
+    #[test]
+    fn derived_stages_share_the_schema() {
+        let src = stage(&["x"], &[&[&[1], &[2]], &[&[3]]]);
+        let gathered = src.gather(&[2, 0], vec![0, 1, 2]);
+        let (placed, _) = src.rebalance(&[1, 2]).unwrap();
+        let empty = StageBatch::empty(src.schema().clone(), 2);
+        for derived in [&gathered, &placed, &empty] {
+            assert!(Arc::ptr_eq(derived.schema(), src.schema()));
+        }
+        let wider: Arc<[String]> = vec!["x".to_string(), "e".to_string()].into();
+        let applied = src.gather_with_column(&[1], vec![0, 0, 1], wider.clone(), &[BIG]);
+        assert!(Arc::ptr_eq(applied.schema(), &wider));
+        assert_eq!(rows(&applied, 1), [[2, BIG]]);
+        // The new column is wide on rank 1 alone, the kept one nowhere.
+        assert_eq!((applied.segment_width(1, 1), applied.segment_width(1, 0)), (8, 4));
+    }
+
+    #[test]
+    fn an_empty_stage_weighs_one_header_per_rank() {
+        let stage = StageBatch::empty(vec!["ab".to_string()].into(), 3);
+        assert_eq!((stage.len(), stage.rank_offsets()), (0, &[0, 0, 0, 0][..]));
+        // 2 + 8 + (2 + 2 + 1) per rank.
+        assert_eq!(stage.byte_size(), 3 * 15);
+        assert_eq!(stage.merged_byte_size(), 15);
+        assert!(stage.segment(2).is_empty());
+    }
+
+    /// The stage gather and assembly against pushing each rank's rows one
+    /// by one: `==` on the stages, so rows, rank offsets and every
+    /// segment's width agree.
+    mod kernels {
+        use super::*;
+        use ids_simrt::rng::SplitMix64;
+        use proptest::prelude::*;
+
+        const FULL: bool = !cfg!(debug_assertions);
+        const MAX_ROWS: u64 = if FULL { 400 } else { 40 };
+
+        /// Up to `ranks` ranks of two-column rows, ids past `u32::MAX`
+        /// about one in eight with `big`.
+        fn random_ranks(ranks: usize, big: bool, rng: &mut SplitMix64) -> Vec<Vec<[u64; 2]>> {
+            (0..ranks)
+                .map(|_| {
+                    let rows = rng.next_below(MAX_ROWS + 1);
+                    let mut id = || {
+                        let v = rng.next_below(50);
+                        if big && rng.next_below(8) == 0 {
+                            v + BIG
+                        } else {
+                            v
+                        }
+                    };
+                    (0..rows).map(|_| [id(), id()]).collect()
+                })
+                .collect()
+        }
+
+        /// The reference: every rank's rows pushed in rank order.
+        fn pushed(ranks: &[Vec<[u64; 2]>]) -> StageBatch {
+            let mut part = StagePart::new(2);
+            let spans: Vec<_> = ranks
+                .iter()
+                .map(|rows| {
+                    let (first, n) = part.push_rank(rows).unwrap();
+                    (0, first, n)
+                })
+                .collect();
+            let vars: Arc<[String]> = vec!["a".to_string(), "b".to_string()].into();
+            StageBatch::assemble(vars, vec![part], &spans).unwrap()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(if FULL { 256 } else { 64 }))]
+
+            #[test]
+            fn gather_equals_pushing_each_ranks_selected_rows(
+                seed in 0u64..1_000_000,
+                ranks in 1usize..=12,
+                big in any::<bool>(),
+            ) {
+                let mut rng = SplitMix64::new(seed, 0x9a7c);
+                let src = random_ranks(ranks, big, &mut rng);
+                let stage = pushed(&src);
+                // Each destination rank takes a random pick of every row.
+                let total = stage.len() as u64;
+                let picks: Vec<Vec<u32>> = (0..ranks)
+                    .map(|_| {
+                        let n = if total == 0 { 0 } else { rng.next_below(MAX_ROWS) };
+                        (0..n).map(|_| rng.next_below(total) as u32).collect()
+                    })
+                    .collect();
+                let offsets = offsets_from_counts(picks.iter().map(Vec::len)).unwrap();
+                let got = stage.gather(&picks.concat(), offsets);
+                let all: Vec<[u64; 2]> = src.concat();
+                let want: Vec<Vec<[u64; 2]>> =
+                    picks.iter().map(|p| p.iter().map(|&i| all[i as usize]).collect()).collect();
+                prop_assert_eq!(got, pushed(&want));
+            }
+
+            #[test]
+            fn assemble_equals_pushing_the_ranks_in_order(
+                seed in 0u64..1_000_000,
+                ranks in 1usize..=24,
+                workers in 1usize..=4,
+                big in any::<bool>(),
+            ) {
+                let mut rng = SplitMix64::new(seed, 0xa55e);
+                let src = random_ranks(ranks, big, &mut rng);
+                // Ranks dealt to workers in runs, as stealing workers take
+                // them: each worker's part holds its ranks in its order.
+                let mut parts: Vec<StagePart> = (0..workers).map(|_| StagePart::new(2)).collect();
+                let mut worker = 0;
+                let spans: Vec<(usize, usize, usize)> = src
+                    .iter()
+                    .map(|rows| {
+                        if rng.next_below(3) == 0 {
+                            worker = rng.next_below(workers as u64) as usize;
+                        }
+                        let (first, n) = parts[worker].push_rank(rows).unwrap();
+                        (worker, first, n)
+                    })
+                    .collect();
+                let vars: Arc<[String]> = vec!["a".to_string(), "b".to_string()].into();
+                let got = StageBatch::assemble(vars, parts, &spans).unwrap();
+                prop_assert_eq!(got, pushed(&src));
+            }
+        }
     }
 }

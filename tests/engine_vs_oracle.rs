@@ -1,8 +1,9 @@
 //! The engine against an independent reference evaluator (`oracle/`).
 //!
-//! Each case draws a small random graph and query — one to three joined
-//! patterns, comparison and UDF FILTERs, APPLY, optional DISTINCT, ORDER
-//! BY and LIMIT, now and then a query that must fail — and runs it at 1, 3
+//! Each case draws a small random graph — entities, integer, string and
+//! float literals — and query — one to three joined patterns, comparison
+//! and UDF FILTERs, APPLY, optional DISTINCT, ORDER BY and LIMIT, now and
+//! then a query that must fail — and runs it at 1, 3
 //! or 16 ranks, with every combination of `pipelined`, `adaptive`,
 //! `speculation` and `recovery`, fault-free or under chaos with a cache.
 //! Both sides must fail, or both return the same rows in the same order.
@@ -22,9 +23,25 @@ use ids::udf::{UdfOutput, UdfValue};
 use std::sync::Arc;
 
 /// Entities `<e:0>`…; `<p:0>`, `<p:1>` link entities, `<p:2>`, `<p:3>`
-/// give them integer values below [`INTS`].
+/// give them integer values below [`INTS`], `<p:4>` strings `"s0"`… below
+/// [`STRS`], and `<p:5>` floats `0.0`, `0.5`, … below [`FLOATS`] halves.
 const ENTITIES: u64 = 10;
 const INTS: u64 = 20;
+const STRS: u64 = 6;
+const FLOATS: u64 = 8;
+
+/// What a predicate's objects (and the variables bound to them) are.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind {
+    Entity,
+    Int,
+    Str,
+    Float,
+}
+
+/// The kind of `<p:N>`'s objects.
+const OBJECTS: [Kind; 6] =
+    [Kind::Entity, Kind::Entity, Kind::Int, Kind::Int, Kind::Str, Kind::Float];
 
 /// `FaultConfig::chaos` scaled to the milliseconds a test query runs for
 /// (the schedule `chaos_faults.rs` sweeps).
@@ -44,12 +61,14 @@ fn ms_chaos() -> FaultConfig {
     }
 }
 
-/// A pure hash of integer and entity arguments into `0..17`.
+/// A pure hash of integer, entity, string and float arguments into `0..17`.
 fn mix(args: &[UdfValue]) -> i64 {
     let arg = |a: &UdfValue| match a {
         UdfValue::I64(v) => *v,
         UdfValue::Id(v) => *v as i64,
-        other => panic!("mix takes integers and entities, not {other}"),
+        UdfValue::F64(v) => v.to_bits() as i64,
+        UdfValue::Str(s) => s.bytes().fold(0i64, |h, b| h.wrapping_mul(31) + i64::from(b)),
+        other => panic!("mix takes terms, not {other}"),
     };
     args.iter().fold(7i64, |h, a| h.wrapping_mul(31).wrapping_add(arg(a))).rem_euclid(17)
 }
@@ -106,21 +125,21 @@ fn random_graph(ds: &Datastore, seed: u64, n: u64) {
     let mut rng = SplitMix64::new(seed, 0x6a7);
     for _ in 0..n {
         let s = Term::iri(format!("e:{}", rng.next_below(ENTITIES)));
-        let p = rng.next_below(4);
-        let o = match p {
-            0 | 1 => Term::iri(format!("e:{}", rng.next_below(ENTITIES))),
-            _ => Term::Int(rng.next_below(INTS) as i64),
+        let p = rng.next_below(OBJECTS.len() as u64);
+        let o = match OBJECTS[p as usize] {
+            Kind::Entity => Term::iri(format!("e:{}", rng.next_below(ENTITIES))),
+            Kind::Int => Term::Int(rng.next_below(INTS) as i64),
+            Kind::Str => Term::str(format!("s{}", rng.next_below(STRS))),
+            Kind::Float => Term::float(rng.next_below(FLOATS) as f64 / 2.0),
         };
         ds.add_fact(&s, &Term::iri(format!("p:{p}")), &o);
     }
 }
 
-/// Query generator state: the entity- and integer-valued variables bound
-/// so far.
+/// Query generator state: the variables bound so far, with their kinds.
 struct Gen {
     rng: SplitMix64,
-    entities: Vec<String>,
-    ints: Vec<String>,
+    vars: Vec<(String, Kind)>,
 }
 
 impl Gen {
@@ -132,22 +151,43 @@ impl Gen {
         from[self.rng.next_below(from.len() as u64) as usize]
     }
 
+    fn has(&self, kind: Kind) -> bool {
+        self.vars.iter().any(|(_, k)| *k == kind)
+    }
+
     /// An existing variable of one kind (`None` if there is none yet).
-    fn existing(&mut self, ints: bool) -> Option<String> {
-        let vars = if ints { &self.ints } else { &self.entities };
+    fn existing(&mut self, kind: Kind) -> Option<String> {
+        let vars: Vec<&String> =
+            self.vars.iter().filter(|(_, k)| *k == kind).map(|(v, _)| v).collect();
         let i = self.rng.next_below(vars.len().max(1) as u64) as usize;
         vars.get(i).map(|v| format!("?{v}"))
     }
 
     fn any_var(&mut self) -> String {
-        let ints = self.entities.is_empty() || (!self.ints.is_empty() && self.chance(2));
-        self.existing(ints).unwrap_or_default()
+        let i = self.rng.next_below(self.vars.len().max(1) as u64) as usize;
+        self.vars.get(i).map(|(v, _)| format!("?{v}")).unwrap_or_default()
     }
 
-    fn fresh(&mut self, ints: bool) -> String {
-        let v = format!("v{}", self.entities.len() + self.ints.len());
-        if ints { &mut self.ints } else { &mut self.entities }.push(v.clone());
+    fn fresh(&mut self, kind: Kind) -> String {
+        let v = format!("v{}", self.vars.len());
+        self.vars.push((v.clone(), kind));
         format!("?{v}")
+    }
+
+    /// A string constant; one in seven is a string no graph holds.
+    fn str_const(&mut self) -> String {
+        format!("\"s{}\"", self.rng.next_below(STRS + 1))
+    }
+
+    /// A number for a float comparison: a float, or now and then an
+    /// integer (numbers compare across the two).
+    fn float_const(&mut self) -> String {
+        let v = self.rng.next_below(FLOATS + 1) as f64 / 2.0;
+        if self.chance(3) {
+            format!("{}", v.floor())
+        } else {
+            format!("{v:.1}")
+        }
     }
 
     /// An entity IRI; one in ten names an entity no graph holds.
@@ -158,45 +198,66 @@ impl Gen {
     /// One triple pattern. After the first, the subject is usually a bound
     /// entity, so patterns join; otherwise a cross product.
     fn pattern(&mut self, first: bool) -> String {
-        let s = match self.existing(false) {
+        let s = match self.existing(Kind::Entity) {
             Some(v) if !first && !self.chance(6) => v,
             _ if self.chance(8) => self.entity_const(),
-            _ => self.fresh(false),
+            _ => self.fresh(Kind::Entity),
         };
-        let p = self.rng.next_below(4);
-        let o = match (p < 2, self.rng.next_below(10)) {
-            (true, 0..=2) => self.existing(false).filter(|o| *o != s),
+        let p = self.rng.next_below(OBJECTS.len() as u64);
+        let kind = OBJECTS[p as usize];
+        let o = match (kind, self.rng.next_below(10)) {
+            (Kind::Entity, 0..=2) => self.existing(kind).filter(|o| *o != s),
             // `?x <p> ?x`: one variable at two positions.
-            (true, 3) if s.starts_with('?') && self.chance(2) => Some(s.clone()),
-            (true, 3) => Some(self.entity_const()),
-            (false, 0..=1) => self.existing(true),
-            (false, 2) => Some(self.rng.next_below(INTS + 2).to_string()),
+            (Kind::Entity, 3) if s.starts_with('?') && self.chance(2) => Some(s.clone()),
+            (Kind::Entity, 3) => Some(self.entity_const()),
+            (_, 0..=1) => self.existing(kind),
+            (Kind::Int, 2) => Some(self.rng.next_below(INTS + 2).to_string()),
+            (Kind::Str, 2) => Some(self.str_const()),
+            (Kind::Float, 2) => Some(self.float_const()),
             _ => None,
         };
-        let o = o.unwrap_or_else(|| self.fresh(p >= 2));
+        let o = o.unwrap_or_else(|| self.fresh(kind));
         format!("{s} <p:{p}> {o} .")
     }
 
-    /// A type-correct condition: integer and UDF comparisons, entity
-    /// (in)equalities, and their `&&` / `||` / `!` combinations.
+    /// A type-correct condition: integer, float, string and UDF
+    /// comparisons, entity (in)equalities, and their `&&` / `||` / `!`
+    /// combinations.
     fn cond(&mut self, depth: u32) -> String {
         let op = self.pick(&["<", "<=", ">", ">=", "=", "!="]);
-        match self.rng.next_below(if depth == 0 { 4 } else { 7 }) {
-            0 if !self.ints.is_empty() => {
-                let v = self.existing(true).unwrap_or_default();
+        let literal_op = self.pick(&["=", "!=", "<"]);
+        match self.rng.next_below(if depth == 0 { 6 } else { 9 }) {
+            0 if self.has(Kind::Int) => {
+                let v = self.existing(Kind::Int).unwrap_or_default();
                 format!("{v} {op} {}", self.rng.next_below(INTS))
             }
-            1 if !self.entities.is_empty() => {
-                let lhs = self.existing(false).unwrap_or_default();
+            1 if self.has(Kind::Entity) => {
+                let lhs = self.existing(Kind::Entity).unwrap_or_default();
                 let rhs = match self.chance(2) {
-                    true => self.existing(false).unwrap_or_default(),
+                    true => self.existing(Kind::Entity).unwrap_or_default(),
                     false => self.entity_const(),
                 };
                 format!("{lhs} {} {rhs}", self.pick(&["=", "!="]))
             }
-            4 => format!("{} && {}", self.cond(depth - 1), self.cond(depth - 1)),
-            5 => format!("({} || {})", self.cond(depth - 1), self.cond(depth - 1)),
-            6 => format!("!({})", self.cond(depth - 1)),
+            2 if self.has(Kind::Str) => {
+                let lhs = self.existing(Kind::Str).unwrap_or_default();
+                let rhs = match self.chance(3) {
+                    true => self.existing(Kind::Str).unwrap_or_default(),
+                    false => self.str_const(),
+                };
+                format!("{lhs} {literal_op} {rhs}")
+            }
+            3 if self.has(Kind::Float) => {
+                let lhs = self.existing(Kind::Float).unwrap_or_default();
+                // Now and then another float or an integer variable.
+                let other = self.pick(&[None, None, None, Some(Kind::Float), Some(Kind::Int)]);
+                let rhs = other.and_then(|kind| self.existing(kind));
+                let rhs = rhs.unwrap_or_else(|| self.float_const());
+                format!("{lhs} {literal_op} {rhs}")
+            }
+            6 => format!("{} && {}", self.cond(depth - 1), self.cond(depth - 1)),
+            7 => format!("({} || {})", self.cond(depth - 1), self.cond(depth - 1)),
+            8 => format!("!({})", self.cond(depth - 1)),
             _ => format!("mix({}) {op} {}", self.any_var(), self.rng.next_below(17)),
         }
     }
@@ -204,13 +265,14 @@ impl Gen {
     fn query(&mut self) -> String {
         let patterns: Vec<String> =
             (0..1 + self.rng.next_below(3)).map(|i| self.pattern(i == 0)).collect();
-        if self.entities.is_empty() && self.ints.is_empty() {
+        if self.vars.is_empty() {
             return self.query(); // every position ground: nothing to select
         }
         let mut filters = Vec::new();
-        if !self.entities.is_empty() && self.chance(16) {
+        if self.has(Kind::Entity) && self.chance(16) {
             // Entities do not compare with numbers: fails on any row.
-            filters.push(format!("FILTER({} > 3)", self.existing(false).unwrap_or_default()));
+            let v = self.existing(Kind::Entity).unwrap_or_default();
+            filters.push(format!("FILTER({v} > 3)"));
         } else {
             for _ in 0..self.pick(&[0, 0, 0, 1, 1, 2]) {
                 filters.push(format!("FILTER({})", self.cond(1)));
@@ -224,12 +286,12 @@ impl Gen {
                 if self.chance(2) {
                     args = format!("{args}, {}", self.any_var());
                 }
-                format!("APPLY {udf}({args}) AS {}", self.fresh(true))
+                format!("APPLY {udf}({args}) AS {}", self.fresh(Kind::Int))
             } else {
                 format!("FILTER({})", self.cond(1))
             });
         }
-        let mut all: Vec<String> = self.entities.iter().chain(&self.ints).cloned().collect();
+        let mut all: Vec<String> = self.vars.iter().map(|(v, _)| v.clone()).collect();
         let mut select = String::new();
         if !self.chance(3) {
             for _ in 0..1 + self.rng.next_below(all.len() as u64) {
@@ -310,7 +372,7 @@ fn sweep(ranks: u32, chaos: bool) {
         // Mostly 60–200 triples; one graph in eight is tiny or empty.
         let triples =
             if rng.next_below(8) == 0 { rng.next_below(20) } else { 60 + rng.next_below(141) };
-        let mut gen = Gen { rng: rng.split(), entities: Vec::new(), ints: Vec::new() };
+        let mut gen = Gen { rng: rng.split(), vars: Vec::new() };
         let name = format!("case {case}, graph {graph_seed}/{triples}");
         let axes = Axes { ranks, modes: case % 16, chaos };
         check(&name, axes, graph_seed, |ds| random_graph(ds, graph_seed, triples), &gen.query());
