@@ -108,6 +108,15 @@ echo "==> engine vs oracle (tests/engine_vs_oracle.rs, release)"
 # off, fault-free and under chaos; both fail or both return the same rows.
 cargo test --release --test engine_vs_oracle -q
 
+echo "==> stage-buffer reuse (release)"
+# Allocation budgets: a 2 048-rank query's per-step allocation count, and
+# the large allocations of one 16-rank star-join run (its stage buffers
+# come from the run's free list). Once on every core, once pinned to one
+# core: the one-worker path, where no helper thread takes buffers and the
+# counts are exact.
+cargo test --release --test alloc_budget --test stage_buffer_reuse -q
+taskset -c 0 cargo test --release --test alloc_budget --test stage_buffer_reuse -q
+
 echo "==> parallel determinism golden (tests/parallel_determinism.rs, release)"
 # Ranks on host threads: failing, deadline-bound, term-minting, dynamically
 # loaded and cache-attached stages at 64 ranks, eight runs each, must return

@@ -10,7 +10,7 @@ use ids_chem::sequence::ProteinSequence;
 use ids_chem::smiles::parse_smiles;
 use ids_core::engine::{repartition_by_vars, shape_result};
 use ids_core::Datastore;
-use ids_graph::stage::StagePart;
+use ids_graph::stage::{IdBuffers, StagePart};
 use ids_graph::{ops, Dictionary, StageBatch, Term, TermId};
 use ids_models::{DockingEngine, DtbaModel, MoleculeGenerator, SmithWaterman, StructurePredictor};
 use ids_simrt::rng::SplitMix64;
@@ -110,14 +110,18 @@ fn stage<const N: usize>(vars: [&str; N], ranks: &[Vec<[u64; N]>]) -> StageBatch
         })
         .collect();
     let vars = vars.map(String::from).to_vec().into();
-    StageBatch::assemble(vars, vec![part], &spans).expect("rows fit the u32 row index space")
+    StageBatch::assemble(vars, vec![part], &spans, &IdBuffers::default())
+        .expect("rows fit the u32 row index space")
 }
 
 /// The column-at-a-time BGP kernels at `bgp-join`'s sizes (≈ 50 k rows
 /// over 16 ranks) and, for the exchange, at `ncnpr-udf`'s shape as well:
 /// about as many rows over 2048 ranks, twenty to a source, where any work
-/// per (source, destination) pair instead of per row is 4.2 M steps.
+/// per (source, destination) pair instead of per row is 4.2 M steps. The
+/// exchange and the gather recycle their buffers through one free list,
+/// as a query run does.
 fn bench_bgp_kernels(c: &mut Criterion) {
+    let buffers = IdBuffers::default();
     let left = stage(["k", "l"], &[keyed_rows(50_000, 2_200, 0)]);
     let right = stage(["k", "r"], &[keyed_rows(2_200, 2_200, 1 << 20)]);
     let schema = ops::join_schema(left.schema(), right.schema());
@@ -140,7 +144,10 @@ fn bench_bgp_kernels(c: &mut Criterion) {
         let stage = stage(["k", "v"], &sets);
         g.throughput(Throughput::Elements(ranks as u64 * per_rank));
         g.bench_function(name, |bench| {
-            bench.iter(|| black_box(repartition_by_vars(black_box(&stage), &keys)))
+            bench.iter(|| {
+                let placed = repartition_by_vars(black_box(&stage), &keys, &buffers);
+                buffers.give_stage(black_box(placed).expect("the key is in the schema"));
+            })
         });
     }
 
@@ -159,7 +166,8 @@ fn bench_bgp_kernels(c: &mut Criterion) {
     g.throughput(Throughput::Elements(50_000));
     g.bench_function("gather_sort_50k", |bench| {
         bench.iter(|| {
-            black_box(shape_result(black_box(merged.view()), None, &select, false, None, &ds))
+            let view = black_box(merged.view());
+            black_box(shape_result(view, None, &select, false, None, &ds, &buffers))
         })
     });
     g.finish();

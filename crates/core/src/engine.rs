@@ -23,7 +23,9 @@ use crate::planner::{PhysicalPattern, PhysicalPlan, PhysicalStage};
 use ids_cache::{CacheManager, IntermediateSolutions, TypedSolutionSet};
 use ids_graph::batch::{BatchView, ColumnSlice};
 use ids_graph::ops as gops;
-use ids_graph::stage::{offsets_from_counts, partition_permutation, StagePart};
+use ids_graph::stage::{
+    offsets_from_counts, partition_permutation, sort_permutation, IdBuffers, StagePart,
+};
 use ids_graph::{SolutionSet, StageBatch, TermId};
 use ids_obs::MetricsRegistry;
 use ids_simrt::pool::map_shards_with;
@@ -688,6 +690,13 @@ pub struct PlanRun {
     /// A re-plan performed by the stage just stepped, drained by
     /// [`Self::stage_outcome`] into [`StepOutcome::Replanned`].
     pending_replan: Option<(u32, u32)>,
+    /// The run's free list of id buffers: what a phase is done with (the
+    /// exchange's inputs, destinations and permutations, the join's
+    /// inputs, the workers' leftover parts) goes back here, and later
+    /// phases take from it. The gather empties it before it fills the
+    /// result, so no buffer outlives its query (DESIGN.md §5g, *Stage
+    /// buffer lifetime*).
+    buffers: IdBuffers,
 }
 
 /// Aggregate of one stage's streamed exchanges (pipelined mode).
@@ -759,6 +768,7 @@ impl PlanRun {
             recovery: RecoveryReport::default(),
             adaptive: AdaptiveReport::default(),
             pending_replan: None,
+            buffers: IdBuffers::default(),
         }
     }
 
@@ -1459,6 +1469,7 @@ impl PlanRun {
                 // rank's scan progresses, so snapshot the per-rank clocks
                 // before the phase starts.
                 let produce_start = cluster.clocks().to_vec();
+                let buffers = &self.buffers;
                 let scanned = {
                     let graph = ds.graph();
                     let graph = &*graph;
@@ -1468,7 +1479,8 @@ impl PlanRun {
                     // part (whose buffers the stage keeps) from regrowing.
                     // Helpers start empty and grow to their share.
                     let rows = |w| if w == 0 { pat.est_cardinality } else { 0 };
-                    let init = |w| (w, StagePart::with_capacity(schema.vars().len(), rows(w)));
+                    let init =
+                        |w| (w, StagePart::with_capacity(schema.vars().len(), rows(w), buffers));
                     let (spans, parts, _) =
                         cluster.execute_with_state(None, Fanout::Host, init, |(w, part), ctx| {
                             let triples = graph.candidates(ctx.rank().index(), &pat.pattern);
@@ -1477,7 +1489,7 @@ impl PlanRun {
                             (*w, first, n)
                         });
                     let parts = parts.into_iter().map(|(_, part)| part).collect();
-                    StageBatch::assemble(schema.vars().clone(), parts, &spans)
+                    StageBatch::assemble(schema.vars().clone(), parts, &spans, buffers)
                         .ok_or_else(stage_overflow)?
                 };
                 if !opts.pipelined {
@@ -1504,6 +1516,7 @@ impl PlanRun {
                             metrics,
                             &produce_start,
                             &mut self.exchange_tally,
+                            &self.buffers,
                         )?;
                         let join_end = cluster.elapsed();
                         self.breakdown.join_secs += join_end - join_start;
@@ -1566,6 +1579,10 @@ impl PlanRun {
         cache: Option<&CacheManager>,
     ) -> Result<(), ExecError> {
         if let Some(filter) = &self.plan.where_filter {
+            // FILTER and APPLY neither take from the free list nor give to
+            // it: free what it holds rather than keep it through their UDF
+            // work.
+            self.buffers.clear();
             let solutions = self.sets.take().ok_or_else(|| missing_stage("where-filter"))?;
             let t = cluster.elapsed();
             let (filtered, rebalance) = run_filter_stage(
@@ -1610,6 +1627,7 @@ impl PlanRun {
         cache: Option<&CacheManager>,
     ) -> Result<(), ExecError> {
         let stage = self.plan.stages[i].clone();
+        self.buffers.clear(); // as in `step_where`
         let solutions = self.sets.take().ok_or_else(|| missing_stage("stage"))?;
         match &stage {
             PhysicalStage::Filter(expr) => {
@@ -1703,6 +1721,7 @@ impl PlanRun {
             plan.distinct,
             plan.limit,
             ds,
+            &self.buffers,
         )?;
 
         let elapsed_secs = cluster.elapsed() - self.t0;
@@ -1772,7 +1791,8 @@ fn typed_stage(
     let schema: Arc<[String]> =
         first.vars.iter().map(|v| rename(v)).collect::<Option<Vec<String>>>()?.into();
     let rows = sets.iter().map(|ts| ts.rows.len()).sum();
-    let mut part = StagePart::with_capacity(schema.len(), rows);
+    let buffers = IdBuffers::default();
+    let mut part = StagePart::with_capacity(schema.len(), rows, &buffers);
     let mut spans = Vec::with_capacity(sets.len());
     for ts in sets {
         if ts.vars != first.vars {
@@ -1781,7 +1801,7 @@ fn typed_stage(
         let (at, n) = part.push_rank(&ts.rows)?;
         spans.push((0, at, n));
     }
-    StageBatch::assemble(schema, vec![part], &spans)
+    StageBatch::assemble(schema, vec![part], &spans, &buffers)
 }
 
 /// One rank's rows as the raw ids of a typed checkpoint, read straight
@@ -1839,8 +1859,13 @@ pub fn execute_plan(
 /// ORDER BY runs before projection so the sort variable need not be
 /// projected; DISTINCT and LIMIT run after, on the final shape.
 ///
-/// `merged` must be fully bound: a stage's rows always are. Public so the
-/// micro benches can time the gather's data plane alone.
+/// `merged` must be fully bound: a stage's rows always are. The canonical
+/// permutation comes from `buffers`. Then, before the result is filled,
+/// `buffers` is cleared: the result is the run's last and largest
+/// allocation, and with the list's buffers back in the allocator it
+/// reuses their pages instead of growing the heap (which the allocator
+/// would trim again once the result is freed). Public so the micro
+/// benches can time the gather's data plane alone.
 pub fn shape_result(
     merged: BatchView<'_>,
     order_by: Option<&(String, bool)>,
@@ -1848,10 +1873,11 @@ pub fn shape_result(
     distinct: bool,
     limit: Option<usize>,
     ds: &Datastore,
+    buffers: &IdBuffers,
 ) -> Result<SolutionSet, ExecError> {
     let mut canon: Vec<usize> = (0..merged.vars().len()).collect();
     canon.sort_unstable_by_key(|&c| &merged.vars()[c]);
-    let mut perm = canonical_permutation(&merged, &canon)?;
+    let mut perm = canonical_permutation(&merged, &canon, buffers)?;
 
     if let Some((var, descending)) = order_by {
         let idx = merged
@@ -1903,82 +1929,41 @@ pub fn shape_result(
         });
     }
     perm.truncate(limit);
+    buffers.clear();
     Ok(merged.select_rows(vars, &cols, &perm))
 }
 
 /// The permutation that sorts `batch`'s rows lexicographically by the id
-/// columns `cols`. Rows that tie on every column are identical, so their
-/// relative order cannot show in any result.
-fn canonical_permutation(batch: &BatchView<'_>, cols: &[usize]) -> Result<Vec<u32>, ExecError> {
-    let rows = u32::try_from(batch.len())
-        .map_err(|_| ExecError::msg("result exceeds the u32 row index space"))?;
+/// columns `cols`, ties in row order, in a buffer from `buffers`: a
+/// counting sort by the lead column ([`sort_permutation`]), then each run
+/// of rows that tie on it sorted by the other columns.
+fn canonical_permutation(
+    batch: &BatchView<'_>,
+    cols: &[usize],
+    buffers: &IdBuffers,
+) -> Result<Vec<u32>, ExecError> {
+    let overflow = || ExecError::msg("result exceeds the u32 row index space");
+    let rows = u32::try_from(batch.len()).map_err(|_| overflow())?;
     let Some((&first, rest)) = cols.split_first() else {
-        return Ok((0..rows).collect());
+        let mut perm = buffers.take_u32(batch.len());
+        perm.extend(0..rows);
+        return Ok(perm);
     };
-    let rest: Vec<ColumnSlice<'_>> = rest.iter().map(|&c| batch.column(c)).collect();
-    Ok(match batch.column(first) {
-        ColumnSlice::U32(lead) => packed_permutation::<u64>(lead, &rest),
-        ColumnSlice::U64(lead) => packed_permutation::<u128>(lead, &rest),
-    })
-}
-
-/// An integer holding a lead-column id above a 32-bit row index, so one
-/// integer comparison orders rows by (id, index).
-trait PackedKey: Ord + Copy {
-    /// The lead column's stored id.
-    type Id: Copy;
-    fn pack(id: Self::Id, row: u32) -> Self;
-    fn row(self) -> u32;
-    /// The lead id, widened.
-    fn lead(self) -> u64;
-}
-
-impl PackedKey for u64 {
-    type Id = u32;
-    fn pack(id: u32, row: u32) -> u64 {
-        (u64::from(id) << 32) | u64::from(row)
-    }
-    fn row(self) -> u32 {
-        self as u32
-    }
-    fn lead(self) -> u64 {
-        self >> 32
-    }
-}
-
-impl PackedKey for u128 {
-    type Id = u64;
-    fn pack(id: u64, row: u32) -> u128 {
-        (u128::from(id) << 32) | u128::from(row)
-    }
-    fn row(self) -> u32 {
-        self as u32
-    }
-    fn lead(self) -> u64 {
-        (self >> 32) as u64
-    }
-}
-
-/// Row indices sorted by `lead` through one integer sort of packed keys,
-/// then each run of rows that tie on the lead re-sorted by the `rest`
-/// columns. `lead` holds fewer than `u32::MAX` rows.
-fn packed_permutation<K: PackedKey>(lead: &[K::Id], rest: &[ColumnSlice<'_>]) -> Vec<u32> {
-    let mut keys: Vec<K> = (0..).zip(lead).map(|(row, &id)| K::pack(id, row)).collect();
-    keys.sort_unstable();
-    let mut perm: Vec<u32> = Vec::with_capacity(keys.len());
-    for run in keys.chunk_by(|a, b| a.lead() == b.lead()) {
-        let start = perm.len();
-        perm.extend(run.iter().map(|k| k.row()));
-        if run.len() > 1 && !rest.is_empty() {
-            perm[start..].sort_unstable_by(|&a, &b| {
+    let lead = batch.column(first);
+    let mut perm = sort_permutation(lead, buffers).ok_or_else(overflow)?;
+    if !rest.is_empty() {
+        let rest: Vec<ColumnSlice<'_>> = rest.iter().map(|&c| batch.column(c)).collect();
+        let same_lead = |&a: &u32, &b: &u32| lead.get(a as usize) == lead.get(b as usize);
+        for run in perm.chunk_by_mut(same_lead).filter(|run| run.len() > 1) {
+            run.sort_unstable_by(|&a, &b| {
                 rest.iter()
                     .map(|c| c.get(a as usize).cmp(&c.get(b as usize)))
                     .find(|ord| ord.is_ne())
-                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .unwrap_or(a.cmp(&b))
             });
         }
     }
-    perm
+    Ok(perm)
 }
 
 /// ORDER BY's sort key for one decoded term: numerics first, by value;
@@ -2094,7 +2079,8 @@ impl ExchangeMeter {
 ///
 /// Each pool worker joins its ranks into a [`StagePart`] of its own
 /// ([`gops::JoinWorker`], one reused scratch per worker), and the parts
-/// make the joined stage in rank order.
+/// make the joined stage in rank order. The exchange's and the join's
+/// inputs go back to `buffers` once read, and its outputs come from it.
 #[allow(clippy::too_many_arguments)]
 fn distributed_join(
     cluster: &mut Cluster,
@@ -2104,6 +2090,7 @@ fn distributed_join(
     metrics: &MetricsRegistry,
     produce_start: &[f64],
     tally: &mut ExchangeTally,
+    buffers: &IdBuffers,
 ) -> Result<StageBatch, ExecError> {
     let ranks = left.ranks();
     // One output layout for every rank: the exchange keeps each side's
@@ -2132,8 +2119,10 @@ fn distributed_join(
         let bytes = small.merged_byte_size() * ranks as u64;
         (left, right, (small_is_left, !small_is_left), bytes)
     } else if opts.pipelined {
-        let (l, lb) = repartition_streamed(&left, &shared, opts)?;
-        let (r, rb) = repartition_streamed(&right, &shared, opts)?;
+        let (l, lb) = repartition_streamed(&left, &shared, opts, buffers)?;
+        buffers.give_stage(left);
+        let (r, rb) = repartition_streamed(&right, &shared, opts, buffers)?;
+        buffers.give_stage(right);
         matrix = lb;
         for (m, b) in matrix.iter_mut().zip(rb) {
             *m += b;
@@ -2141,8 +2130,10 @@ fn distributed_join(
         let bytes = l.byte_size() + r.byte_size();
         (l, r, (false, false), bytes)
     } else {
-        let l = repartition_by_vars(&left, &shared)?;
-        let r = repartition_by_vars(&right, &shared)?;
+        let l = repartition_by_vars(&left, &shared, buffers)?;
+        buffers.give_stage(left);
+        let r = repartition_by_vars(&right, &shared, buffers)?;
+        buffers.give_stage(right);
         let bytes = l.byte_size() + r.byte_size();
         (l, r, (false, false), bytes)
     };
@@ -2182,9 +2173,13 @@ fn distributed_join(
 
     // Rank-local joins: each worker joins its ranks into a part of the
     // stage of its own, with one scratch for all of them; per-batch
-    // dispatch with an amortized per-row probe on each rank's clock.
+    // dispatch with an amortized per-row probe on each rank's clock. As
+    // in the scan, the first worker may join every rank, so its part has
+    // room for a key join's usual output: one row per row of its larger
+    // input.
     let meter = BatchMeter::new(metrics, "join");
-    let init = |w| (w, gops::JoinWorker::new(&schema));
+    let rows = |w| if w == 0 { left.len().max(right.len()) } else { 0 };
+    let init = |w| (w, gops::JoinWorker::with_capacity(&schema, rows(w), buffers));
     let (spans, workers, _) =
         cluster.execute_with_state(None, Fanout::Host, init, |(w, jw), ctx| {
             let r = ctx.rank().index();
@@ -2194,8 +2189,10 @@ fn distributed_join(
             (*w, first, n)
         });
     let parts = workers.into_iter().map(|(_, jw)| jw.into_part()).collect();
-    let joined =
-        StageBatch::assemble(schema.vars().clone(), parts, &spans).ok_or_else(stage_overflow)?;
+    let joined = StageBatch::assemble(schema.vars().clone(), parts, &spans, buffers)
+        .ok_or_else(stage_overflow)?;
+    buffers.give_stage(left);
+    buffers.give_stage(right);
     match exchange {
         Some(xc) => {
             // A rank's join cannot complete before its last inbound batch
@@ -2257,11 +2254,15 @@ fn missing_stage(step: &str) -> ExecError {
 const EXCHANGE_CHUNK_ROWS: usize = 1 << 14;
 
 /// The exchange's placement rule: every row's destination rank, from its
-/// key columns `vars`. The hash is part of the engine's determinism
-/// contract (row placement fixes per-rank order, which fixes every
-/// downstream charge), so it is computed a column at a time, in chunks of
-/// rows on the shard pool, but never changed.
-fn destinations(stage: &StageBatch, vars: &[String]) -> Result<Vec<u32>, ExecError> {
+/// key columns `vars`, in a buffer from `buffers`. The hash is part of the
+/// engine's determinism contract (row placement fixes per-rank order,
+/// which fixes every downstream charge), so it is computed a column at a
+/// time, in chunks of rows on the shard pool, but never changed.
+fn destinations(
+    stage: &StageBatch,
+    vars: &[String],
+    buffers: &IdBuffers,
+) -> Result<Vec<u32>, ExecError> {
     fn place(h: u64, id: u64) -> u64 {
         hash_combine(h, fnv1a(&id.to_le_bytes()))
     }
@@ -2280,13 +2281,19 @@ fn destinations(stage: &StageBatch, vars: &[String]) -> Result<Vec<u32>, ExecErr
         return Err(ExecError::msg("exchange exceeds the u32 rank index space"));
     }
     let all = stage.view();
-    let chunks = all.len().div_ceil(EXCHANGE_CHUNK_ROWS);
-    let (parts, _) = map_shards_with(
-        chunks,
+    let mut dest = buffers.take_u32(all.len());
+    dest.resize(all.len(), 0);
+    // One job per chunk of rows, each writing its own slice of `dest`.
+    let chunks: Vec<Mutex<&mut [u32]>> =
+        dest.chunks_mut(EXCHANGE_CHUNK_ROWS).map(Mutex::new).collect();
+    let (_, scratch) = map_shards_with(
+        chunks.len(),
         Fanout::Host,
-        |_| Vec::new(),
+        |_| buffers.take_u64(all.len().min(EXCHANGE_CHUNK_ROWS)),
         |hashes: &mut Vec<u64>, k| {
-            let rows = k * EXCHANGE_CHUNK_ROWS..((k + 1) * EXCHANGE_CHUNK_ROWS).min(all.len());
+            let mut out = lock_unpoisoned(&chunks[k]);
+            let start = k * EXCHANGE_CHUNK_ROWS;
+            let rows = start..start + out.len();
             hashes.clear();
             hashes.resize(rows.len(), 0xA17C_E55E);
             for &c in &key_idx {
@@ -2303,19 +2310,29 @@ fn destinations(stage: &StageBatch, vars: &[String]) -> Result<Vec<u32>, ExecErr
                     }
                 }
             }
-            hashes.iter().map(|h| (h % ranks) as u32).collect::<Vec<u32>>()
+            for (d, h) in out.iter_mut().zip(hashes.iter()) {
+                *d = (h % ranks) as u32;
+            }
         },
     );
-    Ok(parts.concat())
+    scratch.into_iter().for_each(|h| buffers.give_u64(h));
+    drop(chunks);
+    Ok(dest)
 }
 
-/// `stage.gather(sel, offsets)`, one column per shard-pool job.
-fn gather_on_pool(stage: &StageBatch, sel: &[u32], offsets: Vec<u32>) -> StageBatch {
+/// `stage.gather(sel, offsets)`, one column per shard-pool job, each in a
+/// buffer from `buffers`.
+fn gather_on_pool(
+    stage: &StageBatch,
+    sel: &[u32],
+    offsets: Vec<u32>,
+    buffers: &IdBuffers,
+) -> StageBatch {
     let (cols, _) = map_shards_with(
         stage.vars().len(),
         Fanout::Host,
         |_| (),
-        |_, c| stage.gather_column(c, sel),
+        |_, c| stage.gather_column(c, sel, buffers),
     );
     StageBatch::from_columns(stage.schema().clone(), cols, offsets)
 }
@@ -2324,11 +2341,21 @@ fn gather_on_pool(stage: &StageBatch, sel: &[u32], offsets: Vec<u32>) -> StageBa
 /// counting sort of the stage by destination, so destination `d`'s
 /// segment holds its rows ordered by (source rank, row).
 ///
-/// Public so the micro benches can time the exchange's data plane alone.
-pub fn repartition_by_vars(stage: &StageBatch, vars: &[String]) -> Result<StageBatch, ExecError> {
-    let dest = destinations(stage, vars)?;
-    let (perm, offsets) = partition_permutation(&dest, stage.ranks()).ok_or_else(stage_overflow)?;
-    Ok(gather_on_pool(stage, &perm, offsets))
+/// Its buffers come from `buffers`, and the destinations and permutation
+/// go back to it. Public so the micro benches can time the exchange's data
+/// plane alone.
+pub fn repartition_by_vars(
+    stage: &StageBatch,
+    vars: &[String],
+    buffers: &IdBuffers,
+) -> Result<StageBatch, ExecError> {
+    let dest = destinations(stage, vars, buffers)?;
+    let placed = partition_permutation(&dest, stage.ranks(), buffers);
+    buffers.give_u32(dest);
+    let (perm, offsets) = placed.ok_or_else(stage_overflow)?;
+    let out = gather_on_pool(stage, &perm, offsets, buffers);
+    buffers.give_u32(perm);
+    Ok(out)
 }
 
 /// Redistribute rows exactly like [`repartition_by_vars`], plus the
@@ -2347,12 +2374,15 @@ fn repartition_streamed(
     stage: &StageBatch,
     vars: &[String],
     opts: &ExecOptions,
+    buffers: &IdBuffers,
 ) -> Result<(StageBatch, Vec<u64>), ExecError> {
     let ranks = stage.ranks();
     let batch_rows = opts.batch_rows.max(1);
-    let dest = destinations(stage, vars)?;
-    let (perm, offsets) = partition_permutation(&dest, ranks).ok_or_else(stage_overflow)?;
-    let out = gather_on_pool(stage, &perm, offsets);
+    let dest = destinations(stage, vars, buffers)?;
+    let placed = partition_permutation(&dest, ranks, buffers);
+    buffers.give_u32(dest);
+    let (perm, offsets) = placed.ok_or_else(stage_overflow)?;
+    let out = gather_on_pool(stage, &perm, offsets, buffers);
     let header: u64 = 2 + 8 + out.vars().iter().map(|v| 2 + v.len() as u64 + 1).sum::<u64>();
     let cols: Vec<ColumnSlice<'_>> = (0..out.vars().len()).map(|c| out.column(c)).collect();
     let sub_batch_bytes = |rows: std::ops::Range<usize>| -> u64 {
@@ -2377,6 +2407,7 @@ fn repartition_streamed(
             p = run_end;
         }
     }
+    buffers.give_u32(perm);
     Ok((out, bytes))
 }
 
@@ -3173,8 +3204,9 @@ mod tests {
         let keys = vec!["a".to_string()];
         let opts = ExecOptions { batch_rows: 4, ..Default::default() };
         let stage = stage_of(&sets);
-        let barriered = repartition_by_vars(&stage, &keys).unwrap();
-        let (streamed, bytes) = repartition_streamed(&stage, &keys, &opts).unwrap();
+        let barriered = repartition_by_vars(&stage, &keys, &IdBuffers::default()).unwrap();
+        let (streamed, bytes) =
+            repartition_streamed(&stage, &keys, &opts, &IdBuffers::default()).unwrap();
         assert_eq!(streamed, barriered);
         assert_eq!(bytes.len(), 9);
         assert!(bytes.iter().sum::<u64>() > 0);
@@ -3389,7 +3421,9 @@ mod tests {
                 (0, first, n)
             })
             .collect();
-        let stage = StageBatch::assemble(ranks[0].vars.clone(), vec![part], &spans).unwrap();
+        let stage =
+            StageBatch::assemble(ranks[0].vars.clone(), vec![part], &spans, &IdBuffers::default())
+                .unwrap();
         let targets: Vec<u64> = ranks.iter().map(|t| t.len() as u64).collect();
         let (stage, _) = stage.rebalance(&targets).unwrap();
         assert_stage(&stage, ranks);
@@ -3486,7 +3520,9 @@ mod tests {
         let ds = Datastore::new(1);
         let merged = int_batch(&ds, &["a", "b", "c"], &[&[1, 2, 3]]);
         let select = ["c".to_string(), "a".to_string()];
-        let out = shape_result(merged.view(), None, &select, false, None, &ds).unwrap();
+        let out =
+            shape_result(merged.view(), None, &select, false, None, &ds, &IdBuffers::default())
+                .unwrap();
         assert_eq!(out.vars(), select);
         assert_eq!(out.rows().to_vec(), [[3, 1].map(|v| ds.encode(&Term::Int(v)))]);
     }
@@ -3495,8 +3531,16 @@ mod tests {
     fn gather_select_of_an_unknown_variable_is_a_query_error() {
         let ds = Datastore::new(1);
         let merged = int_batch(&ds, &["a"], &[]);
-        let err =
-            shape_result(merged.view(), None, &["zzz".to_string()], false, None, &ds).unwrap_err();
+        let err = shape_result(
+            merged.view(),
+            None,
+            &["zzz".to_string()],
+            false,
+            None,
+            &ds,
+            &IdBuffers::default(),
+        )
+        .unwrap_err();
         assert!(err.to_string().contains("projected variable ?zzz is never bound"), "{err}");
     }
 
@@ -3508,8 +3552,16 @@ mod tests {
         let rows: [&[i64]; 5] = [&[1, 1], &[2, 3], &[3, 2], &[4, 1], &[5, 2]];
         let merged = int_batch(&ds, &["k", "x"], &rows);
         let order = ("k".to_string(), true);
-        let out =
-            shape_result(merged.view(), Some(&order), &["x".to_string()], true, None, &ds).unwrap();
+        let out = shape_result(
+            merged.view(),
+            Some(&order),
+            &["x".to_string()],
+            true,
+            None,
+            &ds,
+            &IdBuffers::default(),
+        )
+        .unwrap();
         assert_eq!(out.rows().to_vec(), [2, 1, 3].map(|v| [ds.encode(&Term::Int(v))]));
     }
 
@@ -3581,8 +3633,68 @@ mod tests {
             Ok(SolutionSet::new(vars, rows))
         }
 
+        /// The canonical order by comparison sort: rows by (lead, row),
+        /// then each run of rows that tie on the lead by the other columns,
+        /// stably, so rows equal on every column keep their row order.
+        fn reference_permutation(batch: &BatchView<'_>, cols: &[usize]) -> Vec<u32> {
+            let id = |row: u32, c: usize| batch.column(c).get(row as usize);
+            let mut perm: Vec<u32> = (0..batch.len() as u32).collect();
+            let Some((&lead, rest)) = cols.split_first() else { return perm };
+            perm.sort_by_key(|&row| (id(row, lead), row));
+            for run in perm.chunk_by_mut(|&a, &b| id(a, lead) == id(b, lead)) {
+                run.sort_by(|&a, &b| {
+                    rest.iter()
+                        .map(|&c| id(a, c).cmp(&id(b, c)))
+                        .find(|ord| ord.is_ne())
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                });
+            }
+            perm
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(if FULL { 160 } else { 48 }))]
+
+            /// The counting sort against the comparison sort: `u32` and
+            /// `u64` leads, ids past `u32::MAX`, repeated leads, 0 and 1
+            /// rows, and leads whose high digits are all equal.
+            #[test]
+            fn canonical_permutation_equals_the_comparison_sort(
+                seed in 0u64..1_000_000,
+                rows in prop_oneof![0usize..=1, 0usize..=(if FULL { 20_000 } else { 2_000 })],
+                width in 0usize..=3,
+                // Lead ids: from a few values, from many, or many values
+                // above one high base (equal high digits), at 32 or 64 bits.
+                lead in 0u8..3,
+                base in prop_oneof![Just(0u64), Just(0xC000_0000u64), Just(0x5A5A_0000_0000u64)],
+                domain in 1u64..=64,
+            ) {
+                let mut rng = SplitMix64::new(seed, 0xc0a7);
+                let lead_id = |rng: &mut SplitMix64| match lead {
+                    0 => base + rng.next_below(3),
+                    1 => base + rng.next_below(rows as u64 * 4 + 1),
+                    _ => base + (rng.next_below(domain) << 4),
+                };
+                let vars: Arc<[String]> = (0..width).map(|c| format!("v{c}")).collect();
+                let cols: Vec<ids_graph::batch::Column> = (0..width)
+                    .map(|c| {
+                        let ids: Vec<u64> = (0..rows)
+                            .map(|_| if c == 0 { lead_id(&mut rng) } else { rng.next_below(domain) })
+                            .collect();
+                        ids_graph::batch::Column::U64(ids)
+                    })
+                    .collect();
+                let stage = StageBatch::from_columns(vars, cols, vec![0, rows as u32]);
+                let view = stage.view();
+                // The drawn lead column first, then last.
+                let (first, last): (Vec<usize>, Vec<usize>) = ((0..width).collect(), (0..width).rev().collect());
+                let buffers = IdBuffers::default();
+                for cols in [&first, &last] {
+                    let got = canonical_permutation(&view, cols, &buffers).unwrap();
+                    prop_assert_eq!(&got, &reference_permutation(&view, cols));
+                    buffers.give_u32(got);
+                }
+            }
 
             /// `==` on every rank's rows, their per-destination order and
             /// column widths, so every later `byte_size()` agrees.
@@ -3604,12 +3716,12 @@ mod tests {
 
                 let (want, _) = per_rank_repartition(&sets, &key_vars, 1);
                 let stage = stage_of(&sets);
-                assert_stage(&repartition_by_vars(&stage, &key_vars).unwrap(), &want);
+                assert_stage(&repartition_by_vars(&stage, &key_vars, &IdBuffers::default()).unwrap(), &want);
 
                 for batch_rows in [1usize, 7, 4096] {
                     let opts = ExecOptions { batch_rows, ..ExecOptions::default() };
                     let (want, want_bytes) = per_rank_repartition(&sets, &key_vars, batch_rows);
-                    let (got, got_bytes) = repartition_streamed(&stage, &key_vars, &opts).unwrap();
+                    let (got, got_bytes) = repartition_streamed(&stage, &key_vars, &opts, &IdBuffers::default()).unwrap();
                     assert_stage(&got, &want);
                     prop_assert_eq!(got_bytes, want_bytes);
                 }
@@ -3681,7 +3793,7 @@ mod tests {
 
                 let want = reference_shape(&merged, order_by.as_ref(), &select, distinct, limit, &ds);
                 let stage = stage_of(std::slice::from_ref(&merged));
-                let got = shape_result(stage.view(), order_by.as_ref(), &select, distinct, limit, &ds);
+                let got = shape_result(stage.view(), order_by.as_ref(), &select, distinct, limit, &ds, &IdBuffers::default());
                 prop_assert_eq!(got, want);
             }
         }
@@ -3828,7 +3940,8 @@ mod tests {
                     (p, first, n)
                 })
                 .collect();
-            StageBatch::assemble(schema.vars().clone(), parts, &spans).unwrap()
+            StageBatch::assemble(schema.vars().clone(), parts, &spans, &IdBuffers::default())
+                .unwrap()
         }
 
         fn ranks_axis() -> impl Strategy<Value = usize> {
@@ -3971,11 +4084,11 @@ mod tests {
                         .map(|v| v.to_string())
                         .collect();
                     let (want, _) = per_rank_repartition(&left, &shared, 1);
-                    assert_stage(&repartition_by_vars(&lstage, &shared).unwrap(), &want);
+                    assert_stage(&repartition_by_vars(&lstage, &shared, &IdBuffers::default()).unwrap(), &want);
                     for batch_rows in [1usize, 3, 4096] {
                         let (want, want_bytes) = per_rank_repartition(&left, &shared, batch_rows);
                         let opts = ExecOptions { batch_rows, ..ExecOptions::default() };
-                        let (got, got_bytes) = repartition_streamed(&lstage, &shared, &opts).unwrap();
+                        let (got, got_bytes) = repartition_streamed(&lstage, &shared, &opts, &IdBuffers::default()).unwrap();
                         assert_stage(&got, &want);
                         assert_eq!(got_bytes, want_bytes);
                     }
@@ -3995,6 +4108,7 @@ mod tests {
                     &MetricsRegistry::new(),
                     &vec![0.0; ranks],
                     &mut ExchangeTally::default(),
+                    &IdBuffers::default(),
                 )
                 .unwrap();
                 assert_stage(&got, &want);

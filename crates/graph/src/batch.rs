@@ -141,10 +141,11 @@ impl Column {
         }
     }
 
-    pub(crate) fn split_off(&mut self, at: usize) -> Column {
+    /// Keep the first `len` values, at the current width.
+    pub(crate) fn truncate(&mut self, len: usize) {
         match self {
-            Column::U32(v) => Column::U32(v.split_off(at)),
-            Column::U64(v) => Column::U64(v.split_off(at)),
+            Column::U32(v) => v.truncate(len),
+            Column::U64(v) => v.truncate(len),
         }
     }
 }
@@ -336,10 +337,10 @@ mod tests {
     }
 
     #[test]
-    fn split_off_keeps_the_width_of_both_halves() {
-        let mut head = pushed([1, BIG, 2]);
-        let tail = head.split_off(2);
-        assert_eq!((head, tail), (Column::U64(vec![1, BIG]), Column::U64(vec![2])));
+    fn truncate_keeps_the_width() {
+        let mut head = pushed([1, 2, BIG]);
+        head.truncate(2);
+        assert_eq!(head, Column::U64(vec![1, 2]));
     }
 
     #[test]
@@ -424,8 +425,8 @@ mod tests {
             /// About one id in eight is within two of `u32::MAX`, half of
             /// those past it.
             Mixed,
-            /// A `U64` column holding only small ids — what `split_off`
-            /// leaves when the column's big ids went to the other half.
+            /// A `U64` column holding only small ids — what `truncate`
+            /// leaves when the column's big ids were cut off.
             WideButSmall,
         }
 

@@ -8,7 +8,7 @@
 //! result shaping run in the engine's gather (`ids_core::engine::shape_result`).
 
 use crate::batch::{BatchView, ColumnSlice};
-use crate::stage::StagePart;
+use crate::stage::{IdBuffers, StagePart};
 use crate::store::TriplePattern;
 use crate::triple::Triple;
 use std::sync::Arc;
@@ -176,11 +176,17 @@ pub struct JoinWorker {
 impl JoinWorker {
     /// An idle worker for joins under `schema`.
     pub fn new(schema: &JoinSchema) -> Self {
+        Self::with_capacity(schema, 0, &IdBuffers::default())
+    }
+
+    /// An idle worker whose output part has room for `rows` rows, its
+    /// columns taken from `buffers` ([`StagePart::with_capacity`]).
+    pub fn with_capacity(schema: &JoinSchema, rows: usize, buffers: &IdBuffers) -> Self {
         Self {
             scratch: JoinScratch::default(),
             lsel: Vec::new(),
             rsel: Vec::new(),
-            part: StagePart::new(schema.vars.len()),
+            part: StagePart::with_capacity(schema.vars.len(), rows, buffers),
         }
     }
 
@@ -376,7 +382,13 @@ mod tests {
     fn scan(schema: &ScanSchema, triples: &[Triple]) -> StageBatch {
         let mut part = StagePart::new(schema.vars.len());
         let (first, n) = scan_into(schema, triples, &mut part);
-        StageBatch::assemble(schema.vars.clone(), vec![part], &[(0, first, n)]).unwrap()
+        StageBatch::assemble(
+            schema.vars.clone(),
+            vec![part],
+            &[(0, first, n)],
+            &IdBuffers::default(),
+        )
+        .unwrap()
     }
 
     /// `left` joined with `right` as one rank's join.
@@ -384,8 +396,14 @@ mod tests {
         let schema = join_schema(&left.vars, &right.vars);
         let mut worker = JoinWorker::new(&schema);
         let (first, n) = worker.join(&schema, left.view(), right.view());
-        StageBatch::assemble(schema.vars.clone(), vec![worker.into_part()], &[(0, first, n)])
-            .unwrap()
+        let part = worker.into_part();
+        StageBatch::assemble(
+            schema.vars.clone(),
+            vec![part],
+            &[(0, first, n)],
+            &IdBuffers::default(),
+        )
+        .unwrap()
     }
 
     fn rows(view: BatchView<'_>) -> Vec<Vec<u64>> {
@@ -461,7 +479,9 @@ mod tests {
                 (0, first, n)
             })
             .collect();
-        let stage = StageBatch::assemble(scan_s.vars().clone(), vec![part], &spans).unwrap();
+        let stage =
+            StageBatch::assemble(scan_s.vars().clone(), vec![part], &spans, &IdBuffers::default());
+        let stage = stage.unwrap();
         assert!(Arc::ptr_eq(stage.schema(), scan_s.vars()));
         for (r, tr) in shards.iter().enumerate() {
             assert_eq!(rows(stage.segment(r)), rows(scan(&scan_s, tr).view()));
@@ -512,7 +532,9 @@ mod tests {
                 (0, first, n)
             })
             .collect();
-        let stage = StageBatch::assemble(js.vars().clone(), vec![worker.into_part()], &spans);
+        let part = worker.into_part();
+        let stage =
+            StageBatch::assemble(js.vars().clone(), vec![part], &spans, &IdBuffers::default());
         let stage = stage.unwrap();
         assert!(Arc::ptr_eq(stage.schema(), js.vars()));
         assert_eq!(stage.rank_offsets(), [0, 2, 2, 3]);
@@ -545,7 +567,9 @@ mod tests {
         assert_eq!(scan_into(&schema, &[], &mut part), (1, 0));
         assert_eq!(scan_into(&schema, &[t(4, 2, 3)], &mut part), (1, 1));
         let spans = [(0, 0, 1), (0, 1, 0), (0, 1, 1)];
-        let stage = StageBatch::assemble(schema.vars().clone(), vec![part], &spans).unwrap();
+        let stage =
+            StageBatch::assemble(schema.vars().clone(), vec![part], &spans, &IdBuffers::default());
+        let stage = stage.unwrap();
         assert_eq!(stage.rank_offsets(), [0, 1, 1, 2]);
     }
 

@@ -19,10 +19,16 @@
 //! [`StageBatch::segment_byte_size`] is therefore the per-rank wire size
 //! every exchange, gather and cache-admission charge uses. A stage column
 //! is stored at eight bytes exactly when some rank's segment is wide.
+//!
+//! **Recycled buffers.** A stage's columns, an exchange's destinations and
+//! its permutation are buffers of hundreds of KiB. Fresh from the allocator,
+//! each costs a page fault per 4 KiB written. The producers here take them
+//! from an [`IdBuffers`] free list, and the engine gives back what a phase
+//! is done with, so a query run maps its buffers once.
 
 use crate::batch::{BatchView, Column, ColumnSlice};
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Rank offsets (`ranks + 1` entries) of segments holding `counts` rows;
 /// `None` if the rows do not fit the `u32` row index space.
@@ -36,6 +42,84 @@ pub fn offsets_from_counts(counts: impl IntoIterator<Item = usize>) -> Option<Ve
         offsets.push(u32::try_from(total).ok()?);
     }
     Some(offsets)
+}
+
+/// A free list of id buffers: the `u32` and `u64` vectors behind stage
+/// columns, exchange destinations and permutations. A buffer given back
+/// keeps its capacity, and the next producer that needs as much takes it
+/// instead of asking the allocator. The list holds what it is given until
+/// it is dropped; its owner bounds its life (the engine keeps one per
+/// query run).
+#[derive(Debug, Default)]
+pub struct IdBuffers {
+    narrow: Mutex<Vec<Vec<u32>>>,
+    wide: Mutex<Vec<Vec<u64>>>,
+}
+
+impl IdBuffers {
+    /// An empty `u32` vector with room for `capacity` ids.
+    pub fn take_u32(&self, capacity: usize) -> Vec<u32> {
+        take(&self.narrow, capacity)
+    }
+
+    /// An empty `u64` vector with room for `capacity` ids.
+    pub fn take_u64(&self, capacity: usize) -> Vec<u64> {
+        take(&self.wide, capacity)
+    }
+
+    /// Give `buf` back, for a later [`Self::take_u32`].
+    pub fn give_u32(&self, buf: Vec<u32>) {
+        give(&self.narrow, buf);
+    }
+
+    /// Give `buf` back, for a later [`Self::take_u64`].
+    pub fn give_u64(&self, buf: Vec<u64>) {
+        give(&self.wide, buf);
+    }
+
+    /// Give a column's buffer back.
+    fn give_column(&self, col: Column) {
+        match col {
+            Column::U32(v) => self.give_u32(v),
+            Column::U64(v) => self.give_u64(v),
+        }
+    }
+
+    /// Free every buffer on the list, back to the allocator.
+    pub fn clear(&self) {
+        drop(std::mem::take(&mut *self.narrow.lock().unwrap_or_else(PoisonError::into_inner)));
+        drop(std::mem::take(&mut *self.wide.lock().unwrap_or_else(PoisonError::into_inner)));
+    }
+
+    /// Give every column of `stage` back.
+    pub fn give_stage(&self, stage: StageBatch) {
+        stage.cols.into_iter().for_each(|c| self.give_column(c));
+    }
+}
+
+/// The smallest buffer on `list` with room for `capacity` values, emptied,
+/// else a fresh one of exactly that room. A list whose lock a panicking
+/// thread poisoned is still whole: every update is one `push`,
+/// `swap_remove` or `take` of the list.
+fn take<T>(list: &Mutex<Vec<Vec<T>>>, capacity: usize) -> Vec<T> {
+    if capacity == 0 {
+        return Vec::new();
+    }
+    let mut list = list.lock().unwrap_or_else(PoisonError::into_inner);
+    let fit = (0..list.len())
+        .filter(|&i| list[i].capacity() >= capacity)
+        .min_by_key(|&i| list[i].capacity());
+    match fit {
+        Some(i) => list.swap_remove(i),
+        None => Vec::with_capacity(capacity),
+    }
+}
+
+fn give<T>(list: &Mutex<Vec<Vec<T>>>, mut buf: Vec<T>) {
+    if buf.capacity() > 0 {
+        buf.clear();
+        list.lock().unwrap_or_else(PoisonError::into_inner).push(buf);
+    }
 }
 
 /// One variable's column for a whole stage, every segment of `values`
@@ -205,11 +289,11 @@ impl StageBatch {
     }
 
     /// Column `col` of rows `sel` (stage row indices, in `sel` order), at
-    /// the narrowest width that holds them: one column of
-    /// [`Self::gather`], for callers that gather columns in parallel and
-    /// assemble them with [`Self::from_columns`].
-    pub fn gather_column(&self, col: usize, sel: &[u32]) -> Column {
-        let mut out = Column::U32(Vec::with_capacity(sel.len()));
+    /// the narrowest width that holds them, in a buffer from `buffers`: one
+    /// column of [`Self::gather`], for callers that gather columns in
+    /// parallel and assemble them with [`Self::from_columns`].
+    pub fn gather_column(&self, col: usize, sel: &[u32], buffers: &IdBuffers) -> Column {
+        let mut out = Column::U32(buffers.take_u32(sel.len()));
         out.extend_gather(self.cols[col].as_slice(), sel);
         out
     }
@@ -221,7 +305,8 @@ impl StageBatch {
     /// Panics if a selected row is out of bounds or `offsets` does not
     /// end at `sel.len()`.
     pub fn gather(&self, sel: &[u32], offsets: Vec<u32>) -> StageBatch {
-        let cols = (0..self.cols.len()).map(|c| self.gather_column(c, sel)).collect();
+        let fresh = IdBuffers::default();
+        let cols = (0..self.cols.len()).map(|c| self.gather_column(c, sel, &fresh)).collect();
         StageBatch::from_columns(self.vars.clone(), cols, offsets)
     }
 
@@ -240,8 +325,9 @@ impl StageBatch {
     ) -> StageBatch {
         assert_eq!(schema.len(), self.vars.len() + 1, "one new variable");
         assert_eq!(extra.len(), sel.len(), "one new id per row");
+        let fresh = IdBuffers::default();
         let mut cols: Vec<Column> =
-            (0..self.cols.len()).map(|c| self.gather_column(c, sel)).collect();
+            (0..self.cols.len()).map(|c| self.gather_column(c, sel, &fresh)).collect();
         cols.push(Column::collect(extra.iter().copied()));
         StageBatch::from_columns(schema, cols, offsets)
     }
@@ -358,14 +444,14 @@ pub struct StagePart {
 impl StagePart {
     /// An empty part of a stage with `columns` variables.
     pub fn new(columns: usize) -> Self {
-        Self::with_capacity(columns, 0)
+        Self::with_capacity(columns, 0, &IdBuffers::default())
     }
 
-    /// An empty part with room for `rows` rows: a part that can be told
-    /// its likely size never regrows (and pages never written cost no
-    /// memory).
-    pub fn with_capacity(columns: usize, rows: usize) -> Self {
-        let cols = (0..columns).map(|_| Column::U32(Vec::with_capacity(rows))).collect();
+    /// An empty part with room for `rows` rows, its columns taken from
+    /// `buffers`: a part that can be told its likely size never regrows
+    /// (and pages never written cost no memory).
+    pub fn with_capacity(columns: usize, rows: usize, buffers: &IdBuffers) -> Self {
+        let cols = (0..columns).map(|_| Column::U32(buffers.take_u32(rows))).collect();
         Self { cols, rows: 0 }
     }
 
@@ -422,7 +508,8 @@ impl StageBatch {
     /// The leading spans that read one part from its first row on keep
     /// that part's buffers as they are: the stage starts with them, and
     /// only the rows after them are copied (the shard pool's first worker
-    /// runs the first ranks, so this is most of a phase's rows).
+    /// runs the first ranks, so this is most of a phase's rows). Every
+    /// other part buffer goes back to `buffers`.
     ///
     /// # Panics
     /// Panics if a part's column count differs from the schema or a span
@@ -431,6 +518,7 @@ impl StageBatch {
         vars: Arc<[String]>,
         mut parts: Vec<StagePart>,
         spans: &[(usize, usize, usize)],
+        buffers: &IdBuffers,
     ) -> Option<StageBatch> {
         assert!(parts.iter().all(|p| p.cols.len() == vars.len()), "one column per variable");
         let offsets = offsets_from_counts(spans.iter().map(|&(_, _, n)| n))?;
@@ -445,12 +533,14 @@ impl StageBatch {
         let mut cols = Vec::with_capacity(vars.len());
         for k in 0..vars.len() {
             // The lead part's column keeps its first `rows` rows; the rest
-            // of it moves to `tail`, read like any other part.
+            // of it is copied to `tail`, read like any other part.
             let mut out = Column::U32(Vec::new());
             let mut tail = Column::U32(Vec::new());
             if let Some(part) = parts.get_mut(lead) {
                 out = std::mem::replace(&mut part.cols[k], Column::U32(Vec::new()));
-                tail = out.split_off(rows);
+                tail = Column::U32(buffers.take_u32(out.len() - rows));
+                tail.extend_slice(out.as_slice().slice(rows..out.len()));
+                out.truncate(rows);
             }
             out.reserve(total - out.len());
             for &(p, first, n) in &spans[run..] {
@@ -461,7 +551,11 @@ impl StageBatch {
                 };
                 out.extend_slice(src);
             }
+            buffers.give_column(tail);
             cols.push(out);
+        }
+        for part in parts {
+            part.cols.into_iter().for_each(|c| buffers.give_column(c));
         }
         Some(StageBatch::from_columns(vars, cols, offsets))
     }
@@ -469,27 +563,102 @@ impl StageBatch {
 
 /// The stable counting sort of rows by destination: for every row `i`,
 /// `dest[i] < ranks` is its rank. Returns the permutation (rows grouped by
-/// destination, each group in row order) and the destination segments'
-/// offsets. Rows of a stage are in (rank, row) order, so the result is in
-/// (destination, source rank, row) order. `None` if the rows do not fit
-/// the `u32` row index space.
+/// destination, each group in row order), in a buffer from `buffers`, and
+/// the destination segments' offsets. Rows of a stage are in (rank, row)
+/// order, so the result is in (destination, source rank, row) order.
+/// `None` if the rows do not fit the `u32` row index space.
 ///
 /// # Panics
 /// Panics if a destination is out of range.
-pub fn partition_permutation(dest: &[u32], ranks: usize) -> Option<(Vec<u32>, Vec<u32>)> {
+pub fn partition_permutation(
+    dest: &[u32],
+    ranks: usize,
+    buffers: &IdBuffers,
+) -> Option<(Vec<u32>, Vec<u32>)> {
     let mut counts = vec![0usize; ranks];
     for &d in dest {
         counts[d as usize] += 1;
     }
     let offsets = offsets_from_counts(counts.iter().copied())?;
     let mut next: Vec<u32> = offsets[..ranks].to_vec();
-    let mut perm = vec![0u32; dest.len()];
-    for (row, &d) in dest.iter().enumerate() {
-        let slot = &mut next[d as usize];
-        perm[*slot as usize] = row as u32;
+    let mut perm = buffers.take_u32(dest.len());
+    perm.resize(dest.len(), 0);
+    scatter(0..dest.len() as u32, |row| dest[row as usize] as usize, &mut next, &mut perm);
+    Some((perm, offsets))
+}
+
+/// One stable counting-sort pass: each row of `rows` goes to
+/// `out[next[bucket(row)]]`, which then advances, so every bucket's rows
+/// keep their `rows` order. `next[b]` starts at bucket `b`'s offset.
+fn scatter(
+    rows: impl Iterator<Item = u32>,
+    bucket: impl Fn(u32) -> usize,
+    next: &mut [u32],
+    out: &mut [u32],
+) {
+    for row in rows {
+        let slot = &mut next[bucket(row)];
+        out[*slot as usize] = row;
         *slot += 1;
     }
-    Some((perm, offsets))
+}
+
+/// Row indices `0..keys.len()` in (key, row) order, in a buffer from
+/// `buffers`: a stable LSD counting sort of the rows, one pass per digit.
+/// A digit is about `log2(rows)` bits (at most 11, so a pass's counts stay
+/// in L1 and a few rows cost a few buckets), and a digit that is the same
+/// in every key takes no pass. `None` if the rows do not fit the `u32` row
+/// index space.
+pub fn sort_permutation(keys: ColumnSlice<'_>, buffers: &IdBuffers) -> Option<Vec<u32>> {
+    match keys {
+        ColumnSlice::U32(keys) => lsd_permutation(keys, buffers),
+        ColumnSlice::U64(keys) => lsd_permutation(keys, buffers),
+    }
+}
+
+fn lsd_permutation<K: Copy + Into<u64>>(keys: &[K], buffers: &IdBuffers) -> Option<Vec<u32>> {
+    let rows = u32::try_from(keys.len()).ok()?;
+    let key = |row: u32| -> u64 { keys[row as usize].into() };
+    let mut perm = buffers.take_u32(keys.len());
+    perm.extend(0..rows);
+    // The bits on which some key differs from the first.
+    let first = keys.first().map_or(0, |&k| k.into());
+    let varying = keys.iter().fold(0u64, |v, &k| v | (k.into() ^ first));
+    let bits = (usize::BITS - keys.len().leading_zeros()).clamp(1, 11);
+    let (width, mask) = (1usize << bits, (1u64 << bits) - 1);
+    // The shift of every digit that takes a pass.
+    let mut shifts = [0u32; u64::BITS as usize];
+    let mut passes = 0;
+    for s in (0..u64::BITS).step_by(bits as usize).filter(|&s| (varying >> s) & mask != 0) {
+        shifts[passes] = s;
+        passes += 1;
+    }
+    let shifts = &shifts[..passes];
+    if passes == 0 {
+        return Some(perm);
+    }
+    // Every pass's bucket counts, from one read of the keys.
+    let mut counts = buffers.take_u32(passes * width);
+    counts.resize(passes * width, 0);
+    for row in 0..rows {
+        let k = key(row);
+        for (pass, &s) in counts.chunks_exact_mut(width).zip(shifts) {
+            pass[((k >> s) & mask) as usize] += 1;
+        }
+    }
+    let mut spare = buffers.take_u32(keys.len());
+    spare.resize(keys.len(), 0);
+    for (next, &s) in counts.chunks_exact_mut(width).zip(shifts) {
+        let mut at = 0;
+        for n in next.iter_mut() {
+            (*n, at) = (at, at + *n);
+        }
+        scatter(perm.iter().copied(), |row| ((key(row) >> s) & mask) as usize, next, &mut spare);
+        std::mem::swap(&mut perm, &mut spare);
+    }
+    buffers.give_u32(spare);
+    buffers.give_u32(counts);
+    Some(perm)
 }
 
 #[cfg(test)]
@@ -508,7 +677,7 @@ mod tests {
             })
             .collect();
         let vars: Arc<[String]> = vars.iter().map(|v| v.to_string()).collect();
-        StageBatch::assemble(vars, vec![part], &spans).unwrap()
+        StageBatch::assemble(vars, vec![part], &spans, &IdBuffers::default()).unwrap()
     }
 
     fn rows(stage: &StageBatch, r: usize) -> Vec<Vec<u64>> {
@@ -560,7 +729,8 @@ mod tests {
 
     #[test]
     fn partition_is_a_stable_counting_sort() {
-        let (perm, offsets) = partition_permutation(&[2, 0, 2, 1, 0], 4).unwrap();
+        let (perm, offsets) =
+            partition_permutation(&[2, 0, 2, 1, 0], 4, &IdBuffers::default()).unwrap();
         assert_eq!(perm, [1, 4, 3, 0, 2]);
         assert_eq!(offsets, [0, 2, 3, 5, 5]);
     }
@@ -607,11 +777,13 @@ mod tests {
             .enumerate()
             .map(|(w, p)| (w, p.close_rank(side * side).0, side * side))
             .collect();
-        assert!(StageBatch::assemble(Arc::new([]), parts, &spans).is_none());
+        assert!(StageBatch::assemble(Arc::new([]), parts, &spans, &IdBuffers::default()).is_none());
         // One rank of it fits.
         let mut part = StagePart::new(0);
         let (first, n) = part.close_rank(side * side - 1);
-        let stage = StageBatch::assemble(Arc::new([]), vec![part], &[(0, first, n)]).unwrap();
+        let fresh = IdBuffers::default();
+        let stage =
+            StageBatch::assemble(Arc::new([]), vec![part], &[(0, first, n)], &fresh).unwrap();
         assert_eq!(stage.len(), side * side - 1);
     }
 
@@ -683,7 +855,7 @@ mod tests {
                 })
                 .collect();
             let vars: Arc<[String]> = vec!["a".to_string(), "b".to_string()].into();
-            StageBatch::assemble(vars, vec![part], &spans).unwrap()
+            StageBatch::assemble(vars, vec![part], &spans, &IdBuffers::default()).unwrap()
         }
 
         proptest! {
@@ -738,7 +910,7 @@ mod tests {
                     })
                     .collect();
                 let vars: Arc<[String]> = vec!["a".to_string(), "b".to_string()].into();
-                let got = StageBatch::assemble(vars, parts, &spans).unwrap();
+                let got = StageBatch::assemble(vars, parts, &spans, &IdBuffers::default()).unwrap();
                 prop_assert_eq!(got, pushed(&src));
             }
         }

@@ -680,7 +680,8 @@ impl Cluster {
                 Some(ds) => delivers.iter().filter(|&&t| t < ds).count() as u64,
                 None => 0,
             };
-            (delivers[0], *delivers.last().unwrap(), last_depart, stall, buffered, k)
+            // `k >= 1`: the channel carries at least one batch.
+            (delivers[0], delivers[delivers.len() - 1], last_depart, stall, buffered, k)
         };
 
         // Pass 1 (capacity-free) breaks the drain/delivery cycle: the

@@ -25,6 +25,9 @@
 //! with distinct intra-node and inter-node parameters, defaulting to
 //! Slingshot-like numbers.
 
+// No `unwrap`/`expect` outside tests (DESIGN.md §5i).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod clock;
 pub mod cluster;
 pub mod collective;

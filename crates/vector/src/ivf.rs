@@ -139,8 +139,9 @@ impl IvfIndex {
                 let hit = SearchHit { id: *id, score: -l2_squared(query, v) };
                 if heap.len() < k {
                     heap.push(HeapHit(hit));
-                } else if hit_order(&hit, &heap.peek().expect("heap is non-empty").0)
-                    == Ordering::Less
+                } else if heap
+                    .peek()
+                    .is_some_and(|worst| hit_order(&hit, &worst.0) == Ordering::Less)
                 {
                     heap.pop();
                     heap.push(HeapHit(hit));

@@ -11,6 +11,9 @@
 //!   with probe-limited search, for the "millions of similarity searches"
 //!   scale the paper's what-could-be query runs.
 
+// No `unwrap`/`expect` outside tests (DESIGN.md §5i).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod ivf;
 pub mod kernel;
 pub mod store;

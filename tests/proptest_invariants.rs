@@ -5,7 +5,7 @@ use ids::cache::{BackingStore, CacheConfig, CacheManager};
 use ids::chem::sequence::ProteinSequence;
 use ids::chem::smiles::{parse_smiles, write_smiles};
 use ids::core::workflow::{decode_docking_result, encode_docking_result};
-use ids::graph::stage::StagePart;
+use ids::graph::stage::{IdBuffers, StagePart};
 use ids::graph::{ops, Dictionary, StageBatch, Term, TermId};
 use ids::models::{DockingEngine, MoleculeGenerator, SmithWaterman};
 use ids::simrt::{NetworkModel, RankId, Topology};
@@ -87,14 +87,15 @@ proptest! {
             let rows: Vec<[u64; 2]> = keys.iter().map(|&k| [k, offset + k]).collect();
             let (first, n) = part.push_rank(&rows).unwrap();
             let vars = vars.map(String::from).to_vec().into();
-            StageBatch::assemble(vars, vec![part], &[(0, first, n)]).unwrap()
+            StageBatch::assemble(vars, vec![part], &[(0, first, n)], &IdBuffers::default()).unwrap()
         };
         let left = batch(["k", "l"], &left_keys, 100);
         let right = batch(["k", "r"], &right_keys, 200);
         let schema = ops::join_schema(left.schema(), right.schema());
         let mut worker = ops::JoinWorker::new(&schema);
         let (_, rows) = worker.join(&schema, left.view(), right.view());
-        let joined = StageBatch::assemble(schema.vars().clone(), vec![worker.into_part()], &[(0, 0, rows)]).unwrap();
+        let part = worker.into_part();
+        let joined = StageBatch::assemble(schema.vars().clone(), vec![part], &[(0, 0, rows)], &IdBuffers::default()).unwrap();
         // |join| = sum over keys of count_l(k) * count_r(k).
         let mut expect = 0usize;
         for k in 0..20u64 {
