@@ -113,9 +113,11 @@ echo "==> stage-buffer reuse (release)"
 # the large allocations of one 16-rank star-join run (its stage buffers
 # come from the run's free list). Once on every core, once pinned to one
 # core: the one-worker path, where no helper thread takes buffers and the
-# counts are exact.
+# counts are exact. Then the cache's hot paths: a local-DRAM get hit, an
+# overwrite put of 64 KiB and the CRC-32 of 64 KiB.
 cargo test --release --test alloc_budget --test stage_buffer_reuse -q
 taskset -c 0 cargo test --release --test alloc_budget --test stage_buffer_reuse -q
+cargo test --release -p ids-cache --test alloc_budget -q
 
 echo "==> parallel determinism golden (tests/parallel_determinism.rs, release)"
 # Ranks on host threads: failing, deadline-bound, term-minting, dynamically
@@ -167,11 +169,27 @@ grep -q '^bench.result_digest  *0x28e6fdbcde9ba4d0$' <<<"$perf_out" || {
   exit 1
 }
 
+echo "==> cache-tiers model outputs (perf --verify-repeat, seed 7)"
+# Get, put, spill, promote and repair over a working set 4x DRAM: two runs
+# must agree on every virtual time, count and digest, and the window's
+# median latency and digest must be the values recorded when this gate was
+# added. (The window is the first 40 blocks, so it does not depend on
+# --seconds.)
+perf_out=$(cargo run --release -p ids-bench --bin perf -- \
+    --workload cache-tiers --seed 7 --seconds 2 --verify-repeat)
+grep -q '^virtual_s_p50  *0\.419359240 s' <<<"$perf_out" \
+  && grep -q '^bench.result_digest  *0x31a0b0cd950394c0$' <<<"$perf_out" || {
+  echo "$perf_out"
+  echo "error: cache-tiers virtual latency or result digest moved at seed 7" >&2
+  exit 1
+}
+
 echo "==> cargo clippy --workspace -- -D warnings"
-# Also enforces ids-core's, ids-cache's and ids-graph's crate-level deny of
-# unwrap()/expect() outside tests (DESIGN.md 5i): those paths return typed
-# errors or `None`, since a panic in one rank's stage closure would poison
-# the whole simulated cluster.
+# Also enforces the crate-level deny of unwrap()/expect() outside tests in
+# ids-core, ids-cache, ids-graph, ids-simrt, ids-vector, ids-udf,
+# ids-feature and ids-serve (DESIGN.md 5i): those paths return typed errors
+# or `None`, since a panic in one rank's stage closure would poison the
+# whole simulated cluster.
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc --no-deps (warning-clean)"

@@ -35,6 +35,9 @@
 
 // Typed errors, never panics, outside tests (DESIGN.md §5i).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// One `unsafe` block: the call into the CRC-32 folding kernel behind
+// runtime CPU-feature detection (`object.rs`, DESIGN.md §5e).
+#![deny(unsafe_code)]
 
 pub mod admit;
 pub mod backing;

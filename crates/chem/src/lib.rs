@@ -18,6 +18,8 @@
 //!   PDB-flavoured text round-trip.
 //! * [`element`] — the chemical elements appearing in drug-like molecules.
 
+#![forbid(unsafe_code)]
+
 pub mod aminoacid;
 pub mod element;
 pub mod molecule;

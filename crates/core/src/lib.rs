@@ -31,6 +31,7 @@
 
 // Typed errors, never panics, outside tests (DESIGN.md §5i).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 pub mod binding;
 pub mod cost;

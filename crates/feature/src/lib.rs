@@ -6,6 +6,10 @@
 //! (sequence length, reviewed flag) here so UDFs can fetch features without
 //! touching the graph.
 
+// Typed errors, never panics, outside tests (DESIGN.md §5i).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
+
 pub mod store;
 
 pub use store::{FeatureStore, FeatureValue, SchemaError};

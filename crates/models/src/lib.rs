@@ -34,6 +34,8 @@
 //! which is what makes the paper's result caching sound: a cache hit must be
 //! indistinguishable from re-execution.
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
 pub mod docking;
 pub mod dtba;

@@ -22,6 +22,8 @@
 //! running in one process never share metric state unless they share a
 //! registry on purpose.
 
+#![forbid(unsafe_code)]
+
 mod registry;
 mod snapshot;
 mod span;

@@ -47,6 +47,10 @@
 //! assert!(done.iter().all(|c| c.result.as_ref().unwrap().solutions.len() == 4));
 //! ```
 
+// Typed errors, never panics, outside tests (DESIGN.md §5i).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
+
 //!
 //! Under overload the service degrades by SLO class instead of
 //! collapsing: [`TenantConfig`] carries an [`SloClass`]

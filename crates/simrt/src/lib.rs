@@ -27,6 +27,7 @@
 
 // No `unwrap`/`expect` outside tests (DESIGN.md §5i).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 pub mod clock;
 pub mod cluster;

@@ -24,6 +24,10 @@
 //!   throughput instead of raw solution counts, including the ≈20 %
 //!   similar-throughput short-circuit.
 
+// Typed errors, never panics, outside tests (DESIGN.md §5i).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
+
 pub mod expr;
 pub mod memo;
 pub mod profile;

@@ -64,24 +64,29 @@ impl UdfProfiler {
 
     /// Record one execution of `udf` costing `secs`.
     pub fn record_call(&mut self, udf: &str, secs: f64) {
-        let p = self.profile_mut(udf);
-        p.calls += 1;
-        p.total_secs += secs;
+        self.update(udf, |p| {
+            p.calls += 1;
+            p.total_secs += secs;
+        });
     }
 
     /// Record that `udf`'s outcome rejected the solution under evaluation.
     pub fn record_rejection(&mut self, udf: &str) {
-        self.profile_mut(udf).rejections += 1;
+        self.update(udf, |p| p.rejections += 1);
     }
 
-    /// The record for `udf`, created on first sight. Looked up by `&str`
-    /// first: this runs once per UDF call, and only the first call of a
-    /// name should pay for an owned key.
-    fn profile_mut(&mut self, udf: &str) -> &mut UdfProfile {
-        if !self.profiles.contains_key(udf) {
-            self.profiles.insert(udf.to_string(), UdfProfile::default());
+    /// Apply `f` to the record for `udf`, created on first sight. Looked
+    /// up by `&str` first: this runs once per UDF call, and only the first
+    /// call of a name should pay for an owned key.
+    fn update(&mut self, udf: &str, f: impl FnOnce(&mut UdfProfile)) {
+        match self.profiles.get_mut(udf) {
+            Some(p) => f(p),
+            None => {
+                let mut p = UdfProfile::default();
+                f(&mut p);
+                self.profiles.insert(udf.to_string(), p);
+            }
         }
-        self.profiles.get_mut(udf).expect("present or just inserted")
     }
 
     /// Profile for a UDF, if it has any data.

@@ -122,12 +122,16 @@ pub fn order_by_udfs(
 }
 
 /// Apply an order to a conjunction, producing the reordered `Expr::And`.
+/// `order` should be a permutation of the conjuncts' indices; if it is
+/// not, an index out of range or repeated is skipped and any conjunct it
+/// left out follows in its original order, so no conjunct is ever lost.
 pub fn reorder_and(conjuncts: Vec<Expr>, order: &[usize]) -> Expr {
     debug_assert_eq!(conjuncts.len(), order.len());
     let mut slots: Vec<Option<Expr>> = conjuncts.into_iter().map(Some).collect();
-    Expr::And(
-        order.iter().map(|&i| slots[i].take().expect("order must be a permutation")).collect(),
-    )
+    let mut ordered: Vec<Expr> =
+        order.iter().filter_map(|&i| slots.get_mut(i).and_then(Option::take)).collect();
+    ordered.extend(slots.into_iter().flatten());
+    Expr::And(ordered)
 }
 
 /// Expected cost of evaluating a chain in the given order, under
@@ -221,6 +225,14 @@ mod tests {
             0.5,
         );
         assert_eq!(order, vec![1, 0]);
+    }
+
+    #[test]
+    fn reorder_and_keeps_every_conjunct_of_a_bad_order() {
+        let conjuncts = vec![udf_conjunct("a"), udf_conjunct("b"), udf_conjunct("c")];
+        let Expr::And(es) = reorder_and(conjuncts, &[2, 2, 7]) else { panic!("expected And") };
+        let names: Vec<_> = es.iter().flat_map(Expr::udf_names).collect();
+        assert_eq!(names, vec!["c", "a", "b"]);
     }
 
     #[test]

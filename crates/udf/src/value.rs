@@ -74,9 +74,13 @@ impl UdfValue {
         use UdfValue::*;
         match (self, other) {
             (F64(_) | I64(_), F64(_) | I64(_)) => {
-                let (a, b) = (self.as_f64().expect("numeric"), other.as_f64().expect("numeric"));
+                let (a, b) = (self.as_f64()?, other.as_f64()?);
                 Some(match (a.is_nan(), b.is_nan()) {
-                    (false, false) => a.partial_cmp(&b).expect("non-NaN floats are comparable"),
+                    // Neither is NaN, so exactly one test holds (and
+                    // `-0.0 == 0.0`, as `partial_cmp` has it).
+                    (false, false) if a < b => std::cmp::Ordering::Less,
+                    (false, false) if a > b => std::cmp::Ordering::Greater,
+                    (false, false) => std::cmp::Ordering::Equal,
                     (true, true) => {
                         NAN_COMPARISONS.fetch_add(1, AtomicOrdering::Relaxed);
                         std::cmp::Ordering::Equal
@@ -121,6 +125,8 @@ mod tests {
     fn numeric_interop() {
         assert_eq!(UdfValue::I64(3).compare(&UdfValue::F64(3.5)), Some(Ordering::Less));
         assert_eq!(UdfValue::F64(2.0).compare(&UdfValue::I64(2)), Some(Ordering::Equal));
+        assert_eq!(UdfValue::F64(2.5).compare(&UdfValue::I64(2)), Some(Ordering::Greater));
+        assert_eq!(UdfValue::F64(-0.0).compare(&UdfValue::F64(0.0)), Some(Ordering::Equal));
     }
 
     #[test]

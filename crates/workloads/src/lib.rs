@@ -21,6 +21,8 @@
 //!   `retry_after` hints with capped back-off on the virtual clock, and
 //!   the open-loop driver that replays a [`traffic`] schedule.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod ncnpr;
 pub mod sources;

@@ -18,6 +18,8 @@
 //!   fair-share scheduling, semantic result reuse
 //! * [`workloads`] — synthetic Table-1-shaped dataset generators
 
+#![forbid(unsafe_code)]
+
 pub use ids_cache as cache;
 pub use ids_chem as chem;
 pub use ids_core as core;

@@ -1,7 +1,8 @@
 //! The cache integrity plane, checked from outside the cache crate:
 //!
-//! 1. the sliced CRC-32 kernel equals an independent bit-at-a-time
-//!    CRC-32/ISO-HDLC on random buffers of every length class, and
+//! 1. `crc32`, through whichever kernel this CPU runs, equals an
+//!    independent bit-at-a-time CRC-32/ISO-HDLC on random buffers of every
+//!    length class, and
 //! 2. an object keeps its bytes *and* the checksum recorded at `put`
 //!    through spill, promote, eviction and a backing-store re-fetch —
 //!    the sealed payload is moved, never re-derived.
@@ -43,7 +44,7 @@ proptest! {
     /// Random buffers of 0..=70 000 bytes at an unaligned start, plus
     /// every tail length 0..=15 after a whole number of 16-byte steps.
     #[test]
-    fn sliced_kernel_matches_bitwise_reference(
+    fn crc32_matches_bitwise_reference(
         len in 0usize..=70_000,
         lead in 0usize..16,
         seed in any::<u64>(),
