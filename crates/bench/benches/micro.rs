@@ -135,7 +135,6 @@ fn bench_bgp_kernels(c: &mut Criterion) {
         })
     });
 
-    let keys = ["k".to_string()];
     for (name, ranks, per_rank) in
         [("repartition_50k_x16", 16usize, 3_125u64), ("repartition_40k_x2048", 2048, 20)]
     {
@@ -145,7 +144,7 @@ fn bench_bgp_kernels(c: &mut Criterion) {
         g.throughput(Throughput::Elements(ranks as u64 * per_rank));
         g.bench_function(name, |bench| {
             bench.iter(|| {
-                let placed = repartition_by_vars(black_box(&stage), &keys, &buffers);
+                let placed = repartition_by_vars(black_box(&stage), "k", &buffers);
                 buffers.give_stage(black_box(placed).expect("the key is in the schema"));
             })
         });

@@ -18,6 +18,8 @@
 //!   PDB-flavoured text round-trip.
 //! * [`element`] — the chemical elements appearing in drug-like molecules.
 
+// No `unwrap`/`expect` outside tests (DESIGN.md §5i).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
 
 pub mod aminoacid;

@@ -121,8 +121,13 @@ impl ProteinSequence {
         out.push('>');
         out.push_str(header);
         out.push('\n');
-        for chunk in code.as_bytes().chunks(60) {
-            out.push_str(std::str::from_utf8(chunk).expect("ASCII"));
+        for (i, c) in code.chars().enumerate() {
+            if i > 0 && i % 60 == 0 {
+                out.push('\n');
+            }
+            out.push(c);
+        }
+        if !code.is_empty() {
             out.push('\n');
         }
         out
@@ -216,6 +221,9 @@ mod tests {
         let mut rng = SplitMix64::new(3, 3);
         let s = ProteinSequence::random(150, &mut rng);
         let fasta = s.to_fasta("sp|P29274|AA2AR_HUMAN");
+        let widths: Vec<usize> = fasta.lines().skip(1).map(str::len).collect();
+        assert_eq!(widths, [60, 60, 30]);
+        assert!(fasta.ends_with('\n'));
         let recs = ProteinSequence::from_fasta(&fasta).unwrap();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].0, "sp|P29274|AA2AR_HUMAN");

@@ -26,10 +26,10 @@ use ids_graph::ops as gops;
 use ids_graph::stage::{
     offsets_from_counts, partition_permutation, sort_permutation, IdBuffers, StagePart,
 };
-use ids_graph::{SolutionSet, StageBatch, TermId};
+use ids_graph::{placement, SolutionSet, StageBatch, TermId};
 use ids_obs::MetricsRegistry;
 use ids_simrt::pool::map_shards_with;
-use ids_simrt::rng::{fnv1a, hash_combine};
+use ids_simrt::rng::fnv1a;
 use ids_simrt::{Cluster, ExchangeCost, Fanout, RankId, SpeculationPolicy, SpeculationReport};
 use ids_udf::expr::EvalCtx;
 use ids_udf::{
@@ -663,6 +663,12 @@ pub struct PlanRun {
     /// Every rank's intermediate solutions as one rank-segmented stage;
     /// split into per-rank batches only at the checkpoint boundaries.
     sets: Option<StageBatch>,
+    /// The variable `sets` is placed on: every row sits on the rank that
+    /// [`ids_graph::placement`] gives its value. A scan is placed on its
+    /// subject variable, a key join on its key, a cross product where its
+    /// unbroadcast side was; every other stage producer clears it. A join
+    /// moves only the sides not placed on its key (DESIGN.md §5g).
+    placed: Option<String>,
     breakdown: StageBreakdown,
     annotations: Vec<ErrorAnnotation>,
     pre_filter_counts: Vec<u64>,
@@ -757,6 +763,7 @@ impl PlanRun {
             started: false,
             t0: 0.0,
             sets: None,
+            placed: None,
             breakdown: StageBreakdown::default(),
             annotations: Vec::new(),
             pre_filter_counts: Vec::new(),
@@ -1049,6 +1056,7 @@ impl PlanRun {
             // No checkpoint yet: restart from scratch on the survivors
             // (scans re-read the datastore, so this needs no replica).
             self.sets = None;
+            self.placed = None;
             self.pre_filter_counts = Vec::new();
             self.phase = RunPhase::Pattern(0);
             for (p, snap) in profilers.iter_mut().zip(&self.profiler_snapshot) {
@@ -1198,6 +1206,7 @@ impl PlanRun {
         self.recovery.rows_restored += rows;
         metrics.counter("ids_recovery_rows_restored_total").add(rows);
         self.sets = Some(sets);
+        self.placed = None;
         self.pre_filter_counts = obj.pre_filter_counts;
         for (p, snap) in profilers.iter_mut().zip(&self.profiler_snapshot) {
             *p = snap.clone();
@@ -1364,6 +1373,7 @@ impl PlanRun {
                                 cluster.elapsed(),
                             );
                             self.sets = Some(sets);
+                            self.placed = None;
                             self.pre_filter_counts = pre_counts;
                             self.resume_ordinal = ord;
                             self.phase = phase_after_ordinal(ord, &self.plan);
@@ -1457,6 +1467,7 @@ impl PlanRun {
                     None => schema.vars().clone(),
                 };
                 self.sets = Some(StageBatch::empty(vars, ranks));
+                self.placed = None;
             } else {
                 // Scan phase: each rank binds its index range into its
                 // worker's part of the stage (`gops::scan_into`), under one
@@ -1504,14 +1515,17 @@ impl PlanRun {
                 record_stage(metrics, "scan", scan_start, scan_end, format!("{scanned_rows} rows"));
                 anti_entropy_tick(cache, metrics, scan_end);
 
-                self.sets = Some(match self.sets.take() {
-                    None => scanned,
+                // The store placed each triple by its subject, so the scan's
+                // rows are placed on the subject variable.
+                let scan_placed = pat.var_s.clone();
+                let (stage, placed) = match self.sets.take() {
+                    None => (scanned, scan_placed),
                     Some(existing) => {
                         let join_start = cluster.elapsed();
                         let joined = distributed_join(
                             cluster,
-                            existing,
-                            scanned,
+                            (existing, self.placed.take()),
+                            (scanned, scan_placed),
                             &self.opts,
                             metrics,
                             &produce_start,
@@ -1520,7 +1534,7 @@ impl PlanRun {
                         )?;
                         let join_end = cluster.elapsed();
                         self.breakdown.join_secs += join_end - join_start;
-                        let joined_rows = joined.len();
+                        let joined_rows = joined.0.len();
                         record_stage(
                             metrics,
                             "join",
@@ -1531,7 +1545,9 @@ impl PlanRun {
                         anti_entropy_tick(cache, metrics, join_end);
                         joined
                     }
-                });
+                };
+                self.sets = Some(stage);
+                self.placed = placed;
             }
         }
         // Estimate-vs-actual at the pattern boundary (static mode records
@@ -1559,6 +1575,7 @@ impl PlanRun {
                 let offsets = offsets_from_counts((0..ranks).map(|r| usize::from(r == 0)))
                     .ok_or_else(stage_overflow)?;
                 self.sets = Some(StageBatch::from_columns(Arc::new([]), Vec::new(), offsets));
+                self.placed = None;
             }
             self.pre_filter_counts = self.sets.as_ref().map_or_else(Vec::new, |s| {
                 (0..s.ranks()).map(|r| s.segment_len(r) as u64).collect()
@@ -1606,6 +1623,7 @@ impl PlanRun {
             record_stage(metrics, "filter", t, end, format!("{kept} rows kept"));
             anti_entropy_tick(cache, metrics, end);
             self.sets = Some(filtered);
+            self.placed = None;
             let est_where = self.plan.est_where_rows;
             self.note_boundary("where".to_string(), est_where, kept as u64, metrics);
             self.maybe_store(1, cluster, metrics, cache);
@@ -1629,6 +1647,7 @@ impl PlanRun {
         let stage = self.plan.stages[i].clone();
         self.buffers.clear(); // as in `step_where`
         let solutions = self.sets.take().ok_or_else(|| missing_stage("stage"))?;
+        self.placed = None;
         match &stage {
             PhysicalStage::Filter(expr) => {
                 let t = cluster.elapsed();
@@ -2066,12 +2085,21 @@ impl ExchangeMeter {
     }
 }
 
-/// Hash-partition both sides on their shared variables, exchange, and join
-/// rank-locally.
+/// Hash-partition the sides that are not already placed on the join key,
+/// exchange, and join rank-locally; returns the joined stage and the
+/// variable it is placed on.
 ///
-/// BSP mode charges the exchange as one `alltoallv` bound by the heaviest
-/// sender and closes the stage with a barrier. Pipelined mode streams the
-/// per-(src,dst) sub-batches through the α·β model as the producing window
+/// A side arrives with the variable it is placed on (`Some(v)`: every row
+/// sits on the rank [`ids_graph::placement`] gives its `v`). The exchange
+/// key is one shared variable — rows with equal composite keys agree on
+/// every component, so one column places them together: one both sides
+/// are placed on, else one either side is placed on, else the first
+/// shared variable. Only sides not placed on it move.
+///
+/// BSP mode charges the exchange as one `alltoallv` of the moved sides'
+/// bytes, bound by the heaviest sender, and closes the stage with a
+/// barrier. Pipelined mode streams the moved sides' per-(src,dst)
+/// sub-batches through the α·β model as the producing window
 /// (`produce_start` → current clocks) advances: each rank starts joining
 /// when its first inbound batch lands, finishes no earlier than its last,
 /// and nobody waits for unrelated ranks. The data plane — repartitioned
@@ -2084,58 +2112,84 @@ impl ExchangeMeter {
 #[allow(clippy::too_many_arguments)]
 fn distributed_join(
     cluster: &mut Cluster,
-    left: StageBatch,
-    right: StageBatch,
+    (left, left_placed): (StageBatch, Option<String>),
+    (right, right_placed): (StageBatch, Option<String>),
     opts: &ExecOptions,
     metrics: &MetricsRegistry,
     produce_start: &[f64],
     tally: &mut ExchangeTally,
     buffers: &IdBuffers,
-) -> Result<StageBatch, ExecError> {
+) -> Result<(StageBatch, Option<String>), ExecError> {
     let ranks = left.ranks();
     // One output layout for every rank: the exchange keeps each side's
     // schema, so each rank's inputs are the ones it was built for.
     let schema = gops::join_schema(left.schema(), right.schema());
-    let shared: Vec<String> =
-        left.vars().iter().filter(|v| right.vars().contains(v)).cloned().collect();
+    // A side has at most one placed variable, so "left's, then right's"
+    // also finds one both sides are placed on.
+    let shared = |v: &&String| left.vars().contains(v) && right.vars().contains(v);
+    let key = [&left_placed, &right_placed]
+        .into_iter()
+        .flatten()
+        .find(shared)
+        .or_else(|| left.vars().iter().find(shared))
+        .cloned();
+    let side = |moved: bool| {
+        let label = if moved { "moved" } else { "placed" };
+        metrics.counter_with("ids_exchange_sides_total", "side", label.to_string()).inc();
+    };
 
     // `matrix[s * ranks + d]` = wire bytes from rank s to rank d (pipelined
     // cost model); `exchanged_bytes` is the BSP aggregate charge. A cross
-    // product broadcasts its smaller side: every rank joins with all of it.
+    // product broadcasts its smaller side (which counts as moved): every
+    // rank joins with all of it, and the output stays where the other
+    // side's rows were.
     let mut matrix: Vec<u64> = Vec::new();
-    let (left, right, whole, exchanged_bytes) = if shared.is_empty() {
-        let small_is_left = left.len() <= right.len();
-        let small = if small_is_left { &left } else { &right };
-        if opts.pipelined {
-            // Each rank ships its shard of the small side to every peer.
-            matrix = vec![0u64; ranks * ranks];
-            for s in 0..ranks {
-                let b = small.segment_byte_size(s);
-                for d in (0..ranks).filter(|&d| d != s) {
-                    matrix[s * ranks + d] = b;
+    let (left, right, whole, exchanged_bytes, placed) = match key {
+        None => {
+            let small_is_left = left.len() <= right.len();
+            side(true);
+            side(false);
+            let small = if small_is_left { &left } else { &right };
+            if opts.pipelined {
+                // Each rank ships its shard of the small side to every peer.
+                matrix = vec![0u64; ranks * ranks];
+                for s in 0..ranks {
+                    let b = small.segment_byte_size(s);
+                    for d in (0..ranks).filter(|&d| d != s) {
+                        matrix[s * ranks + d] = b;
+                    }
                 }
             }
+            let bytes = small.merged_byte_size() * ranks as u64;
+            let placed = if small_is_left { right_placed } else { left_placed };
+            (left, right, (small_is_left, !small_is_left), bytes, placed)
         }
-        let bytes = small.merged_byte_size() * ranks as u64;
-        (left, right, (small_is_left, !small_is_left), bytes)
-    } else if opts.pipelined {
-        let (l, lb) = repartition_streamed(&left, &shared, opts, buffers)?;
-        buffers.give_stage(left);
-        let (r, rb) = repartition_streamed(&right, &shared, opts, buffers)?;
-        buffers.give_stage(right);
-        matrix = lb;
-        for (m, b) in matrix.iter_mut().zip(rb) {
-            *m += b;
+        Some(key) => {
+            if opts.pipelined {
+                matrix = vec![0u64; ranks * ranks];
+            }
+            let mut bytes = 0;
+            let mut place = |stage: StageBatch, placed: Option<String>| {
+                let moved = placed.as_ref() != Some(&key);
+                side(moved);
+                if !moved {
+                    return Ok(stage);
+                }
+                let out = if opts.pipelined {
+                    let (out, b) = repartition_streamed(&stage, &key, opts, buffers)?;
+                    matrix.iter_mut().zip(b).for_each(|(m, b)| *m += b);
+                    out
+                } else {
+                    repartition_by_vars(&stage, &key, buffers)?
+                };
+                buffers.give_stage(stage);
+                bytes += out.byte_size();
+                Ok::<_, ExecError>(out)
+            };
+            let l = place(left, left_placed)?;
+            let r = place(right, right_placed)?;
+            (l, r, (false, false), bytes, Some(key))
         }
-        let bytes = l.byte_size() + r.byte_size();
-        (l, r, (false, false), bytes)
-    } else {
-        let l = repartition_by_vars(&left, &shared, buffers)?;
-        buffers.give_stage(left);
-        let r = repartition_by_vars(&right, &shared, buffers)?;
-        buffers.give_stage(right);
-        let bytes = l.byte_size() + r.byte_size();
-        (l, r, (false, false), bytes)
     };
 
     // Charge the exchange. The byte matrix is indexed by *shard*; streamed
@@ -2203,7 +2257,7 @@ fn distributed_join(
             cluster.barrier();
         }
     }
-    Ok(joined)
+    Ok((joined, placed))
 }
 
 /// Rank `r`'s input on one side of a join: its segment, or the whole
@@ -2253,30 +2307,19 @@ fn missing_stage(step: &str) -> ExecError {
 /// Rows per hashing job of an exchange.
 const EXCHANGE_CHUNK_ROWS: usize = 1 << 14;
 
-/// The exchange's placement rule: every row's destination rank, from its
-/// key columns `vars`, in a buffer from `buffers`. The hash is part of the
-/// engine's determinism contract (row placement fixes per-rank order,
-/// which fixes every downstream charge), so it is computed a column at a
-/// time, in chunks of rows on the shard pool, but never changed.
-fn destinations(
-    stage: &StageBatch,
-    vars: &[String],
-    buffers: &IdBuffers,
-) -> Result<Vec<u32>, ExecError> {
-    fn place(h: u64, id: u64) -> u64 {
-        hash_combine(h, fnv1a(&id.to_le_bytes()))
-    }
-    // The shared variables were computed from this schema, so lookup only
-    // fails on an internal planner bug — report it instead of panicking.
-    let key_idx: Vec<usize> = vars
-        .iter()
-        .map(|v| {
-            stage.var_index(v).ok_or_else(|| {
-                ExecError::msg(format!("join key ?{v} missing from schema {:?}", stage.vars()))
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    let ranks = stage.ranks() as u64;
+/// The exchange's placement rule: every row's destination rank,
+/// [`ids_graph::placement`] of its `var` column — the store's rule for a
+/// subject, so a scan is already where this would send it — in a buffer
+/// from `buffers`, computed in chunks of rows on the shard pool. Part of
+/// the engine's determinism contract: row placement fixes per-rank order,
+/// which fixes every downstream charge.
+fn destinations(stage: &StageBatch, var: &str, buffers: &IdBuffers) -> Result<Vec<u32>, ExecError> {
+    // The key was chosen from this schema, so lookup only fails on an
+    // internal planner bug — report it instead of panicking.
+    let key = stage.var_index(var).ok_or_else(|| {
+        ExecError::msg(format!("join key ?{var} missing from schema {:?}", stage.vars()))
+    })?;
+    let ranks = stage.ranks();
     if u32::try_from(ranks).is_err() {
         return Err(ExecError::msg("exchange exceeds the u32 rank index space"));
     }
@@ -2286,36 +2329,24 @@ fn destinations(
     // One job per chunk of rows, each writing its own slice of `dest`.
     let chunks: Vec<Mutex<&mut [u32]>> =
         dest.chunks_mut(EXCHANGE_CHUNK_ROWS).map(Mutex::new).collect();
-    let (_, scratch) = map_shards_with(
+    let rank_of = |id: u64| placement(TermId(id), ranks) as u32;
+    map_shards_with(
         chunks.len(),
         Fanout::Host,
-        |_| buffers.take_u64(all.len().min(EXCHANGE_CHUNK_ROWS)),
-        |hashes: &mut Vec<u64>, k| {
+        |_| (),
+        |_, k| {
             let mut out = lock_unpoisoned(&chunks[k]);
             let start = k * EXCHANGE_CHUNK_ROWS;
-            let rows = start..start + out.len();
-            hashes.clear();
-            hashes.resize(rows.len(), 0xA17C_E55E);
-            for &c in &key_idx {
-                match all.column(c).slice(rows.clone()) {
-                    ColumnSlice::U32(ids) => {
-                        for (h, &id) in hashes.iter_mut().zip(ids) {
-                            *h = place(*h, u64::from(id));
-                        }
-                    }
-                    ColumnSlice::U64(ids) => {
-                        for (h, &id) in hashes.iter_mut().zip(ids) {
-                            *h = place(*h, id);
-                        }
-                    }
+            match all.column(key).slice(start..start + out.len()) {
+                ColumnSlice::U32(ids) => {
+                    out.iter_mut().zip(ids).for_each(|(d, &id)| *d = rank_of(u64::from(id)));
                 }
-            }
-            for (d, h) in out.iter_mut().zip(hashes.iter()) {
-                *d = (h % ranks) as u32;
+                ColumnSlice::U64(ids) => {
+                    out.iter_mut().zip(ids).for_each(|(d, &id)| *d = rank_of(id));
+                }
             }
         },
     );
-    scratch.into_iter().for_each(|h| buffers.give_u64(h));
     drop(chunks);
     Ok(dest)
 }
@@ -2337,19 +2368,20 @@ fn gather_on_pool(
     StageBatch::from_columns(stage.schema().clone(), cols, offsets)
 }
 
-/// Redistribute rows so equal join keys land on equal ranks: one stable
-/// counting sort of the stage by destination, so destination `d`'s
-/// segment holds its rows ordered by (source rank, row).
+/// Redistribute rows so equal values of the join key `var` land on equal
+/// ranks (the stage comes out placed on `var`): one stable counting sort
+/// of the stage by destination, so destination `d`'s segment holds its
+/// rows ordered by (source rank, row).
 ///
 /// Its buffers come from `buffers`, and the destinations and permutation
 /// go back to it. Public so the micro benches can time the exchange's data
 /// plane alone.
 pub fn repartition_by_vars(
     stage: &StageBatch,
-    vars: &[String],
+    var: &str,
     buffers: &IdBuffers,
 ) -> Result<StageBatch, ExecError> {
-    let dest = destinations(stage, vars, buffers)?;
+    let dest = destinations(stage, var, buffers)?;
     let placed = partition_permutation(&dest, stage.ranks(), buffers);
     buffers.give_u32(dest);
     let (perm, offsets) = placed.ok_or_else(stage_overflow)?;
@@ -2372,13 +2404,13 @@ pub fn repartition_by_vars(
 /// the rows in push order, which is what the counting sort does directly.
 fn repartition_streamed(
     stage: &StageBatch,
-    vars: &[String],
+    var: &str,
     opts: &ExecOptions,
     buffers: &IdBuffers,
 ) -> Result<(StageBatch, Vec<u64>), ExecError> {
     let ranks = stage.ranks();
     let batch_rows = opts.batch_rows.max(1);
-    let dest = destinations(stage, vars, buffers)?;
+    let dest = destinations(stage, var, buffers)?;
     let placed = partition_permutation(&dest, ranks, buffers);
     buffers.give_u32(dest);
     let (perm, offsets) = placed.ok_or_else(stage_overflow)?;
@@ -3133,6 +3165,7 @@ fn run_apply_stage(
 mod tests {
     use super::*;
     use ids_graph::Term;
+    use ids_simrt::rng::hash_combine;
     use std::cmp::Ordering;
 
     /// ORDER BY's comparison of two decoded terms.
@@ -3201,12 +3234,11 @@ mod tests {
             sets.push(RankRows::of(&vars, (id..id + src * 7 + 5).map(|i| vec![i % 13, i])));
             id += src * 7 + 5;
         }
-        let keys = vec!["a".to_string()];
         let opts = ExecOptions { batch_rows: 4, ..Default::default() };
         let stage = stage_of(&sets);
-        let barriered = repartition_by_vars(&stage, &keys, &IdBuffers::default()).unwrap();
+        let barriered = repartition_by_vars(&stage, "a", &IdBuffers::default()).unwrap();
         let (streamed, bytes) =
-            repartition_streamed(&stage, &keys, &opts, &IdBuffers::default()).unwrap();
+            repartition_streamed(&stage, "a", &opts, &IdBuffers::default()).unwrap();
         assert_eq!(streamed, barriered);
         assert_eq!(bytes.len(), 9);
         assert!(bytes.iter().sum::<u64>() > 0);
@@ -3430,25 +3462,23 @@ mod tests {
         stage
     }
 
-    /// The per-rank exchange: each source's rows cut by destination and
-    /// appended, sources in rank order; with `batch_rows`, the wire
-    /// bytes of its sub-batches per (source, destination).
+    /// The per-rank exchange on key `var`: each source's rows cut by
+    /// destination and appended, sources in rank order; with
+    /// `batch_rows`, the wire bytes of its sub-batches per (source,
+    /// destination).
     fn per_rank_repartition(
         sets: &[RankRows],
-        vars: &[String],
+        var: &str,
         batch_rows: usize,
     ) -> (Vec<RankRows>, Vec<u64>) {
         let ranks = sets.len();
-        let key_idx: Vec<usize> = vars.iter().map(|v| sets[0].var_index(v)).collect();
+        let k = sets[0].var_index(var);
         let mut out = vec![RankRows::new(&sets[0].vars); ranks];
         let mut bytes = vec![0u64; ranks * ranks];
         for (src, set) in sets.iter().enumerate() {
             let mut by_dst: Vec<Vec<Vec<u64>>> = vec![Vec::new(); ranks];
             for row in &set.rows {
-                let mut h = 0xA17C_E55Eu64;
-                for &k in &key_idx {
-                    h = hash_combine(h, fnv1a(&row[k].to_le_bytes()));
-                }
+                let h = hash_combine(0xA17C_E55E, fnv1a(&row[k].to_le_bytes()));
                 by_dst[(h % ranks as u64) as usize].push(row.clone());
             }
             for (dst, rows) in by_dst.into_iter().enumerate() {
@@ -3703,25 +3733,25 @@ mod tests {
                 seed in 0u64..1_000_000,
                 // Few ranks and fat sources, or far more ranks than rows.
                 ranks in prop_oneof![1usize..=16, 100usize..=(if FULL { 700 } else { 200 })],
-                keys in 1usize..=2,
+                key in 0usize..2,
                 domain in 1u64..=500,
                 flags in 0u8..4,
             ) {
                 let mut rng = SplitMix64::new(seed, 0x9a97);
                 let vars = ["p", "k0", "q", "k1"];
-                let key_vars: Vec<String> = ["k1", "k0"][..keys].iter().map(|k| k.to_string()).collect();
+                let key_var = ["k1", "k0"][key];
                 let max_rows = if ranks > 16 { 3 } else if FULL { 4000 } else { 200 };
                 let sets =
                     random_ranks(&vars, ranks, max_rows, domain, (flags & 1 != 0, flags & 2 != 0), &mut rng);
 
-                let (want, _) = per_rank_repartition(&sets, &key_vars, 1);
+                let (want, _) = per_rank_repartition(&sets, key_var, 1);
                 let stage = stage_of(&sets);
-                assert_stage(&repartition_by_vars(&stage, &key_vars, &IdBuffers::default()).unwrap(), &want);
+                assert_stage(&repartition_by_vars(&stage, key_var, &IdBuffers::default()).unwrap(), &want);
 
                 for batch_rows in [1usize, 7, 4096] {
                     let opts = ExecOptions { batch_rows, ..ExecOptions::default() };
-                    let (want, want_bytes) = per_rank_repartition(&sets, &key_vars, batch_rows);
-                    let (got, got_bytes) = repartition_streamed(&stage, &key_vars, &opts, &IdBuffers::default()).unwrap();
+                    let (want, want_bytes) = per_rank_repartition(&sets, key_var, batch_rows);
+                    let (got, got_bytes) = repartition_streamed(&stage, key_var, &opts, &IdBuffers::default()).unwrap();
                     assert_stage(&got, &want);
                     prop_assert_eq!(got_bytes, want_bytes);
                 }
@@ -3834,13 +3864,30 @@ mod tests {
             out
         }
 
-        /// The per-rank join: exchange both sides (or replicate the
-        /// smaller side of a cross product), then join rank by rank.
-        fn per_rank_join(left: &[RankRows], right: &[RankRows]) -> Vec<RankRows> {
+        /// The per-rank join: exchange both sides on the key
+        /// `distributed_join` picks — the first shared variable a side is
+        /// placed on, else the first shared one — or replicate the smaller
+        /// side of a cross product, then join rank by rank. Exchanging a
+        /// side already placed on the key leaves it as it is.
+        fn per_rank_join(
+            (left, left_placed): (&[RankRows], Option<&str>),
+            (right, right_placed): (&[RankRows], Option<&str>),
+        ) -> Vec<RankRows> {
             let ranks = left.len();
-            let shared: Vec<String> =
-                left[0].vars.iter().filter(|v| right[0].vars.contains(v)).cloned().collect();
-            let (l, r) = if shared.is_empty() {
+            let shared: Vec<&str> = left[0]
+                .vars
+                .iter()
+                .filter(|v| right[0].vars.contains(v))
+                .map(String::as_str)
+                .collect();
+            let key = [left_placed, right_placed]
+                .into_iter()
+                .flatten()
+                .find(|p| shared.contains(p))
+                .or(shared.first().copied());
+            let (l, r) = if let Some(key) = key {
+                (per_rank_repartition(left, key, 1).0, per_rank_repartition(right, key, 1).0)
+            } else {
                 let count = |s: &[RankRows]| s.iter().map(RankRows::len).sum::<usize>();
                 let small_is_left = count(left) <= count(right);
                 let small = if small_is_left { left } else { right };
@@ -3852,11 +3899,6 @@ mod tests {
                 } else {
                     (left.to_vec(), replicated)
                 }
-            } else {
-                (
-                    per_rank_repartition(left, &shared, 1).0,
-                    per_rank_repartition(right, &shared, 1).0,
-                )
             };
             l.iter().zip(&r).map(|(l, r)| join_rows(l, r)).collect()
         }
@@ -4064,6 +4106,8 @@ mod tests {
                 flags in 0u8..16,
                 keys in 0usize..=2,
                 domain in 1u64..=60,
+                // Each side placed on none of its variables, or on one.
+                placed in (0usize..=3, 0usize..=3),
             ) {
                 let mut rng = SplitMix64::new(seed, 0xe7c4);
                 let (lvars, rvars): (&[&str], &[&str]) = match keys {
@@ -4073,37 +4117,40 @@ mod tests {
                 };
                 // A cross product's output is the product of its inputs.
                 let rows = if keys == 0 { max_rows(ranks).min(12) } else { max_rows(ranks) };
-                let left = random_ranks(lvars, ranks, rows, domain, (flags & 1 != 0, flags & 2 != 0), &mut rng);
-                let right = random_ranks(rvars, ranks, rows, domain, (flags & 4 != 0, flags & 8 != 0), &mut rng);
+                let mut side = |vars: &[&'static str], bits: u8, pick: usize| {
+                    let sets = random_ranks(vars, ranks, rows, domain, (bits & 1 != 0, bits & 2 != 0), &mut rng);
+                    match pick.checked_sub(1).and_then(|i| vars.get(i)) {
+                        Some(&v) => (per_rank_repartition(&sets, v, 1).0, Some(v)),
+                        None => (sets, None),
+                    }
+                };
+                let (left, lp) = side(lvars, flags, placed.0);
+                let (right, rp) = side(rvars, flags >> 2, placed.1);
                 let (lstage, rstage) = (stage_of(&left), stage_of(&right));
 
                 if keys > 0 {
-                    let shared: Vec<String> = lvars
-                        .iter()
-                        .filter(|v| rvars.contains(v))
-                        .map(|v| v.to_string())
-                        .collect();
-                    let (want, _) = per_rank_repartition(&left, &shared, 1);
-                    assert_stage(&repartition_by_vars(&lstage, &shared, &IdBuffers::default()).unwrap(), &want);
+                    let key = lvars.iter().find(|v| rvars.contains(v)).copied().unwrap();
+                    let (want, _) = per_rank_repartition(&left, key, 1);
+                    assert_stage(&repartition_by_vars(&lstage, key, &IdBuffers::default()).unwrap(), &want);
                     for batch_rows in [1usize, 3, 4096] {
-                        let (want, want_bytes) = per_rank_repartition(&left, &shared, batch_rows);
+                        let (want, want_bytes) = per_rank_repartition(&left, key, batch_rows);
                         let opts = ExecOptions { batch_rows, ..ExecOptions::default() };
-                        let (got, got_bytes) = repartition_streamed(&lstage, &shared, &opts, &IdBuffers::default()).unwrap();
+                        let (got, got_bytes) = repartition_streamed(&lstage, key, &opts, &IdBuffers::default()).unwrap();
                         assert_stage(&got, &want);
                         assert_eq!(got_bytes, want_bytes);
                     }
                 }
 
-                let want = per_rank_join(&left, &right);
+                let want = per_rank_join((&left, lp), (&right, rp));
                 let mut cluster = Cluster::new(
                     ids_simrt::Topology::new(1, ranks as u32),
                     ids_simrt::NetworkModel::slingshot(),
                     1,
                 );
-                let got = distributed_join(
+                let (got, got_placed) = distributed_join(
                     &mut cluster,
-                    lstage,
-                    rstage,
+                    (lstage, lp.map(str::to_string)),
+                    (rstage, rp.map(str::to_string)),
                     &ExecOptions::default(),
                     &MetricsRegistry::new(),
                     &vec![0.0; ranks],
@@ -4112,6 +4159,25 @@ mod tests {
                 )
                 .unwrap();
                 assert_stage(&got, &want);
+                // The output really is placed where the join says.
+                if let Some(v) = &got_placed {
+                    let c = got.var_index(v).unwrap();
+                    for r in 0..ranks {
+                        for row in RankRows::segment(&got, r).rows {
+                            prop_assert_eq!(placement(TermId(row[c]), ranks), r);
+                        }
+                    }
+                }
+                // A key join is placed on a shared variable, a cross
+                // product where its unbroadcast side was.
+                if keys == 0 {
+                    let count = |s: &[RankRows]| s.iter().map(RankRows::len).sum::<usize>();
+                    let kept = if count(&left) <= count(&right) { rp } else { lp };
+                    prop_assert_eq!(got_placed.as_deref(), kept);
+                } else {
+                    let v = got_placed.as_deref().unwrap();
+                    prop_assert!(lvars.contains(&v) && rvars.contains(&v));
+                }
             }
 
             #[test]

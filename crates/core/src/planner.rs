@@ -109,8 +109,9 @@ pub struct PhysicalPlan {
 impl PhysicalPlan {
     /// The hash-partition keys of each pattern join, in join order: entry
     /// `i − 1` holds the variables shared between the accumulated solution
-    /// schema after patterns `0..i` and pattern `i` — exactly what the
-    /// exchange repartitions on. An empty entry means a cross product
+    /// schema after patterns `0..i` and pattern `i`; the exchange
+    /// partitions on one of them, and moves only the sides not already
+    /// placed on it (DESIGN.md §5g). An empty entry means a cross product
     /// (broadcast exchange). EXPLAIN's `exchange:` block surfaces these so
     /// pipelined channel metrics can be read against the plan.
     pub fn exchange_keys(&self) -> Vec<Vec<String>> {

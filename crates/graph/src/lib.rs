@@ -52,7 +52,7 @@ pub use ntriples::{parse_ntriples, write_ntriples};
 pub use sketch::KmvSketch;
 pub use solution::{RowIter, Rows, SolutionSet};
 pub use stage::StageBatch;
-pub use store::{PartitionedStore, ShardStats, TriplePattern};
+pub use store::{placement, PartitionedStore, ShardStats, TriplePattern};
 pub use term::{Term, TermId};
 pub use text::KeywordIndex;
 pub use triple::Triple;

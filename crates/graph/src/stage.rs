@@ -44,16 +44,15 @@ pub fn offsets_from_counts(counts: impl IntoIterator<Item = usize>) -> Option<Ve
     Some(offsets)
 }
 
-/// A free list of id buffers: the `u32` and `u64` vectors behind stage
-/// columns, exchange destinations and permutations. A buffer given back
-/// keeps its capacity, and the next producer that needs as much takes it
-/// instead of asking the allocator. The list holds what it is given until
-/// it is dropped; its owner bounds its life (the engine keeps one per
-/// query run).
+/// A free list of id buffers: the `u32` vectors behind stage columns,
+/// exchange destinations and permutations. A buffer given back keeps its
+/// capacity, and the next producer that needs as much takes it instead of
+/// asking the allocator. The list holds what it is given until it is
+/// dropped; its owner bounds its life (the engine keeps one per query
+/// run).
 #[derive(Debug, Default)]
 pub struct IdBuffers {
     narrow: Mutex<Vec<Vec<u32>>>,
-    wide: Mutex<Vec<Vec<u64>>>,
 }
 
 impl IdBuffers {
@@ -62,33 +61,22 @@ impl IdBuffers {
         take(&self.narrow, capacity)
     }
 
-    /// An empty `u64` vector with room for `capacity` ids.
-    pub fn take_u64(&self, capacity: usize) -> Vec<u64> {
-        take(&self.wide, capacity)
-    }
-
     /// Give `buf` back, for a later [`Self::take_u32`].
     pub fn give_u32(&self, buf: Vec<u32>) {
         give(&self.narrow, buf);
     }
 
-    /// Give `buf` back, for a later [`Self::take_u64`].
-    pub fn give_u64(&self, buf: Vec<u64>) {
-        give(&self.wide, buf);
-    }
-
-    /// Give a column's buffer back.
+    /// Give a column's buffer back. No producer takes a `u64` buffer, so a
+    /// wide column's goes back to the allocator.
     fn give_column(&self, col: Column) {
-        match col {
-            Column::U32(v) => self.give_u32(v),
-            Column::U64(v) => self.give_u64(v),
+        if let Column::U32(v) = col {
+            self.give_u32(v);
         }
     }
 
     /// Free every buffer on the list, back to the allocator.
     pub fn clear(&self) {
         drop(std::mem::take(&mut *self.narrow.lock().unwrap_or_else(PoisonError::into_inner)));
-        drop(std::mem::take(&mut *self.wide.lock().unwrap_or_else(PoisonError::into_inner)));
     }
 
     /// Give every column of `stage` back.

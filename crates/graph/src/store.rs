@@ -9,6 +9,7 @@
 
 use crate::term::TermId;
 use crate::triple::Triple;
+use ids_simrt::rng::{fnv1a, hash_combine};
 use serde::{Deserialize, Serialize};
 
 /// A triple pattern: `None` positions are wildcards ("variables").
@@ -132,15 +133,15 @@ pub struct PartitionedStore {
     shards: Vec<ShardIndex>,
 }
 
-/// Mix a term id into a well-distributed placement hash. Dense sequential
-/// ids would otherwise stripe subjects across shards in lockstep with
-/// insertion order.
+/// The rank that owns `id` among `shards`: where the store places a
+/// subject's triples and where the engine's exchange sends a row whose
+/// key column holds `id`. One function for both, so a scan's rows are
+/// already placed on its subject variable and a join on that variable
+/// need not move them (DESIGN.md §5g). Part of the determinism contract:
+/// placement fixes per-rank row order and every charge downstream of it.
 #[inline]
-fn placement_hash(id: TermId) -> u64 {
-    let mut z = id.0.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
+pub fn placement(id: TermId, shards: usize) -> usize {
+    (hash_combine(0xA17C_E55E, fnv1a(&id.0.to_le_bytes())) % shards as u64) as usize
 }
 
 impl PartitionedStore {
@@ -158,7 +159,7 @@ impl PartitionedStore {
     /// The shard owning a subject.
     #[inline]
     pub fn shard_of(&self, subject: TermId) -> usize {
-        (placement_hash(subject) % self.shards.len() as u64) as usize
+        placement(subject, self.shards.len())
     }
 
     /// Buffer a triple for insertion (call [`Self::build_indexes`] before

@@ -22,6 +22,8 @@
 //! running in one process never share metric state unless they share a
 //! registry on purpose.
 
+// No `unwrap`/`expect` outside tests (DESIGN.md §5i).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
 
 mod registry;

@@ -21,6 +21,8 @@
 //!   `retry_after` hints with capped back-off on the virtual clock, and
 //!   the open-loop driver that replays a [`traffic`] schedule.
 
+// No `unwrap`/`expect` outside tests (DESIGN.md §5i).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
 
 pub mod client;

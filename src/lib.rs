@@ -18,6 +18,8 @@
 //!   fair-share scheduling, semantic result reuse
 //! * [`workloads`] — synthetic Table-1-shaped dataset generators
 
+// No `unwrap`/`expect` outside tests (DESIGN.md §5i).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
 
 pub use ids_cache as cache;
