@@ -45,9 +45,9 @@ cargo fmt --all --check
 # Tier-1 is the bare `cargo build --release && cargo test -q`, which covers
 # the workspace `default-members`: the root package and the twelve library
 # crates under crates/. `--workspace` here adds what tier-1 leaves out:
-# `ids-bench` (figure/ablation/perf binaries, benches/micro.rs and its
+# `ids-bench` (the repro and perf binaries, benches/micro.rs and its
 # integration tests) and the vendored stand-ins under third_party/
-# (bytes, criterion, parking_lot, proptest, serde, serde_derive).
+# (bytes, criterion, parking_lot, proptest).
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
@@ -191,13 +191,23 @@ grep -q '^virtual_s_p50  *0\.419359240 s' <<<"$perf_out" \
 
 echo "==> cargo clippy --workspace -- -D warnings"
 # Also enforces the crate-level deny of unwrap()/expect() outside tests in
-# every library crate but ids-models (DESIGN.md 5i): those paths return
-# typed errors or `None`, since a panic in one rank's stage closure would
-# poison the whole simulated cluster.
+# every library crate (DESIGN.md 5i): those paths return typed errors or
+# `None`, since a panic in one rank's stage closure would poison the whole
+# simulated cluster.
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc --no-deps (warning-clean)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+
+echo "==> experiments vs golden (repro, release; once on every core, once pinned to one)"
+# Every paper table, figure and ablation, with all their asserts: stdout
+# (virtual time and seeded data only) must equal the committed golden, on
+# any number of worker threads. Regenerate it with the same command
+# redirected to bench_results/repro.txt, and review the diff.
+cargo run --release -p ids-bench --bin repro > target/repro.txt
+diff -u bench_results/repro.txt target/repro.txt
+taskset -c 0 cargo run --release -p ids-bench --bin repro > target/repro.txt
+diff -u bench_results/repro.txt target/repro.txt
 
 echo "==> chaos matrix (tests/chaos_faults.rs, release)"
 for seed in 1 2 3 4 5 6 7 8; do
@@ -214,12 +224,6 @@ for seed in 1 2 3 4 5 6 7 8; do
     CHAOS_SEED=$seed CHAOS_PIPELINE=$mode cargo test --release --test chaos_pipeline -q
   done
 done
-
-echo "==> ablation_pipeline smoke (asserts byte-identical results, measurable speedup under stragglers)"
-cargo run --release -p ids-bench --bin ablation_pipeline
-
-echo "==> ablation_recovery smoke (asserts byte-identical resume, resume > restart, speculation recovers >= half the straggler loss)"
-cargo run --release -p ids-bench --bin ablation_recovery
 
 echo "==> recovery chaos matrix (tests/chaos_recovery.rs, release)"
 for seed in 1 2 3 4 5 6 7 8; do
@@ -260,14 +264,5 @@ for seed in 1 2 3 4 5 6 7 8; do
     CHAOS_SEED=$seed CHAOS_ADAPTIVE=$mode cargo test --release --test chaos_adaptive -q
   done
 done
-
-echo "==> ablation_adaptive smoke (asserts byte-identical results, adaptive >= 1.3x on NDV skew, replan on correlation, within 2% on uniform)"
-cargo run --release -p ids-bench --bin ablation_adaptive
-
-echo "==> ablation_overload smoke (asserts interactive p99/goodput within 2x of baseline under 4x overload, class-ordered shedding)"
-cargo run --release -p ids-bench --bin ablation_overload
-
-echo "==> ablation_cache_tiers smoke (asserts scan-resistant policies hold >=5x reuse at 4x DRAM, warm restart recovers >=80% hit rate)"
-cargo run --release -p ids-bench --bin ablation_cache_tiers
 
 echo "CI OK"

@@ -130,7 +130,12 @@ fn bench_bgp_kernels(c: &mut Criterion) {
     g.bench_function("hash_join_batch_50k", |bench| {
         bench.iter(|| {
             let mut worker = ops::JoinWorker::new(&schema);
-            worker.join(&schema, black_box(left.view()), black_box(right.view()));
+            worker.join(
+                &schema,
+                black_box(left.view()),
+                black_box(right.view()),
+                &IdBuffers::default(),
+            );
             black_box(worker.into_part())
         })
     });

@@ -1,7 +1,11 @@
 //! # ids-bench — experiment harness
 //!
-//! One binary per paper table/figure (see `src/bin/`) plus Criterion
-//! micro-benchmarks (see `benches/`). Shared helpers live here.
+//! Every paper table, figure and ablation is one function in
+//! [`experiments`], run by the `repro` binary; its stdout, which depends
+//! only on the code, is committed as `bench_results/repro.txt`. Also the
+//! wall-clock `perf` benchmark (`src/bin/perf/`) and Criterion
+//! micro-benchmarks (`benches/`). Shared helpers live here.
 
+pub mod experiments;
 pub mod ncnpr_setup;
 pub mod reporting;

@@ -1,6 +1,8 @@
-//! Table/figure rendering helpers shared by the experiment binaries.
+//! Table/figure rendering helpers shared by the experiments.
 
+use ids_core::QueryOutcome;
 use ids_obs::{MetricKey, MetricsSnapshot};
+use std::fmt::{Debug, Display};
 
 /// Per-rank UDF profile series (`udf="r<N>/<name>"`) are one line *per
 /// rank*: at paper scale (8192 ranks) they would swamp the report. The
@@ -86,6 +88,46 @@ pub fn secs(t: f64) -> String {
     } else {
         format!("{t:.4}")
     }
+}
+
+/// An experiment's model outputs, printed after its tables as
+/// `experiment.key value` lines. Values print with `{:?}`, so an `f64` is
+/// its shortest round-trip text and equal text means equal bits.
+pub struct Records {
+    experiment: &'static str,
+    lines: Vec<String>,
+}
+
+impl Records {
+    /// No records yet for `experiment`.
+    pub fn new(experiment: &'static str) -> Self {
+        Self { experiment, lines: Vec::new() }
+    }
+
+    /// Record `value` under `key`.
+    pub fn add(&mut self, key: impl Display, value: impl Debug) {
+        self.lines.push(format!("{}.{key} {value:?}", self.experiment));
+    }
+
+    /// Print the records, after a blank line.
+    pub fn print(self) {
+        println!();
+        self.lines.iter().for_each(|l| println!("{l}"));
+    }
+}
+
+/// The `p`-quantile of ascending `sorted` (nearest rank); 0 when empty.
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let idx = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
+    sorted[idx]
+}
+
+/// A query's result rows as raw term ids, for byte-identity checks.
+pub fn raw_rows(o: &QueryOutcome) -> Vec<Vec<u64>> {
+    o.solutions.rows().iter().map(|r| r.iter().map(|t| t.raw()).collect()).collect()
 }
 
 #[cfg(test)]

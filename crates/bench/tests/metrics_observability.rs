@@ -3,7 +3,7 @@
 //! the engine operator timings, and the planner series — and EXPLAIN must
 //! surface the live snapshot.
 
-use ids_bench::ncnpr_setup::{build_ncnpr_instance, NcnprBenchOptions};
+use ids_bench::ncnpr_setup::{build_ncnpr_instance, NcnprBenchOptions, RANKS_PER_NODE};
 use ids_cache::{BackingStore, CacheConfig, CacheManager};
 use ids_core::workflow::{repurposing_query, RepurposingThresholds};
 use ids_simrt::{NetworkModel, Topology};
@@ -11,21 +11,18 @@ use std::sync::Arc;
 
 fn cached_bench() -> ids_bench::ncnpr_setup::NcnprBench {
     let nodes = 2u32;
-    let ranks_per_node = 4u32;
     let cache = Arc::new(CacheManager::new(
-        Topology::new(nodes, ranks_per_node),
+        Topology::new(nodes, RANKS_PER_NODE),
         NetworkModel::slingshot(),
         CacheConfig::new(1, 64 << 20, 512 << 20),
         BackingStore::default_store(),
     ));
     build_ncnpr_instance(NcnprBenchOptions {
         nodes,
-        ranks_per_node,
         bulk: (0, 0),
         dtba_scale: 1.0,
         cache: Some(cache),
         paper_scale: false,
-        seed: 11,
     })
 }
 

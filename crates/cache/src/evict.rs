@@ -18,11 +18,10 @@
 //!   the LRU victim when its estimated frequency is strictly higher, so
 //!   cold scan traffic never erodes a frequently reused resident set.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 /// Which eviction policy a tier store runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EvictionKind {
     /// Least-recently-used (the historical default).
     #[default]

@@ -5,14 +5,13 @@
 //! per-node per-tier occupancy plus the spill/promote/admission/warm
 //! -restart tallies. `render()` produces the text the EXPLAIN
 //! `cache tiers:` block and the service debug surface print;
-//! `to_json()` hand-rolls the JSON the bench dumps (no serde_json in
-//! the vendored dependency set).
+//! `to_json()` hand-rolls a JSON object (no serde_json in the vendored
+//! dependency set).
 
 use crate::evict::EvictionKind;
-use serde::{Deserialize, Serialize};
 
 /// Occupancy of one tier on one node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TierInspection {
     /// Cache-node index.
     pub node: usize,
@@ -31,7 +30,7 @@ pub struct TierInspection {
 }
 
 /// A full cache-tier snapshot: occupancy plus movement counters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CacheInspection {
     /// Eviction policy in force.
     pub eviction: EvictionKind,
@@ -116,7 +115,7 @@ impl CacheInspection {
         out
     }
 
-    /// Hand-rolled JSON object (stable key order) for the bench dumps.
+    /// Hand-rolled JSON object (stable key order).
     pub fn to_json(&self) -> String {
         let tiers: Vec<String> = self
             .tiers

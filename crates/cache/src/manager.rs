@@ -42,12 +42,11 @@ use ids_simrt::faults::{Deadline, FaultPlane, LinkFactors, RetryPolicy};
 use ids_simrt::net::{DeviceModel, NetworkModel};
 use ids_simrt::topology::{NodeId, RankId, Topology};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
 /// Which tier served an access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Tier {
     LocalDram,
     RemoteDram,
@@ -64,7 +63,7 @@ pub struct CacheOutcome {
 }
 
 /// Aggregate hit/miss statistics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CacheStats {
     pub local_dram_hits: u64,
     pub remote_dram_hits: u64,
@@ -92,14 +91,11 @@ pub struct CacheStats {
     /// objects rewritten.
     pub repairs: u64,
     /// NVMe→DRAM promotions on reuse.
-    #[serde(default)]
     pub promotes: u64,
     /// Spills or inserts skipped by the frequency-sketch admission
     /// filter (one-hit wonders under tier pressure).
-    #[serde(default)]
     pub admission_rejects: u64,
     /// NVMe entries retained across node recoveries (warm restart).
-    #[serde(default)]
     pub warm_restart_retained: u64,
 }
 
@@ -121,7 +117,7 @@ impl CacheStats {
 }
 
 /// What one anti-entropy pass did (see [`CacheManager::anti_entropy`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AntiEntropyReport {
     /// Live cached copies whose checksum was verified.
     pub scrubbed: u64,
@@ -141,7 +137,7 @@ impl AntiEntropyReport {
 }
 
 /// Cache configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheConfig {
     /// Number of nodes contributing DRAM/NVMe to the cache (the first
     /// `cache_nodes` node ids of the topology).
@@ -154,28 +150,22 @@ pub struct CacheConfig {
     pub policy: PlacementPolicy,
     /// Per-tier device cost model: DRAM vs NVMe latency/bandwidth,
     /// charged on every hit, spill, and promote.
-    #[serde(default)]
     pub devices: DeviceModel,
     /// Eviction policy run by every tier store.
-    #[serde(default)]
     pub eviction: EvictionKind,
     /// Retain NVMe contents across a node recovery (persistent media),
     /// distrusted until lazily re-verified against their checksums.
     /// When false both tiers are wiped, the historical behaviour.
-    #[serde(default = "default_true")]
     pub warm_restart: bool,
     /// Gate DRAM→NVMe spills behind the frequency-sketch admission
     /// filter when the NVMe tier is under pressure, keeping one-hit
     /// wonders from churning the disk tier.
-    #[serde(default = "default_true")]
     pub nvme_admission: bool,
     /// Copies kept per object across distinct live nodes (k-way
     /// replication). 1 = the pre-replication behaviour.
-    #[serde(default = "default_replication")]
     pub replication: usize,
     /// Virtual seconds between background anti-entropy passes (scrub +
     /// re-replication), checked at engine stage boundaries.
-    #[serde(default = "default_anti_entropy_interval")]
     pub anti_entropy_interval_secs: f64,
 }
 

@@ -9,7 +9,6 @@
 use bytes::Bytes;
 use ids_simrt::rng::fnv1a;
 use ids_simrt::topology::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Compute the object ID for a name/path (the TR-Cache hash helper).
 pub fn object_id(name: &str) -> u64 {
@@ -304,7 +303,7 @@ impl Sealed {
 }
 
 /// Metadata the Cache Manager tracks per cached object.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObjectMeta {
     /// Object name/path, e.g. `"vina/P29274/CHEMBL112"`.
     pub name: String,

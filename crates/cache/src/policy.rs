@@ -12,10 +12,9 @@
 //! seeded chaos run reproduces placements exactly.
 
 use ids_simrt::topology::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Placement policy for newly cached objects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementPolicy {
     /// Cache on the node that produced/requested the object — maximizes
     /// the chance the next access is local (the paper's default:

@@ -3,10 +3,8 @@
 //! keep residue identity, mass, hydropathy, and secondary-structure
 //! propensities for the AlphaFold-substitute structure predictor).
 
-use serde::{Deserialize, Serialize};
-
 /// One of the 20 standard amino acids.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[rustfmt::skip]
 pub enum AminoAcid {
     Ala, Arg, Asn, Asp, Cys, Gln, Glu, Gly, His, Ile,

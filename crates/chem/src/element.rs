@@ -1,10 +1,8 @@
 //! Chemical elements appearing in drug-like molecules and proteins.
 
-use serde::{Deserialize, Serialize};
-
 /// Elements supported by the SMILES parser and the docking scorer — the
 /// organic subset plus common halogens and phosphorus/sulfur.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Element {
     H,
     B,

@@ -7,10 +7,9 @@
 //! matters.
 
 use crate::element::Element;
-use serde::{Deserialize, Serialize};
 
 /// Bond order in a molecular graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BondOrder {
     Single,
     Double,
@@ -31,7 +30,7 @@ impl BondOrder {
 }
 
 /// An atom in a molecular graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Atom {
     pub element: Element,
     /// Part of an aromatic system (written lowercase in SMILES).
@@ -52,7 +51,7 @@ impl Atom {
 }
 
 /// An undirected bond between atoms `a` and `b`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Bond {
     pub a: usize,
     pub b: usize,
@@ -60,7 +59,7 @@ pub struct Bond {
 }
 
 /// A small-molecule graph: atoms plus undirected bonds with adjacency.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Molecule {
     atoms: Vec<Atom>,
     bonds: Vec<Bond>,

@@ -4,10 +4,9 @@
 //! target P29274, so relatedness structure in the data matters).
 
 use crate::aminoacid::{AminoAcid, ALL};
-use serde::{Deserialize, Serialize};
 
 /// An immutable protein sequence.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ProteinSequence {
     residues: Vec<AminoAcid>,
 }

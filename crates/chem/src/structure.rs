@@ -8,10 +8,9 @@
 //! Vina's blind-docking mode relies on.
 
 use crate::element::Element;
-use serde::{Deserialize, Serialize};
 
 /// A 3-D vector / point, in Ångströms.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3 {
     pub x: f64,
     pub y: f64,
@@ -90,14 +89,14 @@ impl std::ops::Mul<f64> for Vec3 {
 }
 
 /// One positioned atom in a structure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlacedAtom {
     pub element: Element,
     pub pos: Vec3,
 }
 
 /// An axis-aligned box; the docking search space ("grid box").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridBox {
     pub min: Vec3,
     pub max: Vec3,
@@ -150,7 +149,7 @@ impl GridBox {
 }
 
 /// A 3-D structure: an ordered list of placed atoms.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Structure3D {
     atoms: Vec<PlacedAtom>,
 }

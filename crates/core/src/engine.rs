@@ -1488,7 +1488,8 @@ impl PlanRun {
                     // until the phase outlasts a thread start, so it may
                     // bind every match: room for all of them keeps its
                     // part (whose buffers the stage keeps) from regrowing.
-                    // Helpers start empty and grow to their share.
+                    // Helpers start empty and grow to their share through
+                    // the run's buffers.
                     let rows = |w| if w == 0 { pat.est_cardinality } else { 0 };
                     let init =
                         |w| (w, StagePart::with_capacity(schema.vars().len(), rows(w), buffers));
@@ -1496,6 +1497,7 @@ impl PlanRun {
                         cluster.execute_with_state(None, Fanout::Host, init, |(w, part), ctx| {
                             let triples = graph.candidates(ctx.rank().index(), &pat.pattern);
                             ctx.charge(1.0e-5 + triples.len() as f64 * opts.scan_secs_per_triple);
+                            part.reserve(triples.len(), buffers);
                             let (first, n) = gops::scan_into(&schema, triples, part);
                             (*w, first, n)
                         });
@@ -2230,7 +2232,7 @@ fn distributed_join(
     // dispatch with an amortized per-row probe on each rank's clock. As
     // in the scan, the first worker may join every rank, so its part has
     // room for a key join's usual output: one row per row of its larger
-    // input.
+    // input; helpers grow to their share through the run's buffers.
     let meter = BatchMeter::new(metrics, "join");
     let rows = |w| if w == 0 { left.len().max(right.len()) } else { 0 };
     let init = |w| (w, gops::JoinWorker::with_capacity(&schema, rows(w), buffers));
@@ -2238,7 +2240,7 @@ fn distributed_join(
         cluster.execute_with_state(None, Fanout::Host, init, |(w, jw), ctx| {
             let r = ctx.rank().index();
             let (lv, rv) = (join_input(&left, whole.0, r), join_input(&right, whole.1, r));
-            let (first, n) = jw.join(&schema, lv, rv);
+            let (first, n) = jw.join(&schema, lv, rv, buffers);
             ctx.charge(join_cost(lv.len() + rv.len() + n, opts, &meter));
             (*w, first, n)
         });

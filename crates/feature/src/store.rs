@@ -1,11 +1,10 @@
 //! Typed feature columns keyed by entity id.
 
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A single feature value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FeatureValue {
     F64(f64),
     I64(i64),
@@ -205,7 +204,7 @@ impl FeatureStore {
 }
 
 /// Summary statistics of a numeric feature column.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ColumnStats {
     pub count: usize,
     pub mean: f64,

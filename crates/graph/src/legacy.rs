@@ -6,7 +6,7 @@
 use crate::batch::Column;
 use crate::ops::{join_schema, scan_into, scan_schema, JoinWorker};
 use crate::solution::SolutionSet;
-use crate::stage::{offsets_from_counts, StageBatch, StagePart};
+use crate::stage::{offsets_from_counts, IdBuffers, StageBatch, StagePart};
 use crate::store::TriplePattern;
 use crate::triple::Triple;
 use std::sync::Arc;
@@ -51,7 +51,7 @@ pub fn scan_to_batch(
 pub fn hash_join_batch(left: &StageBatch, right: &StageBatch) -> StageBatch {
     let schema = join_schema(left.schema(), right.schema());
     let mut worker = JoinWorker::new(&schema);
-    let (_, rows) = worker.join(&schema, left.view(), right.view());
+    let (_, rows) = worker.join(&schema, left.view(), right.view(), &IdBuffers::default());
     one_rank(schema.vars().clone(), worker.into_part().into_columns(), rows)
 }
 

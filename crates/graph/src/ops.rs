@@ -201,7 +201,8 @@ impl JoinWorker {
     /// rows in order. Every output column is one gather of a selection
     /// vector, so it follows the column width rule (`U32` exactly when
     /// every id fits). Returns `(first, count)`: where the rows went among
-    /// this worker's rows.
+    /// this worker's rows. The output part grows through `buffers`
+    /// ([`StagePart::reserve`]).
     ///
     /// # Panics
     /// Panics if an input's schema is not the one `schema` was built for,
@@ -211,11 +212,13 @@ impl JoinWorker {
         schema: &JoinSchema,
         left: BatchView<'_>,
         right: BatchView<'_>,
+        buffers: &IdBuffers,
     ) -> (usize, usize) {
         let (lsel, rsel) = (&mut self.lsel, &mut self.rsel);
         lsel.clear();
         rsel.clear();
         join_pairs(schema, left, right, &mut self.scratch, lsel, rsel);
+        self.part.reserve(lsel.len(), buffers);
         for (k, col) in self.part.cols_mut().iter_mut().enumerate() {
             match schema.output_source(k) {
                 (false, c) => col.extend_gather(left.column(c), lsel),
@@ -395,7 +398,7 @@ mod tests {
     fn join(left: &Table, right: &Table) -> StageBatch {
         let schema = join_schema(&left.vars, &right.vars);
         let mut worker = JoinWorker::new(&schema);
-        let (first, n) = worker.join(&schema, left.view(), right.view());
+        let (first, n) = worker.join(&schema, left.view(), right.view(), &IdBuffers::default());
         let part = worker.into_part();
         StageBatch::assemble(
             schema.vars.clone(),
@@ -528,7 +531,7 @@ mod tests {
         let spans: Vec<_> = shards
             .iter()
             .map(|(l, r)| {
-                let (first, n) = worker.join(&js, l.view(), r.view());
+                let (first, n) = worker.join(&js, l.view(), r.view(), &IdBuffers::default());
                 (0, first, n)
             })
             .collect();
@@ -578,7 +581,7 @@ mod tests {
     fn join_rejects_inputs_of_another_schema() {
         let js = join_schema(&schema(&["a"]), &schema(&["a", "b"]));
         let (l, r) = (table_of(&schema(&["a"]), &[]), table_of(&schema(&["b"]), &[]));
-        JoinWorker::new(&js).join(&js, l.view(), r.view());
+        JoinWorker::new(&js).join(&js, l.view(), r.view(), &IdBuffers::default());
     }
 
     /// The column-at-a-time scan and join against the row-at-a-time loops

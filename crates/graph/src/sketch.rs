@@ -13,7 +13,6 @@
 //! planning deterministic across shard scan orders.
 
 use crate::term::TermId;
-use serde::{Deserialize, Serialize};
 
 /// Default number of minima kept per sketch. 64 gives ~12% standard
 /// error (1/√(k−2)) — plenty for join ordering, where estimates only
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 pub const DEFAULT_SKETCH_K: usize = 64;
 
 /// A bottom-k distinct-value sketch.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KmvSketch {
     k: usize,
     /// The `k` smallest hashes seen, sorted ascending. Kept exact (no

@@ -10,12 +10,11 @@
 //! lends each row out as a `&[TermId]`.
 
 use crate::term::TermId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Index;
 
 /// A table of variable bindings.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SolutionSet {
     vars: Vec<String>,
     /// Row-major: row `i` is `cells[i * width..(i + 1) * width]`.

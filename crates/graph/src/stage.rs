@@ -86,9 +86,9 @@ impl IdBuffers {
 }
 
 /// The smallest buffer on `list` with room for `capacity` values, emptied,
-/// else a fresh one of exactly that room. A list whose lock a panicking
-/// thread poisoned is still whole: every update is one `push`,
-/// `swap_remove` or `take` of the list.
+/// else a fresh one with room for [`size_class`]`(capacity)`. A list whose
+/// lock a panicking thread poisoned is still whole: every update is one
+/// `push`, `swap_remove` or `take` of the list.
 fn take<T>(list: &Mutex<Vec<Vec<T>>>, capacity: usize) -> Vec<T> {
     if capacity == 0 {
         return Vec::new();
@@ -99,8 +99,20 @@ fn take<T>(list: &Mutex<Vec<Vec<T>>>, capacity: usize) -> Vec<T> {
         .min_by_key(|&i| list[i].capacity());
     match fit {
         Some(i) => list.swap_remove(i),
-        None => Vec::with_capacity(capacity),
+        None => Vec::with_capacity(size_class(capacity)),
     }
+}
+
+/// `capacity` rounded up to the next of four size classes per power of
+/// two (`2^k` × 1, 1.25, 1.5 or 1.75). Buffers asked for a little under
+/// a stage's size (a helper's part grown by doubling, a tail of the first
+/// worker's rows) then fit every later request for the stage's size.
+fn size_class(capacity: usize) -> usize {
+    if capacity <= 8 {
+        return capacity;
+    }
+    let quarter = 1usize << (usize::BITS - 3 - capacity.leading_zeros());
+    capacity.div_ceil(quarter) * quarter
 }
 
 fn give<T>(list: &Mutex<Vec<Vec<T>>>, mut buf: Vec<T>) {
@@ -443,6 +455,22 @@ impl StagePart {
         Self { cols, rows: 0 }
     }
 
+    /// Make room for `rows` more rows, growing through `buffers`: a narrow
+    /// column short of room moves to a buffer from the list with at least
+    /// twice its old room (as `Vec` growth would), and its old buffer goes
+    /// back. A part that starts empty (a pool helper's) then grows from
+    /// the run's buffers, not the allocator's.
+    pub fn reserve(&mut self, rows: usize, buffers: &IdBuffers) {
+        for col in &mut self.cols {
+            let Column::U32(v) = col else { continue };
+            if v.capacity() - v.len() < rows {
+                let mut grown = buffers.take_u32((v.len() + rows).max(2 * v.capacity()));
+                grown.extend_from_slice(v);
+                buffers.give_u32(std::mem::replace(v, grown));
+            }
+        }
+    }
+
     /// Rows appended so far.
     pub fn len(&self) -> usize {
         self.rows
@@ -652,6 +680,26 @@ fn lsd_permutation<K: Copy + Into<u64>>(keys: &[K], buffers: &IdBuffers) -> Opti
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn size_classes_round_up_to_a_quarter_of_the_power_of_two() {
+        let got = [1, 8, 9, 16, 17, 20_288, 20_480, 20_481].map(size_class);
+        assert_eq!(got, [1, 8, 10, 16, 20, 20_480, 20_480, 24_576]);
+    }
+
+    #[test]
+    fn reserve_grows_a_part_through_the_free_list() {
+        let buffers = IdBuffers::default();
+        buffers.give_u32(Vec::with_capacity(1000));
+        let mut part = StagePart::new(1);
+        part.push_rank(&[[7u64], [8]]).unwrap();
+        part.reserve(500, &buffers);
+        assert_eq!(part.cols[0], Column::U32(vec![7, 8]));
+        assert!(matches!(&part.cols[0], Column::U32(v) if v.capacity() == 1000));
+        // The part's old buffer went back in place of the one it took.
+        let listed = buffers.narrow.lock().unwrap();
+        assert!(listed.len() == 1 && listed[0].capacity() < 1000);
+    }
 
     /// The stage whose rank `r` holds `ranks[r]`, each row one id per
     /// variable, filled through one part.

@@ -10,10 +10,9 @@
 use crate::term::TermId;
 use crate::triple::Triple;
 use ids_simrt::rng::{fnv1a, hash_combine};
-use serde::{Deserialize, Serialize};
 
 /// A triple pattern: `None` positions are wildcards ("variables").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TriplePattern {
     pub s: Option<TermId>,
     pub p: Option<TermId>,
@@ -104,7 +103,7 @@ impl ShardIndex {
 }
 
 /// Per-shard sizing statistics for load-balance analysis.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ShardStats {
     /// Triples per shard, indexed by shard (= rank) id.
     pub triples: Vec<usize>,

@@ -7,10 +7,8 @@
 //! (integers, floats, strings) are first-class so FILTER expressions can
 //! compare values without string round-trips.
 
-use serde::{Deserialize, Serialize};
-
 /// Dense identifier assigned by the [`crate::Dictionary`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TermId(pub u64);
 
 impl TermId {
@@ -31,7 +29,7 @@ impl std::fmt::Display for TermId {
 ///
 /// Floats are stored by bit pattern so `Term` is `Eq + Hash` (required for
 /// dictionary interning); NaN payloads are normalized at construction.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Term {
     /// An IRI / resource identifier, e.g. `uniprot:P29274`.
     Iri(String),

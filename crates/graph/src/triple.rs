@@ -1,10 +1,9 @@
 //! Encoded triples.
 
 use crate::term::TermId;
-use serde::{Deserialize, Serialize};
 
 /// A dictionary-encoded (subject, predicate, object) fact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Triple {
     pub s: TermId,
     pub p: TermId,

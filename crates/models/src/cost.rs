@@ -8,10 +8,8 @@
 //! seconds* through this calibration, so the simulator's latencies land in
 //! the paper's bands regardless of host speed.
 
-use serde::{Deserialize, Serialize};
-
 /// Calibrated virtual-cost parameters for every model in the repository.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Smith–Waterman DP cell rate (cells / virtual second). At 2e8 a
     /// 300×300 alignment costs 0.45 ms — inside the paper's < 1 ms band.

@@ -33,12 +33,11 @@
 use crate::cost::CostModel;
 use ids_chem::element::Element;
 use ids_chem::molecule::Molecule;
-use ids_chem::structure::{PlacedAtom, Structure3D, Vec3};
+use ids_chem::structure::{GridBox, PlacedAtom, Structure3D, Vec3};
 use ids_simrt::rng::{fnv1a, hash_combine, SplitMix64};
-use serde::{Deserialize, Serialize};
 
 /// Vina-like scoring-function weights.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScoringWeights {
     pub gauss1: f64,
     pub gauss2: f64,
@@ -64,7 +63,7 @@ impl Default for ScoringWeights {
 }
 
 /// Docking search parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DockingParams {
     /// Independent Monte-Carlo restarts (Vina's "exhaustiveness").
     pub exhaustiveness: usize,
@@ -86,7 +85,7 @@ impl Default for DockingParams {
 }
 
 /// The outcome of docking one ligand against one receptor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DockingResult {
     /// Best binding energy found (kcal/mol; more negative binds tighter).
     pub energy: f64,
@@ -159,11 +158,12 @@ impl DockingEngine {
         let n = ligand.atom_count();
         let mut rng = SplitMix64::new(seed, 0xe3bed);
         let mut placed: Vec<Option<Vec3>> = vec![None; n];
+        // The queue carries each atom's position with it, so a parent's
+        // position is at hand without a lookup that could miss.
         let mut order = std::collections::VecDeque::new();
         placed[0] = Some(Vec3::ZERO);
-        order.push_back(0usize);
-        while let Some(a) = order.pop_front() {
-            let base = placed[a].expect("BFS parent placed");
+        order.push_back((0usize, Vec3::ZERO));
+        while let Some((a, base)) = order.pop_front() {
             for (nb, _) in ligand.neighbors(a) {
                 if placed[nb].is_some() {
                     continue;
@@ -190,7 +190,7 @@ impl DockingEngine {
                     }
                 }
                 placed[nb] = Some(best);
-                order.push_back(nb);
+                order.push_back((nb, best));
             }
         }
         let atoms: Vec<PlacedAtom> = (0..n)
@@ -295,9 +295,11 @@ impl DockingEngine {
         let job = Self::job_hash(receptor, ligand);
         let mut rng = SplitMix64::new(job, 0xd0c);
         let n_rotors = ligand.rotatable_bonds();
+        // A non-empty receptor always has a box (asserted above); the
+        // fallback only keeps this total.
         let gbox = receptor
             .bounding_box(self.params.box_margin)
-            .expect("non-empty receptor has a bounding box");
+            .unwrap_or(GridBox { min: Vec3::ZERO, max: Vec3::ZERO });
 
         // Per-atom constants once per job; poses are bare coordinates in
         // three buffers reused across every Monte-Carlo step.

@@ -16,13 +16,12 @@
 use crate::cost::CostModel;
 use ids_chem::sequence::ProteinSequence;
 use ids_simrt::rng::{fnv1a, hash_combine, SplitMix64};
-use serde::{Deserialize, Serialize};
 
 /// SMILES character vocabulary for label encoding (index 0 = padding).
 const SMILES_VOCAB: &str = "CNOPSFIBrcl()[]=#+-123456789%@/\\.Hn os";
 
 /// Affinity prediction output.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Affinity {
     /// Predicted binding affinity on the pKd scale (higher binds tighter;
     /// drug-like actives land around 6–9).
@@ -32,7 +31,7 @@ pub struct Affinity {
 }
 
 /// Configuration of the DTBA network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DtbaConfig {
     /// Embedding dimension for both branches.
     pub embed_dim: usize,

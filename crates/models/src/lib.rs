@@ -34,6 +34,8 @@
 //! which is what makes the paper's result caching sound: a cache hit must be
 //! indistinguishable from re-execution.
 
+// Typed errors, never panics, outside tests (DESIGN.md §5i).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
 
 pub mod cost;

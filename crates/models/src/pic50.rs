@@ -9,10 +9,9 @@
 
 use crate::cost::CostModel;
 use ids_simrt::rng::{fnv1a, hash_combine, SplitMix64};
-use serde::{Deserialize, Serialize};
 
 /// A potency measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Potency {
     /// pIC50 value (typically 3–11 for drug-like actives; ≥ 6 ≈ sub-µM).
     pub pic50: f64,

@@ -7,13 +7,12 @@
 //! about a model before the profiler has seen it run: its kind (analytic /
 //! AI / simulation) and an a-priori cost class.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// What kind of computation a model performs. The planner's cost priors
 /// differ by orders of magnitude per kind (analytic µs–ms, AI inference
 /// tenths of seconds, simulation tens of seconds).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// Deterministic domain algorithm (Smith–Waterman, pIC50).
     Analytic,
@@ -36,7 +35,7 @@ impl ModelKind {
 }
 
 /// Metadata describing a registered model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelMeta {
     /// Unique name (e.g. `"smith_waterman"`, `"dtba"`, `"vina_docking"`).
     pub name: String,
@@ -112,7 +111,8 @@ impl ModelRepository {
                 deterministic: true,
             },
         ] {
-            repo.register(meta).expect("builtin names are unique");
+            // The built-in names are distinct, so no entry is replaced.
+            repo.reload(meta);
         }
         repo
     }

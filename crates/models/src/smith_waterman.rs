@@ -34,7 +34,6 @@
 use crate::cost::CostModel;
 use ids_chem::aminoacid::AminoAcid;
 use ids_chem::sequence::ProteinSequence;
-use serde::{Deserialize, Serialize};
 
 /// BLOSUM62 substitution matrix in `ARNDCQEGHILKMFPSTWYV` order.
 #[rustfmt::skip]
@@ -63,7 +62,7 @@ pub const BLOSUM62: [[i32; 20]; 20] = [
 ];
 
 /// Alignment parameters: gap model over BLOSUM62.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwParams {
     /// Cost of opening a gap (positive).
     pub gap_open: i32,
@@ -79,7 +78,7 @@ impl Default for SwParams {
 }
 
 /// Result of a local alignment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwScore {
     /// Raw Smith–Waterman score (≥ 0).
     pub score: i32,

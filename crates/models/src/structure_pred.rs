@@ -20,10 +20,9 @@ use ids_chem::element::Element;
 use ids_chem::sequence::ProteinSequence;
 use ids_chem::structure::{Structure3D, Vec3};
 use ids_simrt::rng::{fnv1a, SplitMix64};
-use serde::{Deserialize, Serialize};
 
 /// Secondary-structure class assigned to a residue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SecondaryStructure {
     Helix,
     Sheet,
@@ -31,7 +30,7 @@ pub enum SecondaryStructure {
 }
 
 /// A predicted structure with confidence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PredictedStructure {
     /// Cα trace (one carbon per residue).
     pub structure: Structure3D,

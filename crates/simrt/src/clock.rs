@@ -6,10 +6,8 @@
 //! when it is charged compute cost (from a calibrated cost model) or
 //! communication cost (from the α–β network model).
 
-use serde::{Deserialize, Serialize};
-
 /// A monotone clock measuring virtual seconds on one rank.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct VirtualClock {
     now: f64,
 }

@@ -1,10 +1,8 @@
 //! Reduction operators for simulated collectives.
 
-use serde::{Deserialize, Serialize};
-
 /// Reduction operator applied by [`crate::Cluster::allreduce_f64`] and
 /// friends, mirroring `MPI_Op`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceOp {
     Sum,
     Min,

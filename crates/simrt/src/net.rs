@@ -8,10 +8,9 @@
 //! inside a node.
 
 use crate::topology::{RankId, Topology};
-use serde::{Deserialize, Serialize};
 
 /// Network cost parameters for the simulated fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
     /// One-way latency between ranks on different nodes (seconds).
     pub inter_latency: f64,
@@ -128,7 +127,7 @@ impl NetworkModel {
 /// (latency + bytes/bandwidth) model like the fabric. The cache manager
 /// charges these on every tier hit, spill, and promote; a remote access
 /// additionally pays the [`NetworkModel`] inter-node leg.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceModel {
     /// DRAM access latency (seconds).
     pub dram_latency: f64,

@@ -4,14 +4,12 @@
 //! node (2048 / 4096 / 8192 total ranks); the cache testbed is a 52-node
 //! cluster. [`Topology`] captures exactly that shape.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a virtual MPI rank, dense in `0..topology.total_ranks()`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RankId(pub u32);
 
 /// Identifier of a physical (simulated) compute node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 impl RankId {
@@ -46,7 +44,7 @@ impl std::fmt::Display for NodeId {
 ///
 /// Ranks are assigned to nodes in blocks: ranks `[n*rpn, (n+1)*rpn)` live on
 /// node `n`, matching the usual `mpirun --map-by node`-style block layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Topology {
     nodes: u32,
     ranks_per_node: u32,

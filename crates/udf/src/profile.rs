@@ -7,11 +7,10 @@
 //! planner can tailor decisions to each rank's hardware and data shard.
 
 use ids_obs::MetricsRegistry;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Profiling record for one UDF on one rank.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct UdfProfile {
     /// Number of executions.
     pub calls: u64,
@@ -51,7 +50,7 @@ impl UdfProfile {
 }
 
 /// One rank's profiling datastore: UDF name → profile.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct UdfProfiler {
     profiles: HashMap<String, UdfProfile>,
 }

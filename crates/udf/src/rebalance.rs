@@ -18,21 +18,19 @@
 //! self-consistent version, which preserves the claimed ~1.4× speed-up of
 //! throughput-based over count-based balancing.
 
-use serde::{Deserialize, Serialize};
-
 /// Relative-throughput window treated as "similar" (paper: within ~20 % of
 /// the slowest rank).
 pub const SIMILAR_THROUGHPUT_TOLERANCE: f64 = 0.2;
 
 /// Which strategy the planner chose.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RebalanceStrategy {
     CountBased,
     ThroughputBased,
 }
 
 /// A re-balancing decision: per-rank target solution counts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RebalancePlan {
     pub strategy: RebalanceStrategy,
     /// Target number of solutions for each rank (sums to the input total).

@@ -1,6 +1,5 @@
 //! Dynamic values exchanged between the query engine and UDFs.
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 /// Process-wide count of numeric comparisons that saw a NaN operand (see
@@ -15,7 +14,7 @@ pub fn nan_comparison_count() -> u64 {
 }
 
 /// A value a UDF can consume or produce.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum UdfValue {
     F64(f64),
     I64(i64),

@@ -6,12 +6,11 @@
 
 use crate::kernel::{cosine, l2_squared};
 use ids_obs::{Counter, MetricsRegistry};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// Distance/similarity metric for search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Metric {
     /// Cosine similarity (higher = closer).
     Cosine,

@@ -9,10 +9,9 @@
 use ids_core::Datastore;
 use ids_graph::Term;
 use ids_simrt::rng::SplitMix64;
-use serde::{Deserialize, Serialize};
 
 /// The seven Table 1 sources.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SourceKind {
     UniProt,
     ChemblRdf,
@@ -109,7 +108,7 @@ impl SourceKind {
 }
 
 /// Stats returned by a generation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SourceStats {
     pub kind: SourceKind,
     /// Triples actually generated.

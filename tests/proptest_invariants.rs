@@ -93,7 +93,7 @@ proptest! {
         let right = batch(["k", "r"], &right_keys, 200);
         let schema = ops::join_schema(left.schema(), right.schema());
         let mut worker = ops::JoinWorker::new(&schema);
-        let (_, rows) = worker.join(&schema, left.view(), right.view());
+        let (_, rows) = worker.join(&schema, left.view(), right.view(), &IdBuffers::default());
         let part = worker.into_part();
         let joined = StageBatch::assemble(schema.vars().clone(), vec![part], &[(0, 0, rows)], &IdBuffers::default()).unwrap();
         // |join| = sum over keys of count_l(k) * count_r(k).
