@@ -1,12 +1,10 @@
-//! Cache inspector: a point-in-time, human- and machine-readable view
-//! of the tiered store (à la an edge cache's inspector endpoint).
+//! Cache inspector: a point-in-time view of the tiered store (à la an
+//! edge cache's inspector endpoint).
 //!
 //! [`crate::CacheManager::inspect`] assembles a [`CacheInspection`]:
 //! per-node per-tier occupancy plus the spill/promote/admission/warm
 //! -restart tallies. `render()` produces the text the EXPLAIN
-//! `cache tiers:` block and the service debug surface print;
-//! `to_json()` hand-rolls a JSON object (no serde_json in the vendored
-//! dependency set).
+//! `cache tiers:` block and the service debug surface print.
 
 use crate::evict::EvictionKind;
 
@@ -114,48 +112,6 @@ impl CacheInspection {
         }
         out
     }
-
-    /// Hand-rolled JSON object (stable key order).
-    pub fn to_json(&self) -> String {
-        let tiers: Vec<String> = self
-            .tiers
-            .iter()
-            .map(|t| {
-                format!(
-                    "{{\"node\":{},\"tier\":\"{}\",\"capacity_bytes\":{},\
-                     \"occupied_bytes\":{},\"entries\":{},\"unverified\":{},\
-                     \"victim_pops\":{}}}",
-                    t.node,
-                    t.tier,
-                    t.capacity_bytes,
-                    t.occupied_bytes,
-                    t.entries,
-                    t.unverified,
-                    t.victim_pops
-                )
-            })
-            .collect();
-        format!(
-            "{{\"eviction\":\"{}\",\"tiers\":[{}],\"hits\":[{},{},{},{}],\
-             \"backing_fetches\":{},\"misses\":{},\"spills\":{},\"promotes\":{},\
-             \"admission_rejects\":{},\"warm_retained\":{},\"warm_verified\":{},\
-             \"hit_rate\":{:.6}}}",
-            self.eviction.label(),
-            tiers.join(","),
-            self.hits[0],
-            self.hits[1],
-            self.hits[2],
-            self.hits[3],
-            self.backing_fetches,
-            self.misses,
-            self.spills,
-            self.promotes,
-            self.admission_rejects,
-            self.warm_retained,
-            self.warm_verified,
-            self.hit_rate()
-        )
-    }
 }
 
 #[cfg(test)]
@@ -212,23 +168,5 @@ mod tests {
         assert!((i.hit_rate() - 9.0 / 10.0).abs() < 1e-12);
         assert_eq!(i.occupied("dram"), 600);
         assert_eq!(i.occupied("nvme"), 2000);
-    }
-
-    #[test]
-    fn json_is_well_formed_and_complete() {
-        let j = sample().to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        for key in [
-            "\"eviction\":\"s3fifo\"",
-            "\"occupied_bytes\":600",
-            "\"spills\":4",
-            "\"promotes\":2",
-            "\"admission_rejects\":1",
-            "\"warm_retained\":4",
-            "\"hit_rate\":0.900000",
-        ] {
-            assert!(j.contains(key), "missing {key} in {j}");
-        }
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
     }
 }

@@ -16,7 +16,7 @@
 //!   spill, policy-driven placement, locality queries that let schedulers
 //!   co-locate computation with data, per-tier hit/miss statistics, and
 //!   node-failure handling.
-//! * [`tier`] — the tier stores behind the [`tier::TierEngine`] trait:
+//! * [`tier`] — the tier stores ([`tier::TierStore`]):
 //!   the single home of per-tier capacity/occupancy accounting, entry
 //!   checksums, and the warm-restart verified flag.
 //! * [`evict`] — eviction policies ([`evict::EvictionKind`]): LRU over an
@@ -62,5 +62,5 @@ pub use manager::{
 };
 pub use object::{crc32, object_id, ObjectMeta, Sealed};
 pub use policy::PlacementPolicy;
-pub use tier::{StoredEntry, TierEngine, TierKind, TierStore};
+pub use tier::{StoredEntry, TierKind, TierStore};
 pub use typed::{IntermediateSolutions, TypedError, TypedSolutionSet};

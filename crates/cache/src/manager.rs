@@ -35,7 +35,7 @@ use crate::evict::EvictionKind;
 use crate::inspect::{CacheInspection, TierInspection};
 use crate::object::{object_id, ObjectMeta, Sealed};
 use crate::policy::PlacementPolicy;
-use crate::tier::{StoredEntry, TierEngine, TierKind, TierStore};
+use crate::tier::{StoredEntry, TierKind, TierStore};
 use bytes::Bytes;
 use ids_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use ids_simrt::faults::{Deadline, FaultPlane, LinkFactors, RetryPolicy};
@@ -777,44 +777,7 @@ impl CacheManager {
     /// backing copy in place; the cached replicas stay healthy, so a
     /// later checked read or anti-entropy pass detects and rewrites it.
     pub fn put(&self, from: RankId, name: &str, data: Bytes) -> f64 {
-        let plane = self.faults.lock().clone();
-        let size = data.len() as u64;
-        let sealed = self.seal_put(data);
-        let mut cost = self.backing.put(name, sealed.clone()).virtual_secs;
-        if plane.as_ref().is_some_and(|p| p.torn_write(from)) {
-            // The persistent write tore: bytes landed, checksum did not.
-            self.backing.corrupt(name);
-        }
-
-        let mut st = self.state.lock();
-        self.sync_with_plane(&mut st, plane.as_deref());
-        st.clock += 1;
-        // Coherence on overwrite: drop every cached copy of this name first
-        // (the new placement may land on a different node than a previous
-        // put's, and a stale copy must never win the tier search).
-        for ni in 0..self.cfg.cache_nodes {
-            st.dram[ni].remove(name);
-            st.nvme[ni].remove(name);
-        }
-        st.sketch.record(name);
-        remember(&mut st.ever_cached, name);
-        // A durable overwrite upgrades a previously ephemeral name: the
-        // backing copy written above is now authoritative.
-        st.ephemeral.remove(name);
-        // Place on up to k live nodes; if every cache node is down the
-        // object lives in the backing store only (still durable).
-        let replicas = self.place_live_replicas(&mut st, self.topo.node_of(from));
-        let link = plane.as_ref().map_or(LinkFactors::NONE, |p| p.link_factors());
-        for &node in &replicas {
-            cost += self.dram_transfer(from, node, size) * link.cost_mult();
-            let (_, spill_cost) = self.insert_dram(&mut st, node, name, sealed.clone());
-            cost += spill_cost;
-        }
-        if replicas.len() < self.cfg.replication {
-            self.note_under_replicated(name, replicas.len());
-        }
-        self.debug_check_accounting(&mut st);
-        cost
+        self.write(from, name, data, true)
     }
 
     /// Store a **recomputable** object in the cache tiers only — no
@@ -830,21 +793,46 @@ impl CacheManager {
     /// store would charge a metadata RPC that can exceed the cost of
     /// recomputing the fragment outright.
     pub fn put_ephemeral(&self, from: RankId, name: &str, data: Bytes) -> f64 {
+        self.write(from, name, data, false)
+    }
+
+    /// The one write behind [`Self::put`] (`durable`) and
+    /// [`Self::put_ephemeral`]: only a durable write pays the backing
+    /// store and draws a torn write.
+    fn write(&self, from: RankId, name: &str, data: Bytes, durable: bool) -> f64 {
         let plane = self.faults.lock().clone();
         let size = data.len() as u64;
         let sealed = self.seal_put(data);
         let mut cost = 0.0;
+        if durable {
+            cost = self.backing.put(name, sealed.clone()).virtual_secs;
+            if plane.as_ref().is_some_and(|p| p.torn_write(from)) {
+                // The persistent write tore: bytes landed, checksum did not.
+                self.backing.corrupt(name);
+            }
+        }
 
         let mut st = self.state.lock();
         self.sync_with_plane(&mut st, plane.as_deref());
         st.clock += 1;
-        // Same overwrite coherence as the durable path.
+        // Coherence on overwrite: drop every cached copy of this name first
+        // (the new placement may land on a different node than a previous
+        // put's, and a stale copy must never win the tier search).
         for ni in 0..self.cfg.cache_nodes {
             st.dram[ni].remove(name);
             st.nvme[ni].remove(name);
         }
         st.sketch.record(name);
-        remember(&mut st.ephemeral, name);
+        if durable {
+            remember(&mut st.ever_cached, name);
+            // A durable overwrite upgrades a previously ephemeral name: the
+            // backing copy written above is now authoritative.
+            st.ephemeral.remove(name);
+        } else {
+            remember(&mut st.ephemeral, name);
+        }
+        // Place on up to k live nodes; if every cache node is down a
+        // durable object lives in the backing store only.
         let replicas = self.place_live_replicas(&mut st, self.topo.node_of(from));
         let link = plane.as_ref().map_or(LinkFactors::NONE, |p| p.link_factors());
         for &node in &replicas {
@@ -971,55 +959,6 @@ impl CacheManager {
         self.metrics.inserts_nvme.inc();
         self.metrics.update_sizes(st);
         (true, self.cfg.devices.nvme_cost(size))
-    }
-
-    /// Store an object with a user-provided placement hint (§3.2: the
-    /// manager moves data "based on user-provided hints or
-    /// operator-defined policies"). The hinted node overrides the policy
-    /// for the *primary* copy; secondary replicas (when
-    /// [`CacheConfig::replication`] > 1) fill capacity-weighted over the
-    /// remaining live nodes. Out-of-range hints fall back to [`Self::put`].
-    pub fn put_with_hint(&self, from: RankId, name: &str, data: Bytes, hint: NodeId) -> f64 {
-        if hint.index() >= self.cfg.cache_nodes || self.node_is_down(hint) {
-            // Out-of-range or unavailable hints degrade to policy placement.
-            return self.put(from, name, data);
-        }
-        let size = data.len() as u64;
-        let sealed = self.seal_put(data);
-        let mut cost = self.backing.put(name, sealed.clone()).virtual_secs;
-        let mut st = self.state.lock();
-        st.clock += 1;
-        st.placement_counter += 1;
-        for ni in 0..self.cfg.cache_nodes {
-            st.dram[ni].remove(name);
-            st.nvme[ni].remove(name);
-        }
-        st.sketch.record(name);
-        remember(&mut st.ever_cached, name);
-        // Hinted primary, then capacity-weighted secondaries (most free
-        // DRAM first, ties to the lowest index) up to the replication
-        // factor.
-        let mut replicas = vec![hint];
-        if self.cfg.replication > 1 {
-            let free = self.free_vec(&st);
-            let mut rest: Vec<usize> = (0..self.cfg.cache_nodes)
-                .filter(|&ni| !st.is_down(ni) && ni != hint.index())
-                .collect();
-            rest.sort_by_key(|&ni| (std::cmp::Reverse(free[ni]), ni));
-            replicas.extend(
-                rest.into_iter().take(self.cfg.replication - 1).map(|ni| NodeId(ni as u32)),
-            );
-        }
-        for &node in &replicas {
-            cost += self.dram_transfer(from, node, size);
-            let (_, spill_cost) = self.insert_dram(&mut st, node, name, sealed.clone());
-            cost += spill_cost;
-        }
-        if replicas.len() < self.cfg.replication {
-            self.note_under_replicated(name, replicas.len());
-        }
-        self.debug_check_accounting(&mut st);
-        cost
     }
 
     /// Dynamically relocate a cached object to another node's DRAM
@@ -1780,6 +1719,23 @@ mod tests {
     }
 
     #[test]
+    fn put_and_put_ephemeral_differ_only_by_the_backing_write() {
+        let cfg = || CacheConfig::new(2, 1 << 20, 1 << 22).with_replication(2);
+        let (durable, ephemeral) = (cache_cfg(cfg()), cache_cfg(cfg()));
+        let data = payload(5000, 7);
+        // Rank 3 sits on node 1: one replica write is local, one remote.
+        let d = durable.put(RankId(3), "x", data.clone());
+        let e = ephemeral.put_ephemeral(RankId(3), "x", data.clone());
+        assert_eq!(durable.locality("x").len(), 2);
+        assert_eq!(durable.locality("x"), ephemeral.locality("x"));
+        let backing = BackingStore::default_store().put("x", Sealed::seal(data)).virtual_secs;
+        assert!(e > 0.0 && backing > 0.0);
+        assert!((d - backing - e).abs() < 1e-12, "durable {d} = backing {backing} + fabric {e}");
+        assert!(durable.backing.contains("x").value);
+        assert!(!ephemeral.backing.contains("x").value);
+    }
+
+    #[test]
     fn remote_rank_hits_remote_dram() {
         let c = cache(1 << 20, 1 << 22);
         c.put(RankId(0), "obj", payload(1000, 2));
@@ -1921,17 +1877,6 @@ mod tests {
         assert_eq!(s.cache_hits(), 2);
         assert_eq!(s.backing_fetches, 1);
         assert!((s.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn put_with_hint_overrides_policy() {
-        let c = cache(1 << 20, 1 << 22);
-        // Rank 0 is on node 0, but the user hints node 1.
-        c.put_with_hint(RankId(0), "obj", payload(100, 1), NodeId(1));
-        assert_eq!(c.locality("obj"), vec![(NodeId(1), Tier::LocalDram)]);
-        // Out-of-range hints degrade to policy placement.
-        c.put_with_hint(RankId(0), "obj2", payload(100, 2), NodeId(9));
-        assert_eq!(c.locality("obj2"), vec![(NodeId(0), Tier::LocalDram)]);
     }
 
     #[test]
@@ -2637,7 +2582,7 @@ mod tests {
         c.put(RankId(0), "a", payload(1000, 1));
         assert_eq!((hashed("put"), total()), (1000, 1000));
         c.put_ephemeral(RankId(0), "e", payload(300, 2));
-        c.put_with_hint(RankId(0), "h", payload(200, 3), NodeId(1));
+        c.put(RankId(1), "h", payload(200, 3));
         assert_eq!((hashed("put"), total()), (1500, 1500));
 
         // DRAM hits, spills, promotes and NVMe hits move sealed payloads.
@@ -2742,7 +2687,5 @@ mod tests {
         let text = insp.render();
         assert!(text.contains("eviction policy: lru"), "{text}");
         assert!(text.contains("node 0 dram:"), "{text}");
-        let json = insp.to_json();
-        assert!(json.contains("\"spills\":") && json.contains("\"promotes\":1"), "{json}");
     }
 }

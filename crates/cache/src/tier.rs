@@ -1,8 +1,9 @@
 //! The tier store: the single place where per-tier capacity and
 //! occupancy accounting lives.
 //!
-//! Every DRAM and NVMe tier in the cache manager is a [`TierStore`]
-//! behind the [`TierEngine`] trait. All byte accounting (`used`,
+//! Every DRAM and NVMe tier in the cache manager is a [`TierStore`]:
+//! capacity-accounted object residency with policy-driven victim
+//! selection, for one tier on one node. All byte accounting (`used`,
 //! `capacity`) is mutated *only* inside this module — a CI grep gate
 //! rejects occupancy arithmetic anywhere else in `crates/cache` — so
 //! the invariant `used == Σ entry sizes ≤ capacity` is enforceable in
@@ -52,43 +53,7 @@ pub struct StoredEntry {
     pub last_access: u64,
 }
 
-/// The storage-tier interface: capacity-accounted object residency with
-/// policy-driven victim selection. The cache manager drives spill and
-/// promote *between* engines; an engine only answers for one tier on
-/// one node.
-pub trait TierEngine {
-    /// Which hardware tier this engine models.
-    fn kind(&self) -> TierKind;
-    /// Configured capacity in bytes.
-    fn capacity(&self) -> u64;
-    /// Bytes currently resident.
-    fn used(&self) -> u64;
-    /// Number of resident entries.
-    fn len(&self) -> usize;
-    /// True when nothing is resident.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Would an entry of `size` bytes fit without eviction?
-    fn fits(&self, size: u64) -> bool;
-    /// Is `name` resident?
-    fn contains(&self, name: &str) -> bool;
-    /// Insert an entry, replacing any previous copy of `name`. The entry
-    /// must fit ([`TierEngine::fits`] after removing the old copy); the
-    /// caller makes room first via [`TierEngine::pop_victim`]. Returns
-    /// false (and stores nothing) when it cannot fit even alone.
-    fn insert(&mut self, name: &str, sealed: Sealed, now: u64) -> bool;
-    /// Remove and return `name`'s entry.
-    fn remove(&mut self, name: &str) -> Option<StoredEntry>;
-    /// Evict the policy's chosen victim and return it.
-    fn pop_victim(&mut self) -> Option<(String, StoredEntry)>;
-    /// Record an access (policy recency/frequency + entry stamp).
-    fn touch(&mut self, name: &str, now: u64);
-    /// Drop every entry (crash wipe).
-    fn clear(&mut self);
-}
-
-/// The concrete tier store used for every DRAM/NVMe tier.
+/// The store behind every DRAM/NVMe tier of every cache node.
 #[derive(Debug)]
 pub struct TierStore {
     kind: TierKind,
@@ -212,34 +177,47 @@ impl TierStore {
             self.used = sum;
         }
     }
-}
 
-impl TierEngine for TierStore {
-    fn kind(&self) -> TierKind {
+    /// Which hardware tier this store models.
+    pub fn kind(&self) -> TierKind {
         self.kind
     }
 
-    fn capacity(&self) -> u64 {
+    /// Configured capacity in bytes.
+    pub fn capacity(&self) -> u64 {
         self.capacity
     }
 
-    fn used(&self) -> u64 {
+    /// Bytes currently resident.
+    pub fn used(&self) -> u64 {
         self.used
     }
 
-    fn len(&self) -> usize {
+    /// Number of resident entries.
+    pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    fn fits(&self, size: u64) -> bool {
+    /// True when nothing is resident.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Would an entry of `size` bytes fit without eviction?
+    pub fn fits(&self, size: u64) -> bool {
         self.used + size <= self.capacity
     }
 
-    fn contains(&self, name: &str) -> bool {
+    /// Is `name` resident?
+    pub fn contains(&self, name: &str) -> bool {
         self.entries.contains_key(name)
     }
 
-    fn insert(&mut self, name: &str, sealed: Sealed, now: u64) -> bool {
+    /// Insert an entry, replacing any previous copy of `name`. The entry
+    /// must fit ([`Self::fits`] after removing the old copy); the
+    /// caller makes room first via [`Self::pop_victim`]. Returns
+    /// false (and stores nothing) when it cannot fit even alone.
+    pub fn insert(&mut self, name: &str, sealed: Sealed, now: u64) -> bool {
         let size = sealed.size();
         if size > self.capacity {
             return false;
@@ -260,14 +238,16 @@ impl TierEngine for TierStore {
         true
     }
 
-    fn remove(&mut self, name: &str) -> Option<StoredEntry> {
+    /// Remove and return `name`'s entry.
+    pub fn remove(&mut self, name: &str) -> Option<StoredEntry> {
         let e = self.entries.remove(name)?;
         self.used = self.used.saturating_sub(e.sealed.size());
         self.policy.on_remove(name);
         Some(e)
     }
 
-    fn pop_victim(&mut self) -> Option<(String, StoredEntry)> {
+    /// Evict the policy's chosen victim and return it.
+    pub fn pop_victim(&mut self) -> Option<(String, StoredEntry)> {
         loop {
             let name = self.policy.pop_victim()?;
             // Policy state may lag the entry map (lazy removal); skip
@@ -279,14 +259,16 @@ impl TierEngine for TierStore {
         }
     }
 
-    fn touch(&mut self, name: &str, now: u64) {
+    /// Record an access (policy recency/frequency + entry stamp).
+    pub fn touch(&mut self, name: &str, now: u64) {
         if let Some(e) = self.entries.get_mut(name) {
             e.last_access = now;
             self.policy.on_access(name, now);
         }
     }
 
-    fn clear(&mut self) {
+    /// Drop every entry (crash wipe).
+    pub fn clear(&mut self) {
         self.entries.clear();
         self.used = 0;
         self.policy.clear();

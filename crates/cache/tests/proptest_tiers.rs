@@ -18,7 +18,7 @@
 
 use bytes::Bytes;
 use ids_cache::{
-    BackingStore, CacheConfig, CacheManager, EvictionKind, Sealed, TierEngine, TierKind, TierStore,
+    BackingStore, CacheConfig, CacheManager, EvictionKind, Sealed, TierKind, TierStore,
 };
 use ids_simrt::faults::{FaultConfig, FaultPlane};
 use ids_simrt::{NetworkModel, NodeId, RankId, Topology};

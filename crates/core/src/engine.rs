@@ -26,15 +26,15 @@ use ids_graph::ops as gops;
 use ids_graph::stage::{
     offsets_from_counts, partition_permutation, sort_permutation, IdBuffers, StagePart,
 };
-use ids_graph::{placement, SolutionSet, StageBatch, TermId};
+use ids_graph::{placement, Dictionary, SolutionSet, StageBatch, TermId};
 use ids_obs::MetricsRegistry;
 use ids_simrt::pool::map_shards_with;
 use ids_simrt::rng::fnv1a;
 use ids_simrt::{Cluster, ExchangeCost, Fanout, RankId, SpeculationPolicy, SpeculationReport};
 use ids_udf::expr::EvalCtx;
 use ids_udf::{
-    order_by_udfs, plan_count_based, plan_throughput_based, Expr, RebalancePlan, StageMemo,
-    UdfProfiler, UdfRegistry, UdfValue,
+    order_by_udfs, plan_count_based, plan_throughput_based, EvalError, Expr, RebalancePlan,
+    StageMemo, UdfProfiler, UdfRegistry, UdfValue,
 };
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
@@ -925,11 +925,11 @@ impl PlanRun {
                 Ok(self.stage_outcome())
             }
             RunPhase::WhereFilter => {
-                self.step_where(cluster, ds, registry, profilers, metrics, cache)?;
+                self.step_udf(None, cluster, ds, registry, profilers, metrics, cache)?;
                 Ok(self.stage_outcome())
             }
             RunPhase::Stage(i) => {
-                self.step_stage(i, cluster, ds, registry, profilers, metrics, cache)?;
+                self.step_udf(Some(i), cluster, ds, registry, profilers, metrics, cache)?;
                 Ok(self.stage_outcome())
             }
             RunPhase::Gather => {
@@ -1588,8 +1588,14 @@ impl PlanRun {
         Ok(())
     }
 
-    fn step_where(
+    /// Run the WHERE filter (`stage` `None`) or FILTER/APPLY stage
+    /// `stage`, book it — its virtual seconds, less re-balancing, to the
+    /// breakdown, its span, an anti-entropy tick where it ends — and
+    /// checkpoint what it kept.
+    #[allow(clippy::too_many_arguments)] // mirrors step()'s executor context
+    fn step_udf(
         &mut self,
+        stage: Option<usize>,
         cluster: &mut Cluster,
         ds: &Datastore,
         registry: &UdfRegistry,
@@ -1597,113 +1603,62 @@ impl PlanRun {
         metrics: &MetricsRegistry,
         cache: Option<&CacheManager>,
     ) -> Result<(), ExecError> {
-        if let Some(filter) = &self.plan.where_filter {
+        let plan = Arc::clone(&self.plan);
+        let ordinal = stage.map_or(1, stage_ordinal);
+        let udf_stage = match stage.map(|i| &plan.stages[i]) {
+            None => plan.where_filter.as_ref().map(|f| UdfStage::Filter(f, "filter")),
+            Some(PhysicalStage::Filter(expr)) => Some(UdfStage::Filter(expr, "stage-filter")),
+            Some(PhysicalStage::Apply { udf, args, bind_as }) => {
+                Some(UdfStage::Apply { udf, args, bind_as })
+            }
+        };
+        if let Some(udf_stage) = udf_stage {
             // FILTER and APPLY neither take from the free list nor give to
             // it: free what it holds rather than keep it through their UDF
             // work.
             self.buffers.clear();
-            let solutions = self.sets.take().ok_or_else(|| missing_stage("where-filter"))?;
+            let solutions = self.sets.take().ok_or_else(|| missing_stage("stage"))?;
+            self.placed = None;
             let t = cluster.elapsed();
-            let (filtered, rebalance) = run_filter_stage(
-                cluster,
-                ds,
+            let mut cx = UdfStageCx {
+                cluster: &mut *cluster,
+                dict: ds.dictionary(),
                 registry,
                 profilers,
-                solutions,
-                filter,
-                &self.opts,
+                opts: &self.opts,
                 cache,
-                "filter",
                 metrics,
-                &mut self.annotations,
-                &mut self.recovery,
-            )?;
+                annotations: &mut self.annotations,
+                recovery: &mut self.recovery,
+            };
+            let (out, rebalance) = match udf_stage {
+                UdfStage::Filter(expr, label) => run_filter_stage(&mut cx, solutions, expr, label),
+                UdfStage::Apply { udf, args, bind_as } => {
+                    run_apply_stage(&mut cx, solutions, udf, args, bind_as)
+                }
+            }?;
             let end = cluster.elapsed();
             self.breakdown.rebalance_secs += rebalance;
-            self.breakdown.filter_secs += end - t - rebalance;
-            let kept = filtered.len();
-            record_stage(metrics, "filter", t, end, format!("{kept} rows kept"));
+            let spent = end - t - rebalance;
+            let kept = out.len();
+            match udf_stage {
+                UdfStage::Filter(..) => {
+                    self.breakdown.filter_secs += spent;
+                    record_stage(metrics, "filter", t, end, format!("{kept} rows kept"));
+                }
+                UdfStage::Apply { udf, .. } => {
+                    *self.breakdown.apply_secs.entry(udf.to_string()).or_insert(0.0) += spent;
+                    record_stage(metrics, "apply", t, end, udf.to_string());
+                }
+            }
             anti_entropy_tick(cache, metrics, end);
-            self.sets = Some(filtered);
-            self.placed = None;
-            let est_where = self.plan.est_where_rows;
-            self.note_boundary("where".to_string(), est_where, kept as u64, metrics);
-            self.maybe_store(1, cluster, metrics, cache);
-        }
-        self.phase =
-            if self.plan.stages.is_empty() { RunPhase::Gather } else { RunPhase::Stage(0) };
-        Ok(())
-    }
-
-    #[allow(clippy::too_many_arguments)] // mirrors step()'s executor context
-    fn step_stage(
-        &mut self,
-        i: usize,
-        cluster: &mut Cluster,
-        ds: &Datastore,
-        registry: &UdfRegistry,
-        profilers: &mut [UdfProfiler],
-        metrics: &MetricsRegistry,
-        cache: Option<&CacheManager>,
-    ) -> Result<(), ExecError> {
-        let stage = self.plan.stages[i].clone();
-        self.buffers.clear(); // as in `step_where`
-        let solutions = self.sets.take().ok_or_else(|| missing_stage("stage"))?;
-        self.placed = None;
-        match &stage {
-            PhysicalStage::Filter(expr) => {
-                let t = cluster.elapsed();
-                let (filtered, rebalance) = run_filter_stage(
-                    cluster,
-                    ds,
-                    registry,
-                    profilers,
-                    solutions,
-                    expr,
-                    &self.opts,
-                    cache,
-                    "stage-filter",
-                    metrics,
-                    &mut self.annotations,
-                    &mut self.recovery,
-                )?;
-                let end = cluster.elapsed();
-                self.breakdown.rebalance_secs += rebalance;
-                self.breakdown.filter_secs += end - t - rebalance;
-                let kept = filtered.len();
-                record_stage(metrics, "filter", t, end, format!("{kept} rows kept"));
-                anti_entropy_tick(cache, metrics, end);
-                self.sets = Some(filtered);
+            self.sets = Some(out);
+            if stage.is_none() {
+                self.note_boundary("where".to_string(), plan.est_where_rows, kept as u64, metrics);
             }
-            PhysicalStage::Apply { udf, args, bind_as } => {
-                let t = cluster.elapsed();
-                let (applied, rebalance) = run_apply_stage(
-                    cluster,
-                    ds,
-                    registry,
-                    profilers,
-                    solutions,
-                    udf,
-                    args,
-                    bind_as,
-                    &self.opts,
-                    cache,
-                    metrics,
-                    &mut self.annotations,
-                    &mut self.recovery,
-                )?;
-                let end = cluster.elapsed();
-                self.breakdown.rebalance_secs += rebalance;
-                let spent = end - t - rebalance;
-                *self.breakdown.apply_secs.entry(udf.clone()).or_insert(0.0) += spent;
-                record_stage(metrics, "apply", t, end, udf.clone());
-                anti_entropy_tick(cache, metrics, end);
-                self.sets = Some(applied);
-            }
+            self.maybe_store(ordinal, cluster, metrics, cache);
         }
-        self.maybe_store(stage_ordinal(i), cluster, metrics, cache);
-        self.phase =
-            if i + 1 < self.plan.stages.len() { RunPhase::Stage(i + 1) } else { RunPhase::Gather };
+        self.phase = phase_after_ordinal(ordinal, &plan);
         Ok(())
     }
 
@@ -2598,15 +2553,6 @@ fn maybe_rebalance(
     }
 }
 
-/// The straggler-hedging policy for UDF stages, `None` when speculation
-/// is off.
-fn speculation_policy(opts: &ExecOptions) -> Option<SpeculationPolicy> {
-    opts.speculation.then(|| SpeculationPolicy {
-        threshold: opts.speculation_threshold,
-        ..SpeculationPolicy::default()
-    })
-}
-
 /// Fold one stage's speculation report into the run's recovery accounting
 /// and the `ids_speculation_*` metric family.
 fn note_speculation(
@@ -2701,160 +2647,89 @@ impl RankDegradation {
         // the release-mode fallback keeps annotation plumbing total.
         debug_assert!(u64::try_from(rank).is_ok(), "rank {rank} exceeds u64 annotation field");
         let rank = u64::try_from(rank).unwrap_or(u64::MAX);
-        let mut anns = Vec::new();
-        if self.panic_rows > 0 {
-            anns.push(ErrorAnnotation {
-                stage: stage.to_string(),
-                rank,
-                kind: DegradedKind::WorkerPanic,
-                detail: self.panic_first.unwrap_or_default(),
-                rows_dropped: self.panic_rows,
-            });
-        }
-        if self.eval_rows > 0 {
-            anns.push(ErrorAnnotation {
-                stage: stage.to_string(),
-                rank,
-                kind: DegradedKind::EvalError,
-                detail: self.eval_first.unwrap_or_default(),
-                rows_dropped: self.eval_rows,
-            });
-        }
-        if self.deadline_rows > 0 {
-            anns.push(ErrorAnnotation {
-                stage: stage.to_string(),
-                rank,
-                kind: DegradedKind::DeadlineExceeded,
-                detail: format!("{deadline_secs:.6}s stage deadline"),
-                rows_dropped: self.deadline_rows,
-            });
-        }
-        anns
+        let deadline =
+            (self.deadline_rows > 0).then(|| format!("{deadline_secs:.6}s stage deadline"));
+        [
+            (DegradedKind::WorkerPanic, self.panic_rows, self.panic_first),
+            (DegradedKind::EvalError, self.eval_rows, self.eval_first),
+            (DegradedKind::DeadlineExceeded, self.deadline_rows, deadline),
+        ]
+        .into_iter()
+        .filter(|&(_, rows_dropped, _)| rows_dropped > 0)
+        .map(|(kind, rows_dropped, detail)| ErrorAnnotation {
+            stage: stage.to_string(),
+            rank,
+            kind,
+            detail: detail.unwrap_or_default(),
+            rows_dropped,
+        })
+        .collect()
     }
 }
 
 /// One rank's share of a FILTER/APPLY stage as its worker returns it: the
 /// rank's output plus its fatal errors and degradation annotations. The
-/// calling thread merges the parts in rank order
-/// ([`merge_rank_parts`]), so error text and annotation order never
-/// depend on which host thread ran which rank.
+/// calling thread merges the parts in rank order, so error text and
+/// annotation order never depend on which host thread ran which rank.
 struct RankPart<T> {
     out: T,
     errors: Vec<String>,
     annotations: Vec<ErrorAnnotation>,
 }
 
-/// Merge a stage's per-rank parts in rank order. Any error fails the
-/// stage with the first one (and the total count); otherwise the
-/// annotations join `annotations` and the outputs come back in rank order.
-fn merge_rank_parts<T>(
-    parts: Vec<RankPart<T>>,
-    annotations: &mut Vec<ErrorAnnotation>,
-) -> Result<Vec<T>, ExecError> {
-    if let Some(first) = parts.iter().find_map(|p| p.errors.first()) {
-        let total: usize = parts.iter().map(|p| p.errors.len()).sum();
-        return Err(ExecError::msg(format!("{first} ({total} total failures)")));
-    }
-    Ok(parts
-        .into_iter()
-        .map(|p| {
-            annotations.extend(p.annotations);
-            p.out
-        })
-        .collect())
+/// A FILTER or APPLY stage as [`PlanRun::step_udf`] runs it.
+#[derive(Clone, Copy)]
+enum UdfStage<'a> {
+    /// A FILTER and its stage name: `filter` in WHERE, `stage-filter`
+    /// after it.
+    Filter(&'a Expr, &'static str),
+    Apply {
+        udf: &'a str,
+        args: &'a [Expr],
+        bind_as: &'a str,
+    },
 }
 
-/// The host threads a FILTER/APPLY stage calling `udfs` may use. Ranks run
-/// concurrently in no fixed order, so the stage keeps to one worker — the
-/// calling thread, ranks in order — whenever call order is observable:
-/// with a cache attached (the cache-aware UDFs move LRU and tier state and
-/// draw faults per call) or while a called dynamic UDF is not yet loaded
-/// (its first caller pays the module-load charge).
-fn stage_fanout(registry: &UdfRegistry, udfs: &[&str], cache: Option<&CacheManager>) -> Fanout {
-    if cache.is_some() || !udfs.iter().all(|u| registry.is_loaded(u)) {
-        Fanout::One
-    } else {
-        Fanout::Host
-    }
-}
-
-/// Each rank's profiler for one stage: cloned on the calling thread
-/// before the fan-out, updated in place by the rank's worker, and
-/// committed by the calling thread ([`commit_profilers`]) only when the
-/// stage succeeds. Only ranks with rows get a clone: a rank without rows
-/// evaluates nothing, so its profile cannot change.
-fn stage_profilers(
-    profilers: &[UdfProfiler],
-    stage: &StageBatch,
-) -> Vec<Option<Mutex<UdfProfiler>>> {
-    let has_rows = |r: usize| stage.segment_len(r) > 0;
-    profilers.iter().enumerate().map(|(r, p)| has_rows(r).then(|| Mutex::new(p.clone()))).collect()
-}
-
-fn commit_profilers(profilers: &mut [UdfProfiler], staged: Vec<Option<Mutex<UdfProfiler>>>) {
-    for (p, s) in profilers.iter_mut().zip(staged) {
-        if let Some(s) = s {
-            *p = s.into_inner().unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-/// Book a finished stage's distinct prepared arguments to
-/// `ids_udf_prepares_total{udf}` — host work, the wall-side counterpart of
-/// the per-row calls the profiles count. Run after the join, as the memo
-/// is dropped.
-fn note_prepares(metrics: &MetricsRegistry, memo: StageMemo) {
-    for (udf, prepares) in memo.counts().into_iter().filter(|&(_, n)| n > 0) {
-        metrics.counter_with("ids_udf_prepares_total", "udf", udf).add(prepares);
-    }
-}
-
-/// The virtual cost of evaluating one row outside its UDFs, amortized
-/// (registry lookups, dispatch) across a batch; the UDF's own charged time
-/// is real work and is never amortized.
-fn eval_overhead_secs(opts: &ExecOptions) -> f64 {
-    opts.eval_secs_per_row / EVAL_AMORTIZATION
+/// What a FILTER/APPLY stage runs against: the cluster, the dictionary,
+/// the UDFs and every rank's profile, and where its metrics, annotations
+/// and recovery accounting go.
+struct UdfStageCx<'a> {
+    cluster: &'a mut Cluster,
+    dict: &'a Dictionary,
+    registry: &'a UdfRegistry,
+    profilers: &'a mut [UdfProfiler],
+    opts: &'a ExecOptions,
+    cache: Option<&'a CacheManager>,
+    metrics: &'a MetricsRegistry,
+    annotations: &'a mut Vec<ErrorAnnotation>,
+    recovery: &'a mut RecoveryReport,
 }
 
 /// Run a FILTER stage: re-balance, per-rank reorder, evaluate, retain.
-/// Worker panics are retried per row ([`ExecOptions::row_retries`]); with
-/// [`ExecOptions::degrade`] on, rows that still fail (or fall past the
-/// stage deadline) are dropped and annotated instead of failing the query.
-/// Returns the kept rows and the virtual seconds spent re-balancing.
-///
-/// Workers read their rank's segment in place and return its kept rows
-/// as a selection vector; the calling thread gathers the next stage once,
-/// after the fan-out.
-#[allow(clippy::too_many_arguments)]
+/// `label` (`filter` or `stage-filter`) names the stage in deadline
+/// errors and annotations. Returns the kept rows and the virtual seconds
+/// spent re-balancing.
 fn run_filter_stage(
-    cluster: &mut Cluster,
-    ds: &Datastore,
-    registry: &UdfRegistry,
-    profilers: &mut [UdfProfiler],
+    cx: &mut UdfStageCx<'_>,
     solutions: StageBatch,
     expr: &Expr,
-    opts: &ExecOptions,
-    cache: Option<&CacheManager>,
-    phase_name: &str,
-    metrics: &MetricsRegistry,
-    annotations: &mut Vec<ErrorAnnotation>,
-    recovery: &mut RecoveryReport,
+    label: &str,
 ) -> Result<(StageBatch, f64), ExecError> {
     // §2.4.3: each rank's conjunct order, from its pre-stage profile — the
-    // same order the throughput estimate below assumes. Computed once,
-    // for every rank, rows or not.
+    // same order the throughput estimate assumes. Computed once, for
+    // every rank, rows or not.
+    let opts = cx.opts;
     let reorder = opts.reorder_conjuncts && matches!(expr, Expr::And(_));
     let needs_rates = !solutions.is_empty() && opts.rebalance == RebalanceMode::ThroughputBased;
-    let mut plans = (reorder || needs_rates).then(|| RankPlans::new(expr, profilers, opts));
-    let rates = || plans.as_mut().map(|p| std::mem::take(&mut p.rates)).unwrap_or_default();
-    let (solutions, rebalance) = maybe_rebalance(cluster, solutions, rates, opts, metrics)?;
-    let dict = ds.dictionary().clone();
+    let mut plans = (reorder || needs_rates).then(|| RankPlans::new(expr, cx.profilers, opts));
+    let rates = plans.as_mut().map(|p| std::mem::take(&mut p.rates)).unwrap_or_default();
 
     // §2.4.3 decision counters: did this rank's profile change the
     // conjunct order, or confirm the written one?
     let reordered_ctr =
-        metrics.counter_with("ids_engine_reorder_decisions_total", "decision", "reordered");
-    let kept_ctr = metrics.counter_with("ids_engine_reorder_decisions_total", "decision", "kept");
+        cx.metrics.counter_with("ids_engine_reorder_decisions_total", "decision", "reordered");
+    let kept_ctr =
+        cx.metrics.counter_with("ids_engine_reorder_decisions_total", "decision", "kept");
     let plans = plans.filter(|_| reorder);
     if let Some(p) = &plans {
         let written = |r: &usize| p.orders[p.pick[*r]].0.iter().enumerate().all(|(k, &i)| k == i);
@@ -2862,122 +2737,18 @@ fn run_filter_stage(
         kept_ctr.add(kept);
         reordered_ctr.add(p.pick.len() as u64 - kept);
     }
-    let fault_ctrs = StageFaultCtrs::new(metrics);
-    let batch_meter = BatchMeter::new(metrics, "filter");
-    let eval_overhead = eval_overhead_secs(opts);
-    let staged = stage_profilers(profilers, &solutions);
-    let fanout = stage_fanout(registry, &expr.udf_names(), cache);
-    let memo = StageMemo::new(registry, expr);
-
-    let policy = speculation_policy(opts);
-    let (parts, spec) = cluster.execute_with_speculation(policy.as_ref(), fanout, |ctx| {
-        let r = ctx.rank().index();
-        set_current_rank(ctx.rank());
-        let input = solutions.segment(r);
-        let base = solutions.rank_offsets()[r];
-        let mut kept: Vec<u32> = Vec::new();
-        let mut errors = Vec::new();
-        let mut deg = RankDegradation::default();
-        let Some(profiler) = &staged[r] else {
-            return RankPart { out: kept, errors, annotations: Vec::new() };
-        };
-        let mut profiler = lock_unpoisoned(profiler);
-        let local_expr = plans.as_ref().map_or(expr, |p| p.expr(r));
-
-        let mut spent = 0.0f64;
-        let n_rows = input.len();
-        for i in 0..n_rows {
-            // Batch boundary: the engine dispatches the filter once per
-            // batch of rows, not once per row.
-            if i % opts.batch_rows.max(1) == 0 {
-                let this_batch = (n_rows - i).min(opts.batch_rows.max(1));
-                batch_meter.batches.inc();
-                batch_meter.rows.observe(this_batch as f64);
-                ctx.charge(opts.batch_dispatch_secs);
-                spent += opts.batch_dispatch_secs;
-            }
-            // Per-rank stage deadline: stop evaluating once the budget is
-            // spent; the remaining rows are dropped (degrade) or fatal.
-            if spent > opts.stage_deadline_secs {
-                let remaining = (n_rows - i) as u64;
-                fault_ctrs.deadline_hits.inc();
-                fault_ctrs.dropped_rows.add(remaining);
-                if opts.degrade {
-                    deg.deadline_rows = remaining;
-                } else {
-                    errors.push(format!(
-                        "rank {r} {phase_name} stage exceeded its {:.6}s deadline \
-                         with {remaining} rows unprocessed",
-                        opts.stage_deadline_secs
-                    ));
-                }
-                break;
-            }
-            let bindings = RowBindings::at(input, i, &dict);
-            let verdict = retry_row(
-                opts,
-                &fault_ctrs,
-                |secs| {
-                    ctx.charge(secs);
-                    spent += secs;
-                },
-                || {
-                    let mut cx = EvalCtx::new(registry, &mut profiler).with_memo(&memo);
-                    let out = local_expr.eval_bool(&bindings, &mut cx);
-                    (out, cx.charged_secs)
-                },
-            );
-            match verdict {
-                Ok((Ok(pass), charged)) => {
-                    let c = charged + eval_overhead;
-                    ctx.charge(c);
-                    spent += c;
-                    if pass {
-                        kept.push(base + i as u32);
-                    }
-                }
-                Ok((Err(e), charged)) => {
-                    ctx.charge(charged);
-                    spent += charged;
-                    if opts.degrade {
-                        fault_ctrs.dropped_rows.inc();
-                        deg.eval_rows += 1;
-                        deg.eval_first.get_or_insert_with(|| e.to_string());
-                    } else {
-                        errors.push(e.to_string());
-                    }
-                }
-                Err(msg) => {
-                    if opts.degrade {
-                        fault_ctrs.dropped_rows.inc();
-                        deg.panic_rows += 1;
-                        deg.panic_first.get_or_insert(msg);
-                    } else {
-                        // Fail fast, like the pre-retry executor: record
-                        // the panic and stop this rank's work.
-                        errors.push(format!("rank {r} filter worker panicked: {msg}"));
-                        break;
-                    }
-                }
-            }
-        }
-        RankPart {
-            out: kept,
-            errors,
-            annotations: deg.into_annotations(phase_name, r, opts.stage_deadline_secs),
-        }
-    });
-    note_speculation(recovery, metrics, &spec);
-    note_prepares(metrics, memo);
-    if !opts.pipelined {
-        // BSP closes the stage with a barrier; pipelined mode leaves the
-        // per-rank clocks skewed — the next stage's dependencies (its own
-        // input, or the gather collective) are the only synchronization.
-        cluster.barrier();
-    }
-
-    let kept = merge_rank_parts(parts, annotations)?;
-    commit_profilers(profilers, staged);
+    let (solutions, kept, rebalance) = run_udf_stage(
+        cx,
+        solutions,
+        |_| rates,
+        expr,
+        "filter",
+        label,
+        |r, row, bindings, ecx| {
+            let local_expr = plans.as_ref().map_or(expr, |p| p.expr(r));
+            Ok(local_expr.eval_bool(bindings, ecx)?.then_some(row))
+        },
+    )?;
     let offsets = offsets_from_counts(kept.iter().map(Vec::len)).ok_or_else(stage_overflow)?;
     Ok((solutions.gather(&kept.concat(), offsets), rebalance))
 }
@@ -3005,62 +2776,119 @@ impl Bound {
 }
 
 /// Run an APPLY stage: re-balance, invoke the UDF per row, bind the
-/// output. Same per-row retry/deadline/degradation treatment as
-/// [`run_filter_stage`], and the same return shape.
-///
-/// Workers read their rank's segment in place and return its `(row,
-/// output)` pairs; the calling thread builds the next stage with one
-/// gather after the fan-out and interns new output terms there, in rank
-/// then row order, so the dictionary ids they mint do not depend on the
-/// schedule.
-#[allow(clippy::too_many_arguments)]
+/// output as column `bind_as`, with the same return shape as
+/// [`run_filter_stage`]. The calling thread interns new output terms
+/// after the fan-out, in rank then row order, so the dictionary ids they
+/// mint do not depend on the schedule.
 fn run_apply_stage(
-    cluster: &mut Cluster,
-    ds: &Datastore,
-    registry: &UdfRegistry,
-    profilers: &mut [UdfProfiler],
+    cx: &mut UdfStageCx<'_>,
     solutions: StageBatch,
     udf: &str,
     args: &[Expr],
     bind_as: &str,
-    opts: &ExecOptions,
-    cache: Option<&CacheManager>,
-    metrics: &MetricsRegistry,
-    annotations: &mut Vec<ErrorAnnotation>,
-    recovery: &mut RecoveryReport,
 ) -> Result<(StageBatch, f64), ExecError> {
     // Re-balance using the UDF itself as the cost driver.
+    let opts = cx.opts;
     let probe_expr = Expr::udf(udf.to_string(), vec![]);
-    let rates = || RankPlans::new(&probe_expr, profilers, opts).rates;
-    let (solutions, rebalance) = maybe_rebalance(cluster, solutions, rates, opts, metrics)?;
-    let dict = ds.dictionary().clone();
-    let fault_ctrs = StageFaultCtrs::new(metrics);
-    let batch_meter = BatchMeter::new(metrics, "apply");
-    let eval_overhead = eval_overhead_secs(opts);
-    let stage_name = format!("apply:{udf}");
+    let rates = |profilers: &[UdfProfiler]| RankPlans::new(&probe_expr, profilers, opts).rates;
     // The call expression is identical for every row of every rank.
     let call = Expr::udf(udf.to_string(), args.to_vec());
-    let staged = stage_profilers(profilers, &solutions);
-    let fanout = stage_fanout(registry, &call.udf_names(), cache);
-    let memo = StageMemo::new(registry, &call);
+    let label = format!("apply:{udf}");
+    let (solutions, bound, rebalance) =
+        run_udf_stage(cx, solutions, rates, &call, "apply", &label, |_, row, bindings, ecx| {
+            Ok(Bound::of(call.eval(bindings, ecx)?).map(|b| (row, b)))
+        })?;
+    let offsets = offsets_from_counts(bound.iter().map(Vec::len)).ok_or_else(stage_overflow)?;
+    let rows = offsets[offsets.len() - 1] as usize;
+    let (mut sel, mut ids) = (Vec::with_capacity(rows), Vec::with_capacity(rows));
+    for (i, b) in bound.into_iter().flatten() {
+        sel.push(i);
+        ids.push(
+            match b {
+                Bound::Id(id) => id,
+                Bound::Term(term) => cx.dict.encode(&term),
+            }
+            .raw(),
+        );
+    }
+    let schema: Arc<[String]> =
+        solutions.vars().iter().cloned().chain([bind_as.to_string()]).collect();
+    Ok((solutions.gather_with_column(&sel, offsets, schema, &ids), rebalance))
+}
 
-    let policy = speculation_policy(opts);
-    let (parts, spec) = cluster.execute_with_speculation(policy.as_ref(), fanout, |ctx| {
+/// The FILTER/APPLY stage driver: re-balance the rows by `rates` (each
+/// rank's throughput estimate from its profile, asked for only when the
+/// mode needs it), then evaluate `row` on every row of every rank and
+/// keep what it returns. `row` gets the rank, the row's index in the
+/// re-balanced stage and its bindings. `calls` is every UDF call the
+/// stage makes, `kind` (`filter` or `apply`) names its workers and
+/// batches, and `label` names it in deadline errors and annotations.
+///
+/// Worker panics are retried per row ([`ExecOptions::row_retries`]); with
+/// [`ExecOptions::degrade`] on, rows that still fail (or fall past the
+/// stage deadline) are dropped and annotated instead of failing the query.
+/// Workers read their rank's segment in place; the caller builds the next
+/// stage from the re-balanced rows and each rank's outputs, returned in
+/// rank order with the virtual seconds spent re-balancing.
+fn run_udf_stage<T: Send, F>(
+    cx: &mut UdfStageCx<'_>,
+    solutions: StageBatch,
+    rates: impl FnOnce(&[UdfProfiler]) -> Vec<f64>,
+    calls: &Expr,
+    kind: &str,
+    label: &str,
+    row: F,
+) -> Result<(StageBatch, Vec<Vec<T>>, f64), ExecError>
+where
+    F: Fn(usize, u32, &RowBindings<'_>, &mut EvalCtx<'_>) -> Result<Option<T>, EvalError> + Sync,
+{
+    let (opts, registry, dict, metrics) = (cx.opts, cx.registry, cx.dict, cx.metrics);
+    let profilers = &*cx.profilers;
+    let (solutions, rebalance) =
+        maybe_rebalance(cx.cluster, solutions, || rates(profilers), opts, metrics)?;
+    let fault_ctrs = StageFaultCtrs::new(metrics);
+    let batch_meter = BatchMeter::new(metrics, kind);
+    // The virtual cost of evaluating one row outside its UDFs (registry
+    // lookups, dispatch), amortized across a batch; the UDF's own charged
+    // time is real work and is never amortized.
+    let eval_overhead = opts.eval_secs_per_row / EVAL_AMORTIZATION;
+    // Each rank's profiler: cloned here, before the fan-out, updated in
+    // place by the rank's worker, and committed only when the stage
+    // succeeds. A rank without rows evaluates nothing, so gets no clone.
+    let staged: Vec<Option<Mutex<UdfProfiler>>> = (0..profilers.len())
+        .map(|r| (solutions.segment_len(r) > 0).then(|| Mutex::new(profilers[r].clone())))
+        .collect();
+    // Ranks run concurrently in no fixed order, so the stage keeps to one
+    // worker — the calling thread, ranks in order — whenever call order is
+    // observable: with a cache attached (the cache-aware UDFs move LRU and
+    // tier state and draw faults per call) or while a called dynamic UDF
+    // is not yet loaded (its first caller pays the module-load charge).
+    let serial = cx.cache.is_some() || !calls.udf_names().iter().all(|u| registry.is_loaded(u));
+    let fanout = if serial { Fanout::One } else { Fanout::Host };
+    let memo = StageMemo::new(registry, calls);
+
+    let policy = opts.speculation.then(|| SpeculationPolicy {
+        threshold: opts.speculation_threshold,
+        ..SpeculationPolicy::default()
+    });
+    let (parts, spec) = cx.cluster.execute_with_speculation(policy.as_ref(), fanout, |ctx| {
         let r = ctx.rank().index();
         set_current_rank(ctx.rank());
         let input = solutions.segment(r);
         let base = solutions.rank_offsets()[r];
-        let mut bound: Vec<(u32, Bound)> = Vec::new();
+        let mut out: Vec<T> = Vec::new();
         let mut errors = Vec::new();
         let mut deg = RankDegradation::default();
         let Some(profiler) = &staged[r] else {
-            return RankPart { out: bound, errors, annotations: Vec::new() };
+            return RankPart { out, errors, annotations: Vec::new() };
         };
         let mut profiler = lock_unpoisoned(profiler);
 
         let mut spent = 0.0f64;
         let n_rows = input.len();
         for i in 0..n_rows {
+            // Batch boundary: the engine dispatches the stage once per
+            // batch of rows, not once per row.
             if i % opts.batch_rows.max(1) == 0 {
                 let this_batch = (n_rows - i).min(opts.batch_rows.max(1));
                 batch_meter.batches.inc();
@@ -3068,6 +2896,8 @@ fn run_apply_stage(
                 ctx.charge(opts.batch_dispatch_secs);
                 spent += opts.batch_dispatch_secs;
             }
+            // Per-rank stage deadline: stop evaluating once the budget is
+            // spent; the remaining rows are dropped (degrade) or fatal.
             if spent > opts.stage_deadline_secs {
                 let remaining = (n_rows - i) as u64;
                 fault_ctrs.deadline_hits.inc();
@@ -3076,14 +2906,14 @@ fn run_apply_stage(
                     deg.deadline_rows = remaining;
                 } else {
                     errors.push(format!(
-                        "rank {r} {stage_name} stage exceeded its {:.6}s deadline \
+                        "rank {r} {label} stage exceeded its {:.6}s deadline \
                          with {remaining} rows unprocessed",
                         opts.stage_deadline_secs
                     ));
                 }
                 break;
             }
-            let bindings = RowBindings::at(input, i, &dict);
+            let bindings = RowBindings::at(input, i, dict);
             let verdict = retry_row(
                 opts,
                 &fault_ctrs,
@@ -3092,19 +2922,17 @@ fn run_apply_stage(
                     spent += secs;
                 },
                 || {
-                    let mut cx = EvalCtx::new(registry, &mut profiler).with_memo(&memo);
-                    let res = call.eval(&bindings, &mut cx);
-                    (res, cx.charged_secs)
+                    let mut ecx = EvalCtx::new(registry, &mut profiler).with_memo(&memo);
+                    let kept = row(r, base + i as u32, &bindings, &mut ecx);
+                    (kept, ecx.charged_secs)
                 },
             );
             match verdict {
-                Ok((Ok(value), charged)) => {
+                Ok((Ok(kept), charged)) => {
                     let c = charged + eval_overhead;
                     ctx.charge(c);
                     spent += c;
-                    if let Some(b) = Bound::of(value) {
-                        bound.push((base + i as u32, b));
-                    }
+                    out.extend(kept);
                 }
                 Ok((Err(e), charged)) => {
                     ctx.charge(charged);
@@ -3123,44 +2951,52 @@ fn run_apply_stage(
                         deg.panic_rows += 1;
                         deg.panic_first.get_or_insert(msg);
                     } else {
-                        errors.push(format!("rank {r} apply worker panicked: {msg}"));
+                        // Fail fast, like the pre-retry executor: record
+                        // the panic and stop this rank's work.
+                        errors.push(format!("rank {r} {kind} worker panicked: {msg}"));
                         break;
                     }
                 }
             }
         }
         RankPart {
-            out: bound,
+            out,
             errors,
-            annotations: deg.into_annotations(&stage_name, r, opts.stage_deadline_secs),
+            annotations: deg.into_annotations(label, r, opts.stage_deadline_secs),
         }
     });
-    note_speculation(recovery, metrics, &spec);
-    note_prepares(metrics, memo);
+    note_speculation(cx.recovery, metrics, &spec);
+    // Distinct prepared arguments are host work, the wall-side counterpart
+    // of the per-row calls the profiles count.
+    for (udf, prepares) in memo.counts().into_iter().filter(|&(_, n)| n > 0) {
+        metrics.counter_with("ids_udf_prepares_total", "udf", udf).add(prepares);
+    }
     if !opts.pipelined {
-        // Same stage-closing policy as run_filter_stage: barrier only in
-        // BSP mode.
-        cluster.barrier();
+        // BSP closes the stage with a barrier; pipelined mode leaves the
+        // per-rank clocks skewed — the next stage's dependencies (its own
+        // input, or the gather collective) are the only synchronization.
+        cx.cluster.barrier();
     }
 
-    let bound = merge_rank_parts(parts, annotations)?;
-    commit_profilers(profilers, staged);
-    let offsets = offsets_from_counts(bound.iter().map(Vec::len)).ok_or_else(stage_overflow)?;
-    let rows = offsets[offsets.len() - 1] as usize;
-    let (mut sel, mut ids) = (Vec::with_capacity(rows), Vec::with_capacity(rows));
-    for (i, b) in bound.into_iter().flatten() {
-        sel.push(i);
-        ids.push(
-            match b {
-                Bound::Id(id) => id,
-                Bound::Term(term) => dict.encode(&term),
-            }
-            .raw(),
-        );
+    // Any error fails the stage with the first one in rank order (and the
+    // total count); otherwise the annotations join the run's.
+    if let Some(first) = parts.iter().find_map(|p| p.errors.first()) {
+        let total: usize = parts.iter().map(|p| p.errors.len()).sum();
+        return Err(ExecError::msg(format!("{first} ({total} total failures)")));
     }
-    let schema: Arc<[String]> =
-        solutions.vars().iter().cloned().chain([bind_as.to_string()]).collect();
-    Ok((solutions.gather_with_column(&sel, offsets, schema, &ids), rebalance))
+    let outs = parts
+        .into_iter()
+        .map(|p| {
+            cx.annotations.extend(p.annotations);
+            p.out
+        })
+        .collect();
+    for (p, s) in cx.profilers.iter_mut().zip(staged) {
+        if let Some(s) = s {
+            *p = s.into_inner().unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+    Ok((solutions, outs, rebalance))
 }
 
 #[cfg(test)]

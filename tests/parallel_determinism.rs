@@ -220,6 +220,31 @@ fn stage_deadline_drops_or_fails_the_same_rows() {
 }
 
 #[test]
+fn filter_deadline_drops_or_fails_the_same_rows() {
+    // The same ~2.3 ms per row against a 12 ms budget, spent in a WHERE
+    // FILTER (stage `filter`) and in a FILTER stage after the BGP
+    // (`stage-filter`).
+    let deadline = |degrade: bool| {
+        move |i: &mut IdsInstance| {
+            let o = i.exec_options_mut();
+            o.stage_deadline_secs = 1.2e-2;
+            o.degrade = degrade;
+        }
+    };
+    let where_q = "SELECT ?e ?v WHERE { ?e <val> ?v . FILTER(ratio(?v) > 30.0) }";
+    let stage_q = "SELECT ?e ?v WHERE { ?e <val> ?v . } FILTER(ratio(?v) > 30.0)";
+    let both = |degrade: bool| {
+        move || {
+            let mut out = query_with(deadline(degrade), where_q);
+            out.extend(query_with(deadline(degrade), stage_q));
+            out
+        }
+    };
+    check("filter deadline strict", 0x0ac7_9081_d904_94e6, both(false));
+    check("filter deadline degrade", 0x39e4_bc26_e433_6645, both(true));
+}
+
+#[test]
 fn apply_mints_new_float_terms_in_the_same_order() {
     // Every surviving row binds a float the dictionary has not seen, so
     // ids are minted on all 64 ranks in one stage.
