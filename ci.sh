@@ -62,6 +62,9 @@ echo "==> model-kernel exactness at full size (ids-models, release)"
 # kernels against their scalar / all-pairs references: the same
 # properties tier-1 runs unoptimised at lengths <= 200, here to 1500
 # residues and 412-residue targets, where the debug reference is too slow.
+# The prepared docking receptor runs whole default searches against the
+# search it replaced (energy, pose, evaluations), and only here is its
+# prepare timed (<= 0.2 ms; its <= 64 KiB heap is checked in any build).
 scripts/cargo-test-filtered.sh -p ids-models --release -- kernels
 
 echo "==> prepared UDF arguments vs the scalar closures (ids-core, release)"

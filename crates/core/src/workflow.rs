@@ -26,7 +26,7 @@ use ids_models::smith_waterman::SmithWaterman;
 use ids_models::structure_pred::StructurePredictor;
 use ids_simrt::rng::fnv1a;
 use ids_udf::{UdfOutput, UdfRegistry, UdfValue};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The workflow's drug target: accession, sequence, and the (predicted)
 /// receptor structure docking runs against.
@@ -293,8 +293,12 @@ pub fn register_workflow_udfs(
         .ok();
 
     // --- vina_docking --------------------------------------------------------
+    // The target's receptor is prepared (scoring constants, search box,
+    // reach index) by the first call that docks, then shared by every
+    // call: installing the workflow without docking costs nothing.
     let docking = models.docking;
     let receptor = target.receptor.clone();
+    let prepared = OnceLock::new();
     let accession = target.accession.clone();
     registry
         .register_static(
@@ -328,7 +332,7 @@ pub fn register_workflow_udfs(
                     Ok(m) => m,
                     Err(_) => return UdfOutput::new(UdfValue::Null, 1.0e-6),
                 };
-                let result = docking.dock(&receptor, &ligand);
+                let result = prepared.get_or_init(|| docking.prepare(&receptor)).dock(&ligand);
                 let mut cost = result.virtual_secs + fault_cost;
                 if let Some(cache) = &cache {
                     cost += cache.put(current_rank(), &name, encode_docking_result(&result));
@@ -539,6 +543,46 @@ mod tests {
         let second = registry.call("dtba", &args).unwrap();
         assert_eq!(first.value, second.value, "cached prediction identical");
         assert!(cache.stats().cache_hits() >= 1, "second call served from cache");
+    }
+
+    /// The registered `vina_docking` docks against the receptor it prepared
+    /// once: every energy is `DockingEngine::dock`'s, bit for bit, with no
+    /// cache and through a cache miss and then a hit.
+    #[test]
+    fn vina_docking_returns_the_engine_energy_bits() {
+        use ids_cache::{BackingStore, CacheConfig, CacheManager};
+        use ids_simrt::{NetworkModel, Topology};
+
+        let t = target();
+        let engine = WorkflowModels::test_models().docking;
+        let cache = Arc::new(CacheManager::new(
+            Topology::new(1, 4),
+            NetworkModel::slingshot(),
+            CacheConfig::new(1, 1 << 20, 1 << 22),
+            BackingStore::default_store(),
+        ));
+        let dict = Arc::new(Dictionary::new());
+        let plain = UdfRegistry::new();
+        register_workflow_udfs(&plain, &dict, &t, WorkflowModels::test_models(), None);
+        let cached = UdfRegistry::new();
+        let cache_arg = Some(Arc::clone(&cache));
+        register_workflow_udfs(&cached, &dict, &t, WorkflowModels::test_models(), cache_arg);
+
+        let energy = |registry: &UdfRegistry, smiles: &str| {
+            let out = registry.call("vina_docking", &[UdfValue::Str(smiles.into())]).unwrap();
+            out.value.as_f64().unwrap().to_bits()
+        };
+        for (i, smiles) in ["CCO", "c1ccccc1CO", "CC(=O)Oc1ccccc1C(=O)O", "NCCc1ccc(O)c(O)c1"]
+            .into_iter()
+            .enumerate()
+        {
+            let expect = engine.dock(&t.receptor, &parse_smiles(smiles).unwrap()).energy.to_bits();
+            assert_eq!(energy(&plain, smiles), expect, "{smiles}, no cache");
+            assert_eq!(energy(&cached, smiles), expect, "{smiles}, cache miss");
+            assert_eq!(cache.stats().cache_hits(), i as u64, "{smiles} missed");
+            assert_eq!(energy(&cached, smiles), expect, "{smiles}, cache hit");
+            assert_eq!(cache.stats().cache_hits(), i as u64 + 1, "{smiles} hit");
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod smith_waterman;
 pub mod structure_pred;
 
 pub use cost::CostModel;
-pub use docking::{DockingEngine, DockingParams, DockingResult};
+pub use docking::{DockingEngine, DockingParams, DockingResult, PreparedReceptor};
 pub use dtba::DtbaModel;
 pub use molgen::MoleculeGenerator;
 pub use repo::{ModelKind, ModelMeta, ModelRepository};

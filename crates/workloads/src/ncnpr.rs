@@ -311,37 +311,41 @@ mod tests {
         let cfg = NcnprConfig::default();
         let ds = Datastore::new(4);
         let out = build(&ds, &cfg);
-        let sw = SmithWaterman::default_model();
+        // The target's striped profile once; each distinct protein aligned
+        // once against it (the striped kernel returns the scalar score).
+        let target = SmithWaterman::default_model().prepare(&out.target.sequence);
         // Walk the graph: compound --inhibits--> protein --sequence--> seq.
         let dict = ds.dictionary();
         let inhibits = dict.lookup(&Term::iri("chembl:inhibits")).unwrap();
         let sequence = dict.lookup(&Term::iri("up:sequence")).unwrap();
-        let edges = ds.dictionary().lookup(&Term::iri("rdf:type")).map(|_| ()).map(|_| ());
-        let _ = edges;
         let mut counts = std::collections::HashMap::new();
+        let mut similarity = std::collections::HashMap::new();
         let all_inhibits: Vec<_> = (0..ds.num_shards())
             .flat_map(|s| {
                 ds.scan_shard(s, &ids_graph::TriplePattern::new(None, Some(inhibits), None))
             })
             .collect();
         for tr in &all_inhibits {
-            let seq_triples: Vec<_> = (0..ds.num_shards())
-                .flat_map(|s| {
-                    ds.scan_shard(
-                        s,
-                        &ids_graph::TriplePattern::new(Some(tr.o), Some(sequence), None),
-                    )
-                })
-                .collect();
-            let seq_term = dict.decode(seq_triples[0].o).unwrap();
-            let seq = ProteinSequence::parse(seq_term.as_str().unwrap()).unwrap();
-            let sim = sw.align(&out.target.sequence, &seq).similarity;
+            let sim = *similarity.entry(tr.o).or_insert_with(|| {
+                let seq_triples: Vec<_> = (0..ds.num_shards())
+                    .flat_map(|s| {
+                        ds.scan_shard(
+                            s,
+                            &ids_graph::TriplePattern::new(Some(tr.o), Some(sequence), None),
+                        )
+                    })
+                    .collect();
+                let seq_term = dict.decode(seq_triples[0].o).unwrap();
+                let seq = ProteinSequence::parse(seq_term.as_str().unwrap()).unwrap();
+                target.align(&seq).similarity
+            });
             for &t in &[0.99, 0.90, 0.80, 0.50, 0.40, 0.20] {
                 if sim >= t {
                     *counts.entry((t * 100.0) as u32).or_insert(0usize) += 1;
                 }
             }
         }
+        assert_eq!(similarity.len(), 169, "distinct proteins aligned");
         assert_eq!(counts.get(&99).copied().unwrap_or(0), 56);
         assert_eq!(counts.get(&90).copied().unwrap_or(0), 56);
         assert_eq!(counts.get(&80).copied().unwrap_or(0), 57);
