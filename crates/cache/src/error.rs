@@ -1,41 +1,21 @@
 //! Unified cache-layer error type.
 //!
-//! Every fallible path in the cache — FAM faults, node-down fencing,
-//! per-get deadlines, exhausted retries — funnels into [`CacheError`],
-//! so callers handle one type and can decide between failing the query
-//! and degrading gracefully (falling back to recomputation).
-
-use crate::fam::FamError;
-use ids_simrt::topology::NodeId;
+//! Every fallible path in the cache — exhausted retries on the backing
+//! fetch, a corrupt authoritative copy, an unsatisfiable configuration —
+//! funnels into [`CacheError`], so callers handle one type and can decide
+//! between failing the query and degrading gracefully (falling back to
+//! recomputation).
 
 /// Errors surfaced by [`crate::CacheManager`] operations.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CacheError {
-    /// An underlying FAM operation failed (non-retryable or unretried).
-    Fam(FamError),
-    /// The only node that could serve the request is down and fallback
-    /// to the backing store was disabled.
-    NodeDown {
-        /// The unavailable node.
-        node: NodeId,
-        /// Virtual seconds spent before giving up.
-        spent_secs: f64,
-    },
-    /// The per-get virtual-time deadline elapsed before the object was
-    /// served.
-    DeadlineExceeded {
-        /// The configured budget.
-        deadline_secs: f64,
-        /// Virtual seconds actually spent.
-        spent_secs: f64,
-    },
     /// Every retry attempt failed transiently.
     RetriesExhausted {
         /// Attempts made (including the first).
         attempts: u32,
         /// Virtual seconds spent across attempts and backoff waits.
         spent_secs: f64,
-        /// What kept failing (e.g. the tier or op name).
+        /// What kept failing (the backing store fetch).
         detail: String,
     },
     /// The authoritative backing copy failed its checksum (torn write or
@@ -59,10 +39,8 @@ impl CacheError {
     /// callers charge this to their rank clock even though the op failed.
     pub fn spent_secs(&self) -> f64 {
         match self {
-            CacheError::Fam(_) | CacheError::InvalidConfig(_) => 0.0,
-            CacheError::NodeDown { spent_secs, .. }
-            | CacheError::DeadlineExceeded { spent_secs, .. }
-            | CacheError::RetriesExhausted { spent_secs, .. }
+            CacheError::InvalidConfig(_) => 0.0,
+            CacheError::RetriesExhausted { spent_secs, .. }
             | CacheError::Corrupted { spent_secs, .. } => *spent_secs,
         }
     }
@@ -71,17 +49,6 @@ impl CacheError {
 impl std::fmt::Display for CacheError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CacheError::Fam(e) => write!(f, "FAM error: {e}"),
-            CacheError::NodeDown { node, .. } => {
-                write!(f, "cache node {} is down and backing fallback is disabled", node.0)
-            }
-            CacheError::DeadlineExceeded { deadline_secs, spent_secs } => {
-                write!(
-                    f,
-                    "cache get exceeded its {deadline_secs:.6}s deadline \
-                     (spent {spent_secs:.6}s)"
-                )
-            }
             CacheError::RetriesExhausted { attempts, detail, .. } => {
                 write!(f, "retries exhausted after {attempts} attempts: {detail}")
             }
@@ -97,20 +64,7 @@ impl std::fmt::Display for CacheError {
     }
 }
 
-impl std::error::Error for CacheError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CacheError::Fam(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<FamError> for CacheError {
-    fn from(e: FamError) -> Self {
-        CacheError::Fam(e)
-    }
-}
+impl std::error::Error for CacheError {}
 
 #[cfg(test)]
 mod tests {
@@ -119,8 +73,6 @@ mod tests {
 
     #[test]
     fn displays_are_informative() {
-        let e = CacheError::DeadlineExceeded { deadline_secs: 0.5, spent_secs: 0.75 };
-        assert!(e.to_string().contains("deadline"));
         let e = CacheError::RetriesExhausted {
             attempts: 4,
             spent_secs: 0.1,
@@ -128,20 +80,9 @@ mod tests {
         };
         assert!(e.to_string().contains("4 attempts"));
         assert!(e.to_string().contains("remote_dram"));
-        let e = CacheError::NodeDown { node: NodeId(2), spent_secs: 0.0 };
-        assert!(e.to_string().contains("node 2"));
         let e = CacheError::InvalidConfig("more cache nodes than nodes".into());
         assert!(e.to_string().contains("invalid cache configuration"));
         assert!(e.to_string().contains("more cache nodes"));
-    }
-
-    #[test]
-    fn fam_errors_wrap_with_source() {
-        let fam = FamError::UnknownRegion(crate::fam::FamRegionId(7));
-        let e: CacheError = fam.clone().into();
-        assert_eq!(e, CacheError::Fam(fam));
-        assert!(e.source().is_some(), "wrapped FAM error is the source");
-        assert_eq!(e.spent_secs(), 0.0);
     }
 
     #[test]
@@ -156,9 +97,6 @@ mod tests {
         // a variant that forgot to carry it would silently drop virtual
         // time, so pin down all of them.
         let cases: Vec<(CacheError, f64)> = vec![
-            (CacheError::Fam(FamError::UnknownRegion(crate::fam::FamRegionId(1))), 0.0),
-            (CacheError::NodeDown { node: NodeId(0), spent_secs: 0.125 }, 0.125),
-            (CacheError::DeadlineExceeded { deadline_secs: 1.0, spent_secs: 1.5 }, 1.5),
             (
                 CacheError::RetriesExhausted { attempts: 4, spent_secs: 0.75, detail: "d".into() },
                 0.75,
@@ -180,22 +118,5 @@ mod tests {
         assert!(msg.contains("integrity"));
         // Corruption originates in stored bytes, not a wrapped error.
         assert!(e.source().is_none());
-    }
-
-    #[test]
-    fn only_fam_errors_have_a_source() {
-        let errs = [
-            CacheError::NodeDown { node: NodeId(1), spent_secs: 0.0 },
-            CacheError::DeadlineExceeded { deadline_secs: 0.1, spent_secs: 0.2 },
-            CacheError::RetriesExhausted { attempts: 1, spent_secs: 0.0, detail: String::new() },
-            CacheError::Corrupted { name: String::new(), spent_secs: 0.0 },
-            CacheError::InvalidConfig(String::new()),
-        ];
-        for e in errs {
-            assert!(e.source().is_none(), "{e:?} should not chain");
-        }
-        let fam: CacheError = FamError::UnknownRegion(crate::fam::FamRegionId(3)).into();
-        let src = fam.source().expect("FAM wraps its cause");
-        assert!(src.to_string().contains('3'));
     }
 }

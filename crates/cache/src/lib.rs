@@ -4,11 +4,10 @@
 //! persistent storage (DAOS/Lustre) with node-local DRAM and NVMe,
 //! accessed over RDMA via OpenFAM, and used to stash molecular-docking
 //! outputs so repeated queries skip re-simulation (Table 2: 5–15×
-//! end-to-end improvement). This crate implements that design:
+//! end-to-end improvement). This crate implements that design; a
+//! remote-DRAM read is priced as one α·β inter-node transfer
+//! (`NetworkModel::inter_cost`) rather than through an OpenFAM API:
 //!
-//! * [`fam`] — an OpenFAM-style remote-memory layer: regions allocated on
-//!   memory servers, descriptors, `get`/`put`/compare-and-swap, with an
-//!   RDMA cost model (local DRAM ≪ remote DRAM ≪ NVMe ≪ backing store).
 //! * [`backing`] — the authoritative persistent object store standing in
 //!   for DAOS/Lustre; cache nodes can always re-populate from it after a
 //!   failure, so losing a cache node loses no data.
@@ -23,8 +22,9 @@
 //!   ordered recency index, scan-resistant S3-FIFO, and TinyLFU.
 //! * [`admit`] — the count-min frequency sketch gating NVMe admission and
 //!   the TinyLFU eviction duel.
-//! * [`inspect`] — the cache inspector: per-tier occupancy and movement
-//!   counters rendered into EXPLAIN and dumped as JSON by the benches.
+//! * [`inspect`] — the cache inspector: per-tier occupancy and lifetime
+//!   movement counters, rendered into EXPLAIN and printed by the
+//!   `cache_tiers` experiment (`cache_tiers.final_inspection`).
 //! * [`object`] — named cache objects addressed by name and content hash
 //!   (the TR-Cache object-ID scheme the paper describes).
 //! * [`policy`] — placement policies (local-first, round-robin,
@@ -43,7 +43,6 @@ pub mod admit;
 pub mod backing;
 pub mod error;
 pub mod evict;
-pub mod fam;
 pub mod inspect;
 pub mod manager;
 pub mod object;
@@ -55,11 +54,8 @@ pub use admit::FrequencySketch;
 pub use backing::{BackingStore, VerifiedRead};
 pub use error::CacheError;
 pub use evict::EvictionKind;
-pub use fam::{FamError, FamLayer, FamRegionId};
 pub use inspect::{CacheInspection, TierInspection};
-pub use manager::{
-    AntiEntropyReport, CacheConfig, CacheManager, CacheOutcome, CacheStats, FaultTolerance, Tier,
-};
+pub use manager::{AntiEntropyReport, CacheConfig, CacheManager, CacheOutcome, CacheStats, Tier};
 pub use object::{crc32, object_id, ObjectMeta, Sealed};
 pub use policy::PlacementPolicy;
 pub use tier::{StoredEntry, TierKind, TierStore};

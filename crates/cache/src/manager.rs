@@ -1,8 +1,8 @@
 //! The Cache Manager (§3.2): tiered placement, eviction, locality, and
 //! failure handling for the globally shared client-side cache.
 //!
-//! Tier order on access, cheapest first: local DRAM → remote DRAM (via
-//! FAM/RDMA) → local NVMe → remote NVMe → backing store. When DRAM
+//! Tier order on access, cheapest first: local DRAM → remote DRAM (an
+//! α·β inter-node transfer) → local NVMe → remote NVMe → backing store. When DRAM
 //! capacity is exceeded the LRU entry *spills* to the same node's NVMe
 //! ("when DRAM capacity is exceeded, the cache seamlessly spills data to
 //! locally connected SSDs"); NVMe evictions drop the cached copy entirely —
@@ -38,7 +38,7 @@ use crate::policy::PlacementPolicy;
 use crate::tier::{StoredEntry, TierKind, TierStore};
 use bytes::Bytes;
 use ids_obs::{Counter, Gauge, Histogram, MetricsRegistry};
-use ids_simrt::faults::{Deadline, FaultPlane, LinkFactors, RetryPolicy};
+use ids_simrt::faults::{FaultPlane, LinkFactors, RetryPolicy};
 use ids_simrt::net::{DeviceModel, NetworkModel};
 use ids_simrt::topology::{NodeId, RankId, Topology};
 use parking_lot::Mutex;
@@ -55,6 +55,19 @@ pub enum Tier {
     Backing,
 }
 
+impl Tier {
+    /// The cache tier a hit in DRAM (`dram`) or NVMe reports, on the
+    /// requester's own node (`local`) or another one.
+    fn cached(dram: bool, local: bool) -> Tier {
+        match (dram, local) {
+            (true, true) => Tier::LocalDram,
+            (true, false) => Tier::RemoteDram,
+            (false, true) => Tier::LocalNvme,
+            (false, false) => Tier::RemoteNvme,
+        }
+    }
+}
+
 /// Result of a cache read: where it was served from and what it cost.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheOutcome {
@@ -62,7 +75,10 @@ pub struct CacheOutcome {
     pub virtual_secs: f64,
 }
 
-/// Aggregate hit/miss statistics.
+/// Aggregate hit/miss statistics, counted since the last
+/// [`CacheManager::reset_stats`]. [`CacheManager::stats`] builds them from
+/// the cache's `ids_cache_*` counters, the only accounting it keeps;
+/// [`CacheManager::inspect`] reads the same counters as lifetime values.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CacheStats {
     pub local_dram_hits: u64,
@@ -164,22 +180,11 @@ pub struct CacheConfig {
     /// Copies kept per object across distinct live nodes (k-way
     /// replication). 1 = the pre-replication behaviour.
     pub replication: usize,
-    /// Virtual seconds between background anti-entropy passes (scrub +
-    /// re-replication), checked at engine stage boundaries.
-    pub anti_entropy_interval_secs: f64,
 }
 
-fn default_replication() -> usize {
-    1
-}
-
-fn default_true() -> bool {
-    true
-}
-
-fn default_anti_entropy_interval() -> f64 {
-    1.0
-}
+/// Virtual seconds between background anti-entropy passes (scrub +
+/// re-replication), checked at engine stage boundaries.
+const ANTI_ENTROPY_INTERVAL_SECS: f64 = 1.0;
 
 impl CacheConfig {
     /// Testbed-like defaults: local-first placement, LRU eviction,
@@ -193,10 +198,9 @@ impl CacheConfig {
             policy: PlacementPolicy::LocalFirst,
             devices: DeviceModel::testbed(),
             eviction: EvictionKind::default(),
-            warm_restart: default_true(),
-            nvme_admission: default_true(),
-            replication: default_replication(),
-            anti_entropy_interval_secs: default_anti_entropy_interval(),
+            warm_restart: true,
+            nvme_admission: true,
+            replication: 1,
         }
     }
 
@@ -231,31 +235,6 @@ impl CacheConfig {
     }
 }
 
-/// How the cache behaves under injected faults: retry budget, per-get
-/// deadline, and whether a fenced (down-node) copy silently degrades to
-/// a backing-store fetch or surfaces an error.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultTolerance {
-    /// Backoff schedule for transient remote failures.
-    pub retry: RetryPolicy,
-    /// Virtual-time budget per `get` (`f64::INFINITY` = none).
-    pub get_deadline_secs: f64,
-    /// When the serving copy is unreachable, fall through to the backing
-    /// store (`true`, the §3.2 behaviour) or error with
-    /// [`CacheError::NodeDown`] / [`CacheError::RetriesExhausted`].
-    pub degrade_to_backing: bool,
-}
-
-impl Default for FaultTolerance {
-    fn default() -> Self {
-        Self {
-            retry: RetryPolicy::default(),
-            get_deadline_secs: f64::INFINITY,
-            degrade_to_backing: true,
-        }
-    }
-}
-
 struct State {
     dram: Vec<TierStore>,
     nvme: Vec<TierStore>,
@@ -287,6 +266,13 @@ struct State {
     /// A node recovered since the last pass: run anti-entropy at the next
     /// opportunity regardless of the interval.
     recovery_pending: bool,
+    /// The attached fault plane: node availability, transient and storage
+    /// fault draws, link degradation, and the virtual clock.
+    plane: Option<Arc<FaultPlane>>,
+    /// The counters' [`CacheStats`] view at the last
+    /// [`CacheManager::reset_stats`]; [`CacheManager::stats`] reports the
+    /// difference.
+    baseline: CacheStats,
 }
 
 /// Add `name` to a name set, allocating the owned key only when it is new
@@ -303,13 +289,31 @@ impl State {
     fn is_down(&self, ni: usize) -> bool {
         self.manual_down[ni] || self.plane_down[ni] || self.permanent_down[ni]
     }
+
+    /// Node `ni`'s DRAM (`dram`) or NVMe store.
+    fn tier_mut(&mut self, dram: bool, ni: usize) -> &mut TierStore {
+        if dram {
+            &mut self.dram[ni]
+        } else {
+            &mut self.nvme[ni]
+        }
+    }
+
+    /// The fault plane's virtual time (0 without a plane).
+    fn now(&self) -> f64 {
+        self.plane.as_ref().map_or(0.0, |p| p.now())
+    }
 }
 
 /// Pre-resolved `ids-obs` handles for the cache's fixed label set, so
-/// the hot path bumps atomics without touching the registry maps.
+/// the hot path bumps atomics without touching the registry maps. These
+/// counters are the cache's only accounting: [`CacheStats`] and
+/// [`CacheInspection`] are views of them, read under the state lock that
+/// every bump they count happens under (only the put-side checksum
+/// counter is bumped outside it).
 struct CacheMetrics {
     registry: MetricsRegistry,
-    hits: [Counter; 4], // indexed by tier_slot(): local/remote DRAM, local/remote NVMe
+    hits: [Counter; 4], // local DRAM, remote DRAM, local NVMe, remote NVMe
     backing_fetches: Counter,
     misses: Counter,
     inserts_dram: Counter,
@@ -324,7 +328,6 @@ struct CacheMetrics {
     node_failures: Counter,
     node_recoveries: Counter,
     retries: Counter,
-    deadline_timeouts: Counter,
     repopulations: Counter,
     retry_wait: Histogram,
     recovery_time: Histogram,
@@ -356,6 +359,9 @@ struct CacheMetrics {
 
 impl CacheMetrics {
     fn new(registry: MetricsRegistry) -> Self {
+        // A get has no deadline, so this series always reads 0; it stays
+        // registered so dumps and the EXPLAIN fault block keep their shape.
+        registry.counter("ids_cache_deadline_timeouts_total");
         let hit = |tier| registry.counter_with("ids_cache_lookup_hits_total", "tier", tier);
         let hashed =
             |site| registry.counter_with("ids_cache_checksummed_bytes_total", "site", site);
@@ -383,7 +389,6 @@ impl CacheMetrics {
             node_failures: registry.counter("ids_cache_node_failures_total"),
             node_recoveries: registry.counter("ids_cache_node_recoveries_total"),
             retries: registry.counter("ids_cache_retries_total"),
-            deadline_timeouts: registry.counter("ids_cache_deadline_timeouts_total"),
             repopulations: registry.counter("ids_cache_repopulations_total"),
             retry_wait: registry.histogram("ids_cache_retry_wait_secs"),
             recovery_time: registry.histogram("ids_cache_node_recovery_secs"),
@@ -452,6 +457,33 @@ impl CacheMetrics {
         self.size_dram.set(st.dram.iter().map(|t| t.used()).sum::<u64>() as i64);
         self.size_nvme.set(st.nvme.iter().map(|t| t.used()).sum::<u64>() as i64);
     }
+
+    /// The [`CacheStats`] view of the counters, less `base`.
+    fn stats_since(&self, base: &CacheStats) -> CacheStats {
+        CacheStats {
+            local_dram_hits: self.hits[0].get() - base.local_dram_hits,
+            remote_dram_hits: self.hits[1].get() - base.remote_dram_hits,
+            local_nvme_hits: self.hits[2].get() - base.local_nvme_hits,
+            remote_nvme_hits: self.hits[3].get() - base.remote_nvme_hits,
+            backing_fetches: self.backing_fetches.get() - base.backing_fetches,
+            total_misses: self.misses.get() - base.total_misses,
+            evictions_to_nvme: self.spills.get() - base.evictions_to_nvme,
+            evictions_dropped: self.evictions_nvme.get() - base.evictions_dropped,
+            repopulations: self.repopulations.get() - base.repopulations,
+            retries: self.retries.get() - base.retries,
+            failover_reads: self.failover_reads.get() - base.failover_reads,
+            under_replicated_writes: self.under_replicated_writes.get()
+                - base.under_replicated_writes,
+            corruptions_detected: self.corruptions_cache.get() + self.corruptions_backing.get()
+                - base.corruptions_detected,
+            repairs: self.repairs_replicate.get() + self.repairs_backing.get() - base.repairs,
+            promotes: self.promotes.get() - base.promotes,
+            admission_rejects: self.admission_rejects_dram.get()
+                + self.admission_rejects_nvme.get()
+                - base.admission_rejects,
+            warm_restart_retained: self.warm_retained.get() - base.warm_restart_retained,
+        }
+    }
 }
 
 /// The distributed cache manager.
@@ -461,10 +493,7 @@ pub struct CacheManager {
     net: NetworkModel,
     backing: BackingStore,
     state: Mutex<State>,
-    stats: Mutex<CacheStats>,
     metrics: CacheMetrics,
-    faults: Mutex<Option<Arc<FaultPlane>>>,
-    ft: Mutex<FaultTolerance>,
 }
 
 impl CacheManager {
@@ -521,6 +550,8 @@ impl CacheManager {
             ephemeral: HashSet::new(),
             last_anti_entropy: 0.0,
             recovery_pending: false,
+            plane: None,
+            baseline: CacheStats::default(),
         };
         Ok(Self {
             cfg,
@@ -528,10 +559,7 @@ impl CacheManager {
             net,
             backing,
             state: Mutex::new(state),
-            stats: Mutex::new(CacheStats::default()),
             metrics: CacheMetrics::new(MetricsRegistry::new()),
-            faults: Mutex::new(None),
-            ft: Mutex::new(FaultTolerance::default()),
         })
     }
 
@@ -539,26 +567,14 @@ impl CacheManager {
     /// windows, remote accesses can fail transiently, and transfer
     /// costs absorb link degradation.
     pub fn attach_faults(&self, plane: Arc<FaultPlane>) {
-        *self.faults.lock() = Some(plane);
-    }
-
-    /// Replace the fault-tolerance settings (retry budget, deadline,
-    /// degradation mode).
-    pub fn set_fault_tolerance(&self, ft: FaultTolerance) {
-        *self.ft.lock() = ft;
-    }
-
-    /// Current fault-tolerance settings.
-    pub fn fault_tolerance(&self) -> FaultTolerance {
-        *self.ft.lock()
+        self.state.lock().plane = Some(plane);
     }
 
     /// Is `node` currently unavailable (manually failed or inside a
     /// fault-plane crash window)?
     pub fn node_is_down(&self, node: NodeId) -> bool {
-        let plane = self.faults.lock().clone();
         let mut st = self.state.lock();
-        self.sync_with_plane(&mut st, plane.as_deref());
+        self.sync_with_plane(&mut st);
         node.index() < self.cfg.cache_nodes && st.is_down(node.index())
     }
 
@@ -573,14 +589,17 @@ impl CacheManager {
         &self.metrics.registry
     }
 
-    /// Statistics snapshot.
+    /// Statistics since the last [`Self::reset_stats`].
     pub fn stats(&self) -> CacheStats {
-        self.stats.lock().clone()
+        let st = self.state.lock();
+        self.metrics.stats_since(&st.baseline)
     }
 
-    /// Reset statistics (not contents).
+    /// Reset statistics (not contents, and not the lifetime counters
+    /// behind [`Self::inspect`] and [`Self::metrics`]).
     pub fn reset_stats(&self) {
-        *self.stats.lock() = CacheStats::default();
+        let mut st = self.state.lock();
+        st.baseline = self.metrics.stats_since(&CacheStats::default());
     }
 
     fn dram_transfer(&self, from: RankId, node: NodeId, bytes: u64) -> f64 {
@@ -601,9 +620,10 @@ impl CacheManager {
     }
 
     /// Fold the fault plane's current availability into our up/down
-    /// state, firing failure/recovery bookkeeping on transitions.
-    fn sync_with_plane(&self, st: &mut State, plane: Option<&FaultPlane>) {
-        let Some(p) = plane else { return };
+    /// state, firing failure/recovery bookkeeping on transitions. Returns
+    /// the plane, for the caller's fault draws.
+    fn sync_with_plane(&self, st: &mut State) -> Option<Arc<FaultPlane>> {
+        let p = st.plane.clone()?;
         let now = p.now();
         for ni in 0..self.cfg.cache_nodes {
             let pd = p.node_down(NodeId(ni as u32));
@@ -620,6 +640,7 @@ impl CacheManager {
                 self.on_node_up(st, ni, now);
             }
         }
+        Some(p)
     }
 
     /// A node became unavailable: fence its entries (they stay resident
@@ -643,7 +664,6 @@ impl CacheManager {
             let retained = st.nvme[ni].len() as u64;
             if retained > 0 {
                 st.nvme[ni].mark_all_unverified();
-                self.stats.lock().warm_restart_retained += retained;
                 self.metrics.warm_retained.add(retained);
             }
         } else {
@@ -696,51 +716,34 @@ impl CacheManager {
     }
 
     /// One fabric access under fault injection: rolls transients (remote
-    /// ops only), retries with backoff charged to `spent`, and enforces
-    /// the per-get deadline. `Ok(true)` = the access landed and `cost`
-    /// was charged; `Ok(false)` = retries exhausted (caller falls through
-    /// or errors); `Err` = deadline exceeded.
-    #[allow(clippy::too_many_arguments)]
+    /// ops only) and retries with the default backoff, charged to
+    /// `spent`. True = the access landed and `cost` was charged; false =
+    /// retries exhausted (the caller fails over or errors).
     fn attempt_access(
         &self,
         plane: Option<&FaultPlane>,
-        ft: &FaultTolerance,
         from: RankId,
         can_fail: bool,
         cost: f64,
         spent: &mut f64,
-        deadline: Deadline,
-    ) -> Result<bool, CacheError> {
+    ) -> bool {
+        let retry = RetryPolicy::default();
         let mut attempt = 0u32;
         loop {
             attempt += 1;
             let fired = can_fail && plane.is_some_and(|p| p.fam_transient(from));
             if !fired {
                 *spent += cost;
-                self.check_deadline(*spent, deadline)?;
-                return Ok(true);
+                return true;
             }
-            if attempt >= ft.retry.max_attempts {
-                return Ok(false);
+            if attempt >= retry.max_attempts {
+                return false;
             }
-            let wait = ft.retry.backoff_secs(attempt, plane.map_or(0.5, |p| p.jitter01(from)));
+            let wait = retry.backoff_secs(attempt, plane.map_or(0.5, |p| p.jitter01(from)));
             self.metrics.retries.inc();
             self.metrics.retry_wait.observe(wait);
-            self.stats.lock().retries += 1;
             *spent += wait;
-            self.check_deadline(*spent, deadline)?;
         }
-    }
-
-    fn check_deadline(&self, spent: f64, deadline: Deadline) -> Result<(), CacheError> {
-        if deadline.exceeded(spent) {
-            self.metrics.deadline_timeouts.inc();
-            return Err(CacheError::DeadlineExceeded {
-                deadline_secs: deadline.budget_secs,
-                spent_secs: spent,
-            });
-        }
-        Ok(())
     }
 
     /// Tier invariant: per-tier `used` must equal the sum of its entries'
@@ -800,20 +803,18 @@ impl CacheManager {
     /// [`Self::put_ephemeral`]: only a durable write pays the backing
     /// store and draws a torn write.
     fn write(&self, from: RankId, name: &str, data: Bytes, durable: bool) -> f64 {
-        let plane = self.faults.lock().clone();
         let size = data.len() as u64;
         let sealed = self.seal_put(data);
+        let mut st = self.state.lock();
         let mut cost = 0.0;
         if durable {
             cost = self.backing.put(name, sealed.clone()).virtual_secs;
-            if plane.as_ref().is_some_and(|p| p.torn_write(from)) {
+            if st.plane.as_ref().is_some_and(|p| p.torn_write(from)) {
                 // The persistent write tore: bytes landed, checksum did not.
                 self.backing.corrupt(name);
             }
         }
-
-        let mut st = self.state.lock();
-        self.sync_with_plane(&mut st, plane.as_deref());
+        let plane = self.sync_with_plane(&mut st);
         st.clock += 1;
         // Coherence on overwrite: drop every cached copy of this name first
         // (the new placement may land on a different node than a previous
@@ -841,7 +842,7 @@ impl CacheManager {
             cost += spill_cost;
         }
         if replicas.len() < self.cfg.replication {
-            self.note_under_replicated(name, replicas.len());
+            self.note_under_replicated(name, replicas.len(), st.now());
         }
         self.debug_check_accounting(&mut st);
         cost
@@ -849,10 +850,8 @@ impl CacheManager {
 
     /// Meter a write that landed on fewer nodes than the configured
     /// replication factor (too few live nodes).
-    fn note_under_replicated(&self, name: &str, copies: usize) {
-        self.stats.lock().under_replicated_writes += 1;
+    fn note_under_replicated(&self, name: &str, copies: usize, now: f64) {
         self.metrics.under_replicated_writes.inc();
-        let now = self.faults.lock().as_ref().map_or(0.0, |p| p.now());
         self.metrics.registry.spans().record(
             "cache.under_replicated_write",
             format!("{name}: {copies}/{} copies", self.cfg.replication),
@@ -884,7 +883,6 @@ impl CacheManager {
         if self.cfg.eviction == EvictionKind::TinyLfu && !st.dram[ni].fits(size) {
             if let Some(victim) = st.dram[ni].peek_victim() {
                 if st.sketch.estimate(name) <= st.sketch.estimate(&victim) {
-                    self.stats.lock().admission_rejects += 1;
                     self.metrics.admission_rejects_dram.inc();
                     let (_, cost) = self.insert_nvme(st, node, name, sealed);
                     return (false, cost);
@@ -919,14 +917,12 @@ impl CacheManager {
         if self.cfg.nvme_admission && !st.nvme[ni].fits(size) && !st.sketch.admit(victim) {
             // Writing a one-hit wonder would force a disk eviction for
             // nothing; skip the spill.
-            self.stats.lock().admission_rejects += 1;
             self.metrics.admission_rejects_nvme.inc();
             self.metrics.update_sizes(st);
             return 0.0;
         }
         let (stored, cost) = self.insert_nvme(st, node, victim, e.sealed);
         if stored {
-            self.stats.lock().evictions_to_nvme += 1;
             self.metrics.spills.inc();
             self.metrics.spill_bytes.observe(size as f64);
         }
@@ -948,7 +944,6 @@ impl CacheManager {
         while !st.nvme[ni].fits(size) {
             let Some((_victim, e)) = st.nvme[ni].pop_victim() else { break };
             self.metrics.victim_pops.inc();
-            self.stats.lock().evictions_dropped += 1;
             self.metrics.evictions_nvme.inc();
             self.metrics.evicted_bytes_nvme.add(e.sealed.size());
         }
@@ -967,10 +962,14 @@ impl CacheManager {
     /// cost, or `None` if the object is not cached anywhere or the target
     /// is not a cache node.
     pub fn relocate(&self, name: &str, to: NodeId) -> Option<f64> {
-        if to.index() >= self.cfg.cache_nodes || self.node_is_down(to) {
+        if to.index() >= self.cfg.cache_nodes {
             return None;
         }
         let mut st = self.state.lock();
+        self.sync_with_plane(&mut st);
+        if st.is_down(to.index()) {
+            return None;
+        }
         st.clock += 1;
         // Find and remove the current copy (fenced copies on down nodes
         // are not eligible sources — they are lost on recovery anyway).
@@ -1001,8 +1000,9 @@ impl CacheManager {
     /// copy — it is dropped and metered, never served. Returns `false`
     /// for empty payloads (nothing to rot).
     fn quarantine_if_rotted(&self, st: &mut State, ni: usize, dram: bool, name: &str) -> bool {
-        let tier = if dram { &st.dram[ni] } else { &st.nvme[ni] };
-        let Some(rotted) = tier.get(name).and_then(|e| e.sealed.with_flipped_bit()) else {
+        let Some(rotted) =
+            st.tier_mut(dram, ni).get(name).and_then(|e| e.sealed.with_flipped_bit())
+        else {
             return false;
         };
         self.metrics.hashed_quarantine.add(rotted.size());
@@ -1028,15 +1028,13 @@ impl CacheManager {
     /// Drop a copy that failed its checksum and meter the quarantine.
     /// Returns false when the copy was already gone.
     fn quarantine(&self, st: &mut State, ni: usize, dram: bool, name: &str) -> bool {
-        let tier = if dram { &mut st.dram[ni] } else { &mut st.nvme[ni] };
-        if tier.remove(name).is_none() {
+        if st.tier_mut(dram, ni).remove(name).is_none() {
             return false;
         }
-        self.stats.lock().corruptions_detected += 1;
         self.metrics.corruptions_cache.inc();
         self.metrics.quarantines.inc();
         self.metrics.update_sizes(st);
-        let now = self.faults.lock().as_ref().map_or(0.0, |p| p.now());
+        let now = st.now();
         self.metrics.registry.spans().record(
             "cache.quarantine",
             format!("{name} on node {ni}: checksum mismatch"),
@@ -1046,147 +1044,95 @@ impl CacheManager {
         true
     }
 
-    /// Fetch an object. Searches tiers cheapest-first (skipping down
-    /// nodes, whose entries are fenced until recovery), retries transient
-    /// remote failures with backoff charged to the virtual clock, and
-    /// **fails over across replicas**: a copy that exhausts its retries
-    /// or fails its checksum (quarantined, repaired from the healthy
-    /// serve) just moves the search to the next replica. Only when no
-    /// live healthy copy remains does the read fall back to the backing
-    /// store (verified against its checksum, then re-populated onto a
-    /// full replica set). Returns `Ok(None)` only on a total miss.
+    /// Fetch an object. The search order is part of the determinism
+    /// contract: DRAM before NVMe, and on each tier the requester's own
+    /// node first, then the other cache nodes in index order, skipping
+    /// down nodes (their entries are fenced until recovery). Fault-plane
+    /// draws — transients, backoff jitter, bit rot — are consumed in that
+    /// order, so a seed replays the same costs and outcomes.
     ///
-    /// Errors: [`CacheError::DeadlineExceeded`] when the configured
-    /// per-get budget runs out; [`CacheError::RetriesExhausted`] when
-    /// the authoritative backing fetch keeps failing (or, in strict
-    /// mode, when every replica did); [`CacheError::NodeDown`] in
-    /// strict mode when the only cached copy is fenced on a down node;
-    /// [`CacheError::Corrupted`] when the backing copy fails its
-    /// checksum and no healthy replica remains to serve instead.
+    /// A remote access that fails transiently retries with backoff charged
+    /// to the virtual clock. A copy that exhausts its retries or fails its
+    /// checksum (quarantined, then repaired from the healthy serve) moves
+    /// the search to the next copy: that is the failover. An NVMe entry
+    /// retained across a warm restart is re-verified before its first
+    /// serve. Only when no live healthy copy remains does the read fall
+    /// back to the backing store (verified against its checksum, then
+    /// re-populated onto a full replica set). Returns `Ok(None)` only on
+    /// a total miss.
+    ///
+    /// Errors: [`CacheError::RetriesExhausted`] when the backing fetch
+    /// keeps failing; [`CacheError::Corrupted`] when the backing copy
+    /// fails its checksum and no healthy replica remains to serve instead.
     pub fn get(
         &self,
         from: RankId,
         name: &str,
     ) -> Result<Option<(Bytes, CacheOutcome)>, CacheError> {
-        let plane = self.faults.lock().clone();
-        let plane_ref = plane.as_deref();
-        let ft = *self.ft.lock();
-        let deadline = Deadline::of(ft.get_deadline_secs);
         let my_node = self.topo.node_of(from);
+        let my = my_node.index();
+        let nodes = self.cfg.cache_nodes;
         let mut st = self.state.lock();
-        self.sync_with_plane(&mut st, plane_ref);
+        let plane = self.sync_with_plane(&mut st);
+        let plane = plane.as_deref();
         st.clock += 1;
         let clock = st.clock;
         st.sketch.record(name);
-        let link = plane.as_ref().map_or(LinkFactors::NONE, |p| p.link_factors());
+        let link = plane.map_or(LinkFactors::NONE, |p| p.link_factors());
         let mut spent = 0.0f64;
 
-        // Tier search order: local DRAM, remote DRAM, local NVMe, remote
-        // NVMe — live nodes only (availability is fixed for this get by
-        // the sync above).
-        let my = my_node.index();
-        let nodes = self.cfg.cache_nodes;
-        let search_order = || {
-            std::iter::once(my)
-                .chain((0..nodes).filter(move |&n| n != my))
-                .filter(move |&n| n < nodes)
-        };
-
-        // A copy fenced on a down node: failover metering counts it, and
-        // strict mode refuses to silently degrade past it.
-        let fenced: Option<NodeId> = (0..self.cfg.cache_nodes)
-            .find(|&ni| {
-                st.is_down(ni) && (st.dram[ni].contains(name) || st.nvme[ni].contains(name))
-            })
-            .map(|ni| NodeId(ni as u32));
-
-        // Copies that failed *this* get: exhausted retry budgets and
-        // checksum quarantines. Either way the search moves on — that is
-        // the failover — and quarantined replicas are repaired from the
-        // eventual healthy serve.
-        let mut exhausted: Option<String> = None;
+        // A copy fenced on a down node, one that exhausted its retries and
+        // one quarantined by this get each make the eventual serve a
+        // failover; quarantined replicas are repaired from that serve.
+        let fenced = (0..nodes)
+            .any(|ni| st.is_down(ni) && (st.dram[ni].contains(name) || st.nvme[ni].contains(name)));
+        let mut exhausted = false;
         let mut quarantined: Vec<NodeId> = Vec::new();
 
+        let nodes_in_order =
+            std::iter::once(my).filter(|&n| n < nodes).chain((0..nodes).filter(move |&n| n != my));
+        let search = [true, false]
+            .into_iter()
+            .flat_map(|dram| nodes_in_order.clone().map(move |ni| (dram, ni)));
         // (copy, serving node, tier) once a healthy copy answers.
         let mut serve: Option<(Sealed, usize, Tier)> = None;
-        for ni in search_order() {
+        for (dram, ni) in search {
             if st.is_down(ni) {
                 continue;
             }
-            let Some(size) = st.dram[ni].size_of(name) else { continue };
+            let Some(size) = st.tier_mut(dram, ni).size_of(name) else { continue };
             let local = ni == my;
-            let cost = self.dram_transfer(from, NodeId(ni as u32), size) * link.cost_mult();
-            if !self.attempt_access(plane_ref, &ft, from, !local, cost, &mut spent, deadline)? {
-                exhausted = Some(format!("remote DRAM on node {ni}"));
-                continue; // fail over to the next replica
+            let node = NodeId(ni as u32);
+            let cost = if dram {
+                self.dram_transfer(from, node, size)
+            } else {
+                self.nvme_transfer(from, node, size)
+            };
+            if !self.attempt_access(plane, from, !local, cost * link.cost_mult(), &mut spent) {
+                exhausted = true;
+                continue;
             }
-            // The read landed; now verify the copy (bit rot may have hit
-            // it since the write — the read cost is already paid).
-            if plane_ref.is_some_and(|p| p.bit_rot(from))
-                && self.quarantine_if_rotted(&mut st, ni, true, name)
+            // The read landed; now verify the copy. Bit rot may have hit it
+            // since the write (the read cost is already paid), and an NVMe
+            // entry retained across a warm restart is re-hashed before its
+            // first serve. Either mismatch fails over to the next copy.
+            if (plane.is_some_and(|p| p.bit_rot(from))
+                && self.quarantine_if_rotted(&mut st, ni, dram, name))
+                || (!dram && self.quarantine_if_stale(&mut st, ni, name))
             {
-                quarantined.push(NodeId(ni as u32));
-                continue; // fail over to the next replica
+                quarantined.push(node);
+                continue;
             }
-            // The entry can only have vanished if the bit-rot probe above
-            // quarantined-but-reported-clean; treat that as a failover.
-            st.dram[ni].touch(name, clock);
-            let Some(e) = st.dram[ni].get(name) else { continue };
-            let tier = if local { Tier::LocalDram } else { Tier::RemoteDram };
-            serve = Some((e.sealed.clone(), ni, tier));
+            let store = st.tier_mut(dram, ni);
+            store.touch(name, clock);
+            let Some(e) = store.get(name) else { continue };
+            serve = Some((e.sealed.clone(), ni, Tier::cached(dram, local)));
             break;
-        }
-        if serve.is_none() {
-            for ni in search_order() {
-                if st.is_down(ni) {
-                    continue;
-                }
-                let Some(size) = st.nvme[ni].size_of(name) else { continue };
-                let local = ni == my;
-                let cost = self.nvme_transfer(from, NodeId(ni as u32), size) * link.cost_mult();
-                if !self.attempt_access(plane_ref, &ft, from, !local, cost, &mut spent, deadline)? {
-                    exhausted = Some(format!("remote NVMe on node {ni}"));
-                    continue;
-                }
-                if plane_ref.is_some_and(|p| p.bit_rot(from))
-                    && self.quarantine_if_rotted(&mut st, ni, false, name)
-                {
-                    quarantined.push(NodeId(ni as u32));
-                    continue;
-                }
-                // An entry retained across a warm restart is re-hashed
-                // before its first serve; a mismatch fails over like rot.
-                if self.quarantine_if_stale(&mut st, ni, name) {
-                    quarantined.push(NodeId(ni as u32));
-                    continue;
-                }
-                st.nvme[ni].touch(name, clock);
-                let Some(e) = st.nvme[ni].get(name) else { continue };
-                let tier = if local { Tier::LocalNvme } else { Tier::RemoteNvme };
-                serve = Some((e.sealed.clone(), ni, tier));
-                break;
-            }
         }
 
         if let Some((sealed, ni, tier)) = serve {
-            let failover = fenced.is_some() || exhausted.is_some() || !quarantined.is_empty();
-            {
-                let mut stats = self.stats.lock();
-                match tier {
-                    Tier::LocalDram => stats.local_dram_hits += 1,
-                    Tier::RemoteDram => stats.remote_dram_hits += 1,
-                    Tier::LocalNvme => stats.local_nvme_hits += 1,
-                    Tier::RemoteNvme => stats.remote_nvme_hits += 1,
-                    // `serve` is only ever built from cache tiers; count a
-                    // backing tag defensively instead of panicking.
-                    Tier::Backing => stats.backing_fetches += 1,
-                }
-                if failover {
-                    stats.failover_reads += 1;
-                }
-            }
             self.metrics.tier_hit(tier);
-            if failover {
+            if fenced || exhausted || !quarantined.is_empty() {
                 self.metrics.failover_reads.inc();
             }
             // Promote hot NVMe objects back to DRAM on the serving node —
@@ -1202,7 +1148,6 @@ impl CacheManager {
                 if landed {
                     st.nvme[ni].remove(name);
                     spent += self.cfg.devices.dram_cost(size);
-                    self.stats.lock().promotes += 1;
                     self.metrics.promotes.inc();
                     self.metrics.promoted_bytes.add(size);
                     self.metrics.promote_bytes.observe(size as f64);
@@ -1217,28 +1162,10 @@ impl CacheManager {
                 }
                 let (_, spill_cost) = self.insert_dram(&mut st, node, name, sealed.clone());
                 spent += spill_cost;
-                self.stats.lock().repairs += 1;
                 self.metrics.repairs_replicate.inc();
             }
             self.debug_check_accounting(&mut st);
             return Ok(Some((sealed.into_bytes(), CacheOutcome { tier, virtual_secs: spent })));
-        }
-
-        // Strict mode: a cached copy exists but every live one failed, or
-        // the only copy is fenced on a down node — refusing beats silent
-        // degradation to the backing store. A genuinely uncached object
-        // still falls through (a cold fetch is not a degradation).
-        if !ft.degrade_to_backing {
-            if let Some(detail) = exhausted {
-                return Err(CacheError::RetriesExhausted {
-                    attempts: ft.retry.max_attempts,
-                    spent_secs: spent,
-                    detail,
-                });
-            }
-            if let Some(node) = fenced {
-                return Err(CacheError::NodeDown { node, spent_secs: spent });
-            }
         }
 
         // Ephemeral objects have no authoritative backing copy: once no
@@ -1246,7 +1173,6 @@ impl CacheManager {
         // lookup above already established that. Report a miss without
         // the backing-store RPC — the caller recomputes.
         if st.ephemeral.contains(name) {
-            self.stats.lock().total_misses += 1;
             self.metrics.misses.inc();
             return Ok(None);
         }
@@ -1254,66 +1180,51 @@ impl CacheManager {
         // Backing store: authoritative, checksum-verified fallback +
         // re-population of a full replica set.
         let fetched = self.backing.get_checked(name);
-        match fetched.value {
-            Some(read) => {
-                self.metrics.hashed_backing_read.add(read.size());
-                let cost = fetched.virtual_secs * link.cost_mult();
-                if !self.attempt_access(plane_ref, &ft, from, true, cost, &mut spent, deadline)? {
-                    return Err(CacheError::RetriesExhausted {
-                        attempts: ft.retry.max_attempts,
-                        spent_secs: spent,
-                        detail: "backing store fetch".into(),
-                    });
-                }
-                let Some(sealed) = read.intact() else {
-                    // Torn write or rot in the authoritative copy, and no
-                    // healthy replica remained to serve or repair it this
-                    // read. Never serve corrupt bytes.
-                    self.stats.lock().corruptions_detected += 1;
-                    self.metrics.corruptions_backing.inc();
-                    return Err(CacheError::Corrupted {
-                        name: name.to_string(),
-                        spent_secs: spent,
-                    });
-                };
-                {
-                    let mut stats = self.stats.lock();
-                    stats.backing_fetches += 1;
-                    // Re-population (§3.2: the object was cached before and
-                    // lost to eviction/failure) is metered separately from
-                    // first-touch backing traffic.
-                    if st.ever_cached.contains(name) {
-                        stats.repopulations += 1;
-                        self.metrics.repopulations.inc();
-                    }
-                }
-                self.metrics.tier_hit(Tier::Backing);
-                let replicas = self.place_live_replicas(&mut st, my_node);
-                for &node in &replicas {
-                    let (_, spill_cost) = self.insert_dram(&mut st, node, name, sealed.clone());
-                    spent += spill_cost;
-                }
-                if !replicas.is_empty() {
-                    remember(&mut st.ever_cached, name);
-                }
-                self.debug_check_accounting(&mut st);
-                let outcome = CacheOutcome { tier: Tier::Backing, virtual_secs: spent };
-                Ok(Some((sealed.into_bytes(), outcome)))
-            }
-            None => {
-                self.stats.lock().total_misses += 1;
-                self.metrics.misses.inc();
-                Ok(None)
-            }
+        let Some(read) = fetched.value else {
+            self.metrics.misses.inc();
+            return Ok(None);
+        };
+        self.metrics.hashed_backing_read.add(read.size());
+        let cost = fetched.virtual_secs * link.cost_mult();
+        if !self.attempt_access(plane, from, true, cost, &mut spent) {
+            return Err(CacheError::RetriesExhausted {
+                attempts: RetryPolicy::default().max_attempts,
+                spent_secs: spent,
+                detail: "backing store fetch".into(),
+            });
         }
+        let Some(sealed) = read.intact() else {
+            // Torn write or rot in the authoritative copy, and no healthy
+            // replica remained to serve or repair it this read. Never
+            // serve corrupt bytes.
+            self.metrics.corruptions_backing.inc();
+            return Err(CacheError::Corrupted { name: name.to_string(), spent_secs: spent });
+        };
+        self.metrics.tier_hit(Tier::Backing);
+        // Re-population (§3.2: the object was cached before and lost to
+        // eviction/failure) is metered separately from first-touch
+        // backing traffic.
+        if st.ever_cached.contains(name) {
+            self.metrics.repopulations.inc();
+        }
+        let replicas = self.place_live_replicas(&mut st, my_node);
+        for &node in &replicas {
+            let (_, spill_cost) = self.insert_dram(&mut st, node, name, sealed.clone());
+            spent += spill_cost;
+        }
+        if !replicas.is_empty() {
+            remember(&mut st.ever_cached, name);
+        }
+        self.debug_check_accounting(&mut st);
+        let outcome = CacheOutcome { tier: Tier::Backing, virtual_secs: spent };
+        Ok(Some((sealed.into_bytes(), outcome)))
     }
 
     /// Locality query: which cache nodes hold the object, and in which
     /// tier. Schedulers use this to co-locate computation with data (§3.2).
     pub fn locality(&self, name: &str) -> Vec<(NodeId, Tier)> {
-        let plane = self.faults.lock().clone();
         let mut st = self.state.lock();
-        self.sync_with_plane(&mut st, plane.as_deref());
+        self.sync_with_plane(&mut st);
         let mut out = Vec::new();
         // Down nodes never appear: their fenced entries cannot serve and
         // are lost on recovery, so reporting them would mislead schedulers.
@@ -1330,9 +1241,8 @@ impl CacheManager {
 
     /// Metadata for a cached object, if cached on any live node.
     pub fn meta(&self, name: &str) -> Option<ObjectMeta> {
-        let plane = self.faults.lock().clone();
         let mut st = self.state.lock();
-        self.sync_with_plane(&mut st, plane.as_deref());
+        self.sync_with_plane(&mut st);
         for ni in (0..self.cfg.cache_nodes).filter(|&ni| !st.is_down(ni)) {
             if let Some(e) = st.dram[ni].get(name).or_else(|| st.nvme[ni].get(name)) {
                 return Some(ObjectMeta {
@@ -1353,9 +1263,8 @@ impl CacheManager {
     /// and re-populate on demand, while NVMe contents survive under
     /// [`CacheConfig::warm_restart`], pending checksum re-verification.
     pub fn fail_node(&self, node: NodeId) {
-        let plane = self.faults.lock().clone();
-        let now = plane.as_ref().map_or(0.0, |p| p.now());
         let mut st = self.state.lock();
+        let now = st.now();
         let ni = node.index();
         if ni >= self.cfg.cache_nodes || st.manual_down[ni] {
             return; // unknown node or already down: nothing to do
@@ -1372,9 +1281,8 @@ impl CacheManager {
     /// back until re-verified. A node declared permanently dead never
     /// rejoins.
     pub fn recover_node(&self, node: NodeId) {
-        let plane = self.faults.lock().clone();
-        let now = plane.as_ref().map_or(0.0, |p| p.now());
         let mut st = self.state.lock();
+        let now = st.now();
         let ni = node.index();
         if ni >= self.cfg.cache_nodes || !st.manual_down[ni] || st.permanent_down[ni] {
             return;
@@ -1393,9 +1301,8 @@ impl CacheManager {
     /// Called by the engine's recovery plane when a compute rank's node
     /// dies with no recovery window.
     pub fn fail_node_permanently(&self, node: NodeId) {
-        let plane = self.faults.lock().clone();
-        let now = plane.as_ref().map_or(0.0, |p| p.now());
         let mut st = self.state.lock();
+        let now = st.now();
         let ni = node.index();
         if ni >= self.cfg.cache_nodes || st.permanent_down[ni] {
             return;
@@ -1416,24 +1323,20 @@ impl CacheManager {
 
     /// Run the anti-entropy pass if it is due: either a node recovered
     /// since the last pass (its wiped contents left survivors
-    /// under-replicated) or [`CacheConfig::anti_entropy_interval_secs`]
-    /// of virtual time elapsed. The engine calls this at stage
+    /// under-replicated) or a virtual second elapsed since the last pass. The engine calls this at stage
     /// boundaries — single-threaded points on the virtual clock, so the
     /// scrub's deterministic draw streams are consumed in a fixed order.
     /// Returns `None` when the pass is not due or no fault plane is
     /// attached (without a plane there is no virtual clock to schedule
     /// against; use [`Self::anti_entropy`] to force a pass).
     pub fn maybe_anti_entropy(&self) -> Option<AntiEntropyReport> {
-        let plane = self.faults.lock().clone();
-        let p = plane.as_deref()?;
-        let now = p.now();
         let mut st = self.state.lock();
-        self.sync_with_plane(&mut st, Some(p));
-        if !st.recovery_pending && now - st.last_anti_entropy < self.cfg.anti_entropy_interval_secs
-        {
+        let p = self.sync_with_plane(&mut st)?;
+        let now = p.now();
+        if !st.recovery_pending && now - st.last_anti_entropy < ANTI_ENTROPY_INTERVAL_SECS {
             return None;
         }
-        Some(self.run_anti_entropy(&mut st, Some(p), now))
+        Some(self.run_anti_entropy(&mut st, Some(&p), now))
     }
 
     /// Force an anti-entropy pass now, regardless of schedule: scrub
@@ -1441,10 +1344,9 @@ impl CacheManager {
     /// objects from healthy replicas, and restore the replication factor
     /// for under-replicated survivors.
     pub fn anti_entropy(&self) -> AntiEntropyReport {
-        let plane = self.faults.lock().clone();
-        let now = plane.as_ref().map_or(0.0, |p| p.now());
         let mut st = self.state.lock();
-        self.sync_with_plane(&mut st, plane.as_deref());
+        let plane = self.sync_with_plane(&mut st);
+        let now = st.now();
         self.run_anti_entropy(&mut st, plane.as_deref(), now)
     }
 
@@ -1517,11 +1419,9 @@ impl CacheManager {
                 self.metrics.hashed_scrub.add(read.size());
                 if read.intact().is_none() {
                     report.corruptions += 1;
-                    self.stats.lock().corruptions_detected += 1;
                     self.metrics.corruptions_backing.inc();
                     self.backing.put(name, sealed.clone());
                     report.backing_repairs += 1;
-                    self.stats.lock().repairs += 1;
                     self.metrics.repairs_backing.inc();
                 }
             }
@@ -1542,7 +1442,6 @@ impl CacheManager {
             for &dest in dests.iter().take(target - holders.len()) {
                 let _ = self.insert_dram(st, NodeId(dest as u32), name, sealed.clone());
                 report.re_replicated += 1;
-                self.stats.lock().repairs += 1;
                 self.metrics.repairs_replicate.inc();
             }
         }
@@ -1573,14 +1472,12 @@ impl CacheManager {
 
     /// Point-in-time cache inspector: per-node per-tier occupancy plus
     /// the lifetime movement counters (spills, promotes, admission
-    /// rejects, warm-restart retention). Counters come from the metrics
-    /// registry, so [`Self::reset_stats`] does not zero them; occupancy
-    /// reflects the stores as of this call. Rendered into the EXPLAIN
-    /// `cache tiers:` block and dumped as JSON by the benches.
+    /// rejects, warm-restart retention), which [`Self::reset_stats`] does
+    /// not zero. Rendered into the EXPLAIN `cache tiers:` block and the
+    /// `cache_tiers` experiment's final inspection.
     pub fn inspect(&self) -> CacheInspection {
-        let plane = self.faults.lock().clone();
         let mut st = self.state.lock();
-        self.sync_with_plane(&mut st, plane.as_deref());
+        self.sync_with_plane(&mut st);
         self.check_accounting(&mut st);
         let mut tiers = Vec::new();
         for stores in [&st.dram, &st.nvme] {
@@ -1596,20 +1493,18 @@ impl CacheManager {
                 });
             }
         }
-        drop(st);
-        let snap = self.metrics.registry.snapshot();
-        let hit = |tier: &str| snap.counter("ids_cache_lookup_hits_total", tier);
+        let m = &self.metrics;
         CacheInspection {
             eviction: self.cfg.eviction,
             tiers,
-            hits: [hit("local_dram"), hit("remote_dram"), hit("local_nvme"), hit("remote_nvme")],
-            backing_fetches: hit("backing"),
-            misses: snap.counter("ids_cache_lookup_misses_total", ""),
-            spills: snap.counter("ids_cache_spills_total", ""),
-            promotes: snap.counter("ids_cache_promotes_total", ""),
-            admission_rejects: snap.counter_sum("ids_cache_admission_rejects_total"),
-            warm_retained: snap.counter("ids_cache_warm_restart_retained_total", ""),
-            warm_verified: snap.counter("ids_cache_warm_restart_verified_total", ""),
+            hits: m.hits.each_ref().map(Counter::get),
+            backing_fetches: m.backing_fetches.get(),
+            misses: m.misses.get(),
+            spills: m.spills.get(),
+            promotes: m.promotes.get(),
+            admission_rejects: m.admission_rejects_dram.get() + m.admission_rejects_nvme.get(),
+            warm_retained: m.warm_retained.get(),
+            warm_verified: m.warm_verified.get(),
         }
     }
 }
@@ -2106,49 +2001,6 @@ mod tests {
     }
 
     #[test]
-    fn per_get_deadline_is_enforced() {
-        let c = cache(1 << 20, 1 << 22);
-        c.put(RankId(0), "obj", payload(100, 1));
-        c.attach_faults(Arc::new(FaultPlane::new(
-            3,
-            ids_simrt::faults::FaultConfig::transient_only(1.0),
-            4,
-            8,
-            100.0,
-        )));
-        c.set_fault_tolerance(FaultTolerance {
-            retry: RetryPolicy { max_attempts: 64, ..RetryPolicy::default() },
-            get_deadline_secs: 0.005,
-            degrade_to_backing: true,
-        });
-        let err = c.get(RankId(6), "obj").unwrap_err();
-        match err {
-            CacheError::DeadlineExceeded { deadline_secs, spent_secs } => {
-                assert_eq!(deadline_secs, 0.005);
-                assert!(spent_secs > deadline_secs);
-            }
-            other => panic!("expected DeadlineExceeded, got {other:?}"),
-        }
-        assert!(c.metrics().snapshot().counter("ids_cache_deadline_timeouts_total", "") > 0);
-    }
-
-    #[test]
-    fn strict_mode_reports_node_down_instead_of_degrading() {
-        let c = cache(1 << 20, 1 << 22);
-        c.put(RankId(0), "obj", payload(100, 1));
-        c.set_fault_tolerance(FaultTolerance {
-            degrade_to_backing: false,
-            ..FaultTolerance::default()
-        });
-        c.fail_node(NodeId(0));
-        let err = c.get(RankId(0), "obj").unwrap_err();
-        assert!(matches!(err, CacheError::NodeDown { node: NodeId(0), .. }), "got {err:?}");
-        // The default policy degrades to the backing store instead.
-        c.set_fault_tolerance(FaultTolerance::default());
-        assert!(c.get(RankId(0), "obj").unwrap().is_some());
-    }
-
-    #[test]
     fn plane_crash_windows_fence_then_wipe_on_recovery() {
         let plane = Arc::new(FaultPlane::new(
             7,
@@ -2226,22 +2078,6 @@ mod tests {
         let snap = c.metrics().snapshot();
         assert_eq!(snap.counter("ids_cache_failover_reads_total", ""), 1);
         assert_eq!(snap.counter("ids_cache_repopulations_total", ""), 0);
-    }
-
-    #[test]
-    fn strict_mode_serves_from_surviving_replica() {
-        let c = cache_rf(2);
-        c.set_fault_tolerance(FaultTolerance {
-            degrade_to_backing: false,
-            ..FaultTolerance::default()
-        });
-        c.put(RankId(0), "obj", payload(100, 1));
-        c.fail_node(NodeId(0));
-        // With replication 1 this errored (NodeDown); with a live replica
-        // strict mode is satisfied without degradation.
-        let (_, out) = c.get(RankId(0), "obj").unwrap().unwrap();
-        assert_eq!(out.tier, Tier::RemoteDram);
-        assert_eq!(c.stats().failover_reads, 1);
     }
 
     #[test]
@@ -2667,6 +2503,237 @@ mod tests {
         assert_eq!(cold.tier, Tier::LocalNvme, "rejected candidate still cached on disk");
         assert!(c.stats().admission_rejects >= 1);
         assert!(c.metrics().snapshot().counter("ids_cache_admission_rejects_total", "dram") >= 1);
+    }
+
+    #[test]
+    fn reset_stats_zeroes_stats_but_not_the_inspector_counters() {
+        let c = cache_cfg(CacheConfig::new(2, 2048, 4096).with_nvme_admission(false));
+        for (i, name) in ["a", "b", "c", "d", "e", "f", "g", "h"].into_iter().enumerate() {
+            c.put(RankId(0), name, payload(1000, i as u8)); // spills, then NVMe drops
+        }
+        c.get(RankId(0), "d").unwrap().unwrap(); // local NVMe hit → promote
+        c.get(RankId(6), "h").unwrap().unwrap(); // remote DRAM hit
+        c.get(RankId(0), "a").unwrap().unwrap(); // re-population from backing
+        assert!(c.get(RankId(0), "ghost").unwrap().is_none());
+        c.fail_node(NodeId(0));
+        c.recover_node(NodeId(0)); // warm restart retains node 0's NVMe
+        let s = c.stats();
+        assert!(s.local_nvme_hits > 0 && s.remote_dram_hits > 0 && s.backing_fetches > 0);
+        assert!(s.total_misses > 0 && s.evictions_to_nvme > 0 && s.evictions_dropped > 0);
+        assert!(s.promotes > 0 && s.repopulations > 0 && s.warm_restart_retained > 0);
+
+        let lifetime = c.inspect();
+        c.reset_stats();
+        assert_eq!(c.stats(), CacheStats::default(), "reset zeroes every field");
+        assert_eq!(c.inspect(), lifetime, "the inspector keeps lifetime counters");
+
+        // After a reset, stats count only what happened since.
+        c.put(RankId(0), "z", payload(100, 9)); // node 0's DRAM rejoined empty
+        c.get(RankId(6), "z").unwrap().unwrap();
+        assert_eq!(c.stats(), CacheStats { remote_dram_hits: 1, ..CacheStats::default() });
+        assert_eq!(c.inspect().hits[1], lifetime.hits[1] + 1);
+    }
+
+    #[test]
+    fn get_searches_the_own_node_before_lower_numbered_ones() {
+        let c = cache_cfg(CacheConfig::new(2, 1 << 20, 1 << 22).with_replication(2));
+        c.put(RankId(0), "x", payload(1000, 1));
+        assert_eq!(c.locality("x").len(), 2, "one DRAM copy on each cache node");
+        // Rank 2 sits on node 1: its own copy answers, not node 0's.
+        let (_, out) = c.get(RankId(2), "x").unwrap().unwrap();
+        assert_eq!(out.tier, Tier::LocalDram);
+        assert_eq!(c.stats().local_dram_hits, 1);
+    }
+
+    #[test]
+    fn get_searches_every_node_in_dram_before_any_in_nvme() {
+        // Three cache nodes, two copies per put.
+        let c = cache_cfg(CacheConfig::new(3, 2048, 1 << 20).with_replication(2));
+        c.put(RankId(0), "x", payload(1000, 1));
+        let holders: Vec<NodeId> = c.locality("x").into_iter().map(|(n, _)| n).collect();
+        assert!(holders.contains(&NodeId(0)), "{holders:?}");
+        let other = holders.into_iter().find(|&n| n != NodeId(0)).unwrap();
+        // Fill node 0's DRAM until its copy of "x" spills to NVMe, using
+        // puts from the third node's ranks, so `other` is never pressed.
+        let third = (0..3).map(NodeId).find(|&n| n != NodeId(0) && n != other).unwrap();
+        let from = RankId(third.0 * 2);
+        for i in 0..8u8 {
+            if c.locality("x").contains(&(NodeId(0), Tier::LocalNvme)) {
+                break;
+            }
+            c.put(from, &format!("fill{i}"), payload(1000, i));
+        }
+        let loc = c.locality("x");
+        assert!(loc.contains(&(NodeId(0), Tier::LocalNvme)), "{loc:?}");
+        assert!(loc.contains(&(other, Tier::LocalDram)), "{loc:?}");
+        // Rank 0 sits on node 0, whose NVMe copy is local; the remote DRAM
+        // copy still answers first.
+        let (_, out) = c.get(RankId(0), "x").unwrap().unwrap();
+        assert_eq!(out.tier, Tier::RemoteDram);
+        assert_eq!((c.stats().remote_dram_hits, c.stats().local_nvme_hits), (1, 0));
+    }
+
+    #[test]
+    fn dram_hits_cost_one_transfer_priced_by_the_network_model() {
+        let c = cache(1 << 20, 1 << 22);
+        let net = NetworkModel::slingshot();
+        let size = 100_000;
+        c.put(RankId(0), "x", payload(size, 1));
+        let (_, local) = c.get(RankId(0), "x").unwrap().unwrap();
+        let intra = net.intra_latency + size as f64 / net.intra_bandwidth;
+        assert_eq!((local.tier, local.virtual_secs), (Tier::LocalDram, intra));
+        // Rank 6 sits on node 3, not a cache node: one α·β inter-node hop.
+        let (_, remote) = c.get(RankId(6), "x").unwrap().unwrap();
+        assert_eq!(
+            (remote.tier, remote.virtual_secs),
+            (Tier::RemoteDram, net.inter_cost(size as u64))
+        );
+    }
+
+    #[test]
+    fn every_get_counts_exactly_one_outcome() {
+        let c = cache_cfg(CacheConfig::new(2, 2048, 1 << 20).with_nvme_admission(false));
+        c.put(RankId(0), "a", payload(1000, 1));
+        c.put(RankId(0), "b", payload(1000, 2));
+        c.put(RankId(0), "c", payload(1000, 3)); // spills "a" to NVMe
+        c.invalidate("b"); // leaves only the backing copy
+        let gets: [(RankId, &str, Option<Tier>); 5] = [
+            (RankId(0), "c", Some(Tier::LocalDram)),
+            (RankId(6), "c", Some(Tier::RemoteDram)),
+            (RankId(0), "a", Some(Tier::LocalNvme)),
+            (RankId(0), "b", Some(Tier::Backing)),
+            (RankId(0), "ghost", None),
+        ];
+        for (i, (rank, name, want)) in gets.into_iter().enumerate() {
+            let before = c.stats();
+            let got = c.get(rank, name).unwrap().map(|(_, out)| out.tier);
+            assert_eq!(got, want, "get {i}");
+            let after = c.stats();
+            let step = |f: fn(&CacheStats) -> u64| f(&after) - f(&before);
+            let counted = [
+                step(|s| s.local_dram_hits),
+                step(|s| s.remote_dram_hits),
+                step(|s| s.local_nvme_hits),
+                step(|s| s.remote_nvme_hits),
+                step(|s| s.backing_fetches),
+                step(|s| s.total_misses),
+            ];
+            let slot = match want {
+                Some(Tier::LocalDram) => 0,
+                Some(Tier::RemoteDram) => 1,
+                Some(Tier::LocalNvme) => 2,
+                Some(Tier::RemoteNvme) => 3,
+                Some(Tier::Backing) => 4,
+                None => 5,
+            };
+            let mut expected = [0; 6];
+            expected[slot] = 1;
+            assert_eq!(counted, expected, "get {i}");
+        }
+    }
+
+    #[test]
+    fn stats_and_the_inspector_read_the_same_counters() {
+        let c = cache_cfg(CacheConfig::new(2, 2048, 4096).with_nvme_admission(false));
+        for (i, name) in ["a", "b", "c", "d", "e", "f"].into_iter().enumerate() {
+            c.put(RankId(0), name, payload(1000, i as u8));
+        }
+        c.get(RankId(0), "d").unwrap().unwrap();
+        c.get(RankId(6), "f").unwrap().unwrap();
+        c.get(RankId(0), "a").unwrap().unwrap();
+        assert!(c.get(RankId(0), "ghost").unwrap().is_none());
+        // Never reset, so both views count the cache's whole life.
+        let (s, insp) = (c.stats(), c.inspect());
+        assert_eq!(
+            insp.hits,
+            [s.local_dram_hits, s.remote_dram_hits, s.local_nvme_hits, s.remote_nvme_hits]
+        );
+        assert_eq!(
+            (insp.backing_fetches, insp.misses, insp.spills, insp.promotes),
+            (s.backing_fetches, s.total_misses, s.evictions_to_nvme, s.promotes)
+        );
+        assert_eq!(insp.admission_rejects, s.admission_rejects);
+        assert!(s.cache_hits() > 0 && s.backing_fetches > 0 && s.evictions_to_nvme > 0);
+    }
+
+    #[test]
+    fn each_reset_moves_the_baseline_to_now() {
+        let c = cache(1 << 20, 1 << 22);
+        c.put(RankId(0), "x", payload(100, 1));
+        c.get(RankId(0), "x").unwrap().unwrap();
+        c.reset_stats();
+        c.get(RankId(0), "x").unwrap().unwrap();
+        c.get(RankId(0), "x").unwrap().unwrap();
+        assert_eq!(c.stats().local_dram_hits, 2);
+        c.reset_stats();
+        assert_eq!(c.stats(), CacheStats::default());
+        c.get(RankId(6), "x").unwrap().unwrap();
+        assert_eq!(c.stats(), CacheStats { remote_dram_hits: 1, ..CacheStats::default() });
+        assert_eq!(c.inspect().hits[..2], [3, 1], "the inspector never resets");
+    }
+
+    #[test]
+    fn an_exhausted_copy_fails_over_and_the_backing_fetch_names_itself() {
+        let c = cache(1 << 20, 1 << 22);
+        c.put(RankId(0), "obj", payload(100, 1));
+        c.attach_faults(Arc::new(FaultPlane::new(
+            5,
+            ids_simrt::faults::FaultConfig::transient_only(1.0),
+            4,
+            8,
+            100.0,
+        )));
+        // Rank 6's one copy is remote: it exhausts its retries, then the
+        // backing fetch exhausts its own.
+        let err = c.get(RankId(6), "obj").unwrap_err();
+        let max = RetryPolicy::default().max_attempts;
+        match &err {
+            CacheError::RetriesExhausted { attempts, detail, .. } => {
+                assert_eq!((*attempts, detail.as_str()), (max, "backing store fetch"));
+            }
+            other => panic!("expected RetriesExhausted, got {other:?}"),
+        }
+        assert_eq!(c.stats().retries, 2 * u64::from(max - 1));
+    }
+
+    #[test]
+    fn an_ephemeral_object_with_no_live_copy_is_one_miss() {
+        let c = cache(1 << 20, 1 << 22);
+        c.put_ephemeral(RankId(0), "frag", payload(100, 1));
+        c.fail_node(NodeId(0));
+        assert!(c.get(RankId(0), "frag").unwrap().is_none());
+        let s = c.stats();
+        assert_eq!((s.total_misses, s.backing_fetches, s.cache_hits()), (1, 0, 0));
+        assert_eq!(c.inspect().misses, 1);
+    }
+
+    #[test]
+    fn concurrent_puts_and_gets_count_every_get_once() {
+        const THREADS: usize = 4;
+        const GETS: usize = 60;
+        let c = Arc::new(cache(8 << 10, 16 << 10));
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let c = Arc::clone(&c);
+                s.spawn(move || {
+                    let rank = RankId((t * 2) as u32);
+                    for i in 0..GETS {
+                        let name = format!("obj{}", i % 12);
+                        if i % 3 == 0 {
+                            c.put(rank, &name, payload(1000, (t + i) as u8));
+                        }
+                        // Every name was put (by some thread) or is a miss.
+                        let _ = c.get(rank, &name).unwrap();
+                    }
+                });
+            }
+        });
+        let s = c.stats();
+        let outcomes = s.cache_hits() + s.backing_fetches + s.total_misses;
+        assert_eq!(outcomes, (THREADS * GETS) as u64, "{s:?}");
+        let insp = c.inspect();
+        assert_eq!(insp.hits.iter().sum::<u64>(), s.cache_hits());
+        assert_eq!(insp.misses, s.total_misses);
     }
 
     #[test]

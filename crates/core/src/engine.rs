@@ -1489,7 +1489,8 @@ impl PlanRun {
                     // bind every match: room for all of them keeps its
                     // part (whose buffers the stage keeps) from regrowing.
                     // Helpers start empty and grow to their share through
-                    // the run's buffers.
+                    // the run's buffers, in chunks of at most
+                    // `stage::CHUNK_ROWS` rows.
                     let rows = |w| if w == 0 { pat.est_cardinality } else { 0 };
                     let init =
                         |w| (w, StagePart::with_capacity(schema.vars().len(), rows(w), buffers));
@@ -2187,7 +2188,8 @@ fn distributed_join(
     // dispatch with an amortized per-row probe on each rank's clock. As
     // in the scan, the first worker may join every rank, so its part has
     // room for a key join's usual output: one row per row of its larger
-    // input; helpers grow to their share through the run's buffers.
+    // input; helpers grow to their share through the run's buffers, in
+    // chunks of at most `stage::CHUNK_ROWS` rows.
     let meter = BatchMeter::new(metrics, "join");
     let rows = |w| if w == 0 { left.len().max(right.len()) } else { 0 };
     let init = |w| (w, gops::JoinWorker::with_capacity(&schema, rows(w), buffers));

@@ -435,11 +435,28 @@ impl StageBatch {
 /// part per worker and [`StageBatch::assemble`] puts the rows in rank
 /// order, so building a stage costs a few buffers per worker, not per
 /// rank.
+///
+/// A part holds its rows in chunks. It regrows its open chunk up to
+/// [`CHUNK_ROWS`] rows; past that, a rank that does not fit starts a new
+/// chunk instead (see [`Self::reserve`]).
 #[derive(Debug)]
 pub struct StagePart {
+    /// The open chunk, which rows are appended to.
     cols: Vec<Column>,
+    /// Rows appended so far, in every chunk.
     rows: usize,
+    /// The part's row index of the open chunk's first row.
+    start: usize,
+    /// Full chunks, each with the part's row index of its first row.
+    sealed: Vec<(usize, Vec<Column>)>,
 }
+
+/// The most rows a part regrows a chunk to: 32 KiB of four-byte ids per
+/// column. A pool helper that runs most of a phase's ranks then fills
+/// chunks of this size instead of regrowing to the stage's size, so a
+/// phase takes no more stage-sized buffers on two workers than on one
+/// (the first worker's part, sized for the whole stage, holds those).
+pub const CHUNK_ROWS: usize = 8 << 10;
 
 impl StagePart {
     /// An empty part of a stage with `columns` variables.
@@ -452,15 +469,32 @@ impl StagePart {
     /// (and pages never written cost no memory).
     pub fn with_capacity(columns: usize, rows: usize, buffers: &IdBuffers) -> Self {
         let cols = (0..columns).map(|_| Column::U32(buffers.take_u32(rows))).collect();
-        Self { cols, rows: 0 }
+        Self { cols, rows: 0, start: 0, sealed: Vec::new() }
     }
 
-    /// Make room for `rows` more rows, growing through `buffers`: a narrow
-    /// column short of room moves to a buffer from the list with at least
-    /// twice its old room (as `Vec` growth would), and its old buffer goes
-    /// back. A part that starts empty (a pool helper's) then grows from
-    /// the run's buffers, not the allocator's.
+    /// Make room for `rows` more rows, through `buffers`. A narrow column
+    /// short of room moves to a buffer from the list with at least twice
+    /// its old room (as `Vec` growth would), and its old buffer goes back.
+    /// A part that starts empty (a pool helper's) then grows from the
+    /// run's buffers, not the allocator's. Where that would regrow a
+    /// non-empty chunk past [`CHUNK_ROWS`], the chunk is sealed instead
+    /// and a new one, with room for a chunk or for `rows`, opened.
     pub fn reserve(&mut self, rows: usize, buffers: &IdBuffers) {
+        let short = |c: &Column| match c {
+            Column::U32(v) => v.capacity() - v.len() < rows,
+            Column::U64(_) => false,
+        };
+        let past_chunk = |c: &Column| match c {
+            Column::U32(v) => size_class((v.len() + rows).max(2 * v.capacity())) > CHUNK_ROWS,
+            Column::U64(_) => false,
+        };
+        if self.rows > self.start && self.cols.iter().any(|c| short(c) && past_chunk(c)) {
+            let room = rows.max(CHUNK_ROWS);
+            let open = self.cols.iter().map(|_| Column::U32(buffers.take_u32(room))).collect();
+            self.sealed.push((self.start, std::mem::replace(&mut self.cols, open)));
+            self.start = self.rows;
+            return;
+        }
         for col in &mut self.cols {
             let Column::U32(v) = col else { continue };
             if v.capacity() - v.len() < rows {
@@ -497,11 +531,23 @@ impl StagePart {
 
     /// The columns, each as long as the part.
     pub(crate) fn into_columns(self) -> Vec<Column> {
-        self.cols
+        let mut chunks = self.into_chunks().into_iter().map(|(_, cols)| cols);
+        let mut cols = chunks.next().unwrap_or_default();
+        for chunk in chunks {
+            cols.iter_mut().zip(&chunk).for_each(|(c, more)| c.extend_slice(more.as_slice()));
+        }
+        cols
     }
 
-    /// The columns, for a kernel appending one rank's rows; it then calls
-    /// [`Self::close_rank`].
+    /// The chunks in row order, each with the part's row index of its
+    /// first row.
+    fn into_chunks(mut self) -> Vec<(usize, Vec<Column>)> {
+        self.sealed.push((self.start, self.cols));
+        self.sealed
+    }
+
+    /// The open chunk's columns, for a kernel appending one rank's rows;
+    /// it then calls [`Self::close_rank`].
     pub(crate) fn cols_mut(&mut self) -> &mut [Column] {
         &mut self.cols
     }
@@ -509,7 +555,7 @@ impl StagePart {
     /// Count `rows` just appended to every column as one rank's; returns
     /// `(first, rows)`, where they sit among this part's rows.
     pub(crate) fn close_rank(&mut self, rows: usize) -> (usize, usize) {
-        debug_assert!(self.cols.iter().all(|c| c.len() == self.rows + rows));
+        debug_assert!(self.cols.iter().all(|c| c.len() == self.rows - self.start + rows));
         let first = self.rows;
         self.rows += rows;
         (first, rows)
@@ -532,11 +578,28 @@ impl StageBatch {
     /// is out of bounds.
     pub fn assemble(
         vars: Arc<[String]>,
-        mut parts: Vec<StagePart>,
+        parts_in: Vec<StagePart>,
         spans: &[(usize, usize, usize)],
         buffers: &IdBuffers,
     ) -> Option<StageBatch> {
-        assert!(parts.iter().all(|p| p.cols.len() == vars.len()), "one column per variable");
+        assert!(parts_in.iter().all(|p| p.cols.len() == vars.len()), "one column per variable");
+        // Every chunk reads as a part of its own, in part order; `starts`
+        // holds each one's part and that part's row index of its first row.
+        let mut starts = Vec::with_capacity(parts_in.len());
+        let mut parts: Vec<Vec<Column>> = Vec::with_capacity(parts_in.len());
+        for (p, part) in parts_in.into_iter().enumerate() {
+            for (start, cols) in part.into_chunks() {
+                starts.push((p, start));
+                parts.push(cols);
+            }
+        }
+        let spans: Vec<(usize, usize, usize)> = spans
+            .iter()
+            .map(|&(p, first, n)| {
+                let c = starts.partition_point(|&(q, start)| (q, start) <= (p, first)) - 1;
+                (c, first - starts[c].1, n)
+            })
+            .collect();
         let offsets = offsets_from_counts(spans.iter().map(|&(_, _, n)| n))?;
         let total = offsets[offsets.len() - 1] as usize;
         // The leading run of spans reading one part from its first row on.
@@ -553,7 +616,7 @@ impl StageBatch {
             let mut out = Column::U32(Vec::new());
             let mut tail = Column::U32(Vec::new());
             if let Some(part) = parts.get_mut(lead) {
-                out = std::mem::replace(&mut part.cols[k], Column::U32(Vec::new()));
+                out = std::mem::replace(&mut part[k], Column::U32(Vec::new()));
                 tail = Column::U32(buffers.take_u32(out.len() - rows));
                 tail.extend_slice(out.as_slice().slice(rows..out.len()));
                 out.truncate(rows);
@@ -563,7 +626,7 @@ impl StageBatch {
                 let src = if p == lead {
                     tail.as_slice().slice(first - rows..first - rows + n)
                 } else {
-                    parts[p].cols[k].as_slice().slice(first..first + n)
+                    parts[p][k].as_slice().slice(first..first + n)
                 };
                 out.extend_slice(src);
             }
@@ -571,7 +634,7 @@ impl StageBatch {
             cols.push(out);
         }
         for part in parts {
-            part.cols.into_iter().for_each(|c| buffers.give_column(c));
+            part.into_iter().for_each(|c| buffers.give_column(c));
         }
         Some(StageBatch::from_columns(vars, cols, offsets))
     }
@@ -699,6 +762,110 @@ mod tests {
         // The part's old buffer went back in place of the one it took.
         let listed = buffers.narrow.lock().unwrap();
         assert!(listed.len() == 1 && listed[0].capacity() < 1000);
+    }
+
+    #[test]
+    fn take_gives_the_smallest_buffer_that_fits() {
+        let buffers = IdBuffers::default();
+        for cap in [4000, 1000, 2000] {
+            buffers.give_u32(Vec::with_capacity(cap));
+        }
+        assert_eq!(buffers.take_u32(1500).capacity(), 2000);
+        assert_eq!(buffers.take_u32(500).capacity(), 1000);
+        // Nothing left fits: a fresh buffer of the request's size class.
+        assert_eq!(buffers.take_u32(4097).capacity(), size_class(4097));
+        assert_eq!(buffers.narrow.lock().unwrap().len(), 1);
+    }
+
+    /// `n` one-column rows `first..first + n`, reserved through `buffers`
+    /// and pushed as one rank of `part`.
+    fn push_reserved(part: &mut StagePart, first: u64, n: usize, buffers: &IdBuffers) {
+        part.reserve(n, buffers);
+        let rows: Vec<[u64; 1]> = (first..first + n as u64).map(|v| [v]).collect();
+        part.push_rank(&rows).unwrap();
+    }
+
+    fn capacity(col: &Column) -> usize {
+        match col {
+            Column::U32(v) => v.capacity(),
+            Column::U64(v) => v.capacity(),
+        }
+    }
+
+    #[test]
+    fn reserve_regrows_a_chunk_that_stays_within_chunk_rows() {
+        let buffers = IdBuffers::default();
+        let mut part = StagePart::new(1);
+        push_reserved(&mut part, 0, 1000, &buffers);
+        push_reserved(&mut part, 1000, 1000, &buffers);
+        assert!(part.sealed.is_empty());
+        assert_eq!(part.cols[0], Column::U32((0..2000).collect()));
+        assert_eq!(capacity(&part.cols[0]), 2048);
+    }
+
+    #[test]
+    fn reserve_seals_a_chunk_instead_of_regrowing_it_past_chunk_rows() {
+        let buffers = IdBuffers::default();
+        let mut part = StagePart::new(1);
+        push_reserved(&mut part, 0, 6000, &buffers);
+        // Doubling 6 144 would pass `CHUNK_ROWS`: the chunk is sealed as
+        // it is, and the next rows go to a new chunk of `CHUNK_ROWS`.
+        push_reserved(&mut part, 6000, 3000, &buffers);
+        assert_eq!(part.sealed.len(), 1);
+        let (start, full) = &part.sealed[0];
+        assert_eq!((*start, capacity(&full[0])), (0, 6144));
+        assert_eq!((part.start, capacity(&part.cols[0])), (6000, CHUNK_ROWS));
+        assert_eq!(part.len(), 9000);
+        assert_eq!(part.into_columns(), vec![Column::U32((0..9000).collect())]);
+    }
+
+    #[test]
+    fn a_part_takes_no_buffer_past_chunk_rows_for_ranks_that_fit_one() {
+        // A helper running all 16 ranks of a 20 480-row stage.
+        let buffers = IdBuffers::default();
+        let mut part = StagePart::new(2);
+        for r in 0..16 {
+            part.reserve(1280, &buffers);
+            let rows: Vec<[u64; 2]> = (0..1280).map(|i| [r * 1280 + i, 7]).collect();
+            part.push_rank(&rows).unwrap();
+        }
+        let chunks = part.into_chunks();
+        assert!(chunks.len() > 1);
+        for (_, cols) in &chunks {
+            assert!(cols.iter().all(|c| capacity(c) <= CHUNK_ROWS));
+        }
+        // A part sized for the stage up front fills it without sealing,
+        // and one rank past `CHUNK_ROWS` into an empty part is one chunk.
+        let mut sized = StagePart::with_capacity(1, 20_480, &buffers);
+        for r in 0..16 {
+            push_reserved(&mut sized, r * 1280, 1280, &buffers);
+        }
+        assert!(sized.sealed.is_empty());
+        let mut wide = StagePart::new(1);
+        push_reserved(&mut wide, 0, 3 * CHUNK_ROWS, &buffers);
+        assert!(wide.sealed.is_empty());
+    }
+
+    #[test]
+    fn assemble_gives_every_chunk_but_the_stages_back() {
+        let buffers = IdBuffers::default();
+        let (mut lead, mut helper) = (StagePart::new(1), StagePart::new(1));
+        push_reserved(&mut lead, 0, 100, &buffers);
+        let mut spans = vec![(0, 0, 100)];
+        for r in 0..6 {
+            let first = helper.len();
+            push_reserved(&mut helper, 100 + r * 2000, 2000, &buffers);
+            spans.push((1, first, 2000));
+        }
+        assert_eq!(helper.sealed.len(), 1, "6 144 rows, then a chunk of 8 192");
+        let listed = |b: &IdBuffers| b.narrow.lock().unwrap().len();
+        let before = listed(&buffers);
+        let vars: Arc<[String]> = vec!["x".to_string()].into();
+        let stage = StageBatch::assemble(vars, vec![lead, helper], &spans, &buffers).unwrap();
+        assert_eq!(stage.len(), 12_100);
+        assert_eq!(rows(&stage, 6), (10_100..12_100).map(|v| vec![v]).collect::<Vec<_>>());
+        // The stage keeps the lead's buffer; both helper chunks go back.
+        assert_eq!(listed(&buffers), before + 2);
     }
 
     /// The stage whose rank `r` holds `ranks[r]`, each row one id per
@@ -920,6 +1087,45 @@ mod tests {
                 let want: Vec<Vec<[u64; 2]>> =
                     picks.iter().map(|p| p.iter().map(|&i| all[i as usize]).collect()).collect();
                 prop_assert_eq!(got, pushed(&want));
+            }
+
+            #[test]
+            fn assemble_equals_pushing_the_ranks_in_order_across_chunks(
+                seed in 0u64..1_000_000,
+                ranks in 1usize..=12,
+                workers in 1usize..=3,
+                sized in any::<bool>(),
+            ) {
+                let mut rng = SplitMix64::new(seed, 0xc4a7);
+                // Ranks of up to 3 000 rows, so parts pass `CHUNK_ROWS`.
+                let src: Vec<Vec<[u64; 2]>> = (0..ranks)
+                    .map(|_| {
+                        let n = rng.next_below(3_001);
+                        (0..n).map(|_| [rng.next_below(50), rng.next_below(50)]).collect()
+                    })
+                    .collect();
+                let buffers = IdBuffers::default();
+                // The first worker's part sized for every row, or empty.
+                let total: usize = src.iter().map(Vec::len).sum();
+                let room = if sized { total } else { 0 };
+                let mut parts: Vec<StagePart> = (0..workers)
+                    .map(|w| StagePart::with_capacity(2, if w == 0 { room } else { 0 }, &buffers))
+                    .collect();
+                let mut worker = 0;
+                let spans: Vec<(usize, usize, usize)> = src
+                    .iter()
+                    .map(|rows| {
+                        if rng.next_below(3) == 0 {
+                            worker = rng.next_below(workers as u64) as usize;
+                        }
+                        parts[worker].reserve(rows.len(), &buffers);
+                        let (first, n) = parts[worker].push_rank(rows).unwrap();
+                        (worker, first, n)
+                    })
+                    .collect();
+                let vars: Arc<[String]> = vec!["a".to_string(), "b".to_string()].into();
+                let got = StageBatch::assemble(vars, parts, &spans, &buffers).unwrap();
+                prop_assert_eq!(got, pushed(&src));
             }
 
             #[test]

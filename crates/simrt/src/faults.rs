@@ -257,30 +257,6 @@ impl RetryPolicy {
     }
 }
 
-/// A virtual-time budget for one operation (a get, a stage).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Deadline {
-    /// Budget in virtual seconds; `f64::INFINITY` disables the deadline.
-    pub budget_secs: f64,
-}
-
-impl Deadline {
-    /// No deadline.
-    pub fn unlimited() -> Self {
-        Self { budget_secs: f64::INFINITY }
-    }
-
-    /// A budget of `secs` virtual seconds.
-    pub fn of(secs: f64) -> Self {
-        Self { budget_secs: secs }
-    }
-
-    /// True once `spent_secs` of virtual time has exceeded the budget.
-    pub fn exceeded(&self, spent_secs: f64) -> bool {
-        spent_secs > self.budget_secs
-    }
-}
-
 /// The seeded fault schedule plus its virtual-time cursor.
 ///
 /// Construction pre-computes every crash and degradation window inside
@@ -897,14 +873,5 @@ mod tests {
             assert!(d >= rp.base_delay_secs * (1.0 - rp.jitter_frac) - 1e-12);
             assert!(d <= rp.base_delay_secs * (1.0 + rp.jitter_frac) + 1e-12);
         }
-    }
-
-    #[test]
-    fn deadline_semantics() {
-        let d = Deadline::of(1.0);
-        assert!(!d.exceeded(0.5));
-        assert!(!d.exceeded(1.0));
-        assert!(d.exceeded(1.0 + 1e-9));
-        assert!(!Deadline::unlimited().exceeded(f64::MAX));
     }
 }

@@ -41,9 +41,7 @@ pub mod topology;
 pub use clock::VirtualClock;
 pub use cluster::{Cluster, ExchangeCost, RankCtx, SpeculationPolicy, SpeculationReport};
 pub use collective::ReduceOp;
-pub use faults::{
-    Deadline, FaultConfig, FaultPlane, LinkFactors, PermanentCrashConfig, RetryPolicy,
-};
+pub use faults::{FaultConfig, FaultPlane, LinkFactors, PermanentCrashConfig, RetryPolicy};
 pub use net::{DeviceModel, NetworkModel};
 pub use pool::Fanout;
 pub use topology::{NodeId, RankId, Topology};

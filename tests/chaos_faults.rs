@@ -129,6 +129,55 @@ fn launch_rf(
     (inst, cache)
 }
 
+/// `CacheStats` is a view of the cache's `ids_cache_*` counters: after a
+/// case each field must equal its series in the cache's metrics registry
+/// (nothing here calls `reset_stats`, so both count from zero).
+fn assert_stats_are_the_counters(cache: &CacheManager, case: &str) {
+    let s = cache.stats();
+    let snap = cache.metrics().snapshot();
+    let c = |name, label| snap.counter(name, label);
+    let hit = |tier| c("ids_cache_lookup_hits_total", tier);
+    let fields = [
+        ("local_dram_hits", s.local_dram_hits, hit("local_dram")),
+        ("remote_dram_hits", s.remote_dram_hits, hit("remote_dram")),
+        ("local_nvme_hits", s.local_nvme_hits, hit("local_nvme")),
+        ("remote_nvme_hits", s.remote_nvme_hits, hit("remote_nvme")),
+        ("backing_fetches", s.backing_fetches, hit("backing")),
+        ("total_misses", s.total_misses, c("ids_cache_lookup_misses_total", "")),
+        ("evictions_to_nvme", s.evictions_to_nvme, c("ids_cache_spills_total", "")),
+        ("evictions_dropped", s.evictions_dropped, c("ids_cache_evictions_total", "nvme")),
+        ("repopulations", s.repopulations, c("ids_cache_repopulations_total", "")),
+        ("retries", s.retries, c("ids_cache_retries_total", "")),
+        ("failover_reads", s.failover_reads, c("ids_cache_failover_reads_total", "")),
+        (
+            "under_replicated_writes",
+            s.under_replicated_writes,
+            c("ids_cache_under_replicated_writes_total", ""),
+        ),
+        (
+            "corruptions_detected",
+            s.corruptions_detected,
+            snap.counter_sum("ids_cache_corruptions_detected_total"),
+        ),
+        ("repairs", s.repairs, snap.counter_sum("ids_cache_repairs_total")),
+        ("promotes", s.promotes, c("ids_cache_promotes_total", "")),
+        (
+            "admission_rejects",
+            s.admission_rejects,
+            snap.counter_sum("ids_cache_admission_rejects_total"),
+        ),
+        (
+            "warm_restart_retained",
+            s.warm_restart_retained,
+            c("ids_cache_warm_restart_retained_total", ""),
+        ),
+    ];
+    for (field, stat, counter) in fields {
+        assert_eq!(stat, counter, "{case}: CacheStats::{field} vs its counter");
+    }
+    assert!(s.cache_hits() + s.backing_fetches > 0, "{case}: the query never touched the cache");
+}
+
 fn query() -> String {
     repurposing_query(&RepurposingThresholds { sw_similarity: 0.9, min_pic50: 3.0, min_dtba: 3.0 })
 }
@@ -163,7 +212,7 @@ fn full_chaos_matrix_preserves_results() {
     let expected = baseline();
     assert_eq!(expected.len(), 12, "3 proteins x 4 compounds");
     for seed in chaos_seeds() {
-        let (mut inst, _) = launch(Topology::new(4, 2), Some((seed, ms_chaos())));
+        let (mut inst, cache) = launch(Topology::new(4, 2), Some((seed, ms_chaos())));
         let out =
             inst.query(&query()).unwrap_or_else(|e| panic!("seed {seed}: chaos run failed: {e}"));
         assert!(!out.degraded(), "seed {seed}: fault paths must not drop rows");
@@ -173,6 +222,7 @@ fn full_chaos_matrix_preserves_results() {
         inst.reset_clocks();
         let warm = inst.query(&query()).unwrap();
         assert_eq!(extract(&warm, &inst), expected, "seed {seed}: warm divergence");
+        assert_stats_are_the_counters(&cache, &format!("seed {seed}"));
     }
 }
 
@@ -310,6 +360,7 @@ fn replication_ladder_preserves_results_under_full_chaos() {
             inst.reset_clocks();
             let warm = inst.query(&query()).unwrap();
             assert_eq!(extract(&warm, &inst), expected, "rf {rf} seed {seed}: warm divergence");
+            assert_stats_are_the_counters(&cache, &format!("rf {rf} seed {seed}"));
             // Whatever the schedule did, no copy may sit on a down node
             // and anti-entropy must have had stage-boundary chances.
             let snap = inst.metrics_snapshot().merge(&cache.metrics().snapshot());

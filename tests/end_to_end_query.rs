@@ -158,6 +158,34 @@ fn results_identical_across_cluster_sizes() {
 }
 
 #[test]
+fn a_star_join_past_the_part_chunk_size_matches_one_rank() {
+    // 20 480 rows a stage: at 16 ranks a pool helper that runs more than
+    // 8 192 of them fills its part in chunks (`stage::CHUNK_ROWS`), which
+    // the stage must put back in rank order.
+    const ENTITIES: i64 = 20_480;
+    let mut answers = Vec::new();
+    for ranks in [1u32, 16] {
+        let mut inst = IdsInstance::launch(IdsConfig::laptop(ranks, 7));
+        let ds = inst.datastore();
+        for i in 0..ENTITIES {
+            let e = Term::iri(format!("e:{i}"));
+            for (k, p) in ["a", "b", "c"].into_iter().enumerate() {
+                ds.add_fact(&e, &Term::iri(p), &Term::Int(i * 3 + k as i64));
+            }
+        }
+        ds.build_indexes();
+        let out =
+            inst.query("SELECT ?e ?a ?b ?c WHERE { ?e <a> ?a . ?e <b> ?b . ?e <c> ?c . }").unwrap();
+        let mut rows: Vec<Vec<u64>> =
+            out.solutions.rows().iter().map(|r| r.iter().map(|t| t.raw()).collect()).collect();
+        rows.sort_unstable();
+        assert_eq!(rows.len(), ENTITIES as usize);
+        answers.push(rows);
+    }
+    assert_eq!(answers[0], answers[1]);
+}
+
+#[test]
 fn profiles_persist_across_queries() {
     let mut inst = library();
     inst.registry()

@@ -76,7 +76,9 @@ const QUERY: &str =
 const RUN_CEILING: u64 = 12;
 
 /// Large allocations each pool helper may add to a run: scratch it takes
-/// while the list has none to give. Measured on two workers: one.
+/// while the list has none to give. Measured on two workers: none, since
+/// a helper's part grows in chunks of `stage::CHUNK_ROWS` (32 KiB a
+/// column) instead of to the stage's size, however many ranks it runs.
 const HELPER_ALLOWANCE: u64 = 4;
 
 fn launch() -> IdsInstance {
