@@ -68,11 +68,17 @@ echo "==> model-kernel exactness at full size (ids-models, release)"
 scripts/cargo-test-filtered.sh -p ids-models --release -- kernels
 
 echo "==> prepared UDF arguments vs the scalar closures (ids-core, release)"
-# sw_similarity / dtba through a stage memo and through a direct call,
-# against the per-call parse + kernel closures they replaced: value and
-# charge bits, parse failures and the cached-DTBA path included, here at
-# 412-residue targets and sequences to 1500 residues.
+# sw_similarity / dtba through an instance's argument memo and through a
+# direct call, against the per-call parse + kernel closures they
+# replaced: value and charge bits, parse failures and the cached-DTBA path
+# included, here at 412-residue targets and sequences to 1500 residues.
+# Then the memo's instance lifetime: repeated queries prepare nothing, and
+# a query after ingest prepares exactly the new sequences and returns a
+# fresh instance's rows. Once on every core, once pinned to one: the
+# prepare counts it asserts must read the same on one worker and on two.
 scripts/cargo-test-filtered.sh -p ids-core --release -- prepared_args
+scripts/cargo-test-filtered.sh --release --test ncnpr_workflow -- prepared_args_persist
+taskset -c 0 scripts/cargo-test-filtered.sh --release --test ncnpr_workflow -- prepared_args_persist
 
 echo "==> BGP-kernel exactness at full size (ids-graph + ids-core, release)"
 # The column-at-a-time scan, hash join, gather/append, repartition and

@@ -8,7 +8,7 @@
 //! 1. **Fault-class ladder** — baseline vs node crashes, transient FAM
 //!    failures, degraded links, straggler ranks, and the full chaos mix.
 //! 2. **Transient-probability sweep** — how retry/backoff absorbs rising
-//!    FAM failure rates until deadlines start to bite.
+//!    FAM failure rates.
 //! 3. **Metrics dump** — the fault/retry/degradation counters a chaos
 //!    run leaves behind in the `ids-obs` snapshot.
 
@@ -192,19 +192,16 @@ pub fn run() {
         assert_eq!(rows(&inst, &warm), base_rows, "p={p}: diverged (warm)");
         let snap = inst.metrics_snapshot();
         let retries = snap.counter("ids_cache_retries_total", "");
-        let timeouts = snap.counter("ids_cache_deadline_timeouts_total", "");
         rec.add(format_args!("p{p:.1}.warm_secs"), warm.elapsed_secs);
         rec.add(format_args!("p{p:.1}.cache_retries"), retries);
-        rec.add(format_args!("p{p:.1}.deadline_timeouts"), timeouts);
         out_rows.push(vec![
             format!("{p:.1}"),
             secs(warm.elapsed_secs),
             format!("{:.2}x", warm.elapsed_secs / warm_base),
             retries.to_string(),
-            timeouts.to_string(),
         ]);
     }
-    table(&["fail prob", "warm secs", "overhead", "cache retries", "deadline timeouts"], &out_rows);
+    table(&["fail prob", "warm secs", "overhead", "cache retries"], &out_rows);
     println!("\nshape check: retries grow with the failure rate while results stay identical;");
     println!("the backoff cost is charged to the virtual clock, never hidden");
 

@@ -359,9 +359,6 @@ struct CacheMetrics {
 
 impl CacheMetrics {
     fn new(registry: MetricsRegistry) -> Self {
-        // A get has no deadline, so this series always reads 0; it stays
-        // registered so dumps and the EXPLAIN fault block keep their shape.
-        registry.counter("ids_cache_deadline_timeouts_total");
         let hit = |tier| registry.counter_with("ids_cache_lookup_hits_total", "tier", tier);
         let hashed =
             |site| registry.counter_with("ids_cache_checksummed_bytes_total", "site", site);

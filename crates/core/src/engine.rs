@@ -33,8 +33,8 @@ use ids_simrt::rng::fnv1a;
 use ids_simrt::{Cluster, ExchangeCost, Fanout, RankId, SpeculationPolicy, SpeculationReport};
 use ids_udf::expr::EvalCtx;
 use ids_udf::{
-    order_by_udfs, plan_count_based, plan_throughput_based, EvalError, Expr, RebalancePlan,
-    StageMemo, UdfProfiler, UdfRegistry, UdfValue,
+    order_by_udfs, plan_count_based, plan_throughput_based, ArgMemo, EvalError, Expr,
+    RebalancePlan, UdfProfiler, UdfRegistry, UdfValue,
 };
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
@@ -817,6 +817,7 @@ impl PlanRun {
         ds: &Datastore,
         registry: &UdfRegistry,
         profilers: &mut [UdfProfiler],
+        memo: &ArgMemo,
         metrics: &MetricsRegistry,
         cache: Option<&CacheManager>,
     ) -> Result<StepOutcome, ExecError> {
@@ -832,7 +833,7 @@ impl PlanRun {
             }
         }
         if !self.opts.recovery {
-            return self.step_inner(cluster, ds, registry, profilers, metrics, cache, ranks);
+            return self.step_inner(cluster, ds, registry, profilers, memo, metrics, cache, ranks);
         }
 
         // Recovery plane. Deaths become visible when the virtual clock
@@ -854,7 +855,7 @@ impl PlanRun {
         }
         let ann_mark = self.annotations.len();
         let phase_before = self.phase;
-        match self.step_inner(cluster, ds, registry, profilers, metrics, cache, ranks) {
+        match self.step_inner(cluster, ds, registry, profilers, memo, metrics, cache, ranks) {
             Err(e) if e.is_stage_deadline() => {
                 // A blown strict stage deadline is a straggler symptom, not
                 // bad data: roll back and retry within the budget.
@@ -915,6 +916,7 @@ impl PlanRun {
         ds: &Datastore,
         registry: &UdfRegistry,
         profilers: &mut [UdfProfiler],
+        memo: &ArgMemo,
         metrics: &MetricsRegistry,
         cache: Option<&CacheManager>,
         ranks: usize,
@@ -925,11 +927,11 @@ impl PlanRun {
                 Ok(self.stage_outcome())
             }
             RunPhase::WhereFilter => {
-                self.step_udf(None, cluster, ds, registry, profilers, metrics, cache)?;
+                self.step_udf(None, cluster, ds, registry, profilers, memo, metrics, cache)?;
                 Ok(self.stage_outcome())
             }
             RunPhase::Stage(i) => {
-                self.step_udf(Some(i), cluster, ds, registry, profilers, metrics, cache)?;
+                self.step_udf(Some(i), cluster, ds, registry, profilers, memo, metrics, cache)?;
                 Ok(self.stage_outcome())
             }
             RunPhase::Gather => {
@@ -1601,6 +1603,7 @@ impl PlanRun {
         ds: &Datastore,
         registry: &UdfRegistry,
         profilers: &mut [UdfProfiler],
+        memo: &ArgMemo,
         metrics: &MetricsRegistry,
         cache: Option<&CacheManager>,
     ) -> Result<(), ExecError> {
@@ -1626,6 +1629,7 @@ impl PlanRun {
                 dict: ds.dictionary(),
                 registry,
                 profilers,
+                memo,
                 opts: &self.opts,
                 cache,
                 metrics,
@@ -1788,7 +1792,9 @@ fn typed_rows(s: BatchView<'_>) -> Vec<Vec<u64>> {
 }
 
 /// Execute a plan on the cluster. `profilers[r]` is rank r's UDF profile
-/// store, updated in place (it persists across queries, §2.4.1).
+/// store, updated in place (it persists across queries, §2.4.1), and
+/// `memo` the instance's prepared UDF arguments, filled in place (they
+/// persist too).
 /// `metrics` receives operator timings, spans, and reordering decisions.
 /// `cache` (when the instance has one attached) gets anti-entropy ticks
 /// at stage boundaries, so replication repair rides the query's own
@@ -1803,6 +1809,7 @@ pub fn execute_plan(
     ds: &Datastore,
     registry: &UdfRegistry,
     profilers: &mut [UdfProfiler],
+    memo: &ArgMemo,
     plan: &PhysicalPlan,
     opts: &ExecOptions,
     metrics: &MetricsRegistry,
@@ -1811,7 +1818,7 @@ pub fn execute_plan(
     let mut run = PlanRun::new(Arc::new(plan.clone()), *opts, None);
     loop {
         if let StepOutcome::Done(outcome) =
-            run.step(cluster, ds, registry, profilers, metrics, cache)?
+            run.step(cluster, ds, registry, profilers, memo, metrics, cache)?
         {
             return Ok(*outcome);
         }
@@ -2693,13 +2700,14 @@ enum UdfStage<'a> {
 }
 
 /// What a FILTER/APPLY stage runs against: the cluster, the dictionary,
-/// the UDFs and every rank's profile, and where its metrics, annotations
-/// and recovery accounting go.
+/// the UDFs, every rank's profile and the instance's prepared arguments,
+/// and where its metrics, annotations and recovery accounting go.
 struct UdfStageCx<'a> {
     cluster: &'a mut Cluster,
     dict: &'a Dictionary,
     registry: &'a UdfRegistry,
     profilers: &'a mut [UdfProfiler],
+    memo: &'a ArgMemo,
     opts: &'a ExecOptions,
     cache: Option<&'a CacheManager>,
     metrics: &'a MetricsRegistry,
@@ -2844,7 +2852,8 @@ fn run_udf_stage<T: Send, F>(
 where
     F: Fn(usize, u32, &RowBindings<'_>, &mut EvalCtx<'_>) -> Result<Option<T>, EvalError> + Sync,
 {
-    let (opts, registry, dict, metrics) = (cx.opts, cx.registry, cx.dict, cx.metrics);
+    let (opts, registry, memo, dict, metrics) =
+        (cx.opts, cx.registry, cx.memo, cx.dict, cx.metrics);
     let profilers = &*cx.profilers;
     let (solutions, rebalance) =
         maybe_rebalance(cx.cluster, solutions, || rates(profilers), opts, metrics)?;
@@ -2867,7 +2876,6 @@ where
     // is not yet loaded (its first caller pays the module-load charge).
     let serial = cx.cache.is_some() || !calls.udf_names().iter().all(|u| registry.is_loaded(u));
     let fanout = if serial { Fanout::One } else { Fanout::Host };
-    let memo = StageMemo::new(registry, calls);
 
     let policy = opts.speculation.then(|| SpeculationPolicy {
         threshold: opts.speculation_threshold,
@@ -2924,7 +2932,7 @@ where
                     spent += secs;
                 },
                 || {
-                    let mut ecx = EvalCtx::new(registry, &mut profiler).with_memo(&memo);
+                    let mut ecx = EvalCtx::new(registry, &mut profiler).with_memo(memo);
                     let kept = row(r, base + i as u32, &bindings, &mut ecx);
                     (kept, ecx.charged_secs)
                 },
@@ -2968,11 +2976,6 @@ where
         }
     });
     note_speculation(cx.recovery, metrics, &spec);
-    // Distinct prepared arguments are host work, the wall-side counterpart
-    // of the per-row calls the profiles count.
-    for (udf, prepares) in memo.counts().into_iter().filter(|&(_, n)| n > 0) {
-        metrics.counter_with("ids_udf_prepares_total", "udf", udf).add(prepares);
-    }
     if !opts.pipelined {
         // BSP closes the stage with a barrier; pipelined mode leaves the
         // per-rank clocks skewed — the next stage's dependencies (its own

@@ -210,8 +210,9 @@ pub fn explain_with_metrics(
         ));
     }
 
-    // Distinct first arguments a prepared UDF's stage memos prepared, over
-    // the calls its rows made.
+    // Distinct first arguments the instance's memo holds for a prepared
+    // UDF (each prepared once, for the instance's life), over the calls
+    // its rows made.
     let prepared: Vec<String> = snapshot
         .counters
         .iter()
@@ -222,7 +223,10 @@ pub fn explain_with_metrics(
         })
         .collect();
     if !prepared.is_empty() {
-        out.push_str(&format!("    prepared args: {}\n", prepared.join(", ")));
+        out.push_str(&format!(
+            "    prepared args (kept by the instance): {}\n",
+            prepared.join(", ")
+        ));
     }
 
     render_adaptive_block(&mut out, snapshot);
@@ -367,7 +371,6 @@ fn render_fault_block(out: &mut String, snapshot: &MetricsSnapshot) {
     let dropped = snapshot.counter("ids_engine_dropped_rows_total", "");
     let deadline_hits = snapshot.counter("ids_engine_stage_deadline_hits_total", "");
     let cache_retries = snapshot.counter("ids_cache_retries_total", "");
-    let cache_timeouts = snapshot.counter("ids_cache_deadline_timeouts_total", "");
     let node_failures = snapshot.counter("ids_cache_node_failures_total", "");
     let repopulations = snapshot.counter("ids_cache_repopulations_total", "");
     if injected
@@ -376,7 +379,6 @@ fn render_fault_block(out: &mut String, snapshot: &MetricsSnapshot) {
         + dropped
         + deadline_hits
         + cache_retries
-        + cache_timeouts
         + node_failures
         + repopulations
         == 0
@@ -400,10 +402,10 @@ fn render_fault_block(out: &mut String, snapshot: &MetricsSnapshot) {
              {row_retries} row retries, {deadline_hits} stage-deadline hits)\n"
         ));
     }
-    if cache_retries + cache_timeouts + node_failures + repopulations > 0 {
+    if cache_retries + node_failures + repopulations > 0 {
         out.push_str(&format!(
-            "    cache faults: {cache_retries} retries, {cache_timeouts} deadline timeouts, \
-             {node_failures} node failures, {repopulations} re-populations\n"
+            "    cache faults: {cache_retries} retries, {node_failures} node failures, \
+             {repopulations} re-populations\n"
         ));
     }
 }

@@ -4,10 +4,10 @@
 //! endpoint, tear down), Datastore Client (submit queries, add user
 //! codes), and Datastore Agent (per-node runtime) — collapse in the
 //! simulator to one façade owning the cluster, the 3-in-1 datastore, the
-//! model repository, the UDF registry, per-rank profilers, and an optional
-//! *shared* global cache (multiple instances on one cluster can hand each
-//! other the same `Arc<CacheManager>`, the cross-instance reuse §8
-//! envisions).
+//! model repository, the UDF registry, per-rank profilers, the prepared
+//! UDF arguments, and an optional *shared* global cache (multiple
+//! instances on one cluster can hand each other the same
+//! `Arc<CacheManager>`, the cross-instance reuse §8 envisions).
 
 use crate::datastore::Datastore;
 use crate::engine::{
@@ -22,7 +22,7 @@ use ids_models::ModelRepository;
 use ids_obs::{MetricsRegistry, MetricsSnapshot};
 use ids_simrt::rng::fnv1a;
 use ids_simrt::{Cluster, FaultPlane, NetworkModel, Topology};
-use ids_udf::{UdfProfiler, UdfRegistry};
+use ids_udf::{ArgMemo, UdfProfiler, UdfRegistry};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -70,6 +70,9 @@ pub struct IdsInstance {
     registry: UdfRegistry,
     models: ModelRepository,
     profilers: Vec<UdfProfiler>,
+    /// Prepared UDF arguments, kept for the instance's life: no entry can
+    /// go stale while the registry and the dictionary only grow.
+    arg_memo: ArgMemo,
     cache: Option<Arc<CacheManager>>,
     faults: Option<Arc<FaultPlane>>,
     metrics: MetricsRegistry,
@@ -90,6 +93,7 @@ impl IdsInstance {
     pub fn launch(config: IdsConfig) -> Self {
         let ranks = config.topology.total_ranks() as usize;
         let cluster = Cluster::new(config.topology, config.network, config.seed);
+        let metrics = MetricsRegistry::new();
         Self {
             config,
             cluster,
@@ -97,9 +101,10 @@ impl IdsInstance {
             registry: UdfRegistry::new(),
             models: ModelRepository::with_builtin_models(),
             profilers: vec![UdfProfiler::new(); ranks],
+            arg_memo: ArgMemo::new(&metrics),
             cache: None,
             faults: None,
-            metrics: MetricsRegistry::new(),
+            metrics,
             stats: Mutex::new(None),
             config_generation: 0,
             prepared: Mutex::new(None),
@@ -312,6 +317,7 @@ impl IdsInstance {
             &self.datastore,
             &self.registry,
             &mut self.profilers,
+            &self.arg_memo,
             &plan,
             &self.config.exec,
             &self.metrics,
@@ -438,13 +444,15 @@ impl IdsInstance {
     }
 
     /// Advance a prepared run by one pipeline stage against this
-    /// instance's cluster, datastore, profilers, and cache.
+    /// instance's cluster, datastore, profilers, prepared UDF arguments,
+    /// and cache.
     pub fn step_run(&mut self, run: &mut PlanRun) -> Result<StepOutcome, QueryError> {
         run.step(
             &mut self.cluster,
             &self.datastore,
             &self.registry,
             &mut self.profilers,
+            &self.arg_memo,
             &self.metrics,
             self.cache.as_deref(),
         )

@@ -161,10 +161,10 @@ pub fn decode_docking_result(b: &[u8]) -> Option<DockingResult> {
 ///
 /// * `sw_similarity(?seq)` — normalized Smith–Waterman similarity of the
 ///   bound sequence against the target (cheapest, most pruning).
-///   Prepared: one alignment per distinct sequence per stage.
+///   Prepared: one alignment per distinct sequence per instance.
 /// * `pic50(?smiles)` / `pic50(?smiles, ?protein)` — assay potency.
 /// * `dtba(?seq, ?smiles)` — AI binding-affinity prediction. Prepared: one
-///   protein-branch pass per distinct sequence per stage.
+///   protein-branch pass per distinct sequence per instance.
 /// * `vina_docking(?smiles)` — blind docking against the target receptor,
 ///   cache-accelerated when `cache` is provided (most expensive).
 pub fn register_workflow_udfs(
@@ -184,8 +184,9 @@ pub fn register_workflow_udfs(
 
     // --- sw_similarity -----------------------------------------------------
     // The target's striped profile is built once, here. The score depends
-    // on the database sequence alone, so it is the prepared half: a stage
-    // aligns each distinct sequence once, and every row is charged its cost.
+    // on the database sequence alone, so it is the prepared half: an
+    // instance aligns each distinct sequence once, and every row is charged
+    // its cost.
     let prepared_target = models.sw.prepare(&target.sequence);
     registry
         .register_prepared(
@@ -607,16 +608,20 @@ mod tests {
         let q = "SELECT ?compound WHERE { ?protein <up:sequence> ?seq . \
                  ?compound <chembl:inhibits> ?protein . ?compound <chembl:smiles> ?smiles . \
                  FILTER(sw_similarity(?seq) >= 0.0) FILTER(dtba(?seq, ?smiles) >= 0.0) }";
-        assert_eq!(inst.query(q).unwrap().solutions.len(), 30);
-        let text = inst.explain(q).unwrap();
-        assert!(
-            text.contains("prepared args: dtba 6 / 30 calls, sw_similarity 6 / 30 calls\n"),
-            "{text}"
-        );
+        // The second run calls every UDF again and prepares nothing.
+        for calls in [30, 60] {
+            assert_eq!(inst.query(q).unwrap().solutions.len(), 30);
+            let text = inst.explain(q).unwrap();
+            let line = format!(
+                "prepared args (kept by the instance): \
+                 dtba 6 / {calls} calls, sw_similarity 6 / {calls} calls\n"
+            );
+            assert!(text.contains(&line), "{text}");
+        }
     }
 
     /// The prepared `sw_similarity` and `dtba` against the scalar closures
-    /// they replaced, bit for bit, through a stage memo and through a
+    /// they replaced, bit for bit, through an instance memo and through a
     /// direct call. Sizes grow in release builds (`ci.sh` runs
     /// `cargo test -p ids-core --release -- prepared_args`).
     mod prepared_args {
@@ -624,9 +629,10 @@ mod tests {
         use crate::binding::RowBindings;
         use ids_cache::{BackingStore, CacheConfig};
         use ids_models::smith_waterman::PreparedQuery;
+        use ids_obs::MetricsRegistry;
         use ids_simrt::{NetworkModel, Topology};
         use ids_udf::expr::EvalCtx;
-        use ids_udf::{Expr, StageMemo, UdfProfiler};
+        use ids_udf::{ArgMemo, Expr, UdfProfiler};
         use proptest::prelude::*;
 
         const FULL: bool = !cfg!(debug_assertions);
@@ -743,7 +749,8 @@ mod tests {
             let vars = ["seq".to_string(), "smiles".to_string()];
             let sw = Expr::udf("sw_similarity", vec![Expr::var("seq")]);
             let dtba = Expr::udf("dtba", vec![Expr::var("seq"), Expr::var("smiles")]);
-            let memo = StageMemo::new(&registry, &Expr::And(vec![sw.clone(), dtba.clone()]));
+            let metrics = MetricsRegistry::new();
+            let memo = ArgMemo::new(&metrics);
             let mut profiler = UdfProfiler::new();
             let mut seen = std::collections::HashSet::new();
             for _ in 0..rows {
@@ -774,7 +781,10 @@ mod tests {
                 }
             }
             let distinct = seen.len() as u64;
-            assert_eq!(memo.counts(), vec![("sw_similarity", distinct), ("dtba", distinct)]);
+            let snap = metrics.snapshot();
+            for udf in ["sw_similarity", "dtba"] {
+                assert_eq!(snap.counter("ids_udf_prepares_total", udf), distinct, "{udf}");
+            }
         }
 
         proptest! {

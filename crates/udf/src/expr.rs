@@ -10,7 +10,7 @@
 //! per-rank profiler, attributing rejections to the UDF whose conjunct
 //! rejected.
 
-use crate::memo::StageMemo;
+use crate::memo::{ArgMemo, Lookup};
 use crate::profile::UdfProfiler;
 use crate::registry::{UdfOutput, UdfRegistry};
 use crate::value::UdfValue;
@@ -113,13 +113,13 @@ impl std::fmt::Display for EvalError {
 impl std::error::Error for EvalError {}
 
 /// Evaluation context: registry to resolve UDFs, profiler to feed, the
-/// stage's prepared arguments, and the accumulated virtual cost of
+/// instance's prepared arguments, and the accumulated virtual cost of
 /// everything executed so far.
 pub struct EvalCtx<'a> {
     pub registry: &'a UdfRegistry,
     pub profiler: &'a mut UdfProfiler,
-    /// Prepared first arguments shared by the stage, if any.
-    pub memo: Option<&'a StageMemo>,
+    /// Prepared first arguments shared by the instance, if any.
+    pub memo: Option<&'a ArgMemo>,
     /// Virtual seconds charged by UDF executions during evaluation.
     pub charged_secs: f64,
 }
@@ -131,7 +131,7 @@ impl<'a> EvalCtx<'a> {
     }
 
     /// Look prepared UDFs' first arguments up in `memo`.
-    pub fn with_memo(self, memo: &'a StageMemo) -> Self {
+    pub fn with_memo(self, memo: &'a ArgMemo) -> Self {
         Self { memo: Some(memo), ..self }
     }
 }
@@ -222,8 +222,8 @@ impl Expr {
     }
 
     /// Run one UDF call. A prepared UDF whose first argument is a bound
-    /// variable takes that argument's prepared form from the stage memo —
-    /// on a hit without decoding it — and calls it with the rest.
+    /// variable takes that argument's prepared form from the memo — on a
+    /// hit without decoding it — and calls it with the rest.
     fn call_udf(
         name: &str,
         args: &[Expr],
@@ -231,21 +231,34 @@ impl Expr {
         cx: &mut EvalCtx,
     ) -> Result<UdfOutput, EvalError> {
         if let (Some(memo), Some((Expr::Var(var), rest))) = (cx.memo, args.split_first()) {
-            if let Some((slot, key)) = memo.slot(name).and_then(|s| Some((s, bindings.key(var)?))) {
+            if let Some(key) = bindings.key(var) {
                 // A miss decodes the first argument now (an unbound one
                 // fails first, as in the scalar path) but prepares it only
                 // once the other arguments have evaluated, as `call` would.
-                let hit = match memo.get(slot, key) {
-                    Some(p) => Ok(p),
-                    None => Err(bindings
-                        .get(var)
-                        .ok_or_else(|| EvalError::UnboundVariable(var.clone()))?),
+                let hit = match memo.lookup(cx.registry, name, key) {
+                    Lookup::Hit(p) => Ok(p),
+                    Lookup::Miss(prepare) => Err((
+                        prepare,
+                        bindings.get(var).ok_or_else(|| EvalError::UnboundVariable(var.clone()))?,
+                    )),
+                    Lookup::Scalar => return Self::call_scalar(name, args, bindings, cx),
                 };
                 let rest = Self::eval_args(rest, bindings, cx)?;
-                let prepared = hit.unwrap_or_else(|first| memo.prepare(slot, key, &first));
+                let prepared = hit
+                    .unwrap_or_else(|(prepare, first)| memo.prepare(name, &prepare, key, &first));
                 return Ok(prepared(&rest));
             }
         }
+        Self::call_scalar(name, args, bindings, cx)
+    }
+
+    /// Evaluate every argument, then call through the registry.
+    fn call_scalar(
+        name: &str,
+        args: &[Expr],
+        bindings: &dyn Bindings,
+        cx: &mut EvalCtx,
+    ) -> Result<UdfOutput, EvalError> {
         let arg_vals = Self::eval_args(args, bindings, cx)?;
         cx.registry.call(name, &arg_vals).map_err(EvalError::UdfFailed)
     }

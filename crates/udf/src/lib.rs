@@ -15,8 +15,9 @@
 //! * [`expr`] — FILTER expression trees over bindings, with UDF calls as
 //!   first-class leaves; evaluation charges virtual cost and feeds the
 //!   profiler.
-//! * [`memo`] — a stage's prepared UDF arguments: the argument-only half
-//!   of a prepared UDF runs once per distinct dictionary id per stage.
+//! * [`memo`] — an instance's prepared UDF arguments: the argument-only
+//!   half of a prepared UDF runs once per distinct dictionary id for the
+//!   instance's life.
 //! * [`reorder`] — §2.4.3: chains of conditionals re-ordered in ascending
 //!   estimated evaluation time, with higher-rejection UDFs prioritized when
 //!   costs are similar.
@@ -37,7 +38,7 @@ pub mod reorder;
 pub mod value;
 
 pub use expr::{Bindings, EvalError, Expr};
-pub use memo::StageMemo;
+pub use memo::ArgMemo;
 pub use profile::{UdfProfile, UdfProfiler};
 pub use rebalance::{estimate_completion, plan_count_based, plan_throughput_based, RebalancePlan};
 pub use registry::{UdfKind, UdfOutput, UdfRegistry};

@@ -1,94 +1,133 @@
-//! Stage-scoped prepared arguments.
+//! Prepared UDF arguments, kept for the life of an instance.
 //!
 //! A UDF registered with [`UdfRegistry::register_prepared`] splits into a
 //! `prepare` that depends only on its first argument's value and a `call`
-//! that runs per row. FILTER/APPLY rows are protein × compound pairs, so
-//! the first argument (`?seq`) repeats across rows and ranks. A
-//! [`StageMemo`] lives for one stage: it runs `prepare` once per distinct
-//! dictionary id of that argument, and every row still makes its own
-//! `call` — its own charge, profile entry, retry and error.
+//! that runs per row. FILTER/APPLY rows are protein × compound pairs, and
+//! exploration repeats and overlaps its queries, so the first argument
+//! (`?seq`) repeats across rows, ranks, stages and queries. An
+//! [`ArgMemo`] lives as long as its instance: it runs `prepare` once per
+//! distinct dictionary id of that argument, and every row still makes its
+//! own `call` — its own charge, profile entry, retry and error.
 //!
-//! The memo is keyed by `(slot, id)`: `slot` numbers the stage's prepared
-//! UDFs, `id` is the raw dictionary id [`Bindings::key`] reports. A term
-//! id names one value for the life of a dictionary, and `prepare` is pure
-//! in that value, so any worker may fill an entry and every worker may
-//! read it. Nothing outlives the stage: this is not a result cache.
+//! The memo is keyed by (prepared UDF, id): the UDF numbered in order of
+//! first use, `id` the raw dictionary id [`Bindings::key`] reports. No
+//! entry is ever invalidated, because none can go stale: `prepare` is
+//! pure in its argument's value, a prepared UDF is static so it is never
+//! replaced, and a term id names one term for the dictionary's life
+//! (ingest only appends). So any worker of any stage may fill an entry
+//! and every later row may read it. The memo holds at most one entry per
+//! prepared UDF per term id — the dictionary already holds each term's
+//! text — and keeps no row's output or charge: it is not a result cache.
 //!
 //! [`Bindings::key`]: crate::expr::Bindings::key
 
-use crate::expr::Expr;
 use crate::registry::{PrepareFn, PreparedArg, UdfRegistry};
 use crate::value::UdfValue;
+use ids_obs::{Counter, MetricsRegistry};
 use parking_lot::RwLock;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::Arc;
 
-/// One prepared UDF a stage calls.
+/// One prepared UDF the memo has an entry for.
 struct Slot {
     udf: String,
     prepare: PrepareFn,
+    /// `ids_udf_prepares_total{udf}`: the entries inserted, one per id.
+    inserts: Counter,
 }
 
-/// Prepared first arguments for one FILTER/APPLY stage, shared by every
-/// worker of the stage. Build it on the calling thread before the fan-out
-/// and drop it after the join.
-pub struct StageMemo {
+#[derive(Default)]
+struct Entries {
     slots: Vec<Slot>,
-    prepared: RwLock<HashMap<(u32, u64), PreparedArg>>,
+    prepared: HashMap<(u32, u64), PreparedArg>,
 }
 
-impl StageMemo {
-    /// A memo for the prepared UDFs `expr` calls; UDFs registered any
-    /// other way get no slot and are never memoised.
-    pub fn new(registry: &UdfRegistry, expr: &Expr) -> Self {
-        let mut slots: Vec<Slot> = Vec::new();
-        expr.for_each_udf(&mut |udf| {
-            if slots.iter().any(|s| s.udf == udf) {
-                return;
-            }
-            if let Some(prepare) = registry.prepare_fn(udf) {
-                slots.push(Slot { udf: udf.to_string(), prepare });
-            }
-        });
-        Self { slots, prepared: RwLock::new(HashMap::new()) }
-    }
-
-    /// The slot of `udf`, if it is a prepared UDF of this stage.
-    pub(crate) fn slot(&self, udf: &str) -> Option<u32> {
+impl Entries {
+    fn slot(&self, udf: &str) -> Option<u32> {
         self.slots.iter().position(|s| s.udf == udf).map(|i| i as u32)
     }
+}
 
-    /// The prepared argument for dictionary id `key` in `slot`, if a row
-    /// of this stage has prepared it.
-    pub(crate) fn get(&self, slot: u32, key: u64) -> Option<PreparedArg> {
-        self.prepared.read().get(&(slot, key)).cloned()
+/// Prepared first arguments, shared by every stage and worker of one
+/// instance. `ids_udf_prepares_total{udf}` in the instance's metrics
+/// counts its first inserts.
+pub struct ArgMemo {
+    metrics: MetricsRegistry,
+    entries: RwLock<Entries>,
+}
+
+/// What the memo holds for a call of one UDF on one id.
+pub(crate) enum Lookup {
+    /// The argument's prepared form.
+    Hit(PreparedArg),
+    /// A prepared UDF whose argument no row has prepared yet.
+    Miss(PrepareFn),
+    /// Not a prepared UDF: the registry calls it.
+    Scalar,
+}
+
+impl ArgMemo {
+    /// An empty memo counting its inserts into `metrics`.
+    pub fn new(metrics: &MetricsRegistry) -> Self {
+        Self { metrics: metrics.clone(), entries: RwLock::default() }
     }
 
-    /// Run `slot`'s `prepare` on `first` — the value of id `key` — with no
+    /// The entry of `udf` for dictionary id `key`; on a first look at
+    /// `udf`, `registry` says whether it is a prepared UDF.
+    pub(crate) fn lookup(&self, registry: &UdfRegistry, udf: &str, key: u64) -> Lookup {
+        {
+            let entries = self.entries.read();
+            if let Some(slot) = entries.slot(udf) {
+                return match entries.prepared.get(&(slot, key)) {
+                    Some(p) => Lookup::Hit(Arc::clone(p)),
+                    None => Lookup::Miss(Arc::clone(&entries.slots[slot as usize].prepare)),
+                };
+            }
+        }
+        registry.prepare_fn(udf).map_or(Lookup::Scalar, Lookup::Miss)
+    }
+
+    /// Run `udf`'s `prepare` on `first` — the value of id `key` — with no
     /// lock held, and keep the result. Two workers racing on one key both
-    /// compute the same value; the first insert wins. A panicking
-    /// `prepare` leaves no entry, so a retried row prepares again.
-    pub(crate) fn prepare(&self, slot: u32, key: u64, first: &UdfValue) -> PreparedArg {
-        let fresh = (self.slots[slot as usize].prepare)(first);
-        PreparedArg::clone(self.prepared.write().entry((slot, key)).or_insert(fresh))
-    }
-
-    /// Per prepared UDF: `(name, distinct first arguments prepared)`, in
-    /// the order the stage's expression names them.
-    pub fn counts(&self) -> Vec<(&str, u64)> {
-        let prepared = self.prepared.read();
-        let distinct = |slot| prepared.keys().filter(|&&(s, _)| s == slot).count() as u64;
-        (0..).zip(&self.slots).map(|(slot, s)| (s.udf.as_str(), distinct(slot))).collect()
+    /// compute the same value; the first insert wins and is the one
+    /// counted. A panicking `prepare` leaves no entry, so a retried row
+    /// prepares again.
+    pub(crate) fn prepare(
+        &self,
+        udf: &str,
+        prepare: &PrepareFn,
+        key: u64,
+        first: &UdfValue,
+    ) -> PreparedArg {
+        let fresh = prepare(first);
+        let mut entries = self.entries.write();
+        let slot = entries.slot(udf).unwrap_or_else(|| {
+            entries.slots.push(Slot {
+                udf: udf.to_string(),
+                prepare: Arc::clone(prepare),
+                inserts: self.metrics.counter_with("ids_udf_prepares_total", "udf", udf),
+            });
+            entries.slots.len() as u32 - 1
+        });
+        let Entries { slots, prepared } = &mut *entries;
+        match prepared.entry((slot, key)) {
+            Entry::Occupied(e) => Arc::clone(e.get()),
+            Entry::Vacant(e) => {
+                slots[slot as usize].inserts.inc();
+                Arc::clone(e.insert(fresh))
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{Bindings, EvalCtx};
+    use crate::expr::{Bindings, EvalCtx, Expr};
     use crate::profile::UdfProfiler;
     use crate::registry::UdfOutput;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
 
     /// One row: `?x` bound to id `id`, whose value is `id` as an `I64`.
     struct Row {
@@ -105,11 +144,15 @@ mod tests {
         }
     }
 
-    fn eval(e: &Expr, reg: &UdfRegistry, memo: &StageMemo, id: u64) -> UdfOutput {
+    fn eval(e: &Expr, reg: &UdfRegistry, memo: &ArgMemo, id: u64) -> UdfOutput {
         let mut profiler = UdfProfiler::new();
         let mut cx = EvalCtx::new(reg, &mut profiler).with_memo(memo);
         let value = e.eval(&Row { id }, &mut cx).unwrap();
         UdfOutput::new(value, cx.charged_secs)
+    }
+
+    fn prepares(metrics: &MetricsRegistry, udf: &str) -> u64 {
+        metrics.snapshot().counter("ids_udf_prepares_total", udf)
     }
 
     /// `square(?x)`: prepares x², counting each run of `prepare`; every
@@ -130,40 +173,56 @@ mod tests {
         (reg, runs)
     }
 
-    #[test]
-    fn prepare_runs_once_per_distinct_id_across_threads() {
-        let (reg, runs) = squares();
-        let e = Expr::udf("square", vec![Expr::var("x")]);
-        let memo = StageMemo::new(&reg, &e);
-        let start = std::sync::Barrier::new(2);
-        let charged: f64 = std::thread::scope(|s| {
-            let workers: Vec<_> = (0..2)
-                .map(|_| {
-                    s.spawn(|| {
-                        start.wait();
-                        (0..200u64)
-                            .map(|i| {
-                                let out = eval(&e, &reg, &memo, i % 10);
-                                assert_eq!(out.value, UdfValue::F64(((i % 10) as f64).powi(2)));
-                                out.virtual_secs
+    /// Ten stages of 40 rows over ids `0..10` on `threads` threads, the
+    /// threads of a stage started together; returns the virtual seconds
+    /// charged.
+    fn stages(threads: usize, e: &Expr, reg: &UdfRegistry, memo: &ArgMemo) -> f64 {
+        (0..10)
+            .map(|_| {
+                let start = std::sync::Barrier::new(threads);
+                std::thread::scope(|s| {
+                    let workers: Vec<_> = (0..threads)
+                        .map(|_| {
+                            s.spawn(|| {
+                                start.wait();
+                                (0..40 / threads as u64)
+                                    .map(|i| {
+                                        let out = eval(e, reg, memo, i % 10);
+                                        let sq = ((i % 10) as f64).powi(2);
+                                        assert_eq!(out.value, UdfValue::F64(sq));
+                                        out.virtual_secs
+                                    })
+                                    .sum::<f64>()
                             })
-                            .sum::<f64>()
-                    })
+                        })
+                        .collect();
+                    workers.into_iter().map(|w| w.join().unwrap()).sum::<f64>()
                 })
-                .collect();
-            workers.into_iter().map(|w| w.join().unwrap()).sum()
-        });
-        assert!((charged - 400.0e-3).abs() < 1e-9, "every row charges its call: {charged}");
-        // A race may run `prepare` twice for one id; only one result is kept.
-        assert!((10..=20).contains(&runs.load(Ordering::SeqCst)));
-        assert_eq!(memo.counts(), vec![("square", 10)]);
+            })
+            .sum()
+    }
 
-        // Unserialized, it is exactly once per id.
-        let (reg, runs) = squares();
-        let memo = StageMemo::new(&reg, &e);
-        for i in 0..200 {
-            eval(&e, &reg, &memo, i % 10);
+    #[test]
+    fn prepare_runs_once_per_id_across_stages_and_threads() {
+        let e = Expr::udf("square", vec![Expr::var("x")]);
+        for threads in [1, 2] {
+            let (reg, runs) = squares();
+            let metrics = MetricsRegistry::new();
+            let memo = ArgMemo::new(&metrics);
+            let charged = stages(threads, &e, &reg, &memo);
+            assert!((charged - 400.0e-3).abs() < 1e-9, "every row charges its call: {charged}");
+            // Only the first stage can race on an id, and one result is
+            // kept; the other nine stages all hit.
+            let runs = runs.load(Ordering::SeqCst);
+            assert!((10..=10 * threads as u64).contains(&runs), "{threads} threads: {runs}");
+            assert_eq!(prepares(&metrics, "square"), 10, "first inserts, on {threads} threads");
         }
+
+        // Unserialized, `prepare` runs exactly once per id, however many
+        // stages evaluate it.
+        let (reg, runs) = squares();
+        let memo = ArgMemo::new(&MetricsRegistry::new());
+        stages(1, &e, &reg, &memo);
         assert_eq!(runs.load(Ordering::SeqCst), 10);
     }
 
@@ -184,16 +243,20 @@ mod tests {
         )
         .unwrap();
         let e = Expr::udf("flaky", vec![Expr::var("x")]);
-        let memo = StageMemo::new(&reg, &e);
+        let metrics = MetricsRegistry::new();
+        let memo = ArgMemo::new(&metrics);
         let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             eval(&e, &reg, &memo, 7);
         }));
         assert!(first.is_err());
-        assert_eq!(memo.counts(), vec![("flaky", 0)]);
-        // The retry prepares again and succeeds; the next row hits.
-        assert_eq!(eval(&e, &reg, &memo, 7).value, UdfValue::F64(8.0));
-        assert_eq!(eval(&e, &reg, &memo, 7).value, UdfValue::F64(8.0));
+        assert!(metrics.snapshot().is_empty(), "no entry, and no series");
+        // The retry prepares again and succeeds; later rows, in this stage
+        // or any other, hit.
+        for _ in 0..3 {
+            assert_eq!(eval(&e, &reg, &memo, 7).value, UdfValue::F64(8.0));
+        }
         assert_eq!(runs.load(Ordering::SeqCst), 2);
+        assert_eq!(prepares(&metrics, "flaky"), 1);
     }
 
     #[test]
@@ -213,21 +276,23 @@ mod tests {
         )
         .unwrap();
         let e = Expr::udf("slow_check", vec![Expr::var("x")]);
-        let memo = StageMemo::new(&reg, &e);
-        assert!(memo.counts().is_empty(), "no slot for a static UDF");
+        let metrics = MetricsRegistry::new();
+        let memo = ArgMemo::new(&metrics);
         let mut charged = Vec::new();
         for r in 0..4 {
             rank.store(r, Ordering::SeqCst);
             charged.push(eval(&e, &reg, &memo, 5).virtual_secs);
         }
         assert_eq!(charged, vec![1.0e-3, 2.0e-3, 3.0e-3, 4.0e-3]);
+        assert!(memo.entries.read().slots.is_empty(), "no slot for a static UDF");
+        assert!(metrics.snapshot().is_empty());
     }
 
     #[test]
     fn memo_and_direct_call_agree() {
         let (reg, runs) = squares();
         let e = Expr::udf("square", vec![Expr::var("x")]);
-        let memo = StageMemo::new(&reg, &e);
+        let memo = ArgMemo::new(&MetricsRegistry::new());
         let direct = reg.call("square", &[UdfValue::I64(3)]).unwrap();
         assert_eq!(eval(&e, &reg, &memo, 3), direct);
         assert_eq!(eval(&e, &reg, &memo, 3), direct);

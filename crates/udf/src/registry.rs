@@ -100,11 +100,13 @@ impl UdfRegistry {
     /// not read `current_rank()` or a cache. `call` gets the `P` and the
     /// remaining arguments once per row, and may read the rank.
     ///
-    /// [`Self::call`] runs `prepare` then `call`. A FILTER/APPLY stage
-    /// holding a [`StageMemo`](crate::memo::StageMemo) runs `prepare` once
-    /// per distinct dictionary id of the first argument instead, and still
-    /// runs `call`, and charges it, once per row. Same duplicate rule as
-    /// [`Self::register_static`].
+    /// [`Self::call`] runs `prepare` then `call`. FILTER/APPLY stages
+    /// evaluating through an instance's [`ArgMemo`](crate::memo::ArgMemo)
+    /// run `prepare` once per distinct dictionary id of the first argument
+    /// for the instance's life instead — purity is what lets its result
+    /// outlive the stage and query that made it — and still run `call`,
+    /// and charge it, once per row. Same duplicate rule as
+    /// [`Self::register_static`], so a prepared UDF is never replaced.
     pub fn register_prepared<P, F, C>(&self, name: &str, prepare: F, call: C) -> Result<(), String>
     where
         P: Send + Sync + 'static,

@@ -11,17 +11,28 @@
 //! brings its thread start, its result runs and its worker state (scan
 //! parts, join scratch). So the budget is a per-step allowance plus one
 //! per helper: `ranks / 8` on two workers, and below one allocation per
-//! rank up to 29 workers. This file holds one test, so no other test's
-//! allocations are counted.
+//! rank up to 29 workers.
+//!
+//! A FILTER row whose prepared argument the instance's memo already holds
+//! runs no kernel and decodes nothing: it is pinned at its exact count.
+//!
+//! The counter sees every thread, so the tests of this file take one lock
+//! and no other test's allocations are counted.
 
+use ids::chem::sequence::ProteinSequence;
+use ids::core::binding::RowBindings;
 use ids::core::engine::StepOutcome;
+use ids::core::workflow::{register_workflow_udfs, Target, WorkflowModels};
 use ids::core::{IdsConfig, IdsInstance};
-use ids::graph::Term;
+use ids::graph::{Dictionary, Term};
+use ids::obs::MetricsRegistry;
+use ids::simrt::rng::SplitMix64;
 use ids::simrt::Topology;
-use ids::udf::{UdfOutput, UdfValue};
+use ids::udf::expr::{CmpOp, EvalCtx};
+use ids::udf::{ArgMemo, Expr, UdfOutput, UdfProfiler, UdfRegistry, UdfValue};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The system allocator, counting every allocation (and reallocation) on
 /// every thread.
@@ -55,6 +66,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// Held by each test of this file while it counts.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
 /// 64 nodes × 32 ranks, the paper's NCNPR scale.
 const RANKS: u32 = 2048;
 
@@ -68,6 +82,11 @@ const STEP_ALLOWANCE: u64 = 160;
 /// workers: at most 45 per helper (`pattern1`, a scan and a join phase,
 /// on two workers), and at most 251 for a whole step on eight.
 const HELPER_ALLOWANCE: u64 = 64;
+
+/// Allocations of one `sw_similarity(?seq) >= 0.9` row whose sequence the
+/// memo holds, measured in debug and release: the lookup clones an `Arc`,
+/// the call returns an `F64`, and the profile entry already exists.
+const MEMO_HIT_ROW: u64 = 0;
 
 /// Entities `e:0..ENTITIES`, each with an integer `val` and a `next`
 /// entity: two patterns joined on `?e`, a row per entity.
@@ -106,6 +125,7 @@ fn launch() -> IdsInstance {
 
 #[test]
 fn every_step_of_a_2048_rank_query_allocates_a_few_buffers_per_stage_and_worker() {
+    let _counting = ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
     let mut inst = launch();
     // Warm-up: first-use allocations (metric series, minted terms,
     // profiles, the prepared plan) are not the steady state.
@@ -137,4 +157,37 @@ fn every_step_of_a_2048_rank_query_allocates_a_few_buffers_per_stage_and_worker(
             "{label} made {allocations} allocations, budget {budget}: {steps:?}"
         );
     }
+}
+
+#[test]
+fn a_filter_row_that_hits_the_memo_allocates_nothing() {
+    let _counting = ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut rng = SplitMix64::new(7, 0x5eed);
+    let target = Target::from_sequence("P29274", ProteinSequence::random(412, &mut rng));
+    let registry = UdfRegistry::new();
+    let dict = Arc::new(Dictionary::new());
+    register_workflow_udfs(&registry, &dict, &target, WorkflowModels::paper_models(), None);
+    let memo = ArgMemo::new(&MetricsRegistry::new());
+    let filter = Expr::cmp(
+        CmpOp::Ge,
+        Expr::udf("sw_similarity", vec![Expr::var("seq")]),
+        Expr::Const(UdfValue::F64(0.9)),
+    );
+    let vars = ["seq".to_string()];
+    let row = [dict.str(&ProteinSequence::random(412, &mut rng).to_string_code())];
+    let bindings = RowBindings::new(&vars, &row, &dict);
+    let mut profiler = UdfProfiler::new();
+    let mut eval = || {
+        let mut cx = EvalCtx::new(&registry, &mut profiler).with_memo(&memo);
+        let kept = filter.eval_bool(&bindings, &mut cx).unwrap();
+        (kept, cx.charged_secs)
+    };
+    // The first row prepares the sequence and makes its profile entry.
+    let first = eval();
+    let before = ALLOCATIONS.load(Relaxed);
+    let hit = eval();
+    let allocations = ALLOCATIONS.load(Relaxed) - before;
+    eprintln!("allocations of a memo-hit sw_similarity FILTER row: {allocations}");
+    assert_eq!(hit, first);
+    assert_eq!(allocations, MEMO_HIT_ROW);
 }

@@ -163,3 +163,117 @@ fn udf_profilers_see_the_whole_chain() {
         inst.profilers().iter().filter_map(|p| p.get("sw_similarity")).map(|p| p.rejections).sum();
     assert!(rejections >= 10, "low-band candidates rejected by SW, got {rejections}");
 }
+
+/// The prepares of `udf` the instance has counted:
+/// `ids_udf_prepares_total{udf}`, one per first insert into its memo.
+fn prepares(inst: &IdsInstance, udf: &str) -> u64 {
+    inst.metrics_snapshot().counter("ids_udf_prepares_total", udf)
+}
+
+/// Reviewed proteins with fresh sequences, each with two compounds, plus
+/// a reviewed protein sharing band 1's first sequence and a compound on
+/// an existing protein: triples that reach the FILTER, of which only the
+/// fresh sequences are new terms. Returns the number of fresh sequences.
+fn ingest_new_candidates(inst: &IdsInstance) -> u64 {
+    use ids::chem::sequence::ProteinSequence;
+    use ids::graph::{Term, TriplePattern};
+    use ids::models::molgen::MoleculeGenerator;
+    use ids::models::CostModel;
+    use ids::simrt::rng::SplitMix64;
+
+    let ds = inst.datastore();
+    let sequence = |name: &str| {
+        let id = |t: &Term| ds.dictionary().lookup(t).unwrap();
+        let (s, p) = (id(&Term::iri(format!("up:{name}"))), id(&Term::iri("up:sequence")));
+        let found = ds.graph().scan_all(&TriplePattern::new(Some(s), Some(p), None));
+        ds.decode(found[0].o).unwrap()
+    };
+    let mut rng = SplitMix64::new(0x1d6e57, 0);
+    let molgen = MoleculeGenerator::new(CostModel::free(), 0x1d6e57);
+    let fresh: Vec<Term> =
+        (0..3).map(|_| Term::str(ProteinSequence::random(96, &mut rng).to_string_code())).collect();
+    let shared = sequence("B1_0");
+    let mut compound = 0u64;
+    let mut add_compound = |protein: &Term| {
+        compound += 1;
+        let cid = Term::iri(format!("chembl:N{compound}"));
+        ds.add_fact(&cid, &Term::iri("rdf:type"), &Term::iri("chembl:Compound"));
+        ds.add_fact(
+            &cid,
+            &Term::iri("chembl:smiles"),
+            &Term::str(molgen.generate(compound).smiles),
+        );
+        ds.add_fact(&cid, &Term::iri("chembl:inhibits"), protein);
+    };
+    for (i, seq) in fresh.iter().chain([&shared]).enumerate() {
+        let protein = Term::iri(format!("up:N{i}"));
+        ds.add_fact(&protein, &Term::iri("rdf:type"), &Term::iri("up:Protein"));
+        ds.add_fact(&protein, &Term::iri("up:reviewed"), &Term::Int(1));
+        ds.add_fact(&protein, &Term::iri("up:sequence"), seq);
+        add_compound(&protein);
+        add_compound(&protein);
+    }
+    add_compound(&Term::iri("up:B0_0"));
+    ds.build_indexes();
+    fresh.len() as u64
+}
+
+/// Every result row decoded, sorted: term ids differ between instances
+/// (APPLY mints the docking energies), the terms must not.
+fn decoded_rows(inst: &IdsInstance, out: &ids::core::QueryOutcome) -> Vec<Vec<String>> {
+    let ds = inst.datastore();
+    let mut rows: Vec<Vec<String>> = out
+        .solutions
+        .rows()
+        .iter()
+        .map(|row| row.iter().map(|&id| ds.decode(id).unwrap().to_string()).collect())
+        .collect();
+    rows.sort();
+    rows
+}
+
+/// Prepared UDF arguments outlive the query that prepared them: repeats
+/// prepare nothing, and after ingest the next query prepares exactly the
+/// new distinct sequences, with the rows a fresh instance returns. Every
+/// row passes every FILTER (pIC50 is clamped to ≥ 3, sequences are all
+/// let through), so every row calls every UDF, on any number of workers.
+#[test]
+fn prepared_args_persist_across_queries_and_ingest() {
+    let text = repurposing_query(&RepurposingThresholds {
+        sw_similarity: 0.0,
+        min_pic50: 0.0,
+        min_dtba: -1.0e9,
+    });
+    let topo = Topology::new(2, 4);
+    let mut inst = launch(topo, None);
+    // Band 0's three proteins share the target's sequence: one term.
+    let distinct_sequences = 1 + 5;
+    let first = inst.query(&text).unwrap();
+    assert_eq!(first.solutions.len(), 22);
+    for udf in ["sw_similarity", "dtba"] {
+        assert_eq!(prepares(&inst, udf), distinct_sequences, "{udf}, first query");
+    }
+    for repeat in 2..=3 {
+        let again = inst.query(&text).unwrap();
+        assert_eq!(decoded_rows(&inst, &again), decoded_rows(&inst, &first));
+        for udf in ["sw_similarity", "dtba"] {
+            assert_eq!(prepares(&inst, udf), distinct_sequences, "{udf}, repeat {repeat}");
+        }
+    }
+
+    let fresh_sequences = ingest_new_candidates(&inst);
+    let after = inst.query(&text).unwrap();
+    assert_eq!(after.solutions.len(), 22 + 4 * 2 + 1);
+    for udf in ["sw_similarity", "dtba"] {
+        assert_eq!(
+            prepares(&inst, udf),
+            distinct_sequences + fresh_sequences,
+            "{udf}: the ingested sequences, and only those"
+        );
+    }
+
+    let mut fresh = launch(topo, None);
+    ingest_new_candidates(&fresh);
+    let want = fresh.query(&text).unwrap();
+    assert_eq!(decoded_rows(&inst, &after), decoded_rows(&fresh, &want));
+}
