@@ -218,59 +218,30 @@ diff -u bench_results/repro.txt target/repro.txt
 taskset -c 0 cargo run --release -p ids-bench --bin repro > target/repro.txt
 diff -u bench_results/repro.txt target/repro.txt
 
-echo "==> chaos matrix (tests/chaos_faults.rs, release)"
-for seed in 1 2 3 4 5 6 7 8; do
-  for rf in 1 2 3; do
-    echo "---- CHAOS_SEED=$seed CHAOS_REPLICATION=$rf"
-    CHAOS_SEED=$seed CHAOS_REPLICATION=$rf cargo test --release --test chaos_faults -q
-  done
-done
-
-echo "==> pipeline parity matrix (tests/chaos_pipeline.rs, release)"
-for seed in 1 2 3 4 5 6 7 8; do
-  for mode in default tight; do
-    echo "---- CHAOS_SEED=$seed CHAOS_PIPELINE=$mode"
-    CHAOS_SEED=$seed CHAOS_PIPELINE=$mode cargo test --release --test chaos_pipeline -q
-  done
-done
-
-echo "==> recovery chaos matrix (tests/chaos_recovery.rs, release)"
-for seed in 1 2 3 4 5 6 7 8; do
-  for mode in default spiteful; do
-    echo "---- CHAOS_SEED=$seed CHAOS_RECOVERY=$mode"
-    CHAOS_SEED=$seed CHAOS_RECOVERY=$mode cargo test --release --test chaos_recovery -q
-  done
-done
-
-echo "==> concurrency chaos matrix (tests/chaos_concurrency.rs, release)"
-for seed in 1 2 3 4 5 6 7 8; do
-  for clients in 4 16; do
-    echo "---- CHAOS_SEED=$seed CHAOS_CONCURRENCY=$clients"
-    CHAOS_SEED=$seed CHAOS_CONCURRENCY=$clients cargo test --release --test chaos_concurrency -q
-  done
-done
-
-echo "==> overload chaos matrix (tests/chaos_overload.rs, release)"
-for seed in 1 2 3 4 5 6 7 8; do
-  for mode in default burst; do
-    echo "---- CHAOS_SEED=$seed CHAOS_OVERLOAD=$mode"
-    CHAOS_SEED=$seed CHAOS_OVERLOAD=$mode cargo test --release --test chaos_overload -q
-  done
-done
-
-echo "==> tier chaos matrix (tests/chaos_tiers.rs, release)"
-for seed in 1 2 3 4 5 6 7 8; do
-  for mode in default coldstart; do
-    echo "---- CHAOS_SEED=$seed CHAOS_TIERS=$mode"
-    CHAOS_SEED=$seed CHAOS_TIERS=$mode cargo test --release --test chaos_tiers -q
-  done
-done
-
-echo "==> adaptive chaos matrix (tests/chaos_adaptive.rs, release)"
-for seed in 1 2 3 4 5 6 7 8; do
-  for mode in default aggressive; do
-    echo "---- CHAOS_SEED=$seed CHAOS_ADAPTIVE=$mode"
-    CHAOS_SEED=$seed CHAOS_ADAPTIVE=$mode cargo test --release --test chaos_adaptive -q
+echo "==> chaos matrices (tests/chaos_*.rs, release)"
+# One row per suite: the test, its axis variable and the axis values
+# ("-" = no axis). Every suite runs once per CHAOS_SEED and axis value.
+chaos_matrix=(
+  "chaos_faults       CHAOS_REPLICATION 1 2 3"
+  "chaos_pipeline     -"
+  "chaos_recovery     CHAOS_RECOVERY    default spiteful"
+  "chaos_concurrency  CHAOS_CONCURRENCY 4 16"
+  "chaos_overload     CHAOS_OVERLOAD    default burst"
+  "chaos_tiers        -"
+  "chaos_adaptive     CHAOS_ADAPTIVE    default aggressive"
+)
+for row in "${chaos_matrix[@]}"; do
+  read -r test axis values <<<"$row"
+  for seed in 1 2 3 4 5 6 7 8; do
+    if [ "$axis" = "-" ]; then
+      echo "---- $test CHAOS_SEED=$seed"
+      CHAOS_SEED=$seed cargo test --release --test "$test" -q
+      continue
+    fi
+    for value in $values; do
+      echo "---- $test CHAOS_SEED=$seed $axis=$value"
+      env CHAOS_SEED="$seed" "$axis=$value" cargo test --release --test "$test" -q
+    done
   done
 done
 

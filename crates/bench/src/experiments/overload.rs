@@ -87,7 +87,6 @@ fn serve_config() -> ServeConfig {
             scale_in_queue_per_rank: -1.0,
             sustain_rounds: 3,
             cooldown_rounds: 3,
-            ..ElasticityConfig::default()
         }),
         ..ServeConfig::default()
     }

@@ -38,7 +38,7 @@ use crate::policy::PlacementPolicy;
 use crate::tier::{StoredEntry, TierKind, TierStore};
 use bytes::Bytes;
 use ids_obs::{Counter, Gauge, Histogram, MetricsRegistry};
-use ids_simrt::faults::{FaultPlane, LinkFactors, RetryPolicy};
+use ids_simrt::faults::{retry_backoff_secs, FaultPlane, LinkFactors, RETRY_MAX_ATTEMPTS};
 use ids_simrt::net::{DeviceModel, NetworkModel};
 use ids_simrt::topology::{NodeId, RankId, Topology};
 use parking_lot::Mutex;
@@ -164,42 +164,31 @@ pub struct CacheConfig {
     pub nvme_capacity: u64,
     /// Placement policy for new objects.
     pub policy: PlacementPolicy,
-    /// Per-tier device cost model: DRAM vs NVMe latency/bandwidth,
-    /// charged on every hit, spill, and promote.
-    pub devices: DeviceModel,
     /// Eviction policy run by every tier store.
     pub eviction: EvictionKind,
-    /// Retain NVMe contents across a node recovery (persistent media),
-    /// distrusted until lazily re-verified against their checksums.
-    /// When false both tiers are wiped, the historical behaviour.
-    pub warm_restart: bool,
-    /// Gate DRAM→NVMe spills behind the frequency-sketch admission
-    /// filter when the NVMe tier is under pressure, keeping one-hit
-    /// wonders from churning the disk tier.
-    pub nvme_admission: bool,
     /// Copies kept per object across distinct live nodes (k-way
     /// replication). 1 = the pre-replication behaviour.
     pub replication: usize,
 }
+
+/// Per-tier device costs, charged on every hit, spill, and promote: the
+/// testbed's DRAM and NVMe (100 µs / 3 GB/s).
+const DEVICES: DeviceModel = DeviceModel::testbed();
 
 /// Virtual seconds between background anti-entropy passes (scrub +
 /// re-replication), checked at engine stage boundaries.
 const ANTI_ENTROPY_INTERVAL_SECS: f64 = 1.0;
 
 impl CacheConfig {
-    /// Testbed-like defaults: local-first placement, LRU eviction,
-    /// testbed device costs (NVMe at 100 µs / 3 GB/s), warm restart and
-    /// NVMe admission on, no replication.
+    /// Testbed-like defaults: local-first placement, LRU eviction, no
+    /// replication.
     pub fn new(cache_nodes: usize, dram_capacity: u64, nvme_capacity: u64) -> Self {
         Self {
             cache_nodes,
             dram_capacity,
             nvme_capacity,
             policy: PlacementPolicy::LocalFirst,
-            devices: DeviceModel::testbed(),
             eviction: EvictionKind::default(),
-            warm_restart: true,
-            nvme_admission: true,
             replication: 1,
         }
     }
@@ -213,24 +202,6 @@ impl CacheConfig {
     /// Select the eviction policy for every tier store.
     pub fn with_eviction(mut self, kind: EvictionKind) -> Self {
         self.eviction = kind;
-        self
-    }
-
-    /// Override the per-tier device cost model.
-    pub fn with_devices(mut self, devices: DeviceModel) -> Self {
-        self.devices = devices;
-        self
-    }
-
-    /// Enable or disable warm restart of the NVMe tier.
-    pub fn with_warm_restart(mut self, on: bool) -> Self {
-        self.warm_restart = on;
-        self
-    }
-
-    /// Enable or disable the NVMe admission filter.
-    pub fn with_nvme_admission(mut self, on: bool) -> Self {
-        self.nvme_admission = on;
         self
     }
 }
@@ -608,7 +579,7 @@ impl CacheManager {
     }
 
     fn nvme_transfer(&self, from: RankId, node: NodeId, bytes: u64) -> f64 {
-        let device = self.cfg.devices.nvme_cost(bytes);
+        let device = DEVICES.nvme_cost(bytes);
         if self.topo.node_of(from) == node {
             device
         } else {
@@ -650,21 +621,16 @@ impl CacheManager {
 
     /// A node rejoined. DRAM is volatile and was lost in the crash, so
     /// that tier always comes back empty. The NVMe tier is persistent
-    /// media: with [`CacheConfig::warm_restart`] on, its entries survive
-    /// but are distrusted — marked unverified until the integrity plane
-    /// re-checks each checksum, lazily on first read or in bulk at the
-    /// next anti-entropy scrub. With warm restart off both tiers are
-    /// wiped (the historical behaviour).
+    /// media: its entries survive (warm restart) but are distrusted —
+    /// marked unverified until the integrity plane re-checks each
+    /// checksum, lazily on first read or in bulk at the next anti-entropy
+    /// scrub.
     fn on_node_up(&self, st: &mut State, ni: usize, now: f64) {
         st.dram[ni].clear();
-        if self.cfg.warm_restart {
-            let retained = st.nvme[ni].len() as u64;
-            if retained > 0 {
-                st.nvme[ni].mark_all_unverified();
-                self.metrics.warm_retained.add(retained);
-            }
-        } else {
-            st.nvme[ni].clear();
+        let retained = st.nvme[ni].len() as u64;
+        if retained > 0 {
+            st.nvme[ni].mark_all_unverified();
+            self.metrics.warm_retained.add(retained);
         }
         // DRAM rejoined empty: surviving objects may be under-replicated
         // until the next anti-entropy pass restores the factor.
@@ -724,7 +690,6 @@ impl CacheManager {
         cost: f64,
         spent: &mut f64,
     ) -> bool {
-        let retry = RetryPolicy::default();
         let mut attempt = 0u32;
         loop {
             attempt += 1;
@@ -733,10 +698,10 @@ impl CacheManager {
                 *spent += cost;
                 return true;
             }
-            if attempt >= retry.max_attempts {
+            if attempt >= RETRY_MAX_ATTEMPTS {
                 return false;
             }
-            let wait = retry.backoff_secs(attempt, plane.map_or(0.5, |p| p.jitter01(from)));
+            let wait = retry_backoff_secs(attempt, plane.map_or(0.5, |p| p.jitter01(from)));
             self.metrics.retries.inc();
             self.metrics.retry_wait.observe(wait);
             *spent += wait;
@@ -911,7 +876,7 @@ impl CacheManager {
         let ni = node.index();
         self.metrics.evictions_dram.inc();
         self.metrics.evicted_bytes_dram.add(size);
-        if self.cfg.nvme_admission && !st.nvme[ni].fits(size) && !st.sketch.admit(victim) {
+        if !st.nvme[ni].fits(size) && !st.sketch.admit(victim) {
             // Writing a one-hit wonder would force a disk eviction for
             // nothing; skip the spill.
             self.metrics.admission_rejects_nvme.inc();
@@ -950,7 +915,7 @@ impl CacheManager {
         }
         self.metrics.inserts_nvme.inc();
         self.metrics.update_sizes(st);
-        (true, self.cfg.devices.nvme_cost(size))
+        (true, DEVICES.nvme_cost(size))
     }
 
     /// Dynamically relocate a cached object to another node's DRAM
@@ -1144,7 +1109,7 @@ impl CacheManager {
                 spent += spill_cost;
                 if landed {
                     st.nvme[ni].remove(name);
-                    spent += self.cfg.devices.dram_cost(size);
+                    spent += DEVICES.dram_cost(size);
                     self.metrics.promotes.inc();
                     self.metrics.promoted_bytes.add(size);
                     self.metrics.promote_bytes.observe(size as f64);
@@ -1185,7 +1150,7 @@ impl CacheManager {
         let cost = fetched.virtual_secs * link.cost_mult();
         if !self.attempt_access(plane, from, true, cost, &mut spent) {
             return Err(CacheError::RetriesExhausted {
-                attempts: RetryPolicy::default().max_attempts,
+                attempts: RETRY_MAX_ATTEMPTS,
                 spent_secs: spent,
                 detail: "backing store fetch".into(),
             });
@@ -1257,8 +1222,8 @@ impl CacheManager {
     /// Take a cache node down (idempotent). Its entries are *fenced* —
     /// skipped by every lookup — until [`Self::recover_node`], at which
     /// point the crash semantics apply: DRAM contents are lost (volatile)
-    /// and re-populate on demand, while NVMe contents survive under
-    /// [`CacheConfig::warm_restart`], pending checksum re-verification.
+    /// and re-populate on demand, while NVMe contents survive, pending
+    /// checksum re-verification.
     pub fn fail_node(&self, node: NodeId) {
         let mut st = self.state.lock();
         let now = st.now();
@@ -1273,10 +1238,9 @@ impl CacheManager {
     }
 
     /// Bring a manually failed node back (idempotent). Its DRAM rejoins
-    /// empty (lost in the crash); its NVMe tier rejoins warm when
-    /// [`CacheConfig::warm_restart`] is on, every retained entry held
-    /// back until re-verified. A node declared permanently dead never
-    /// rejoins.
+    /// empty (lost in the crash); its NVMe tier rejoins warm, every
+    /// retained entry held back until re-verified. A node declared
+    /// permanently dead never rejoins.
     pub fn recover_node(&self, node: NodeId) {
         let mut st = self.state.lock();
         let now = st.now();
@@ -1527,6 +1491,14 @@ mod tests {
         Bytes::from(vec![tag; n])
     }
 
+    /// Put from rank 0, then read once: the second touch lets the
+    /// object's later spill pass the NVMe admission filter when NVMe is
+    /// full.
+    fn put_touched(c: &CacheManager, name: &str, data: Bytes) {
+        c.put(RankId(0), name, data);
+        c.get(RankId(0), name).unwrap().unwrap();
+    }
+
     #[test]
     fn try_new_rejects_unsatisfiable_configs_as_typed_errors() {
         let net = NetworkModel::slingshot();
@@ -1666,11 +1638,12 @@ mod tests {
 
     #[test]
     fn total_eviction_falls_back_to_backing_and_repopulates() {
-        // Tiny tiers: everything cascades out. Admission control is off
-        // so the spill cascade is unconditional, like the historical one.
-        let c = cache_cfg(CacheConfig::new(2, 1000, 1000).with_nvme_admission(false));
+        // Tiny tiers: everything cascades out. "b" is read once before
+        // it becomes a victim, so its spill passes the NVMe admission
+        // filter and displaces "a".
+        let c = cache(1000, 1000);
         c.put(RankId(0), "a", payload(900, 1));
-        c.put(RankId(0), "b", payload(900, 2)); // a → nvme
+        put_touched(&c, "b", payload(900, 2)); // a → nvme
         c.put(RankId(0), "c", payload(900, 3)); // b → nvme, a dropped
         let (data, out) = c.get(RankId(0), "a").unwrap().unwrap();
         assert_eq!(out.tier, Tier::Backing);
@@ -1956,7 +1929,7 @@ mod tests {
         let err = c.get(RankId(6), "obj").unwrap_err();
         match &err {
             CacheError::RetriesExhausted { attempts, spent_secs, .. } => {
-                assert_eq!(*attempts, RetryPolicy::default().max_attempts);
+                assert_eq!(*attempts, RETRY_MAX_ATTEMPTS);
                 assert!(*spent_secs > 0.0, "backoff waits are charged to virtual time");
             }
             other => panic!("expected RetriesExhausted, got {other:?}"),
@@ -2443,18 +2416,6 @@ mod tests {
     }
 
     #[test]
-    fn cold_restart_wipes_both_tiers_when_disabled() {
-        let c = cache_cfg(CacheConfig::new(2, 1000, 1 << 20).with_warm_restart(false));
-        c.put(RankId(0), "a", payload(900, 1));
-        c.put(RankId(0), "b", payload(900, 2)); // "a" spills to NVMe
-        c.fail_node(NodeId(0));
-        c.recover_node(NodeId(0));
-        assert_eq!(c.stats().warm_restart_retained, 0);
-        let (_, a) = c.get(RankId(0), "a").unwrap().unwrap();
-        assert_eq!(a.tier, Tier::Backing, "cold restart lost the NVMe copy");
-    }
-
-    #[test]
     fn s3fifo_keeps_hot_set_resident_under_scan() {
         // DRAM holds 4 objects. One hot object is re-referenced, then a
         // 12-object sequential scan pours through.
@@ -2504,9 +2465,9 @@ mod tests {
 
     #[test]
     fn reset_stats_zeroes_stats_but_not_the_inspector_counters() {
-        let c = cache_cfg(CacheConfig::new(2, 2048, 4096).with_nvme_admission(false));
+        let c = cache(2048, 4096);
         for (i, name) in ["a", "b", "c", "d", "e", "f", "g", "h"].into_iter().enumerate() {
-            c.put(RankId(0), name, payload(1000, i as u8)); // spills, then NVMe drops
+            put_touched(&c, name, payload(1000, i as u8)); // spills, then NVMe drops
         }
         c.get(RankId(0), "d").unwrap().unwrap(); // local NVMe hit → promote
         c.get(RankId(6), "h").unwrap().unwrap(); // remote DRAM hit
@@ -2589,7 +2550,7 @@ mod tests {
 
     #[test]
     fn every_get_counts_exactly_one_outcome() {
-        let c = cache_cfg(CacheConfig::new(2, 2048, 1 << 20).with_nvme_admission(false));
+        let c = cache(2048, 1 << 20);
         c.put(RankId(0), "a", payload(1000, 1));
         c.put(RankId(0), "b", payload(1000, 2));
         c.put(RankId(0), "c", payload(1000, 3)); // spills "a" to NVMe
@@ -2631,9 +2592,9 @@ mod tests {
 
     #[test]
     fn stats_and_the_inspector_read_the_same_counters() {
-        let c = cache_cfg(CacheConfig::new(2, 2048, 4096).with_nvme_admission(false));
+        let c = cache(2048, 4096);
         for (i, name) in ["a", "b", "c", "d", "e", "f"].into_iter().enumerate() {
-            c.put(RankId(0), name, payload(1000, i as u8));
+            put_touched(&c, name, payload(1000, i as u8));
         }
         c.get(RankId(0), "d").unwrap().unwrap();
         c.get(RankId(6), "f").unwrap().unwrap();
@@ -2683,7 +2644,7 @@ mod tests {
         // Rank 6's one copy is remote: it exhausts its retries, then the
         // backing fetch exhausts its own.
         let err = c.get(RankId(6), "obj").unwrap_err();
-        let max = RetryPolicy::default().max_attempts;
+        let max = RETRY_MAX_ATTEMPTS;
         match &err {
             CacheError::RetriesExhausted { attempts, detail, .. } => {
                 assert_eq!((*attempts, detail.as_str()), (max, "backing store fetch"));

@@ -28,9 +28,10 @@ use ids_graph::stage::{
 };
 use ids_graph::{placement, Dictionary, SolutionSet, StageBatch, TermId};
 use ids_obs::MetricsRegistry;
+use ids_simrt::cluster::SPECULATION_THRESHOLD;
 use ids_simrt::pool::map_shards_with;
 use ids_simrt::rng::fnv1a;
-use ids_simrt::{Cluster, ExchangeCost, Fanout, RankId, SpeculationPolicy, SpeculationReport};
+use ids_simrt::{Cluster, ExchangeCost, Fanout, RankId, SpeculationReport};
 use ids_udf::expr::EvalCtx;
 use ids_udf::{
     order_by_udfs, plan_count_based, plan_throughput_based, ArgMemo, EvalError, Expr,
@@ -101,46 +102,30 @@ pub struct ExecOptions {
     pub scan_secs_per_triple: f64,
     /// Virtual cost per row flowing through a join.
     pub join_secs_per_row: f64,
-    /// Fixed virtual cost per expression evaluation (non-UDF part).
-    pub eval_secs_per_row: f64,
     /// Cost prior for UDFs with no profile yet.
     pub udf_cost_prior: f64,
-    /// Rejection prior for UDFs with no profile yet.
-    pub udf_rejection_prior: f64,
     /// Per-rank virtual-time budget for each FILTER/APPLY stage. A rank
     /// that exhausts it stops evaluating further rows (infinite = off).
     pub stage_deadline_secs: f64,
     /// Extra attempts after a row's worker panics before the row is
     /// declared failed (bounded retry of failed rank work).
     pub row_retries: u32,
-    /// Virtual seconds charged per retry attempt (linear backoff).
-    pub retry_backoff_secs: f64,
     /// Graceful degradation: when `true`, failed rows are dropped and
     /// reported as [`ErrorAnnotation`]s on the outcome instead of failing
     /// the whole query. Default `false` (fail fast).
     pub degrade: bool,
-    /// Rows per batch: joins and FILTER/APPLY stages charge one
-    /// [`Self::batch_dispatch_secs`] per batch of this many rows.
-    pub batch_rows: usize,
-    /// Virtual cost of dispatching one batch through an operator
-    /// (registry/expression setup paid once per batch, not per row).
-    pub batch_dispatch_secs: f64,
     /// Pipelined streaming exchange (default `false` = BSP). When on,
     /// stage boundaries stop barriering: scans, joins, and FILTER/APPLY
     /// stages leave per-rank clocks skewed, and the join exchange streams
-    /// repartitioned batches through per-(src,dst) channels costed by
-    /// `Cluster::streamed_exchange_cost` — a receiver starts when its
-    /// *first* inbound batch lands and finishes no earlier than its last,
+    /// repartitioned batches of 256 KiB through per-(src,dst) channels of
+    /// eight batches, costed by `Cluster::streamed_exchange_cost` — a
+    /// receiver starts
+    /// when its *first* inbound batch lands and finishes no earlier than
+    /// its last, and a sender whose receiver holds a full channel stalls,
     /// instead of the whole world syncing to the slowest rank. This
     /// selects only a virtual-time cost model; the data plane is
     /// identical, so results are byte-identical across modes.
     pub pipelined: bool,
-    /// Target wire bytes per streamed exchange batch (pipelined mode).
-    pub exchange_batch_bytes: u64,
-    /// Bounded per-channel buffer in batches (pipelined mode): a sender
-    /// whose receiver has this many undrained batches stalls, and the
-    /// stall is charged to its virtual clock.
-    pub exchange_channel_capacity: usize,
     /// Mid-query recovery (default `false`): store recovery checkpoints at
     /// stage boundaries and, when a rank's node dies permanently (or a
     /// stage blows its strict deadline), roll back to the last completed
@@ -172,14 +157,12 @@ pub struct ExecOptions {
     pub replan_min_rows: u64,
     /// Speculative re-execution of stragglers (default `false`): after each
     /// UDF stage's compute phase, ranks whose virtual finish lags the stage
-    /// median past [`Self::speculation_threshold`] get a hedged duplicate
-    /// on the least-loaded live rank; first finisher wins (ties go to the
+    /// median past 1.5× get a hedged duplicate on the least-loaded live
+    /// rank; first finisher wins (ties go to the
     /// original), and a losing hedge's cost stays charged to its host.
     /// Pure clock arithmetic — the data plane is untouched, so results
     /// stay byte-identical.
     pub speculation: bool,
-    /// Straggler threshold: hedge when `finish > threshold × median`.
-    pub speculation_threshold: f64,
 }
 
 impl Default for ExecOptions {
@@ -189,26 +172,83 @@ impl Default for ExecOptions {
             reorder_conjuncts: true,
             scan_secs_per_triple: 2.0e-8,
             join_secs_per_row: 2.0e-8,
-            eval_secs_per_row: 1.0e-7,
             udf_cost_prior: 0.5,
-            udf_rejection_prior: 0.5,
             stage_deadline_secs: f64::INFINITY,
             row_retries: 2,
-            retry_backoff_secs: 1.0e-3,
             degrade: false,
-            batch_rows: 1024,
-            batch_dispatch_secs: 5.0e-7,
             pipelined: false,
-            exchange_batch_bytes: 256 << 10,
-            exchange_channel_capacity: 8,
             recovery: false,
             max_recoveries: 3,
             adaptive: false,
             replan_ratio: 4.0,
             replan_min_rows: 64,
             speculation: false,
-            speculation_threshold: 1.5,
         }
+    }
+}
+
+/// Fixed virtual cost per expression evaluation (the non-UDF part of a
+/// FILTER/APPLY row).
+const EVAL_SECS_PER_ROW: f64 = 1.0e-7;
+
+/// Rejection prior for UDFs with no profile yet.
+const UDF_REJECTION_PRIOR: f64 = 0.5;
+
+/// Virtual seconds charged per row retry attempt (linear backoff).
+const RETRY_BACKOFF_SECS: f64 = 1.0e-3;
+
+/// Rows per batch: joins and FILTER/APPLY stages charge one
+/// [`BATCH_DISPATCH_SECS`] per batch of this many rows, and a streamed
+/// exchange ships sub-batches of this many rows.
+const BATCH_ROWS: usize = 1024;
+
+/// Virtual cost of dispatching one batch through an operator
+/// (registry/expression setup paid once per batch, not per row).
+const BATCH_DISPATCH_SECS: f64 = 5.0e-7;
+
+/// Target wire bytes per streamed exchange batch (pipelined mode).
+const EXCHANGE_BATCH_BYTES: u64 = 256 << 10;
+
+/// Bounded per-channel buffer in batches (pipelined mode): a sender whose
+/// receiver has this many undrained batches stalls, and the stall is
+/// charged to its virtual clock.
+const EXCHANGE_CHANNEL_CAPACITY: usize = 8;
+
+impl ExecOptions {
+    /// The options as the reuse salt renders them: the derived `Debug`
+    /// text they had when the execution constants above (and
+    /// [`SPECULATION_THRESHOLD`]) were fields too, so every reuse key
+    /// stays what it was.
+    pub(crate) fn salt_text(&self) -> String {
+        let o = self;
+        let text = std::fmt::from_fn(|f| {
+            f.debug_struct("ExecOptions")
+                .field("rebalance", &o.rebalance)
+                .field("reorder_conjuncts", &o.reorder_conjuncts)
+                .field("scan_secs_per_triple", &o.scan_secs_per_triple)
+                .field("join_secs_per_row", &o.join_secs_per_row)
+                .field("eval_secs_per_row", &EVAL_SECS_PER_ROW)
+                .field("udf_cost_prior", &o.udf_cost_prior)
+                .field("udf_rejection_prior", &UDF_REJECTION_PRIOR)
+                .field("stage_deadline_secs", &o.stage_deadline_secs)
+                .field("row_retries", &o.row_retries)
+                .field("retry_backoff_secs", &RETRY_BACKOFF_SECS)
+                .field("degrade", &o.degrade)
+                .field("batch_rows", &BATCH_ROWS)
+                .field("batch_dispatch_secs", &BATCH_DISPATCH_SECS)
+                .field("pipelined", &o.pipelined)
+                .field("exchange_batch_bytes", &EXCHANGE_BATCH_BYTES)
+                .field("exchange_channel_capacity", &EXCHANGE_CHANNEL_CAPACITY)
+                .field("recovery", &o.recovery)
+                .field("max_recoveries", &o.max_recoveries)
+                .field("adaptive", &o.adaptive)
+                .field("replan_ratio", &o.replan_ratio)
+                .field("replan_min_rows", &o.replan_min_rows)
+                .field("speculation", &o.speculation)
+                .field("speculation_threshold", &SPECULATION_THRESHOLD)
+                .finish()
+        });
+        format!("{text:?}")
     }
 }
 
@@ -777,11 +817,6 @@ impl PlanRun {
             pending_replan: None,
             buffers: IdBuffers::default(),
         }
-    }
-
-    /// Has the run produced its outcome?
-    pub fn is_done(&self) -> bool {
-        self.phase == RunPhase::Done
     }
 
     /// Label of the next stage to execute (stable across runs — part of
@@ -1497,7 +1532,7 @@ impl PlanRun {
                     let init =
                         |w| (w, StagePart::with_capacity(schema.vars().len(), rows(w), buffers));
                     let (spans, parts, _) =
-                        cluster.execute_with_state(None, Fanout::Host, init, |(w, part), ctx| {
+                        cluster.execute_with_state(false, Fanout::Host, init, |(w, part), ctx| {
                             let triples = graph.candidates(ctx.rank().index(), &pat.pattern);
                             ctx.charge(1.0e-5 + triples.len() as f64 * opts.scan_secs_per_triple);
                             part.reserve(triples.len(), buffers);
@@ -1976,28 +2011,26 @@ fn compare_keys(a: &OrderKey, b: &OrderKey) -> std::cmp::Ordering {
 /// a batched join charges `join_secs_per_row / JOIN_AMORTIZATION` per row.
 const JOIN_AMORTIZATION: f64 = 4.0;
 
-/// How much of [`ExecOptions::eval_secs_per_row`] batching amortizes away:
-/// a FILTER/APPLY row costs `eval_secs_per_row / EVAL_AMORTIZATION` outside
+/// How much of [`EVAL_SECS_PER_ROW`] batching amortizes away: a
+/// FILTER/APPLY row costs `EVAL_SECS_PER_ROW / EVAL_AMORTIZATION` outside
 /// its UDFs. UDF virtual costs are never amortized — the model's work is
 /// the same however rows are dispatched.
 const EVAL_AMORTIZATION: f64 = 8.0;
 
 /// Per-batch dispatch accounting for one rank's join over `rows` rows:
-/// charges `⌈rows / batch_rows⌉` dispatches plus the amortized per-row
+/// charges `⌈rows / BATCH_ROWS⌉` dispatches plus the amortized per-row
 /// cost, and feeds the `ids_engine_batches_total` / `ids_engine_batch_rows`
 /// observability series. Returns the virtual seconds to charge.
 fn join_cost(rows: usize, opts: &ExecOptions, meter: &BatchMeter) -> f64 {
-    let batch_rows = opts.batch_rows.max(1);
-    let batches = rows.div_ceil(batch_rows).max(1);
+    let batches = rows.div_ceil(BATCH_ROWS).max(1);
     meter.batches.add(batches as u64);
     let mut remaining = rows;
     for _ in 0..batches {
-        let this = remaining.min(batch_rows);
+        let this = remaining.min(BATCH_ROWS);
         meter.rows.observe(this as f64);
         remaining -= this;
     }
-    batches as f64 * opts.batch_dispatch_secs
-        + rows as f64 * opts.join_secs_per_row / JOIN_AMORTIZATION
+    batches as f64 * BATCH_DISPATCH_SECS + rows as f64 * opts.join_secs_per_row / JOIN_AMORTIZATION
 }
 
 /// Batch observability series for one operator, pre-resolved so worker
@@ -2141,7 +2174,7 @@ fn distributed_join(
                     return Ok(stage);
                 }
                 let out = if opts.pipelined {
-                    let (out, b) = repartition_streamed(&stage, &key, opts, buffers)?;
+                    let (out, b) = repartition_streamed(&stage, &key, BATCH_ROWS, buffers)?;
                     matrix.iter_mut().zip(b).for_each(|(m, b)| *m += b);
                     out
                 } else {
@@ -2169,8 +2202,8 @@ fn distributed_join(
         let xc = cluster.streamed_exchange_cost(
             &matrix,
             produce_start,
-            opts.exchange_batch_bytes,
-            opts.exchange_channel_capacity,
+            EXCHANGE_BATCH_BYTES,
+            EXCHANGE_CHANNEL_CAPACITY,
         );
         let wire: u64 = matrix
             .iter()
@@ -2201,7 +2234,7 @@ fn distributed_join(
     let rows = |w| if w == 0 { left.len().max(right.len()) } else { 0 };
     let init = |w| (w, gops::JoinWorker::with_capacity(&schema, rows(w), buffers));
     let (spans, workers, _) =
-        cluster.execute_with_state(None, Fanout::Host, init, |(w, jw), ctx| {
+        cluster.execute_with_state(false, Fanout::Host, init, |(w, jw), ctx| {
             let r = ctx.rank().index();
             let (lv, rv) = (join_input(&left, whole.0, r), join_input(&right, whole.1, r));
             let (first, n) = jw.join(&schema, lv, rv, buffers);
@@ -2359,8 +2392,8 @@ pub fn repartition_by_vars(
 /// Redistribute rows exactly like [`repartition_by_vars`], plus the
 /// `ranks × ranks` wire-byte matrix the streamed cost model consumes.
 ///
-/// A streamed flow ships its rows in sub-batches of
-/// [`ExecOptions::batch_rows`] rows, each choosing its own column widths
+/// A streamed flow ships its rows in sub-batches of `batch_rows` rows
+/// ([`BATCH_ROWS`] in the engine), each choosing its own column widths
 /// (eight bytes exactly when it holds an id past `u32::MAX`), so entry
 /// `(src, dst)` is the sum of those sub-batches' exact sizes — what a
 /// row-at-a-time sender filling and sending them would have put on the
@@ -2371,11 +2404,11 @@ pub fn repartition_by_vars(
 fn repartition_streamed(
     stage: &StageBatch,
     var: &str,
-    opts: &ExecOptions,
+    batch_rows: usize,
     buffers: &IdBuffers,
 ) -> Result<(StageBatch, Vec<u64>), ExecError> {
     let ranks = stage.ranks();
-    let batch_rows = opts.batch_rows.max(1);
+    let batch_rows = batch_rows.max(1);
     let dest = destinations(stage, var, buffers)?;
     let placed = partition_permutation(&dest, ranks, buffers);
     buffers.give_u32(dest);
@@ -2451,7 +2484,7 @@ struct OrderWorker {
 
 impl RankPlans {
     /// Plans for every rank of `profilers` through `expr`, on the shard
-    /// pool. A row is priced at the nominal `eval_secs_per_row`, not at the
+    /// pool. A row is priced at the nominal [`EVAL_SECS_PER_ROW`], not at the
     /// batch-amortized charge the stage actually pays: the rebalance
     /// targets, and every row placement and virtual time downstream of
     /// them, are calibrated against the nominal rate. The expected cost
@@ -2473,12 +2506,12 @@ impl RankPlans {
         let init = |id| OrderWorker { id, est: Vec::new(), order: Vec::new(), seen: Vec::new() };
         let (per_rank, workers) = map_shards_with(profilers.len(), Fanout::Host, init, |w, r| {
             let p = &profilers[r];
-            let mut per_solution = opts.eval_secs_per_row;
+            let mut per_solution = EVAL_SECS_PER_ROW;
             if conjuncts.is_none() {
                 per_solution += cost(p, &udfs[0]);
                 return (w.id, 0, 1.0 / per_solution.max(1.0e-12));
             }
-            let prior = opts.udf_rejection_prior;
+            let prior = UDF_REJECTION_PRIOR;
             order_by_udfs(&udfs, p, |_| opts.udf_cost_prior, prior, &mut w.est, &mut w.order);
             let mut survive = 1.0;
             for &i in &w.order {
@@ -2626,7 +2659,7 @@ fn retry_row<T>(
                     return Err(panic_message(&*payload).to_string());
                 }
                 ctrs.row_retries.inc();
-                charge(opts.retry_backoff_secs * attempt as f64);
+                charge(RETRY_BACKOFF_SECS * attempt as f64);
             }
         }
     }
@@ -2862,7 +2895,7 @@ where
     // The virtual cost of evaluating one row outside its UDFs (registry
     // lookups, dispatch), amortized across a batch; the UDF's own charged
     // time is real work and is never amortized.
-    let eval_overhead = opts.eval_secs_per_row / EVAL_AMORTIZATION;
+    let eval_overhead = EVAL_SECS_PER_ROW / EVAL_AMORTIZATION;
     // Each rank's profiler: cloned here, before the fan-out, updated in
     // place by the rank's worker, and committed only when the stage
     // succeeds. A rank without rows evaluates nothing, so gets no clone.
@@ -2877,11 +2910,7 @@ where
     let serial = cx.cache.is_some() || !calls.udf_names().iter().all(|u| registry.is_loaded(u));
     let fanout = if serial { Fanout::One } else { Fanout::Host };
 
-    let policy = opts.speculation.then(|| SpeculationPolicy {
-        threshold: opts.speculation_threshold,
-        ..SpeculationPolicy::default()
-    });
-    let (parts, spec) = cx.cluster.execute_with_speculation(policy.as_ref(), fanout, |ctx| {
+    let (parts, spec) = cx.cluster.execute_with_speculation(opts.speculation, fanout, |ctx| {
         let r = ctx.rank().index();
         set_current_rank(ctx.rank());
         let input = solutions.segment(r);
@@ -2899,12 +2928,12 @@ where
         for i in 0..n_rows {
             // Batch boundary: the engine dispatches the stage once per
             // batch of rows, not once per row.
-            if i % opts.batch_rows.max(1) == 0 {
-                let this_batch = (n_rows - i).min(opts.batch_rows.max(1));
+            if i % BATCH_ROWS == 0 {
+                let this_batch = (n_rows - i).min(BATCH_ROWS);
                 batch_meter.batches.inc();
                 batch_meter.rows.observe(this_batch as f64);
-                ctx.charge(opts.batch_dispatch_secs);
-                spent += opts.batch_dispatch_secs;
+                ctx.charge(BATCH_DISPATCH_SECS);
+                spent += BATCH_DISPATCH_SECS;
             }
             // Per-rank stage deadline: stop evaluating once the budget is
             // spent; the remaining rows are dropped (degrade) or fatal.
@@ -3062,8 +3091,7 @@ mod tests {
         // BSP is the reproduction baseline; the streaming exchange is the
         // opt-in ablation arm.
         assert!(!o.pipelined);
-        assert!(o.exchange_batch_bytes > 0);
-        assert!(o.exchange_channel_capacity > 0);
+        const { assert!(EXCHANGE_BATCH_BYTES > 0 && EXCHANGE_CHANNEL_CAPACITY > 0) };
     }
 
     #[test]
@@ -3077,11 +3105,10 @@ mod tests {
             sets.push(RankRows::of(&vars, (id..id + src * 7 + 5).map(|i| vec![i % 13, i])));
             id += src * 7 + 5;
         }
-        let opts = ExecOptions { batch_rows: 4, ..Default::default() };
         let stage = stage_of(&sets);
         let barriered = repartition_by_vars(&stage, "a", &IdBuffers::default()).unwrap();
         let (streamed, bytes) =
-            repartition_streamed(&stage, "a", &opts, &IdBuffers::default()).unwrap();
+            repartition_streamed(&stage, "a", 4, &IdBuffers::default()).unwrap();
         assert_eq!(streamed, barriered);
         assert_eq!(bytes.len(), 9);
         assert!(bytes.iter().sum::<u64>() > 0);
@@ -3592,9 +3619,8 @@ mod tests {
                 assert_stage(&repartition_by_vars(&stage, key_var, &IdBuffers::default()).unwrap(), &want);
 
                 for batch_rows in [1usize, 7, 4096] {
-                    let opts = ExecOptions { batch_rows, ..ExecOptions::default() };
                     let (want, want_bytes) = per_rank_repartition(&sets, key_var, batch_rows);
-                    let (got, got_bytes) = repartition_streamed(&stage, key_var, &opts, &IdBuffers::default()).unwrap();
+                    let (got, got_bytes) = repartition_streamed(&stage, key_var, batch_rows, &IdBuffers::default()).unwrap();
                     assert_stage(&got, &want);
                     prop_assert_eq!(got_bytes, want_bytes);
                 }
@@ -3977,8 +4003,7 @@ mod tests {
                     assert_stage(&repartition_by_vars(&lstage, key, &IdBuffers::default()).unwrap(), &want);
                     for batch_rows in [1usize, 3, 4096] {
                         let (want, want_bytes) = per_rank_repartition(&left, key, batch_rows);
-                        let opts = ExecOptions { batch_rows, ..ExecOptions::default() };
-                        let (got, got_bytes) = repartition_streamed(&lstage, key, &opts, &IdBuffers::default()).unwrap();
+                        let (got, got_bytes) = repartition_streamed(&lstage, key, batch_rows, &IdBuffers::default()).unwrap();
                         assert_stage(&got, &want);
                         assert_eq!(got_bytes, want_bytes);
                     }

@@ -158,11 +158,6 @@ impl IdsInstance {
         &self.models
     }
 
-    /// Mutable model repository (for registering new models).
-    pub fn models_mut(&mut self) -> &mut ModelRepository {
-        &mut self.models
-    }
-
     /// The simulated cluster (benches read phase history from here).
     pub fn cluster(&self) -> &Cluster {
         &self.cluster
@@ -170,9 +165,9 @@ impl IdsInstance {
 
     /// Mutable cluster access for membership changes driven from outside
     /// the engine — the service tier's elastic scale-out/in re-owns
-    /// logical shards (`Cluster::rebalance_owners`) and charges reconfig
-    /// time here. Only safe between query steps: shard ownership must
-    /// not move while a compute phase is in flight.
+    /// logical shards here (`Cluster::rebalance_owners`). Only safe
+    /// between query steps: shard ownership must not move while a
+    /// compute phase is in flight.
     pub fn cluster_mut(&mut self) -> &mut Cluster {
         &mut self.cluster
     }
@@ -336,12 +331,12 @@ impl IdsInstance {
     /// `prepare_run` renders it once per epoch, not per query.
     fn reuse_salt(&self) -> u64 {
         let rendered = format!(
-            "ids-reuse-salt-v1|ranks={}|seed={}|shards={}|triples={}|exec={:?}",
+            "ids-reuse-salt-v1|ranks={}|seed={}|shards={}|triples={}|exec={}",
             self.config.topology.total_ranks(),
             self.config.seed,
             self.datastore.num_shards(),
             self.datastore.triple_count(),
-            self.config.exec,
+            self.config.exec.salt_text(),
         );
         fnv1a(rendered.as_bytes())
     }
@@ -526,6 +521,19 @@ mod tests {
         }
         ds.build_indexes();
         inst
+    }
+
+    /// The salt keys every reuse object, so it must not move when an
+    /// execution setting becomes a constant: these are the values the
+    /// salt had while all 23 settings were `ExecOptions` fields.
+    #[test]
+    fn reuse_salt_is_pinned() {
+        let inst = IdsInstance::launch(IdsConfig::laptop(4, 42));
+        assert_eq!(inst.reuse_salt(), 0xc9df_2a0a_d741_691d);
+        let mut inst = demo_instance();
+        inst.exec_options_mut().pipelined = true;
+        inst.exec_options_mut().scan_secs_per_triple = 3.0e-8;
+        assert_eq!(inst.reuse_salt(), 0xc5e5_96c2_6405_d4a9);
     }
 
     #[test]

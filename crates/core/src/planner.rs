@@ -304,16 +304,6 @@ pub fn order_patterns(patterns: &[PhysicalPattern]) -> Vec<usize> {
     order
 }
 
-/// Lower a full query to a physical plan, recording planner decision
-/// counters (`ids_planner_*`) into `metrics` when one is supplied.
-pub fn lower_with_metrics(
-    query: &Query,
-    ds: &Datastore,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<PhysicalPlan, PlanError> {
-    lower_with_stats(query, ds, None, metrics)
-}
-
 /// Lower a full query, optionally consulting a statistics catalog. The
 /// `ids_planner_*` counters recorded into `metrics` count *lowerings
 /// performed*: behind `IdsInstance::prepare_run` that is one per

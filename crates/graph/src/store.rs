@@ -168,13 +168,6 @@ impl PartitionedStore {
         self.shards[shard].pending.push(t);
     }
 
-    /// Buffer a batch.
-    pub fn insert_all(&mut self, triples: impl IntoIterator<Item = Triple>) {
-        for t in triples {
-            self.insert(t);
-        }
-    }
-
     /// Sort and deduplicate all shard indexes.
     pub fn build_indexes(&mut self) {
         self.shards.iter_mut().for_each(ShardIndex::build);

@@ -12,8 +12,8 @@
 //!
 //! * **scale-out (join)** — the joining node's cache is brought back via
 //!   `CacheManager::recover_node` (DRAM rejoins empty exactly like a
-//!   crash recovery; with `CacheConfig::warm_restart` the node's NVMe
-//!   tier rejoins warm, entries quarantined until re-verified) and a
+//!   crash recovery; the node's NVMe tier rejoins warm, entries
+//!   quarantined until re-verified) and a
 //!   forced anti-entropy pass re-replicates
 //!   under-replicated objects onto it (the PR 3 integrity pass); logical
 //!   shards are then rebalanced across the enlarged active rank set with
@@ -45,9 +45,6 @@ pub struct ElasticityConfig {
     pub sustain_rounds: u32,
     /// Rounds to hold after any resize before the next one.
     pub cooldown_rounds: u32,
-    /// Virtual seconds charged to every rank per membership change
-    /// (shard re-owning + cache fencing/re-replication bookkeeping).
-    pub reconfig_secs: f64,
 }
 
 impl Default for ElasticityConfig {
@@ -59,7 +56,6 @@ impl Default for ElasticityConfig {
             scale_in_queue_per_rank: 0.25,
             sustain_rounds: 3,
             cooldown_rounds: 4,
-            reconfig_secs: 0.0,
         }
     }
 }
@@ -166,7 +162,6 @@ mod tests {
             scale_in_queue_per_rank: 0.25,
             sustain_rounds: 3,
             cooldown_rounds: 2,
-            reconfig_secs: 0.0,
         }
     }
 

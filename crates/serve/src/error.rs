@@ -35,7 +35,7 @@ impl Refusal {
         tenant: impl Into<String>,
         queued_ahead: usize,
         quantum_secs: f64,
-        effective_weight: u32,
+        effective_weight: u64,
     ) -> Self {
         let retry_after_secs =
             (queued_ahead as f64 + 1.0) * quantum_secs / effective_weight.max(1) as f64;

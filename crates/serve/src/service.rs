@@ -54,12 +54,11 @@ pub struct ServeConfig {
     pub max_in_flight: usize,
     /// Hysteresis thresholds for the load-shedding controller.
     pub shed: ShedConfig,
-    /// Deadline-based promotion: a non-`Interactive` tenant whose head
-    /// query has aged past this fraction of its tenant deadline is
-    /// scheduled one class up for the round.
-    pub promote_deadline_frac: f64,
     /// Promotion threshold (virtual seconds) for tenants without a
-    /// deadline.
+    /// deadline: a non-`Interactive` tenant whose head query has waited
+    /// longer is scheduled one class up for the round. A tenant with a
+    /// deadline is promoted once its head query has aged past
+    /// `PROMOTE_DEADLINE_FRAC` (half) of it.
     pub promote_wait_secs: f64,
     /// Elastic scale-out/in policy. `None` = fixed membership (every
     /// cluster node active), the pre-elasticity behavior.
@@ -73,12 +72,16 @@ impl Default for ServeConfig {
             reuse: true,
             max_in_flight: 256,
             shed: ShedConfig::default(),
-            promote_deadline_frac: 0.5,
             promote_wait_secs: 1.0,
             elasticity: None,
         }
     }
 }
+
+/// Deadline-based promotion: the fraction of its tenant deadline past
+/// which a non-`Interactive` tenant's head query is scheduled one class
+/// up for the round.
+const PROMOTE_DEADLINE_FRAC: f64 = 0.5;
 
 /// Per-tenant admission and scheduling policy.
 #[derive(Debug, Clone)]
@@ -206,6 +209,14 @@ struct Tenant {
     meters: TenantMeters,
 }
 
+impl Tenant {
+    /// The fair-share weight scaled by an SLO class multiplier, widened so
+    /// that no caller-supplied weight can overflow it.
+    fn effective_weight(&self, class_mult: u32) -> u64 {
+        u64::from(self.cfg.weight) * u64::from(class_mult)
+    }
+}
+
 /// The metric handles every served query touches, resolved once per
 /// tenant (and its SLO class) instead of by name per query. Refusals,
 /// aborts and recovery events stay by-name look-ups at their call sites.
@@ -309,7 +320,8 @@ impl QueryService {
 
     /// Register a tenant (idempotent by name: re-registering replaces the
     /// policy but keeps any queued work).
-    pub fn register_tenant(&mut self, cfg: TenantConfig) {
+    pub fn register_tenant(&mut self, mut cfg: TenantConfig) {
+        cfg.weight = cfg.weight.max(1);
         let meters = TenantMeters::resolve(self.inst.metrics(), &cfg.name, cfg.class);
         match self.tenants.get_mut(&cfg.name) {
             Some(t) => {
@@ -383,7 +395,7 @@ impl QueryService {
                 &*tenant_name,
                 total_queued,
                 self.cfg.quantum_secs,
-                tenant.cfg.weight * class.weight_mult(),
+                tenant.effective_weight(class.weight_mult()),
             );
             self.refused_since_round += 1;
             return Err(ServeError::Shed { refusal, class });
@@ -397,7 +409,7 @@ impl QueryService {
                 &*tenant_name,
                 tenant.queue.len(),
                 self.cfg.quantum_secs,
-                tenant.cfg.weight,
+                tenant.effective_weight(1),
             ));
             self.refused_since_round += 1;
             return Err(err);
@@ -483,7 +495,7 @@ impl QueryService {
                 if let Some(job) = t.queue.front() {
                     let age = now - job.enqueued_at;
                     let promote = match t.cfg.deadline_secs {
-                        Some(d) => age > cfg.promote_deadline_frac * d,
+                        Some(d) => age > PROMOTE_DEADLINE_FRAC * d,
                         None => age > cfg.promote_wait_secs,
                     };
                     if promote {
@@ -525,7 +537,7 @@ impl QueryService {
             tenant.deficit = 0.0;
             return;
         }
-        tenant.deficit += (tenant.cfg.weight * class_mult) as f64 * self.cfg.quantum_secs;
+        tenant.deficit += tenant.effective_weight(class_mult) as f64 * self.cfg.quantum_secs;
         // Progress floor: even a tenant deep in deficit debt (one
         // expensive stage can overdraw many quanta) steps at least once
         // per round. Nonzero weight therefore guarantees per-round
@@ -691,7 +703,7 @@ impl QueryService {
                                     name,
                                     tenant.queue.len(),
                                     self.cfg.quantum_secs,
-                                    tenant.cfg.weight,
+                                    tenant.effective_weight(1),
                                 ),
                                 attempts,
                             }
@@ -761,8 +773,6 @@ impl QueryService {
             // last keeps them readable during the drain.
             cache.fail_node(NodeId(node));
         }
-        let reconfig = self.cfg.elasticity.map_or(0.0, |e| e.reconfig_secs);
-        self.inst.cluster_mut().charge_all(reconfig);
         let at_secs = self.inst.cluster().elapsed();
         let m = self.inst.metrics();
         m.counter("ids_serve_moved_shards_total").add(moved as u64);
@@ -1085,6 +1095,55 @@ mod tests {
     }
 
     #[test]
+    fn a_huge_interactive_weight_neither_overflows_nor_starves() {
+        // Weight 2^30 times the Interactive multiplier 4 does not fit a
+        // u32: a u32 product panics in debug builds and wraps to 0 in
+        // release, which leaves the heaviest tenant only the progress
+        // floor.
+        let mut svc = QueryService::new(
+            demo_instance(7, false),
+            ServeConfig { quantum_secs: 1.0e-5, ..ServeConfig::default() },
+        );
+        svc.register_tenant(TenantConfig::new("heavy").with_weight(1 << 30));
+        svc.register_tenant(TenantConfig::new("light"));
+        let h = svc.open_session("heavy").unwrap();
+        let l = svc.open_session("light").unwrap();
+        for _ in 0..3 {
+            svc.submit(l, Q_JOIN).unwrap();
+            svc.submit(h, Q_JOIN).unwrap();
+        }
+        let done = svc.run_until_idle();
+        assert_eq!(done.len(), 6);
+        assert!(done.iter().all(|c| c.result.is_ok()));
+        let finish_of = |t: &str| done.iter().rposition(|c| c.tenant == t).unwrap();
+        assert!(finish_of("heavy") < finish_of("light"), "the heaviest tenant finishes first");
+    }
+
+    #[test]
+    fn registration_clamps_a_struct_literal_weight_of_zero() {
+        // Unclamped, weight 0 would earn no deficit and take one slice a
+        // round while bob takes several, changing the interleaving.
+        let trace_of = |alice: TenantConfig| {
+            let mut svc = QueryService::new(
+                demo_instance(7, false),
+                ServeConfig { quantum_secs: 1.0e-5, ..ServeConfig::default() },
+            );
+            svc.register_tenant(alice);
+            svc.register_tenant(TenantConfig::new("bob"));
+            let a = svc.open_session("alice").unwrap();
+            let b = svc.open_session("bob").unwrap();
+            for _ in 0..3 {
+                svc.submit(a, Q_JOIN).unwrap();
+                svc.submit(b, Q_JOIN).unwrap();
+            }
+            svc.run_until_idle();
+            svc.trace_hash()
+        };
+        let zero = TenantConfig { weight: 0, ..TenantConfig::new("alice") };
+        assert_eq!(trace_of(zero), trace_of(TenantConfig::new("alice")));
+    }
+
+    #[test]
     fn classes_order_rounds_and_scale_service_rates() {
         // Same weight, different classes: the Interactive tenant's higher
         // deficit rate and round position finish its backlog first even
@@ -1205,7 +1264,6 @@ mod tests {
                     scale_in_queue_per_rank: 0.25,
                     sustain_rounds: 2,
                     cooldown_rounds: 1,
-                    reconfig_secs: 1.0e-6,
                 }),
                 ..ServeConfig::default()
             },
@@ -1274,7 +1332,6 @@ mod tests {
             scale_in_queue_per_rank: 0.25,
             sustain_rounds: 2,
             cooldown_rounds: 1,
-            reconfig_secs: 1.0e-6,
         }));
         assert_eq!(fixed, elastic, "membership churn never changes results");
     }

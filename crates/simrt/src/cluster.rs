@@ -12,7 +12,7 @@
 use crate::clock::VirtualClock;
 use crate::collective::ReduceOp;
 use crate::faults::FaultPlane;
-use crate::net::{DeviceModel, NetworkModel};
+use crate::net::NetworkModel;
 use crate::pool::{self, Fanout};
 use crate::rng::SplitMix64;
 use crate::topology::{NodeId, RankId, Topology};
@@ -104,24 +104,13 @@ pub struct ExchangeCost {
 /// exact; above it batch size is scaled up so cost stays O(1) per byte.
 const MAX_BATCHES_PER_CHANNEL: u64 = 1024;
 
-/// When to hedge a straggling rank's remaining stage work onto another
-/// live rank, and what the duplicate costs to launch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpeculationPolicy {
-    /// Hedge a rank once its projected phase finish exceeds
-    /// `threshold ×` the median finish across working ranks (> 1).
-    pub threshold: f64,
-    /// Absolute lag floor: never hedge over gaps smaller than this.
-    pub min_lag_secs: f64,
-    /// Virtual seconds charged to dispatch the duplicate.
-    pub launch_overhead_secs: f64,
-}
+/// Speculative re-execution hedges a rank once its projected phase finish
+/// exceeds this many times the median finish across working ranks.
+pub const SPECULATION_THRESHOLD: f64 = 1.5;
 
-impl Default for SpeculationPolicy {
-    fn default() -> Self {
-        Self { threshold: 1.5, min_lag_secs: 1e-6, launch_overhead_secs: 0.0 }
-    }
-}
+/// Absolute lag floor: speculation never hedges over gaps smaller than
+/// this many virtual seconds.
+const SPECULATION_MIN_LAG_SECS: f64 = 1e-6;
 
 /// What speculative re-execution did during one compute phase. Purely
 /// clock accounting: the data plane never sees the duplicates.
@@ -154,7 +143,6 @@ pub struct SpeculationReport {
 pub struct Cluster {
     topo: Topology,
     net: NetworkModel,
-    devices: DeviceModel,
     clocks: Vec<f64>,
     seed: u64,
     phase_counter: u64,
@@ -173,7 +161,6 @@ impl Cluster {
         Self {
             topo,
             net,
-            devices: DeviceModel::testbed(),
             clocks: vec![0.0; n],
             seed,
             phase_counter: 0,
@@ -197,17 +184,6 @@ impl Cluster {
     /// The network cost model in force.
     pub fn network(&self) -> &NetworkModel {
         &self.net
-    }
-
-    /// The per-tier storage-device cost model in force.
-    pub fn devices(&self) -> &DeviceModel {
-        &self.devices
-    }
-
-    /// Replace the storage-device cost model (builder style).
-    pub fn with_devices(mut self, devices: DeviceModel) -> Self {
-        self.devices = devices;
-        self
     }
 
     /// The root seed.
@@ -376,13 +352,13 @@ impl Cluster {
         T: Send,
         F: Fn(&mut RankCtx) -> T + Sync,
     {
-        self.execute_with_speculation(None, Fanout::Host, f).0
+        self.execute_with_speculation(false, Fanout::Host, f).0
     }
 
-    /// [`Self::execute`] plus optional speculative re-execution: with a
-    /// policy, ranks whose projected phase finish lags the median past
-    /// the policy threshold get a hedged duplicate of their remaining
-    /// work on the least-loaded live rank. The first finisher wins (the
+    /// [`Self::execute`] plus optional speculative re-execution: with
+    /// `speculate`, ranks whose projected phase finish lags the median
+    /// past [`SPECULATION_THRESHOLD`] get a hedged duplicate of their
+    /// remaining work on the least-loaded live rank. The first finisher wins (the
     /// original wins exact ties), the loser's cost is still charged to
     /// its host up to the cancellation instant, and the data plane is
     /// untouched — speculation is pure virtual-clock arithmetic, so
@@ -390,7 +366,7 @@ impl Cluster {
     /// host threads the shards run on; it never changes a result either.
     pub fn execute_with_speculation<T, F>(
         &mut self,
-        policy: Option<&SpeculationPolicy>,
+        speculate: bool,
         fanout: Fanout,
         f: F,
     ) -> (Vec<T>, SpeculationReport)
@@ -398,7 +374,7 @@ impl Cluster {
         T: Send,
         F: Fn(&mut RankCtx) -> T + Sync,
     {
-        let (outs, _, spec) = self.execute_with_state(policy, fanout, |_| (), |_, ctx| f(ctx));
+        let (outs, _, spec) = self.execute_with_state(speculate, fanout, |_| (), |_, ctx| f(ctx));
         (outs, spec)
     }
 
@@ -411,7 +387,7 @@ impl Cluster {
     /// shard that writes into its state says where in its result.
     pub fn execute_with_state<S, T, I, F>(
         &mut self,
-        policy: Option<&SpeculationPolicy>,
+        speculate: bool,
         fanout: Fanout,
         init: I,
         f: F,
@@ -455,10 +431,8 @@ impl Cluster {
         for (o, &b) in owner_busy.iter().enumerate() {
             self.clocks[o] += b;
         }
-        let spec = match policy {
-            Some(p) => self.speculate(p, &owner_busy),
-            None => SpeculationReport::default(),
-        };
+        let spec =
+            if speculate { self.speculate(&owner_busy) } else { SpeculationReport::default() };
         self.sync_faults();
         (outs, states, spec)
     }
@@ -467,7 +441,7 @@ impl Cluster {
     /// live ranks. Deterministic: stragglers are visited in rank order,
     /// hosts chosen by `(projected finish, rank id)`, and ties between the
     /// original and its duplicate go to the original.
-    fn speculate(&mut self, policy: &SpeculationPolicy, owner_busy: &[f64]) -> SpeculationReport {
+    fn speculate(&mut self, owner_busy: &[f64]) -> SpeculationReport {
         let mut report = SpeculationReport::default();
         // Snapshot every rank's projected finish *before* any hedging:
         // straggler detection compares original finishes only, so a host
@@ -494,7 +468,7 @@ impl Cluster {
             }
             let finish = orig_finish[o];
             let lag = finish - median;
-            if finish <= policy.threshold.max(1.0) * median || lag < policy.min_lag_secs {
+            if finish <= SPECULATION_THRESHOLD * median || lag < SPECULATION_MIN_LAG_SECS {
                 continue;
             }
             // Host: the live rank (other than the straggler) projected to
@@ -509,7 +483,7 @@ impl Cluster {
             // finish) and the host is free, then re-runs the straggler's
             // remaining work at the host's own speed.
             let remaining_undilated = lag / factor(o).max(1.0);
-            let copy_start = median.max(self.clocks[h]) + policy.launch_overhead_secs;
+            let copy_start = median.max(self.clocks[h]);
             let copy_finish = copy_start + remaining_undilated * factor(h);
             report.launched += 1;
             if copy_finish < finish {
@@ -549,17 +523,6 @@ impl Cluster {
     pub fn allreduce_f64(&mut self, locals: &[f64], op: ReduceOp) -> f64 {
         assert_eq!(locals.len(), self.clocks.len(), "one contribution per rank required");
         let result = op.reduce_f64(locals);
-        let t =
-            self.elapsed() + self.net.allreduce(self.topo.total_ranks(), 8) * self.net_cost_mult();
-        self.sync_live_clocks_to(t);
-        self.sync_faults();
-        result
-    }
-
-    /// Allreduce one u64 per rank.
-    pub fn allreduce_u64(&mut self, locals: &[u64], op: ReduceOp) -> u64 {
-        assert_eq!(locals.len(), self.clocks.len(), "one contribution per rank required");
-        let result = op.reduce_u64(locals);
         let t =
             self.elapsed() + self.net.allreduce(self.topo.total_ranks(), 8) * self.net_cost_mult();
         self.sync_live_clocks_to(t);
@@ -831,7 +794,7 @@ mod tests {
         let run = |fanout: Fanout| {
             let mut c = Cluster::new(Topology::new(16, 16), NetworkModel::ideal(), 5);
             c.execute("warm-up", |_| ());
-            let (draws, _) = c.execute_with_speculation(None, fanout, |ctx| {
+            let (draws, _) = c.execute_with_speculation(false, fanout, |ctx| {
                 std::thread::sleep(std::time::Duration::from_micros(100));
                 ctx.charge(1e-3 * f64::from(ctx.rank().0 % 7));
                 ctx.rng().next_u64()
@@ -1027,6 +990,59 @@ mod tests {
     }
 
     #[test]
+    fn a_full_channel_across_a_crash_window_charges_stall_and_delay() {
+        use crate::faults::{FaultConfig, FaultPlane};
+        // One channel, rank 0 -> rank 1, 4 KiB batches, two batches of
+        // buffer. The receiver is busy until the middle of a crash window
+        // on its node, so the sender fills the buffer and stalls until the
+        // drain, and every batch sent after the drain lands inside the
+        // window and must wait it out.
+        let (plane, (ws, we)) = (0..64)
+            .find_map(|seed| {
+                let p = FaultPlane::new(seed, FaultConfig::crashes_only(2.0e-3, 1.0e-3), 2, 2, 1.0);
+                let w = p
+                    .crash_windows(NodeId(1))
+                    .iter()
+                    .copied()
+                    .find(|&(s, e)| s > 0.01 && e - s > 1.0e-4)?;
+                Some((Arc::new(p), w))
+            })
+            .expect("a crash window on the receiver's node");
+        let drain = (ws + we) / 2.0;
+        let run = |faults: bool| {
+            let mut c = Cluster::new(Topology::new(2, 1), NetworkModel::slingshot(), 1);
+            if faults {
+                c.attach_faults(Arc::clone(&plane));
+            }
+            let starts = c.clocks().to_vec();
+            c.execute("produce", |ctx| ctx.charge(if ctx.rank().0 == 0 { 1.0e-3 } else { drain }));
+            let produced = c.clocks()[0];
+            let mut m = vec![0u64; 4];
+            m[1] = 32 << 10; // 0 -> 1, eight batches of 4 KiB
+            let out = c.streamed_exchange_cost(&m, &starts, 1 << 12, 2);
+            (out, c.clocks()[0] - produced)
+        };
+        let (crash, charged) = run(true);
+        let (calm, _) = run(false);
+        assert!(crash.max_buffered <= 2, "buffer cap violated: {}", crash.max_buffered);
+        assert!(crash.sender_stall[0] >= drain - 1.0e-3, "stall: {}", crash.sender_stall[0]);
+        assert!(
+            (charged - crash.sender_stall[0]).abs() < 1e-12,
+            "the sender's clock pays the stall"
+        );
+        assert!(
+            crash.all_ready[1] >= we,
+            "delivery waits out the window: {} < {we}",
+            crash.all_ready[1]
+        );
+        assert!(calm.all_ready[1] < we, "without the crash the flow ends in the window");
+        assert!(
+            crash.stall_secs_total > calm.stall_secs_total,
+            "the window also delays departures"
+        );
+    }
+
+    #[test]
     fn streamed_exchange_crash_window_delays_single_channel() {
         use crate::faults::{FaultConfig, FaultPlane};
         // Find a seed/plane whose node 0 has a crash window, then check a
@@ -1146,16 +1162,16 @@ mod tests {
         // remainder elsewhere at the same speed finishes in a dead heat —
         // and ties go to the original. The hedge still launches (the lag
         // threshold fired) and its host is charged until cancellation.
-        let run = |policy: Option<SpeculationPolicy>| {
+        let run = |speculate: bool| {
             let mut c = Cluster::new(Topology::new(1, 4), NetworkModel::ideal(), 1);
-            let (out, rep) = c.execute_with_speculation(policy.as_ref(), Fanout::Host, |ctx| {
+            let (out, rep) = c.execute_with_speculation(speculate, Fanout::Host, |ctx| {
                 ctx.charge(if ctx.rank().0 == 0 { 10.0 } else { 1.0 });
                 ctx.rank().0
             });
             (out, rep, c.clocks().to_vec())
         };
-        let (out_off, rep_off, _) = run(None);
-        let (out_on, rep_on, clocks_on) = run(Some(SpeculationPolicy::default()));
+        let (out_off, rep_off, _) = run(false);
+        let (out_on, rep_on, clocks_on) = run(true);
         assert_eq!(out_off, out_on, "speculation never touches the data plane");
         assert_eq!(rep_off, SpeculationReport::default());
         assert_eq!(rep_on.launched, 1);
@@ -1183,7 +1199,7 @@ mod tests {
                     && (1..4).any(|r| p.straggler_factor(RankId(r)) == 1.0)
             })
             .expect("a seed with a mixed straggler set");
-        let mk = |policy: Option<SpeculationPolicy>| {
+        let mk = |speculate: bool| {
             let mut c = Cluster::new(Topology::new(1, 4), NetworkModel::ideal(), 1);
             c.attach_faults(Arc::new(FaultPlane::new(
                 seed,
@@ -1192,21 +1208,21 @@ mod tests {
                 4,
                 100.0,
             )));
-            let (out, rep) = c.execute_with_speculation(policy.as_ref(), Fanout::Host, |ctx| {
+            let (out, rep) = c.execute_with_speculation(speculate, Fanout::Host, |ctx| {
                 ctx.charge(1.0);
                 ctx.rank().0
             });
             (out, rep, c.elapsed())
         };
-        let (out_off, _, t_off) = mk(None);
-        let (out_on, rep, t_on) = mk(Some(SpeculationPolicy::default()));
+        let (out_off, _, t_off) = mk(false);
+        let (out_on, rep, t_on) = mk(true);
         assert_eq!(out_off, out_on);
         assert!(rep.launched >= 1, "6x dilation past a 1.5x threshold must hedge");
         assert!(rep.wins >= 1, "an undilated host beats a 6x straggler");
         assert!(t_on < t_off, "winning hedges shorten the critical path: {t_on} vs {t_off}");
         assert!(rep.saved_secs > 0.0);
         // Determinism: same seed, same report.
-        let (_, rep2, _) = mk(Some(SpeculationPolicy::default()));
+        let (_, rep2, _) = mk(true);
         assert_eq!(rep, rep2);
     }
 

@@ -209,52 +209,33 @@ impl LinkFactors {
     }
 }
 
-/// Bounded exponential backoff with multiplicative jitter. Delays are
-/// *virtual* seconds: callers charge them to the virtual clock rather
-/// than sleeping.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Total attempts, including the first (>= 1).
-    pub max_attempts: u32,
-    /// Backoff before the second attempt.
-    pub base_delay_secs: f64,
-    /// Backoff growth factor per retry.
-    pub multiplier: f64,
-    /// Backoff ceiling.
-    pub max_delay_secs: f64,
-    /// Jitter amplitude: the delay is scaled by `1 ± jitter_frac`.
-    pub jitter_frac: f64,
-}
+/// Attempts of one faulty access, including the first, before the caller
+/// gives up (fails over or errors).
+pub const RETRY_MAX_ATTEMPTS: u32 = 4;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_attempts: 4,
-            base_delay_secs: 1e-3,
-            multiplier: 2.0,
-            max_delay_secs: 0.1,
-            jitter_frac: 0.2,
-        }
-    }
-}
+/// Backoff before the second attempt, in virtual seconds.
+const RETRY_BASE_DELAY_SECS: f64 = 1e-3;
 
-impl RetryPolicy {
-    /// A policy that never retries (single attempt).
-    pub fn no_retries() -> Self {
-        Self { max_attempts: 1, ..Self::default() }
-    }
+/// Backoff growth factor per retry.
+const RETRY_MULTIPLIER: f64 = 2.0;
 
-    /// Backoff to charge before retry number `attempt` (1-based: the
-    /// wait after the first failure is `attempt == 1`). `jitter01` is a
-    /// uniform draw in `[0, 1)` supplied by the caller's deterministic
-    /// stream.
-    pub fn backoff_secs(&self, attempt: u32, jitter01: f64) -> f64 {
-        let exp = attempt.saturating_sub(1).min(62);
-        let raw = self.base_delay_secs * self.multiplier.powi(exp as i32);
-        let capped = raw.min(self.max_delay_secs);
-        let scale = 1.0 + self.jitter_frac * (2.0 * jitter01 - 1.0);
-        (capped * scale).max(0.0)
-    }
+/// Backoff ceiling, in virtual seconds.
+const RETRY_MAX_DELAY_SECS: f64 = 0.1;
+
+/// Jitter amplitude: the delay is scaled by `1 ± RETRY_JITTER_FRAC`.
+const RETRY_JITTER_FRAC: f64 = 0.2;
+
+/// Bounded exponential backoff with multiplicative jitter, to charge
+/// before retry number `attempt` (1-based: the wait after the first
+/// failure is `attempt == 1`). `jitter01` is a uniform draw in `[0, 1)`
+/// supplied by the caller's deterministic stream. Delays are *virtual*
+/// seconds: callers charge them to the virtual clock rather than sleeping.
+pub fn retry_backoff_secs(attempt: u32, jitter01: f64) -> f64 {
+    let exp = attempt.saturating_sub(1).min(62);
+    let raw = RETRY_BASE_DELAY_SECS * RETRY_MULTIPLIER.powi(exp as i32);
+    let capped = raw.min(RETRY_MAX_DELAY_SECS);
+    let scale = 1.0 + RETRY_JITTER_FRAC * (2.0 * jitter01 - 1.0);
+    (capped * scale).max(0.0)
 }
 
 /// The seeded fault schedule plus its virtual-time cursor.
@@ -487,11 +468,6 @@ impl FaultPlane {
         self.crash_windows
             .get(node.0 as usize)
             .is_some_and(|ws| ws.iter().any(|&(s, e)| e == f64::INFINITY && t >= s))
-    }
-
-    /// Is `node` permanently dead at the current cursor?
-    pub fn node_dead(&self, node: NodeId) -> bool {
-        self.node_dead_at(node, self.now())
     }
 
     /// The virtual time at which `node` dies permanently, if ever.
@@ -851,27 +827,21 @@ mod tests {
 
     #[test]
     fn backoff_grows_and_caps() {
-        let rp = RetryPolicy {
-            max_attempts: 8,
-            base_delay_secs: 1e-3,
-            multiplier: 2.0,
-            max_delay_secs: 5e-3,
-            jitter_frac: 0.0,
-        };
-        assert!((rp.backoff_secs(1, 0.5) - 1e-3).abs() < 1e-12);
-        assert!((rp.backoff_secs(2, 0.5) - 2e-3).abs() < 1e-12);
-        assert!((rp.backoff_secs(3, 0.5) - 4e-3).abs() < 1e-12);
-        assert!((rp.backoff_secs(4, 0.5) - 5e-3).abs() < 1e-12, "capped");
-        assert!((rp.backoff_secs(20, 0.5) - 5e-3).abs() < 1e-12, "still capped");
+        // A mid-band draw scales by exactly 1: 1, 2, 4, ... ms up to 0.1 s.
+        assert!((retry_backoff_secs(1, 0.5) - 1e-3).abs() < 1e-12);
+        assert!((retry_backoff_secs(2, 0.5) - 2e-3).abs() < 1e-12);
+        assert!((retry_backoff_secs(3, 0.5) - 4e-3).abs() < 1e-12);
+        assert!((retry_backoff_secs(7, 0.5) - 64e-3).abs() < 1e-12);
+        assert!((retry_backoff_secs(8, 0.5) - 0.1).abs() < 1e-12, "capped");
+        assert!((retry_backoff_secs(20, 0.5) - 0.1).abs() < 1e-12, "still capped");
     }
 
     #[test]
     fn backoff_jitter_stays_in_band() {
-        let rp = RetryPolicy::default();
         for j in [0.0, 0.25, 0.5, 0.75, 0.999] {
-            let d = rp.backoff_secs(1, j);
-            assert!(d >= rp.base_delay_secs * (1.0 - rp.jitter_frac) - 1e-12);
-            assert!(d <= rp.base_delay_secs * (1.0 + rp.jitter_frac) + 1e-12);
+            let d = retry_backoff_secs(1, j);
+            assert!(d >= RETRY_BASE_DELAY_SECS * (1.0 - RETRY_JITTER_FRAC) - 1e-12);
+            assert!(d <= RETRY_BASE_DELAY_SECS * (1.0 + RETRY_JITTER_FRAC) + 1e-12);
         }
     }
 }

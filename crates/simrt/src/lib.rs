@@ -39,9 +39,9 @@ pub mod rng;
 pub mod topology;
 
 pub use clock::VirtualClock;
-pub use cluster::{Cluster, ExchangeCost, RankCtx, SpeculationPolicy, SpeculationReport};
+pub use cluster::{Cluster, ExchangeCost, RankCtx, SpeculationReport};
 pub use collective::ReduceOp;
-pub use faults::{FaultConfig, FaultPlane, LinkFactors, PermanentCrashConfig, RetryPolicy};
+pub use faults::{FaultConfig, FaultPlane, LinkFactors, PermanentCrashConfig};
 pub use net::{DeviceModel, NetworkModel};
 pub use pool::Fanout;
 pub use topology::{NodeId, RankId, Topology};

@@ -139,32 +139,16 @@ pub struct DeviceModel {
     pub nvme_bandwidth: f64,
 }
 
-impl Default for DeviceModel {
-    fn default() -> Self {
-        Self::testbed()
-    }
-}
-
 impl DeviceModel {
     /// Testbed-like defaults matching the paper's cache cluster: DRAM at
     /// 200 ns / 80 GB/s (the shared-memory path), NVMe at 100 µs / 3 GB/s
     /// (datacenter TLC flash).
-    pub fn testbed() -> Self {
+    pub const fn testbed() -> Self {
         Self {
             dram_latency: 2.0e-7,
             dram_bandwidth: 80.0e9,
             nvme_latency: 1.0e-4,
             nvme_bandwidth: 3.0e9,
-        }
-    }
-
-    /// Zero-cost devices, to isolate fabric effects in ablations.
-    pub fn ideal() -> Self {
-        Self {
-            dram_latency: 0.0,
-            dram_bandwidth: f64::INFINITY,
-            nvme_latency: 0.0,
-            nvme_bandwidth: f64::INFINITY,
         }
     }
 
@@ -193,9 +177,6 @@ mod tests {
             d.dram_cost(b) + n.inter_cost(b) < d.nvme_cost(b),
             "remote DRAM must beat local NVMe on the testbed numbers"
         );
-        let ideal = DeviceModel::ideal();
-        assert_eq!(ideal.dram_cost(b), 0.0);
-        assert_eq!(ideal.nvme_cost(b), 0.0);
     }
 
     #[test]

@@ -66,7 +66,7 @@ fn bytes_and_checksum_survive_spill_promote_evict_and_backing_refetch() {
     let cache = CacheManager::new(
         Topology::new(2, 2),
         NetworkModel::slingshot(),
-        CacheConfig::new(1, 2048, 4096).with_nvme_admission(false),
+        CacheConfig::new(1, 2048, 4096),
         BackingStore::default_store(),
     );
     let rank = RankId(0);
@@ -93,9 +93,13 @@ fn bytes_and_checksum_survive_spill_promote_evict_and_backing_refetch() {
     assert!(holds(Tier::LocalDram));
     assert_eq!(recorded(), Some(checksum));
 
-    // Evict: enough newer objects to push it through both tiers.
+    // Evict: enough newer objects to push it through both tiers. Each is
+    // read once after its put, so its spill passes the NVMe admission
+    // filter (which drops one-hit wonders when NVMe is full).
     for i in 3..12 {
-        cache.put(rank, &format!("f{i}"), filler(i));
+        let name = format!("f{i}");
+        cache.put(rank, &name, filler(i));
+        cache.get(rank, &name).unwrap().unwrap();
     }
     assert_eq!(cache.locality("obj"), vec![], "evicted from DRAM and NVMe");
 

@@ -97,7 +97,6 @@ fn serve_config() -> ServeConfig {
             scale_in_queue_per_rank: 0.25,
             sustain_rounds: 2,
             cooldown_rounds: 3,
-            ..ElasticityConfig::default()
         }),
         ..ServeConfig::default()
     }

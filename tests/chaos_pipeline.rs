@@ -89,25 +89,7 @@ fn launch(topo: Topology, faults: Option<(u64, FaultConfig)>, pipelined: bool) -
     let target = dataset.target.clone();
     install_workflow(&mut inst, &target, WorkflowModels::test_models());
     inst.exec_options_mut().pipelined = pipelined;
-    apply_pipeline_axis(&mut inst);
     inst
-}
-
-/// The `CHAOS_PIPELINE` CI axis: `default` leaves the exchange knobs
-/// alone; `tight` shrinks batches and channel buffers so the
-/// backpressure stall path runs under every fault schedule. Byte
-/// identity must hold on every axis value — the knobs only move
-/// virtual time.
-fn apply_pipeline_axis(inst: &mut IdsInstance) {
-    match std::env::var("CHAOS_PIPELINE").as_deref() {
-        Err(_) | Ok("default") | Ok("") => {}
-        Ok("tight") => {
-            let opts = inst.exec_options_mut();
-            opts.exchange_batch_bytes = 1 << 12;
-            opts.exchange_channel_capacity = 2;
-        }
-        Ok(other) => panic!("unknown CHAOS_PIPELINE axis {other:?} (want default|tight)"),
-    }
 }
 
 fn query() -> String {

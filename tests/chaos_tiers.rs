@@ -6,10 +6,8 @@
 //! The contract is the same result equivalence the rest of the chaos
 //! suite enforces: however hard the tiers churn and whatever the fault
 //! schedule does, a query returns byte-identical rows to an all-DRAM
-//! fault-free baseline. CI sweeps `CHAOS_SEED` over the fixed matrix and
-//! `CHAOS_TIERS` over the restart modes (`default` = warm NVMe restart,
-//! `coldstart` = both tiers wiped on recovery); locally, everything runs
-//! in one pass when the variables are unset.
+//! fault-free baseline. CI sweeps `CHAOS_SEED` over the fixed matrix;
+//! locally, every seed runs in one pass when the variable is unset.
 
 use bytes::Bytes;
 use ids::cache::{BackingStore, CacheConfig, CacheManager, EvictionKind};
@@ -28,16 +26,6 @@ fn chaos_seeds() -> Vec<u64> {
     match std::env::var("CHAOS_SEED") {
         Ok(s) => vec![s.parse().expect("CHAOS_SEED must be an unsigned integer")],
         Err(_) => (1..=8).collect(),
-    }
-}
-
-/// The CI restart-mode matrix (`CHAOS_TIERS` pins one mode per job).
-fn tier_modes() -> Vec<(&'static str, bool)> {
-    match std::env::var("CHAOS_TIERS").as_deref() {
-        Ok("default") => vec![("default", true)],
-        Ok("coldstart") => vec![("coldstart", false)],
-        Ok(other) => panic!("CHAOS_TIERS must be 'default' or 'coldstart', got '{other}'"),
-        Err(_) => vec![("default", true), ("coldstart", false)],
     }
 }
 
@@ -117,8 +105,8 @@ fn all_dram() -> CacheConfig {
 /// A pressure config: DRAM far smaller than the docking working set
 /// (~1.6 KiB of stashed docking outputs per node, so >3x the 512 B DRAM
 /// tier), forcing the run to spill constantly and serve reuse from NVMe.
-fn tier_pressure(eviction: EvictionKind, warm: bool) -> CacheConfig {
-    CacheConfig::new(2, 512, 64 << 10).with_eviction(eviction).with_warm_restart(warm)
+fn tier_pressure(eviction: EvictionKind) -> CacheConfig {
+    CacheConfig::new(2, 512, 64 << 10).with_eviction(eviction)
 }
 
 fn query() -> String {
@@ -153,92 +141,79 @@ fn baseline() -> Vec<(String, String)> {
 fn tier_pressure_chaos_matrix_preserves_results() {
     let expected = baseline();
     assert_eq!(expected.len(), 12, "3 proteins x 4 compounds");
-    for (mode, warm) in tier_modes() {
-        for seed in chaos_seeds() {
-            let eviction = policy_for(seed);
-            let (mut inst, cache) = launch(
-                Topology::new(4, 2),
-                tier_pressure(eviction, warm),
-                Some((seed, tier_chaos())),
-            );
-            let ctx = format!("mode {mode} seed {seed} policy {}", eviction.label());
-            let cold = inst
-                .query(&query())
-                .unwrap_or_else(|e| panic!("{ctx}: tier-pressure chaos run failed: {e}"));
-            assert!(!cold.degraded(), "{ctx}: fault paths must not drop rows");
-            assert_eq!(extract(&cold, &inst), expected, "{ctx}: cold divergence");
-            // The warm pass reuses (and promotes) whatever pressure left
-            // resident, under the same fault schedule.
-            inst.reset_clocks();
-            let warm_run = inst.query(&query()).unwrap();
-            assert_eq!(extract(&warm_run, &inst), expected, "{ctx}: warm divergence");
-            // Prove the run actually lived under tier pressure: the NVMe
-            // plane must have been engaged, not just configured.
-            let inspection = cache.inspect();
-            assert!(
-                inspection.spills > 0 || inspection.occupied("nvme") > 0,
-                "{ctx}: working set never overflowed DRAM (spills {}, nvme bytes {})",
-                inspection.spills,
-                inspection.occupied("nvme")
-            );
-        }
+    for seed in chaos_seeds() {
+        let eviction = policy_for(seed);
+        let (mut inst, cache) =
+            launch(Topology::new(4, 2), tier_pressure(eviction), Some((seed, tier_chaos())));
+        let ctx = format!("seed {seed} policy {}", eviction.label());
+        let cold = inst
+            .query(&query())
+            .unwrap_or_else(|e| panic!("{ctx}: tier-pressure chaos run failed: {e}"));
+        assert!(!cold.degraded(), "{ctx}: fault paths must not drop rows");
+        assert_eq!(extract(&cold, &inst), expected, "{ctx}: cold divergence");
+        // The warm pass reuses (and promotes) whatever pressure left
+        // resident, under the same fault schedule.
+        inst.reset_clocks();
+        let warm_run = inst.query(&query()).unwrap();
+        assert_eq!(extract(&warm_run, &inst), expected, "{ctx}: warm divergence");
+        // Prove the run actually lived under tier pressure: the NVMe
+        // plane must have been engaged, not just configured.
+        let inspection = cache.inspect();
+        assert!(
+            inspection.spills > 0 || inspection.occupied("nvme") > 0,
+            "{ctx}: working set never overflowed DRAM (spills {}, nvme bytes {})",
+            inspection.spills,
+            inspection.occupied("nvme")
+        );
     }
 }
 
 #[test]
 fn crash_recovery_under_tier_pressure_keeps_objects_byte_identical() {
     // Direct object-level variant: a working set ~4x DRAM with explicit
-    // mid-stream crash/recover of every node, under bit rot, in both
-    // restart modes. Every object must read back byte-identical; the
-    // default mode must additionally exercise warm NVMe retention.
+    // mid-stream crash/recover of every node, under bit rot. Every object
+    // must read back byte-identical, and the recovery must exercise warm
+    // NVMe retention.
     let topo = Topology::new(2, 4);
     let payload = |i: usize, seed: u64| Bytes::from(vec![(i as u8) ^ (seed as u8); 512]);
-    for (mode, warm) in tier_modes() {
-        for seed in chaos_seeds() {
-            let cache = CacheManager::new(
-                topo,
-                NetworkModel::slingshot(),
-                // 64 objects x 512 B = 32 KiB working set over 8 KiB DRAM.
-                CacheConfig::new(2, 8 << 10, 64 << 10)
-                    .with_eviction(policy_for(seed))
-                    .with_warm_restart(warm),
-                BackingStore::default_store(),
-            );
-            cache.attach_faults(Arc::new(FaultPlane::new(
-                seed,
-                FaultConfig::storage_only(0.1, 0.0),
-                topo.nodes(),
-                topo.total_ranks(),
-                1e6,
-            )));
-            let ctx = format!("mode {mode} seed {seed}");
-            for i in 0..64 {
-                cache.put(RankId((i % 8) as u32), &format!("ws/{i}"), payload(i, seed));
-                if i == 40 {
-                    // Crash both nodes mid-stream and bring them back.
-                    cache.fail_node(NodeId(0));
-                    cache.fail_node(NodeId(1));
-                    cache.recover_node(NodeId(0));
-                    cache.recover_node(NodeId(1));
-                }
-            }
-            for i in 0..64 {
-                let (bytes, _) = cache
-                    .get(RankId(((i + seed as usize) % 8) as u32), &format!("ws/{i}"))
-                    .unwrap_or_else(|e| panic!("{ctx}: read failed: {e}"))
-                    .unwrap_or_else(|| panic!("{ctx}: ws/{i} lost"));
-                assert_eq!(bytes, payload(i, seed), "{ctx}: ws/{i} bytes diverged");
-            }
-            let stats = cache.stats();
-            assert!(stats.evictions_to_nvme > 0, "{ctx}: working set never spilled");
-            if warm {
-                assert!(
-                    stats.warm_restart_retained > 0,
-                    "{ctx}: warm restart retained nothing across the crash"
-                );
-            } else {
-                assert_eq!(stats.warm_restart_retained, 0, "{ctx}: coldstart must wipe NVMe");
+    for seed in chaos_seeds() {
+        let cache = CacheManager::new(
+            topo,
+            NetworkModel::slingshot(),
+            // 64 objects x 512 B = 32 KiB working set over 8 KiB DRAM.
+            CacheConfig::new(2, 8 << 10, 64 << 10).with_eviction(policy_for(seed)),
+            BackingStore::default_store(),
+        );
+        cache.attach_faults(Arc::new(FaultPlane::new(
+            seed,
+            FaultConfig::storage_only(0.1, 0.0),
+            topo.nodes(),
+            topo.total_ranks(),
+            1e6,
+        )));
+        let ctx = format!("seed {seed}");
+        for i in 0..64 {
+            cache.put(RankId((i % 8) as u32), &format!("ws/{i}"), payload(i, seed));
+            if i == 40 {
+                // Crash both nodes mid-stream and bring them back.
+                cache.fail_node(NodeId(0));
+                cache.fail_node(NodeId(1));
+                cache.recover_node(NodeId(0));
+                cache.recover_node(NodeId(1));
             }
         }
+        for i in 0..64 {
+            let (bytes, _) = cache
+                .get(RankId(((i + seed as usize) % 8) as u32), &format!("ws/{i}"))
+                .unwrap_or_else(|e| panic!("{ctx}: read failed: {e}"))
+                .unwrap_or_else(|| panic!("{ctx}: ws/{i} lost"));
+            assert_eq!(bytes, payload(i, seed), "{ctx}: ws/{i} bytes diverged");
+        }
+        let stats = cache.stats();
+        assert!(stats.evictions_to_nvme > 0, "{ctx}: working set never spilled");
+        assert!(
+            stats.warm_restart_retained > 0,
+            "{ctx}: warm restart retained nothing across the crash"
+        );
     }
 }
