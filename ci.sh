@@ -111,6 +111,13 @@ echo "==> prepared-query golden (tests/prepared_golden.rs, release)"
 # epoch invalidation; 5 000 distinct texts within capacity.
 cargo test --release --test prepared_golden -q
 
+echo "==> canonicalisation parity golden (tests/proptest_iql.rs, release)"
+# Canonical text, fingerprint and rename pairs of every checkpoint prefix
+# of 2 500 generated and 14 hand-written queries, pinned to one
+# digest recorded before the canonicaliser stopped building intermediate
+# strings: reuse keys and prepared identities are built from these.
+scripts/cargo-test-filtered.sh --release --test proptest_iql -- canonical_forms_are_pinned_bit_for_bit
+
 echo "==> engine vs oracle (tests/engine_vs_oracle.rs, release)"
 # The engine against the independent reference evaluator in tests/oracle/:
 # random graphs and queries at 1, 3 and 16 ranks, every mode switch on and

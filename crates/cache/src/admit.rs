@@ -101,14 +101,6 @@ impl FrequencySketch {
         }
         self.events = 0;
     }
-
-    /// Forget everything (node-recovery cold start in tests).
-    pub fn reset(&mut self) {
-        for row in &mut self.rows {
-            row.iter_mut().for_each(|c| *c = 0);
-        }
-        self.events = 0;
-    }
 }
 
 #[cfg(test)]
@@ -161,15 +153,5 @@ mod tests {
             (0..7).map(|i| s.estimate(&format!("k{i}"))).collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn reset_clears_all_state() {
-        let mut s = FrequencySketch::default();
-        for _ in 0..10 {
-            s.record("x");
-        }
-        s.reset();
-        assert_eq!(s.estimate("x"), 0);
     }
 }

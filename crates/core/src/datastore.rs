@@ -123,11 +123,6 @@ impl Datastore {
         self.graph.read().scan_shard(shard, pat)
     }
 
-    /// Count matches in one shard.
-    pub fn count_shard(&self, shard: usize, pat: &TriplePattern) -> usize {
-        self.graph.read().count_shard(shard, pat)
-    }
-
     /// Global match count (planner cardinality estimates).
     pub fn count_all(&self, pat: &TriplePattern) -> usize {
         self.graph.read().count_all(pat)

@@ -426,8 +426,8 @@ impl IdsInstance {
     /// and copies the plan only if it re-plans. With `exec.adaptive` on,
     /// the planner's inputs (UDF profiles, harvested statistics) move from
     /// query to query, so a cached entry contributes only its checkpoints
-    /// (canonicalisation is ≈ 30× lex + parse) and the text is parsed and
-    /// lowered again.
+    /// (canonicalising a query's checkpoint prefixes costs ≈ 2–3× its
+    /// lex + parse) and the text is parsed and lowered again.
     pub fn prepare_run(&self, iql_text: &str, reuse: bool) -> Result<PlanRun, QueryError> {
         let (prepared, built_now) = self.prepared_entry(iql_text, reuse)?;
         let plan = if self.config.exec.adaptive && !built_now {

@@ -23,10 +23,33 @@
 //! stage — matching the checkpoints at which the engine snapshots
 //! intermediate solutions. Post-WHERE stages are sequential (not
 //! commutative) and keep their order.
+//!
+//! # Without intermediate strings
+//!
+//! A prepared-query cache miss canonicalises every checkpoint prefix, so
+//! the work is kept off the heap. Each call lowers its fragment once:
+//! variables are interned to dense ids, ground terms are borrowed from the
+//! AST, and commuting `&&` / `||` are flattened. Colors are a `Vec<u64>`
+//! indexed by id, rendered to hex once per pass. A pass re-sorts each
+//! commuting operand list by keys rendered once per operand into one
+//! reused buffer, and hashes each atom by running FNV-1a over its
+//! rendering in that same buffer. The final text is the one string built,
+//! then hashed.
+//!
+//! The bytes are those of the plain definition above — reuse keys in a
+//! shared cache are built from the fingerprints, so they must not move:
+//! every rendering has the same grammar (`P(s p o)`, `?{color:016x}`,
+//! `(a op b)`, `and(…)`, …); each operand list is stable-sorted from its
+//! written order, flattened depth-first, which orders ties exactly as a
+//! stable sort of the nested lists does; and occurrence sums commute, so
+//! patterns and conjuncts are sorted only for the final naming. A digest
+//! over some 2 500 queries in `tests/proptest_iql.rs`, recorded when each
+//! atom was still rendered to its own string, pins this.
 
-use super::ast::{CmpOpAst, ExprAst, OrderByAst, Query, StageAst, TermAst, TriplePatternAst};
+use super::ast::{CmpOpAst, ExprAst, Query, StageAst, TermAst};
 use ids_simrt::rng::{fnv1a, hash_combine};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// Which prefix of the query a fingerprint covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,37 +123,65 @@ pub fn checkpoint_fragments(q: &Query) -> Vec<(FragmentSpec, CanonicalFragment)>
 // Internals
 // ---------------------------------------------------------------------------
 
-/// How variables render during a pass: by refinement color (sorting pass)
-/// or by final canonical name (rendering pass).
-enum VarView<'a> {
-    Colors(&'a BTreeMap<String, u64>),
-    Names(&'a BTreeMap<String, String>),
+/// A variable, by its dense id within one canonicalisation.
+type Var = usize;
+
+/// One node of a lowered expression or triple-pattern position.
+enum Node<'q> {
+    Var(Var),
+    Iri(&'q str),
+    Str(&'q str),
+    Int(i64),
+    Float(f64),
+    Cmp(CmpOpAst, Box<[Node<'q>; 2]>),
+    Not(Box<Node<'q>>),
+    Call(&'q str, Vec<Node<'q>>),
+    /// `and(…)` if `and`, else `or(…)`, rendered and visited in `order`.
+    /// Where the operands commute, nested same-kind junctions are
+    /// flattened into `operands` (depth-first, in written order) and
+    /// `order` is re-sorted each pass; in APPLY arguments it stays the
+    /// written order.
+    Junction {
+        and: bool,
+        operands: Vec<Node<'q>>,
+        order: Vec<usize>,
+    },
 }
 
-impl VarView<'_> {
-    fn render(&self, v: &str) -> String {
+/// A post-WHERE stage, lowered.
+enum Stage<'q> {
+    Apply { udf: &'q str, args: Vec<Node<'q>>, bind: Var },
+    Filter(Node<'q>),
+}
+
+/// How variables render: by refinement color (sorting and hashing) or by
+/// canonical name (the final text).
+#[derive(Clone, Copy)]
+enum View<'a> {
+    /// Every in-scope variable's color as 16 hex digits, variable `v` at
+    /// `16 * v` (rendered once per pass, copied into every atom). Only the
+    /// fragment's atoms render this way, and their variables are the
+    /// in-scope ones.
+    Colors(&'a str),
+    Names(&'a [String]),
+}
+
+impl View<'_> {
+    fn var(self, v: Var, out: &mut String) {
+        out.push('?');
         match self {
-            // 0 = never-colored (variable outside the fragment scope);
-            // renders stably by construction since colors are per-name.
-            VarView::Colors(c) => format!("?{:016x}", c.get(v).copied().unwrap_or(0)),
-            VarView::Names(n) => match n.get(v) {
-                Some(name) => format!("?{name}"),
-                None => format!("?{v}"), // out-of-scope var: keep author's name
-            },
+            View::Colors(hex) => out.push_str(&hex[16 * v..16 * (v + 1)]),
+            View::Names(names) => out.push_str(&names[v]),
         }
     }
 }
 
-fn render_term(t: &TermAst, vars: &VarView<'_>) -> String {
-    match t {
-        TermAst::Var(v) => vars.render(v),
-        TermAst::Iri(i) => format!("<{i}>"),
-        TermAst::Str(s) => format!("{s:?}"),
-        TermAst::Int(i) => format!("i{i}"),
-        // Bit-exact float identity: 1.0 and 1.00 agree, 0.9 and 0.90001
-        // never do.
-        TermAst::Float(f) => format!("f{:016x}", f.to_bits()),
-    }
+/// `{:016x}`, without the formatting machinery.
+fn push_hex(x: u64, out: &mut String) {
+    let digits: [u8; 16] =
+        std::array::from_fn(|i| b"0123456789abcdef"[(x >> (60 - 4 * i)) as usize & 0xf]);
+    // ASCII digits: always valid UTF-8.
+    out.push_str(std::str::from_utf8(&digits).unwrap_or_default());
 }
 
 fn op_str(op: CmpOpAst) -> &'static str {
@@ -144,184 +195,332 @@ fn op_str(op: CmpOpAst) -> &'static str {
     }
 }
 
-fn render_expr(e: &ExprAst, vars: &VarView<'_>) -> String {
-    match e {
-        ExprAst::Term(t) => render_term(t, vars),
-        ExprAst::Cmp(op, a, b) => {
-            format!("({} {} {})", render_expr(a, vars), op_str(*op), render_expr(b, vars))
+fn render(n: &Node<'_>, view: View<'_>, out: &mut String) {
+    match n {
+        Node::Var(v) => view.var(*v, out),
+        Node::Iri(i) => {
+            out.push('<');
+            out.push_str(i);
+            out.push('>');
         }
-        ExprAst::And(cs) => {
-            let parts: Vec<String> = cs.iter().map(|c| render_expr(c, vars)).collect();
-            format!("and({})", parts.join(","))
+        Node::Str(s) => {
+            let _ = write!(out, "{s:?}");
         }
-        ExprAst::Or(cs) => {
-            let parts: Vec<String> = cs.iter().map(|c| render_expr(c, vars)).collect();
-            format!("or({})", parts.join(","))
+        Node::Int(i) => {
+            let _ = write!(out, "i{i}");
         }
-        ExprAst::Not(c) => format!("not({})", render_expr(c, vars)),
-        ExprAst::Call { name, args } => {
-            let parts: Vec<String> = args.iter().map(|a| render_expr(a, vars)).collect();
-            format!("{name}({})", parts.join(","))
+        // Bit-exact float identity: 1.0 and 1.00 agree, 0.9 and 0.90001
+        // never do.
+        Node::Float(f) => {
+            out.push('f');
+            push_hex(f.to_bits(), out);
+        }
+        Node::Cmp(op, ab) => {
+            out.push('(');
+            render(&ab[0], view, out);
+            out.push(' ');
+            out.push_str(op_str(*op));
+            out.push(' ');
+            render(&ab[1], view, out);
+            out.push(')');
+        }
+        Node::Not(c) => {
+            out.push_str("not(");
+            render(c, view, out);
+            out.push(')');
+        }
+        Node::Call(name, args) => {
+            out.push_str(name);
+            render_list(args.iter(), view, out);
+        }
+        Node::Junction { and, operands, order } => {
+            out.push_str(if *and { "and" } else { "or" });
+            render_list(order.iter().map(|&i| &operands[i]), view, out);
         }
     }
 }
 
-fn render_pattern(p: &TriplePatternAst, vars: &VarView<'_>) -> String {
-    format!(
-        "P({} {} {})",
-        render_term(&p.s, vars),
-        render_term(&p.p, vars),
-        render_term(&p.o, vars)
-    )
+/// `(a,b,…)`.
+fn render_list<'n, 'q: 'n>(
+    nodes: impl Iterator<Item = &'n Node<'q>>,
+    view: View<'_>,
+    out: &mut String,
+) {
+    out.push('(');
+    for (i, n) in nodes.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        render(n, view, out);
+    }
+    out.push(')');
 }
 
-/// Recursively sort the operand lists of `&&` / `||` by their rendering
-/// under the current variable view (commutativity + associativity are the
-/// planner's to exploit; here they are identities to erase). Also flattens
-/// nested conjunctions/disjunctions so `(a && b) && c` ≡ `a && (b && c)`.
-fn sort_expr(e: &ExprAst, vars: &VarView<'_>) -> ExprAst {
-    match e {
-        ExprAst::And(cs) => {
-            let mut flat: Vec<ExprAst> = Vec::new();
-            for c in cs {
-                match sort_expr(c, vars) {
-                    ExprAst::And(inner) => flat.extend(inner),
-                    other => flat.push(other),
-                }
+fn render_pattern(p: &[Node<'_>; 3], view: View<'_>, out: &mut String) {
+    out.push_str("P(");
+    render(&p[0], view, out);
+    out.push(' ');
+    render(&p[1], view, out);
+    out.push(' ');
+    render(&p[2], view, out);
+    out.push(')');
+}
+
+/// Every variable occurrence, in rendering order.
+fn visit_vars(n: &Node<'_>, f: &mut impl FnMut(Var)) {
+    match n {
+        Node::Var(v) => f(*v),
+        Node::Iri(_) | Node::Str(_) | Node::Int(_) | Node::Float(_) => {}
+        Node::Cmp(_, ab) => ab.iter().for_each(|c| visit_vars(c, f)),
+        Node::Not(c) => visit_vars(c, f),
+        Node::Call(_, args) => args.iter().for_each(|a| visit_vars(a, f)),
+        Node::Junction { operands, order, .. } => {
+            order.iter().for_each(|&i| visit_vars(&operands[i], f))
+        }
+    }
+}
+
+impl Stage<'_> {
+    /// `APPLY udf(args)` or `STAGE-FILTER e`: what the stage hashes as, and
+    /// its text line without ` AS ?v`.
+    fn render_head(&self, view: View<'_>, out: &mut String) {
+        match self {
+            Stage::Apply { udf, args, .. } => {
+                out.push_str("APPLY ");
+                out.push_str(udf);
+                render_list(args.iter(), view, out);
             }
-            flat.sort_by_key(|c| render_expr(c, vars));
-            ExprAst::And(flat)
-        }
-        ExprAst::Or(cs) => {
-            let mut flat: Vec<ExprAst> = Vec::new();
-            for c in cs {
-                match sort_expr(c, vars) {
-                    ExprAst::Or(inner) => flat.extend(inner),
-                    other => flat.push(other),
-                }
+            Stage::Filter(e) => {
+                out.push_str("STAGE-FILTER ");
+                render(e, view, out);
             }
-            flat.sort_by_key(|c| render_expr(c, vars));
-            ExprAst::Or(flat)
         }
-        ExprAst::Not(c) => ExprAst::Not(Box::new(sort_expr(c, vars))),
-        ExprAst::Cmp(op, a, b) => {
-            ExprAst::Cmp(*op, Box::new(sort_expr(a, vars)), Box::new(sort_expr(b, vars)))
+    }
+
+    /// Occurrences in the stage's arguments or expression (not the bound
+    /// variable).
+    fn visit_args(&self, f: &mut impl FnMut(Var)) {
+        match self {
+            Stage::Apply { args, .. } => args.iter().for_each(|a| visit_vars(a, f)),
+            Stage::Filter(e) => visit_vars(e, f),
         }
-        ExprAst::Call { name, args } => ExprAst::Call {
-            name: name.clone(),
-            // Call arguments are positional — order is semantic.
-            args: args.iter().map(|a| sort_expr(a, vars)).collect(),
-        },
-        ExprAst::Term(t) => ExprAst::Term(t.clone()),
+    }
+}
+
+/// The one reused render buffer: sort keys, then each atom's hash input,
+/// and last the canonical text.
+struct Scratch {
+    text: String,
+    spans: Vec<(usize, usize)>,
+}
+
+impl Scratch {
+    /// Reset `order` to `0..n` and stable-sort it by each item's rendering:
+    /// ties keep input order.
+    fn sort(
+        &mut self,
+        order: &mut Vec<usize>,
+        n: usize,
+        mut render: impl FnMut(usize, &mut String),
+    ) {
+        order.clear();
+        order.extend(0..n);
+        if n < 2 {
+            return;
+        }
+        self.text.clear();
+        self.spans.clear();
+        for i in 0..n {
+            let start = self.text.len();
+            render(i, &mut self.text);
+            self.spans.push((start, self.text.len()));
+        }
+        let key = |i: usize| &self.text[self.spans[i].0..self.spans[i].1];
+        order.sort_by(|&a, &b| key(a).cmp(key(b)));
     }
 }
 
-/// Flatten the WHERE-block filters into one conjunct list (the planner
-/// treats multiple FILTER(...) clauses and `&&` identically).
-fn conjuncts(filters: &[ExprAst]) -> Vec<ExprAst> {
-    let mut out = Vec::new();
-    for f in filters {
-        match f {
-            ExprAst::And(cs) => out.extend(conjuncts(cs)),
-            other => out.push(other.clone()),
+/// Re-sort every commuting junction under `colors`, innermost first (an
+/// operand's key is its rendering with its own operands sorted).
+fn sort_operands(n: &mut Node<'_>, colors: &str, scratch: &mut Scratch) {
+    match n {
+        Node::Var(_) | Node::Iri(_) | Node::Str(_) | Node::Int(_) | Node::Float(_) => {}
+        Node::Cmp(_, ab) => ab.iter_mut().for_each(|c| sort_operands(c, colors, scratch)),
+        Node::Not(c) => sort_operands(c, colors, scratch),
+        Node::Call(_, args) => args.iter_mut().for_each(|a| sort_operands(a, colors, scratch)),
+        Node::Junction { operands, order, .. } => {
+            operands.iter_mut().for_each(|o| sort_operands(o, colors, scratch));
+            let view = View::Colors(colors);
+            scratch.sort(order, operands.len(), |i, out| render(&operands[i], view, out));
         }
     }
-    out
 }
 
-fn visit_term_vars<'a>(t: &'a TermAst, f: &mut impl FnMut(&'a str)) {
-    if let TermAst::Var(v) = t {
-        f(v);
+/// Interns variable names to dense ids. Queries name a handful of
+/// variables, so a linear search beats hashing.
+#[derive(Default)]
+struct Interner<'q>(Vec<&'q str>);
+
+impl<'q> Interner<'q> {
+    fn var(&mut self, name: &'q str) -> Var {
+        self.0.iter().position(|&v| v == name).unwrap_or_else(|| {
+            self.0.push(name);
+            self.0.len() - 1
+        })
     }
-}
 
-fn visit_expr_vars<'a>(e: &'a ExprAst, f: &mut impl FnMut(&'a str)) {
-    match e {
-        ExprAst::Term(t) => visit_term_vars(t, f),
-        ExprAst::Cmp(_, a, b) => {
-            visit_expr_vars(a, f);
-            visit_expr_vars(b, f);
+    fn term(&mut self, t: &'q TermAst) -> Node<'q> {
+        match t {
+            TermAst::Var(v) => Node::Var(self.var(v)),
+            TermAst::Iri(i) => Node::Iri(i),
+            TermAst::Str(s) => Node::Str(s),
+            TermAst::Int(i) => Node::Int(*i),
+            TermAst::Float(f) => Node::Float(*f),
         }
-        ExprAst::And(cs) | ExprAst::Or(cs) => cs.iter().for_each(|c| visit_expr_vars(c, f)),
-        ExprAst::Not(c) => visit_expr_vars(c, f),
-        ExprAst::Call { args, .. } => args.iter().for_each(|a| visit_expr_vars(a, f)),
+    }
+
+    /// Lower `e`; `commutes` flattens nested `&&` / `||` (they are sorted
+    /// each pass), otherwise the written tree is kept.
+    fn expr(&mut self, e: &'q ExprAst, commutes: bool) -> Node<'q> {
+        match e {
+            ExprAst::Term(t) => self.term(t),
+            ExprAst::Cmp(op, a, b) => {
+                Node::Cmp(*op, Box::new([self.expr(a, commutes), self.expr(b, commutes)]))
+            }
+            ExprAst::Not(c) => Node::Not(Box::new(self.expr(c, commutes))),
+            ExprAst::Call { name, args } => {
+                Node::Call(name, args.iter().map(|a| self.expr(a, commutes)).collect())
+            }
+            ExprAst::And(cs) | ExprAst::Or(cs) => {
+                let and = matches!(e, ExprAst::And(_));
+                let mut operands = Vec::with_capacity(cs.len());
+                self.operands(cs, and, commutes, &mut operands);
+                let order = (0..operands.len()).collect();
+                Node::Junction { and, operands, order }
+            }
+        }
+    }
+
+    /// Lower the operands of an `&&` (`and`) or `||` into `out`, inlining
+    /// directly nested ones of the same kind where they commute.
+    fn operands(&mut self, cs: &'q [ExprAst], and: bool, commutes: bool, out: &mut Vec<Node<'q>>) {
+        for c in cs {
+            match c {
+                ExprAst::And(inner) if commutes && and => self.operands(inner, and, commutes, out),
+                ExprAst::Or(inner) if commutes && !and => self.operands(inner, and, commutes, out),
+                _ => out.push(self.expr(c, commutes)),
+            }
+        }
     }
 }
 
-/// The sorted, still-original-named shape of a fragment under a variable
-/// view. Rebuilt each refinement round as colors sharpen.
-struct Shape {
-    patterns: Vec<TriplePatternAst>,
-    conjuncts: Vec<ExprAst>,
-    stages: Vec<StageAst>,
+/// A fragment lowered once per canonicalisation.
+struct Fragment<'q> {
+    /// Interned names: the first `scope` occur in the fragment's patterns,
+    /// filters and stages; any after them only in SELECT / ORDER BY.
+    vars: Vec<&'q str>,
+    scope: usize,
+    patterns: Vec<[Node<'q>; 3]>,
+    /// The WHERE filters as one conjunct list (the planner treats several
+    /// FILTER(...) clauses and `&&` alike).
+    conjuncts: Vec<Node<'q>>,
+    stages: Vec<Stage<'q>>,
+    /// Positional SELECT list and ORDER BY; empty unless full-query.
+    select: Vec<Var>,
+    order_by: Option<(Var, bool)>,
 }
 
-impl Shape {
-    fn build(q: &Query, with_filters: bool, n_stages: usize, vars: &VarView<'_>) -> Self {
-        let mut patterns = q.patterns.clone();
-        patterns.sort_by_key(|p| render_pattern(p, vars));
-        let mut conj: Vec<ExprAst> = if with_filters {
-            conjuncts(&q.filters).iter().map(|c| sort_expr(c, vars)).collect()
-        } else {
-            Vec::new()
-        };
-        conj.sort_by_key(|c| render_expr(c, vars));
-        let stages = q.stages[..n_stages]
+impl<'q> Fragment<'q> {
+    fn lower(q: &'q Query, with_filters: bool, n_stages: usize, full: bool) -> Self {
+        let mut vars = Interner::default();
+        let patterns: Vec<[Node<'q>; 3]> = q
+            .patterns
+            .iter()
+            .map(|p| [vars.term(&p.s), vars.term(&p.p), vars.term(&p.o)])
+            .collect();
+        let mut conjuncts = Vec::new();
+        if with_filters {
+            vars.operands(&q.filters, true, true, &mut conjuncts);
+        }
+        let stages: Vec<Stage<'q>> = q.stages[..n_stages]
             .iter()
             .map(|s| match s {
-                StageAst::Apply(a) => StageAst::Apply(a.clone()),
-                StageAst::Filter(e) => StageAst::Filter(sort_expr(e, vars)),
+                // APPLY arguments are positional and rendered as written.
+                StageAst::Apply(a) => Stage::Apply {
+                    udf: &a.udf,
+                    args: a.args.iter().map(|e| vars.expr(e, false)).collect(),
+                    bind: vars.var(&a.bind_as),
+                },
+                StageAst::Filter(e) => Stage::Filter(vars.expr(e, true)),
             })
             .collect();
-        Self { patterns, conjuncts: conj, stages }
+        let scope = vars.0.len();
+        let select = if full { q.select.iter().map(|v| vars.var(v)).collect() } else { Vec::new() };
+        let order_by =
+            q.order_by.as_ref().filter(|_| full).map(|o| (vars.var(&o.var), o.descending));
+        Fragment { vars: vars.0, scope, patterns, conjuncts, stages, select, order_by }
     }
 
-    /// Visit every variable occurrence in canonical traversal order.
-    fn visit_vars<'a>(&'a self, mut f: impl FnMut(&'a str)) {
-        for p in &self.patterns {
-            visit_term_vars(&p.s, &mut f);
-            visit_term_vars(&p.p, &mut f);
-            visit_term_vars(&p.o, &mut f);
+    fn sort_operands(&mut self, colors: &str, scratch: &mut Scratch) {
+        for c in &mut self.conjuncts {
+            sort_operands(c, colors, scratch);
         }
-        for c in &self.conjuncts {
-            visit_expr_vars(c, &mut f);
-        }
-        for s in &self.stages {
-            match s {
-                StageAst::Apply(a) => {
-                    a.args.iter().for_each(|e| visit_expr_vars(e, &mut f));
-                    f(&a.bind_as);
-                }
-                StageAst::Filter(e) => visit_expr_vars(e, &mut f),
+        for s in &mut self.stages {
+            if let Stage::Filter(e) = s {
+                sort_operands(e, colors, scratch);
             }
         }
     }
 
-    fn render(&self, vars: &VarView<'_>, out: &mut String) {
+    /// One refinement round's occurrence sums: each occurrence adds
+    /// `hash_combine(atom hash, slot)` to its variable's sum in `acc`
+    /// (in-scope variables only: `acc` has `scope` entries).
+    fn occurrence_sums(&self, colors: &str, buf: &mut String, acc: &mut [u64]) {
+        let view = View::Colors(colors);
+        let mut add = |v: Var, h: u64| {
+            if let Some(a) = acc.get_mut(v) {
+                *a = a.wrapping_add(h);
+            }
+        };
+        let mut hash = |render: &dyn Fn(&mut String)| {
+            buf.clear();
+            render(buf);
+            fnv1a(buf.as_bytes())
+        };
         for p in &self.patterns {
-            out.push_str(&render_pattern(p, vars));
-            out.push('\n');
-        }
-        for c in &self.conjuncts {
-            out.push_str("FILTER ");
-            out.push_str(&render_expr(c, vars));
-            out.push('\n');
-        }
-        for s in &self.stages {
-            match s {
-                StageAst::Apply(a) => {
-                    let args: Vec<String> = a.args.iter().map(|e| render_expr(e, vars)).collect();
-                    out.push_str(&format!(
-                        "APPLY {}({}) AS {}\n",
-                        a.udf,
-                        args.join(","),
-                        vars.render(&a.bind_as)
-                    ));
-                }
-                StageAst::Filter(e) => {
-                    out.push_str(&format!("STAGE-FILTER {}\n", render_expr(e, vars)));
+            let r = hash(&|out| render_pattern(p, view, out));
+            for (slot, t) in p.iter().enumerate() {
+                if let Node::Var(v) = t {
+                    add(*v, hash_combine(r, slot as u64));
                 }
             }
+        }
+        for c in &self.conjuncts {
+            let r = hash(&|out| render(c, view, out));
+            let mut slot: u64 = 0;
+            visit_vars(c, &mut |v| {
+                add(v, hash_combine(r, slot));
+                slot += 1;
+            });
+        }
+        for (i, s) in self.stages.iter().enumerate() {
+            // Stages are sequential: the stage index is part of the context.
+            let r = hash_combine(hash(&|out| s.render_head(view, out)), i as u64);
+            let mut slot: u64 = 0;
+            s.visit_args(&mut |v| {
+                add(v, hash_combine(r, slot));
+                slot += 1;
+            });
+            if let Stage::Apply { bind, .. } = s {
+                add(*bind, hash_combine(r, u64::MAX));
+            }
+        }
+        let r = fnv1a(b"SELECT");
+        for (i, &v) in self.select.iter().enumerate() {
+            add(v, hash_combine(r, i as u64));
+        }
+        if let Some((v, descending)) = self.order_by {
+            add(v, hash_combine(fnv1a(b"ORDERBY"), u64::from(descending)));
         }
     }
 }
@@ -331,16 +530,11 @@ impl Shape {
 const REFINE_ROUNDS: usize = 3;
 
 fn canonicalize(q: &Query, with_filters: bool, n_stages: usize, full: bool) -> CanonicalFragment {
-    // Variables in scope for this fragment.
-    let mut colors: BTreeMap<String, u64> = BTreeMap::new();
-    {
-        let empty = BTreeMap::new();
-        let seed_view = VarView::Colors(&empty);
-        let shape = Shape::build(q, with_filters, n_stages, &seed_view);
-        shape.visit_vars(|v| {
-            colors.entry(v.to_string()).or_insert(1);
-        });
-    }
+    let mut frag = Fragment::lower(q, with_filters, n_stages, full);
+    // Sized for about a line of text per atom: one allocation, later
+    // handed on as the canonical text.
+    let atoms = frag.patterns.len() + frag.conjuncts.len() + frag.stages.len();
+    let mut scratch = Scratch { text: String::with_capacity(64 * atoms + 64), spans: Vec::new() };
 
     // Refine: a variable's next color hashes its occurrence structure
     // under the current coloring. Each occurrence contributes
@@ -352,130 +546,109 @@ fn canonicalize(q: &Query, with_filters: bool, n_stages: usize, full: bool) -> C
     // identically. For full-query canonicalization the SELECT list and
     // ORDER BY also contribute (they are positional), separating variables
     // that only the projection distinguishes.
+    let mut colors = vec![1u64; frag.scope];
+    let mut acc = vec![0u64; frag.scope];
+    let mut hex = String::with_capacity(16 * frag.scope);
+    let render_colors = |colors: &[u64], hex: &mut String| {
+        hex.clear();
+        colors.iter().for_each(|&c| push_hex(c, hex));
+    };
     for round in 0..REFINE_ROUNDS {
-        let view = VarView::Colors(&colors);
-        let shape = Shape::build(q, with_filters, n_stages, &view);
-        let mut acc: BTreeMap<String, u64> = colors.keys().map(|v| (v.clone(), 0)).collect();
-        let add = |acc: &mut BTreeMap<String, u64>, v: &str, h: u64| {
-            if let Some(a) = acc.get_mut(v) {
-                *a = a.wrapping_add(h);
-            }
-        };
-        for p in &shape.patterns {
-            let r = fnv1a(render_pattern(p, &view).as_bytes());
-            for (slot, t) in [&p.s, &p.p, &p.o].into_iter().enumerate() {
-                visit_term_vars(t, &mut |v| add(&mut acc, v, hash_combine(r, slot as u64)));
-            }
+        render_colors(&colors, &mut hex);
+        frag.sort_operands(&hex, &mut scratch);
+        acc.fill(0);
+        frag.occurrence_sums(&hex, &mut scratch.text, &mut acc);
+        for (c, a) in colors.iter_mut().zip(&acc) {
+            *c = hash_combine(hash_combine(*c, round as u64 + 1), *a);
         }
-        for c in &shape.conjuncts {
-            let r = fnv1a(render_expr(c, &view).as_bytes());
-            let mut slot: u64 = 0;
-            visit_expr_vars(c, &mut |v| {
-                add(&mut acc, v, hash_combine(r, slot));
-                slot += 1;
-            });
-        }
-        for (i, s) in shape.stages.iter().enumerate() {
-            // Stages are sequential: the stage index is part of the context.
-            let (rendered, bind) = match s {
-                StageAst::Apply(a) => {
-                    let args: Vec<String> = a.args.iter().map(|e| render_expr(e, &view)).collect();
-                    (format!("APPLY {}({})", a.udf, args.join(",")), Some(a.bind_as.as_str()))
-                }
-                StageAst::Filter(e) => (format!("STAGE-FILTER {}", render_expr(e, &view)), None),
-            };
-            let r = hash_combine(fnv1a(rendered.as_bytes()), i as u64);
-            let mut slot: u64 = 0;
-            match s {
-                StageAst::Apply(a) => a.args.iter().for_each(|e| {
-                    visit_expr_vars(e, &mut |v| {
-                        add(&mut acc, v, hash_combine(r, slot));
-                        slot += 1;
-                    })
-                }),
-                StageAst::Filter(e) => visit_expr_vars(e, &mut |v| {
-                    add(&mut acc, v, hash_combine(r, slot));
-                    slot += 1;
-                }),
-            }
-            if let Some(b) = bind {
-                add(&mut acc, b, hash_combine(r, u64::MAX));
-            }
-        }
-        if full {
-            let r = fnv1a(b"SELECT");
-            for (i, v) in q.select.iter().enumerate() {
-                add(&mut acc, v, hash_combine(r, i as u64));
-            }
-            if let Some(OrderByAst { var, descending }) = &q.order_by {
-                add(&mut acc, var, hash_combine(fnv1a(b"ORDERBY"), u64::from(*descending)));
-            }
-        }
-        colors = colors
-            .into_iter()
-            .map(|(v, c)| {
-                let a = acc.get(&v).copied().unwrap_or(0);
-                (v, hash_combine(hash_combine(c, round as u64 + 1), a))
-            })
-            .collect();
     }
 
     // Final ordering under converged colors, then first-occurrence naming.
-    let view = VarView::Colors(&colors);
-    let shape = Shape::build(q, with_filters, n_stages, &view);
-    let mut rename: BTreeMap<String, String> = BTreeMap::new();
-    let mut n = 0usize;
-    let mut name_var = |rename: &mut BTreeMap<String, String>, v: &str| {
-        if !rename.contains_key(v) {
-            rename.insert(v.to_string(), format!("c{n}"));
-            n += 1;
+    render_colors(&colors, &mut hex);
+    frag.sort_operands(&hex, &mut scratch);
+    let view = View::Colors(&hex);
+    let (mut pattern_order, mut conjunct_order) = (Vec::new(), Vec::new());
+    scratch.sort(&mut pattern_order, frag.patterns.len(), |i, out| {
+        render_pattern(&frag.patterns[i], view, out)
+    });
+    scratch.sort(&mut conjunct_order, frag.conjuncts.len(), |i, out| {
+        render(&frag.conjuncts[i], view, out)
+    });
+    let mut names = vec![String::new(); frag.vars.len()];
+    let mut next = 0;
+    let mut name = |v: Var| {
+        if names[v].is_empty() {
+            names[v] = format!("c{next}");
+            next += 1;
         }
     };
-    shape.visit_vars(|v| name_var(&mut rename, v));
-    if full {
-        for v in &q.select {
-            name_var(&mut rename, v);
-        }
-        if let Some(ob) = &q.order_by {
-            name_var(&mut rename, &ob.var);
+    for &i in &pattern_order {
+        frag.patterns[i].iter().for_each(|t| visit_vars(t, &mut name));
+    }
+    for &i in &conjunct_order {
+        visit_vars(&frag.conjuncts[i], &mut name);
+    }
+    for s in &frag.stages {
+        s.visit_args(&mut name);
+        if let Stage::Apply { bind, .. } = s {
+            name(*bind);
         }
     }
-    // Scope vars that somehow never occurred (defensive): name them after
-    // the visited ones, ordered by color for input-name independence.
-    let mut stragglers: Vec<(&u64, &String)> =
-        colors.iter().filter(|(v, _)| !rename.contains_key(*v)).map(|(v, c)| (c, v)).collect();
-    stragglers.sort();
-    for (_, v) in stragglers {
-        rename.insert(v.clone(), format!("c{n}"));
-        n += 1;
+    frag.select.iter().for_each(|&v| name(v));
+    if let Some((v, _)) = frag.order_by {
+        name(v);
     }
+    // Every interned variable occurs in what was just visited.
+    debug_assert_eq!(next, frag.vars.len());
 
-    let names = VarView::Names(&rename);
-    let mut text = String::from("ids-canon-v1\n");
-    shape.render(&names, &mut text);
+    let view = View::Names(&names);
+    // The scratch buffer, already grown to about the text's size.
+    let mut text = std::mem::take(&mut scratch.text);
+    text.clear();
+    text.push_str("ids-canon-v1\n");
+    for &i in &pattern_order {
+        render_pattern(&frag.patterns[i], view, &mut text);
+        text.push('\n');
+    }
+    for &i in &conjunct_order {
+        text.push_str("FILTER ");
+        render(&frag.conjuncts[i], view, &mut text);
+        text.push('\n');
+    }
+    for s in &frag.stages {
+        s.render_head(view, &mut text);
+        if let Stage::Apply { bind, .. } = s {
+            text.push_str(" AS ");
+            view.var(*bind, &mut text);
+        }
+        text.push('\n');
+    }
     if full {
         if q.distinct {
             text.push_str("DISTINCT\n");
         }
-        if q.select.is_empty() {
+        if frag.select.is_empty() {
             text.push_str("SELECT *\n");
         } else {
-            let cols: Vec<String> = q.select.iter().map(|v| names.render(v)).collect();
-            text.push_str(&format!("SELECT {}\n", cols.join(" ")));
+            text.push_str("SELECT");
+            for &v in &frag.select {
+                text.push(' ');
+                view.var(v, &mut text);
+            }
+            text.push('\n');
         }
-        if let Some(OrderByAst { var, descending }) = &q.order_by {
-            text.push_str(&format!(
-                "ORDER BY {} {}\n",
-                names.render(var),
-                if *descending { "DESC" } else { "ASC" }
-            ));
+        if let Some((v, descending)) = frag.order_by {
+            text.push_str("ORDER BY ");
+            view.var(v, &mut text);
+            text.push_str(if descending { " DESC\n" } else { " ASC\n" });
         }
         if let Some(l) = q.limit {
-            text.push_str(&format!("LIMIT {l}\n"));
+            let _ = writeln!(text, "LIMIT {l}");
         }
     }
 
     let fingerprint = hash_combine(fnv1a(text.as_bytes()), text.len() as u64);
+    let rename = frag.vars.iter().map(|v| v.to_string()).zip(names).collect();
     CanonicalFragment { text, fingerprint, rename }
 }
 

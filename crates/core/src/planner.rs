@@ -167,13 +167,15 @@ fn lower_pattern(
     let (o_id, var_o, imp_o) = lower_term(&p.o, ds);
     let impossible = imp_s || imp_p || imp_o;
     let pattern = TriplePattern::new(s_id, p_id, o_id);
-    // Saturating per-shard sum: a synthetic store holding more matches
-    // than `usize::MAX` must clamp, never wrap to a "cheap" estimate.
+    // Saturating per-shard sum, under one read lock for all shards: a
+    // synthetic store holding more matches than `usize::MAX` must clamp,
+    // never wrap to a "cheap" estimate.
     let est_cardinality = if impossible {
         0
     } else {
-        (0..ds.num_shards())
-            .map(|shard| ds.count_shard(shard, &pattern))
+        let graph = ds.graph();
+        (0..graph.num_shards())
+            .map(|shard| graph.count_shard(shard, &pattern))
             .fold(0usize, usize::saturating_add)
     };
     // NDV per position: catalog sketches when available (zero-NDV — an

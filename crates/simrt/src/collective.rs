@@ -18,15 +18,6 @@ impl ReduceOp {
             ReduceOp::Max => values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
         }
     }
-
-    /// Apply the operator to per-rank u64 contributions.
-    pub fn reduce_u64(self, values: &[u64]) -> u64 {
-        match self {
-            ReduceOp::Sum => values.iter().sum(),
-            ReduceOp::Min => values.iter().copied().min().unwrap_or(u64::MAX),
-            ReduceOp::Max => values.iter().copied().max().unwrap_or(0),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -39,13 +30,5 @@ mod tests {
         assert_eq!(ReduceOp::Sum.reduce_f64(&v), 7.0);
         assert_eq!(ReduceOp::Min.reduce_f64(&v), 1.0);
         assert_eq!(ReduceOp::Max.reduce_f64(&v), 4.0);
-    }
-
-    #[test]
-    fn reduces_u64() {
-        let v = [3u64, 9, 5];
-        assert_eq!(ReduceOp::Sum.reduce_u64(&v), 17);
-        assert_eq!(ReduceOp::Min.reduce_u64(&v), 3);
-        assert_eq!(ReduceOp::Max.reduce_u64(&v), 9);
     }
 }

@@ -16,12 +16,16 @@
 //! A FILTER row whose prepared argument the instance's memo already holds
 //! runs no kernel and decodes nothing: it is pinned at its exact count.
 //!
+//! Canonicalising a `serve-mix` lookup — what every prepared-cache miss
+//! of the service pays — is pinned at a ceiling too.
+//!
 //! The counter sees every thread, so the tests of this file take one lock
 //! and no other test's allocations are counted.
 
 use ids::chem::sequence::ProteinSequence;
 use ids::core::binding::RowBindings;
 use ids::core::engine::StepOutcome;
+use ids::core::iql::{fragment, parse_query, FragmentSpec};
 use ids::core::workflow::{register_workflow_udfs, Target, WorkflowModels};
 use ids::core::{IdsConfig, IdsInstance};
 use ids::graph::{Dictionary, Term};
@@ -87,6 +91,18 @@ const HELPER_ALLOWANCE: u64 = 64;
 /// memo holds, measured in debug and release: the lookup clones an `Arc`,
 /// the call returns an `F64`, and the profile entry already exists.
 const MEMO_HIT_ROW: u64 = 0;
+
+/// Allocations of `fragment(Bgp)` + `fragment(Where)` on
+/// [`SERVE_FILTER_LOOKUP`], measured in debug and release: per fragment,
+/// its text and rename map (one node, two strings a variable) and the
+/// canonicaliser's working state (interned variables, lowered atoms,
+/// colors, sort orders). The canonicaliser that rendered a string per atom
+/// and per sort comparison made 699.
+const SERVE_LOOKUP_FRAGMENTS: u64 = 34;
+
+/// `serve-mix`'s `pic50` FILTER lookup (`crates/bench/src/bin/perf/serve.rs`).
+const SERVE_FILTER_LOOKUP: &str = "SELECT ?c ?s WHERE { ?c <chembl:inhibits> <up:B0_3> . \
+                                   ?c <chembl:smiles> ?s . FILTER(pic50(?s) > 0.0) }";
 
 /// Entities `e:0..ENTITIES`, each with an integer `val` and a `next`
 /// entity: two patterns joined on `?e`, a row per entity.
@@ -190,4 +206,29 @@ fn a_filter_row_that_hits_the_memo_allocates_nothing() {
     eprintln!("allocations of a memo-hit sw_similarity FILTER row: {allocations}");
     assert_eq!(hit, first);
     assert_eq!(allocations, MEMO_HIT_ROW);
+}
+
+#[test]
+fn canonicalising_a_serve_mix_lookup_stays_under_its_allocation_ceiling() {
+    let _counting = ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
+    let q = parse_query(SERVE_FILTER_LOOKUP).unwrap();
+    // The test harness's own thread can allocate inside the window (it
+    // records the other tests' results), and other threads only ever add:
+    // the least of a few repetitions is the canonicaliser's count.
+    let allocations = (0..5)
+        .map(|_| {
+            let before = ALLOCATIONS.load(Relaxed);
+            let bgp = fragment(&q, FragmentSpec::Bgp);
+            let filtered = fragment(&q, FragmentSpec::Where);
+            let allocations = ALLOCATIONS.load(Relaxed) - before;
+            assert_ne!(bgp.fingerprint, filtered.fingerprint);
+            allocations
+        })
+        .min()
+        .unwrap_or(u64::MAX);
+    eprintln!("allocations of fragment(Bgp) + fragment(Where): {allocations}");
+    assert!(
+        allocations <= SERVE_LOOKUP_FRAGMENTS,
+        "{allocations} allocations, ceiling {SERVE_LOOKUP_FRAGMENTS}"
+    );
 }

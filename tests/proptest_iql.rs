@@ -105,6 +105,188 @@ fn vocabulary_instance() -> IdsInstance {
     inst
 }
 
+/// The `serve-mix` pool's shapes (`crates/bench/src/bin/perf/serve.rs`):
+/// a protein's inhibitor lookup, its α-renamed twin, its `pic50` FILTER
+/// twin, a compound → protein lookup and the two background scan/joins.
+fn serve_mix_texts() -> Vec<String> {
+    let lookup = |c: &str, s: &str, filter: &str| {
+        format!(
+            "SELECT ?{c} ?{s} WHERE {{ ?{c} <chembl:inhibits> <up:B0_3> . \
+             ?{c} <chembl:smiles> ?{s} . {filter}}}"
+        )
+    };
+    vec![
+        lookup("c", "s", ""),
+        lookup("x", "y", ""),
+        lookup("c", "s", "FILTER(pic50(?s) > 0.0) "),
+        "SELECT ?p WHERE { <chembl:C17> <chembl:inhibits> ?p . }".to_string(),
+        "SELECT ?p WHERE { ?p <up:reviewed> 0 . }".to_string(),
+        "SELECT ?p ?a WHERE { ?p <up:reviewed> 0 . ?p <up:accession> ?a . }".to_string(),
+    ]
+}
+
+/// A parseable query over few variables (so refinement colors tie) with
+/// everything `build_query` leaves out: nested and parenthesised
+/// `&&` / `||`, `!`, calls, variable predicates, ground-only patterns,
+/// repeated patterns, STAGE-FILTERs, APPLYs over expressions, DISTINCT,
+/// ORDER BY and LIMIT.
+fn build_nested_query(seed: u64) -> String {
+    let mut rng = SplitMix64::new(seed, 0x4e57);
+    let mut n = move |k: u64| rng.next_u64() % k;
+    let vars = 1 + seed % 5;
+    fn term(n: &mut impl FnMut(u64) -> u64, vars: u64) -> String {
+        match n(6) {
+            0 => format!("<p:{}>", n(3)),
+            1 => format!("\"s{}\\n\"", n(2)),
+            2 => format!("{}", n(4) as i64 - 1),
+            3 => format!("{}.5", n(3)),
+            _ => format!("?v{}", n(vars)),
+        }
+    }
+    fn expr(n: &mut impl FnMut(u64) -> u64, vars: u64, depth: u64) -> String {
+        if depth == 0 {
+            return term(n, vars);
+        }
+        let kind = n(7);
+        let mut sub = || expr(n, vars, depth - 1);
+        match kind {
+            0 => format!("({} && {})", sub(), sub()),
+            1 => format!("({} || {} || {})", sub(), sub(), sub()),
+            2 => format!("!{}", sub()),
+            3 => format!("f({}, {})", sub(), sub()),
+            4 => "g()".to_string(),
+            k => format!("({} {} {})", sub(), ["<", ">=", "==", "!="][k as usize % 4], sub()),
+        }
+    }
+    let mut q = String::from("SELECT ");
+    if n(4) == 0 {
+        q += "DISTINCT ";
+    }
+    for _ in 0..n(4) {
+        q += &format!("?v{} ", n(vars));
+    }
+    q += "WHERE { ";
+    for _ in 0..n(5) {
+        let p = if n(4) == 0 { format!("?v{}", n(vars)) } else { format!("<p:{}>", n(3)) };
+        q += &format!("{} {p} {} . ", term(&mut n, vars), term(&mut n, vars));
+    }
+    for _ in 0..n(4) {
+        let depth = n(4);
+        q += &format!("FILTER({}) ", expr(&mut n, vars, depth));
+    }
+    q += "} ";
+    for i in 0..n(4) {
+        if n(2) == 0 {
+            let args: Vec<String> = (0..n(3))
+                .map(|_| {
+                    let depth = n(3);
+                    expr(&mut n, vars, depth)
+                })
+                .collect();
+            q += &format!("APPLY m{}({}) AS ?b{i} ", n(2), args.join(", "));
+        } else {
+            let depth = n(4);
+            q += &format!("FILTER({}) ", expr(&mut n, vars, depth));
+        }
+    }
+    if n(3) == 0 {
+        q += &format!("ORDER BY ?v{} {} ", n(vars), ["ASC", "DESC"][n(2) as usize]);
+    }
+    if n(3) == 0 {
+        q += &format!("LIMIT {}", n(10));
+    }
+    q
+}
+
+/// Every query shape the canonicaliser's bytes are pinned on: the
+/// generators' seeds (`build_query` 0..1500, `build_nested_query`
+/// 0..1000), the `serve-mix` pool, the NCNPR query, the unit tests' base /
+/// renamed / symmetric cases, and a few hand-written forms (a STAGE-FILTER
+/// conjunction, an APPLY over a conjunction, an empty projection, escaped
+/// strings, conjuncts that tie on a symmetric BGP, a projected variable no
+/// pattern binds).
+fn parity_texts() -> Vec<String> {
+    let mut texts: Vec<String> = (0..1500).map(build_query).collect();
+    texts.extend((0..1000).map(build_nested_query));
+    texts.extend(serve_mix_texts());
+    texts.push(ids::core::workflow::repurposing_query(&Default::default()));
+    texts.extend(
+        [
+            "SELECT ?compound ?energy WHERE { \
+             ?protein <rdf:type> <up:Protein> . \
+             ?compound <chembl:inhibits> ?protein . \
+             ?compound <chembl:smiles> ?smiles . \
+             FILTER(sw_similarity(?protein) >= 0.9) \
+             FILTER(pic50(?compound, ?protein) > 6.0) } \
+             APPLY vina_docking(?smiles) AS ?energy \
+             ORDER BY ?energy LIMIT 10",
+            "SELECT ?c ?e WHERE { \
+             ?c <chembl:smiles> ?s . \
+             ?c <chembl:inhibits> ?p . \
+             ?p <rdf:type> <up:Protein> . \
+             FILTER(pic50(?c, ?p) > 6.0) \
+             FILTER(sw_similarity(?p) >= 0.9) } \
+             APPLY vina_docking(?s) AS ?e \
+             ORDER BY ?e LIMIT 10",
+            "SELECT ?x WHERE { ?x <p:e> ?y . ?y <p:e> ?x . }",
+            "SELECT ?u WHERE { ?v <p:e> ?u . ?u <p:e> ?v . }",
+            "SELECT DISTINCT ?a ?z WHERE { ?a <p:1> ?b . ?b ?r ?a . \
+             FILTER((?a > 1 && ?b < 2) && (?a == 3 || (?b != 4 || !(?a < 5)))) \
+             FILTER(f(?a && ?b, g(?b || ?a)) > 0.25) } \
+             APPLY m.run(?a > 1 && (?b > 2 && ?a < 9), \"x\\\"y\") AS ?s \
+             FILTER(?s < 1.5 && ?a > 0 && (?s > -2.0 && ?b > 1)) \
+             APPLY n() AS ?t ORDER BY DESC(?t) LIMIT 7",
+            "SELECT WHERE { ?a <p:x> ?b . ?b <p:x> ?c . ?c <p:x> ?a . \
+             FILTER(?a > 1) FILTER(?b > 1) FILTER(?c > 1) }",
+            "SELECT ?x ?y WHERE { FILTER(h(?x, \"é\\n\") || h(?y, \"q\")) } ORDER BY ?y ASC",
+        ]
+        .map(str::to_string),
+    );
+    texts
+}
+
+/// The canonicaliser's output on every parity text is pinned bit for bit:
+/// one digest folds the fingerprint, rename pairs and text of
+/// `canonical_query` and of every `checkpoint_fragments` prefix, recorded
+/// before the canonicaliser stopped building intermediate strings. Reuse
+/// keys and prepared-cache identities are built from these, so any
+/// movement here moves what clients share.
+#[test]
+fn canonical_forms_are_pinned_bit_for_bit() {
+    use ids::core::iql::{fragment, CanonicalFragment, FragmentSpec};
+    use ids::simrt::rng::{fnv1a, hash_combine};
+
+    fn fold(h: u64, f: &CanonicalFragment) -> u64 {
+        let mut h = hash_combine(h, f.fingerprint);
+        h = hash_combine(h, fnv1a(f.text.as_bytes()));
+        for (original, canonical) in &f.rename {
+            h = hash_combine(h, fnv1a(original.as_bytes()));
+            h = hash_combine(h, fnv1a(canonical.as_bytes()));
+        }
+        h
+    }
+    let texts = parity_texts();
+    let mut digest = 0u64;
+    for text in &texts {
+        let q = parse_query(text).unwrap_or_else(|e| panic!("{text}: {e}"));
+        digest = fold(digest, &canonical_query(&q));
+        for (spec, f) in checkpoint_fragments(&q) {
+            digest = hash_combine(digest, fnv1a(format!("{spec:?}").as_bytes()));
+            digest = fold(digest, &f);
+        }
+    }
+    let serve = serve_mix_texts();
+    let pinned = [
+        canonical_query(&parse_query(&texts[2500 + serve.len()]).unwrap()).fingerprint,
+        fragment(&parse_query(&serve[0]).unwrap(), FragmentSpec::Bgp).fingerprint,
+        fragment(&parse_query(&serve[2]).unwrap(), FragmentSpec::Where).fingerprint,
+    ];
+    assert_eq!(digest, 0x39c6_a121_3651_2306, "canonical parity digest moved");
+    // The NCNPR query, a `serve-mix` lookup's BGP and its FILTER twin's
+    // WHERE prefix.
+    assert_eq!(pinned, [0x5982_9165_f281_f483, 0x847c_925a_ed63_0f11, 0xd74c_2339_994f_f38f]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
