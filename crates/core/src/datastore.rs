@@ -30,11 +30,27 @@ pub struct Datastore {
     keywords: RwLock<KeywordIndex>,
     /// IVF indexes per vector collection (built on demand).
     ann: RwLock<HashMap<String, IvfIndex>>,
-    /// Bumped (`Release`) after every graph mutation and read with
-    /// `Acquire` by [`Self::version`], so whoever observes a version also
-    /// observes the triples written before it was bumped.
+    /// Bumped (`Release`) after every graph mutation, under the graph's
+    /// write lock, and read with `Acquire` by [`Self::version`]: whoever
+    /// observes a version also observes the triples written before it was
+    /// bumped, and under the read lock the version names the triples.
     version: AtomicU64,
+    /// [`Self::pattern_count`]'s sums over every shard, for the graph at
+    /// the version it holds.
+    counts: RwLock<PatternCounts>,
 }
+
+/// Match counts of subject-unbound patterns at one graph version.
+#[derive(Default)]
+struct PatternCounts {
+    version: u64,
+    by_pattern: HashMap<TriplePattern, usize>,
+}
+
+/// The most patterns [`Datastore::pattern_count`] keeps counts of; a full
+/// memo is emptied before the next insert, so a service that plans ever
+/// new patterns without ingest holds a bounded set.
+const COUNTED_PATTERNS: usize = 4096;
 
 impl Datastore {
     /// An empty datastore sharded across `num_shards` ranks.
@@ -47,6 +63,7 @@ impl Datastore {
             keywords: RwLock::new(KeywordIndex::new()),
             ann: RwLock::new(HashMap::new()),
             version: AtomicU64::new(0),
+            counts: RwLock::default(),
         }
     }
 
@@ -70,7 +87,8 @@ impl Datastore {
 
     /// Buffer an already-encoded triple.
     pub fn add_triple(&self, t: Triple) {
-        self.graph.write().insert(t);
+        let mut graph = self.graph.write();
+        graph.insert(t);
         self.version.fetch_add(1, Ordering::Release);
     }
 
@@ -123,9 +141,42 @@ impl Datastore {
         self.graph.read().scan_shard(shard, pat)
     }
 
-    /// Global match count (planner cardinality estimates).
+    /// Global match count.
     pub fn count_all(&self, pat: &TriplePattern) -> usize {
         self.graph.read().count_all(pat)
+    }
+
+    /// The planner's cardinality estimate: matches of `pat` summed over
+    /// every shard with saturating arithmetic, so a synthetic store
+    /// holding more than `usize::MAX` clamps instead of wrapping to a
+    /// "cheap" estimate. A bound subject lives on one shard, which is
+    /// read; any other pattern is summed once per graph version and then
+    /// answered from a memo.
+    pub fn pattern_count(&self, pat: &TriplePattern) -> usize {
+        let graph = self.graph.read();
+        if let Some(s) = pat.s {
+            return graph.count_shard(graph.shard_of(s), pat);
+        }
+        // No writer can move the version while the read lock is held.
+        let version = self.version();
+        {
+            let counts = self.counts.read();
+            if counts.version == version {
+                if let Some(&n) = counts.by_pattern.get(pat) {
+                    return n;
+                }
+            }
+        }
+        let n = (0..graph.num_shards())
+            .map(|shard| graph.count_shard(shard, pat))
+            .fold(0usize, usize::saturating_add);
+        let mut counts = self.counts.write();
+        if counts.version != version || counts.by_pattern.len() >= COUNTED_PATTERNS {
+            counts.version = version;
+            counts.by_pattern.clear();
+        }
+        counts.by_pattern.insert(*pat, n);
+        n
     }
 
     /// Total triples.
@@ -224,6 +275,80 @@ mod tests {
         let type_id = ds.dictionary().lookup(&Term::iri("rdf:type")).unwrap();
         let pat = TriplePattern::new(None, Some(type_id), None);
         assert_eq!(ds.count_all(&pat), 1);
+    }
+
+    /// Every shard's count of `pat`, summed as the planner once did.
+    fn per_shard_sum(ds: &Datastore, pat: &TriplePattern) -> usize {
+        let graph = ds.graph();
+        (0..graph.num_shards())
+            .map(|shard| graph.count_shard(shard, pat))
+            .fold(0usize, usize::saturating_add)
+    }
+
+    /// Patterns over ids `0..ids` (some never interned) in every
+    /// combination of bound positions.
+    fn patterns(ids: u64) -> Vec<TriplePattern> {
+        let choices: Vec<Option<TermId>> =
+            std::iter::once(None).chain((0..ids).map(|i| Some(TermId(i)))).collect();
+        let mut out = Vec::new();
+        for &s in &choices {
+            for &p in &choices {
+                for &o in &choices {
+                    out.push(TriplePattern::new(s, p, o));
+                }
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// The planner's memoised estimate equals the per-shard sum at
+        /// every version, asked once or twice, through ingest batches
+        /// that each end in `build_indexes`.
+        #[test]
+        fn pattern_count_equals_the_per_shard_sum(
+            shards in 1usize..6,
+            batches in proptest::collection::vec(
+                proptest::collection::vec((0u8..6, 0u8..3, 0u8..6), 0..12),
+                1..5,
+            ),
+        ) {
+            let ds = Datastore::new(shards);
+            let term = |kind: &str, i: u8| Term::iri(format!("{kind}:{i}"));
+            let all = patterns(14);
+            for batch in &batches {
+                for &(s, p, o) in batch {
+                    ds.add_fact(&term("s", s), &term("p", p), &term("s", o));
+                }
+                ds.build_indexes();
+                for _asked in 0..2 {
+                    for pat in &all {
+                        proptest::prop_assert_eq!(ds.pattern_count(pat), per_shard_sum(&ds, pat));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pattern_count_keeps_a_bounded_memo() {
+        let ds = Datastore::new(3);
+        for i in 0..40 {
+            ds.add_fact(&Term::iri(format!("s:{i}")), &Term::iri("p"), &Term::Int(i % 7));
+        }
+        ds.build_indexes();
+        let p = ds.dictionary().lookup(&Term::iri("p"));
+        let asked: Vec<TriplePattern> = (0..COUNTED_PATTERNS as u64 + 100)
+            .map(|o| TriplePattern::new(None, p, Some(TermId(o))))
+            .collect();
+        for pat in asked.iter().chain(&asked) {
+            assert_eq!(ds.pattern_count(pat), per_shard_sum(&ds, pat));
+            assert!(ds.counts.read().by_pattern.len() <= COUNTED_PATTERNS);
+        }
+        let all = TriplePattern::new(None, p, None);
+        assert_eq!(ds.pattern_count(&all), 40);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::engine::{
     self, ExecOptions, PlanRun, QueryOutcome, ReuseCheckpoint, ReusePlan, StepOutcome,
 };
 use crate::iql::{self, FragmentSpec};
-use crate::planner::{self, PhysicalPlan};
+use crate::planner::{self, PhysicalPlan, PlannerCounters};
 use crate::prepared::{PlanEpoch, Prepared, PreparedCache};
 use crate::stats::StatsCatalog;
 use ids_cache::CacheManager;
@@ -76,6 +76,8 @@ pub struct IdsInstance {
     cache: Option<Arc<CacheManager>>,
     faults: Option<Arc<FaultPlane>>,
     metrics: MetricsRegistry,
+    /// The planner's counters in `metrics`, looked up on first use.
+    planner_counters: PlannerCounters,
     /// Cached statistics catalog for cost-based planning, keyed on the
     /// datastore's version at collection time so ingest invalidates it.
     /// Interior mutability keeps `explain`/`prepare_run` `&self`.
@@ -104,6 +106,7 @@ impl IdsInstance {
             arg_memo: ArgMemo::new(&metrics),
             cache: None,
             faults: None,
+            planner_counters: PlannerCounters::new(&metrics),
             metrics,
             stats: Mutex::new(None),
             config_generation: 0,
@@ -276,7 +279,8 @@ impl IdsInstance {
     /// otherwise it keeps the static cheapest-first heuristic.
     fn plan_query(&self, parsed: &iql::ast::Query) -> Result<PhysicalPlan, QueryError> {
         let stats = if self.config.exec.adaptive { Some(self.stats_catalog()) } else { None };
-        planner::lower_with_stats(parsed, &self.datastore, stats.as_deref(), Some(&self.metrics))
+        let counters = Some(&self.planner_counters);
+        planner::lower_with_stats(parsed, &self.datastore, stats.as_deref(), counters)
             .map_err(|e| QueryError::Plan(e.to_string()))
     }
 
@@ -542,6 +546,46 @@ mod tests {
         let out = inst.query("SELECT ?p WHERE { ?p <rdf:type> <up:Protein> . }").unwrap();
         assert_eq!(out.solutions.len(), 20);
         assert!(out.elapsed_secs > 0.0);
+    }
+
+    /// Each `ids_planner_*` series appears with the first lowering that
+    /// adds to it, not before, and counts every lowering after.
+    #[test]
+    fn planner_counters_appear_with_their_first_lowering() {
+        let planner_series = |inst: &IdsInstance| -> Vec<(String, u64)> {
+            let snap = inst.metrics().snapshot();
+            let planner =
+                snap.counters.into_iter().filter(|(k, _)| k.name.starts_with("ids_planner"));
+            planner.map(|(k, v)| (k.name.to_string(), v)).collect()
+        };
+        let series = |pairs: &[(&str, u64)]| -> Vec<(String, u64)> {
+            pairs.iter().map(|&(n, v)| (format!("ids_planner_{n}_total"), v)).collect()
+        };
+        let mut inst = demo_instance();
+        assert!(planner_series(&inst).is_empty(), "an idle instance exports none");
+        inst.query("SELECT ?p WHERE { ?p <rdf:type> <up:Protein> . }").unwrap();
+        let plain = [("impossible_patterns", 0), ("patterns", 1), ("plans", 1), ("stages", 0)];
+        assert_eq!(planner_series(&inst), series(&plain));
+        inst.query("SELECT ?p WHERE { ?p <up:len> ?l . FILTER(?l > 3) }").unwrap();
+        let filtered = [
+            ("filter_conjuncts", 1),
+            ("impossible_patterns", 0),
+            ("patterns", 2),
+            ("plans", 2),
+            ("stages", 0),
+        ];
+        assert_eq!(planner_series(&inst), series(&filtered));
+        inst.exec_options_mut().adaptive = true;
+        inst.query("SELECT ?p WHERE { ?p <nope> ?x . }").unwrap();
+        let adaptive = [
+            ("cost_based_plans", 1),
+            ("filter_conjuncts", 1),
+            ("impossible_patterns", 1),
+            ("patterns", 3),
+            ("plans", 3),
+            ("stages", 0),
+        ];
+        assert_eq!(planner_series(&inst), series(&adaptive));
     }
 
     #[test]

@@ -14,9 +14,10 @@ use crate::datastore::Datastore;
 use crate::iql::ast::{CmpOpAst, ExprAst, Query, StageAst, TermAst, TriplePatternAst};
 use crate::stats::StatsCatalog;
 use ids_graph::{Term, TriplePattern};
-use ids_obs::MetricsRegistry;
+use ids_obs::{Counter, MetricsRegistry};
 use ids_udf::expr::CmpOp;
 use ids_udf::{Expr, UdfValue};
+use std::sync::OnceLock;
 
 /// Planning failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,9 +45,10 @@ pub struct PhysicalPattern {
     /// True when a ground term is absent from the dictionary — the pattern
     /// can match nothing.
     pub impossible: bool,
-    /// Estimated global cardinality (used for join ordering), summed over
-    /// shards with saturating arithmetic so huge synthetic datasets
-    /// cannot overflow into a tiny (wrongly "cheap") estimate.
+    /// Estimated global cardinality (used for join ordering):
+    /// [`Datastore::pattern_count`], summed over shards with saturating
+    /// arithmetic so huge synthetic datasets cannot overflow into a tiny
+    /// (wrongly "cheap") estimate.
     pub est_cardinality: usize,
     /// Estimated distinct values per position (subject / predicate /
     /// object), read by the [`crate::cost`] model for join-size
@@ -167,17 +169,7 @@ fn lower_pattern(
     let (o_id, var_o, imp_o) = lower_term(&p.o, ds);
     let impossible = imp_s || imp_p || imp_o;
     let pattern = TriplePattern::new(s_id, p_id, o_id);
-    // Saturating per-shard sum, under one read lock for all shards: a
-    // synthetic store holding more matches than `usize::MAX` must clamp,
-    // never wrap to a "cheap" estimate.
-    let est_cardinality = if impossible {
-        0
-    } else {
-        let graph = ds.graph();
-        (0..graph.num_shards())
-            .map(|shard| graph.count_shard(shard, &pattern))
-            .fold(0usize, usize::saturating_add)
-    };
+    let est_cardinality = if impossible { 0 } else { ds.pattern_count(&pattern) };
     // NDV per position: catalog sketches when available (zero-NDV — an
     // unseen predicate — falls back to the cardinality default), else
     // the all-distinct worst case. The cost model clamps these to
@@ -306,8 +298,62 @@ pub fn order_patterns(patterns: &[PhysicalPattern]) -> Vec<usize> {
     order
 }
 
+/// The `ids_planner_*` counters of one instance, each looked up in its
+/// registry once, by the first lowering that adds to it: an idle instance
+/// exports none of them, `ids_planner_filter_conjuncts_total` appears with
+/// the first filtered query and `ids_planner_cost_based_plans_total` with
+/// the first cost-based plan, as when every lowering looked them up by
+/// name.
+pub struct PlannerCounters {
+    metrics: MetricsRegistry,
+    plans: OnceLock<Counter>,
+    patterns: OnceLock<Counter>,
+    impossible_patterns: OnceLock<Counter>,
+    filter_conjuncts: OnceLock<Counter>,
+    stages: OnceLock<Counter>,
+    cost_based_plans: OnceLock<Counter>,
+}
+
+impl PlannerCounters {
+    /// Counters that will record into `metrics`; none is registered yet.
+    pub fn new(metrics: &MetricsRegistry) -> Self {
+        Self {
+            metrics: metrics.clone(),
+            plans: OnceLock::new(),
+            patterns: OnceLock::new(),
+            impossible_patterns: OnceLock::new(),
+            filter_conjuncts: OnceLock::new(),
+            stages: OnceLock::new(),
+            cost_based_plans: OnceLock::new(),
+        }
+    }
+
+    fn add(&self, cell: &OnceLock<Counter>, name: &'static str, n: u64) {
+        cell.get_or_init(|| self.metrics.counter(name)).add(n);
+    }
+
+    /// Count one lowering into `plan`.
+    fn record(&self, plan: &PhysicalPlan, cost_based: bool) {
+        self.add(&self.plans, "ids_planner_plans_total", 1);
+        self.add(&self.patterns, "ids_planner_patterns_total", plan.patterns.len() as u64);
+        let impossible = plan.patterns.iter().filter(|p| p.impossible).count();
+        self.add(
+            &self.impossible_patterns,
+            "ids_planner_impossible_patterns_total",
+            impossible as u64,
+        );
+        if let Some(Expr::And(cs)) = &plan.where_filter {
+            self.add(&self.filter_conjuncts, "ids_planner_filter_conjuncts_total", cs.len() as u64);
+        }
+        self.add(&self.stages, "ids_planner_stages_total", plan.stages.len() as u64);
+        if cost_based {
+            self.add(&self.cost_based_plans, "ids_planner_cost_based_plans_total", 1);
+        }
+    }
+}
+
 /// Lower a full query, optionally consulting a statistics catalog. The
-/// `ids_planner_*` counters recorded into `metrics` count *lowerings
+/// `ids_planner_*` counters recorded into `counters` count *lowerings
 /// performed*: behind `IdsInstance::prepare_run` that is one per
 /// prepared-query cache miss (plus one per hit under `exec.adaptive`),
 /// not one per query served — `ids_prepared_{hits,misses}_total` carry
@@ -323,21 +369,11 @@ pub fn lower_with_stats(
     query: &Query,
     ds: &Datastore,
     stats: Option<&StatsCatalog>,
-    metrics: Option<&MetricsRegistry>,
+    counters: Option<&PlannerCounters>,
 ) -> Result<PhysicalPlan, PlanError> {
     let plan = lower_impl(query, ds, stats)?;
-    if let Some(m) = metrics {
-        m.counter("ids_planner_plans_total").inc();
-        m.counter("ids_planner_patterns_total").add(plan.patterns.len() as u64);
-        let impossible = plan.patterns.iter().filter(|p| p.impossible).count();
-        m.counter("ids_planner_impossible_patterns_total").add(impossible as u64);
-        if let Some(Expr::And(cs)) = &plan.where_filter {
-            m.counter("ids_planner_filter_conjuncts_total").add(cs.len() as u64);
-        }
-        m.counter("ids_planner_stages_total").add(plan.stages.len() as u64);
-        if stats.is_some() {
-            m.counter("ids_planner_cost_based_plans_total").inc();
-        }
+    if let Some(c) = counters {
+        c.record(&plan, stats.is_some());
     }
     Ok(plan)
 }

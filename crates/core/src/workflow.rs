@@ -7,7 +7,8 @@
 //! Vina. Four UDFs are registered, "intentionally ordered by increasing
 //! cost and pruning power" (§5.1); the docking UDF stashes its complete
 //! outputs in the global distributed cache so repeated and overlapping
-//! queries skip re-simulation (the Table 2 experiment).
+//! queries skip re-simulation (the Table 2 experiment), and an instance
+//! docks each ligand at most once whether or not a cache is attached.
 
 use crate::engine::current_rank;
 use crate::instance::IdsInstance;
@@ -167,6 +168,9 @@ pub fn decode_docking_result(b: &[u8]) -> Option<DockingResult> {
 ///   protein-branch pass per distinct sequence per instance.
 /// * `vina_docking(?smiles)` — blind docking against the target receptor,
 ///   cache-accelerated when `cache` is provided (most expensive).
+///   Prepared: at most one search per distinct ligand per instance, run
+///   by the first row that finds no cached copy; the cache's get and put
+///   still run per row.
 pub fn register_workflow_udfs(
     registry: &UdfRegistry,
     dict: &Arc<Dictionary>,
@@ -176,7 +180,7 @@ pub fn register_workflow_udfs(
 ) {
     let scale = models.analytics_scale.max(0.0);
     let dtba_scale = models.dtba_scale.max(0.0);
-    // The only way `register_static` can fail is a duplicate name — i.e. a
+    // The only way a registration can fail is a duplicate name — i.e. a
     // second install on the same registry. Keep the first registration and
     // drop the duplicate instead of panicking mid-setup: the closures are
     // deterministic functions of (target, models), so for a same-config
@@ -294,25 +298,38 @@ pub fn register_workflow_udfs(
         .ok();
 
     // --- vina_docking --------------------------------------------------------
-    // The target's receptor is prepared (scoring constants, search box,
-    // reach index) by the first call that docks, then shared by every
-    // call: installing the workflow without docking costs nothing.
+    // A search is pure in the ligand: the receptor is fixed here, and the
+    // search and its charge are seeded by the (receptor, ligand) job hash.
+    // So the prepared half is the ligand's cache object name and an empty
+    // cell, and the first row that has to dock the ligand — no cache, or
+    // a cache miss — fills the cell for every later row of the instance.
+    // The cache protocol still runs per row, on the row's rank: a hit
+    // never docks, and a miss still puts and is charged for it. The
+    // target's receptor is prepared (scoring constants, search box, reach
+    // index) by the first row that docks, then shared: installing the
+    // workflow without docking costs nothing.
     let docking = models.docking;
     let receptor = target.receptor.clone();
-    let prepared = OnceLock::new();
+    let prepared_receptor = OnceLock::new();
     let accession = target.accession.clone();
+    let named = cache.is_some();
     registry
-        .register_static(
+        .register_prepared(
             "vina_docking",
-            Arc::new(move |args: &[UdfValue]| {
-                let smiles = args.first().and_then(|v| v.as_str()).unwrap_or("");
-                let name = docking_object_name(&accession, smiles);
-
+            move |smiles: &UdfValue| {
+                let smiles = smiles.as_str().unwrap_or("");
+                DockingLigand {
+                    smiles: smiles.to_string(),
+                    name: named.then(|| docking_object_name(&accession, smiles)),
+                    docked: OnceLock::new(),
+                }
+            },
+            move |ligand: &DockingLigand, _: &[UdfValue]| {
                 // Cache fast path: the complete docking output is stashed
                 // as a named object (§3.2).
                 let mut fault_cost = 0.0;
-                if let Some(cache) = &cache {
-                    match cache.get(current_rank(), &name) {
+                if let (Some(cache), Some(name)) = (&cache, &ligand.name) {
+                    match cache.get(current_rank(), name) {
                         Ok(Some((bytes, outcome))) => {
                             if let Some(result) = decode_docking_result(&bytes) {
                                 return UdfOutput::new(
@@ -328,18 +345,31 @@ pub fn register_workflow_udfs(
                     }
                 }
 
-                // Miss: run the simulation (tens of virtual seconds).
-                let ligand = match parse_smiles(smiles) {
-                    Ok(m) => m,
-                    Err(_) => return UdfOutput::new(UdfValue::Null, 1.0e-6),
+                // Miss: the simulation (tens of virtual seconds), run by
+                // the first row of the instance that gets here. A
+                // panicking search leaves the cell empty.
+                let docked = ligand.docked.get_or_init(|| {
+                    let molecule = parse_smiles(&ligand.smiles).ok()?;
+                    let result = prepared_receptor
+                        .get_or_init(|| docking.prepare(&receptor))
+                        .dock(&molecule);
+                    Some(Docked {
+                        energy: result.energy,
+                        virtual_secs: result.virtual_secs,
+                        object: named.then(|| encode_docking_result(&result)),
+                    })
+                });
+                let Some(docked) = docked else {
+                    return UdfOutput::new(UdfValue::Null, 1.0e-6);
                 };
-                let result = prepared.get_or_init(|| docking.prepare(&receptor)).dock(&ligand);
-                let mut cost = result.virtual_secs + fault_cost;
-                if let Some(cache) = &cache {
-                    cost += cache.put(current_rank(), &name, encode_docking_result(&result));
+                let mut cost = docked.virtual_secs + fault_cost;
+                if let (Some(cache), Some(name), Some(object)) =
+                    (&cache, &ligand.name, &docked.object)
+                {
+                    cost += cache.put(current_rank(), name, object.clone());
                 }
-                UdfOutput::new(UdfValue::F64(result.energy), cost)
-            }),
+                UdfOutput::new(UdfValue::F64(docked.energy), cost)
+            },
         )
         .ok();
 }
@@ -350,6 +380,24 @@ pub fn register_workflow_udfs(
 struct DtbaProtein {
     name_hash: u64,
     features: Option<ProteinFeatures>,
+}
+
+/// The prepared first argument of `vina_docking`: the ligand, its cache
+/// object name when a cache is attached, and the cell the first row that
+/// docks it fills (`None` when the text is not SMILES).
+struct DockingLigand {
+    smiles: String,
+    name: Option<String>,
+    docked: OnceLock<Option<Docked>>,
+}
+
+/// What a `vina_docking` row needs of a search: not the pose, which only
+/// the cached object carries.
+struct Docked {
+    energy: f64,
+    virtual_secs: f64,
+    /// The encoded result a cache miss puts; kept only with a cache.
+    object: Option<Bytes>,
 }
 
 /// Thresholds for the re-purposing query. `sw` is the Table 2
@@ -620,14 +668,16 @@ mod tests {
         }
     }
 
-    /// The prepared `sw_similarity` and `dtba` against the scalar closures
-    /// they replaced, bit for bit, through an instance memo and through a
-    /// direct call. Sizes grow in release builds (`ci.sh` runs
+    /// The prepared `sw_similarity`, `dtba` and `vina_docking` against the
+    /// scalar closures they replaced, bit for bit, through an instance memo
+    /// and through a direct call, with no cache and through cold misses and
+    /// hits of one. Sizes grow in release builds (`ci.sh` runs
     /// `cargo test -p ids-core --release -- prepared_args`).
     mod prepared_args {
         use super::*;
         use crate::binding::RowBindings;
-        use ids_cache::{BackingStore, CacheConfig};
+        use ids_cache::{BackingStore, CacheConfig, CacheStats};
+        use ids_models::docking::PreparedReceptor;
         use ids_models::smith_waterman::PreparedQuery;
         use ids_obs::MetricsRegistry;
         use ids_simrt::{NetworkModel, Topology};
@@ -688,6 +738,38 @@ mod tests {
             }
         }
 
+        /// The scalar `vina_docking`: cache get, parse, dock, cache put on
+        /// every call.
+        fn scalar_docking(
+            receptor: &PreparedReceptor,
+            cache: Option<&CacheManager>,
+            smiles: &str,
+        ) -> UdfOutput {
+            let name = docking_object_name("P29274", smiles);
+            let mut fault_cost = 0.0;
+            if let Some(cache) = cache {
+                match cache.get(current_rank(), &name) {
+                    Ok(Some((bytes, outcome))) => {
+                        if let Some(result) = decode_docking_result(&bytes) {
+                            let energy = UdfValue::F64(result.energy);
+                            return UdfOutput::new(energy, outcome.virtual_secs);
+                        }
+                    }
+                    Ok(None) => {}
+                    Err(e) => fault_cost = e.spent_secs(),
+                }
+            }
+            let Ok(ligand) = parse_smiles(smiles) else {
+                return UdfOutput::new(UdfValue::Null, 1.0e-6);
+            };
+            let result = receptor.dock(&ligand);
+            let mut cost = result.virtual_secs + fault_cost;
+            if let Some(cache) = cache {
+                cost += cache.put(current_rank(), &name, encode_docking_result(&result));
+            }
+            UdfOutput::new(UdfValue::F64(result.energy), cost)
+        }
+
         fn models(cache_dtba: bool) -> WorkflowModels {
             WorkflowModels {
                 analytics_scale: SW_SCALE,
@@ -727,9 +809,17 @@ mod tests {
         }
 
         fn assert_same_bits(got: &UdfOutput, want: &UdfOutput, what: &str) {
-            let bits =
-                |o: &UdfOutput| (o.value.as_f64().map(f64::to_bits), o.virtual_secs.to_bits());
+            let bits = |o: &UdfOutput| {
+                (o.value.is_null(), o.value.as_f64().map(f64::to_bits), o.virtual_secs.to_bits())
+            };
             assert_eq!(bits(got), bits(want), "{what}: {got:?} vs {want:?}");
+        }
+
+        /// The cache counters a call sequence moves: hits and misses by
+        /// [`CacheManager::stats`], puts by `ids_cache_inserts_total`.
+        fn cache_counts(cache: &CacheManager) -> (CacheStats, u64) {
+            let inserts = cache.metrics().snapshot().counter_sum("ids_cache_inserts_total");
+            (cache.stats(), inserts)
         }
 
         fn check(seed: u64, sequences: usize, max_len: usize, rows: usize, cached: bool) {
@@ -738,10 +828,13 @@ mod tests {
             let t = Target::from_sequence("P29274", ProteinSequence::random(target_len, &mut rng));
             let reference = models(cached);
             let target_profile = reference.sw.prepare(&t.sequence);
-            let ref_cache = small_cache();
+            let receptor = reference.docking.prepare(&t.receptor);
+            let (cache, ref_cache) = (small_cache(), small_cache());
             let registry = UdfRegistry::new();
             let dict = Arc::new(Dictionary::new());
-            register_workflow_udfs(&registry, &dict, &t, models(cached), Some(small_cache()));
+            let attached = cached.then(|| Arc::clone(&cache));
+            register_workflow_udfs(&registry, &dict, &t, models(cached), attached);
+            let ref_cache = cached.then_some(&*ref_cache);
 
             let seqs: Vec<String> = (0..sequences)
                 .map(|_| sequence_text(rng.next_below(max_len as u64 + 1) as usize, &mut rng))
@@ -749,14 +842,17 @@ mod tests {
             let vars = ["seq".to_string(), "smiles".to_string()];
             let sw = Expr::udf("sw_similarity", vec![Expr::var("seq")]);
             let dtba = Expr::udf("dtba", vec![Expr::var("seq"), Expr::var("smiles")]);
+            let docking = Expr::udf("vina_docking", vec![Expr::var("smiles")]);
             let metrics = MetricsRegistry::new();
             let memo = ArgMemo::new(&metrics);
             let mut profiler = UdfProfiler::new();
             let mut seen = std::collections::HashSet::new();
+            let mut ligands = std::collections::HashSet::new();
             for _ in 0..rows {
                 let seq = &seqs[rng.next_below(sequences as u64) as usize];
                 let smiles = smiles_text(&mut rng);
                 seen.insert(seq.as_str());
+                ligands.insert(smiles.clone());
                 let row = [dict.str(seq), dict.str(&smiles)];
                 let bindings = RowBindings::new(&vars, &row, &dict);
                 let mut eval = |e: &Expr| {
@@ -766,9 +862,14 @@ mod tests {
                 };
                 let want_sw = scalar_sw(&target_profile, seq);
                 assert_same_bits(&eval(&sw), &want_sw, "memoised sw_similarity");
-                let want_dtba =
-                    scalar_dtba(&reference.dtba, cached.then_some(&*ref_cache), seq, &smiles);
+                let want_dtba = scalar_dtba(&reference.dtba, ref_cache, seq, &smiles);
                 assert_same_bits(&eval(&dtba), &want_dtba, "memoised dtba");
+                let want_docking = scalar_docking(&receptor, ref_cache, &smiles);
+                assert_same_bits(&eval(&docking), &want_docking, "memoised vina_docking");
+                if let Some(ref_cache) = ref_cache {
+                    let what = format!("cache after {smiles:?}");
+                    assert_eq!(cache_counts(&cache), cache_counts(ref_cache), "{what}");
+                }
 
                 let direct = registry.call("sw_similarity", &[UdfValue::Str(seq.clone())]).unwrap();
                 assert_same_bits(&direct, &want_sw, "direct sw_similarity");
@@ -778,12 +879,20 @@ mod tests {
                     let args = [UdfValue::Str(seq.clone()), UdfValue::Str(smiles.clone())];
                     let direct = registry.call("dtba", &args).unwrap();
                     assert_same_bits(&direct, &want_dtba, "direct dtba");
+                    let args = [UdfValue::Str(smiles.clone())];
+                    let direct = registry.call("vina_docking", &args).unwrap();
+                    assert_same_bits(&direct, &want_docking, "direct vina_docking");
                 }
             }
             let distinct = seen.len() as u64;
             let snap = metrics.snapshot();
             for udf in ["sw_similarity", "dtba"] {
                 assert_eq!(snap.counter("ids_udf_prepares_total", udf), distinct, "{udf}");
+            }
+            let prepared = snap.counter("ids_udf_prepares_total", "vina_docking");
+            assert_eq!(prepared, ligands.len() as u64, "vina_docking: one per ligand");
+            if cached && rows > ligands.len() {
+                assert!(cache.stats().cache_hits() > 0, "a repeated ligand hits the cache");
             }
         }
 

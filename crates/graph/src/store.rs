@@ -12,7 +12,7 @@ use crate::triple::Triple;
 use ids_simrt::rng::{fnv1a, hash_combine};
 
 /// A triple pattern: `None` positions are wildcards ("variables").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct TriplePattern {
     pub s: Option<TermId>,
     pub p: Option<TermId>,

@@ -4,7 +4,7 @@
 //! `prepare` that depends only on its first argument's value and a `call`
 //! that runs per row. FILTER/APPLY rows are protein × compound pairs, and
 //! exploration repeats and overlaps its queries, so the first argument
-//! (`?seq`) repeats across rows, ranks, stages and queries. An
+//! (`?seq`, `?smiles`) repeats across rows, ranks, stages and queries. An
 //! [`ArgMemo`] lives as long as its instance: it runs `prepare` once per
 //! distinct dictionary id of that argument, and every row still makes its
 //! own `call` — its own charge, profile entry, retry and error.
@@ -17,7 +17,20 @@
 //! (ingest only appends). So any worker of any stage may fill an entry
 //! and every later row may read it. The memo holds at most one entry per
 //! prepared UDF per term id — the dictionary already holds each term's
-//! text — and keeps no row's output or charge: it is not a result cache.
+//! text.
+//!
+//! An entry is whatever `prepare` returned for the value: `sw_similarity`'s
+//! is the similarity and the charge its `call` reports for every row,
+//! `dtba`'s a protein branch that each row's `call` finishes with its
+//! ligand. An entry may also hold a cell (`OnceLock`) that the first
+//! `call` needing it fills, when the work should not run for rows that do
+//! not need it — `vina_docking` docks only on a cache miss, so a hit must
+//! not dock. The cell's content must be as pure in the value as `prepare`
+//! is (no rank, no cache, no other argument): then it is the same
+//! whichever row fills it. A panicking fill leaves the cell empty, so a
+//! retried row fills it again. What stays per row is the rest: the call
+//! itself, so a cache protocol, a rank-dependent charge and the profile
+//! entry are never memoised.
 //!
 //! [`Bindings::key`]: crate::expr::Bindings::key
 
@@ -257,6 +270,47 @@ mod tests {
         }
         assert_eq!(runs.load(Ordering::SeqCst), 2);
         assert_eq!(prepares(&metrics, "flaky"), 1);
+    }
+
+    #[test]
+    fn a_lazy_cell_fills_once_and_a_panicking_fill_leaves_it_empty() {
+        // `double(?x)` prepares an empty cell; a call with a positive
+        // second argument fills it with 2x (the first fill panics), and
+        // one with a zero second argument skips it, as a cache hit skips
+        // docking.
+        let reg = UdfRegistry::new();
+        let fills = Arc::new(AtomicU64::new(0));
+        let f = Arc::clone(&fills);
+        reg.register_prepared(
+            "double",
+            |v: &UdfValue| (v.as_f64().unwrap_or(0.0), std::sync::OnceLock::new()),
+            move |(x, cell): &(f64, std::sync::OnceLock<f64>), rest: &[UdfValue]| {
+                if rest.first().and_then(UdfValue::as_f64) == Some(0.0) {
+                    return UdfOutput::new(UdfValue::Null, 0.0);
+                }
+                let doubled = cell.get_or_init(|| {
+                    if f.fetch_add(1, Ordering::SeqCst) == 0 {
+                        panic!("first fill fails");
+                    }
+                    2.0 * x
+                });
+                UdfOutput::new(UdfValue::F64(*doubled), 1.0e-3)
+            },
+        )
+        .unwrap();
+        let call =
+            |need: i64| Expr::udf("double", vec![Expr::var("x"), Expr::Const(UdfValue::I64(need))]);
+        let memo = ArgMemo::new(&MetricsRegistry::new());
+        assert_eq!(eval(&call(0), &reg, &memo, 4).value, UdfValue::Null);
+        assert_eq!(fills.load(Ordering::SeqCst), 0, "a row that skips the cell fills nothing");
+        let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            eval(&call(1), &reg, &memo, 4);
+        }));
+        assert!(first.is_err());
+        for _ in 0..3 {
+            assert_eq!(eval(&call(1), &reg, &memo, 4).value, UdfValue::F64(8.0));
+        }
+        assert_eq!(fills.load(Ordering::SeqCst), 2, "the retry fills the cell, later rows read it");
     }
 
     #[test]

@@ -98,7 +98,10 @@ impl UdfRegistry {
     /// preparing once and reusing. `prepare` maps the first argument's
     /// value to a `P`; it must be a pure function of that value — it may
     /// not read `current_rank()` or a cache. `call` gets the `P` and the
-    /// remaining arguments once per row, and may read the rank.
+    /// remaining arguments once per row, and may read the rank. A `P`
+    /// may hold a cell that `call` fills on first need, provided what it
+    /// puts there is as pure in the value as `prepare` (see the
+    /// [`memo`](crate::memo) module).
     ///
     /// [`Self::call`] runs `prepare` then `call`. FILTER/APPLY stages
     /// evaluating through an instance's [`ArgMemo`](crate::memo::ArgMemo)

@@ -14,7 +14,9 @@
 //! rank up to 29 workers.
 //!
 //! A FILTER row whose prepared argument the instance's memo already holds
-//! runs no kernel and decodes nothing: it is pinned at its exact count.
+//! runs no kernel and decodes nothing, and an APPLY row whose ligand the
+//! memo has docked does not dock again: both are pinned at their exact
+//! counts.
 //!
 //! Canonicalising a `serve-mix` lookup — what every prepared-cache miss
 //! of the service pays — is pinned at a ceiling too.
@@ -91,6 +93,11 @@ const HELPER_ALLOWANCE: u64 = 64;
 /// memo holds, measured in debug and release: the lookup clones an `Arc`,
 /// the call returns an `F64`, and the profile entry already exists.
 const MEMO_HIT_ROW: u64 = 0;
+
+/// Allocations of one cache-free `vina_docking(?smiles)` APPLY row whose
+/// ligand the memo holds and has docked, measured in debug and release:
+/// as for [`MEMO_HIT_ROW`], and the docked cell returns its energy.
+const DOCKING_MEMO_HIT_ROW: u64 = 0;
 
 /// Allocations of `fragment(Bgp)` + `fragment(Where)` on
 /// [`SERVE_FILTER_LOOKUP`], measured in debug and release: per fragment,
@@ -206,6 +213,37 @@ fn a_filter_row_that_hits_the_memo_allocates_nothing() {
     eprintln!("allocations of a memo-hit sw_similarity FILTER row: {allocations}");
     assert_eq!(hit, first);
     assert_eq!(allocations, MEMO_HIT_ROW);
+}
+
+#[test]
+fn an_apply_row_whose_ligand_the_memo_docked_allocates_nothing() {
+    let _counting = ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut rng = SplitMix64::new(7, 0xd0c);
+    let target = Target::from_sequence("P29274", ProteinSequence::random(412, &mut rng));
+    let registry = UdfRegistry::new();
+    let dict = Arc::new(Dictionary::new());
+    register_workflow_udfs(&registry, &dict, &target, WorkflowModels::paper_models(), None);
+    let memo = ArgMemo::new(&MetricsRegistry::new());
+    let apply = Expr::udf("vina_docking", vec![Expr::var("smiles")]);
+    let vars = ["smiles".to_string()];
+    let row = [dict.str("CC(=O)Oc1ccccc1C(=O)O")];
+    let bindings = RowBindings::new(&vars, &row, &dict);
+    let mut profiler = UdfProfiler::new();
+    let mut eval = || {
+        let mut cx = EvalCtx::new(&registry, &mut profiler).with_memo(&memo);
+        let energy = apply.eval(&bindings, &mut cx).unwrap();
+        (energy, cx.charged_secs)
+    };
+    // The first row prepares the ligand, docks it and makes its profile
+    // entry.
+    let first = eval();
+    assert!(first.0.as_f64().is_some_and(f64::is_finite), "{first:?}");
+    let before = ALLOCATIONS.load(Relaxed);
+    let hit = eval();
+    let allocations = ALLOCATIONS.load(Relaxed) - before;
+    eprintln!("allocations of a memo-hit vina_docking APPLY row: {allocations}");
+    assert_eq!(hit, first);
+    assert_eq!(allocations, DOCKING_MEMO_HIT_ROW);
 }
 
 #[test]

@@ -277,3 +277,28 @@ fn prepared_args_persist_across_queries_and_ingest() {
     let want = fresh.query(&text).unwrap();
     assert_eq!(decoded_rows(&inst, &after), decoded_rows(&fresh, &want));
 }
+
+/// Docking is prepared per ligand: a repeated query calls `vina_docking`
+/// on every row again, each call charged and profiled, and docks nothing
+/// new — the prepare count stays at one per distinct ligand the first
+/// query docked — with the same rows.
+#[test]
+fn prepared_args_persist_docking_once_per_ligand() {
+    let mut inst = launch(Topology::new(2, 4), None);
+    let text = query(0.2);
+    let docking_calls = |inst: &IdsInstance| -> u64 {
+        inst.profilers().iter().filter_map(|p| p.get("vina_docking")).map(|p| p.calls).sum()
+    };
+    let first = inst.query(&text).unwrap();
+    assert_eq!(first.solutions.len(), 22);
+    let calls = docking_calls(&inst);
+    assert_eq!(calls, 22, "one call per row");
+    let ligands: std::collections::HashSet<_> =
+        first.solutions.rows().iter().map(|row| row[1]).collect();
+    assert_eq!(prepares(&inst, "vina_docking"), ligands.len() as u64);
+
+    let again = inst.query(&text).unwrap();
+    assert_eq!(decoded_rows(&inst, &again), decoded_rows(&inst, &first));
+    assert_eq!(docking_calls(&inst), 2 * calls, "every row calls again");
+    assert_eq!(prepares(&inst, "vina_docking"), ligands.len() as u64, "and prepares nothing");
+}
