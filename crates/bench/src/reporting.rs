@@ -1,19 +1,8 @@
 //! Table/figure rendering helpers shared by the experiments.
 
 use ids_core::QueryOutcome;
-use ids_obs::{MetricKey, MetricsSnapshot};
+use ids_obs::MetricsSnapshot;
 use std::fmt::{Debug, Display};
-
-/// Per-rank UDF profile series (`udf="r<N>/<name>"`) are one line *per
-/// rank*: at paper scale (8192 ranks) they would swamp the report. The
-/// merged (`udf="<name>"`) series carry the totals, so the dump keeps
-/// those and summarizes the per-rank series with one count line.
-fn is_per_rank(key: &MetricKey) -> bool {
-    key.label_key == "udf"
-        && key.label_value.split_once('/').is_some_and(|(rank, _)| {
-            rank.strip_prefix('r').is_some_and(|n| n.parse::<u32>().is_ok())
-        })
-}
 
 /// Dump an `ids-obs` snapshot after an experiment's report: counters and
 /// gauges as `name{labels} value` lines, histograms as count/mean. Keeps
@@ -24,26 +13,14 @@ pub fn metrics_dump(title: &str, snapshot: &MetricsSnapshot) {
         println!("(no metrics recorded)");
         return;
     }
-    let mut per_rank = 0usize;
     for (key, v) in &snapshot.counters {
-        if is_per_rank(key) {
-            per_rank += 1;
-        } else {
-            println!("{} {v}", key.render());
-        }
+        println!("{} {v}", key.render());
     }
     for (key, v) in &snapshot.gauges {
-        if is_per_rank(key) {
-            per_rank += 1;
-        } else {
-            println!("{} {v}", key.render());
-        }
+        println!("{} {v}", key.render());
     }
     for (key, h) in &snapshot.histograms {
         println!("{} count={} mean={:.6} max={:.6}", key.render(), h.count, h.mean(), h.max);
-    }
-    if per_rank > 0 {
-        println!("({per_rank} per-rank udf series suppressed; merged totals shown above)");
     }
 }
 

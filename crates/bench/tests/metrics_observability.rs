@@ -56,7 +56,7 @@ fn prometheus_exposition_covers_cached_ncnpr_query() {
     assert!(text.contains("ids_engine_stage_secs_bucket{stage=\"scan\""), "{text}");
     assert!(text.contains("ids_engine_stage_secs_count{stage=\"apply\"}"), "{text}");
     assert!(text.contains("ids_planner_plans_total 2"), "{text}");
-    // UDF profiles exported as gauges (merged + per-rank).
+    // UDF profiles exported as gauges (merged over ranks).
     assert!(text.contains("ids_udf_profile_calls{udf=\"sw_similarity\"}"), "{text}");
 
     // The snapshot agrees with the cache's own accounting.

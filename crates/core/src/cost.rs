@@ -30,7 +30,7 @@
 
 use crate::planner::PhysicalPattern;
 use ids_udf::reorder::estimate_conjunct;
-use ids_udf::{Expr, UdfProfiler};
+use ids_udf::{Expr, ProfileRow};
 use std::collections::BTreeMap;
 
 /// Largest pattern count planned with the exact bitmask DP; beyond this
@@ -303,7 +303,7 @@ pub fn replan_suffix(
 /// Estimated rows surviving the WHERE filter, priced from historical UDF
 /// selectivity profiles (unknown UDFs and pure comparisons fall back to a
 /// neutral 0.5 rejection prior, matching `ids_udf::reorder`).
-pub fn estimate_where_rows(bgp_rows: f64, filter: Option<&Expr>, udf: &UdfProfiler) -> f64 {
+pub fn estimate_where_rows(bgp_rows: f64, filter: Option<&Expr>, udf: ProfileRow<'_>) -> f64 {
     let Some(filter) = filter else { return bgp_rows };
     let conjuncts: Vec<Expr> = match filter {
         Expr::And(cs) => cs.clone(),
@@ -432,16 +432,18 @@ mod tests {
     }
 
     #[test]
-    fn where_estimate_uses_harvested_rejection_rates() {
-        let mut prof = UdfProfiler::new();
+    fn where_estimate_uses_profiled_rejection_rates() {
+        let mut profiles = ids_udf::ProfileTable::new(1);
+        profiles.intern("sw");
+        let mut prof = profiles.row_mut(0);
         for _ in 0..9 {
             prof.record_call("sw", 0.001);
             prof.record_rejection("sw");
         }
         prof.record_call("sw", 0.001); // 90% rejection
         let filter = Expr::And(vec![Expr::udf("sw", vec![])]);
-        let est = estimate_where_rows(1000.0, Some(&filter), &prof);
+        let est = estimate_where_rows(1000.0, Some(&filter), profiles.row(0));
         assert!((est - 100.0).abs() < 1.0, "90% rejection → ~100 of 1000, got {est}");
-        assert_eq!(estimate_where_rows(1000.0, None, &prof), 1000.0);
+        assert_eq!(estimate_where_rows(1000.0, None, profiles.row(0)), 1000.0);
     }
 }

@@ -34,17 +34,17 @@ use ids_simrt::rng::fnv1a;
 use ids_simrt::{Cluster, ExchangeCost, Fanout, RankId, SpeculationReport};
 use ids_udf::expr::EvalCtx;
 use ids_udf::{
-    order_by_udfs, plan_count_based, plan_throughput_based, ArgMemo, EvalError, Expr,
-    RebalancePlan, UdfProfiler, UdfRegistry, UdfValue,
+    order_by_udfs, plan_count_based, plan_throughput_based, ArgMemo, EvalError, Expr, ProfileRow,
+    ProfileRowMut, ProfileTable, RebalancePlan, UdfRegistry, UdfValue,
 };
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Lock a rank's stage profiler even if a panicking worker poisoned it:
-/// a poisoned profiler belongs to a stage that failed, and a failed stage
-/// never commits its profilers. Poisoning must not turn a reportable
+/// Lock a rank's stage profile row even if a panicking worker poisoned it:
+/// a poisoned row belongs to a stage that failed, and a failed stage
+/// never commits its profiles. Poisoning must not turn a reportable
 /// query error into an executor crash.
 fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -683,7 +683,7 @@ pub enum StepOutcome {
 /// scheduler can interleave many in-flight queries over one cluster's
 /// virtual clock. Each [`PlanRun::step`] runs exactly one pipeline stage
 /// (one or two collectives) and returns; the run owns all intermediate
-/// state, while cluster / datastore / profilers are borrowed per call so
+/// state, while cluster / datastore / profiles are borrowed per call so
 /// several runs can share them.
 ///
 /// With a [`ReusePlan`] attached, the first step probes the shared cache
@@ -724,11 +724,11 @@ pub struct PlanRun {
     /// scratch). Distinct from `resume_ordinal`, which tracks *semantic
     /// reuse* checkpoints shared across queries.
     recovery_ordinal: i64,
-    /// Profiler state as of the last recovery checkpoint (or query start).
-    /// Rollback replays it so a re-executed stage sees the same rate
-    /// estimates — and therefore the same row placement and output order —
-    /// as the discarded attempt.
-    profiler_snapshot: Vec<UdfProfiler>,
+    /// The profile table as of the last recovery checkpoint (or query
+    /// start; set only with recovery on). Rollback restores it so a
+    /// re-executed stage sees the same rate estimates — and therefore the
+    /// same row placement and output order — as the discarded attempt.
+    profile_snapshot: Option<ProfileTable>,
     /// Recovery-plane activity, cloned into the outcome at the gather.
     recovery: RecoveryReport,
     /// Adaptive-planner activity, cloned into the outcome at the gather.
@@ -811,7 +811,7 @@ impl PlanRun {
             exchange_tally: ExchangeTally::default(),
             run_id: NEXT_RUN_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             recovery_ordinal: -1,
-            profiler_snapshot: Vec::new(),
+            profile_snapshot: None,
             recovery: RecoveryReport::default(),
             adaptive: AdaptiveReport::default(),
             pending_replan: None,
@@ -851,24 +851,24 @@ impl PlanRun {
         cluster: &mut Cluster,
         ds: &Datastore,
         registry: &UdfRegistry,
-        profilers: &mut [UdfProfiler],
+        profiles: &mut ProfileTable,
         memo: &ArgMemo,
         metrics: &MetricsRegistry,
         cache: Option<&CacheManager>,
     ) -> Result<StepOutcome, ExecError> {
         let ranks = cluster.topology().total_ranks() as usize;
         if !self.started {
-            self.begin(cluster, ds, profilers, metrics, cache, ranks)?;
+            self.begin(cluster, ds, profiles, metrics, cache, ranks)?;
             if self.opts.recovery {
-                // A restart-from-scratch must replay the profiler state the
-                // first attempt started with: profiles persist across
-                // queries and drive rebalance placement, so re-running with
-                // evolved profiles would reorder rows.
-                self.profiler_snapshot = profilers.to_vec();
+                // A restart-from-scratch must replay the profiles the first
+                // attempt started with: profiles persist across queries and
+                // drive rebalance placement, so re-running with evolved
+                // profiles would reorder rows.
+                self.profile_snapshot = Some(profiles.clone());
             }
         }
         if !self.opts.recovery {
-            return self.step_inner(cluster, ds, registry, profilers, memo, metrics, cache, ranks);
+            return self.step_inner(cluster, ds, registry, profiles, memo, metrics, cache, ranks);
         }
 
         // Recovery plane. Deaths become visible when the virtual clock
@@ -880,7 +880,7 @@ impl PlanRun {
         if !dead.is_empty() {
             return self.recover(
                 cluster,
-                profilers,
+                profiles,
                 metrics,
                 cache,
                 ranks,
@@ -890,7 +890,7 @@ impl PlanRun {
         }
         let ann_mark = self.annotations.len();
         let phase_before = self.phase;
-        match self.step_inner(cluster, ds, registry, profilers, memo, metrics, cache, ranks) {
+        match self.step_inner(cluster, ds, registry, profiles, memo, metrics, cache, ranks) {
             Err(e) if e.is_stage_deadline() => {
                 // A blown strict stage deadline is a straggler symptom, not
                 // bad data: roll back and retry within the budget.
@@ -898,7 +898,7 @@ impl PlanRun {
                 self.discard_in_flight_exchange(None, metrics);
                 self.recover(
                     cluster,
-                    profilers,
+                    profiles,
                     metrics,
                     cache,
                     ranks,
@@ -914,7 +914,7 @@ impl PlanRun {
                     // that overlapped a death never stores its own
                     // checkpoint — the rollback below discards it first.
                     if let Some(ord) = completed_ordinal(phase_before, self.phase) {
-                        self.store_recovery_checkpoint(ord, cluster, profilers, metrics, cache);
+                        self.store_recovery_checkpoint(ord, cluster, profiles, metrics, cache);
                     }
                     return Ok(outcome);
                 }
@@ -932,7 +932,7 @@ impl PlanRun {
                 self.annotations.truncate(ann_mark);
                 self.recover(
                     cluster,
-                    profilers,
+                    profiles,
                     metrics,
                     cache,
                     ranks,
@@ -950,7 +950,7 @@ impl PlanRun {
         cluster: &mut Cluster,
         ds: &Datastore,
         registry: &UdfRegistry,
-        profilers: &mut [UdfProfiler],
+        profiles: &mut ProfileTable,
         memo: &ArgMemo,
         metrics: &MetricsRegistry,
         cache: Option<&CacheManager>,
@@ -962,11 +962,11 @@ impl PlanRun {
                 Ok(self.stage_outcome())
             }
             RunPhase::WhereFilter => {
-                self.step_udf(None, cluster, ds, registry, profilers, memo, metrics, cache)?;
+                self.step_udf(None, cluster, ds, registry, profiles, memo, metrics, cache)?;
                 Ok(self.stage_outcome())
             }
             RunPhase::Stage(i) => {
-                self.step_udf(Some(i), cluster, ds, registry, profilers, memo, metrics, cache)?;
+                self.step_udf(Some(i), cluster, ds, registry, profiles, memo, metrics, cache)?;
                 Ok(self.stage_outcome())
             }
             RunPhase::Gather => {
@@ -1018,7 +1018,7 @@ impl PlanRun {
     fn recover(
         &mut self,
         cluster: &mut Cluster,
-        profilers: &mut [UdfProfiler],
+        profiles: &mut ProfileTable,
         metrics: &MetricsRegistry,
         cache: Option<&CacheManager>,
         ranks: usize,
@@ -1096,13 +1096,11 @@ impl PlanRun {
             self.placed = None;
             self.pre_filter_counts = Vec::new();
             self.phase = RunPhase::Pattern(0);
-            for (p, snap) in profilers.iter_mut().zip(&self.profiler_snapshot) {
-                *p = snap.clone();
-            }
+            self.restore_profiles(profiles);
             self.recovery.restarts += 1;
             metrics.counter("ids_recovery_restarts_total").inc();
         } else {
-            self.restore_recovery_checkpoint(ord, cluster, profilers, metrics, cache, ranks)?;
+            self.restore_recovery_checkpoint(ord, cluster, profiles, metrics, cache, ranks)?;
         }
         metrics.spans().record(
             "recovery",
@@ -1126,7 +1124,7 @@ impl PlanRun {
         &mut self,
         ord: i64,
         cluster: &mut Cluster,
-        profilers: &[UdfProfiler],
+        profiles: &ProfileTable,
         metrics: &MetricsRegistry,
         cache: Option<&CacheManager>,
     ) {
@@ -1156,7 +1154,7 @@ impl PlanRun {
         let cost = cache.put_ephemeral(writer, &key, obj.encode());
         cluster.charge_all(cost);
         self.recovery_ordinal = ord;
-        self.profiler_snapshot = profilers.to_vec();
+        self.profile_snapshot = Some(profiles.clone());
         self.recovery.checkpoints_stored += 1;
         self.recovery.checkpoint_times.push((ord, cluster.elapsed()));
         metrics.counter("ids_recovery_checkpoints_total").inc();
@@ -1171,7 +1169,7 @@ impl PlanRun {
         &mut self,
         ord: i64,
         cluster: &mut Cluster,
-        profilers: &mut [UdfProfiler],
+        profiles: &mut ProfileTable,
         metrics: &MetricsRegistry,
         cache: Option<&CacheManager>,
         ranks: usize,
@@ -1245,11 +1243,16 @@ impl PlanRun {
         self.sets = Some(sets);
         self.placed = None;
         self.pre_filter_counts = obj.pre_filter_counts;
-        for (p, snap) in profilers.iter_mut().zip(&self.profiler_snapshot) {
-            *p = snap.clone();
-        }
+        self.restore_profiles(profiles);
         self.phase = phase_after_ordinal(ord, &self.plan);
         Ok(())
+    }
+
+    /// Put the profiles back as they were at the rollback target.
+    fn restore_profiles(&self, profiles: &mut ProfileTable) {
+        if let Some(snap) = &self.profile_snapshot {
+            profiles.clone_from(snap);
+        }
     }
 
     /// Non-terminal step result: [`StepOutcome::Replanned`] when the stage
@@ -1339,7 +1342,7 @@ impl PlanRun {
         &mut self,
         cluster: &mut Cluster,
         ds: &Datastore,
-        profilers: &[UdfProfiler],
+        profiles: &ProfileTable,
         metrics: &MetricsRegistry,
         cache: Option<&CacheManager>,
         ranks: usize,
@@ -1347,10 +1350,10 @@ impl PlanRun {
         // Precondition violations are reportable errors, not panics: under
         // the concurrent service driver a misconfigured client must not
         // take the process down.
-        if profilers.len() != ranks {
+        if profiles.ranks() != ranks {
             return Err(ExecError::msg(format!(
-                "one profiler per rank required: {} profilers for {ranks} ranks",
-                profilers.len()
+                "one profile row per rank required: {} rows for {ranks} ranks",
+                profiles.ranks()
             )));
         }
         if ds.num_shards() != ranks {
@@ -1637,7 +1640,7 @@ impl PlanRun {
         cluster: &mut Cluster,
         ds: &Datastore,
         registry: &UdfRegistry,
-        profilers: &mut [UdfProfiler],
+        profiles: &mut ProfileTable,
         memo: &ArgMemo,
         metrics: &MetricsRegistry,
         cache: Option<&CacheManager>,
@@ -1663,7 +1666,7 @@ impl PlanRun {
                 cluster: &mut *cluster,
                 dict: ds.dictionary(),
                 registry,
-                profilers,
+                profiles,
                 memo,
                 opts: &self.opts,
                 cache,
@@ -1826,10 +1829,10 @@ fn typed_rows(s: BatchView<'_>) -> Vec<Vec<u64>> {
     (0..s.len()).map(|i| (0..s.vars().len()).map(|c| s.column(c).get(i)).collect()).collect()
 }
 
-/// Execute a plan on the cluster. `profilers[r]` is rank r's UDF profile
-/// store, updated in place (it persists across queries, §2.4.1), and
-/// `memo` the instance's prepared UDF arguments, filled in place (they
-/// persist too).
+/// Execute a plan on the cluster. `profiles` is every rank's UDF profiles
+/// (row r is rank r's), updated in place (they persist across queries,
+/// §2.4.1), and `memo` the instance's prepared UDF arguments, filled in
+/// place (they persist too).
 /// `metrics` receives operator timings, spans, and reordering decisions.
 /// `cache` (when the instance has one attached) gets anti-entropy ticks
 /// at stage boundaries, so replication repair rides the query's own
@@ -1843,7 +1846,7 @@ pub fn execute_plan(
     cluster: &mut Cluster,
     ds: &Datastore,
     registry: &UdfRegistry,
-    profilers: &mut [UdfProfiler],
+    profiles: &mut ProfileTable,
     memo: &ArgMemo,
     plan: &PhysicalPlan,
     opts: &ExecOptions,
@@ -1853,7 +1856,7 @@ pub fn execute_plan(
     let mut run = PlanRun::new(Arc::new(plan.clone()), *opts, None);
     loop {
         if let StepOutcome::Done(outcome) =
-            run.step(cluster, ds, registry, profilers, memo, metrics, cache)?
+            run.step(cluster, ds, registry, profiles, memo, metrics, cache)?
         {
             return Ok(*outcome);
         }
@@ -2459,7 +2462,7 @@ fn apply_rebalance_plan(
     Ok((placed, cluster.elapsed() - t0))
 }
 
-/// What a UDF stage needs from each rank's pre-stage profiler, worked out
+/// What a UDF stage needs from each rank's pre-stage profiles, worked out
 /// once per stage: the rank's throughput estimate (solutions/second
 /// through the stage's expression — the per-rank estimates §2.4.2
 /// exchanges) and, for a conjunction, the rank's §2.4.3 conjunct order.
@@ -2483,14 +2486,14 @@ struct OrderWorker {
 }
 
 impl RankPlans {
-    /// Plans for every rank of `profilers` through `expr`, on the shard
+    /// Plans for every row of `profiles` through `expr`, on the shard
     /// pool. A row is priced at the nominal [`EVAL_SECS_PER_ROW`], not at the
     /// batch-amortized charge the stage actually pays: the rebalance
     /// targets, and every row placement and virtual time downstream of
     /// them, are calibrated against the nominal rate. The expected cost
     /// honours short-circuiting: conjuncts in the rank's order, each
     /// weighted by the chance the earlier ones passed.
-    fn new(expr: &Expr, profilers: &[UdfProfiler], opts: &ExecOptions) -> Self {
+    fn new(expr: &Expr, profiles: &ProfileTable, opts: &ExecOptions) -> Self {
         let conjuncts = match expr {
             Expr::And(conjuncts) => Some(conjuncts),
             _ => None,
@@ -2500,12 +2503,12 @@ impl RankPlans {
             Some(c) => c.iter().map(Expr::udf_names).collect(),
             None => vec![expr.udf_names()],
         };
-        let cost = |p: &UdfProfiler, names: &[&str]| -> f64 {
+        let cost = |p: ProfileRow<'_>, names: &[&str]| -> f64 {
             names.iter().map(|n| p.estimated_cost(n, opts.udf_cost_prior)).sum()
         };
         let init = |id| OrderWorker { id, est: Vec::new(), order: Vec::new(), seen: Vec::new() };
-        let (per_rank, workers) = map_shards_with(profilers.len(), Fanout::Host, init, |w, r| {
-            let p = &profilers[r];
+        let (per_rank, workers) = map_shards_with(profiles.ranks(), Fanout::Host, init, |w, r| {
+            let p = profiles.row(r);
             let mut per_solution = EVAL_SECS_PER_ROW;
             if conjuncts.is_none() {
                 per_solution += cost(p, &udfs[0]);
@@ -2739,7 +2742,7 @@ struct UdfStageCx<'a> {
     cluster: &'a mut Cluster,
     dict: &'a Dictionary,
     registry: &'a UdfRegistry,
-    profilers: &'a mut [UdfProfiler],
+    profiles: &'a mut ProfileTable,
     memo: &'a ArgMemo,
     opts: &'a ExecOptions,
     cache: Option<&'a CacheManager>,
@@ -2764,7 +2767,7 @@ fn run_filter_stage(
     let opts = cx.opts;
     let reorder = opts.reorder_conjuncts && matches!(expr, Expr::And(_));
     let needs_rates = !solutions.is_empty() && opts.rebalance == RebalanceMode::ThroughputBased;
-    let mut plans = (reorder || needs_rates).then(|| RankPlans::new(expr, cx.profilers, opts));
+    let mut plans = (reorder || needs_rates).then(|| RankPlans::new(expr, cx.profiles, opts));
     let rates = plans.as_mut().map(|p| std::mem::take(&mut p.rates)).unwrap_or_default();
 
     // §2.4.3 decision counters: did this rank's profile change the
@@ -2833,7 +2836,7 @@ fn run_apply_stage(
     // Re-balance using the UDF itself as the cost driver.
     let opts = cx.opts;
     let probe_expr = Expr::udf(udf.to_string(), vec![]);
-    let rates = |profilers: &[UdfProfiler]| RankPlans::new(&probe_expr, profilers, opts).rates;
+    let rates = |profiles: &ProfileTable| RankPlans::new(&probe_expr, profiles, opts).rates;
     // The call expression is identical for every row of every rank.
     let call = Expr::udf(udf.to_string(), args.to_vec());
     let label = format!("apply:{udf}");
@@ -2876,7 +2879,7 @@ fn run_apply_stage(
 fn run_udf_stage<T: Send, F>(
     cx: &mut UdfStageCx<'_>,
     solutions: StageBatch,
-    rates: impl FnOnce(&[UdfProfiler]) -> Vec<f64>,
+    rates: impl FnOnce(&ProfileTable) -> Vec<f64>,
     calls: &Expr,
     kind: &str,
     label: &str,
@@ -2887,21 +2890,22 @@ where
 {
     let (opts, registry, memo, dict, metrics) =
         (cx.opts, cx.registry, cx.memo, cx.dict, cx.metrics);
-    let profilers = &*cx.profilers;
+    let profiles = &*cx.profiles;
     let (solutions, rebalance) =
-        maybe_rebalance(cx.cluster, solutions, || rates(profilers), opts, metrics)?;
+        maybe_rebalance(cx.cluster, solutions, || rates(profiles), opts, metrics)?;
     let fault_ctrs = StageFaultCtrs::new(metrics);
     let batch_meter = BatchMeter::new(metrics, kind);
     // The virtual cost of evaluating one row outside its UDFs (registry
     // lookups, dispatch), amortized across a batch; the UDF's own charged
     // time is real work and is never amortized.
     let eval_overhead = EVAL_SECS_PER_ROW / EVAL_AMORTIZATION;
-    // Each rank's profiler: cloned here, before the fan-out, updated in
-    // place by the rank's worker, and committed only when the stage
-    // succeeds. A rank without rows evaluates nothing, so gets no clone.
-    let staged: Vec<Option<Mutex<UdfProfiler>>> = (0..profilers.len())
-        .map(|r| (solutions.segment_len(r) > 0).then(|| Mutex::new(profilers[r].clone())))
-        .collect();
+    // The stage records into a copy of the table, made here before the
+    // fan-out with a column for every UDF the stage calls (interned on
+    // this thread, so no column depends on the schedule), and committed
+    // only when the stage succeeds. Each rank's worker holds its own row.
+    let mut staged = profiles.clone();
+    calls.for_each_udf(&mut |u| staged.intern(u));
+    let rows: Vec<Mutex<ProfileRowMut<'_>>> = staged.rows_mut().map(Mutex::new).collect();
     // Ranks run concurrently in no fixed order, so the stage keeps to one
     // worker — the calling thread, ranks in order — whenever call order is
     // observable: with a cache attached (the cache-aware UDFs move LRU and
@@ -2918,10 +2922,7 @@ where
         let mut out: Vec<T> = Vec::new();
         let mut errors = Vec::new();
         let mut deg = RankDegradation::default();
-        let Some(profiler) = &staged[r] else {
-            return RankPart { out, errors, annotations: Vec::new() };
-        };
-        let mut profiler = lock_unpoisoned(profiler);
+        let mut profile = lock_unpoisoned(&rows[r]);
 
         let mut spent = 0.0f64;
         let n_rows = input.len();
@@ -2961,7 +2962,7 @@ where
                     spent += secs;
                 },
                 || {
-                    let mut ecx = EvalCtx::new(registry, &mut profiler).with_memo(memo);
+                    let mut ecx = EvalCtx::new(registry, profile.reborrow()).with_memo(memo);
                     let kept = row(r, base + i as u32, &bindings, &mut ecx);
                     (kept, ecx.charged_secs)
                 },
@@ -3025,11 +3026,8 @@ where
             p.out
         })
         .collect();
-    for (p, s) in cx.profilers.iter_mut().zip(staged) {
-        if let Some(s) = s {
-            *p = s.into_inner().unwrap_or_else(PoisonError::into_inner);
-        }
-    }
+    drop(rows);
+    *cx.profiles = staged;
     Ok((solutions, outs, rebalance))
 }
 

@@ -10,7 +10,7 @@ use crate::planner::{PhysicalPlan, PhysicalStage};
 use ids_obs::MetricsSnapshot;
 use ids_udf::expr::CmpOp;
 use ids_udf::reorder::estimate_conjunct;
-use ids_udf::{order_conjuncts, Expr, UdfProfiler, UdfValue};
+use ids_udf::{order_conjuncts, Expr, ProfileRow, UdfValue};
 
 fn render_value(v: &UdfValue) -> String {
     format!("{v}")
@@ -44,8 +44,9 @@ pub fn render_expr(e: &Expr) -> String {
 }
 
 /// Produce the EXPLAIN text for a plan, using `profiler` (typically the
-/// merge of all ranks' profiles) for cost/selectivity annotations.
-pub fn explain(plan: &PhysicalPlan, profiler: &UdfProfiler) -> String {
+/// merged row of the instance's profile table) for cost/selectivity
+/// annotations.
+pub fn explain(plan: &PhysicalPlan, profiler: ProfileRow<'_>) -> String {
     let mut out = String::new();
     out.push_str("QUERY PLAN\n");
 
@@ -144,7 +145,7 @@ pub fn explain(plan: &PhysicalPlan, profiler: &UdfProfiler) -> String {
 /// placeholder instead of an empty block.
 pub fn explain_with_metrics(
     plan: &PhysicalPlan,
-    profiler: &UdfProfiler,
+    profiler: ProfileRow<'_>,
     snapshot: &MetricsSnapshot,
 ) -> String {
     let mut out = explain(plan, profiler);
@@ -218,7 +219,7 @@ pub fn explain_with_metrics(
         .iter()
         .filter(|(k, _)| k.name == "ids_udf_prepares_total")
         .map(|(k, n)| {
-            let calls = snapshot.gauge("ids_udf_profile_calls", &k.label_value);
+            let calls = profiler.get(&k.label_value).map_or(0, |p| p.calls);
             format!("{} {n} / {calls} calls", k.label_value)
         })
         .collect();

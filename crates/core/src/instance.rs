@@ -4,7 +4,7 @@
 //! endpoint, tear down), Datastore Client (submit queries, add user
 //! codes), and Datastore Agent (per-node runtime) — collapse in the
 //! simulator to one façade owning the cluster, the 3-in-1 datastore, the
-//! model repository, the UDF registry, per-rank profilers, the prepared
+//! model repository, the UDF registry, the per-rank UDF profiles, the prepared
 //! UDF arguments, and an optional *shared* global cache (multiple
 //! instances on one cluster can hand each other the same
 //! `Arc<CacheManager>`, the cross-instance reuse §8 envisions).
@@ -22,7 +22,7 @@ use ids_models::ModelRepository;
 use ids_obs::{MetricsRegistry, MetricsSnapshot};
 use ids_simrt::rng::fnv1a;
 use ids_simrt::{Cluster, FaultPlane, NetworkModel, Topology};
-use ids_udf::{ArgMemo, UdfProfiler, UdfRegistry};
+use ids_udf::{ArgMemo, ProfileRow, ProfileTable, UdfRegistry};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -69,7 +69,8 @@ pub struct IdsInstance {
     datastore: Arc<Datastore>,
     registry: UdfRegistry,
     models: ModelRepository,
-    profilers: Vec<UdfProfiler>,
+    /// Every rank's UDF profiles: the only copy (DESIGN.md §5l).
+    profiles: ProfileTable,
     /// Prepared UDF arguments, kept for the instance's life: no entry can
     /// go stale while the registry and the dictionary only grow.
     arg_memo: ArgMemo,
@@ -102,7 +103,7 @@ impl IdsInstance {
             datastore: Arc::new(Datastore::new(ranks)),
             registry: UdfRegistry::new(),
             models: ModelRepository::with_builtin_models(),
-            profilers: vec![UdfProfiler::new(); ranks],
+            profiles: ProfileTable::new(ranks),
             arg_memo: ArgMemo::new(&metrics),
             cache: None,
             faults: None,
@@ -175,9 +176,9 @@ impl IdsInstance {
         &mut self.cluster
     }
 
-    /// Per-rank profilers (read-only view).
-    pub fn profilers(&self) -> &[UdfProfiler] {
-        &self.profilers
+    /// Every rank's UDF profiles, in rank order (read-only views).
+    pub fn profilers(&self) -> impl ExactSizeIterator<Item = ProfileRow<'_>> {
+        self.profiles.rows()
     }
 
     /// The instance's `ids-obs` registry (engine, planner, and UDF-profile
@@ -188,15 +189,10 @@ impl IdsInstance {
     }
 
     /// One consistent snapshot of everything observable on this instance:
-    /// engine/planner series, per-rank and merged UDF profiles (exported
-    /// as gauges), and — when a cache is attached — its tier counters.
+    /// engine/planner series, the merged UDF profiles (exported as
+    /// gauges), and — when a cache is attached — its tier counters.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let mut merged_profile = UdfProfiler::new();
-        for (r, p) in self.profilers.iter().enumerate() {
-            p.export_metrics(&self.metrics, &format!("r{r}"));
-            merged_profile.merge(p);
-        }
-        merged_profile.export_metrics(&self.metrics, "");
+        self.profiles.export_metrics(&self.metrics);
         // Process-wide NaN comparison tally (see `UdfValue::compare`):
         // NaN-emitting UDFs/models degrade to deterministic ordering
         // instead of failing queries, and this gauge is how that surfaces.
@@ -236,7 +232,7 @@ impl IdsInstance {
     }
 
     /// Reset virtual clocks between measured queries (data, caches, and
-    /// profilers persist — matching a long-running instance serving
+    /// profiles persist — matching a long-running instance serving
     /// successive queries).
     pub fn reset_clocks(&mut self) {
         self.cluster.reset_clocks();
@@ -244,7 +240,7 @@ impl IdsInstance {
 
     /// The statistics catalog for cost-based planning. The expensive part
     /// (one scan pass over every shard) is cached and re-collected only
-    /// when the datastore's version moves; UDF cost/selectivity
+    /// when the datastore's version moves; the merged UDF cost/selectivity
     /// profiles are re-attached fresh on every call so the planner always
     /// prices WHERE conjuncts from the latest observed behaviour.
     pub fn stats_catalog(&self) -> Arc<StatsCatalog> {
@@ -260,18 +256,7 @@ impl IdsInstance {
                 }
             }
         };
-        let mut merged = UdfProfiler::new();
-        for p in &self.profilers {
-            merged.merge(p);
-        }
-        // Live profilers plus anything harvested back from the `ids-obs`
-        // gauges (e.g. profiles exported by an earlier snapshot or by a
-        // peer sharing this registry). The two sources can overlap, which
-        // may double counts — harmless, because the cost model reads only
-        // per-call ratios (mean cost, rejection rate), not raw totals.
-        let mut cat = (*base).clone().with_udf_profiles(merged);
-        cat.harvest_udf_profiles(&self.metrics.snapshot());
-        Arc::new(cat)
+        Arc::new((*base).clone().with_udf_profiles(&self.profiles))
     }
 
     /// Plan an already-parsed query. With `exec.adaptive` set the planner
@@ -295,11 +280,8 @@ impl IdsInstance {
         // done, not its own planner bookkeeping.
         let snapshot = self.metrics_snapshot();
         let plan = self.plan_query(&parsed)?;
-        let mut merged = UdfProfiler::new();
-        for p in &self.profilers {
-            merged.merge(p);
-        }
-        Ok(crate::explain::explain_with_metrics(&plan, &merged, &snapshot))
+        let merged = self.profiles.merged();
+        Ok(crate::explain::explain_with_metrics(&plan, merged.row(0), &snapshot))
     }
 
     /// Parse, plan, and execute an IQL query.
@@ -315,7 +297,7 @@ impl IdsInstance {
             &mut self.cluster,
             &self.datastore,
             &self.registry,
-            &mut self.profilers,
+            &mut self.profiles,
             &self.arg_memo,
             &plan,
             &self.config.exec,
@@ -443,14 +425,14 @@ impl IdsInstance {
     }
 
     /// Advance a prepared run by one pipeline stage against this
-    /// instance's cluster, datastore, profilers, prepared UDF arguments,
+    /// instance's cluster, datastore, UDF profiles, prepared UDF arguments,
     /// and cache.
     pub fn step_run(&mut self, run: &mut PlanRun) -> Result<StepOutcome, QueryError> {
         run.step(
             &mut self.cluster,
             &self.datastore,
             &self.registry,
-            &mut self.profilers,
+            &mut self.profiles,
             &self.arg_memo,
             &self.metrics,
             self.cache.as_deref(),
@@ -796,10 +778,44 @@ mod tests {
         assert_eq!(out.solutions.vars(), &["p".to_string(), "s".to_string()]);
         // Profilers saw the UDFs.
         let total_calls: u64 =
-            inst.profilers().iter().filter_map(|p| p.get("long_enough")).map(|p| p.calls).sum();
+            inst.profilers().filter_map(|p| p.get("long_enough")).map(|p| p.calls).sum();
         assert_eq!(total_calls, 20);
         // Apply stage is on the breakdown.
         assert!(out.breakdown.apply_secs.contains_key("scale"));
+    }
+
+    #[test]
+    fn a_failed_stage_leaves_the_profile_table_unchanged() {
+        let mut inst = demo_instance();
+        inst.registry()
+            .register_static(
+                "long_enough",
+                StdArc::new(|args: &[UdfValue]| {
+                    let l = args[0].as_f64().unwrap_or(0.0);
+                    UdfOutput::new(UdfValue::Bool(l >= 50.0), 0.01)
+                }),
+            )
+            .unwrap();
+        // Not a boolean from length 150 on: the FILTER fails on that row,
+        // after its rank has already recorded calls.
+        inst.registry()
+            .register_static(
+                "fragile",
+                StdArc::new(|args: &[UdfValue]| {
+                    let l = args[0].as_f64().unwrap_or(0.0);
+                    let v = if l < 150.0 { UdfValue::Bool(true) } else { UdfValue::F64(l) };
+                    UdfOutput::new(v, 0.03)
+                }),
+            )
+            .unwrap();
+        inst.query("SELECT ?p WHERE { ?p <up:len> ?l . FILTER(long_enough(?l)) }").unwrap();
+        let before = inst.profiles.clone();
+        assert_eq!(before.merged().row(0).get("long_enough").unwrap().calls, 20);
+        let err = inst
+            .query("SELECT ?p WHERE { ?p <up:len> ?l . FILTER(long_enough(?l) && fragile(?l)) }")
+            .unwrap_err();
+        assert!(err.to_string().contains("not boolean"), "{err}");
+        assert_eq!(inst.profiles, before, "a failed stage committed its profiles");
     }
 
     #[test]

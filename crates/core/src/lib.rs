@@ -24,7 +24,7 @@
 //!   behind [`instance::IdsInstance::prepare_run`].
 //! * [`instance`] — [`instance::IdsInstance`]: the launcher/client facade
 //!   that owns the cluster, datastore, model repository, UDF registry,
-//!   profilers, and (optionally shared) global cache.
+//!   UDF profile table, and (optionally shared) global cache.
 //! * [`workflow`] — the NCNPR drug-re-purposing workflow and the cached
 //!   model-invocation helpers (docking results stashed in the global
 //!   cache, §4).

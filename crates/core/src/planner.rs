@@ -452,8 +452,7 @@ fn lower_impl(
         Some(&r) => r,
         None => 1.0, // pattern-less query: filters run once against the empty row
     };
-    let empty_profiles = ids_udf::UdfProfiler::new();
-    let udf_profiles = stats.map_or(&empty_profiles, |s| s.udf_profiles());
+    let udf_profiles = stats.map(StatsCatalog::udf_profiles).unwrap_or_default();
     let est_where_rows =
         cost::estimate_where_rows(bgp_rows, where_filter.as_ref(), udf_profiles).max(0.0) as u64;
 

@@ -12,10 +12,9 @@
 //!    ([`ids_graph::KmvSketch`]) over the subject and object columns,
 //!    giving the cost model the distinct-value counts that turn raw
 //!    cardinalities into join-size estimates.
-//! 3. **Historical UDF cost/selectivity profiles** — harvested back out of
-//!    an `ids-obs` snapshot via [`UdfProfiler::harvest_metrics`], so the
-//!    cost model can price WHERE-clause conjuncts and APPLY stages from
-//!    the same profiles previous queries exported as gauges.
+//! 3. **Historical UDF cost/selectivity profiles** — the merged row of the
+//!    instance's [`ProfileTable`], so the cost model can price WHERE-clause
+//!    conjuncts from what earlier queries' UDF calls cost and rejected.
 //!
 //! The catalog is built from one pass over every shard
 //! ([`StatsCatalog::collect`]) and is a pure value afterwards: lookups
@@ -25,7 +24,7 @@
 use crate::datastore::Datastore;
 use ids_graph::sketch::DEFAULT_SKETCH_K;
 use ids_graph::{KmvSketch, TermId};
-use ids_udf::UdfProfiler;
+use ids_udf::{ProfileRow, ProfileTable};
 use std::collections::HashMap;
 
 /// Per-predicate statistics.
@@ -66,8 +65,9 @@ pub struct StatsCatalog {
     all_objects: KmvSketch,
     /// Total triples (saturating).
     total_triples: usize,
-    /// Historical UDF cost/selectivity profiles (possibly empty).
-    udf: UdfProfiler,
+    /// Historical UDF cost/selectivity profiles: a merged, one-row table
+    /// (possibly empty).
+    udf: ProfileTable,
 }
 
 impl StatsCatalog {
@@ -92,24 +92,15 @@ impl StatsCatalog {
         cat
     }
 
-    /// Attach historical UDF profiles (e.g. the instance's merged live
-    /// profilers, or profiles harvested from an observability snapshot
-    /// with [`UdfProfiler::harvest_metrics`]).
-    pub fn with_udf_profiles(mut self, udf: UdfProfiler) -> Self {
-        self.udf = udf;
+    /// Attach historical UDF profiles: the merged row of `profiles`.
+    pub fn with_udf_profiles(mut self, profiles: &ProfileTable) -> Self {
+        self.udf = profiles.merged();
         self
     }
 
-    /// Harvest UDF profiles from an `ids-obs` snapshot (the merged `""`
-    /// scope written by `UdfProfiler::export_metrics`) and merge them into
-    /// the catalog's existing profiles.
-    pub fn harvest_udf_profiles(&mut self, snapshot: &ids_obs::MetricsSnapshot) {
-        self.udf.merge(&UdfProfiler::harvest_metrics(snapshot, ""));
-    }
-
-    /// The historical UDF profiles.
-    pub fn udf_profiles(&self) -> &UdfProfiler {
-        &self.udf
+    /// The historical UDF profiles, merged over ranks.
+    pub fn udf_profiles(&self) -> ProfileRow<'_> {
+        self.udf.row(0)
     }
 
     /// Total triples in the store at collection time.
@@ -206,18 +197,5 @@ mod tests {
         let cat = StatsCatalog::collect(&demo_ds());
         assert_eq!(cat.subject_ndv(Some(TermId(u64::MAX))), 0.0);
         assert!(cat.predicate(TermId(u64::MAX)).is_none());
-    }
-
-    #[test]
-    fn udf_profiles_round_trip_through_obs() {
-        let mut prof = UdfProfiler::new();
-        prof.record_call("sw", 0.002);
-        prof.record_rejection("sw");
-        let reg = ids_obs::MetricsRegistry::new();
-        prof.export_metrics(&reg, "");
-        let mut cat = StatsCatalog::collect(&demo_ds());
-        cat.harvest_udf_profiles(&reg.snapshot());
-        assert_eq!(cat.udf_profiles().get("sw").unwrap().calls, 1);
-        assert_eq!(cat.udf_profiles().get("sw").unwrap().rejections, 1);
     }
 }

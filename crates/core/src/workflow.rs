@@ -682,7 +682,7 @@ mod tests {
         use ids_obs::MetricsRegistry;
         use ids_simrt::{NetworkModel, Topology};
         use ids_udf::expr::EvalCtx;
-        use ids_udf::{ArgMemo, Expr, UdfProfiler};
+        use ids_udf::{ArgMemo, Expr, ProfileTable};
         use proptest::prelude::*;
 
         const FULL: bool = !cfg!(debug_assertions);
@@ -845,7 +845,10 @@ mod tests {
             let docking = Expr::udf("vina_docking", vec![Expr::var("smiles")]);
             let metrics = MetricsRegistry::new();
             let memo = ArgMemo::new(&metrics);
-            let mut profiler = UdfProfiler::new();
+            let mut profiles = ProfileTable::new(1);
+            for e in [&sw, &dtba, &docking] {
+                e.for_each_udf(&mut |u| profiles.intern(u));
+            }
             let mut seen = std::collections::HashSet::new();
             let mut ligands = std::collections::HashSet::new();
             for _ in 0..rows {
@@ -856,7 +859,7 @@ mod tests {
                 let row = [dict.str(seq), dict.str(&smiles)];
                 let bindings = RowBindings::new(&vars, &row, &dict);
                 let mut eval = |e: &Expr| {
-                    let mut cx = EvalCtx::new(&registry, &mut profiler).with_memo(&memo);
+                    let mut cx = EvalCtx::new(&registry, profiles.row_mut(0)).with_memo(&memo);
                     let value = e.eval(&bindings, &mut cx).unwrap();
                     UdfOutput::new(value, cx.charged_secs)
                 };

@@ -7,11 +7,11 @@
 //! (expensive) UDF in the chain.
 //!
 //! Evaluation charges virtual cost into an accumulator and feeds the
-//! per-rank profiler, attributing rejections to the UDF whose conjunct
+//! rank's profile row, attributing rejections to the UDF whose conjunct
 //! rejected.
 
 use crate::memo::{ArgMemo, Lookup};
-use crate::profile::UdfProfiler;
+use crate::profile::ProfileRowMut;
 use crate::registry::{UdfOutput, UdfRegistry};
 use crate::value::UdfValue;
 use std::cmp::Ordering;
@@ -112,12 +112,13 @@ impl std::fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// Evaluation context: registry to resolve UDFs, profiler to feed, the
+/// Evaluation context: registry to resolve UDFs, the rank's profile row to
+/// feed (every UDF of the evaluated expression must have a column), the
 /// instance's prepared arguments, and the accumulated virtual cost of
 /// everything executed so far.
 pub struct EvalCtx<'a> {
     pub registry: &'a UdfRegistry,
-    pub profiler: &'a mut UdfProfiler,
+    pub profiler: ProfileRowMut<'a>,
     /// Prepared first arguments shared by the instance, if any.
     pub memo: Option<&'a ArgMemo>,
     /// Virtual seconds charged by UDF executions during evaluation.
@@ -125,8 +126,8 @@ pub struct EvalCtx<'a> {
 }
 
 impl<'a> EvalCtx<'a> {
-    /// Fresh context over a registry and profiler.
-    pub fn new(registry: &'a UdfRegistry, profiler: &'a mut UdfProfiler) -> Self {
+    /// Fresh context over a registry and a profile row.
+    pub fn new(registry: &'a UdfRegistry, profiler: ProfileRowMut<'a>) -> Self {
         Self { registry, profiler, memo: None, charged_secs: 0.0 }
     }
 
@@ -285,6 +286,15 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
     use std::sync::Arc;
 
+    use crate::profile::ProfileTable;
+
+    /// A one-rank profile table with a column for every UDF of `e`.
+    fn profiles(e: &Expr) -> ProfileTable {
+        let mut t = ProfileTable::new(1);
+        e.for_each_udf(&mut |u| t.intern(u));
+        t
+    }
+
     fn bindings(pairs: &[(&str, UdfValue)]) -> HashMap<String, UdfValue> {
         pairs.iter().map(|(k, v)| (k.to_string(), v.clone())).collect()
     }
@@ -315,8 +325,8 @@ mod tests {
     #[test]
     fn comparisons_over_bindings() {
         let (r, _) = registry_with_counter();
-        let mut p = UdfProfiler::new();
-        let mut cx = EvalCtx::new(&r, &mut p);
+        let mut p = ProfileTable::new(1);
+        let mut cx = EvalCtx::new(&r, p.row_mut(0));
         let b = bindings(&[("sim", UdfValue::F64(0.92))]);
         let e = Expr::cmp(CmpOp::Ge, Expr::var("sim"), Expr::Const(UdfValue::F64(0.9)));
         assert!(e.eval_bool(&b, &mut cx).unwrap());
@@ -327,8 +337,8 @@ mod tests {
     #[test]
     fn and_short_circuits_skipping_expensive_udf() {
         let (r, count) = registry_with_counter();
-        let mut p = UdfProfiler::new();
-        let mut cx = EvalCtx::new(&r, &mut p);
+        let mut p = ProfileTable::new(1);
+        let mut cx = EvalCtx::new(&r, p.row_mut(0));
         let b = bindings(&[("x", UdfValue::F64(1.0))]);
         // First conjunct false → the expensive UDF never runs.
         let e = Expr::And(vec![
@@ -343,19 +353,17 @@ mod tests {
     #[test]
     fn udf_cost_is_charged_and_profiled() {
         let (r, _) = registry_with_counter();
-        let mut p = UdfProfiler::new();
-        {
-            let mut cx = EvalCtx::new(&r, &mut p);
-            let b = bindings(&[("x", UdfValue::F64(8.0))]);
-            let e = Expr::cmp(
-                CmpOp::Eq,
-                Expr::udf("half", vec![Expr::var("x")]),
-                Expr::Const(UdfValue::F64(4.0)),
-            );
-            assert!(e.eval_bool(&b, &mut cx).unwrap());
-            assert!((cx.charged_secs - 0.5).abs() < 1e-12);
-        }
-        assert_eq!(p.get("half").unwrap().calls, 1);
+        let e = Expr::cmp(
+            CmpOp::Eq,
+            Expr::udf("half", vec![Expr::var("x")]),
+            Expr::Const(UdfValue::F64(4.0)),
+        );
+        let mut p = profiles(&e);
+        let mut cx = EvalCtx::new(&r, p.row_mut(0));
+        let b = bindings(&[("x", UdfValue::F64(8.0))]);
+        assert!(e.eval_bool(&b, &mut cx).unwrap());
+        assert!((cx.charged_secs - 0.5).abs() < 1e-12);
+        assert_eq!(p.row(0).get("half").unwrap().calls, 1);
     }
 
     #[test]
@@ -363,25 +371,20 @@ mod tests {
         let (r, _) = registry_with_counter();
         r.register_static("always_false", Arc::new(|_| UdfOutput::new(UdfValue::Bool(false), 0.1)))
             .unwrap();
-        let mut p = UdfProfiler::new();
-        {
-            let mut cx = EvalCtx::new(&r, &mut p);
-            let b = bindings(&[]);
-            let e = Expr::And(vec![
-                Expr::udf("always_false", vec![]),
-                Expr::udf("expensive_true", vec![]),
-            ]);
-            assert!(!e.eval_bool(&b, &mut cx).unwrap());
-        }
-        assert_eq!(p.get("always_false").unwrap().rejections, 1);
-        assert!(p.get("expensive_true").is_none(), "never ran, never profiled");
+        let e =
+            Expr::And(vec![Expr::udf("always_false", vec![]), Expr::udf("expensive_true", vec![])]);
+        let mut p = profiles(&e);
+        let mut cx = EvalCtx::new(&r, p.row_mut(0));
+        assert!(!e.eval_bool(&bindings(&[]), &mut cx).unwrap());
+        assert_eq!(p.row(0).get("always_false").unwrap().rejections, 1);
+        assert!(p.row(0).get("expensive_true").is_none(), "never ran, never profiled");
     }
 
     #[test]
     fn or_and_not_semantics() {
         let (r, _) = registry_with_counter();
-        let mut p = UdfProfiler::new();
-        let mut cx = EvalCtx::new(&r, &mut p);
+        let mut p = ProfileTable::new(1);
+        let mut cx = EvalCtx::new(&r, p.row_mut(0));
         let b = bindings(&[]);
         let t = Expr::Const(UdfValue::Bool(true));
         let f = Expr::Const(UdfValue::Bool(false));
@@ -393,8 +396,8 @@ mod tests {
     #[test]
     fn errors_are_reported() {
         let (r, _) = registry_with_counter();
-        let mut p = UdfProfiler::new();
-        let mut cx = EvalCtx::new(&r, &mut p);
+        let mut p = ProfileTable::new(1);
+        let mut cx = EvalCtx::new(&r, p.row_mut(0));
         let b = bindings(&[]);
         assert!(matches!(
             Expr::var("missing").eval(&b, &mut cx),

@@ -11,7 +11,7 @@
 //!   paper's Python-module lifecycle.
 //! * [`profile`] — per-rank UDF profiling: execution count, total execution
 //!   time, and rejection count, "continually updated through the lifetime
-//!   of a running IDS instance" (§2.4.1).
+//!   of a running IDS instance" (§2.4.1), kept in one table per instance.
 //! * [`expr`] — FILTER expression trees over bindings, with UDF calls as
 //!   first-class leaves; evaluation charges virtual cost and feeds the
 //!   profiler.
@@ -39,7 +39,7 @@ pub mod value;
 
 pub use expr::{Bindings, EvalError, Expr};
 pub use memo::ArgMemo;
-pub use profile::{UdfProfile, UdfProfiler};
+pub use profile::{ProfileRow, ProfileRowMut, ProfileTable, UdfProfile};
 pub use rebalance::{estimate_completion, plan_count_based, plan_throughput_based, RebalancePlan};
 pub use registry::{UdfKind, UdfOutput, UdfRegistry};
 pub use reorder::{order_by_udfs, order_conjuncts};

@@ -138,7 +138,7 @@ impl ArgMemo {
 mod tests {
     use super::*;
     use crate::expr::{Bindings, EvalCtx, Expr};
-    use crate::profile::UdfProfiler;
+    use crate::profile::ProfileTable;
     use crate::registry::UdfOutput;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -158,8 +158,9 @@ mod tests {
     }
 
     fn eval(e: &Expr, reg: &UdfRegistry, memo: &ArgMemo, id: u64) -> UdfOutput {
-        let mut profiler = UdfProfiler::new();
-        let mut cx = EvalCtx::new(reg, &mut profiler).with_memo(memo);
+        let mut profiles = ProfileTable::new(1);
+        e.for_each_udf(&mut |u| profiles.intern(u));
+        let mut cx = EvalCtx::new(reg, profiles.row_mut(0)).with_memo(memo);
         let value = e.eval(&Row { id }, &mut cx).unwrap();
         UdfOutput::new(value, cx.charged_secs)
     }

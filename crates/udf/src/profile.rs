@@ -5,9 +5,11 @@
 //! was rejected due to that UDF. The profile is "continually updated
 //! through the lifetime of a running IDS instance", and rank-local so the
 //! planner can tailor decisions to each rank's hardware and data shard.
+//!
+//! An instance keeps them in one [`ProfileTable`], the only copy: metrics
+//! export its merged row, and nothing reads profiles back out of metrics.
 
 use ids_obs::MetricsRegistry;
-use std::collections::HashMap;
 
 /// Profiling record for one UDF on one rank.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -47,50 +49,138 @@ impl UdfProfile {
         self.total_secs += other.total_secs;
         self.rejections += other.rejections;
     }
+
+    /// Whether no call or rejection has been recorded: such a cell reads
+    /// as absent.
+    fn is_empty(&self) -> bool {
+        self.calls == 0 && self.rejections == 0
+    }
 }
 
-/// One rank's profiling datastore: UDF name → profile.
-#[derive(Debug, Clone, Default)]
-pub struct UdfProfiler {
-    profiles: HashMap<String, UdfProfile>,
+/// Every rank's UDF profiles: a row per rank, a column per UDF, the cells
+/// in one vector. The engine interns a stage's UDFs on the calling thread,
+/// so no column depends on the schedule. An empty cell reads as absent.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ProfileTable {
+    ranks: usize,
+    /// Column → UDF name.
+    names: Vec<String>,
+    /// Rank-major cells: rank `r`'s row is `cells[r * w..(r + 1) * w]`,
+    /// `w` the number of columns.
+    cells: Vec<UdfProfile>,
 }
 
-impl UdfProfiler {
-    /// An empty profiler.
-    pub fn new() -> Self {
-        Self::default()
+impl ProfileTable {
+    /// A table of `ranks` empty rows.
+    pub fn new(ranks: usize) -> Self {
+        Self { ranks, ..Self::default() }
     }
 
-    /// Record one execution of `udf` costing `secs`.
-    pub fn record_call(&mut self, udf: &str, secs: f64) {
-        self.update(udf, |p| {
-            p.calls += 1;
-            p.total_secs += secs;
-        });
+    /// Number of rows.
+    pub fn ranks(&self) -> usize {
+        self.ranks
     }
 
-    /// Record that `udf`'s outcome rejected the solution under evaluation.
-    pub fn record_rejection(&mut self, udf: &str) {
-        self.update(udf, |p| p.rejections += 1);
+    /// Give `udf` a column, an empty cell on every row, unless it has one.
+    pub fn intern(&mut self, udf: &str) {
+        if self.names.iter().any(|n| n == udf) {
+            return;
+        }
+        let w = self.names.len();
+        let mut cells = Vec::with_capacity(self.ranks * (w + 1));
+        for r in 0..self.ranks {
+            cells.extend_from_slice(&self.cells[r * w..(r + 1) * w]);
+            cells.push(UdfProfile::default());
+        }
+        self.cells = cells;
+        self.names.push(udf.to_string());
     }
 
-    /// Apply `f` to the record for `udf`, created on first sight. Looked
-    /// up by `&str` first: this runs once per UDF call, and only the first
-    /// call of a name should pay for an owned key.
-    fn update(&mut self, udf: &str, f: impl FnOnce(&mut UdfProfile)) {
-        match self.profiles.get_mut(udf) {
-            Some(p) => f(p),
-            None => {
-                let mut p = UdfProfile::default();
-                f(&mut p);
-                self.profiles.insert(udf.to_string(), p);
+    /// Rank `rank`'s row; empty for a rank outside the table.
+    pub fn row(&self, rank: usize) -> ProfileRow<'_> {
+        let w = self.names.len();
+        if rank >= self.ranks {
+            return ProfileRow::default();
+        }
+        ProfileRow { names: &self.names, cells: &self.cells[rank * w..(rank + 1) * w] }
+    }
+
+    /// Every rank's row, in rank order.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = ProfileRow<'_>> {
+        (0..self.ranks).map(|r| self.row(r))
+    }
+
+    /// Rank `rank`'s row, to record into; empty for a rank outside the table.
+    pub fn row_mut(&mut self, rank: usize) -> ProfileRowMut<'_> {
+        self.rows_mut().nth(rank).unwrap_or(ProfileRowMut { names: &[], cells: &mut [] })
+    }
+
+    /// Every rank's row to record into, in rank order (disjoint borrows).
+    pub fn rows_mut(&mut self) -> impl Iterator<Item = ProfileRowMut<'_>> {
+        let w = self.names.len();
+        let names = self.names.as_slice();
+        let mut rest = self.cells.as_mut_slice();
+        (0..self.ranks).map(move |_| {
+            let (cells, tail) = std::mem::take(&mut rest).split_at_mut(w);
+            rest = tail;
+            ProfileRowMut { names, cells }
+        })
+    }
+
+    /// The instance-wide view: a one-row table whose cells sum every
+    /// rank's, ranks in order (the float sums depend on the order).
+    pub fn merged(&self) -> ProfileTable {
+        let w = self.names.len();
+        let mut cells = vec![UdfProfile::default(); w];
+        for row in self.rows() {
+            for (m, c) in cells.iter_mut().zip(row.cells) {
+                m.merge(c);
             }
         }
+        ProfileTable { ranks: 1, names: self.names.clone(), cells }
     }
 
+    /// Export the merged row as gauges (cumulative, so `set` keeps
+    /// re-exports idempotent): `ids_udf_profile_{calls,rejections}{udf}` and
+    /// `ids_udf_profile_mean_cost_us{udf}` (whole virtual microseconds).
+    pub fn export_metrics(&self, registry: &MetricsRegistry) {
+        let merged = self.merged();
+        for (name, prof) in merged.names.iter().zip(&merged.cells).filter(|(_, p)| !p.is_empty()) {
+            let name = name.as_str();
+            registry.gauge_with("ids_udf_profile_calls", "udf", name).set(prof.calls as i64);
+            registry
+                .gauge_with("ids_udf_profile_rejections", "udf", name)
+                .set(prof.rejections as i64);
+            let mean_us = prof.mean_cost().unwrap_or(0.0) * 1.0e6;
+            registry
+                .gauge_with("ids_udf_profile_mean_cost_us", "udf", name)
+                .set(mean_us.round() as i64);
+        }
+    }
+}
+
+/// One row of a [`ProfileTable`]: a rank's profiles, or the merged ones.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ProfileRow<'a> {
+    names: &'a [String],
+    cells: &'a [UdfProfile],
+}
+
+impl<'a> ProfileRow<'a> {
     /// Profile for a UDF, if it has any data.
-    pub fn get(&self, udf: &str) -> Option<&UdfProfile> {
-        self.profiles.get(udf)
+    pub fn get(&self, udf: &str) -> Option<&'a UdfProfile> {
+        let c = self.names.iter().position(|n| n == udf)?;
+        self.cells.get(c).filter(|p| !p.is_empty())
+    }
+
+    /// Names with profiling data, in column order.
+    pub fn names(&self) -> Vec<&'a str> {
+        self.names
+            .iter()
+            .zip(self.cells)
+            .filter(|(_, p)| !p.is_empty())
+            .map(|(n, _)| n.as_str())
+            .collect()
     }
 
     /// Estimated per-call cost, falling back to `prior` for never-seen UDFs.
@@ -102,91 +192,41 @@ impl UdfProfiler {
     pub fn estimated_rejection(&self, udf: &str, prior: f64) -> f64 {
         self.get(udf).and_then(UdfProfile::rejection_rate).unwrap_or(prior)
     }
+}
 
-    /// Estimated throughput (solutions/second) this rank achieves through a
-    /// pipeline costing `per_solution_secs`; used by the re-balancer.
-    pub fn solutions_per_second(per_solution_secs: f64) -> f64 {
-        if per_solution_secs <= 0.0 {
-            f64::INFINITY
-        } else {
-            1.0 / per_solution_secs
+/// One rank's row of a [`ProfileTable`], to record into.
+#[derive(Debug)]
+pub struct ProfileRowMut<'a> {
+    names: &'a [String],
+    cells: &'a mut [UdfProfile],
+}
+
+impl ProfileRowMut<'_> {
+    /// Record one execution of `udf` costing `secs`.
+    pub fn record_call(&mut self, udf: &str, secs: f64) {
+        if let Some(p) = self.cell(udf) {
+            p.calls += 1;
+            p.total_secs += secs;
         }
     }
 
-    /// Merge another rank's profiler into this one.
-    pub fn merge(&mut self, other: &UdfProfiler) {
-        for (name, prof) in &other.profiles {
-            self.profiles.entry(name.clone()).or_default().merge(prof);
+    /// Record that `udf`'s outcome rejected the solution under evaluation.
+    pub fn record_rejection(&mut self, udf: &str) {
+        if let Some(p) = self.cell(udf) {
+            p.rejections += 1;
         }
     }
 
-    /// Names with profiling data.
-    pub fn names(&self) -> Vec<&str> {
-        self.profiles.keys().map(String::as_str).collect()
+    /// The same row, borrowed for a shorter time.
+    pub fn reborrow(&mut self) -> ProfileRowMut<'_> {
+        ProfileRowMut { names: self.names, cells: self.cells }
     }
 
-    /// Export this profiler's state into an `ids-obs` registry as gauges
-    /// (the source data is cumulative, so `set` keeps re-exports
-    /// idempotent). `scope` prefixes the `udf` label value — pass a rank
-    /// tag like `"r3"` for per-rank series, or `""` for the merged view.
-    ///
-    /// Series: `ids_udf_profile_calls{udf=...}`,
-    /// `ids_udf_profile_rejections{udf=...}`, and
-    /// `ids_udf_profile_mean_cost_us{udf=...}` (mean per-call cost in
-    /// whole microseconds of virtual time).
-    pub fn export_metrics(&self, registry: &MetricsRegistry, scope: &str) {
-        for (name, prof) in &self.profiles {
-            let label = if scope.is_empty() { name.clone() } else { format!("{scope}/{name}") };
-            registry
-                .gauge_with("ids_udf_profile_calls", "udf", label.as_str())
-                .set(prof.calls as i64);
-            registry
-                .gauge_with("ids_udf_profile_rejections", "udf", label.as_str())
-                .set(prof.rejections as i64);
-            let mean_us = prof.mean_cost().unwrap_or(0.0) * 1.0e6;
-            registry
-                .gauge_with("ids_udf_profile_mean_cost_us", "udf", label.as_str())
-                .set(mean_us.round() as i64);
-        }
-    }
-
-    /// Inverse of [`Self::export_metrics`]: rebuild a profiler from the
-    /// gauges a previous export left in an `ids-obs` snapshot. This is
-    /// how the statistics layer harvests *historical* cost/selectivity
-    /// profiles — an instance can prime its cost model from observability
-    /// data (e.g. a scraped registry from an earlier run) without
-    /// sharing live profiler state. `scope` must match the exporting
-    /// scope (`""` for the merged view, `"r3"` for rank 3).
-    ///
-    /// Mean cost survives the round trip at microsecond granularity
-    /// (the export's resolution); per-call totals are reconstructed as
-    /// `calls × mean`.
-    pub fn harvest_metrics(snapshot: &ids_obs::MetricsSnapshot, scope: &str) -> Self {
-        let mut out = Self::new();
-        let strip = |label: &str| -> Option<String> {
-            if scope.is_empty() {
-                (!label.contains('/')).then(|| label.to_string())
-            } else {
-                label.strip_prefix(&format!("{scope}/")).map(str::to_string)
-            }
-        };
-        for (key, value) in &snapshot.gauges {
-            let Some(udf) = strip(&key.label_value) else { continue };
-            let p = out.profiles.entry(udf).or_default();
-            match key.name {
-                "ids_udf_profile_calls" => p.calls = (*value).max(0) as u64,
-                "ids_udf_profile_rejections" => p.rejections = (*value).max(0) as u64,
-                "ids_udf_profile_mean_cost_us" => p.total_secs = (*value).max(0) as f64 / 1.0e6,
-                _ => {}
-            }
-        }
-        // The cost gauge carried the *mean*; scale to a total now that
-        // calls are known, and drop series that never ran.
-        out.profiles.retain(|_, p| p.calls > 0);
-        for p in out.profiles.values_mut() {
-            p.total_secs *= p.calls as f64;
-        }
-        out
+    /// `udf`'s cell; workers record, so its column must already exist.
+    fn cell(&mut self, udf: &str) -> Option<&mut UdfProfile> {
+        let c = self.names.iter().position(|n| n == udf);
+        debug_assert!(c.is_some(), "UDF `{udf}` has no profile column");
+        self.cells.get_mut(c?)
     }
 }
 
@@ -194,13 +234,23 @@ impl UdfProfiler {
 mod tests {
     use super::*;
 
+    /// A one-rank table with columns for `udfs`.
+    fn table(udfs: &[&str]) -> ProfileTable {
+        let mut t = ProfileTable::new(1);
+        for u in udfs {
+            t.intern(u);
+        }
+        t
+    }
+
     #[test]
     fn records_accumulate() {
-        let mut p = UdfProfiler::new();
+        let mut t = table(&["sw"]);
+        let mut p = t.row_mut(0);
         p.record_call("sw", 0.001);
         p.record_call("sw", 0.003);
         p.record_rejection("sw");
-        let prof = p.get("sw").unwrap();
+        let prof = t.row(0).get("sw").unwrap();
         assert_eq!(prof.calls, 2);
         assert!((prof.total_secs - 0.004).abs() < 1e-12);
         assert_eq!(prof.rejections, 1);
@@ -210,17 +260,21 @@ mod tests {
 
     #[test]
     fn unseen_udf_uses_priors() {
-        let p = UdfProfiler::new();
+        let t = table(&["interned_only"]);
+        let p = t.row(0);
         assert_eq!(p.estimated_cost("never", 35.0), 35.0);
         assert_eq!(p.estimated_rejection("never", 0.5), 0.5);
         assert!(p.get("never").is_none());
+        assert!(p.get("interned_only").is_none(), "an empty cell reads as absent");
+        assert!(p.names().is_empty());
+        assert!(ProfileRow::default().get("never").is_none());
     }
 
     #[test]
     fn profiles_replace_priors_once_data_exists() {
-        let mut p = UdfProfiler::new();
-        p.record_call("dtba", 0.8);
-        assert_eq!(p.estimated_cost("dtba", 35.0), 0.8);
+        let mut t = table(&["dtba"]);
+        t.row_mut(0).record_call("dtba", 0.8);
+        assert_eq!(t.row(0).estimated_cost("dtba", 35.0), 0.8);
     }
 
     #[test]
@@ -232,30 +286,116 @@ mod tests {
 
     #[test]
     fn merge_aggregates_across_ranks() {
-        let mut a = UdfProfiler::new();
+        let mut t = ProfileTable::new(2);
+        t.intern("sw");
+        t.intern("pic50");
+        let mut a = t.row_mut(0);
         a.record_call("sw", 0.001);
         a.record_rejection("sw");
-        let mut b = UdfProfiler::new();
+        let mut b = t.row_mut(1);
         b.record_call("sw", 0.003);
         b.record_call("pic50", 0.00001);
-        a.merge(&b);
-        assert_eq!(a.get("sw").unwrap().calls, 2);
-        assert_eq!(a.get("pic50").unwrap().calls, 1);
-        let mut names = a.names();
-        names.sort_unstable();
-        assert_eq!(names, vec!["pic50", "sw"]);
+        let merged = t.merged();
+        let m = merged.row(0);
+        assert_eq!(m.get("sw").unwrap().calls, 2);
+        assert_eq!(m.get("pic50").unwrap().calls, 1);
+        assert_eq!(m.names(), vec!["sw", "pic50"]);
+        assert_eq!(t.row(0).names(), vec!["sw"], "rank 0 never ran pic50");
+    }
+
+    /// Deterministic per-(rank, UDF) data with float totals whose sum
+    /// depends on the order it is taken in.
+    fn filled(ranks: usize, udfs: &[&str]) -> ProfileTable {
+        let mut t = ProfileTable::new(ranks);
+        for u in udfs {
+            t.intern(u);
+        }
+        for (r, mut row) in t.rows_mut().enumerate() {
+            for (k, u) in udfs.iter().enumerate() {
+                for i in 0..(r * 7 + k * 3) % 5 {
+                    row.record_call(u, 0.1 / (1 + r + i + k) as f64 + 1.0e-7 * r as f64);
+                }
+                if (r + k) % 3 == 0 {
+                    row.record_rejection(u);
+                }
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn merged_matches_a_rank_order_fold_bit_for_bit() {
+        let udfs = ["sw", "dtba", "pic50", "vina_docking"];
+        let t = filled(67, &udfs);
+        let merged = t.merged();
+        for u in udfs {
+            let mut fold = UdfProfile::default();
+            for r in 0..t.ranks() {
+                if let Some(p) = t.row(r).get(u) {
+                    fold.merge(p);
+                }
+            }
+            let m = merged.row(0).get(u).copied().unwrap_or_default();
+            assert_eq!((m.calls, m.rejections), (fold.calls, fold.rejections), "{u}");
+            assert_eq!(m.total_secs.to_bits(), fold.total_secs.to_bits(), "{u}");
+        }
+    }
+
+    #[test]
+    fn intern_order_does_not_change_a_name_s_cells() {
+        // Two tables meet the same UDFs in different stage orders: their
+        // columns differ, the cells each name reads do not.
+        let mut a = ProfileTable::new(3);
+        for u in ["sw", "dtba", "pic50"] {
+            a.intern(u);
+        }
+        let mut b = ProfileTable::new(3);
+        for u in ["pic50", "dtba", "sw"] {
+            b.intern(u);
+        }
+        for t in [&mut a, &mut b] {
+            for (r, mut row) in t.rows_mut().enumerate() {
+                row.record_call("sw", 0.25 * r as f64);
+                row.record_call("pic50", 1.0);
+                row.record_rejection("dtba");
+            }
+        }
+        for r in 0..3 {
+            for u in ["sw", "dtba", "pic50", "absent"] {
+                assert_eq!(a.row(r).get(u), b.row(r).get(u), "rank {r} {u}");
+            }
+        }
+        // A column added after data exists keeps every earlier cell.
+        a.intern("late");
+        assert_eq!(a.row(2).get("sw").unwrap().total_secs, 0.5);
+        assert!(a.row(2).get("late").is_none());
+        let (reg_a, reg_b) = (MetricsRegistry::new(), MetricsRegistry::new());
+        a.export_metrics(&reg_a);
+        b.export_metrics(&reg_b);
+        assert_eq!(reg_a.snapshot().gauges, reg_b.snapshot().gauges);
+    }
+
+    #[test]
+    fn rows_out_of_range_are_empty() {
+        let mut t = table(&["sw"]);
+        assert!(t.row(1).names().is_empty());
+        assert_eq!(t.rows().len(), 1);
+        assert_eq!(ProfileTable::default().merged().row(0).names(), Vec::<&str>::new());
+        t.row_mut(0).record_call("sw", 1.0);
+        assert_eq!(t.rows_mut().count(), 1);
     }
 
     #[test]
     fn export_metrics_sets_idempotent_gauges() {
-        let mut p = UdfProfiler::new();
-        p.record_call("sw", 0.002);
-        p.record_call("sw", 0.004);
-        p.record_rejection("sw");
+        let mut t = ProfileTable::new(2);
+        t.intern("sw");
+        t.intern("never_ran");
+        t.row_mut(0).record_call("sw", 0.002);
+        t.row_mut(1).record_call("sw", 0.004);
+        t.row_mut(1).record_rejection("sw");
         let reg = MetricsRegistry::new();
-        p.export_metrics(&reg, "");
-        p.export_metrics(&reg, ""); // re-export must not double-count
-        p.export_metrics(&reg, "r0");
+        t.export_metrics(&reg);
+        t.export_metrics(&reg); // re-export must not double-count
         let snap = reg.snapshot();
         let gauge = |name: &str, label: &str| {
             *snap
@@ -268,33 +408,7 @@ mod tests {
         assert_eq!(gauge("ids_udf_profile_calls", "sw"), 2);
         assert_eq!(gauge("ids_udf_profile_rejections", "sw"), 1);
         assert_eq!(gauge("ids_udf_profile_mean_cost_us", "sw"), 3000);
-        assert_eq!(gauge("ids_udf_profile_calls", "r0/sw"), 2);
-    }
-
-    #[test]
-    fn harvest_round_trips_export() {
-        let mut p = UdfProfiler::new();
-        p.record_call("sw", 0.002);
-        p.record_call("sw", 0.004);
-        p.record_rejection("sw");
-        p.record_call("dock", 40.0);
-        let reg = MetricsRegistry::new();
-        p.export_metrics(&reg, "");
-        p.export_metrics(&reg, "r1"); // scoped series must not bleed into ""
-        let harvested = UdfProfiler::harvest_metrics(&reg.snapshot(), "");
-        let sw = harvested.get("sw").unwrap();
-        assert_eq!(sw.calls, 2);
-        assert_eq!(sw.rejections, 1);
-        assert!((sw.mean_cost().unwrap() - 0.003).abs() < 1e-9);
-        assert!((harvested.estimated_cost("dock", 0.0) - 40.0).abs() < 1e-6);
-        let scoped = UdfProfiler::harvest_metrics(&reg.snapshot(), "r1");
-        assert_eq!(scoped.get("sw").unwrap().calls, 2);
-        assert!(UdfProfiler::harvest_metrics(&reg.snapshot(), "r9").names().is_empty());
-    }
-
-    #[test]
-    fn throughput_helper() {
-        assert_eq!(UdfProfiler::solutions_per_second(0.01), 100.0);
-        assert!(UdfProfiler::solutions_per_second(0.0).is_infinite());
+        // Only the merged row is exported, and only names with data.
+        assert_eq!(snap.gauges.len(), 3);
     }
 }

@@ -9,7 +9,7 @@
 //! different orders for the same query.
 
 use crate::expr::Expr;
-use crate::profile::UdfProfiler;
+use crate::profile::ProfileRow;
 
 /// Ratio of the geometric cost bands used to decide when two estimates
 /// are "about the same". Costs are bucketed on a log scale with this
@@ -48,7 +48,7 @@ pub struct ConjunctEstimate {
 /// Unknown UDFs fall back to the supplied priors.
 pub fn estimate_conjunct(
     e: &Expr,
-    profiler: &UdfProfiler,
+    profiler: ProfileRow<'_>,
     cost_prior: impl Fn(&str) -> f64,
     rejection_prior: f64,
 ) -> ConjunctEstimate {
@@ -59,7 +59,7 @@ pub fn estimate_conjunct(
 /// [`Expr::udf_names`], resolved once by the caller).
 pub fn estimate_udfs(
     udfs: &[&str],
-    profiler: &UdfProfiler,
+    profiler: ProfileRow<'_>,
     cost_prior: impl Fn(&str) -> f64,
     rejection_prior: f64,
 ) -> ConjunctEstimate {
@@ -86,7 +86,7 @@ pub fn estimate_udfs(
 /// conjuncts' initial arrangement.
 pub fn order_conjuncts(
     conjuncts: &[Expr],
-    profiler: &UdfProfiler,
+    profiler: ProfileRow<'_>,
     cost_prior: impl Fn(&str) -> f64,
     rejection_prior: f64,
 ) -> Vec<usize> {
@@ -102,7 +102,7 @@ pub fn order_conjuncts(
 /// allocating once the buffers have grown — one call per rank per stage.
 pub fn order_by_udfs(
     udfs: &[Vec<&str>],
-    profiler: &UdfProfiler,
+    profiler: ProfileRow<'_>,
     cost_prior: impl Fn(&str) -> f64,
     rejection_prior: f64,
     est: &mut Vec<ConjunctEstimate>,
@@ -150,15 +150,20 @@ pub fn expected_chain_cost(est: &[ConjunctEstimate], order: &[usize]) -> f64 {
 mod tests {
     use super::*;
     use crate::expr::CmpOp;
+    use crate::profile::ProfileTable;
     use crate::value::UdfValue;
 
     fn udf_conjunct(name: &str) -> Expr {
         Expr::cmp(CmpOp::Ge, Expr::udf(name, vec![Expr::var("x")]), Expr::Const(UdfValue::F64(0.5)))
     }
 
-    fn profiler_with(data: &[(&str, f64, u64, u64)]) -> UdfProfiler {
+    fn profiler_with(data: &[(&str, f64, u64, u64)]) -> ProfileTable {
         // (name, per-call cost, calls, rejections)
-        let mut p = UdfProfiler::new();
+        let mut t = ProfileTable::new(1);
+        for &(name, ..) in data {
+            t.intern(name);
+        }
+        let mut p = t.row_mut(0);
         for &(name, cost, calls, rejections) in data {
             for _ in 0..calls {
                 p.record_call(name, cost);
@@ -167,7 +172,7 @@ mod tests {
                 p.record_rejection(name);
             }
         }
-        p
+        t
     }
 
     #[test]
@@ -177,7 +182,7 @@ mod tests {
         let p =
             profiler_with(&[("docking", 35.0, 10, 2), ("sw", 0.001, 10, 5), ("dtba", 0.8, 10, 3)]);
         let conjuncts = vec![udf_conjunct("docking"), udf_conjunct("sw"), udf_conjunct("dtba")];
-        let order = order_conjuncts(&conjuncts, &p, |_| 1.0, 0.5);
+        let order = order_conjuncts(&conjuncts, p.row(0), |_| 1.0, 0.5);
         assert_eq!(order, vec![1, 2, 0], "sw, dtba, docking");
     }
 
@@ -189,7 +194,7 @@ mod tests {
             ("b", 1.1, 100, 90), // rejects 90%, costs 10% more
         ]);
         let conjuncts = vec![udf_conjunct("a"), udf_conjunct("b")];
-        let order = order_conjuncts(&conjuncts, &p, |_| 1.0, 0.5);
+        let order = order_conjuncts(&conjuncts, p.row(0), |_| 1.0, 0.5);
         assert_eq!(order, vec![1, 0], "b first despite slightly higher cost");
     }
 
@@ -200,7 +205,7 @@ mod tests {
             ("costly_strong", 10.0, 100, 99), // very selective but 100x cost
         ]);
         let conjuncts = vec![udf_conjunct("costly_strong"), udf_conjunct("cheap_weak")];
-        let order = order_conjuncts(&conjuncts, &p, |_| 1.0, 0.5);
+        let order = order_conjuncts(&conjuncts, p.row(0), |_| 1.0, 0.5);
         assert_eq!(order, vec![1, 0], "cost dominates outside the similarity band");
     }
 
@@ -209,18 +214,18 @@ mod tests {
         let p = profiler_with(&[("sw", 0.001, 10, 5)]);
         let pure = Expr::cmp(CmpOp::Gt, Expr::var("pic50"), Expr::Const(UdfValue::F64(6.0)));
         let conjuncts = vec![udf_conjunct("sw"), pure.clone()];
-        let order = order_conjuncts(&conjuncts, &p, |_| 1.0, 0.5);
+        let order = order_conjuncts(&conjuncts, p.row(0), |_| 1.0, 0.5);
         assert_eq!(order, vec![1, 0]);
     }
 
     #[test]
     fn unknown_udfs_use_priors() {
-        let p = UdfProfiler::new();
+        let p = ProfileTable::new(1);
         let conjuncts = vec![udf_conjunct("unknown_sim"), udf_conjunct("unknown_analytic")];
         // Priors: simulation 35 s, analytic 1 ms.
         let order = order_conjuncts(
             &conjuncts,
-            &p,
+            p.row(0),
             |name| if name.contains("sim") { 35.0 } else { 0.001 },
             0.5,
         );
@@ -266,6 +271,6 @@ mod tests {
     fn deterministic_for_exact_ties() {
         let p = profiler_with(&[("a", 1.0, 10, 5), ("b", 1.0, 10, 5)]);
         let conjuncts = vec![udf_conjunct("a"), udf_conjunct("b")];
-        assert_eq!(order_conjuncts(&conjuncts, &p, |_| 1.0, 0.5), vec![0, 1]);
+        assert_eq!(order_conjuncts(&conjuncts, p.row(0), |_| 1.0, 0.5), vec![0, 1]);
     }
 }

@@ -4,7 +4,7 @@ use ids_udf::expr::CmpOp;
 use ids_udf::reorder::{
     cost_bucket, estimate_conjunct, expected_chain_cost, order_conjuncts, ConjunctEstimate,
 };
-use ids_udf::{plan_count_based, plan_throughput_based, Expr, UdfProfiler, UdfValue};
+use ids_udf::{plan_count_based, plan_throughput_based, Expr, ProfileTable, UdfValue};
 use proptest::prelude::*;
 
 fn udf_conjunct(name: String) -> Expr {
@@ -19,17 +19,15 @@ proptest! {
     fn reorder_is_a_permutation(
         costs in proptest::collection::vec(1.0e-6f64..100.0, 1..12),
     ) {
-        let mut profiler = UdfProfiler::new();
-        let conjuncts: Vec<Expr> = costs
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                let name = format!("u{i}");
-                profiler.record_call(&name, c);
-                udf_conjunct(name)
-            })
-            .collect();
-        let order = order_conjuncts(&conjuncts, &profiler, |_| 1.0, 0.5);
+        let names: Vec<String> = (0..costs.len()).map(|i| format!("u{i}")).collect();
+        let mut profiles = ProfileTable::new(1);
+        names.iter().for_each(|n| profiles.intern(n));
+        let mut row = profiles.row_mut(0);
+        for (name, &c) in names.iter().zip(&costs) {
+            row.record_call(name, c);
+        }
+        let conjuncts: Vec<Expr> = names.into_iter().map(udf_conjunct).collect();
+        let order = order_conjuncts(&conjuncts, profiles.row(0), |_| 1.0, 0.5);
         let mut sorted = order.clone();
         sorted.sort_unstable();
         prop_assert_eq!(sorted, (0..conjuncts.len()).collect::<Vec<_>>());
@@ -43,22 +41,20 @@ proptest! {
     fn reorder_is_comparator_consistent(
         profile in proptest::collection::vec((1.0e-6f64..100.0, 0u8..=10), 1..12),
     ) {
-        let mut profiler = UdfProfiler::new();
-        let conjuncts: Vec<Expr> = profile
-            .iter()
-            .enumerate()
-            .map(|(i, &(cost, rejected_of_10))| {
-                let name = format!("u{i}");
-                for _ in 0..10 {
-                    profiler.record_call(&name, cost);
-                }
-                for _ in 0..rejected_of_10 {
-                    profiler.record_rejection(&name);
-                }
-                udf_conjunct(name)
-            })
-            .collect();
-        let order = order_conjuncts(&conjuncts, &profiler, |_| 1.0, 0.5);
+        let names: Vec<String> = (0..profile.len()).map(|i| format!("u{i}")).collect();
+        let mut profiles = ProfileTable::new(1);
+        names.iter().for_each(|n| profiles.intern(n));
+        let mut row = profiles.row_mut(0);
+        for (name, &(cost, rejected_of_10)) in names.iter().zip(&profile) {
+            for _ in 0..10 {
+                row.record_call(name, cost);
+            }
+            for _ in 0..rejected_of_10 {
+                row.record_rejection(name);
+            }
+        }
+        let conjuncts: Vec<Expr> = names.into_iter().map(udf_conjunct).collect();
+        let order = order_conjuncts(&conjuncts, profiles.row(0), |_| 1.0, 0.5);
 
         // Permutation.
         let mut sorted = order.clone();
@@ -68,7 +64,7 @@ proptest! {
         // Consistent with the documented total-order key.
         let est: Vec<ConjunctEstimate> = conjuncts
             .iter()
-            .map(|e| estimate_conjunct(e, &profiler, |_| 1.0, 0.5))
+            .map(|e| estimate_conjunct(e, profiles.row(0), |_| 1.0, 0.5))
             .collect();
         let mut expect: Vec<usize> = (0..est.len()).collect();
         expect.sort_by(|&a, &b| {
@@ -112,11 +108,12 @@ proptest! {
     /// profiles once data exists.
     #[test]
     fn estimates_prefer_profiles(cost in 1.0e-4f64..10.0, prior in 1.0e-4f64..10.0) {
-        let mut p = UdfProfiler::new();
-        let e_prior = estimate_conjunct(&udf_conjunct("u".into()), &p, |_| prior, 0.5);
+        let mut p = ProfileTable::new(1);
+        p.intern("u");
+        let e_prior = estimate_conjunct(&udf_conjunct("u".into()), p.row(0), |_| prior, 0.5);
         prop_assert!((e_prior.cost - prior).abs() < 1e-12);
-        p.record_call("u", cost);
-        let e_prof = estimate_conjunct(&udf_conjunct("u".into()), &p, |_| prior, 0.5);
+        p.row_mut(0).record_call("u", cost);
+        let e_prof = estimate_conjunct(&udf_conjunct("u".into()), p.row(0), |_| prior, 0.5);
         prop_assert!((e_prof.cost - cost).abs() < 1e-12);
     }
 

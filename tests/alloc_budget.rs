@@ -35,7 +35,7 @@ use ids::obs::MetricsRegistry;
 use ids::simrt::rng::SplitMix64;
 use ids::simrt::Topology;
 use ids::udf::expr::{CmpOp, EvalCtx};
-use ids::udf::{ArgMemo, Expr, UdfOutput, UdfProfiler, UdfRegistry, UdfValue};
+use ids::udf::{ArgMemo, Expr, ProfileTable, UdfOutput, UdfRegistry, UdfValue};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -199,9 +199,10 @@ fn a_filter_row_that_hits_the_memo_allocates_nothing() {
     let vars = ["seq".to_string()];
     let row = [dict.str(&ProteinSequence::random(412, &mut rng).to_string_code())];
     let bindings = RowBindings::new(&vars, &row, &dict);
-    let mut profiler = UdfProfiler::new();
+    let mut profiles = ProfileTable::new(1);
+    profiles.intern("sw_similarity");
     let mut eval = || {
-        let mut cx = EvalCtx::new(&registry, &mut profiler).with_memo(&memo);
+        let mut cx = EvalCtx::new(&registry, profiles.row_mut(0)).with_memo(&memo);
         let kept = filter.eval_bool(&bindings, &mut cx).unwrap();
         (kept, cx.charged_secs)
     };
@@ -228,9 +229,10 @@ fn an_apply_row_whose_ligand_the_memo_docked_allocates_nothing() {
     let vars = ["smiles".to_string()];
     let row = [dict.str("CC(=O)Oc1ccccc1C(=O)O")];
     let bindings = RowBindings::new(&vars, &row, &dict);
-    let mut profiler = UdfProfiler::new();
+    let mut profiles = ProfileTable::new(1);
+    profiles.intern("vina_docking");
     let mut eval = || {
-        let mut cx = EvalCtx::new(&registry, &mut profiler).with_memo(&memo);
+        let mut cx = EvalCtx::new(&registry, profiles.row_mut(0)).with_memo(&memo);
         let energy = apply.eval(&bindings, &mut cx).unwrap();
         (energy, cx.charged_secs)
     };

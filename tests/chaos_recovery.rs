@@ -22,7 +22,9 @@ use ids::cache::{BackingStore, CacheConfig, CacheManager};
 use ids::core::workflow::{
     install_workflow, repurposing_query, RepurposingThresholds, WorkflowModels,
 };
-use ids::core::{ExecError, IdsConfig, IdsInstance, QueryError, QueryOutcome, StepOutcome};
+use ids::core::{
+    ExecError, IdsConfig, IdsInstance, QueryError, QueryOutcome, RunPhase, StepOutcome,
+};
 use ids::simrt::faults::StragglerConfig;
 use ids::simrt::{FaultConfig, FaultPlane, NetworkModel, NodeId, Topology};
 use ids::workloads::ncnpr::{build, Band, NcnprConfig};
@@ -363,4 +365,73 @@ fn rolled_back_run_leaves_the_prepared_entry_untouched() {
     assert!(Arc::ptr_eq(&entry, &inst.prepared(&query(), true).unwrap()));
     assert_eq!(format!("{entry:?}"), cached);
     assert_eq!(cached, format!("{:?}", inst.prepare_fresh(&query(), true).unwrap()));
+}
+
+/// Every rank's UDF profiles, totals as bits.
+fn profile_table(inst: &IdsInstance) -> Vec<Vec<(String, u64, u64, u64)>> {
+    inst.profilers()
+        .map(|row| {
+            row.names()
+                .into_iter()
+                .filter_map(|n| row.get(n).map(|p| (n, p)))
+                .map(|(n, p)| (n.to_string(), p.calls, p.total_secs.to_bits(), p.rejections))
+                .collect()
+        })
+        .collect()
+}
+
+/// A rollback restores the profile table the run had at its target: the
+/// table as the step that completed that checkpoint left it, or the exact
+/// pre-query table on a restart from scratch. The instance is warm, so the
+/// pre-query table is not empty.
+#[test]
+fn rollback_restores_the_profile_table_of_its_target() {
+    let spec =
+        RunSpec { pipelined: false, replication: 2, seed: 1, kill: None, speculation: false };
+    let mut base = launch(spec);
+    base.query(&query()).unwrap();
+    let warm_end = base.cluster().elapsed();
+    let base_out = base.query(&query()).unwrap();
+    let kills = std::iter::once(warm_end)
+        .chain(base_out.recovery.checkpoint_times.iter().map(|&(_, t)| t))
+        .collect::<Vec<_>>();
+    let mut resumed = Vec::new();
+    for t in kills {
+        let mut inst = launch(RunSpec { kill: Some((1, t + 1e-9)), ..spec });
+        inst.query(&query()).unwrap();
+        // The table as of each completed checkpoint ordinal (−1: query start).
+        let mut tables = vec![(-1i64, profile_table(&inst))];
+        let mut run = inst.prepare_run(&query(), false).unwrap();
+        loop {
+            let from = run.phase();
+            match inst.step_run(&mut run).unwrap() {
+                StepOutcome::Done(out) => {
+                    assert_eq!(raw_rows(&out), raw_rows(&base_out), "kill at {t}");
+                    break;
+                }
+                StepOutcome::Recovered { resumed_ordinal, .. } => {
+                    let (_, want) = tables
+                        .iter()
+                        .rev()
+                        .find(|(ord, _)| *ord == resumed_ordinal)
+                        .expect("rollback target was completed");
+                    assert_eq!(&profile_table(&inst), want, "kill at {t}: {resumed_ordinal}");
+                    resumed.push(resumed_ordinal);
+                }
+                _ => {
+                    let ord = match (from, run.phase()) {
+                        (RunPhase::Pattern(_), RunPhase::WhereFilter) => Some(0),
+                        (RunPhase::WhereFilter, _) => Some(1),
+                        (RunPhase::Stage(i), _) => Some(2 + i as i64),
+                        _ => None,
+                    };
+                    if let Some(ord) = ord {
+                        tables.push((ord, profile_table(&inst)));
+                    }
+                }
+            }
+        }
+    }
+    assert!(resumed.contains(&-1), "no restart from scratch: {resumed:?}");
+    assert!(resumed.iter().any(|&o| o >= 1), "no rollback past a UDF stage: {resumed:?}");
 }

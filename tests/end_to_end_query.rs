@@ -196,11 +196,9 @@ fn profiles_persist_across_queries() {
         .unwrap();
     let q = r#"SELECT ?p WHERE { ?p <rdf:type> <Paper> . FILTER(pass(?p)) }"#;
     inst.query(q).unwrap();
-    let after_one: u64 =
-        inst.profilers().iter().filter_map(|p| p.get("pass")).map(|p| p.calls).sum();
+    let after_one: u64 = inst.profilers().filter_map(|p| p.get("pass")).map(|p| p.calls).sum();
     inst.query(q).unwrap();
-    let after_two: u64 =
-        inst.profilers().iter().filter_map(|p| p.get("pass")).map(|p| p.calls).sum();
+    let after_two: u64 = inst.profilers().filter_map(|p| p.get("pass")).map(|p| p.calls).sum();
     assert_eq!(after_one, 30);
     assert_eq!(after_two, 60, "the profiling datastore accumulates for the instance lifetime");
 }

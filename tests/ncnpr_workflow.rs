@@ -148,9 +148,8 @@ fn docking_outputs_are_stashed_under_stable_names() {
 fn udf_profilers_see_the_whole_chain() {
     let mut inst = launch(Topology::new(1, 4), None);
     inst.query(&query(0.9)).unwrap();
-    let total = |name: &str| -> u64 {
-        inst.profilers().iter().filter_map(|p| p.get(name)).map(|p| p.calls).sum()
-    };
+    let total =
+        |name: &str| -> u64 { inst.profilers().filter_map(|p| p.get(name)).map(|p| p.calls).sum() };
     // pIC50 is cheapest, so the reordered chain runs it on every candidate
     // row; SW runs on survivors of nothing (it's also early); docking runs
     // once per final candidate.
@@ -160,7 +159,7 @@ fn udf_profilers_see_the_whole_chain() {
     assert_eq!(total("vina_docking"), 12);
     // Rejections were attributed (the 0.9 threshold rejects the low band).
     let rejections: u64 =
-        inst.profilers().iter().filter_map(|p| p.get("sw_similarity")).map(|p| p.rejections).sum();
+        inst.profilers().filter_map(|p| p.get("sw_similarity")).map(|p| p.rejections).sum();
     assert!(rejections >= 10, "low-band candidates rejected by SW, got {rejections}");
 }
 
@@ -287,7 +286,7 @@ fn prepared_args_persist_docking_once_per_ligand() {
     let mut inst = launch(Topology::new(2, 4), None);
     let text = query(0.2);
     let docking_calls = |inst: &IdsInstance| -> u64 {
-        inst.profilers().iter().filter_map(|p| p.get("vina_docking")).map(|p| p.calls).sum()
+        inst.profilers().filter_map(|p| p.get("vina_docking")).map(|p| p.calls).sum()
     };
     let first = inst.query(&text).unwrap();
     assert_eq!(first.solutions.len(), 22);
@@ -301,4 +300,56 @@ fn prepared_args_persist_docking_once_per_ligand() {
     assert_eq!(decoded_rows(&inst, &again), decoded_rows(&inst, &first));
     assert_eq!(docking_calls(&inst), 2 * calls, "every row calls again");
     assert_eq!(prepares(&inst, "vina_docking"), ligands.len() as u64, "and prepares nothing");
+}
+
+/// Reading metrics is observation only: it never moves what the adaptive
+/// planner estimates. One twin reads its metrics (snapshot, Prometheus
+/// text, EXPLAIN) after every other query of five, so later queries plan
+/// after a read that is out of date; the other twin never reads. Each
+/// query's estimate-vs-actual boundaries must be the same on both.
+#[test]
+fn metrics_reads_never_move_planning() {
+    let twin = || {
+        let mut inst = launch(Topology::new(1, 4), None);
+        inst.exec_options_mut().adaptive = true;
+        inst
+    };
+    let (mut reader, mut quiet) = (twin(), twin());
+    for (i, sw) in [0.9, 0.2, 0.9, 0.2, 0.9].into_iter().enumerate() {
+        let q = query(sw);
+        let a = reader.query(&q).unwrap();
+        let b = quiet.query(&q).unwrap();
+        assert_eq!(a.adaptive.boundaries, b.adaptive.boundaries, "query {i}");
+        let where_est =
+            |inst: &IdsInstance| inst.metrics().snapshot().gauge("ids_adaptive_est_rows", "where");
+        assert_eq!(where_est(&reader), where_est(&quiet), "query {i}");
+        if i % 2 == 0 {
+            reader.metrics_snapshot();
+            reader.render_prometheus();
+            reader.explain(&q).unwrap();
+        }
+    }
+}
+
+/// The exported series are a fixed set: the same keys at 4 and at 64
+/// ranks, none of them per rank.
+#[test]
+fn metric_series_do_not_scale_with_ranks() {
+    let keys = |ranks: u32| {
+        let mut inst = launch(Topology::new(1, ranks), None);
+        inst.query(&query(0.9)).unwrap();
+        let snap = inst.metrics_snapshot();
+        let keys: Vec<String> = snap
+            .counters
+            .keys()
+            .chain(snap.gauges.keys())
+            .chain(snap.histograms.keys())
+            .map(|k| k.render())
+            .collect();
+        let per_rank: Vec<_> =
+            keys.iter().filter(|k| k.contains("udf=\"r") && k.contains('/')).collect();
+        assert!(per_rank.is_empty(), "per-rank series at {ranks} ranks: {per_rank:?}");
+        keys
+    };
+    assert_eq!(keys(4), keys(64));
 }

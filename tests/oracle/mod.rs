@@ -15,7 +15,7 @@ use ids::core::planner::lower_expr;
 use ids::core::Datastore;
 use ids::graph::{Term, TermId, TriplePattern};
 use ids::udf::expr::EvalCtx;
-use ids::udf::{Bindings, Expr, UdfProfiler, UdfRegistry, UdfValue};
+use ids::udf::{Bindings, Expr, ProfileTable, UdfRegistry, UdfValue};
 use std::cmp::Ordering;
 use std::collections::HashSet;
 
@@ -81,8 +81,11 @@ pub fn evaluate(q: &Query, ds: &Datastore, registry: &UdfRegistry) -> Result<Ans
     for p in &q.patterns {
         table = join_pattern(table, p, ds);
     }
-    let mut profiler = UdfProfiler::new();
-    let mut cx = EvalCtx::new(registry, &mut profiler);
+    let mut profiles = ProfileTable::new(1);
+    for e in filters.iter().chain(stages.iter().map(|(_, e)| e)) {
+        e.for_each_udf(&mut |u| profiles.intern(u));
+    }
+    let mut cx = EvalCtx::new(registry, profiles.row_mut(0));
     let mut kept = Vec::new();
     for row in &table.rows {
         let b = Row { vars: &table.vars, row, ds };

@@ -22,7 +22,7 @@ use ids::models::pic50::Pic50Model;
 use ids::models::{CostModel, DockingEngine, DtbaModel, SmithWaterman};
 use ids::simrt::rng::fnv1a;
 use ids::simrt::Topology;
-use ids::udf::UdfProfiler;
+use ids::udf::UdfProfile;
 use ids::workloads::ncnpr::{build, NcnprConfig};
 
 const SEED: u64 = 7;
@@ -76,11 +76,12 @@ fn row_digest(inst: &IdsInstance, out: &QueryOutcome) -> u64 {
 /// `(calls, total_secs bits, rejections)` of `udf`, merged over ranks in
 /// rank order (the float sum is order-sensitive; rank order is fixed).
 fn merged(inst: &IdsInstance, udf: &str) -> (u64, u64, u64) {
-    let mut all = UdfProfiler::new();
-    for p in inst.profilers() {
-        all.merge(p);
+    let mut p = UdfProfile::default();
+    for rank in inst.profilers() {
+        if let Some(q) = rank.get(udf) {
+            p.merge(q);
+        }
     }
-    let p = all.get(udf).copied().unwrap_or_default();
     (p.calls, p.total_secs.to_bits(), p.rejections)
 }
 
