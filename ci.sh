@@ -94,13 +94,15 @@ scripts/cargo-test-filtered.sh -p ids-core --release -- stage_layout
 
 echo "==> shard pool x50 and streamed wire bytes at full size (ids-simrt + ids-core, release)"
 # The span-stealing pool's order, skew and panic tests race real threads,
-# so one pass says little: run them fifty times. Then the streamed
-# exchange's rows, order and (source, destination) byte matrix against
-# the barriered exchange and the per-rank sub-batch loop, at thousands of
-# rows.
+# so one pass says little: run them fifty times, and once on one core.
+# Then the streamed exchange's rows, order and (source, destination) byte
+# matrix against the barriered exchange and the per-rank sub-batch loop,
+# at thousands of rows.
 for _ in $(seq 50); do
   scripts/cargo-test-filtered.sh -p ids-simrt --release -q -- pool
 done
+# On one core the process's pool starts no helper thread at all.
+taskset -c 0 scripts/cargo-test-filtered.sh -p ids-simrt --release -q -- pool
 scripts/cargo-test-filtered.sh -p ids-core --release -- \
     streamed_repartition_matches_barriered_rows_and_order \
     exchange_and_join_equal_the_per_rank_path

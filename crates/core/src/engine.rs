@@ -1525,9 +1525,10 @@ impl PlanRun {
                     let graph = ds.graph();
                     let graph = &*graph;
                     // The first worker runs the first ranks, and alone
-                    // until the phase outlasts a thread start, so it may
-                    // bind every match: room for all of them keeps its
-                    // part (whose buffers the stage keeps) from regrowing.
+                    // until the phase outlasts the pool's wake patience,
+                    // so it may bind every match: room for all of them
+                    // keeps its part (whose buffers the stage keeps) from
+                    // regrowing.
                     // Helpers start empty and grow to their share through
                     // the run's buffers, in chunks of at most
                     // `stage::CHUNK_ROWS` rows.
@@ -2020,24 +2021,23 @@ const JOIN_AMORTIZATION: f64 = 4.0;
 /// the same however rows are dispatched.
 const EVAL_AMORTIZATION: f64 = 8.0;
 
-/// Per-batch dispatch accounting for one rank's join over `rows` rows:
-/// charges `⌈rows / BATCH_ROWS⌉` dispatches plus the amortized per-row
-/// cost, and feeds the `ids_engine_batches_total` / `ids_engine_batch_rows`
-/// observability series. Returns the virtual seconds to charge.
-fn join_cost(rows: usize, opts: &ExecOptions, meter: &BatchMeter) -> f64 {
-    let batches = rows.div_ceil(BATCH_ROWS).max(1);
-    meter.batches.add(batches as u64);
-    let mut remaining = rows;
-    for _ in 0..batches {
-        let this = remaining.min(BATCH_ROWS);
-        meter.rows.observe(this as f64);
-        remaining -= this;
-    }
+/// The virtual seconds one rank's join over `rows` rows charges:
+/// `⌈rows / BATCH_ROWS⌉` dispatches (at least one) plus the amortized
+/// per-row cost.
+fn join_cost(rows: usize, opts: &ExecOptions) -> f64 {
+    let batches = join_batches(rows);
     batches as f64 * BATCH_DISPATCH_SECS + rows as f64 * opts.join_secs_per_row / JOIN_AMORTIZATION
 }
 
-/// Batch observability series for one operator, pre-resolved so worker
-/// closures don't touch the registry maps.
+/// The batches a rank's join over `rows` rows dispatches.
+fn join_batches(rows: usize) -> usize {
+    rows.div_ceil(BATCH_ROWS).max(1)
+}
+
+/// Batch observability series for one operator, pre-resolved so a
+/// phase's meters cost no registry lookup. Recorded on the calling thread
+/// after the phase, in rank order: workers write none of these series,
+/// and the series are a function of the query alone.
 struct BatchMeter {
     batches: ids_obs::Counter,
     rows: ids_obs::Histogram,
@@ -2049,6 +2049,18 @@ impl BatchMeter {
             batches: metrics.counter_with("ids_engine_batches_total", "op", op.to_string()),
             rows: metrics.histogram("ids_engine_batch_rows"),
         }
+    }
+
+    /// Record each rank's `(rows, batches)` in order: `batches` dispatches
+    /// of `BATCH_ROWS` rows each over `rows` rows, the last one (or the one
+    /// of an empty rank) holding what is left.
+    fn record(&self, ranks: impl Iterator<Item = (usize, usize)>) {
+        let mut total = 0;
+        self.rows.observe_all(ranks.flat_map(|(rows, batches)| {
+            total += batches as u64;
+            (0..batches).map(move |b| rows.saturating_sub(b * BATCH_ROWS).min(BATCH_ROWS) as f64)
+        }));
+        self.batches.add(total);
     }
 }
 
@@ -2241,9 +2253,13 @@ fn distributed_join(
             let r = ctx.rank().index();
             let (lv, rv) = (join_input(&left, whole.0, r), join_input(&right, whole.1, r));
             let (first, n) = jw.join(&schema, lv, rv, buffers);
-            ctx.charge(join_cost(lv.len() + rv.len() + n, opts, &meter));
+            ctx.charge(join_cost(lv.len() + rv.len() + n, opts));
             (*w, first, n)
         });
+    meter.record(spans.iter().enumerate().map(|(r, &(_, _, n))| {
+        let rows = join_input(&left, whole.0, r).len() + join_input(&right, whole.1, r).len() + n;
+        (rows, join_batches(rows))
+    }));
     let parts = workers.into_iter().map(|(_, jw)| jw.into_part()).collect();
     let joined = StageBatch::assemble(schema.vars().clone(), parts, &spans, buffers)
         .ok_or_else(stage_overflow)?;
@@ -2713,13 +2729,15 @@ impl RankDegradation {
 }
 
 /// One rank's share of a FILTER/APPLY stage as its worker returns it: the
-/// rank's output plus its fatal errors and degradation annotations. The
-/// calling thread merges the parts in rank order, so error text and
-/// annotation order never depend on which host thread ran which rank.
+/// rank's output plus its fatal errors, degradation annotations and the
+/// batches it dispatched. The calling thread merges the parts in rank
+/// order, so error text, annotation order and batch series never depend on
+/// which host thread ran which rank.
 struct RankPart<T> {
     out: T,
     errors: Vec<String>,
     annotations: Vec<ErrorAnnotation>,
+    batches: usize,
 }
 
 /// A FILTER or APPLY stage as [`PlanRun::step_udf`] runs it.
@@ -2925,14 +2943,13 @@ where
         let mut profile = lock_unpoisoned(&rows[r]);
 
         let mut spent = 0.0f64;
+        let mut batches = 0;
         let n_rows = input.len();
         for i in 0..n_rows {
             // Batch boundary: the engine dispatches the stage once per
             // batch of rows, not once per row.
             if i % BATCH_ROWS == 0 {
-                let this_batch = (n_rows - i).min(BATCH_ROWS);
-                batch_meter.batches.inc();
-                batch_meter.rows.observe(this_batch as f64);
+                batches += 1;
                 ctx.charge(BATCH_DISPATCH_SECS);
                 spent += BATCH_DISPATCH_SECS;
             }
@@ -3003,8 +3020,11 @@ where
             out,
             errors,
             annotations: deg.into_annotations(label, r, opts.stage_deadline_secs),
+            batches,
         }
     });
+    batch_meter
+        .record(parts.iter().enumerate().map(|(r, p)| (solutions.segment(r).len(), p.batches)));
     note_speculation(cx.recovery, metrics, &spec);
     if !opts.pipelined {
         // BSP closes the stage with a barrier; pipelined mode leaves the

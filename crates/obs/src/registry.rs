@@ -73,19 +73,27 @@ pub struct Histogram(Arc<Mutex<HistData>>);
 impl Histogram {
     /// Record one observation.
     pub fn observe(&self, value: f64) {
+        self.observe_all([value]);
+    }
+
+    /// Record `values` in order under one lock: the same state as
+    /// [`Self::observe`] on each.
+    pub fn observe_all(&self, values: impl IntoIterator<Item = f64>) {
         let mut d = self.0.lock().unwrap_or_else(PoisonError::into_inner);
-        if d.count == 0 {
-            d.min = value;
-            d.max = value;
-        } else {
-            d.min = d.min.min(value);
-            d.max = d.max.max(value);
+        for value in values {
+            if d.count == 0 {
+                d.min = value;
+                d.max = value;
+            } else {
+                d.min = d.min.min(value);
+                d.max = d.max.max(value);
+            }
+            d.count += 1;
+            d.sum += value;
+            let slot =
+                HISTOGRAM_BOUNDS.iter().position(|&b| value <= b).unwrap_or(HISTOGRAM_BOUNDS.len());
+            d.buckets[slot] += 1;
         }
-        d.count += 1;
-        d.sum += value;
-        let slot =
-            HISTOGRAM_BOUNDS.iter().position(|&b| value <= b).unwrap_or(HISTOGRAM_BOUNDS.len());
-        d.buckets[slot] += 1;
     }
 
     /// Number of observations so far.

@@ -181,17 +181,17 @@ impl MetricsSnapshot {
 
     /// Combine with a snapshot from another component's registry:
     /// counters, gauges, and histogram tallies add; spans concatenate
-    /// and re-sort by start time.
-    pub fn merge(&self, other: &MetricsSnapshot) -> MetricsSnapshot {
-        let mut out = self.clone();
+    /// and re-sort (stably) by start time. Takes `self` by value and merges
+    /// into it, so its span list is never copied.
+    pub fn merge(mut self, other: &MetricsSnapshot) -> MetricsSnapshot {
         for (k, v) in &other.counters {
-            *out.counters.entry(k.clone()).or_insert(0) += v;
+            *self.counters.entry(k.clone()).or_insert(0) += v;
         }
         for (k, v) in &other.gauges {
-            *out.gauges.entry(k.clone()).or_insert(0) += v;
+            *self.gauges.entry(k.clone()).or_insert(0) += v;
         }
         for (k, h) in &other.histograms {
-            let slot = out.histograms.entry(k.clone()).or_default();
+            let slot = self.histograms.entry(k.clone()).or_default();
             if slot.count == 0 {
                 *slot = h.clone();
             } else if h.count > 0 {
@@ -207,9 +207,9 @@ impl MetricsSnapshot {
                 }
             }
         }
-        out.spans.extend(other.spans.iter().cloned());
-        out.spans.sort_by(|a, b| a.start_secs.total_cmp(&b.start_secs));
-        out
+        self.spans.extend(other.spans.iter().cloned());
+        self.spans.sort_by(|a, b| a.start_secs.total_cmp(&b.start_secs));
+        self
     }
 
     /// Prometheus text exposition (`# TYPE` headers + one line per
@@ -364,6 +364,66 @@ mod tests {
             .unwrap();
         assert_eq!(h.count, 2);
         assert_eq!(m.spans.len(), 2);
+    }
+
+    impl MetricsSnapshot {
+        /// The merge as it was before it took `self` by value: clone, then
+        /// add. Kept as the reference [`MetricsSnapshot::merge`] must match.
+        fn merge_by_clone(&self, other: &MetricsSnapshot) -> MetricsSnapshot {
+            let mut out = self.clone();
+            for (k, v) in &other.counters {
+                *out.counters.entry(k.clone()).or_insert(0) += v;
+            }
+            for (k, v) in &other.gauges {
+                *out.gauges.entry(k.clone()).or_insert(0) += v;
+            }
+            for (k, h) in &other.histograms {
+                let slot = out.histograms.entry(k.clone()).or_default();
+                if slot.count == 0 {
+                    *slot = h.clone();
+                } else if h.count > 0 {
+                    slot.count += h.count;
+                    slot.sum += h.sum;
+                    slot.min = slot.min.min(h.min);
+                    slot.max = slot.max.max(h.max);
+                    if slot.buckets.len() < h.buckets.len() {
+                        slot.buckets.resize(h.buckets.len(), 0);
+                    }
+                    for (s, b) in slot.buckets.iter_mut().zip(&h.buckets) {
+                        *s += b;
+                    }
+                }
+            }
+            out.spans.extend(other.spans.iter().cloned());
+            out.spans.sort_by(|a, b| a.start_secs.total_cmp(&b.start_secs));
+            out
+        }
+    }
+
+    #[test]
+    fn merging_in_place_matches_the_clone_based_merge() {
+        let a = sample();
+        let b = MetricsRegistry::new();
+        b.counter_with("ids_cache_lookup_hits_total", "tier", "local_dram").add(3);
+        b.counter("ids_only_in_b_total").inc();
+        b.gauge_with("ids_cache_size_bytes", "tier", "local_nvme").set(-7);
+        b.histogram_with("ids_engine_stage_secs", "stage", "scan").observe(2.5e-3);
+        b.histogram("ids_only_in_b_secs").observe(9.0);
+        // Spans out of time order on both sides, with ties across sides
+        // that the stable sort must keep in `self`-then-`other` order.
+        for (i, start) in [3.0, 0.5, 1.5, 0.0, 2.0].into_iter().enumerate() {
+            a.spans().record("a", format!("a{i}"), start, start + 0.1);
+            b.spans().record("b", format!("b{i}"), start + 0.25 * (i % 2) as f64, start + 1.0);
+        }
+        let (a, b) = (a.snapshot(), b.snapshot());
+        for (x, y) in [(&a, &b), (&b, &a), (&a, &a), (&a, &MetricsSnapshot::default())] {
+            let want = x.merge_by_clone(y);
+            let got = x.clone().merge(y);
+            assert_eq!(got.counters, want.counters);
+            assert_eq!(got.gauges, want.gauges);
+            assert_eq!(got.histograms, want.histograms);
+            assert_eq!(got.spans, want.spans);
+        }
     }
 
     #[test]

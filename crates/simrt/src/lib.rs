@@ -5,7 +5,7 @@
 //! replaces that hardware with a deterministic *cluster simulator*:
 //!
 //! * **Virtual ranks** — thousands of logical ranks are multiplexed onto the
-//!   host's cores by a scoped shard pool ([`pool`]): one worker per core,
+//!   host's cores by a resident shard pool ([`pool`]): one worker per core,
 //!   each claiming shards from its own span and stealing half of the
 //!   fullest span when it runs dry, results returned in shard order. Rank
 //!   programs execute real Rust code.
@@ -27,7 +27,9 @@
 
 // No `unwrap`/`expect` outside tests (DESIGN.md §5i).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-#![forbid(unsafe_code)]
+// One `unsafe` block: the lifetime erasure of a phase's worker loop in
+// the resident shard pool (`pool.rs`, DESIGN.md §5n).
+#![deny(unsafe_code)]
 
 pub mod clock;
 pub mod cluster;

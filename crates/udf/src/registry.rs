@@ -230,7 +230,9 @@ impl UdfRegistry {
         let (body, first_load_cost) = {
             let map = self.entries.read();
             let e = map.get(name).ok_or_else(|| format!("unknown UDF {name:?}"))?;
-            let first = !e.loaded.swap(true, Ordering::AcqRel);
+            // Read first: once loaded, a call writes nothing shared, so
+            // concurrent callers do not pass the flag's cache line around.
+            let first = !e.loaded.load(Ordering::Acquire) && !e.loaded.swap(true, Ordering::AcqRel);
             (e.body.clone(), if first { e.load_cost } else { 0.0 })
         };
         let mut out = match body {
@@ -307,26 +309,30 @@ mod tests {
     fn concurrent_first_calls_charge_the_load_cost_exactly_once() {
         let r = UdfRegistry::new();
         r.register_dynamic("mymod", "score", 2.5, double()).unwrap();
-        assert!(!r.is_loaded("mymod.score"));
-        let start = std::sync::Barrier::new(8);
-        let loads: usize = std::thread::scope(|s| {
-            let callers: Vec<_> = (0..8)
-                .map(|_| {
-                    s.spawn(|| {
-                        // All eight race for the first call.
-                        start.wait();
-                        (0..50)
-                            .filter(|_| {
-                                r.call("mymod.score", &[UdfValue::F64(1.0)]).unwrap().virtual_secs
-                                    > 1.0
-                            })
-                            .count()
+        // Eight threads of 50 calls, and two (a pool phase on two cores)
+        // of 500, all racing for the first call.
+        for (threads, calls) in [(8, 50), (2, 500)] {
+            r.reload_dynamic("mymod", "score", 2.5, double()).unwrap();
+            assert!(!r.is_loaded("mymod.score"));
+            let start = std::sync::Barrier::new(threads);
+            let loads: usize = std::thread::scope(|s| {
+                let callers: Vec<_> = (0..threads)
+                    .map(|_| {
+                        s.spawn(|| {
+                            start.wait();
+                            (0..calls)
+                                .filter(|_| {
+                                    let out = r.call("mymod.score", &[UdfValue::F64(1.0)]);
+                                    out.unwrap().virtual_secs > 1.0
+                                })
+                                .count()
+                        })
                     })
-                })
-                .collect();
-            callers.into_iter().map(|c| c.join().unwrap()).sum()
-        });
-        assert_eq!(loads, 1, "one of 400 concurrent calls pays the import");
+                    .collect();
+                callers.into_iter().map(|c| c.join().unwrap()).sum()
+            });
+            assert_eq!(loads, 1, "one of {} concurrent calls pays the import", threads * calls);
+        }
         assert!(r.is_loaded("mymod.score"));
         r.reload_dynamic("mymod", "score", 2.5, double()).unwrap();
         assert!(!r.is_loaded("mymod.score"), "a reload unloads the module");

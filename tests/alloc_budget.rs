@@ -5,11 +5,12 @@
 //!
 //! The budget is a bound, not an exact figure. What a step allocates on
 //! one worker is per stage or per row — and the graph has few rows — and
-//! the same on every run. On top of that, the shard pool starts up to
-//! `available_parallelism() - 1` helper threads in every phase that
-//! outlasts a thread start (which depends on timing), and each helper
-//! brings its thread start, its result runs and its worker state (scan
-//! parts, join scratch). So the budget is a per-step allowance plus one
+//! the same on every run. On top of that, the shard pool wakes up to
+//! `available_parallelism() - 1` resident helper threads in every phase
+//! that outlasts its wake patience (which depends on timing), and each
+//! helper that joins brings its result runs and its worker state (scan
+//! parts, join scratch); the first such phase of the process also starts
+//! the helpers. So the budget is a per-step allowance plus one
 //! per helper: `ranks / 8` on two workers, and below one allocation per
 //! rank up to 29 workers.
 //!

@@ -306,31 +306,63 @@ fn cache_attached_ncnpr_query_repeats_cold_and_warm() {
     });
 }
 
+/// A cache-free 64-rank NCNPR instance with paper-calibrated SW and DTBA,
+/// so every row's charge is in the bits, and its repurposing query.
+fn cache_free_ncnpr() -> (IdsInstance, String) {
+    let mut cfg = IdsConfig::laptop(64, 11);
+    cfg.topology = topology();
+    let mut inst = IdsInstance::launch(cfg);
+    let mut ncfg = NcnprConfig::default();
+    ncfg.bands.truncate(2);
+    ncfg.background_proteins = 8;
+    ncfg.sequence_len = 96;
+    let dataset = build(inst.datastore(), &ncfg);
+    let models = WorkflowModels {
+        sw: SmithWaterman::default_model(),
+        dtba: DtbaModel::pretrained(),
+        ..WorkflowModels::test_models()
+    };
+    install_workflow(&mut inst, &dataset.target, models);
+    let q = repurposing_query(&RepurposingThresholds {
+        sw_similarity: 0.5,
+        min_pic50: 3.0,
+        min_dtba: 3.0,
+    });
+    (inst, q)
+}
+
 #[test]
 fn cache_free_ncnpr_query_repeats_across_workers() {
     check("ncnpr threads", 0x1761_af3f_e7e2_15b9, || {
-        let mut cfg = IdsConfig::laptop(64, 11);
-        cfg.topology = topology();
-        let mut inst = IdsInstance::launch(cfg);
-        let mut ncfg = NcnprConfig::default();
-        ncfg.bands.truncate(2);
-        ncfg.background_proteins = 8;
-        ncfg.sequence_len = 96;
-        let dataset = build(inst.datastore(), &ncfg);
-        // Paper-calibrated SW and DTBA, so every row's charge is in the bits.
-        let models = WorkflowModels {
-            sw: SmithWaterman::default_model(),
-            dtba: DtbaModel::pretrained(),
-            ..WorkflowModels::test_models()
-        };
-        install_workflow(&mut inst, &dataset.target, models);
-        let q = repurposing_query(&RepurposingThresholds {
-            sw_similarity: 0.5,
-            min_pic50: 3.0,
-            min_dtba: 3.0,
-        });
+        let (mut inst, q) = cache_free_ncnpr();
         let cold = inst.query(&q);
         inst.reset_clocks();
         vec![cold, inst.query(&q)]
     });
+}
+
+/// The batch series — `ids_engine_batch_rows` (count, sum bits, min, max,
+/// buckets) and `ids_engine_batches_total` per operator — after the
+/// cache-free NCNPR query twice. The engine records them on the calling
+/// thread after each phase, in rank order, so they are a function of the
+/// query alone; the constant was recorded when each worker wrote them as
+/// it ran its ranks.
+#[test]
+fn batch_meters_are_a_function_of_the_query() {
+    for run in 0..RUNS {
+        let (mut inst, q) = cache_free_ncnpr();
+        for _ in 0..2 {
+            inst.query(&q).unwrap();
+        }
+        let snap = inst.metrics_snapshot();
+        let mut s = String::new();
+        for (k, h) in snap.histograms.iter().filter(|(k, _)| k.name == "ids_engine_batch_rows") {
+            let (sum, min, max) = (h.sum.to_bits(), h.min.to_bits(), h.max.to_bits());
+            writeln!(s, "{k:?} {} {sum:x} {min:x} {max:x} {:?}", h.count, h.buckets).unwrap();
+        }
+        for (k, v) in snap.counters.iter().filter(|(k, _)| k.name == "ids_engine_batches_total") {
+            writeln!(s, "{k:?} {v}").unwrap();
+        }
+        assert_eq!(fnv1a(s.as_bytes()), 0x795a_9507_1fb2_4148, "run {run}:\n{s}");
+    }
 }
