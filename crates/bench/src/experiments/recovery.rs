@@ -191,7 +191,10 @@ fn run_scale(nodes: u32, rec: &mut Records) {
 
     // Speculation recovers at least half of the straggler loss.
     let sp = &spec.outcome.recovery;
-    assert!(sp.spec_launched >= 1 && sp.spec_wins >= 1, "no hedges won: speculation inert");
+    assert!(
+        sp.speculation.launched >= 1 && sp.speculation.wins >= 1,
+        "no hedges won: speculation inert"
+    );
     let straggler_loss = straggler.outcome.elapsed_secs - probe.outcome.elapsed_secs;
     let spec_loss = spec.outcome.elapsed_secs - probe.outcome.elapsed_secs;
     assert!(straggler_loss > 0.0, "stragglers must cost virtual time");
@@ -209,16 +212,16 @@ fn run_scale(nodes: u32, rec: &mut Records) {
             rec.add(format_args!("{key}.total_virtual_secs"), r.outcome.elapsed_secs);
             rec.add(format_args!("{key}.rollbacks"), rep.rollbacks);
             rec.add(format_args!("{key}.restarts"), rep.restarts);
-            rec.add(format_args!("{key}.spec_launched"), rep.spec_launched);
-            rec.add(format_args!("{key}.spec_wins"), rep.spec_wins);
-            rec.add(format_args!("{key}.spec_saved_secs"), rep.spec_saved_secs);
+            rec.add(format_args!("{key}.spec_launched"), rep.speculation.launched);
+            rec.add(format_args!("{key}.spec_wins"), rep.speculation.wins);
+            rec.add(format_args!("{key}.spec_saved_secs"), rep.speculation.saved_secs);
             vec![
                 r.label.to_string(),
                 format!("{:.6}s", r.outcome.elapsed_secs),
                 rep.rollbacks.to_string(),
                 rep.restarts.to_string(),
-                rep.spec_wins.to_string(),
-                format!("{:.6}s", rep.spec_saved_secs),
+                rep.speculation.wins.to_string(),
+                format!("{:.6}s", rep.speculation.saved_secs),
             ]
         })
         .collect();

@@ -653,6 +653,29 @@ mod tests {
     }
 
     #[test]
+    fn a_udf_error_that_mentions_a_deadline_is_not_a_stage_deadline() {
+        // The UDF's own text names a deadline; no stage deadline is set.
+        // Recovery must report the UDF's error, not retry it as a
+        // straggler until the rollback budget runs out.
+        let mut inst = demo_instance();
+        inst.registry()
+            .register_static(
+                "upstream",
+                StdArc::new(|_args: &[UdfValue]| -> UdfOutput {
+                    UdfOutput::new(UdfValue::Str("upstream exceeded its deadline".into()), 0.01)
+                }),
+            )
+            .unwrap();
+        inst.exec_options_mut().recovery = true;
+        let err =
+            inst.query("SELECT ?p WHERE { ?p <up:len> ?l . FILTER(upstream(?l)) }").unwrap_err();
+        let msg = err.to_string();
+        assert!(msg.contains("expression is not boolean") && msg.contains("upstream"), "{msg}");
+        let snap = inst.metrics_snapshot();
+        assert_eq!(snap.counter("ids_recovery_rollbacks_total", ""), 0, "{msg}");
+    }
+
+    #[test]
     fn flaky_udf_is_absorbed_by_row_retries() {
         use std::collections::HashSet;
         use std::sync::Mutex;

@@ -130,6 +130,20 @@ pub struct SpeculationReport {
     pub first_win: Option<(u32, f64)>,
 }
 
+impl SpeculationReport {
+    /// Fold a later phase's report into this one: counts and saved
+    /// seconds add up, and the first win stays the earliest phase's.
+    pub fn merge(&mut self, later: &SpeculationReport) {
+        self.launched += later.launched;
+        self.wins += later.wins;
+        self.losses += later.losses;
+        self.saved_secs += later.saved_secs;
+        if self.first_win.is_none() {
+            self.first_win = later.first_win;
+        }
+    }
+}
+
 /// A simulated cluster: topology + network model + per-rank clocks.
 ///
 /// Recovery additions: each rank is either **live** or permanently
@@ -1183,6 +1197,29 @@ mod tests {
         // original finished and the copy was cancelled.
         assert!((clocks_on[1] - 10.0).abs() < 1e-9, "loser charged: {:?}", clocks_on);
         assert!((clocks_on[2] - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn speculation_reports_merge_counts_and_keep_the_first_win() {
+        let phase = |launched: u64, first_win: Option<(u32, f64)>| SpeculationReport {
+            launched,
+            wins: first_win.map_or(0, |_| 1),
+            losses: launched - first_win.map_or(0, |_| 1),
+            saved_secs: 0.25 * launched as f64,
+            first_win,
+        };
+        let mut total = SpeculationReport::default();
+        total.merge(&phase(2, None));
+        total.merge(&phase(3, Some((4, 1.5))));
+        total.merge(&phase(1, Some((2, 9.0))));
+        let want = SpeculationReport {
+            launched: 6,
+            wins: 2,
+            losses: 4,
+            saved_secs: 1.5,
+            first_win: Some((4, 1.5)),
+        };
+        assert_eq!(total, want);
     }
 
     #[test]

@@ -287,7 +287,7 @@ fn speculation_preserves_bytes_and_saves_time() {
             raw_rows(&spec_out),
             "seed {seed}: speculation touched the data plane"
         );
-        if spec_out.recovery.spec_wins > 0 {
+        if spec_out.recovery.speculation.wins > 0 {
             assert!(
                 spec_out.elapsed_secs <= plain_out.elapsed_secs + 1e-9,
                 "seed {seed}: a winning hedge must not lengthen the critical path \
@@ -295,7 +295,7 @@ fn speculation_preserves_bytes_and_saves_time() {
                 spec_out.elapsed_secs,
                 plain_out.elapsed_secs
             );
-            assert!(spec_out.recovery.spec_saved_secs > 0.0, "seed {seed}: wins save time");
+            assert!(spec_out.recovery.speculation.saved_secs > 0.0, "seed {seed}: wins save time");
         }
     }
 }
@@ -316,7 +316,7 @@ fn killing_the_speculation_winner_still_resumes_byte_identical() {
         let mut probe = launch(spec);
         let probe_out = probe.query(&query()).unwrap();
         let expected = raw_rows(&probe_out);
-        let Some((winner, won_at)) = probe_out.recovery.first_spec_win else {
+        let Some((winner, won_at)) = probe_out.recovery.speculation.first_win else {
             // This seed's straggler draw produced no winning hedge —
             // nothing to be spiteful about.
             eprintln!("seed {seed}: no speculation win, spiteful kill skipped");

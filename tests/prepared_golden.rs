@@ -10,14 +10,20 @@
 //!   attachment each start a new plan epoch; no entry outlives its epoch.
 //! * **Bound** — thousands of distinct texts never grow the cache past
 //!   its capacity, and every answer stays right.
+//! * **Checkpoint bytes** — the reuse objects a query stores, and what a
+//!   recovery run's checkpoints leave in the cache tiers, are pinned to
+//!   the values recorded while reuse and recovery stored checkpoints
+//!   through separate functions.
 
 use ids::cache::{BackingStore, CacheConfig, CacheManager};
-use ids::core::workflow::{install_workflow, WorkflowModels};
+use ids::core::workflow::{
+    install_workflow, repurposing_query, RepurposingThresholds, WorkflowModels,
+};
 use ids::core::{IdsConfig, IdsInstance};
 use ids::graph::Term;
 use ids::serve::{QueryId, QueryService, ServeConfig, SessionId, TenantConfig};
-use ids::simrt::rng::SplitMix64;
-use ids::simrt::{NetworkModel, Topology};
+use ids::simrt::rng::{fnv1a, SplitMix64};
+use ids::simrt::{NetworkModel, RankId, Topology};
 use ids::workloads::ncnpr::{build, Band, NcnprConfig};
 use std::sync::Arc;
 
@@ -225,7 +231,7 @@ fn exec_options_and_cache_attachment_start_a_new_epoch() {
     let mut inst = launch(true);
     let before = key(&inst).expect("cache attached: reuse plan present");
     assert_eq!(key(&inst).as_ref(), Some(&before), "same epoch, same entry");
-    inst.exec_options_mut().row_retries += 1;
+    inst.exec_options_mut().degrade = true;
     let after = key(&inst).expect("reuse plan present");
     assert_ne!(before, after, "result-affecting option changed the reuse salt");
     assert_eq!(
@@ -288,4 +294,70 @@ fn distinct_texts_stay_within_capacity_and_answer_correctly() {
     assert_eq!(snap.gauge("ids_prepared_entries", ""), 1024);
     assert_eq!(snap.counter("ids_prepared_misses_total", ""), TEXTS as u64);
     assert_eq!(snap.counter("ids_prepared_evictions_total", ""), TEXTS as u64 - 1024);
+}
+
+/// FNV-1a over every `(key, bytes)` reuse object [`checkpoint_queries`]
+/// store, in schedule order, recorded on the commit where reuse and
+/// recovery checkpoints had store functions of their own (9d81cf4).
+const REUSE_OBJECTS_DIGEST: u64 = 0xf80531349d2aa66e;
+/// Reuse objects the schedule names and the cache holds.
+const REUSE_OBJECTS: usize = 6;
+/// Recovery checkpoints a fault-free `recovery = true` run of the same
+/// queries stores, on the same commit.
+const RECOVERY_CHECKPOINTS: u32 = 7;
+/// `(node, tier, occupied bytes)` after that run, on the same commit.
+const RECOVERY_OCCUPIED: [(usize, &str, u64); 4] =
+    [(0, "dram", 10105), (1, "dram", 10105), (0, "nvme", 0), (1, "nvme", 0)];
+
+/// A BGP, the same BGP under a WHERE filter, and the re-purposing query
+/// (three filters and an APPLY stage): every checkpoint ordinal.
+fn checkpoint_queries() -> Vec<String> {
+    let lookup = "SELECT ?c ?s WHERE { ?c <chembl:inhibits> <up:B1_2> . ?c <chembl:smiles> ?s . ";
+    let loose = RepurposingThresholds { sw_similarity: 0.2, min_pic50: 0.0, min_dtba: 0.0 };
+    vec![
+        format!("{lookup}}}"),
+        format!("{lookup}FILTER(pic50(?s) > 0.0) }}"),
+        repurposing_query(&loose),
+    ]
+}
+
+#[test]
+fn checkpoint_stores_write_the_pinned_bytes() {
+    let mut inst = launch(true);
+    let mut digest = Vec::new();
+    let mut objects = 0;
+    for q in checkpoint_queries() {
+        inst.query_with_reuse(&q).unwrap();
+        let prepared = inst.prepared(&q, true).unwrap();
+        let reuse = prepared.reuse.as_ref().expect("cache attached: reuse plan present");
+        let scheduled =
+            [&reuse.after_bgp, &reuse.after_where].into_iter().chain(&reuse.after_stage);
+        for cp in scheduled.flatten() {
+            let (bytes, _) = inst.cache().unwrap().get(RankId(0), &cp.key).unwrap().unwrap();
+            digest.extend_from_slice(cp.key.as_bytes());
+            digest.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+            digest.extend_from_slice(&bytes);
+            objects += 1;
+        }
+    }
+    assert_eq!((objects, fnv1a(&digest)), (REUSE_OBJECTS, REUSE_OBJECTS_DIGEST));
+
+    let mut inst = launch(true);
+    inst.exec_options_mut().recovery = true;
+    let mut stored = 0;
+    for q in checkpoint_queries() {
+        let out = inst.query(&q).unwrap();
+        assert_eq!(out.recovery.rollbacks, 0, "fault-free run");
+        stored += out.recovery.checkpoints_stored;
+    }
+    let occupied: Vec<(usize, String, u64)> = inst
+        .cache_inspection()
+        .unwrap()
+        .tiers
+        .into_iter()
+        .map(|t| (t.node, t.tier, t.occupied_bytes))
+        .collect();
+    let want: Vec<(usize, String, u64)> =
+        RECOVERY_OCCUPIED.iter().map(|&(n, t, b)| (n, t.to_string(), b)).collect();
+    assert_eq!((stored, occupied), (RECOVERY_CHECKPOINTS, want));
 }
