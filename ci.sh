@@ -67,18 +67,27 @@ echo "==> model-kernel exactness at full size (ids-models, release)"
 # prepare timed (<= 0.2 ms; its <= 64 KiB heap is checked in any build).
 scripts/cargo-test-filtered.sh -p ids-models --release -- kernels
 
-echo "==> prepared UDF arguments vs the scalar closures (ids-core, release)"
-# sw_similarity / dtba through an instance's argument memo and through a
-# direct call, against the per-call parse + kernel closures they
-# replaced: value and charge bits, parse failures and the cached-DTBA path
-# included, here at 412-residue targets and sequences to 1500 residues.
-# Then the memo's instance lifetime: repeated queries prepare nothing, and
-# a query after ingest prepares exactly the new sequences and returns a
-# fresh instance's rows. Once on every core, once pinned to one: the
-# prepare counts it asserts must read the same on one worker and on two.
+echo "==> prepared UDF arguments vs the scalar closures (ids-udf + ids-core, release)"
+# The memo's keying: each argument position keyed apart (one id at two
+# positions), constants prepared per call and never kept, a panicking
+# prepare at position 1 leaving no entry, unbound variables failing in
+# argument order. Then sw_similarity / pic50 / dtba / vina_docking through
+# an instance's argument memo and through a direct call (every position
+# prepared, then the call), against the per-call parse + kernel closures
+# they replaced: value and charge bits, parse failures and the cached-DTBA
+# path included, here at 412-residue targets and sequences to 1500
+# residues. Then the memo's instance lifetime: repeated queries prepare
+# nothing at any position, and a query after ingest prepares exactly the
+# new sequences, SMILES and proteins and returns a fresh instance's rows.
+# Then a full NCNPR FILTER row (sw_similarity, pic50, dtba) of memo hits
+# allocates nothing. Once on every core, once pinned to one: the prepare
+# counts must read the same on one worker and on two.
+scripts/cargo-test-filtered.sh -p ids-udf --release -- memo::tests
 scripts/cargo-test-filtered.sh -p ids-core --release -- prepared_args
 scripts/cargo-test-filtered.sh --release --test ncnpr_workflow -- prepared_args_persist
 taskset -c 0 scripts/cargo-test-filtered.sh --release --test ncnpr_workflow -- prepared_args_persist
+scripts/cargo-test-filtered.sh --release --test alloc_budget -- a_full_ncnpr_filter_row
+taskset -c 0 scripts/cargo-test-filtered.sh --release --test alloc_budget -- a_full_ncnpr_filter_row
 
 echo "==> BGP-kernel exactness at full size (ids-graph + ids-core, release)"
 # The column-at-a-time scan, hash join, gather/append, repartition and

@@ -523,6 +523,8 @@ where
     // only when the stage succeeds. Each rank's worker holds its own row.
     let mut staged = profiles.clone();
     calls.for_each_udf(&mut |u| staged.intern(u));
+    // Each column's prepared UDF resolved once, here, for every row.
+    let memo = memo.stage(registry, &staged);
     let rows: Vec<Mutex<ProfileRowMut<'_>>> = staged.rows_mut().map(Mutex::new).collect();
     // Ranks run concurrently in no fixed order, so the stage keeps to one
     // worker — the calling thread, ranks in order — whenever call order is
@@ -579,7 +581,7 @@ where
                     spent += secs;
                 },
                 || {
-                    let mut ecx = EvalCtx::new(registry, profile.reborrow()).with_memo(memo);
+                    let mut ecx = EvalCtx::new(registry, profile.reborrow()).with_memo(&memo);
                     let kept = row(r, base + i as u32, &bindings, &mut ecx);
                     (kept, ecx.charged_secs)
                 },

@@ -211,9 +211,9 @@ pub fn explain_with_metrics(
         ));
     }
 
-    // Distinct first arguments the instance's memo holds for a prepared
-    // UDF (each prepared once, for the instance's life), over the calls
-    // its rows made.
+    // Distinct arguments the instance's memo holds for a prepared UDF,
+    // every prepared position's together (each prepared once, for the
+    // instance's life), over the calls its rows made.
     let prepared: Vec<String> = snapshot
         .counters
         .iter()

@@ -21,7 +21,7 @@ use ids_chem::Element;
 use ids_graph::Dictionary;
 use ids_models::cost::CostModel;
 use ids_models::docking::{DockingEngine, DockingResult};
-use ids_models::dtba::{DtbaModel, ProteinFeatures};
+use ids_models::dtba::{DtbaModel, LigandFeatures, ProteinFeatures};
 use ids_models::pic50::Pic50Model;
 use ids_models::smith_waterman::SmithWaterman;
 use ids_models::structure_pred::StructurePredictor;
@@ -164,8 +164,11 @@ pub fn decode_docking_result(b: &[u8]) -> Option<DockingResult> {
 ///   bound sequence against the target (cheapest, most pruning).
 ///   Prepared: one alignment per distinct sequence per instance.
 /// * `pic50(?smiles)` / `pic50(?smiles, ?protein)` — assay potency.
+///   Prepared: each input hashed (an IRI decoded) once per distinct term
+///   per instance.
 /// * `dtba(?seq, ?smiles)` — AI binding-affinity prediction. Prepared: one
-///   protein-branch pass per distinct sequence per instance.
+///   protein-branch pass per distinct sequence and one ligand-branch pass
+///   per distinct SMILES per instance; each row runs the dense head.
 /// * `vina_docking(?smiles)` — blind docking against the target receptor,
 ///   cache-accelerated when `cache` is provided (most expensive).
 ///   Prepared: at most one search per distinct ligand per instance, run
@@ -195,13 +198,13 @@ pub fn register_workflow_udfs(
     registry
         .register_prepared(
             "sw_similarity",
-            move |seq: &UdfValue| match ProteinSequence::parse(seq.as_str().unwrap_or("")) {
+            (move |seq: &UdfValue| match ProteinSequence::parse(seq.as_str().unwrap_or("")) {
                 Ok(seq) => {
                     let r = prepared_target.align(&seq);
                     (r.similarity, r.virtual_secs * scale)
                 }
                 Err(_) => (0.0, 1.0e-6),
-            },
+            },),
             |&(similarity, secs): &(f64, f64), _: &[UdfValue]| {
                 UdfOutput::new(UdfValue::F64(similarity), secs)
             },
@@ -209,55 +212,66 @@ pub fn register_workflow_udfs(
         .ok();
 
     // --- pic50 ---------------------------------------------------------------
+    // The assay is seeded by the hashes of its two inputs, so each is a
+    // prepared position: the SMILES text's, and the text of the protein
+    // the assay is against (an IRI id decoded once per id, or a string),
+    // defaulting to the workflow target's accession. A row pays only the
+    // seeded draw.
     let pic50 = models.pic50;
-    let accession = target.accession.clone();
+    let accession_hash = fnv1a(target.accession.as_bytes());
     let dict_for_pic50 = Arc::clone(dict);
     registry
-        .register_static(
+        .register_prepared(
             "pic50",
-            Arc::new(move |args: &[UdfValue]| {
-                let smiles = args.first().and_then(|v| v.as_str()).unwrap_or("");
-                // Optional second arg: the protein the assay is against
-                // (IRI id or string); defaults to the workflow target.
-                let decoded;
-                let protein: &str = match args.get(1) {
-                    Some(UdfValue::Str(s)) => s,
-                    Some(UdfValue::Id(id)) => {
-                        decoded = dict_for_pic50.decode(ids_graph::TermId(*id));
-                        decoded.as_ref().and_then(|t| t.as_str()).unwrap_or(&accession)
-                    }
-                    _ => &accession,
-                };
-                let p = pic50.assay(smiles, protein);
+            (
+                |smiles: &UdfValue| fnv1a(smiles.as_str().unwrap_or("").as_bytes()),
+                move |protein: &UdfValue| match protein {
+                    UdfValue::Str(s) => fnv1a(s.as_bytes()),
+                    UdfValue::Id(id) => dict_for_pic50
+                        .decode(ids_graph::TermId(*id))
+                        .as_ref()
+                        .and_then(|t| t.as_str())
+                        .map_or(accession_hash, |s| fnv1a(s.as_bytes())),
+                    _ => accession_hash,
+                },
+            ),
+            move |(&smiles, &protein): (&u64, &u64), _: &[UdfValue]| {
+                let p = pic50.assay_hashed(smiles, protein);
                 UdfOutput::new(UdfValue::F64(p.pic50), p.virtual_secs * scale)
-            }),
+            },
         )
         .ok();
 
     // --- dtba ---------------------------------------------------------------
-    // The protein branch is the prepared half; the cache protocol and the
-    // ligand branch run per row, on the row's rank.
+    // Both branches are prepared: the protein's at position 0, the
+    // ligand's (with the text's hash, which keys the charge and the cache
+    // object) at position 1. The dense head, the charge and the cache
+    // protocol run per row, on the row's rank.
     let dtba = Arc::new(models.dtba);
-    let dtba_for_prepare = Arc::clone(&dtba);
+    let (dtba_for_protein, dtba_for_ligand) = (Arc::clone(&dtba), Arc::clone(&dtba));
     let dtba_cache = if models.cache_dtba { cache.clone() } else { None };
     registry
         .register_prepared(
             "dtba",
-            move |seq: &UdfValue| {
-                let seq_str = seq.as_str().unwrap_or("");
-                DtbaProtein {
-                    name_hash: fnv1a(seq_str.as_bytes()),
-                    features: ProteinSequence::parse(seq_str)
-                        .ok()
-                        .map(|seq| dtba_for_prepare.protein_features(&seq)),
-                }
-            },
-            move |protein: &DtbaProtein, rest: &[UdfValue]| {
-                let smiles = rest.first().and_then(|v| v.as_str()).unwrap_or("");
+            (
+                move |seq: &UdfValue| {
+                    let seq_str = seq.as_str().unwrap_or("");
+                    DtbaProtein {
+                        name_hash: fnv1a(seq_str.as_bytes()),
+                        features: ProteinSequence::parse(seq_str)
+                            .ok()
+                            .map(|seq| dtba_for_protein.protein_features(&seq)),
+                    }
+                },
+                move |smiles: &UdfValue| {
+                    dtba_for_ligand.ligand_features(smiles.as_str().unwrap_or(""))
+                },
+            ),
+            move |(protein, ligand): (&DtbaProtein, &LigandFeatures), _: &[UdfValue]| {
                 // §8 extension: DTBA predictions are cacheable artifacts
                 // too (8-byte pKd objects keyed by sequence + ligand).
                 let name = dtba_cache.as_ref().map(|_| {
-                    format!("dtba/{:016x}/{:016x}", protein.name_hash, fnv1a(smiles.as_bytes()))
+                    format!("dtba/{:016x}/{:016x}", protein.name_hash, ligand.smiles_hash)
                 });
                 let mut fault_cost = 0.0;
                 if let (Some(cache), Some(name)) = (&dtba_cache, &name) {
@@ -280,7 +294,7 @@ pub fn register_workflow_udfs(
                 }
                 match &protein.features {
                     Some(features) => {
-                        let a = dtba.predict_with(features, smiles);
+                        let a = dtba.predict_with(features, ligand);
                         let mut cost = a.virtual_secs * dtba_scale + fault_cost;
                         if let (Some(cache), Some(name)) = (&dtba_cache, &name) {
                             cost += cache.put(
@@ -316,14 +330,14 @@ pub fn register_workflow_udfs(
     registry
         .register_prepared(
             "vina_docking",
-            move |smiles: &UdfValue| {
+            (move |smiles: &UdfValue| {
                 let smiles = smiles.as_str().unwrap_or("");
                 DockingLigand {
                     smiles: smiles.to_string(),
                     name: named.then(|| docking_object_name(&accession, smiles)),
                     docked: OnceLock::new(),
                 }
-            },
+            },),
             move |ligand: &DockingLigand, _: &[UdfValue]| {
                 // Cache fast path: the complete docking output is stashed
                 // as a named object (§3.2).
@@ -376,7 +390,7 @@ pub fn register_workflow_udfs(
 
 /// The prepared first argument of `dtba`: what its cache object name
 /// keys on, and the protein branch (`None` when the text is not a
-/// sequence).
+/// sequence). The second is the ligand branch, [`LigandFeatures`].
 struct DtbaProtein {
     name_hash: u64,
     features: Option<ProteinFeatures>,
@@ -639,7 +653,8 @@ mod tests {
         let mut inst = IdsInstance::launch(crate::IdsConfig::laptop(4, 7));
         let ds = inst.datastore();
         let mut rng = SplitMix64::new(0x5e9, 3);
-        // 6 proteins × 5 compounds: 30 rows over 6 distinct sequences.
+        // 6 proteins × 5 compounds: 30 rows over 6 distinct sequences and
+        // proteins and 5 distinct SMILES.
         for p in 0..6 {
             let protein = Term::iri(format!("p:{p}"));
             let seq = ProteinSequence::random(40, &mut rng).to_string_code();
@@ -655,22 +670,26 @@ mod tests {
         install_workflow(&mut inst, &t, WorkflowModels::test_models());
         let q = "SELECT ?compound WHERE { ?protein <up:sequence> ?seq . \
                  ?compound <chembl:inhibits> ?protein . ?compound <chembl:smiles> ?smiles . \
-                 FILTER(sw_similarity(?seq) >= 0.0) FILTER(dtba(?seq, ?smiles) >= 0.0) }";
-        // The second run calls every UDF again and prepares nothing.
+                 FILTER(sw_similarity(?seq) >= 0.0) FILTER(pic50(?smiles, ?protein) > 0.0) \
+                 FILTER(dtba(?seq, ?smiles) >= 0.0) }";
+        // Each prepared position counts its own distinct ids: `dtba` 6
+        // sequences + 5 SMILES, `pic50` 5 SMILES + 6 proteins. The second
+        // run calls every UDF again and prepares nothing.
         for calls in [30, 60] {
             assert_eq!(inst.query(q).unwrap().solutions.len(), 30);
             let text = inst.explain(q).unwrap();
             let line = format!(
-                "prepared args (kept by the instance): \
-                 dtba 6 / {calls} calls, sw_similarity 6 / {calls} calls\n"
+                "prepared args (kept by the instance): dtba 11 / {calls} calls, \
+                 pic50 11 / {calls} calls, sw_similarity 6 / {calls} calls\n"
             );
             assert!(text.contains(&line), "{text}");
         }
     }
 
-    /// The prepared `sw_similarity`, `dtba` and `vina_docking` against the
-    /// scalar closures they replaced, bit for bit, through an instance memo
-    /// and through a direct call, with no cache and through cold misses and
+    /// The prepared `sw_similarity`, `pic50`, `dtba` and `vina_docking`
+    /// against the scalar closures they replaced, bit for bit, through an
+    /// instance memo and through a direct call (which prepares every
+    /// position, then calls), with no cache and through cold misses and
     /// hits of one. Sizes grow in release builds (`ci.sh` runs
     /// `cargo test -p ids-core --release -- prepared_args`).
     mod prepared_args {
@@ -698,6 +717,13 @@ mod tests {
                 }
                 Err(_) => UdfOutput::new(UdfValue::F64(0.0), 1.0e-6),
             }
+        }
+
+        /// The scalar `pic50`: the assay of the SMILES against the protein's
+        /// text on every call.
+        fn scalar_pic50(pic50: &Pic50Model, smiles: &str, protein: &str) -> UdfOutput {
+            let p = pic50.assay(smiles, protein);
+            UdfOutput::new(UdfValue::F64(p.pic50), p.virtual_secs * SW_SCALE)
         }
 
         /// The scalar `dtba`: cache get, parse, predict, cache put on every
@@ -839,32 +865,42 @@ mod tests {
             let seqs: Vec<String> = (0..sequences)
                 .map(|_| sequence_text(rng.next_below(max_len as u64 + 1) as usize, &mut rng))
                 .collect();
-            let vars = ["seq".to_string(), "smiles".to_string()];
+            let vars = ["seq".to_string(), "smiles".to_string(), "protein".to_string()];
             let sw = Expr::udf("sw_similarity", vec![Expr::var("seq")]);
+            let pic50 = Expr::udf("pic50", vec![Expr::var("smiles"), Expr::var("protein")]);
+            let pic50_target = Expr::udf("pic50", vec![Expr::var("smiles")]);
             let dtba = Expr::udf("dtba", vec![Expr::var("seq"), Expr::var("smiles")]);
             let docking = Expr::udf("vina_docking", vec![Expr::var("smiles")]);
             let metrics = MetricsRegistry::new();
             let memo = ArgMemo::new(&metrics);
             let mut profiles = ProfileTable::new(1);
-            for e in [&sw, &dtba, &docking] {
+            for e in [&sw, &pic50, &dtba, &docking] {
                 e.for_each_udf(&mut |u| profiles.intern(u));
             }
+            let stage = memo.stage(&registry, &profiles);
             let mut seen = std::collections::HashSet::new();
             let mut ligands = std::collections::HashSet::new();
+            let mut proteins = std::collections::HashSet::new();
             for _ in 0..rows {
                 let seq = &seqs[rng.next_below(sequences as u64) as usize];
                 let smiles = smiles_text(&mut rng);
+                let protein = format!("up:P{}", rng.next_below(4));
                 seen.insert(seq.as_str());
                 ligands.insert(smiles.clone());
-                let row = [dict.str(seq), dict.str(&smiles)];
+                proteins.insert(protein.clone());
+                let row = [dict.str(seq), dict.str(&smiles), dict.iri(&protein)];
                 let bindings = RowBindings::new(&vars, &row, &dict);
                 let mut eval = |e: &Expr| {
-                    let mut cx = EvalCtx::new(&registry, profiles.row_mut(0)).with_memo(&memo);
+                    let mut cx = EvalCtx::new(&registry, profiles.row_mut(0)).with_memo(&stage);
                     let value = e.eval(&bindings, &mut cx).unwrap();
                     UdfOutput::new(value, cx.charged_secs)
                 };
                 let want_sw = scalar_sw(&target_profile, seq);
                 assert_same_bits(&eval(&sw), &want_sw, "memoised sw_similarity");
+                let want_pic50 = scalar_pic50(&reference.pic50, &smiles, &protein);
+                assert_same_bits(&eval(&pic50), &want_pic50, "memoised pic50");
+                let want_pic50_target = scalar_pic50(&reference.pic50, &smiles, "P29274");
+                assert_same_bits(&eval(&pic50_target), &want_pic50_target, "pic50 of the target");
                 let want_dtba = scalar_dtba(&reference.dtba, ref_cache, seq, &smiles);
                 assert_same_bits(&eval(&dtba), &want_dtba, "memoised dtba");
                 let want_docking = scalar_docking(&receptor, ref_cache, &smiles);
@@ -876,6 +912,12 @@ mod tests {
 
                 let direct = registry.call("sw_similarity", &[UdfValue::Str(seq.clone())]).unwrap();
                 assert_same_bits(&direct, &want_sw, "direct sw_similarity");
+                let args = [UdfValue::Str(smiles.clone()), UdfValue::Id(row[2].raw())];
+                let direct = registry.call("pic50", &args).unwrap();
+                assert_same_bits(&direct, &want_pic50, "direct pic50");
+                let args = [UdfValue::Str(smiles.clone()), UdfValue::Str(protein.clone())];
+                let direct = registry.call("pic50", &args).unwrap();
+                assert_same_bits(&direct, &want_pic50, "direct pic50 of the text");
                 if !cached {
                     // (A cached direct call would move the cache past the
                     // reference's.)
@@ -887,14 +929,17 @@ mod tests {
                     assert_same_bits(&direct, &want_docking, "direct vina_docking");
                 }
             }
-            let distinct = seen.len() as u64;
+            // One prepare per distinct id at each keyed position; the
+            // target's absent `?protein` is never kept.
+            let (seqs, ligands, proteins) =
+                (seen.len() as u64, ligands.len() as u64, proteins.len() as u64);
             let snap = metrics.snapshot();
-            for udf in ["sw_similarity", "dtba"] {
-                assert_eq!(snap.counter("ids_udf_prepares_total", udf), distinct, "{udf}");
-            }
-            let prepared = snap.counter("ids_udf_prepares_total", "vina_docking");
-            assert_eq!(prepared, ligands.len() as u64, "vina_docking: one per ligand");
-            if cached && rows > ligands.len() {
+            let prepared = |udf: &str| snap.counter("ids_udf_prepares_total", udf);
+            assert_eq!(prepared("sw_similarity"), seqs, "sw_similarity: one per sequence");
+            assert_eq!(prepared("pic50"), ligands + proteins, "pic50: per ligand and protein");
+            assert_eq!(prepared("dtba"), seqs + ligands, "dtba: per sequence and ligand");
+            assert_eq!(prepared("vina_docking"), ligands, "vina_docking: one per ligand");
+            if cached && rows as u64 > ligands {
                 assert!(cache.stats().cache_hits() > 0, "a repeated ligand hits the cache");
             }
         }

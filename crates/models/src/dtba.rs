@@ -281,9 +281,10 @@ impl DtbaModel {
     }
 
     /// Predict binding affinity of `smiles` against the protein `target`:
-    /// [`Self::protein_features`] then [`Self::predict_with`].
+    /// [`Self::protein_features`] and [`Self::ligand_features`], then
+    /// [`Self::predict_with`].
     pub fn predict(&self, target: &ProteinSequence, smiles: &str) -> Affinity {
-        self.predict_with(&self.protein_features(target), smiles)
+        self.predict_with(&self.protein_features(target), &self.ligand_features(smiles))
     }
 
     /// The ligand-independent half of a prediction: the protein branch's
@@ -298,12 +299,22 @@ impl DtbaModel {
         }
     }
 
-    /// Predict binding affinity of `smiles` against a protein whose
-    /// features [`Self::protein_features`] computed.
-    pub fn predict_with(&self, protein: &ProteinFeatures, smiles: &str) -> Affinity {
-        let h = hash_combine(fnv1a(smiles.as_bytes()), protein.code_hash);
+    /// The protein-independent half of a prediction: the SMILES branch's
+    /// pooled features and the text's hash, which the charge keys on.
+    /// Worth keeping when one ligand meets many proteins.
+    pub fn ligand_features(&self, smiles: &str) -> LigandFeatures {
+        LigandFeatures {
+            feat: self.smiles_features(smiles).into_boxed_slice(),
+            smiles_hash: fnv1a(smiles.as_bytes()),
+        }
+    }
+
+    /// The head: predict binding affinity of a ligand against a protein
+    /// from both branches' features.
+    pub fn predict_with(&self, protein: &ProteinFeatures, ligand: &LigandFeatures) -> Affinity {
+        let h = hash_combine(ligand.smiles_hash, protein.code_hash);
         Affinity {
-            pkd: self.head(&protein.feat, &self.smiles_features(smiles)),
+            pkd: self.head(&protein.feat, &ligand.feat),
             virtual_secs: self.cost.dtba_cost(protein.len, h),
         }
     }
@@ -314,19 +325,30 @@ impl DtbaModel {
         self.smiles.forward(chars.map(|c| u8::try_from(c).map_or(0, |b| SMILES_LABEL[b as usize])))
     }
 
-    /// Concat → dense ReLU → dense → sigmoid-scaled pKd in [3, 11].
+    /// Concat → dense ReLU → dense → sigmoid-scaled pKd in [3, 11]. Each
+    /// hidden unit is consumed as it is made, so no hidden vector is
+    /// stored: the same products summed in the same order.
     fn head(&self, p_feat: &[f32], s_feat: &[f32]) -> f64 {
-        let mut hidden = vec![0f32; self.cfg.hidden];
-        for (h, (w_row, b)) in hidden.iter_mut().zip(self.dense1.iter().zip(&self.dense1_bias)) {
+        let hidden = self.dense1.iter().zip(&self.dense1_bias).map(|(w_row, b)| {
             let concat = p_feat.iter().chain(s_feat);
             let z: f32 = w_row.iter().zip(concat).map(|(w, x)| w * x).sum::<f32>() + b;
-            *h = z.max(0.0);
-        }
+            z.max(0.0)
+        });
         let z: f32 =
-            self.dense2.iter().zip(&hidden).map(|(w, x)| w * x).sum::<f32>() + self.dense2_bias;
+            self.dense2.iter().zip(hidden).map(|(w, x)| w * x).sum::<f32>() + self.dense2_bias;
         let sig = 1.0 / (1.0 + (-z as f64 * 2.0).exp());
         3.0 + 8.0 * sig
     }
+}
+
+/// A ligand's pooled DTBA features, ready to meet any protein
+/// ([`DtbaModel::predict_with`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct LigandFeatures {
+    /// The SMILES branch's pooled features.
+    pub feat: Box<[f32]>,
+    /// FNV-1a of the SMILES text (the charge's jitter key).
+    pub smiles_hash: u64,
 }
 
 /// A protein's pooled DTBA features, ready to meet any ligand
@@ -569,6 +591,21 @@ mod tests {
             assert_eq!(bits(&s), bits(&s_ref), "SMILES branch, {smiles:?}");
         }
 
+        /// The previous dense head, verbatim: the hidden layer stored in a
+        /// vector, then the output unit over it.
+        fn reference_head(m: &DtbaModel, p_feat: &[f32], s_feat: &[f32]) -> f64 {
+            let mut hidden = vec![0f32; m.cfg.hidden];
+            for (h, (w_row, b)) in hidden.iter_mut().zip(m.dense1.iter().zip(&m.dense1_bias)) {
+                let concat = p_feat.iter().chain(s_feat);
+                let z: f32 = w_row.iter().zip(concat).map(|(w, x)| w * x).sum::<f32>() + b;
+                *h = z.max(0.0);
+            }
+            let z: f32 =
+                m.dense2.iter().zip(&hidden).map(|(w, x)| w * x).sum::<f32>() + m.dense2_bias;
+            let sig = 1.0 / (1.0 + (-z as f64 * 2.0).exp());
+            3.0 + 8.0 * sig
+        }
+
         /// Random text over the vocabulary, salted with characters outside
         /// it (ASCII and not).
         fn smiles_like(len: usize, rng: &mut SplitMix64) -> String {
@@ -594,6 +631,31 @@ mod tests {
                 let mut rng = SplitMix64::new(seed, 0x1a9e5);
                 let target = ProteinSequence::random(protein_len, &mut rng);
                 assert_same_features(cfg, seed, &target, &smiles_like(smiles_len, &mut rng));
+            }
+
+            /// The head without a hidden vector, and a prediction from
+            /// kept protein and ligand features, against the stored-vector
+            /// head and a whole `predict`, bit for bit.
+            #[test]
+            fn head_and_split_prediction_equal_the_stored_vector_head(
+                seed in 0u64..1_000_000,
+                protein_len in 0usize..=300,
+                smiles_len in 0usize..=130,
+                hidden in 1usize..=24,
+            ) {
+                let cfg = DtbaConfig { hidden, ..DtbaConfig::default() };
+                let m = DtbaModel::with_seed(cfg, CostModel::paper_calibrated(), seed);
+                let mut rng = SplitMix64::new(seed, 0x4ead);
+                let target = ProteinSequence::random(protein_len, &mut rng);
+                let smiles = smiles_like(smiles_len, &mut rng);
+                let (protein, ligand) = (m.protein_features(&target), m.ligand_features(&smiles));
+                let split = m.predict_with(&protein, &ligand);
+                let want = reference_head(&m, &protein.feat, &m.smiles_features(&smiles));
+                assert_eq!(split.pkd.to_bits(), want.to_bits());
+                assert_eq!(ligand.smiles_hash, fnv1a(smiles.as_bytes()));
+                let whole = m.predict(&target, &smiles);
+                assert_eq!(split.pkd.to_bits(), whole.pkd.to_bits());
+                assert_eq!(split.virtual_secs.to_bits(), whole.virtual_secs.to_bits());
             }
 
             /// Other shapes: filter counts that leave a block part-filled

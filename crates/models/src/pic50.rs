@@ -57,7 +57,13 @@ impl Pic50Model {
     /// pair. Same inputs always produce the same potency — the property
     /// result-caching depends on.
     pub fn assay(&self, smiles: &str, protein_accession: &str) -> Potency {
-        let h = hash_combine(fnv1a(smiles.as_bytes()), fnv1a(protein_accession.as_bytes()));
+        self.assay_hashed(fnv1a(smiles.as_bytes()), fnv1a(protein_accession.as_bytes()))
+    }
+
+    /// [`Self::assay`] from the FNV-1a hashes of its two inputs, for a
+    /// caller that keeps them.
+    pub fn assay_hashed(&self, smiles_hash: u64, accession_hash: u64) -> Potency {
+        let h = hash_combine(smiles_hash, accession_hash);
         let mut rng = SplitMix64::new(h, 0x9c50);
         // Mixture: 80% weak N(5.0, 0.8), 20% potent N(7.5, 1.0), clamped.
         let potent = rng.next_f64() < 0.2;
@@ -121,6 +127,15 @@ mod tests {
         let potent_frac = values.iter().filter(|&&v| v >= 7.0).count() as f64 / n as f64;
         assert!((0.1..0.35).contains(&potent_frac), "potent fraction {potent_frac}");
         assert!(values.iter().all(|&v| (3.0..=11.0).contains(&v)));
+    }
+
+    #[test]
+    fn assay_is_its_hashed_form() {
+        let m = Pic50Model::default_model();
+        for (smiles, accession) in [("CCO", "P29274"), ("", ""), ("c1ccccc1", "up:B0_0")] {
+            let hashed = m.assay_hashed(fnv1a(smiles.as_bytes()), fnv1a(accession.as_bytes()));
+            assert_eq!(m.assay(smiles, accession), hashed);
+        }
     }
 
     #[test]

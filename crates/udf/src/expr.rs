@@ -10,9 +10,9 @@
 //! rank's profile row, attributing rejections to the UDF whose conjunct
 //! rejected.
 
-use crate::memo::{ArgMemo, Lookup};
+use crate::memo::StageMemo;
 use crate::profile::ProfileRowMut;
-use crate::registry::{UdfOutput, UdfRegistry};
+use crate::registry::{Form, PreparedInput, UdfOutput, UdfRegistry, MAX_PREPARED, NULL};
 use crate::value::UdfValue;
 use std::cmp::Ordering;
 
@@ -114,13 +114,13 @@ impl std::error::Error for EvalError {}
 
 /// Evaluation context: registry to resolve UDFs, the rank's profile row to
 /// feed (every UDF of the evaluated expression must have a column), the
-/// instance's prepared arguments, and the accumulated virtual cost of
-/// everything executed so far.
+/// instance's prepared arguments as the stage resolved them, and the
+/// accumulated virtual cost of everything executed so far.
 pub struct EvalCtx<'a> {
     pub registry: &'a UdfRegistry,
     pub profiler: ProfileRowMut<'a>,
-    /// Prepared first arguments shared by the instance, if any.
-    pub memo: Option<&'a ArgMemo>,
+    /// Prepared arguments shared by the instance, if any.
+    pub memo: Option<&'a StageMemo<'a>>,
     /// Virtual seconds charged by UDF executions during evaluation.
     pub charged_secs: f64,
 }
@@ -131,8 +131,11 @@ impl<'a> EvalCtx<'a> {
         Self { registry, profiler, memo: None, charged_secs: 0.0 }
     }
 
-    /// Look prepared UDFs' first arguments up in `memo`.
-    pub fn with_memo(self, memo: &'a ArgMemo) -> Self {
+    /// Look prepared UDFs' arguments up in `memo`, which
+    /// [`ArgMemo::stage`](crate::memo::ArgMemo::stage) resolved for the
+    /// table of this context's profile row.
+    pub fn with_memo(self, memo: &'a StageMemo<'a>) -> Self {
+        debug_assert_eq!(memo.columns(), self.profiler.columns(), "memo of another table");
         Self { memo: Some(memo), ..self }
     }
 }
@@ -214,43 +217,64 @@ impl Expr {
             }
             Expr::Not(e) => Ok(UdfValue::Bool(!e.eval_bool(bindings, cx)?)),
             Expr::Udf { name, args } => {
-                let out = Self::call_udf(name, args, bindings, cx)?;
+                let column = cx.profiler.column(name);
+                let out = Self::call_udf(name, column, args, bindings, cx)?;
                 cx.charged_secs += out.virtual_secs;
-                cx.profiler.record_call(name, out.virtual_secs);
+                cx.profiler.record_call_at(column, name, out.virtual_secs);
                 Ok(out.value)
             }
         }
     }
 
-    /// Run one UDF call. A prepared UDF whose first argument is a bound
-    /// variable takes that argument's prepared form from the memo — on a
-    /// hit without decoding it — and calls it with the rest.
+    /// Run one UDF call. A prepared UDF (the stage resolved the slot of
+    /// its profile `column`) takes each leading argument bound to a
+    /// dictionary id from the memo — on a hit without decoding it — and
+    /// calls its `call` with their forms and the rest, without entering
+    /// the registry.
     fn call_udf(
         name: &str,
+        column: Option<usize>,
         args: &[Expr],
         bindings: &dyn Bindings,
         cx: &mut EvalCtx,
     ) -> Result<UdfOutput, EvalError> {
-        if let (Some(memo), Some((Expr::Var(var), rest))) = (cx.memo, args.split_first()) {
-            if let Some(key) = bindings.key(var) {
-                // A miss decodes the first argument now (an unbound one
-                // fails first, as in the scalar path) but prepares it only
-                // once the other arguments have evaluated, as `call` would.
-                let hit = match memo.lookup(cx.registry, name, key) {
-                    Lookup::Hit(p) => Ok(p),
-                    Lookup::Miss(prepare) => Err((
-                        prepare,
-                        bindings.get(var).ok_or_else(|| EvalError::UnboundVariable(var.clone()))?,
-                    )),
-                    Lookup::Scalar => return Self::call_scalar(name, args, bindings, cx),
-                };
-                let rest = Self::eval_args(rest, bindings, cx)?;
-                let prepared = hit
-                    .unwrap_or_else(|(prepare, first)| memo.prepare(name, &prepare, key, &first));
-                return Ok(prepared(&rest));
+        let Some((memo, slot)) = cx.memo.and_then(|m| m.site(column)) else {
+            return Self::call_scalar(name, args, bindings, cx);
+        };
+        let positions = slot.positions();
+        let (prepared, rest) = args.split_at(positions.min(args.len()));
+        let mut keys = [None; MAX_PREPARED];
+        for (key, arg) in keys.iter_mut().zip(prepared) {
+            if let Expr::Var(var) = arg {
+                *key = bindings.key(var);
             }
         }
-        Self::call_scalar(name, args, bindings, cx)
+        let mut forms: [Option<Form>; MAX_PREPARED] = Default::default();
+        memo.lookup(slot, &keys[..prepared.len()], &mut forms);
+        // What the memo does not hold evaluates in argument order, as in
+        // the scalar path: a missed id decodes now (an unbound variable
+        // fails here), a constant or nested call runs as always.
+        let mut values: [Option<UdfValue>; MAX_PREPARED] = Default::default();
+        for ((value, form), arg) in values.iter_mut().zip(&forms).zip(prepared) {
+            if form.is_none() {
+                *value = Some(arg.eval(bindings, cx)?);
+            }
+        }
+        let rest = Self::eval_args(rest, bindings, cx)?;
+        // Misses prepare only once every argument has evaluated, as
+        // `call` would: a missed id's form is kept for the instance, any
+        // other position's is made for this call only.
+        for (pos, form) in forms.iter_mut().enumerate() {
+            if let (None, Some(id), Some(value)) = (&*form, keys[pos], &values[pos]) {
+                *form = memo.keep(slot, pos, id, value);
+            }
+        }
+        let inputs: [PreparedInput<'_>; MAX_PREPARED] =
+            std::array::from_fn(|pos| match (&forms[pos], &values[pos]) {
+                (Some(form), _) => PreparedInput::Form(&**form),
+                (None, value) => PreparedInput::Value(value.as_ref().unwrap_or(NULL)),
+            });
+        Ok(slot.call(&inputs[..positions], &rest))
     }
 
     /// Evaluate every argument, then call through the registry.

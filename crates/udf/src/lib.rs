@@ -15,9 +15,9 @@
 //! * [`expr`] — FILTER expression trees over bindings, with UDF calls as
 //!   first-class leaves; evaluation charges virtual cost and feeds the
 //!   profiler.
-//! * [`memo`] — an instance's prepared UDF arguments: the argument-only
-//!   half of a prepared UDF runs once per distinct dictionary id for the
-//!   instance's life.
+//! * [`memo`] — an instance's prepared UDF arguments: a prepared UDF's
+//!   `prepare` for each argument position runs once per distinct
+//!   dictionary id at that position for the instance's life.
 //! * [`reorder`] — §2.4.3: chains of conditionals re-ordered in ascending
 //!   estimated evaluation time, with higher-rejection UDFs prioritized when
 //!   costs are similar.
@@ -38,7 +38,7 @@ pub mod reorder;
 pub mod value;
 
 pub use expr::{Bindings, EvalError, Expr};
-pub use memo::ArgMemo;
+pub use memo::{ArgMemo, StageMemo};
 pub use profile::{ProfileRow, ProfileRowMut, ProfileTable, UdfProfile};
 pub use rebalance::{estimate_completion, plan_count_based, plan_throughput_based, RebalancePlan};
 pub use registry::{UdfKind, UdfOutput, UdfRegistry};

@@ -81,6 +81,11 @@ impl ProfileTable {
         self.ranks
     }
 
+    /// Column → UDF name.
+    pub(crate) fn columns(&self) -> &[String] {
+        &self.names
+    }
+
     /// Give `udf` a column, an empty cell on every row, unless it has one.
     pub fn intern(&mut self, udf: &str) {
         if self.names.iter().any(|n| n == udf) {
@@ -204,10 +209,27 @@ pub struct ProfileRowMut<'a> {
 impl ProfileRowMut<'_> {
     /// Record one execution of `udf` costing `secs`.
     pub fn record_call(&mut self, udf: &str, secs: f64) {
-        if let Some(p) = self.cell(udf) {
+        self.record_call_at(self.column(udf), udf, secs);
+    }
+
+    /// [`Self::record_call`] for a call that found `udf`'s column already.
+    pub(crate) fn record_call_at(&mut self, column: Option<usize>, udf: &str, secs: f64) {
+        debug_assert!(column.is_some(), "UDF `{udf}` has no profile column");
+        if let Some(p) = column.and_then(|c| self.cells.get_mut(c)) {
             p.calls += 1;
             p.total_secs += secs;
         }
+    }
+
+    /// `udf`'s column, which is also its slot in a stage's
+    /// [`StageMemo`](crate::memo::StageMemo).
+    pub(crate) fn column(&self, udf: &str) -> Option<usize> {
+        self.names.iter().position(|n| n == udf)
+    }
+
+    /// The number of columns.
+    pub(crate) fn columns(&self) -> usize {
+        self.names.len()
     }
 
     /// Record that `udf`'s outcome rejected the solution under evaluation.
@@ -224,7 +246,7 @@ impl ProfileRowMut<'_> {
 
     /// `udf`'s cell; workers record, so its column must already exist.
     fn cell(&mut self, udf: &str) -> Option<&mut UdfProfile> {
-        let c = self.names.iter().position(|n| n == udf);
+        let c = self.column(udf);
         debug_assert!(c.is_some(), "UDF `{udf}` has no profile column");
         self.cells.get_mut(c?)
     }

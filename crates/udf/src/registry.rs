@@ -11,6 +11,7 @@
 
 use crate::value::UdfValue;
 use parking_lot::RwLock;
+use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -32,12 +33,178 @@ impl UdfOutput {
 /// The callable backing a UDF.
 pub type UdfFn = Arc<dyn Fn(&[UdfValue]) -> UdfOutput + Send + Sync>;
 
-/// A prepared UDF's `call` bound to what its `prepare` returned for one
-/// first-argument value; it takes the remaining arguments.
-pub(crate) type PreparedArg = Arc<dyn Fn(&[UdfValue]) -> UdfOutput + Send + Sync>;
+/// A prepared argument's form as the memo keeps it.
+pub(crate) type Form = Arc<dyn Any + Send + Sync>;
 
-/// The `prepare` half of a prepared UDF, with its result bound to `call`.
-pub(crate) type PrepareFn = Arc<dyn Fn(&UdfValue) -> PreparedArg + Send + Sync>;
+/// The most leading argument positions a UDF can have prepared.
+pub(crate) const MAX_PREPARED: usize = 2;
+
+/// One prepared position of a call as its `call` receives it: the form
+/// the memo keeps, or the value to prepare for this call only.
+#[derive(Clone, Copy)]
+pub enum PreparedInput<'a> {
+    /// A form the position's own `prepare` made.
+    Form(&'a (dyn Any + Send + Sync)),
+    /// The argument's value (`Null` when absent).
+    Value(&'a UdfValue),
+}
+
+/// The `prepare` of one argument position: a pure function of the
+/// argument's value. Any `Fn(&UdfValue) -> P` is one.
+pub trait PrepareArg: Send + Sync + 'static {
+    /// The prepared form.
+    type Form: Send + Sync + 'static;
+
+    /// Prepare `value`.
+    fn prepare(&self, value: &UdfValue) -> Self::Form;
+}
+
+impl<F, P> PrepareArg for F
+where
+    F: Fn(&UdfValue) -> P + Send + Sync + 'static,
+    P: Send + Sync + 'static,
+{
+    type Form = P;
+
+    fn prepare(&self, value: &UdfValue) -> P {
+        self(value)
+    }
+}
+
+/// A prepared position's form for one call: borrowed from the memo, or
+/// made for this call.
+enum Local<'a, P> {
+    Kept(&'a P),
+    Made(P),
+}
+
+impl<P> Local<'_, P> {
+    fn get(&self) -> &P {
+        match self {
+            Local::Kept(p) => p,
+            Local::Made(p) => p,
+        }
+    }
+}
+
+/// `input`'s form at a position `prepare` owns; `None` for a form another
+/// position made (a memo bug, never a user error).
+fn local<'a, A: PrepareArg>(prepare: &A, input: PreparedInput<'a>) -> Option<Local<'a, A::Form>> {
+    match input {
+        PreparedInput::Form(form) => form.downcast_ref().map(Local::Kept),
+        PreparedInput::Value(value) => Some(Local::Made(prepare.prepare(value))),
+    }
+}
+
+/// The `prepare`s of a prepared UDF, one for each leading argument
+/// position it prepares: a tuple of one or two [`PrepareArg`]s.
+pub trait Prepare: Send + Sync + 'static {
+    /// What `call` receives: a reference to the one position's form, or a
+    /// tuple of references, one per position.
+    type Forms<'a>;
+
+    /// The number of prepared positions.
+    const POSITIONS: usize;
+
+    /// Position `pos`'s form of `value`, to keep.
+    fn prepare_at(&self, pos: usize, value: &UdfValue) -> Option<Form>;
+
+    /// Run `f` on the forms of `inputs`, one per position, preparing the
+    /// values among them for this call only.
+    fn with_forms<R>(
+        &self,
+        inputs: &[PreparedInput<'_>],
+        f: impl FnOnce(Self::Forms<'_>) -> R,
+    ) -> Option<R>;
+}
+
+impl<A: PrepareArg> Prepare for (A,) {
+    type Forms<'a> = &'a A::Form;
+    const POSITIONS: usize = 1;
+
+    fn prepare_at(&self, pos: usize, value: &UdfValue) -> Option<Form> {
+        (pos == 0).then(|| Arc::new(self.0.prepare(value)) as Form)
+    }
+
+    fn with_forms<R>(
+        &self,
+        inputs: &[PreparedInput<'_>],
+        f: impl FnOnce(Self::Forms<'_>) -> R,
+    ) -> Option<R> {
+        let [a] = inputs else { return None };
+        let a = local(&self.0, *a)?;
+        Some(f(a.get()))
+    }
+}
+
+impl<A: PrepareArg, B: PrepareArg> Prepare for (A, B) {
+    type Forms<'a> = (&'a A::Form, &'a B::Form);
+    const POSITIONS: usize = 2;
+
+    fn prepare_at(&self, pos: usize, value: &UdfValue) -> Option<Form> {
+        match pos {
+            0 => Some(Arc::new(self.0.prepare(value))),
+            1 => Some(Arc::new(self.1.prepare(value))),
+            _ => None,
+        }
+    }
+
+    fn with_forms<R>(
+        &self,
+        inputs: &[PreparedInput<'_>],
+        f: impl FnOnce(Self::Forms<'_>) -> R,
+    ) -> Option<R> {
+        let [a, b] = inputs else { return None };
+        let (a, b) = (local(&self.0, *a)?, local(&self.1, *b)?);
+        Some(f((a.get(), b.get())))
+    }
+}
+
+/// A prepared UDF with its types erased, as the registry and the memo
+/// hold it.
+pub(crate) trait PreparedUdf: Send + Sync {
+    /// How many leading argument positions are prepared.
+    fn positions(&self) -> usize;
+
+    /// Position `pos`'s form of `value`.
+    fn prepare(&self, pos: usize, value: &UdfValue) -> Option<Form>;
+
+    /// The per-row `call` on one input per prepared position and the
+    /// remaining arguments.
+    fn call(&self, inputs: &[PreparedInput<'_>], rest: &[UdfValue]) -> UdfOutput;
+}
+
+/// [`UdfRegistry::register_prepared`]'s `prepare`s and `call`.
+struct Typed<A, C> {
+    prepare: A,
+    call: C,
+}
+
+impl<A, C> PreparedUdf for Typed<A, C>
+where
+    A: Prepare,
+    C: for<'a> Fn(A::Forms<'a>, &[UdfValue]) -> UdfOutput + Send + Sync,
+{
+    fn positions(&self) -> usize {
+        A::POSITIONS
+    }
+
+    fn prepare(&self, pos: usize, value: &UdfValue) -> Option<Form> {
+        self.prepare.prepare_at(pos, value)
+    }
+
+    fn call(&self, inputs: &[PreparedInput<'_>], rest: &[UdfValue]) -> UdfOutput {
+        // Every kept form came from this UDF's `prepare` at its own
+        // position, so the types always match; a mismatch would be a memo
+        // bug, and reads as a null.
+        self.prepare
+            .with_forms(inputs, |forms| (self.call)(forms, rest))
+            .unwrap_or(UdfOutput::new(UdfValue::Null, 0.0))
+    }
+}
+
+/// What an absent argument is prepared from.
+pub(crate) const NULL: &UdfValue = &UdfValue::Null;
 
 /// How a UDF was registered (paper §2.4.1: "IDS tracks statically linked
 /// UDFs using their unique name and dynamically loaded UDFs using the
@@ -55,9 +222,9 @@ pub enum UdfKind {
 enum Body {
     /// One closure over all the arguments.
     Scalar(UdfFn),
-    /// `prepare` over the first argument, then `call` over the rest
-    /// ([`UdfRegistry::register_prepared`]).
-    Prepared(PrepareFn),
+    /// A `prepare` per leading argument, then `call` over their forms and
+    /// the rest ([`UdfRegistry::register_prepared`]).
+    Prepared(Arc<dyn PreparedUdf>),
 }
 
 struct Entry {
@@ -94,34 +261,35 @@ impl UdfRegistry {
         self.insert_static(name, Body::Scalar(func))
     }
 
-    /// Register a statically linked UDF whose first argument is worth
-    /// preparing once and reusing. `prepare` maps the first argument's
-    /// value to a `P`; it must be a pure function of that value — it may
-    /// not read `current_rank()` or a cache. `call` gets the `P` and the
-    /// remaining arguments once per row, and may read the rank. A `P`
-    /// may hold a cell that `call` fills on first need, provided what it
-    /// puts there is as pure in the value as `prepare` (see the
-    /// [`memo`](crate::memo) module).
+    /// Register a statically linked UDF whose leading arguments are worth
+    /// preparing once and reusing. `prepare` holds one [`PrepareArg`] per
+    /// prepared position — `(p,)` for the first argument, `(p, q)` for
+    /// the first two — and each maps its argument's value to a form; it
+    /// must be a pure function of that value — it may not read
+    /// `current_rank()`, a cache or another argument. `call` gets the forms
+    /// (a reference, or a tuple of references) and the remaining arguments
+    /// once per row, and may read the rank. An absent argument is prepared
+    /// from `Null`. A form may hold a cell that `call` fills on first need,
+    /// provided what it puts there is as pure in the value as `prepare`
+    /// (see the [`memo`](crate::memo) module).
     ///
-    /// [`Self::call`] runs `prepare` then `call`. FILTER/APPLY stages
-    /// evaluating through an instance's [`ArgMemo`](crate::memo::ArgMemo)
-    /// run `prepare` once per distinct dictionary id of the first argument
-    /// for the instance's life instead — purity is what lets its result
-    /// outlive the stage and query that made it — and still run `call`,
-    /// and charge it, once per row. Same duplicate rule as
+    /// [`Self::call`] prepares every position, then runs `call`.
+    /// FILTER/APPLY stages evaluating through an instance's
+    /// [`ArgMemo`](crate::memo::ArgMemo) instead prepare a position bound
+    /// to a dictionary id once per distinct id for the instance's life —
+    /// purity is what lets a form outlive the stage and query that made
+    /// it, so no entry is ever invalidated — and still run `call`, and
+    /// charge it, once per row. Same duplicate rule as
     /// [`Self::register_static`], so a prepared UDF is never replaced.
-    pub fn register_prepared<P, F, C>(&self, name: &str, prepare: F, call: C) -> Result<(), String>
+    pub fn register_prepared<A, C>(&self, name: &str, prepare: A, call: C) -> Result<(), String>
     where
-        P: Send + Sync + 'static,
-        F: Fn(&UdfValue) -> P + Send + Sync + 'static,
-        C: Fn(&P, &[UdfValue]) -> UdfOutput + Send + Sync + 'static,
+        A: Prepare,
+        C: for<'a> Fn(A::Forms<'a>, &[UdfValue]) -> UdfOutput + Send + Sync + 'static,
     {
-        let call = Arc::new(call);
-        let prepare: PrepareFn = Arc::new(move |first: &UdfValue| {
-            let (p, call) = (prepare(first), Arc::clone(&call));
-            Arc::new(move |rest: &[UdfValue]| call(&p, rest)) as PreparedArg
-        });
-        self.insert_static(name, Body::Prepared(prepare))
+        if A::POSITIONS > MAX_PREPARED {
+            return Err(format!("{name:?} prepares more than {MAX_PREPARED} arguments"));
+        }
+        self.insert_static(name, Body::Prepared(Arc::new(Typed { prepare, call })))
     }
 
     fn insert_static(&self, name: &str, body: Body) -> Result<(), String> {
@@ -213,11 +381,10 @@ impl UdfRegistry {
         self.entries.read().get(name).is_some_and(|e| e.loaded.load(Ordering::Acquire))
     }
 
-    /// The `prepare` half of `name`, if it was registered with
-    /// [`Self::register_prepared`].
-    pub(crate) fn prepare_fn(&self, name: &str) -> Option<PrepareFn> {
+    /// `name`, if it was registered with [`Self::register_prepared`].
+    pub(crate) fn prepared(&self, name: &str) -> Option<Arc<dyn PreparedUdf>> {
         match &self.entries.read().get(name)?.body {
-            Body::Prepared(prepare) => Some(Arc::clone(prepare)),
+            Body::Prepared(udf) => Some(Arc::clone(udf)),
             Body::Scalar(_) => None,
         }
     }
@@ -237,10 +404,13 @@ impl UdfRegistry {
         };
         let mut out = match body {
             Body::Scalar(func) => func(args),
-            Body::Prepared(prepare) => match args.split_first() {
-                Some((first, rest)) => prepare(first)(rest),
-                None => prepare(&UdfValue::Null)(&[]),
-            },
+            Body::Prepared(udf) => {
+                let n = udf.positions();
+                let (head, rest) = args.split_at(n.min(args.len()));
+                let inputs: [PreparedInput<'_>; MAX_PREPARED] =
+                    std::array::from_fn(|i| PreparedInput::Value(head.get(i).unwrap_or(NULL)));
+                udf.call(&inputs[..n], rest)
+            }
         };
         out.virtual_secs += first_load_cost;
         Ok(out)

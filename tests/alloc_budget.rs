@@ -14,10 +14,11 @@
 //! per helper: `ranks / 8` on two workers, and below one allocation per
 //! rank up to 29 workers.
 //!
-//! A FILTER row whose prepared argument the instance's memo already holds
-//! runs no kernel and decodes nothing, and an APPLY row whose ligand the
-//! memo has docked does not dock again: both are pinned at their exact
-//! counts.
+//! A FILTER row whose prepared arguments the instance's memo already
+//! holds runs no branch kernel and decodes nothing — one `sw_similarity`
+//! call, and the whole NCNPR chain of `sw_similarity`, `pic50` and `dtba` —
+//! and an APPLY row whose ligand the memo has docked does not dock again:
+//! all are pinned at their exact counts.
 //!
 //! Canonicalising a `serve-mix` lookup — what every prepared-cache miss
 //! of the service pays — is pinned at a ceiling too.
@@ -94,6 +95,13 @@ const HELPER_ALLOWANCE: u64 = 64;
 /// memo holds, measured in debug and release: the lookup clones an `Arc`,
 /// the call returns an `F64`, and the profile entry already exists.
 const MEMO_HIT_ROW: u64 = 0;
+
+/// Allocations of one cache-free `sw_similarity(?seq) >= ? && pic50(?smiles,
+/// ?protein) > ? && dtba(?seq, ?smiles) >= ?` row, every prepared position
+/// of which the memo holds, measured in debug and release: as for
+/// [`MEMO_HIT_ROW`], each call taking its forms in one read of the memo,
+/// and `dtba`'s dense head consuming each hidden unit as it makes it.
+const NCNPR_MEMO_HIT_ROW: u64 = 0;
 
 /// Allocations of one cache-free `vina_docking(?smiles)` APPLY row whose
 /// ligand the memo holds and has docked, measured in debug and release:
@@ -202,8 +210,9 @@ fn a_filter_row_that_hits_the_memo_allocates_nothing() {
     let bindings = RowBindings::new(&vars, &row, &dict);
     let mut profiles = ProfileTable::new(1);
     profiles.intern("sw_similarity");
+    let stage = memo.stage(&registry, &profiles);
     let mut eval = || {
-        let mut cx = EvalCtx::new(&registry, profiles.row_mut(0)).with_memo(&memo);
+        let mut cx = EvalCtx::new(&registry, profiles.row_mut(0)).with_memo(&stage);
         let kept = filter.eval_bool(&bindings, &mut cx).unwrap();
         (kept, cx.charged_secs)
     };
@@ -215,6 +224,56 @@ fn a_filter_row_that_hits_the_memo_allocates_nothing() {
     eprintln!("allocations of a memo-hit sw_similarity FILTER row: {allocations}");
     assert_eq!(hit, first);
     assert_eq!(allocations, MEMO_HIT_ROW);
+}
+
+#[test]
+fn a_full_ncnpr_filter_row_that_hits_the_memo_allocates_nothing() {
+    let _counting = ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut rng = SplitMix64::new(7, 0xf11);
+    let target = Target::from_sequence("P29274", ProteinSequence::random(412, &mut rng));
+    let registry = UdfRegistry::new();
+    let dict = Arc::new(Dictionary::new());
+    register_workflow_udfs(&registry, &dict, &target, WorkflowModels::paper_models(), None);
+    let memo = ArgMemo::new(&MetricsRegistry::new());
+    // Thresholds every value passes, so the conjunction runs all three.
+    let at_least = |udf: &str, args: &[&str]| {
+        let args = args.iter().map(|v| Expr::var(*v)).collect();
+        Expr::cmp(CmpOp::Ge, Expr::udf(udf, args), Expr::Const(UdfValue::F64(-1.0)))
+    };
+    let filter = Expr::And(vec![
+        at_least("sw_similarity", &["seq"]),
+        at_least("pic50", &["smiles", "protein"]),
+        at_least("dtba", &["seq", "smiles"]),
+    ]);
+    let vars = ["seq".to_string(), "smiles".to_string(), "protein".to_string()];
+    let row = [
+        dict.str(&ProteinSequence::random(412, &mut rng).to_string_code()),
+        dict.str("CC(=O)Oc1ccccc1C(=O)O"),
+        dict.iri("up:P29274"),
+    ];
+    let bindings = RowBindings::new(&vars, &row, &dict);
+    let mut profiles = ProfileTable::new(1);
+    filter.for_each_udf(&mut |u| profiles.intern(u));
+    let stage = memo.stage(&registry, &profiles);
+    let mut eval = || {
+        let mut cx = EvalCtx::new(&registry, profiles.row_mut(0)).with_memo(&stage);
+        let kept = filter.eval_bool(&bindings, &mut cx).unwrap();
+        (kept, cx.charged_secs)
+    };
+    // The first row prepares all five positions and makes the profile
+    // entries.
+    let first = eval();
+    assert!(first.0, "every conjunct passes");
+    let before = ALLOCATIONS.load(Relaxed);
+    let hit = eval();
+    let allocations = ALLOCATIONS.load(Relaxed) - before;
+    eprintln!("allocations of a memo-hit sw_similarity/pic50/dtba FILTER row: {allocations}");
+    assert_eq!(hit, first);
+    drop(stage);
+    for udf in ["sw_similarity", "pic50", "dtba"] {
+        assert_eq!(profiles.row(0).get(udf).map(|p| p.calls), Some(2), "{udf} ran on both rows");
+    }
+    assert_eq!(allocations, NCNPR_MEMO_HIT_ROW);
 }
 
 #[test]
@@ -232,8 +291,9 @@ fn an_apply_row_whose_ligand_the_memo_docked_allocates_nothing() {
     let bindings = RowBindings::new(&vars, &row, &dict);
     let mut profiles = ProfileTable::new(1);
     profiles.intern("vina_docking");
+    let stage = memo.stage(&registry, &profiles);
     let mut eval = || {
-        let mut cx = EvalCtx::new(&registry, profiles.row_mut(0)).with_memo(&memo);
+        let mut cx = EvalCtx::new(&registry, profiles.row_mut(0)).with_memo(&stage);
         let energy = apply.eval(&bindings, &mut cx).unwrap();
         (energy, cx.charged_secs)
     };

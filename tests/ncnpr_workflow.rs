@@ -231,11 +231,28 @@ fn decoded_rows(inst: &IdsInstance, out: &ids::core::QueryOutcome) -> Vec<Vec<St
     rows
 }
 
+/// The distinct SMILES and proteins of the rows the re-purposing query's
+/// FILTER sees: the ids `pic50` and `dtba` prepare beside the sequences.
+fn filter_inputs(inst: &mut IdsInstance) -> (u64, u64) {
+    let text = "SELECT ?protein ?smiles WHERE { ?protein <rdf:type> <up:Protein> . \
+                ?protein <up:reviewed> 1 . ?protein <up:sequence> ?seq . \
+                ?compound <chembl:inhibits> ?protein . ?compound <chembl:smiles> ?smiles . }";
+    let out = inst.query(text).unwrap();
+    let distinct = |col: usize| {
+        let ids: std::collections::HashSet<_> =
+            out.solutions.rows().iter().map(|r| r[col]).collect();
+        ids.len() as u64
+    };
+    (distinct(1), distinct(0))
+}
+
 /// Prepared UDF arguments outlive the query that prepared them: repeats
 /// prepare nothing, and after ingest the next query prepares exactly the
-/// new distinct sequences, with the rows a fresh instance returns. Every
-/// row passes every FILTER (pIC50 is clamped to ≥ 3, sequences are all
-/// let through), so every row calls every UDF, on any number of workers.
+/// new distinct terms at each prepared position — sequences for
+/// `sw_similarity`, sequences and SMILES for `dtba`, SMILES and proteins
+/// for `pic50` — with the rows a fresh instance returns. Every row passes
+/// every FILTER (pIC50 is clamped to ≥ 3, sequences are all let through),
+/// so every row calls every UDF, on any number of workers.
 #[test]
 fn prepared_args_persist_across_queries_and_ingest() {
     let text = repurposing_query(&RepurposingThresholds {
@@ -246,29 +263,34 @@ fn prepared_args_persist_across_queries_and_ingest() {
     let topo = Topology::new(2, 4);
     let mut inst = launch(topo, None);
     // Band 0's three proteins share the target's sequence: one term.
-    let distinct_sequences = 1 + 5;
+    let sequences = 1 + 5;
+    let (ligands, proteins) = filter_inputs(&mut inst);
+    let expect = |sequences: u64, ligands: u64, proteins: u64| {
+        [("sw_similarity", sequences), ("dtba", sequences + ligands), ("pic50", ligands + proteins)]
+    };
     let first = inst.query(&text).unwrap();
     assert_eq!(first.solutions.len(), 22);
-    for udf in ["sw_similarity", "dtba"] {
-        assert_eq!(prepares(&inst, udf), distinct_sequences, "{udf}, first query");
+    for (udf, n) in expect(sequences, ligands, proteins) {
+        assert_eq!(prepares(&inst, udf), n, "{udf}, first query");
     }
     for repeat in 2..=3 {
         let again = inst.query(&text).unwrap();
         assert_eq!(decoded_rows(&inst, &again), decoded_rows(&inst, &first));
-        for udf in ["sw_similarity", "dtba"] {
-            assert_eq!(prepares(&inst, udf), distinct_sequences, "{udf}, repeat {repeat}");
+        for (udf, n) in expect(sequences, ligands, proteins) {
+            assert_eq!(prepares(&inst, udf), n, "{udf}, repeat {repeat}: nothing new");
         }
     }
 
     let fresh_sequences = ingest_new_candidates(&inst);
+    // Nine compounds with fresh SMILES, on four new proteins.
+    let (fresh_ligands, fresh_proteins) = (9, 4);
+    assert_eq!(filter_inputs(&mut inst), (ligands + fresh_ligands, proteins + fresh_proteins));
     let after = inst.query(&text).unwrap();
     assert_eq!(after.solutions.len(), 22 + 4 * 2 + 1);
-    for udf in ["sw_similarity", "dtba"] {
-        assert_eq!(
-            prepares(&inst, udf),
-            distinct_sequences + fresh_sequences,
-            "{udf}: the ingested sequences, and only those"
-        );
+    let grown =
+        expect(sequences + fresh_sequences, ligands + fresh_ligands, proteins + fresh_proteins);
+    for (udf, n) in grown {
+        assert_eq!(prepares(&inst, udf), n, "{udf}: the ingested terms, and only those");
     }
 
     let mut fresh = launch(topo, None);
