@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Local CI gate — same steps as .github/workflows/ci.yml.
-# All dependencies are vendored (third_party/), so this runs fully offline.
+# The workspace has no registry dependencies: bytes, criterion and
+# proptest are stand-ins under third_party/, so this runs fully offline.
+# The ASan lane needs a nightly toolchain and says when it skips.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -47,7 +49,7 @@ cargo fmt --all --check
 # crates under crates/. `--workspace` here adds what tier-1 leaves out:
 # `ids-bench` (the repro and perf binaries, benches/micro.rs and its
 # integration tests) and the vendored stand-ins under third_party/
-# (bytes, criterion, parking_lot, proptest).
+# (bytes, criterion, proptest).
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
@@ -145,6 +147,12 @@ echo "==> stage-buffer reuse (release)"
 cargo test --release --test alloc_budget --test stage_buffer_reuse -q
 taskset -c 0 cargo test --release --test alloc_budget --test stage_buffer_reuse -q
 cargo test --release -p ids-cache --test alloc_budget -q
+
+echo "==> AddressSanitizer (nightly; ids-cache unit tests, ids-simrt pool tests)"
+# The cache manager's tier moves and the shard pool's lifetime-erased
+# worker loop under -Zsanitizer=address with stack use-after-return
+# detection, in target/asan; prints SKIPPED when no nightly is installed.
+scripts/asan.sh
 
 echo "==> parallel determinism golden (tests/parallel_determinism.rs, release)"
 # Ranks on host threads: failing, deadline-bound, term-minting, dynamically

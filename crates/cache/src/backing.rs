@@ -16,8 +16,9 @@
 
 use crate::object::Sealed;
 use bytes::Bytes;
-use parking_lot::RwLock;
+use ids_simrt::sync::{read, write};
 use std::collections::HashMap;
+use std::sync::RwLock;
 
 /// Cost parameters for the backing store.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,17 +99,17 @@ impl BackingStore {
     /// Persist an object (overwrites) under the checksum its seal
     /// already carries.
     pub fn put(&self, name: &str, sealed: Sealed) -> BackingAccess<()> {
-        let cost = self.costs.op_latency + sealed.size() as f64 / self.costs.bandwidth;
-        self.objects.write().insert(name.to_string(), sealed);
+        let cost = self.io_cost(&sealed);
+        write(&self.objects).insert(name.to_string(), sealed);
         BackingAccess { value: (), virtual_secs: cost }
     }
 
     /// Fetch an object; `None` (with the metadata-lookup cost) if absent.
     pub fn get(&self, name: &str) -> BackingAccess<Option<Bytes>> {
-        let objects = self.objects.read();
+        let objects = read(&self.objects);
         match objects.get(name) {
             Some(s) => {
-                BackingAccess { virtual_secs: self.read_cost(s), value: Some(s.bytes().clone()) }
+                BackingAccess { virtual_secs: self.io_cost(s), value: Some(s.bytes().clone()) }
             }
             None => BackingAccess { value: None, virtual_secs: self.costs.op_latency },
         }
@@ -119,10 +120,10 @@ impl BackingStore {
     /// which carries no bytes — repair it from a healthy replica (or
     /// error) instead.
     pub fn get_checked(&self, name: &str) -> BackingAccess<Option<VerifiedRead>> {
-        let objects = self.objects.read();
+        let objects = read(&self.objects);
         match objects.get(name) {
             Some(s) => BackingAccess {
-                virtual_secs: self.read_cost(s),
+                virtual_secs: self.io_cost(s),
                 value: Some(if s.verify() {
                     VerifiedRead::Intact(s.clone())
                 } else {
@@ -133,13 +134,13 @@ impl BackingStore {
         }
     }
 
-    fn read_cost(&self, s: &Sealed) -> f64 {
+    fn io_cost(&self, s: &Sealed) -> f64 {
         self.costs.op_latency + s.size() as f64 / self.costs.bandwidth
     }
 
     /// The CRC32 recorded for an object at write time.
     pub fn checksum(&self, name: &str) -> Option<u32> {
-        self.objects.read().get(name).map(Sealed::checksum)
+        read(&self.objects).get(name).map(Sealed::checksum)
     }
 
     /// Chaos/test hook: flip one bit of the stored payload *without*
@@ -147,7 +148,7 @@ impl BackingStore {
     /// and scrubs must detect. Returns false when the object is absent
     /// or empty (nothing to flip).
     pub fn corrupt(&self, name: &str) -> bool {
-        let mut objects = self.objects.write();
+        let mut objects = write(&self.objects);
         let Some(s) = objects.get_mut(name) else { return false };
         let Some(rotted) = s.with_flipped_bit() else { return false };
         *s = rotted;
@@ -157,19 +158,19 @@ impl BackingStore {
     /// Whether an object exists (metadata-only cost).
     pub fn contains(&self, name: &str) -> BackingAccess<bool> {
         BackingAccess {
-            value: self.objects.read().contains_key(name),
+            value: read(&self.objects).contains_key(name),
             virtual_secs: self.costs.op_latency,
         }
     }
 
     /// Number of stored objects.
     pub fn len(&self) -> usize {
-        self.objects.read().len()
+        read(&self.objects).len()
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.objects.read().is_empty()
+        read(&self.objects).is_empty()
     }
 }
 

@@ -11,10 +11,12 @@
 //! * [`backing`] — the authoritative persistent object store standing in
 //!   for DAOS/Lustre; cache nodes can always re-populate from it after a
 //!   failure, so losing a cache node loses no data.
-//! * [`manager`] — the Cache Manager (§3.2): per-node DRAM tiers with NVMe
-//!   spill, policy-driven placement, locality queries that let schedulers
-//!   co-locate computation with data, per-tier hit/miss statistics, and
-//!   node-failure handling.
+//! * [`manager`] — the Cache Manager (§3.2): its state and the read and
+//!   write paths, plus one private module per decision — `membership`
+//!   (node availability), `movement` (placement, DRAM→NVMe spill,
+//!   promotion, locality, relocation), `integrity` (quarantine, warm
+//!   restart, anti-entropy) and `metrics` (the `ids_cache_*` counters and
+//!   the [`CacheStats`] view of them).
 //! * [`tier`] — the tier stores ([`tier::TierStore`]):
 //!   the single home of per-tier capacity/occupancy accounting, entry
 //!   checksums, and the warm-restart verified flag.

@@ -27,23 +27,36 @@
 //! driven from engine stage boundaries on the virtual clock) scrubs live
 //! copies, re-establishes the replication factor after a crash wiped a
 //! node, and rewrites torn backing-store objects from healthy replicas.
+//!
+//! This module holds the manager, its state, and the write and read
+//! paths; `membership`, `movement`, `integrity` and `metrics` each own
+//! one other decision.
+
+mod integrity;
+mod membership;
+mod metrics;
+mod movement;
+
+pub use integrity::AntiEntropyReport;
+pub use metrics::CacheStats;
 
 use crate::admit::FrequencySketch;
 use crate::backing::BackingStore;
 use crate::error::CacheError;
 use crate::evict::EvictionKind;
-use crate::inspect::{CacheInspection, TierInspection};
-use crate::object::{object_id, ObjectMeta, Sealed};
+use crate::object::Sealed;
 use crate::policy::PlacementPolicy;
 use crate::tier::{StoredEntry, TierKind, TierStore};
 use bytes::Bytes;
-use ids_obs::{Counter, Gauge, Histogram, MetricsRegistry};
+use ids_obs::MetricsRegistry;
 use ids_simrt::faults::{retry_backoff_secs, FaultPlane, LinkFactors, RETRY_MAX_ATTEMPTS};
 use ids_simrt::net::{DeviceModel, NetworkModel};
+use ids_simrt::sync::lock;
 use ids_simrt::topology::{NodeId, RankId, Topology};
-use parking_lot::Mutex;
-use std::collections::{BTreeSet, HashSet};
-use std::sync::Arc;
+use membership::Availability;
+use metrics::CacheMetrics;
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
 
 /// Which tier served an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -56,14 +69,14 @@ pub enum Tier {
 }
 
 impl Tier {
-    /// The cache tier a hit in DRAM (`dram`) or NVMe reports, on the
-    /// requester's own node (`local`) or another one.
-    fn cached(dram: bool, local: bool) -> Tier {
-        match (dram, local) {
-            (true, true) => Tier::LocalDram,
-            (true, false) => Tier::RemoteDram,
-            (false, true) => Tier::LocalNvme,
-            (false, false) => Tier::RemoteNvme,
+    /// The cache tier a hit in `kind` reports, on the requester's own
+    /// node (`local`) or another one.
+    fn cached(kind: TierKind, local: bool) -> Tier {
+        match (kind, local) {
+            (TierKind::Dram, true) => Tier::LocalDram,
+            (TierKind::Dram, false) => Tier::RemoteDram,
+            (TierKind::Nvme, true) => Tier::LocalNvme,
+            (TierKind::Nvme, false) => Tier::RemoteNvme,
         }
     }
 }
@@ -73,83 +86,6 @@ impl Tier {
 pub struct CacheOutcome {
     pub tier: Tier,
     pub virtual_secs: f64,
-}
-
-/// Aggregate hit/miss statistics, counted since the last
-/// [`CacheManager::reset_stats`]. [`CacheManager::stats`] builds them from
-/// the cache's `ids_cache_*` counters, the only accounting it keeps;
-/// [`CacheManager::inspect`] reads the same counters as lifetime values.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CacheStats {
-    pub local_dram_hits: u64,
-    pub remote_dram_hits: u64,
-    pub local_nvme_hits: u64,
-    pub remote_nvme_hits: u64,
-    pub backing_fetches: u64,
-    pub total_misses: u64,
-    pub evictions_to_nvme: u64,
-    pub evictions_dropped: u64,
-    /// Backing fetches of objects that had been cached before (lost to
-    /// eviction or node failure) — re-population, not cold traffic.
-    pub repopulations: u64,
-    /// Transient-failure retries performed inside `get`.
-    pub retries: u64,
-    /// Cache-tier serves where a preferred copy was fenced, failed its
-    /// retries, or was quarantined — and a surviving replica answered.
-    pub failover_reads: u64,
-    /// Puts that could not reach the configured replication factor
-    /// because too few cache nodes were live.
-    pub under_replicated_writes: u64,
-    /// Checksum mismatches detected (cached copies and backing objects).
-    pub corruptions_detected: u64,
-    /// Copies restored from a healthy source: quarantined replicas
-    /// re-written, replication factor re-established, torn backing
-    /// objects rewritten.
-    pub repairs: u64,
-    /// NVMe→DRAM promotions on reuse.
-    pub promotes: u64,
-    /// Spills or inserts skipped by the frequency-sketch admission
-    /// filter (one-hit wonders under tier pressure).
-    pub admission_rejects: u64,
-    /// NVMe entries retained across node recoveries (warm restart).
-    pub warm_restart_retained: u64,
-}
-
-impl CacheStats {
-    /// All cache-tier hits (everything short of the backing store).
-    pub fn cache_hits(&self) -> u64 {
-        self.local_dram_hits + self.remote_dram_hits + self.local_nvme_hits + self.remote_nvme_hits
-    }
-
-    /// Hit rate over all accesses that found the object somewhere.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.cache_hits() + self.backing_fetches;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits() as f64 / total as f64
-        }
-    }
-}
-
-/// What one anti-entropy pass did (see [`CacheManager::anti_entropy`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AntiEntropyReport {
-    /// Live cached copies whose checksum was verified.
-    pub scrubbed: u64,
-    /// Copies/backing objects found corrupt during the pass.
-    pub corruptions: u64,
-    /// Replica copies created to restore the replication factor.
-    pub re_replicated: u64,
-    /// Torn/rotted backing-store objects rewritten from a healthy replica.
-    pub backing_repairs: u64,
-}
-
-impl AntiEntropyReport {
-    /// Did the pass change or flag anything?
-    pub fn is_noop(&self) -> bool {
-        self.corruptions == 0 && self.re_replicated == 0 && self.backing_repairs == 0
-    }
 }
 
 /// Cache configuration.
@@ -174,10 +110,6 @@ pub struct CacheConfig {
 /// Per-tier device costs, charged on every hit, spill, and promote: the
 /// testbed's DRAM and NVMe (100 µs / 3 GB/s).
 const DEVICES: DeviceModel = DeviceModel::testbed();
-
-/// Virtual seconds between background anti-entropy passes (scrub +
-/// re-replication), checked at engine stage boundaries.
-const ANTI_ENTROPY_INTERVAL_SECS: f64 = 1.0;
 
 impl CacheConfig {
     /// Testbed-like defaults: local-first placement, LRU eviction, no
@@ -207,23 +139,16 @@ impl CacheConfig {
 }
 
 struct State {
-    dram: Vec<TierStore>,
-    nvme: Vec<TierStore>,
+    /// One store per cache node for each tier, indexed by
+    /// `TierKind as usize`.
+    tiers: [Vec<TierStore>; 2],
     /// Global frequency sketch feeding the admission filter and the
     /// TinyLFU eviction duel; every lookup and store records into it.
     sketch: FrequencySketch,
     clock: u64,
     placement_counter: u64,
-    /// Nodes taken down explicitly via `fail_node`.
-    manual_down: Vec<bool>,
-    /// Last availability observed from the attached fault plane.
-    plane_down: Vec<bool>,
-    /// Nodes declared permanently dead via `fail_node_permanently`: their
-    /// contents are purged (not just fenced) and `recover_node` refuses
-    /// to bring them back.
-    permanent_down: Vec<bool>,
-    /// Virtual time at which each node last went down.
-    down_since: Vec<f64>,
+    /// Each cache node's availability (owned by `membership`).
+    nodes: Vec<Availability>,
     /// Names that were cached at least once — a later backing fetch for
     /// one of these is a *re-population*, not cold traffic.
     ever_cached: HashSet<String>,
@@ -255,202 +180,27 @@ fn remember(names: &mut HashSet<String>, name: &str) {
 }
 
 impl State {
-    /// A node is unavailable if the manual switch, the fault plane, or a
-    /// permanent-death declaration says so.
     fn is_down(&self, ni: usize) -> bool {
-        self.manual_down[ni] || self.plane_down[ni] || self.permanent_down[ni]
+        self.nodes[ni].is_down()
     }
 
-    /// Node `ni`'s DRAM (`dram`) or NVMe store.
-    fn tier_mut(&mut self, dram: bool, ni: usize) -> &mut TierStore {
-        if dram {
-            &mut self.dram[ni]
-        } else {
-            &mut self.nvme[ni]
-        }
+    /// Node `ni`'s store of tier `kind`.
+    fn tier(&self, kind: TierKind, ni: usize) -> &TierStore {
+        &self.tiers[kind as usize][ni]
+    }
+
+    fn tier_mut(&mut self, kind: TierKind, ni: usize) -> &mut TierStore {
+        &mut self.tiers[kind as usize][ni]
+    }
+
+    /// Node `ni`'s copy of `name`, DRAM first.
+    fn copy_on(&self, ni: usize, name: &str) -> Option<&StoredEntry> {
+        self.tiers.iter().find_map(|stores| stores[ni].get(name))
     }
 
     /// The fault plane's virtual time (0 without a plane).
     fn now(&self) -> f64 {
         self.plane.as_ref().map_or(0.0, |p| p.now())
-    }
-}
-
-/// Pre-resolved `ids-obs` handles for the cache's fixed label set, so
-/// the hot path bumps atomics without touching the registry maps. These
-/// counters are the cache's only accounting: [`CacheStats`] and
-/// [`CacheInspection`] are views of them, read under the state lock that
-/// every bump they count happens under (only the put-side checksum
-/// counter is bumped outside it).
-struct CacheMetrics {
-    registry: MetricsRegistry,
-    hits: [Counter; 4], // local DRAM, remote DRAM, local NVMe, remote NVMe
-    backing_fetches: Counter,
-    misses: Counter,
-    inserts_dram: Counter,
-    inserts_nvme: Counter,
-    spills: Counter,
-    evictions_dram: Counter,
-    evictions_nvme: Counter,
-    evicted_bytes_dram: Counter,
-    evicted_bytes_nvme: Counter,
-    size_dram: Gauge,
-    size_nvme: Gauge,
-    node_failures: Counter,
-    node_recoveries: Counter,
-    retries: Counter,
-    repopulations: Counter,
-    retry_wait: Histogram,
-    recovery_time: Histogram,
-    failover_reads: Counter,
-    under_replicated_writes: Counter,
-    corruptions_cache: Counter,
-    corruptions_backing: Counter,
-    quarantines: Counter,
-    repairs_replicate: Counter,
-    repairs_backing: Counter,
-    anti_entropy_runs: Counter,
-    scrubbed_objects: Counter,
-    victim_pops: Counter,
-    promotes: Counter,
-    promoted_bytes: Counter,
-    admission_rejects_dram: Counter,
-    admission_rejects_nvme: Counter,
-    warm_retained: Counter,
-    warm_verified: Counter,
-    spill_bytes: Histogram,
-    promote_bytes: Histogram,
-    /// Payload bytes run through the CRC kernel, by call site.
-    hashed_put: Counter,
-    hashed_backing_read: Counter,
-    hashed_scrub: Counter,
-    hashed_quarantine: Counter,
-    hashed_warm_verify: Counter,
-}
-
-impl CacheMetrics {
-    fn new(registry: MetricsRegistry) -> Self {
-        let hit = |tier| registry.counter_with("ids_cache_lookup_hits_total", "tier", tier);
-        let hashed =
-            |site| registry.counter_with("ids_cache_checksummed_bytes_total", "site", site);
-        Self {
-            hits: [hit("local_dram"), hit("remote_dram"), hit("local_nvme"), hit("remote_nvme")],
-            backing_fetches: hit("backing"),
-            misses: registry.counter("ids_cache_lookup_misses_total"),
-            inserts_dram: registry.counter_with("ids_cache_inserts_total", "tier", "dram"),
-            inserts_nvme: registry.counter_with("ids_cache_inserts_total", "tier", "nvme"),
-            spills: registry.counter("ids_cache_spills_total"),
-            evictions_dram: registry.counter_with("ids_cache_evictions_total", "tier", "dram"),
-            evictions_nvme: registry.counter_with("ids_cache_evictions_total", "tier", "nvme"),
-            evicted_bytes_dram: registry.counter_with(
-                "ids_cache_evicted_bytes_total",
-                "tier",
-                "dram",
-            ),
-            evicted_bytes_nvme: registry.counter_with(
-                "ids_cache_evicted_bytes_total",
-                "tier",
-                "nvme",
-            ),
-            size_dram: registry.gauge_with("ids_cache_size_bytes", "tier", "dram"),
-            size_nvme: registry.gauge_with("ids_cache_size_bytes", "tier", "nvme"),
-            node_failures: registry.counter("ids_cache_node_failures_total"),
-            node_recoveries: registry.counter("ids_cache_node_recoveries_total"),
-            retries: registry.counter("ids_cache_retries_total"),
-            repopulations: registry.counter("ids_cache_repopulations_total"),
-            retry_wait: registry.histogram("ids_cache_retry_wait_secs"),
-            recovery_time: registry.histogram("ids_cache_node_recovery_secs"),
-            failover_reads: registry.counter("ids_cache_failover_reads_total"),
-            under_replicated_writes: registry.counter("ids_cache_under_replicated_writes_total"),
-            corruptions_cache: registry.counter_with(
-                "ids_cache_corruptions_detected_total",
-                "source",
-                "cache",
-            ),
-            corruptions_backing: registry.counter_with(
-                "ids_cache_corruptions_detected_total",
-                "source",
-                "backing",
-            ),
-            quarantines: registry.counter("ids_cache_quarantines_total"),
-            repairs_replicate: registry.counter_with(
-                "ids_cache_repairs_total",
-                "kind",
-                "re_replicate",
-            ),
-            repairs_backing: registry.counter_with(
-                "ids_cache_repairs_total",
-                "kind",
-                "backing_rewrite",
-            ),
-            anti_entropy_runs: registry.counter("ids_cache_anti_entropy_runs_total"),
-            scrubbed_objects: registry.counter("ids_cache_scrubbed_objects_total"),
-            victim_pops: registry.counter("ids_cache_victim_pops_total"),
-            promotes: registry.counter("ids_cache_promotes_total"),
-            promoted_bytes: registry.counter("ids_cache_promoted_bytes_total"),
-            admission_rejects_dram: registry.counter_with(
-                "ids_cache_admission_rejects_total",
-                "tier",
-                "dram",
-            ),
-            admission_rejects_nvme: registry.counter_with(
-                "ids_cache_admission_rejects_total",
-                "tier",
-                "nvme",
-            ),
-            warm_retained: registry.counter("ids_cache_warm_restart_retained_total"),
-            warm_verified: registry.counter("ids_cache_warm_restart_verified_total"),
-            spill_bytes: registry.histogram("ids_cache_spill_bytes"),
-            promote_bytes: registry.histogram("ids_cache_promote_bytes"),
-            hashed_put: hashed("put"),
-            hashed_backing_read: hashed("backing_read"),
-            hashed_scrub: hashed("scrub"),
-            hashed_quarantine: hashed("quarantine"),
-            hashed_warm_verify: hashed("warm_verify"),
-            registry,
-        }
-    }
-
-    fn tier_hit(&self, tier: Tier) {
-        match tier {
-            Tier::LocalDram => self.hits[0].inc(),
-            Tier::RemoteDram => self.hits[1].inc(),
-            Tier::LocalNvme => self.hits[2].inc(),
-            Tier::RemoteNvme => self.hits[3].inc(),
-            Tier::Backing => self.backing_fetches.inc(),
-        }
-    }
-
-    fn update_sizes(&self, st: &State) {
-        self.size_dram.set(st.dram.iter().map(|t| t.used()).sum::<u64>() as i64);
-        self.size_nvme.set(st.nvme.iter().map(|t| t.used()).sum::<u64>() as i64);
-    }
-
-    /// The [`CacheStats`] view of the counters, less `base`.
-    fn stats_since(&self, base: &CacheStats) -> CacheStats {
-        CacheStats {
-            local_dram_hits: self.hits[0].get() - base.local_dram_hits,
-            remote_dram_hits: self.hits[1].get() - base.remote_dram_hits,
-            local_nvme_hits: self.hits[2].get() - base.local_nvme_hits,
-            remote_nvme_hits: self.hits[3].get() - base.remote_nvme_hits,
-            backing_fetches: self.backing_fetches.get() - base.backing_fetches,
-            total_misses: self.misses.get() - base.total_misses,
-            evictions_to_nvme: self.spills.get() - base.evictions_to_nvme,
-            evictions_dropped: self.evictions_nvme.get() - base.evictions_dropped,
-            repopulations: self.repopulations.get() - base.repopulations,
-            retries: self.retries.get() - base.retries,
-            failover_reads: self.failover_reads.get() - base.failover_reads,
-            under_replicated_writes: self.under_replicated_writes.get()
-                - base.under_replicated_writes,
-            corruptions_detected: self.corruptions_cache.get() + self.corruptions_backing.get()
-                - base.corruptions_detected,
-            repairs: self.repairs_replicate.get() + self.repairs_backing.get() - base.repairs,
-            promotes: self.promotes.get() - base.promotes,
-            admission_rejects: self.admission_rejects_dram.get()
-                + self.admission_rejects_nvme.get()
-                - base.admission_rejects,
-            warm_restart_retained: self.warm_retained.get() - base.warm_restart_retained,
-        }
     }
 }
 
@@ -500,20 +250,17 @@ impl CacheManager {
                 topo.nodes()
             )));
         }
+        let capacity = [cfg.dram_capacity, cfg.nvme_capacity];
         let state = State {
-            dram: (0..cfg.cache_nodes)
-                .map(|_| TierStore::new(TierKind::Dram, cfg.dram_capacity, cfg.eviction))
-                .collect(),
-            nvme: (0..cfg.cache_nodes)
-                .map(|_| TierStore::new(TierKind::Nvme, cfg.nvme_capacity, cfg.eviction))
-                .collect(),
+            tiers: TierKind::ALL.map(|kind| {
+                (0..cfg.cache_nodes)
+                    .map(|_| TierStore::new(kind, capacity[kind as usize], cfg.eviction))
+                    .collect()
+            }),
             sketch: FrequencySketch::default(),
             clock: 0,
             placement_counter: 0,
-            manual_down: vec![false; cfg.cache_nodes],
-            plane_down: vec![false; cfg.cache_nodes],
-            permanent_down: vec![false; cfg.cache_nodes],
-            down_since: vec![0.0; cfg.cache_nodes],
+            nodes: vec![Availability::default(); cfg.cache_nodes],
             ever_cached: HashSet::new(),
             ephemeral: HashSet::new(),
             last_anti_entropy: 0.0,
@@ -535,15 +282,7 @@ impl CacheManager {
     /// windows, remote accesses can fail transiently, and transfer
     /// costs absorb link degradation.
     pub fn attach_faults(&self, plane: Arc<FaultPlane>) {
-        self.state.lock().plane = Some(plane);
-    }
-
-    /// Is `node` currently unavailable (manually failed or inside a
-    /// fault-plane crash window)?
-    pub fn node_is_down(&self, node: NodeId) -> bool {
-        let mut st = self.state.lock();
-        self.sync_with_plane(&mut st);
-        node.index() < self.cfg.cache_nodes && st.is_down(node.index())
+        lock(&self.state).plane = Some(plane);
     }
 
     /// The cache's configuration.
@@ -557,125 +296,20 @@ impl CacheManager {
         &self.metrics.registry
     }
 
-    /// Statistics since the last [`Self::reset_stats`].
-    pub fn stats(&self) -> CacheStats {
-        let st = self.state.lock();
-        self.metrics.stats_since(&st.baseline)
-    }
-
-    /// Reset statistics (not contents, and not the lifetime counters
-    /// behind [`Self::inspect`] and [`Self::metrics`]).
-    pub fn reset_stats(&self) {
-        let mut st = self.state.lock();
-        st.baseline = self.metrics.stats_since(&CacheStats::default());
-    }
-
-    fn dram_transfer(&self, from: RankId, node: NodeId, bytes: u64) -> f64 {
-        if self.topo.node_of(from) == node {
-            self.net.intra_latency + bytes as f64 / self.net.intra_bandwidth
-        } else {
-            self.net.inter_cost(bytes)
-        }
-    }
-
-    fn nvme_transfer(&self, from: RankId, node: NodeId, bytes: u64) -> f64 {
-        let device = DEVICES.nvme_cost(bytes);
-        if self.topo.node_of(from) == node {
-            device
-        } else {
-            device + self.net.inter_cost(bytes)
-        }
-    }
-
-    /// Fold the fault plane's current availability into our up/down
-    /// state, firing failure/recovery bookkeeping on transitions. Returns
-    /// the plane, for the caller's fault draws.
-    fn sync_with_plane(&self, st: &mut State) -> Option<Arc<FaultPlane>> {
-        let p = st.plane.clone()?;
-        let now = p.now();
-        for ni in 0..self.cfg.cache_nodes {
-            let pd = p.node_down(NodeId(ni as u32));
-            if pd == st.plane_down[ni] {
-                continue;
+    /// Reading `bytes` from node `node`'s `kind` tier, from rank `from`:
+    /// DRAM costs one transfer (intra-node on the requester's own node,
+    /// α·β inter-node otherwise); NVMe costs the device plus, off-node,
+    /// the inter-node transfer.
+    fn transfer(&self, kind: TierKind, from: RankId, node: NodeId, bytes: u64) -> f64 {
+        let local = self.topo.node_of(from) == node;
+        match kind {
+            TierKind::Dram if local => {
+                self.net.intra_latency + bytes as f64 / self.net.intra_bandwidth
             }
-            st.plane_down[ni] = pd;
-            if st.manual_down[ni] {
-                continue; // combined availability unchanged
-            }
-            if pd {
-                self.on_node_down(st, ni, now);
-            } else {
-                self.on_node_up(st, ni, now);
-            }
+            TierKind::Dram => self.net.inter_cost(bytes),
+            TierKind::Nvme if local => DEVICES.nvme_cost(bytes),
+            TierKind::Nvme => DEVICES.nvme_cost(bytes) + self.net.inter_cost(bytes),
         }
-        Some(p)
-    }
-
-    /// A node became unavailable: fence its entries (they stay resident
-    /// but are skipped by every lookup until recovery) and meter it.
-    fn on_node_down(&self, st: &mut State, ni: usize, now: f64) {
-        st.down_since[ni] = now;
-        self.metrics.node_failures.inc();
-        self.metrics.registry.spans().record("cache.node_down", format!("node {ni}"), now, now);
-    }
-
-    /// A node rejoined. DRAM is volatile and was lost in the crash, so
-    /// that tier always comes back empty. The NVMe tier is persistent
-    /// media: its entries survive (warm restart) but are distrusted —
-    /// marked unverified until the integrity plane re-checks each
-    /// checksum, lazily on first read or in bulk at the next anti-entropy
-    /// scrub.
-    fn on_node_up(&self, st: &mut State, ni: usize, now: f64) {
-        st.dram[ni].clear();
-        let retained = st.nvme[ni].len() as u64;
-        if retained > 0 {
-            st.nvme[ni].mark_all_unverified();
-            self.metrics.warm_retained.add(retained);
-        }
-        // DRAM rejoined empty: surviving objects may be under-replicated
-        // until the next anti-entropy pass restores the factor.
-        st.recovery_pending = true;
-        self.metrics.update_sizes(st);
-        self.metrics.node_recoveries.inc();
-        let downtime = (now - st.down_since[ni]).max(0.0);
-        self.metrics.recovery_time.observe(downtime);
-        self.metrics.registry.spans().record(
-            "cache.node_recovered",
-            format!("node {ni} after {downtime:.6}s"),
-            st.down_since[ni],
-            now,
-        );
-    }
-
-    /// Per-node liveness vector for the placement policy.
-    fn live_vec(&self, st: &State) -> Vec<bool> {
-        (0..self.cfg.cache_nodes).map(|ni| !st.is_down(ni)).collect()
-    }
-
-    /// Per-node free DRAM bytes (down nodes report zero — they cannot
-    /// accept placements anyway).
-    fn free_vec(&self, st: &State) -> Vec<u64> {
-        st.dram
-            .iter()
-            .enumerate()
-            .map(|(ni, t)| if st.is_down(ni) { 0 } else { t.capacity().saturating_sub(t.used()) })
-            .collect()
-    }
-
-    /// Replica-set placement restricted to live nodes: up to
-    /// [`CacheConfig::replication`] distinct live nodes, possibly fewer
-    /// when fewer are up (the caller meters the under-replicated write).
-    fn place_live_replicas(&self, st: &mut State, requester: NodeId) -> Vec<NodeId> {
-        let live = self.live_vec(st);
-        let free = self.free_vec(st);
-        st.placement_counter += 1;
-        self.cfg.policy.place_replicas(
-            requester,
-            &free,
-            &live,
-            st.placement_counter - 1,
-            self.cfg.replication,
-        )
     }
 
     /// One fabric access under fault injection: rolls transients (remote
@@ -706,31 +340,6 @@ impl CacheManager {
             self.metrics.retry_wait.observe(wait);
             *spent += wait;
         }
-    }
-
-    /// Tier invariant: per-tier `used` must equal the sum of its entries'
-    /// sizes and never exceed capacity. Recomputing the sum walks every
-    /// entry of every tier, so only debug builds do it after each
-    /// mutation batch.
-    fn debug_check_accounting(&self, st: &mut State) {
-        if cfg!(debug_assertions) {
-            self.check_accounting(st);
-        }
-    }
-
-    /// Recompute-and-heal every tier's accounting (see
-    /// [`TierStore::check_accounting`]); release builds run it where a
-    /// full scan already happens — anti-entropy and [`Self::inspect`].
-    fn check_accounting(&self, st: &mut State) {
-        for t in st.dram.iter_mut().chain(st.nvme.iter_mut()) {
-            t.check_accounting();
-        }
-    }
-
-    /// Ingest: the one hash a put pays, metered.
-    fn seal_put(&self, data: Bytes) -> Sealed {
-        self.metrics.hashed_put.add(data.len() as u64);
-        Sealed::seal(data)
     }
 
     /// Store an object: persists to the backing store (authoritative) and
@@ -766,8 +375,10 @@ impl CacheManager {
     /// store and draws a torn write.
     fn write(&self, from: RankId, name: &str, data: Bytes, durable: bool) -> f64 {
         let size = data.len() as u64;
-        let sealed = self.seal_put(data);
-        let mut st = self.state.lock();
+        // Ingest: the one hash a put pays, metered.
+        self.metrics.hashed_put.add(size);
+        let sealed = Sealed::seal(data);
+        let mut st = lock(&self.state);
         let mut cost = 0.0;
         if durable {
             cost = self.backing.put(name, sealed.clone()).virtual_secs;
@@ -778,13 +389,10 @@ impl CacheManager {
         }
         let plane = self.sync_with_plane(&mut st);
         st.clock += 1;
-        // Coherence on overwrite: drop every cached copy of this name first
-        // (the new placement may land on a different node than a previous
-        // put's, and a stale copy must never win the tier search).
-        for ni in 0..self.cfg.cache_nodes {
-            st.dram[ni].remove(name);
-            st.nvme[ni].remove(name);
-        }
+        // Coherence on overwrite: the new placement may land on a
+        // different node than a previous put's, and a stale copy must
+        // never win the tier search.
+        drop_copies(&mut st, name);
         st.sketch.record(name);
         if durable {
             remember(&mut st.ever_cached, name);
@@ -798,212 +406,16 @@ impl CacheManager {
         // durable object lives in the backing store only.
         let replicas = self.place_live_replicas(&mut st, self.topo.node_of(from));
         let link = plane.as_ref().map_or(LinkFactors::NONE, |p| p.link_factors());
-        for &node in &replicas {
-            cost += self.dram_transfer(from, node, size) * link.cost_mult();
-            let (_, spill_cost) = self.insert_dram(&mut st, node, name, sealed.clone());
-            cost += spill_cost;
-        }
+        let fabric = |node| self.transfer(TierKind::Dram, from, node, size) * link.cost_mult();
+        self.land_copies(&mut st, &replicas, name, &sealed, fabric, &mut cost);
         if replicas.len() < self.cfg.replication {
-            self.note_under_replicated(name, replicas.len(), st.now());
+            self.metrics.under_replicated_writes.inc();
+            let now = st.now();
+            let detail = format!("{name}: {}/{} copies", replicas.len(), self.cfg.replication);
+            self.metrics.event("cache.under_replicated_write", detail, now);
         }
         self.debug_check_accounting(&mut st);
         cost
-    }
-
-    /// Meter a write that landed on fewer nodes than the configured
-    /// replication factor (too few live nodes).
-    fn note_under_replicated(&self, name: &str, copies: usize, now: f64) {
-        self.metrics.under_replicated_writes.inc();
-        self.metrics.registry.spans().record(
-            "cache.under_replicated_write",
-            format!("{name}: {copies}/{} copies", self.cfg.replication),
-            now,
-            now,
-        );
-    }
-
-    /// Insert into a node's DRAM tier, spilling victims toward NVMe until
-    /// the object fits. Returns `(landed_in_dram, device_cost)` where the
-    /// cost covers every spill the insert forced (charged to whichever
-    /// operation triggered it). Objects too big for DRAM route straight
-    /// to NVMe and report `landed_in_dram = false`.
-    fn insert_dram(&self, st: &mut State, node: NodeId, name: &str, sealed: Sealed) -> (bool, f64) {
-        let size = sealed.size();
-        let ni = node.index();
-        if size > self.cfg.dram_capacity {
-            // Too big for DRAM entirely; go straight to NVMe if it fits.
-            let (_, cost) = self.insert_nvme(st, node, name, sealed);
-            return (false, cost);
-        }
-        let clock = st.clock;
-        // Remove any stale copy first (overwrite semantics).
-        st.dram[ni].remove(name);
-        // TinyLFU admission duel: under pressure a candidate only
-        // displaces the policy's victim when its sketch estimate is
-        // strictly higher — cold scan traffic never erodes a reused
-        // resident set. Rejected candidates still get NVMe residency.
-        if self.cfg.eviction == EvictionKind::TinyLfu && !st.dram[ni].fits(size) {
-            if let Some(victim) = st.dram[ni].peek_victim() {
-                if st.sketch.estimate(name) <= st.sketch.estimate(&victim) {
-                    self.metrics.admission_rejects_dram.inc();
-                    let (_, cost) = self.insert_nvme(st, node, name, sealed);
-                    return (false, cost);
-                }
-            }
-        }
-        let mut cost = 0.0;
-        while !st.dram[ni].fits(size) {
-            let Some((victim, e)) = st.dram[ni].pop_victim() else { break };
-            self.metrics.victim_pops.inc();
-            cost += self.spill_victim(st, node, &victim, e);
-        }
-        if !st.dram[ni].insert(name, sealed, clock) {
-            self.metrics.update_sizes(st);
-            return (false, cost);
-        }
-        self.metrics.inserts_dram.inc();
-        self.metrics.update_sizes(st);
-        (true, cost)
-    }
-
-    /// Handle one DRAM eviction victim: spill it to the same node's NVMe
-    /// tier unless the admission filter calls it a one-hit wonder while
-    /// NVMe is under pressure, in which case it is dropped outright (the
-    /// backing store stays authoritative). Returns the device cost of
-    /// the spill write (zero when dropped).
-    fn spill_victim(&self, st: &mut State, node: NodeId, victim: &str, e: StoredEntry) -> f64 {
-        let size = e.sealed.size();
-        let ni = node.index();
-        self.metrics.evictions_dram.inc();
-        self.metrics.evicted_bytes_dram.add(size);
-        if !st.nvme[ni].fits(size) && !st.sketch.admit(victim) {
-            // Writing a one-hit wonder would force a disk eviction for
-            // nothing; skip the spill.
-            self.metrics.admission_rejects_nvme.inc();
-            self.metrics.update_sizes(st);
-            return 0.0;
-        }
-        let (stored, cost) = self.insert_nvme(st, node, victim, e.sealed);
-        if stored {
-            self.metrics.spills.inc();
-            self.metrics.spill_bytes.observe(size as f64);
-        }
-        cost
-    }
-
-    /// Insert into a node's NVMe tier, evicting (dropping) victims until
-    /// the object fits. Returns `(stored, device_cost)`; objects too big
-    /// for the tier are refused with zero cost — only the backing store
-    /// holds them.
-    fn insert_nvme(&self, st: &mut State, node: NodeId, name: &str, sealed: Sealed) -> (bool, f64) {
-        let size = sealed.size();
-        if size > self.cfg.nvme_capacity {
-            return (false, 0.0);
-        }
-        let clock = st.clock;
-        let ni = node.index();
-        st.nvme[ni].remove(name);
-        while !st.nvme[ni].fits(size) {
-            let Some((_victim, e)) = st.nvme[ni].pop_victim() else { break };
-            self.metrics.victim_pops.inc();
-            self.metrics.evictions_nvme.inc();
-            self.metrics.evicted_bytes_nvme.add(e.sealed.size());
-        }
-        if !st.nvme[ni].insert(name, sealed, clock) {
-            self.metrics.update_sizes(st);
-            return (false, 0.0);
-        }
-        self.metrics.inserts_nvme.inc();
-        self.metrics.update_sizes(st);
-        (true, DEVICES.nvme_cost(size))
-    }
-
-    /// Dynamically relocate a cached object to another node's DRAM
-    /// ("the cache manager dynamically relocates data within the caching
-    /// layer to optimize proximity to computation"). Returns the transfer
-    /// cost, or `None` if the object is not cached anywhere or the target
-    /// is not a cache node.
-    pub fn relocate(&self, name: &str, to: NodeId) -> Option<f64> {
-        if to.index() >= self.cfg.cache_nodes {
-            return None;
-        }
-        let mut st = self.state.lock();
-        self.sync_with_plane(&mut st);
-        if st.is_down(to.index()) {
-            return None;
-        }
-        st.clock += 1;
-        // Find and remove the current copy (fenced copies on down nodes
-        // are not eligible sources — they are lost on recovery anyway).
-        // With replication > 1 this moves the first copy found; the other
-        // replicas stay where they are.
-        let mut found: Option<(usize, Sealed)> = None;
-        for ni in 0..self.cfg.cache_nodes {
-            if st.is_down(ni) {
-                continue;
-            }
-            if let Some(e) = st.dram[ni].remove(name).or_else(|| st.nvme[ni].remove(name)) {
-                found = Some((ni, e.sealed));
-                break;
-            }
-        }
-        let (from_node, sealed) = found?;
-        let size = sealed.size();
-        // Node-to-node transfer cost (inter-node unless already there).
-        let mut cost = if from_node == to.index() { 0.0 } else { self.net.inter_cost(size) };
-        let (_, spill_cost) = self.insert_dram(&mut st, to, name, sealed);
-        cost += spill_cost;
-        self.debug_check_accounting(&mut st);
-        Some(cost)
-    }
-
-    /// Detect injected bit rot on a cached copy: flip one bit (the rot),
-    /// verify against the CRC recorded at write time, and quarantine the
-    /// copy — it is dropped and metered, never served. Returns `false`
-    /// for empty payloads (nothing to rot).
-    fn quarantine_if_rotted(&self, st: &mut State, ni: usize, dram: bool, name: &str) -> bool {
-        let Some(rotted) =
-            st.tier_mut(dram, ni).get(name).and_then(|e| e.sealed.with_flipped_bit())
-        else {
-            return false;
-        };
-        self.metrics.hashed_quarantine.add(rotted.size());
-        if rotted.verify() {
-            return false; // unreachable for a real CRC, kept for honesty
-        }
-        self.quarantine(st, ni, dram, name)
-    }
-
-    /// Re-hash an NVMe entry retained across a warm restart before it is
-    /// trusted (nothing is hashed for entries already verified). Returns
-    /// true when the copy failed its checksum and was quarantined.
-    fn quarantine_if_stale(&self, st: &mut State, ni: usize, name: &str) -> bool {
-        let Some(intact) = st.nvme[ni].reverify(name) else { return false };
-        self.metrics.hashed_warm_verify.add(st.nvme[ni].size_of(name).unwrap_or(0));
-        if intact {
-            self.metrics.warm_verified.inc();
-            return false;
-        }
-        self.quarantine(st, ni, false, name)
-    }
-
-    /// Drop a copy that failed its checksum and meter the quarantine.
-    /// Returns false when the copy was already gone.
-    fn quarantine(&self, st: &mut State, ni: usize, dram: bool, name: &str) -> bool {
-        if st.tier_mut(dram, ni).remove(name).is_none() {
-            return false;
-        }
-        self.metrics.corruptions_cache.inc();
-        self.metrics.quarantines.inc();
-        self.metrics.update_sizes(st);
-        let now = st.now();
-        self.metrics.registry.spans().record(
-            "cache.quarantine",
-            format!("{name} on node {ni}: checksum mismatch"),
-            now,
-            now,
-        );
-        true
     }
 
     /// Fetch an object. The search order is part of the determinism
@@ -1034,7 +446,7 @@ impl CacheManager {
         let my_node = self.topo.node_of(from);
         let my = my_node.index();
         let nodes = self.cfg.cache_nodes;
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let plane = self.sync_with_plane(&mut st);
         let plane = plane.as_deref();
         st.clock += 1;
@@ -1046,30 +458,25 @@ impl CacheManager {
         // A copy fenced on a down node, one that exhausted its retries and
         // one quarantined by this get each make the eventual serve a
         // failover; quarantined replicas are repaired from that serve.
-        let fenced = (0..nodes)
-            .any(|ni| st.is_down(ni) && (st.dram[ni].contains(name) || st.nvme[ni].contains(name)));
+        let fenced = (0..nodes).any(|ni| st.is_down(ni) && st.copy_on(ni, name).is_some());
         let mut exhausted = false;
         let mut quarantined: Vec<NodeId> = Vec::new();
 
         let nodes_in_order =
             std::iter::once(my).filter(|&n| n < nodes).chain((0..nodes).filter(move |&n| n != my));
-        let search = [true, false]
+        let search = TierKind::ALL
             .into_iter()
-            .flat_map(|dram| nodes_in_order.clone().map(move |ni| (dram, ni)));
+            .flat_map(|kind| nodes_in_order.clone().map(move |ni| (kind, ni)));
         // (copy, serving node, tier) once a healthy copy answers.
         let mut serve: Option<(Sealed, usize, Tier)> = None;
-        for (dram, ni) in search {
+        for (kind, ni) in search {
             if st.is_down(ni) {
                 continue;
             }
-            let Some(size) = st.tier_mut(dram, ni).size_of(name) else { continue };
+            let Some(size) = st.tier(kind, ni).size_of(name) else { continue };
             let local = ni == my;
             let node = NodeId(ni as u32);
-            let cost = if dram {
-                self.dram_transfer(from, node, size)
-            } else {
-                self.nvme_transfer(from, node, size)
-            };
+            let cost = self.transfer(kind, from, node, size);
             if !self.attempt_access(plane, from, !local, cost * link.cost_mult(), &mut spent) {
                 exhausted = true;
                 continue;
@@ -1078,17 +485,15 @@ impl CacheManager {
             // since the write (the read cost is already paid), and an NVMe
             // entry retained across a warm restart is re-hashed before its
             // first serve. Either mismatch fails over to the next copy.
-            if (plane.is_some_and(|p| p.bit_rot(from))
-                && self.quarantine_if_rotted(&mut st, ni, dram, name))
-                || (!dram && self.quarantine_if_stale(&mut st, ni, name))
-            {
+            let rot = plane.is_some_and(|p| p.bit_rot(from));
+            if self.quarantine_if_bad(&mut st, ni, kind, name, rot) {
                 quarantined.push(node);
                 continue;
             }
-            let store = st.tier_mut(dram, ni);
+            let store = st.tier_mut(kind, ni);
             store.touch(name, clock);
             let Some(e) = store.get(name) else { continue };
-            serve = Some((e.sealed.clone(), ni, Tier::cached(dram, local)));
+            serve = Some((e.sealed.clone(), ni, Tier::cached(kind, local)));
             break;
         }
 
@@ -1097,58 +502,32 @@ impl CacheManager {
             if fenced || exhausted || !quarantined.is_empty() {
                 self.metrics.failover_reads.inc();
             }
-            // Promote hot NVMe objects back to DRAM on the serving node —
-            // a true move: once the DRAM copy lands, the NVMe copy is
-            // released. The DRAM write and any cascaded spills are
-            // charged to this get.
-            let size = sealed.size();
-            if matches!(tier, Tier::LocalNvme | Tier::RemoteNvme) && size <= self.cfg.dram_capacity
-            {
-                let (landed, spill_cost) =
-                    self.insert_dram(&mut st, NodeId(ni as u32), name, sealed.clone());
-                spent += spill_cost;
-                if landed {
-                    st.nvme[ni].remove(name);
-                    spent += DEVICES.dram_cost(size);
-                    self.metrics.promotes.inc();
-                    self.metrics.promoted_bytes.add(size);
-                    self.metrics.promote_bytes.observe(size as f64);
-                    self.metrics.update_sizes(&st);
-                }
+            if matches!(tier, Tier::LocalNvme | Tier::RemoteNvme) {
+                self.promote(&mut st, ni, name, &sealed, &mut spent);
             }
             // Read-path repair: replicas quarantined above are restored
             // from this healthy copy, charged as node-to-node transfers.
-            for &node in &quarantined {
-                if node.index() != ni {
-                    spent += self.net.inter_cost(size);
-                }
-                let (_, spill_cost) = self.insert_dram(&mut st, node, name, sealed.clone());
-                spent += spill_cost;
-                self.metrics.repairs_replicate.inc();
-            }
+            let size = sealed.size();
+            let fabric =
+                |node: NodeId| if node.index() != ni { self.net.inter_cost(size) } else { 0.0 };
+            self.land_copies(&mut st, &quarantined, name, &sealed, fabric, &mut spent);
+            self.metrics.repairs_replicate.add(quarantined.len() as u64);
             self.debug_check_accounting(&mut st);
             return Ok(Some((sealed.into_bytes(), CacheOutcome { tier, virtual_secs: spent })));
         }
 
-        // Ephemeral objects have no authoritative backing copy: once no
-        // cache tier can serve one it is simply gone, and the directory
-        // lookup above already established that. Report a miss without
-        // the backing-store RPC — the caller recomputes.
-        if st.ephemeral.contains(name) {
-            self.metrics.misses.inc();
-            return Ok(None);
-        }
-
         // Backing store: authoritative, checksum-verified fallback +
-        // re-population of a full replica set.
-        let fetched = self.backing.get_checked(name);
-        let Some(read) = fetched.value else {
+        // re-population of a full replica set. Ephemeral objects have no
+        // backing copy: once no cache tier can serve one it is simply
+        // gone, and the lookup above established that. Report a miss
+        // without the backing-store RPC — the caller recomputes.
+        let fetched = (!st.ephemeral.contains(name)).then(|| self.backing.get_checked(name));
+        let Some((read, read_secs)) = fetched.and_then(|f| Some((f.value?, f.virtual_secs))) else {
             self.metrics.misses.inc();
             return Ok(None);
         };
         self.metrics.hashed_backing_read.add(read.size());
-        let cost = fetched.virtual_secs * link.cost_mult();
-        if !self.attempt_access(plane, from, true, cost, &mut spent) {
+        if !self.attempt_access(plane, from, true, read_secs * link.cost_mult(), &mut spent) {
             return Err(CacheError::RetriesExhausted {
                 attempts: RETRY_MAX_ATTEMPTS,
                 spent_secs: spent,
@@ -1170,10 +549,7 @@ impl CacheManager {
             self.metrics.repopulations.inc();
         }
         let replicas = self.place_live_replicas(&mut st, my_node);
-        for &node in &replicas {
-            let (_, spill_cost) = self.insert_dram(&mut st, node, name, sealed.clone());
-            spent += spill_cost;
-        }
+        self.land_copies(&mut st, &replicas, name, &sealed, |_| 0.0, &mut spent);
         if !replicas.is_empty() {
             remember(&mut st.ever_cached, name);
         }
@@ -1182,297 +558,26 @@ impl CacheManager {
         Ok(Some((sealed.into_bytes(), outcome)))
     }
 
-    /// Locality query: which cache nodes hold the object, and in which
-    /// tier. Schedulers use this to co-locate computation with data (§3.2).
-    pub fn locality(&self, name: &str) -> Vec<(NodeId, Tier)> {
-        let mut st = self.state.lock();
-        self.sync_with_plane(&mut st);
-        let mut out = Vec::new();
-        // Down nodes never appear: their fenced entries cannot serve and
-        // are lost on recovery, so reporting them would mislead schedulers.
-        for ni in (0..self.cfg.cache_nodes).filter(|&ni| !st.is_down(ni)) {
-            if st.dram[ni].contains(name) {
-                out.push((NodeId(ni as u32), Tier::LocalDram));
-            }
-            if st.nvme[ni].contains(name) {
-                out.push((NodeId(ni as u32), Tier::LocalNvme));
-            }
-        }
-        out
-    }
-
-    /// Metadata for a cached object, if cached on any live node.
-    pub fn meta(&self, name: &str) -> Option<ObjectMeta> {
-        let mut st = self.state.lock();
-        self.sync_with_plane(&mut st);
-        for ni in (0..self.cfg.cache_nodes).filter(|&ni| !st.is_down(ni)) {
-            if let Some(e) = st.dram[ni].get(name).or_else(|| st.nvme[ni].get(name)) {
-                return Some(ObjectMeta {
-                    name: name.to_string(),
-                    id: object_id(name),
-                    size: e.sealed.size(),
-                    node: NodeId(ni as u32),
-                    checksum: e.sealed.checksum(),
-                });
-            }
-        }
-        None
-    }
-
-    /// Take a cache node down (idempotent). Its entries are *fenced* —
-    /// skipped by every lookup — until [`Self::recover_node`], at which
-    /// point the crash semantics apply: DRAM contents are lost (volatile)
-    /// and re-populate on demand, while NVMe contents survive, pending
-    /// checksum re-verification.
-    pub fn fail_node(&self, node: NodeId) {
-        let mut st = self.state.lock();
-        let now = st.now();
-        let ni = node.index();
-        if ni >= self.cfg.cache_nodes || st.manual_down[ni] {
-            return; // unknown node or already down: nothing to do
-        }
-        st.manual_down[ni] = true;
-        if !st.plane_down[ni] {
-            self.on_node_down(&mut st, ni, now);
-        }
-    }
-
-    /// Bring a manually failed node back (idempotent). Its DRAM rejoins
-    /// empty (lost in the crash); its NVMe tier rejoins warm, every
-    /// retained entry held back until re-verified. A node declared
-    /// permanently dead never rejoins.
-    pub fn recover_node(&self, node: NodeId) {
-        let mut st = self.state.lock();
-        let now = st.now();
-        let ni = node.index();
-        if ni >= self.cfg.cache_nodes || !st.manual_down[ni] || st.permanent_down[ni] {
-            return;
-        }
-        st.manual_down[ni] = false;
-        if !st.plane_down[ni] {
-            self.on_node_up(&mut st, ni, now);
-        }
-    }
-
-    /// Declare a cache node permanently dead (idempotent): its DRAM/NVMe
-    /// entries are purged immediately — a checkpoint it owned must never
-    /// serve a later read, even if some bug resurrected the node — and
-    /// survivors are flagged under-replicated so the next anti-entropy
-    /// pass restores the replication factor from the remaining copies.
-    /// Called by the engine's recovery plane when a compute rank's node
-    /// dies with no recovery window.
-    pub fn fail_node_permanently(&self, node: NodeId) {
-        let mut st = self.state.lock();
-        let now = st.now();
-        let ni = node.index();
-        if ni >= self.cfg.cache_nodes || st.permanent_down[ni] {
-            return;
-        }
-        let was_down = st.is_down(ni);
-        st.permanent_down[ni] = true;
-        // Permanent death purges both tiers — warm restart never applies
-        // to a node that is gone for good.
-        st.dram[ni].clear();
-        st.nvme[ni].clear();
-        self.metrics.update_sizes(&st);
-        st.recovery_pending = true;
-        self.metrics.registry.counter("ids_cache_permanent_failures_total").inc();
-        if !was_down {
-            self.on_node_down(&mut st, ni, now);
-        }
-    }
-
-    /// Run the anti-entropy pass if it is due: either a node recovered
-    /// since the last pass (its wiped contents left survivors
-    /// under-replicated) or a virtual second elapsed since the last pass. The engine calls this at stage
-    /// boundaries — single-threaded points on the virtual clock, so the
-    /// scrub's deterministic draw streams are consumed in a fixed order.
-    /// Returns `None` when the pass is not due or no fault plane is
-    /// attached (without a plane there is no virtual clock to schedule
-    /// against; use [`Self::anti_entropy`] to force a pass).
-    pub fn maybe_anti_entropy(&self) -> Option<AntiEntropyReport> {
-        let mut st = self.state.lock();
-        let p = self.sync_with_plane(&mut st)?;
-        let now = p.now();
-        if !st.recovery_pending && now - st.last_anti_entropy < ANTI_ENTROPY_INTERVAL_SECS {
-            return None;
-        }
-        Some(self.run_anti_entropy(&mut st, Some(&p), now))
-    }
-
-    /// Force an anti-entropy pass now, regardless of schedule: scrub
-    /// live copies against their checksums, rewrite corrupt backing
-    /// objects from healthy replicas, and restore the replication factor
-    /// for under-replicated survivors.
-    pub fn anti_entropy(&self) -> AntiEntropyReport {
-        let mut st = self.state.lock();
-        let plane = self.sync_with_plane(&mut st);
-        let now = st.now();
-        self.run_anti_entropy(&mut st, plane.as_deref(), now)
-    }
-
-    fn run_anti_entropy(
-        &self,
-        st: &mut State,
-        plane: Option<&FaultPlane>,
-        now: f64,
-    ) -> AntiEntropyReport {
-        st.last_anti_entropy = now;
-        st.recovery_pending = false;
-        self.metrics.anti_entropy_runs.inc();
-        let mut report = AntiEntropyReport::default();
-
-        let live: Vec<usize> = (0..self.cfg.cache_nodes).filter(|&ni| !st.is_down(ni)).collect();
-
-        // 1. Scrub: verify every live cached copy against its recorded
-        //    checksum, in deterministic (node, sorted-name) order. The
-        //    per-node scrub draw streams are independent of the rank
-        //    streams, so scrubbing never perturbs read-path outcomes.
-        for &ni in &live {
-            let mut names: Vec<(String, bool)> = st.dram[ni]
-                .names_sorted()
-                .into_iter()
-                .map(|n| (n, true))
-                .chain(st.nvme[ni].names_sorted().into_iter().map(|n| (n, false)))
-                .collect();
-            names.sort();
-            for (name, dram) in names {
-                report.scrubbed += 1;
-                self.metrics.scrubbed_objects.inc();
-                if plane.is_some_and(|p| p.bit_rot_scrub(NodeId(ni as u32)))
-                    && self.quarantine_if_rotted(st, ni, dram, &name)
-                {
-                    report.corruptions += 1;
-                } else if !dram && self.quarantine_if_stale(st, ni, &name) {
-                    // The scrub re-hashes every entry retained across a
-                    // warm restart; this one rotted while the node was down.
-                    report.corruptions += 1;
-                }
-            }
-        }
-
-        // Names still cached on at least one live node, with their
-        // healthy source copies.
-        let cached: BTreeSet<String> = live
-            .iter()
-            .flat_map(|&ni| {
-                st.dram[ni].names_sorted().into_iter().chain(st.nvme[ni].names_sorted())
-            })
-            .collect();
-
-        for name in &cached {
-            let holders: Vec<usize> = live
-                .iter()
-                .copied()
-                .filter(|&ni| st.dram[ni].contains(name) || st.nvme[ni].contains(name))
-                .collect();
-            let Some(&src) = holders.first() else { continue };
-            let Some(sealed) =
-                st.dram[src].get(name).or_else(|| st.nvme[src].get(name)).map(|e| e.sealed.clone())
-            else {
-                continue; // holder lost its copy between scans
-            };
-
-            // 2. Backing integrity: a torn/rotted authoritative copy is
-            //    rewritten from the healthy replica before any read can
-            //    trip over it.
-            if let Some(read) = self.backing.get_checked(name).value {
-                self.metrics.hashed_scrub.add(read.size());
-                if read.intact().is_none() {
-                    report.corruptions += 1;
-                    self.metrics.corruptions_backing.inc();
-                    self.backing.put(name, sealed.clone());
-                    report.backing_repairs += 1;
-                    self.metrics.repairs_backing.inc();
-                }
-            }
-
-            // 3. Re-replication: restore the replication factor for
-            //    survivors (a recovered node rejoined empty). Targets are
-            //    the live non-holders with the most free DRAM, ties to
-            //    the lowest index — the same deterministic order the
-            //    placement policy documents.
-            let target = self.cfg.replication.min(live.len());
-            if holders.len() >= target {
-                continue;
-            }
-            let free = self.free_vec(st);
-            let mut dests: Vec<usize> =
-                live.iter().copied().filter(|ni| !holders.contains(ni)).collect();
-            dests.sort_by_key(|&ni| (std::cmp::Reverse(free[ni]), ni));
-            for &dest in dests.iter().take(target - holders.len()) {
-                let _ = self.insert_dram(st, NodeId(dest as u32), name, sealed.clone());
-                report.re_replicated += 1;
-                self.metrics.repairs_replicate.inc();
-            }
-        }
-
-        self.check_accounting(st);
-        self.metrics.registry.spans().record(
-            "cache.anti_entropy",
-            format!(
-                "scrubbed {} corruptions {} re_replicated {} backing_repairs {}",
-                report.scrubbed, report.corruptions, report.re_replicated, report.backing_repairs
-            ),
-            now,
-            now,
-        );
-        report
-    }
-
     /// Drop an object from every cache tier (backing copy untouched).
     pub fn invalidate(&self, name: &str) {
-        let mut st = self.state.lock();
-        for ni in 0..self.cfg.cache_nodes {
-            st.dram[ni].remove(name);
-            st.nvme[ni].remove(name);
-        }
+        let mut st = lock(&self.state);
+        drop_copies(&mut st, name);
         self.metrics.update_sizes(&st);
         self.debug_check_accounting(&mut st);
     }
+}
 
-    /// Point-in-time cache inspector: per-node per-tier occupancy plus
-    /// the lifetime movement counters (spills, promotes, admission
-    /// rejects, warm-restart retention), which [`Self::reset_stats`] does
-    /// not zero. Rendered into the EXPLAIN `cache tiers:` block and the
-    /// `cache_tiers` experiment's final inspection.
-    pub fn inspect(&self) -> CacheInspection {
-        let mut st = self.state.lock();
-        self.sync_with_plane(&mut st);
-        self.check_accounting(&mut st);
-        let mut tiers = Vec::new();
-        for stores in [&st.dram, &st.nvme] {
-            for (ni, t) in stores.iter().enumerate() {
-                tiers.push(TierInspection {
-                    node: ni,
-                    tier: t.kind().label().to_string(),
-                    capacity_bytes: t.capacity(),
-                    occupied_bytes: t.used(),
-                    entries: t.len() as u64,
-                    unverified: t.unverified(),
-                    victim_pops: t.victim_pops(),
-                });
-            }
-        }
-        let m = &self.metrics;
-        CacheInspection {
-            eviction: self.cfg.eviction,
-            tiers,
-            hits: m.hits.each_ref().map(Counter::get),
-            backing_fetches: m.backing_fetches.get(),
-            misses: m.misses.get(),
-            spills: m.spills.get(),
-            promotes: m.promotes.get(),
-            admission_rejects: m.admission_rejects_dram.get() + m.admission_rejects_nvme.get(),
-            warm_retained: m.warm_retained.get(),
-            warm_verified: m.warm_verified.get(),
-        }
+/// Drop every cached copy of `name`, on every node and tier.
+fn drop_copies(st: &mut State, name: &str) {
+    for store in st.tiers.iter_mut().flatten() {
+        store.remove(name);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::object::object_id;
 
     fn cache(dram: u64, nvme: u64) -> CacheManager {
         cache_cfg(CacheConfig::new(2, dram, nvme))
@@ -2330,7 +1435,7 @@ mod tests {
         c.put(RankId(0), "a", payload(900, 1));
         c.put(RankId(0), "b", payload(900, 2)); // "a" spills to node 0's NVMe
         c.fail_node(NodeId(0));
-        assert!(c.state.lock().nvme[0].corrupt("a"));
+        assert!(lock(&c.state).tier_mut(TierKind::Nvme, 0).corrupt("a"));
         c.recover_node(NodeId(0));
         assert_eq!(c.stats().warm_restart_retained, 1);
         let (data, out) = c.get(RankId(0), "a").unwrap().unwrap();
@@ -2349,7 +1454,7 @@ mod tests {
         c.put(RankId(0), "a", payload(900, 1));
         c.put(RankId(0), "b", payload(900, 2)); // "a" spills to NVMe on both nodes
         c.fail_node(NodeId(0));
-        assert!(c.state.lock().nvme[0].corrupt("a"));
+        assert!(lock(&c.state).tier_mut(TierKind::Nvme, 0).corrupt("a"));
         c.recover_node(NodeId(0));
         let (data, out) = c.get(RankId(0), "a").unwrap().unwrap();
         assert_eq!(data, payload(900, 1));
@@ -2365,7 +1470,7 @@ mod tests {
         c.put(RankId(0), "b", payload(900, 2));
         c.put(RankId(0), "c", payload(900, 3)); // "a" and "b" now on NVMe
         c.fail_node(NodeId(0));
-        assert!(c.state.lock().nvme[0].corrupt("a"));
+        assert!(lock(&c.state).tier_mut(TierKind::Nvme, 0).corrupt("a"));
         c.recover_node(NodeId(0));
         let report = c.anti_entropy();
         assert_eq!(report.corruptions, 1);

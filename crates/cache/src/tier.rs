@@ -32,6 +32,10 @@ pub enum TierKind {
 }
 
 impl TierKind {
+    /// Both tiers, DRAM first: per-tier arrays are indexed by
+    /// `kind as usize`.
+    pub const ALL: [TierKind; 2] = [TierKind::Dram, TierKind::Nvme];
+
     /// Stable lowercase label for metrics and dumps.
     pub fn label(self) -> &'static str {
         match self {

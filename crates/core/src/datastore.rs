@@ -10,13 +10,14 @@
 use ids_feature::FeatureStore;
 use ids_graph::text::Posting;
 use ids_graph::{Dictionary, KeywordIndex, PartitionedStore, Term, TermId, Triple, TriplePattern};
+use ids_simrt::sync::{read, write};
 use ids_vector::store::{Metric, SearchHit};
 use ids_vector::{IvfIndex, VectorStore};
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::sync::RwLock;
 
 /// The unified datastore.
 pub struct Datastore {
@@ -87,7 +88,7 @@ impl Datastore {
 
     /// Buffer an already-encoded triple.
     pub fn add_triple(&self, t: Triple) {
-        let mut graph = self.graph.write();
+        let mut graph = write(&self.graph);
         graph.insert(t);
         self.version.fetch_add(1, Ordering::Release);
     }
@@ -95,7 +96,7 @@ impl Datastore {
     /// Sort and deduplicate shard indexes and rebuild the keyword index;
     /// call after bulk ingest.
     pub fn build_indexes(&self) {
-        let mut graph = self.graph.write();
+        let mut graph = write(&self.graph);
         graph.build_indexes();
         // Rebuild the keyword face: every string-literal object is indexed
         // under its (subject, predicate).
@@ -107,7 +108,7 @@ impl Datastore {
                 }
             }
         }
-        *self.keywords.write() = kw;
+        *write(&self.keywords) = kw;
         self.version.fetch_add(1, Ordering::Release);
     }
 
@@ -122,28 +123,28 @@ impl Datastore {
     /// Keyword search (single token, case-insensitive) over all string
     /// literals — the "keyword search" face of the unified query engine.
     pub fn keyword_search(&self, token: &str) -> Vec<Posting> {
-        self.keywords.read().search(token)
+        read(&self.keywords).search(token)
     }
 
     /// Conjunctive keyword search: subjects matching every token.
     pub fn keyword_search_all(&self, tokens: &[&str]) -> Vec<TermId> {
-        self.keywords.read().search_all(tokens)
+        read(&self.keywords).search_all(tokens)
     }
 
     /// The graph under its read lock, for a phase that reads many shards:
     /// one acquisition instead of one per shard.
     pub fn graph(&self) -> impl Deref<Target = PartitionedStore> + '_ {
-        self.graph.read()
+        read(&self.graph)
     }
 
     /// Scan one shard (rank-local view).
     pub fn scan_shard(&self, shard: usize, pat: &TriplePattern) -> Vec<Triple> {
-        self.graph.read().scan_shard(shard, pat)
+        read(&self.graph).scan_shard(shard, pat)
     }
 
     /// Global match count.
     pub fn count_all(&self, pat: &TriplePattern) -> usize {
-        self.graph.read().count_all(pat)
+        read(&self.graph).count_all(pat)
     }
 
     /// The planner's cardinality estimate: matches of `pat` summed over
@@ -153,14 +154,14 @@ impl Datastore {
     /// read; any other pattern is summed once per graph version and then
     /// answered from a memo.
     pub fn pattern_count(&self, pat: &TriplePattern) -> usize {
-        let graph = self.graph.read();
+        let graph = read(&self.graph);
         if let Some(s) = pat.s {
             return graph.count_shard(graph.shard_of(s), pat);
         }
         // No writer can move the version while the read lock is held.
         let version = self.version();
         {
-            let counts = self.counts.read();
+            let counts = read(&self.counts);
             if counts.version == version {
                 if let Some(&n) = counts.by_pattern.get(pat) {
                     return n;
@@ -170,7 +171,7 @@ impl Datastore {
         let n = (0..graph.num_shards())
             .map(|shard| graph.count_shard(shard, pat))
             .fold(0usize, usize::saturating_add);
-        let mut counts = self.counts.write();
+        let mut counts = write(&self.counts);
         if counts.version != version || counts.by_pattern.len() >= COUNTED_PATTERNS {
             counts.version = version;
             counts.by_pattern.clear();
@@ -181,12 +182,12 @@ impl Datastore {
 
     /// Total triples.
     pub fn triple_count(&self) -> usize {
-        self.graph.read().len()
+        read(&self.graph).len()
     }
 
     /// Number of graph shards.
     pub fn num_shards(&self) -> usize {
-        self.graph.read().num_shards()
+        read(&self.graph).num_shards()
     }
 
     /// Decode an id (convenience passthrough).
@@ -204,7 +205,7 @@ impl Datastore {
     /// Create (or get) a named vector collection of dimension `dim` and
     /// insert `id → vector`.
     pub fn add_vector(&self, collection: &str, id: TermId, vector: &[f32]) {
-        let mut map = self.vectors.write();
+        let mut map = write(&self.vectors);
         let store =
             map.entry(collection.to_string()).or_insert_with(|| VectorStore::new(vector.len()));
         store.insert(id.raw(), vector);
@@ -219,7 +220,7 @@ impl Datastore {
         k: usize,
         metric: Metric,
     ) -> Vec<SearchHit> {
-        match self.vectors.read().get(collection) {
+        match read(&self.vectors).get(collection) {
             Some(store) => store.search(query, k, metric),
             None => Vec::new(),
         }
@@ -227,7 +228,7 @@ impl Datastore {
 
     /// Number of vectors in a collection.
     pub fn vector_count(&self, collection: &str) -> usize {
-        self.vectors.read().get(collection).map_or(0, |s| s.len())
+        read(&self.vectors).get(collection).map_or(0, |s| s.len())
     }
 
     /// Build (or rebuild) an IVF approximate index over a collection —
@@ -236,13 +237,13 @@ impl Datastore {
     /// # Panics
     /// Panics if the collection is missing or empty.
     pub fn build_ann_index(&self, collection: &str, nlist: usize, seed: u64) {
-        let vectors = self.vectors.read();
+        let vectors = read(&self.vectors);
         let store = vectors
             .get(collection)
             .unwrap_or_else(|| panic!("unknown vector collection {collection:?}"));
         let index = IvfIndex::build(store, nlist, 8, seed);
         drop(vectors);
-        self.ann.write().insert(collection.to_string(), index);
+        write(&self.ann).insert(collection.to_string(), index);
     }
 
     /// Approximate top-k search over a collection's IVF index (L2).
@@ -254,7 +255,7 @@ impl Datastore {
         k: usize,
         nprobe: usize,
     ) -> Vec<SearchHit> {
-        if let Some(index) = self.ann.read().get(collection) {
+        if let Some(index) = read(&self.ann).get(collection) {
             return index.search(query, k, nprobe);
         }
         self.similarity_search(collection, query, k, Metric::L2)
@@ -345,7 +346,7 @@ mod tests {
             .collect();
         for pat in asked.iter().chain(&asked) {
             assert_eq!(ds.pattern_count(pat), per_shard_sum(&ds, pat));
-            assert!(ds.counts.read().by_pattern.len() <= COUNTED_PATTERNS);
+            assert!(read(&ds.counts).by_pattern.len() <= COUNTED_PATTERNS);
         }
         let all = TriplePattern::new(None, p, None);
         assert_eq!(ds.pattern_count(&all), 40);

@@ -12,13 +12,14 @@
 use super::options::{
     BATCH_DISPATCH_SECS, BATCH_ROWS, EXCHANGE_BATCH_BYTES, EXCHANGE_CHANNEL_CAPACITY,
 };
-use super::{lock_unpoisoned, stage_overflow, ExecError, ExecOptions};
+use super::{stage_overflow, ExecError, ExecOptions};
 use ids_graph::batch::{BatchView, ColumnSlice};
 use ids_graph::ops as gops;
 use ids_graph::stage::{partition_permutation, IdBuffers};
 use ids_graph::{placement, StageBatch, TermId};
 use ids_obs::MetricsRegistry;
 use ids_simrt::pool::map_shards_with;
+use ids_simrt::sync::lock;
 use ids_simrt::{Cluster, Fanout};
 use std::sync::Mutex;
 
@@ -335,7 +336,7 @@ fn destinations(stage: &StageBatch, var: &str, buffers: &IdBuffers) -> Result<Ve
         Fanout::Host,
         |_| (),
         |_, k| {
-            let mut out = lock_unpoisoned(&chunks[k]);
+            let mut out = lock(&chunks[k]);
             let start = k * EXCHANGE_CHUNK_ROWS;
             match all.column(key).slice(start..start + out.len()) {
                 ColumnSlice::U32(ids) => {

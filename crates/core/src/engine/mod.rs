@@ -52,16 +52,8 @@ use ids_obs::MetricsRegistry;
 use ids_simrt::{Cluster, Fanout};
 use ids_udf::{ArgMemo, ProfileTable, UdfRegistry};
 use outcome::divergence_ratio;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use udf_stage::{UdfStage, UdfStageCx};
-
-/// Lock a rank's stage profile row even if a panicking worker poisoned it:
-/// a poisoned row belongs to a stage that failed, and a failed stage
-/// never commits its profiles. Poisoning must not turn a reportable
-/// query error into an executor crash.
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// A stage whose rows, over all ranks, do not fit the `u32` row index
 /// space of [`StageBatch`], reported as a query error.

@@ -9,8 +9,8 @@ use super::options::{
     UDF_REJECTION_PRIOR,
 };
 use super::{
-    lock_unpoisoned, stage_overflow, DegradedKind, ErrorAnnotation, ExecError, ExecOptions,
-    RebalanceMode, RecoveryReport,
+    stage_overflow, DegradedKind, ErrorAnnotation, ExecError, ExecOptions, RebalanceMode,
+    RecoveryReport,
 };
 use crate::binding::RowBindings;
 use ids_cache::CacheManager;
@@ -18,6 +18,7 @@ use ids_graph::stage::offsets_from_counts;
 use ids_graph::{Dictionary, StageBatch, TermId};
 use ids_obs::MetricsRegistry;
 use ids_simrt::pool::map_shards_with;
+use ids_simrt::sync::lock;
 use ids_simrt::{Cluster, Fanout, RankId, SpeculationReport};
 use ids_udf::expr::EvalCtx;
 use ids_udf::{
@@ -543,7 +544,9 @@ where
         let mut errors = Vec::new();
         let mut deadline = None;
         let mut deg = RankDegradation::default();
-        let mut profile = lock_unpoisoned(&rows[r]);
+        // A row poisoned by a panicking worker belongs to a failed stage,
+        // which never commits its profiles.
+        let mut profile = lock(&rows[r]);
 
         let mut spent = 0.0f64;
         let mut batches = 0;

@@ -21,10 +21,11 @@ use ids_cache::CacheManager;
 use ids_models::ModelRepository;
 use ids_obs::{MetricsRegistry, MetricsSnapshot};
 use ids_simrt::rng::fnv1a;
+use ids_simrt::sync::lock;
 use ids_simrt::{Cluster, FaultPlane, NetworkModel, Topology};
 use ids_udf::{ArgMemo, ProfileRow, ProfileTable, UdfRegistry};
-use parking_lot::Mutex;
 use std::sync::Arc;
+use std::sync::Mutex;
 
 /// Instance configuration.
 #[derive(Debug, Clone)]
@@ -246,7 +247,7 @@ impl IdsInstance {
     pub fn stats_catalog(&self) -> Arc<StatsCatalog> {
         let version = self.datastore.version();
         let base = {
-            let mut guard = self.stats.lock();
+            let mut guard = lock(&self.stats);
             match guard.as_ref() {
                 Some((v, cat)) if *v == version => cat.clone(),
                 _ => {
@@ -382,7 +383,7 @@ impl IdsInstance {
         reuse: bool,
     ) -> Result<(Arc<Prepared>, bool), QueryError> {
         let reuse = reuse && self.cache.is_some();
-        let mut guard = self.prepared.lock();
+        let mut guard = lock(&self.prepared);
         let cache = guard.get_or_insert_with(|| PreparedCache::new(&self.metrics));
         let epoch = PlanEpoch { store: self.datastore.version(), config: self.config_generation };
         cache.enter(epoch, || self.reuse_salt());

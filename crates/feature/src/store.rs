@@ -1,7 +1,8 @@
 //! Typed feature columns keyed by entity id.
 
-use parking_lot::RwLock;
+use ids_simrt::sync::{read, write};
 use std::collections::HashMap;
+use std::sync::RwLock;
 
 /// A single feature value.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,7 +96,7 @@ impl FeatureStore {
 
     /// Set a feature value. The first write to a column fixes its type.
     pub fn set(&self, entity: u64, column: &str, value: FeatureValue) -> Result<(), SchemaError> {
-        let mut cols = self.columns.write();
+        let mut cols = write(&self.columns);
         match cols.get_mut(column) {
             Some((tag, data)) => {
                 if *tag != kind_tag(value.kind()) {
@@ -125,7 +126,7 @@ impl FeatureStore {
 
     /// Fetch one feature.
     pub fn get(&self, entity: u64, column: &str) -> Option<FeatureValue> {
-        self.columns.read().get(column)?.1.get(&entity).cloned()
+        read(&self.columns).get(column)?.1.get(&entity).cloned()
     }
 
     /// Fetch a numeric feature directly.
@@ -135,7 +136,7 @@ impl FeatureStore {
 
     /// Batch fetch one column for many entities (None where absent).
     pub fn get_batch(&self, entities: &[u64], column: &str) -> Vec<Option<FeatureValue>> {
-        let cols = self.columns.read();
+        let cols = read(&self.columns);
         match cols.get(column) {
             Some((_, data)) => entities.iter().map(|e| data.get(e).cloned()).collect(),
             None => vec![None; entities.len()],
@@ -144,12 +145,12 @@ impl FeatureStore {
 
     /// Number of populated entries in a column.
     pub fn column_len(&self, column: &str) -> usize {
-        self.columns.read().get(column).map_or(0, |(_, d)| d.len())
+        read(&self.columns).get(column).map_or(0, |(_, d)| d.len())
     }
 
     /// All column names.
     pub fn columns(&self) -> Vec<String> {
-        self.columns.read().keys().cloned().collect()
+        read(&self.columns).keys().cloned().collect()
     }
 
     /// Assemble a numeric feature row for a model input: the named columns
@@ -157,7 +158,7 @@ impl FeatureStore {
     /// This is the classic feature-store "serve a training/inference row"
     /// operation.
     pub fn feature_row(&self, entity: u64, columns: &[&str]) -> Option<Vec<f64>> {
-        let cols = self.columns.read();
+        let cols = read(&self.columns);
         let mut row = Vec::with_capacity(columns.len());
         for c in columns {
             let v = cols.get(*c)?.1.get(&entity)?.as_f64()?;
@@ -183,7 +184,7 @@ impl FeatureStore {
     /// Column-level statistics (count, mean, min, max) for a numeric
     /// column; `None` for missing or non-numeric columns.
     pub fn column_stats(&self, column: &str) -> Option<ColumnStats> {
-        let cols = self.columns.read();
+        let cols = read(&self.columns);
         let (_, data) = cols.get(column)?;
         let mut count = 0usize;
         let mut sum = 0.0;

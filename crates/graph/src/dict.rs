@@ -7,8 +7,9 @@
 
 use crate::term::{Term, TermId};
 use ids_simrt::rng::fnv1a;
-use parking_lot::RwLock;
+use ids_simrt::sync::{read, write};
 use std::collections::HashMap;
+use std::sync::RwLock;
 
 const SHARD_BITS: u32 = 4;
 const SHARDS: usize = 1 << SHARD_BITS;
@@ -48,10 +49,10 @@ impl Dictionary {
     pub fn encode(&self, term: &Term) -> TermId {
         let si = Self::shard_of(term);
         // Fast path: read lock.
-        if let Some(&local) = self.shards[si].read().map.get(term) {
+        if let Some(&local) = read(&self.shards[si]).map.get(term) {
             return TermId(local << SHARD_BITS | si as u64);
         }
-        let mut shard = self.shards[si].write();
+        let mut shard = write(&self.shards[si]);
         if let Some(&local) = shard.map.get(term) {
             return TermId(local << SHARD_BITS | si as u64);
         }
@@ -64,19 +65,19 @@ impl Dictionary {
     /// Look up a term's id without interning.
     pub fn lookup(&self, term: &Term) -> Option<TermId> {
         let si = Self::shard_of(term);
-        self.shards[si].read().map.get(term).map(|&local| TermId(local << SHARD_BITS | si as u64))
+        read(&self.shards[si]).map.get(term).map(|&local| TermId(local << SHARD_BITS | si as u64))
     }
 
     /// Decode an id back to its term.
     pub fn decode(&self, id: TermId) -> Option<Term> {
         let si = (id.0 & (SHARDS as u64 - 1)) as usize;
         let local = (id.0 >> SHARD_BITS) as usize;
-        self.shards[si].read().terms.get(local).cloned()
+        read(&self.shards[si]).terms.get(local).cloned()
     }
 
     /// Total interned terms.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().terms.len()).sum()
+        self.shards.iter().map(|s| read(s).terms.len()).sum()
     }
 
     /// Whether the dictionary is empty.

@@ -27,8 +27,9 @@
 //! is done with, so a query run maps its buffers once.
 
 use crate::batch::{BatchView, Column, ColumnSlice};
+use ids_simrt::sync::lock;
 use std::ops::Range;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 
 /// Rank offsets (`ranks + 1` entries) of segments holding `counts` rows;
 /// `None` if the rows do not fit the `u32` row index space.
@@ -76,7 +77,7 @@ impl IdBuffers {
 
     /// Free every buffer on the list, back to the allocator.
     pub fn clear(&self) {
-        drop(std::mem::take(&mut *self.narrow.lock().unwrap_or_else(PoisonError::into_inner)));
+        drop(std::mem::take(&mut *lock(&self.narrow)));
     }
 
     /// Give every column of `stage` back.
@@ -93,7 +94,7 @@ fn take<T>(list: &Mutex<Vec<Vec<T>>>, capacity: usize) -> Vec<T> {
     if capacity == 0 {
         return Vec::new();
     }
-    let mut list = list.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut list = lock(list);
     let fit = (0..list.len())
         .filter(|&i| list[i].capacity() >= capacity)
         .min_by_key(|&i| list[i].capacity());
@@ -118,7 +119,7 @@ fn size_class(capacity: usize) -> usize {
 fn give<T>(list: &Mutex<Vec<Vec<T>>>, mut buf: Vec<T>) {
     if buf.capacity() > 0 {
         buf.clear();
-        list.lock().unwrap_or_else(PoisonError::into_inner).push(buf);
+        lock(list).push(buf);
     }
 }
 

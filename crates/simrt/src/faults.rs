@@ -31,10 +31,11 @@
 //! phase — a prerequisite for deterministic replay.
 
 use crate::rng::SplitMix64;
+use crate::sync::lock;
 use crate::topology::{NodeId, RankId};
 use ids_obs::{Counter, MetricsRegistry};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Node crash/recovery schedule parameters (exponential up/down times).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -405,13 +406,13 @@ impl FaultPlane {
 
     /// Current virtual-time cursor.
     pub fn now(&self) -> f64 {
-        *self.now.lock()
+        *lock(&self.now)
     }
 
     /// Advance the cursor to `t` (monotone; earlier times are ignored)
     /// and count fault windows whose start was crossed.
     pub fn advance_to(&self, t: f64) {
-        let mut now = self.now.lock();
+        let mut now = lock(&self.now);
         if t <= *now {
             return;
         }

@@ -38,6 +38,7 @@ pub mod faults;
 pub mod net;
 pub mod pool;
 pub mod rng;
+pub mod sync;
 pub mod topology;
 
 pub use clock::VirtualClock;

@@ -39,12 +39,13 @@
 //! caller. Every shard below it ran, so it is the panic a sequential loop
 //! would have hit first.
 
+use crate::sync::lock;
 use std::any::Any;
 use std::mem;
 use std::num::NonZeroUsize;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -68,10 +69,6 @@ fn host_workers() -> usize {
 }
 
 type Panic = Box<dyn Any + Send>;
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// How long a phase runs alone before it wakes the helpers: a condvar
 /// wake round trip (≈ 7.6 µs on the 2-vCPU host), rounded up. Most of a

@@ -53,11 +53,12 @@ use crate::profile::ProfileTable;
 use crate::registry::{Form, PreparedInput, PreparedUdf, UdfOutput, UdfRegistry};
 use crate::value::UdfValue;
 use ids_obs::{Counter, MetricsRegistry};
-use parking_lot::{Mutex, RwLock};
+use ids_simrt::sync::{lock, read, write};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, OnceLock};
+use std::sync::{Mutex, RwLock};
 
 /// One prepared UDF the memo keeps forms for.
 pub(crate) struct Slot {
@@ -152,7 +153,7 @@ impl ArgMemo {
     ///
     /// [`EvalCtx::with_memo`]: crate::expr::EvalCtx::with_memo
     pub fn stage(&self, registry: &UdfRegistry, profiles: &ProfileTable) -> StageMemo<'_> {
-        let mut slots = self.slots.lock();
+        let mut slots = lock(&self.slots);
         let sites = profiles
             .columns()
             .iter()
@@ -180,7 +181,7 @@ impl ArgMemo {
         if keys.iter().all(Option::is_none) {
             return;
         }
-        let prepared = self.prepared.read();
+        let prepared = read(&self.prepared);
         for (pos, (key, form)) in keys.iter().zip(forms).enumerate() {
             if let Some(id) = *key {
                 *form = prepared.get(&(slot.index, pos as u32, id)).cloned();
@@ -195,7 +196,7 @@ impl ArgMemo {
     /// row prepares again.
     pub(crate) fn keep(&self, slot: &Slot, pos: usize, id: u64, value: &UdfValue) -> Option<Form> {
         let fresh = slot.body.prepare(pos, value)?;
-        let mut prepared = self.prepared.write();
+        let mut prepared = write(&self.prepared);
         Some(match prepared.entry((slot.index, pos as u32, id)) {
             Entry::Occupied(e) => Arc::clone(e.get()),
             Entry::Vacant(e) => {
@@ -245,7 +246,7 @@ mod tests {
     }
 
     fn entries(memo: &ArgMemo) -> usize {
-        memo.prepared.read().len()
+        read(&memo.prepared).len()
     }
 
     /// `square(?x)`: prepares x², counting each run of `prepare`; every
@@ -568,7 +569,7 @@ mod tests {
             charged.push(eval(&e, &reg, &memo, 5).virtual_secs);
         }
         assert_eq!(charged, vec![1.0e-3, 2.0e-3, 3.0e-3, 4.0e-3]);
-        assert!(memo.slots.lock().is_empty(), "no slot for a static UDF");
+        assert!(lock(&memo.slots).is_empty(), "no slot for a static UDF");
         assert!(metrics.snapshot().is_empty());
     }
 

@@ -10,11 +10,12 @@
 //! reloaded with replacement behaviour.
 
 use crate::value::UdfValue;
-use parking_lot::RwLock;
+use ids_simrt::sync::{read, write};
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::sync::RwLock;
 
 /// A UDF invocation's result: value plus the virtual cost it charged.
 #[derive(Debug, Clone, PartialEq)]
@@ -293,7 +294,7 @@ impl UdfRegistry {
     }
 
     fn insert_static(&self, name: &str, body: Body) -> Result<(), String> {
-        let mut map = self.entries.write();
+        let mut map = write(&self.entries);
         if map.contains_key(name) {
             return Err(format!("static UDF {name:?} already registered"));
         }
@@ -321,7 +322,7 @@ impl UdfRegistry {
         func: UdfFn,
     ) -> Result<(), String> {
         let name = Self::dynamic_name(module, method);
-        let mut map = self.entries.write();
+        let mut map = write(&self.entries);
         if map.contains_key(&name) {
             return Err(format!("dynamic UDF {name:?} already registered (use reload)"));
         }
@@ -349,7 +350,7 @@ impl UdfRegistry {
         func: UdfFn,
     ) -> Result<u64, String> {
         let name = Self::dynamic_name(module, method);
-        let mut map = self.entries.write();
+        let mut map = write(&self.entries);
         match map.get_mut(&name) {
             Some(e) if e.kind == UdfKind::Dynamic => {
                 e.body = Body::Scalar(func);
@@ -365,12 +366,12 @@ impl UdfRegistry {
 
     /// Kind of a registered UDF.
     pub fn kind(&self, name: &str) -> Option<UdfKind> {
-        self.entries.read().get(name).map(|e| e.kind)
+        read(&self.entries).get(name).map(|e| e.kind)
     }
 
     /// Current generation of a UDF (bumps on reload).
     pub fn generation(&self, name: &str) -> Option<u64> {
-        self.entries.read().get(name).map(|e| e.generation)
+        read(&self.entries).get(name).map(|e| e.generation)
     }
 
     /// Whether `name` is registered and its module is loaded: static UDFs
@@ -378,12 +379,12 @@ impl UdfRegistry {
     /// Whichever call comes first pays it, so a caller that needs that
     /// charge to land deterministically checks here and calls in order.
     pub fn is_loaded(&self, name: &str) -> bool {
-        self.entries.read().get(name).is_some_and(|e| e.loaded.load(Ordering::Acquire))
+        read(&self.entries).get(name).is_some_and(|e| e.loaded.load(Ordering::Acquire))
     }
 
     /// `name`, if it was registered with [`Self::register_prepared`].
     pub(crate) fn prepared(&self, name: &str) -> Option<Arc<dyn PreparedUdf>> {
-        match &self.entries.read().get(name)?.body {
+        match &read(&self.entries).get(name)?.body {
             Body::Prepared(udf) => Some(Arc::clone(udf)),
             Body::Scalar(_) => None,
         }
@@ -395,7 +396,7 @@ impl UdfRegistry {
     pub fn call(&self, name: &str, args: &[UdfValue]) -> Result<UdfOutput, String> {
         // Clone the Arc out so user code runs without holding the lock.
         let (body, first_load_cost) = {
-            let map = self.entries.read();
+            let map = read(&self.entries);
             let e = map.get(name).ok_or_else(|| format!("unknown UDF {name:?}"))?;
             // Read first: once loaded, a call writes nothing shared, so
             // concurrent callers do not pass the flag's cache line around.
@@ -418,7 +419,7 @@ impl UdfRegistry {
 
     /// Names of all registered UDFs.
     pub fn names(&self) -> Vec<String> {
-        self.entries.read().keys().cloned().collect()
+        read(&self.entries).keys().cloned().collect()
     }
 }
 

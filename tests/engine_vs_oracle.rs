@@ -5,7 +5,8 @@
 //! and UDF FILTERs, APPLY, optional DISTINCT, ORDER BY and LIMIT, now and
 //! then a query that must fail — and runs it at 1, 3
 //! or 16 ranks, with every combination of `pipelined`, `adaptive`,
-//! `speculation` and `recovery`, fault-free or under chaos with a cache.
+//! `speculation` and `recovery`, fault-free or under chaos with a cache
+//! (at replication 1, and at 2 so reads fail over between replicas).
 //! Both sides must fail, or both return the same rows in the same order.
 
 mod oracle;
@@ -74,13 +75,14 @@ fn mix(args: &[UdfValue]) -> i64 {
 }
 
 /// How the engine side runs: `modes` bits 0–3 switch on `pipelined`,
-/// `adaptive`, `speculation` and `recovery`; `chaos` attaches a cache and
-/// the fault schedule.
+/// `adaptive`, `speculation` and `recovery`; `chaos` attaches a cache
+/// keeping `replication` copies of each object, and the fault schedule.
 #[derive(Debug, Clone, Copy)]
 struct Axes {
     ranks: u32,
     modes: u64,
     chaos: bool,
+    replication: usize,
 }
 
 /// An instance at `axes` with `mix` and `sparse` (a `mix` that returns null
@@ -94,7 +96,8 @@ fn launch(axes: Axes, seed: u64, load: impl Fn(&Datastore)) -> IdsInstance {
     cfg.topology = topo;
     let mut inst = IdsInstance::launch(cfg);
     if axes.chaos {
-        let cache = CacheConfig::new(topo.nodes().min(2) as usize, 16 << 20, 64 << 20);
+        let cache = CacheConfig::new(topo.nodes().min(2) as usize, 16 << 20, 64 << 20)
+            .with_replication(axes.replication);
         let store = BackingStore::default_store();
         inst.attach_cache(Arc::new(CacheManager::new(
             topo,
@@ -366,15 +369,22 @@ fn check(case: &str, axes: Axes, seed: u64, load: impl Fn(&Datastore), text: &st
 /// Every mode combination, eight random graphs and queries each, at
 /// `ranks` ranks, fault-free or under chaos.
 fn sweep(ranks: u32, chaos: bool) {
+    sweep_at(ranks, chaos, 1);
+}
+
+/// [`sweep`] with `replication` cache copies under chaos; each factor
+/// above 1 draws its own graphs and queries.
+fn sweep_at(ranks: u32, chaos: bool, replication: usize) {
+    let stream = u64::from(ranks) << 1 | u64::from(chaos) | (replication as u64 - 1) << 32;
     for case in 0..128 {
-        let mut rng = SplitMix64::new(case, u64::from(ranks) << 1 | u64::from(chaos));
+        let mut rng = SplitMix64::new(case, stream);
         let graph_seed = rng.next_u64();
         // Mostly 60–200 triples; one graph in eight is tiny or empty.
         let triples =
             if rng.next_below(8) == 0 { rng.next_below(20) } else { 60 + rng.next_below(141) };
         let mut gen = Gen { rng: rng.split(), vars: Vec::new() };
         let name = format!("case {case}, graph {graph_seed}/{triples}");
-        let axes = Axes { ranks, modes: case % 16, chaos };
+        let axes = Axes { ranks, modes: case % 16, chaos, replication };
         check(&name, axes, graph_seed, |ds| random_graph(ds, graph_seed, triples), &gen.query());
     }
 }
@@ -394,10 +404,25 @@ sweeps! {
     engine_matches_oracle_at_sixteen_ranks_under_chaos: 16, true;
 }
 
+// Chaos at replication 2: a crashed or rotted copy fails over to its
+// replica, read-path repair and anti-entropy re-replication restore it,
+// and the rows must still be the oracle's.
+#[test]
+fn engine_matches_oracle_at_three_ranks_under_replicated_chaos() {
+    sweep_at(3, true, 2);
+}
+
+#[test]
+fn engine_matches_oracle_at_sixteen_ranks_under_replicated_chaos() {
+    sweep_at(16, true, 2);
+}
+
 /// The pinned cases run at one rank with every switch off and fault-free,
 /// and at 16 ranks with every switch on under chaos (and reuse).
-const PINNED: [Axes; 2] =
-    [Axes { ranks: 1, modes: 0, chaos: false }, Axes { ranks: 16, modes: 15, chaos: true }];
+const PINNED: [Axes; 2] = [
+    Axes { ranks: 1, modes: 0, chaos: false, replication: 1 },
+    Axes { ranks: 16, modes: 15, chaos: true, replication: 1 },
+];
 
 /// Entities 0..6 with one `<p:0>` edge each: 0, 2 and 4 loop onto
 /// themselves, the others point at their successor.
