@@ -40,6 +40,7 @@
 // One `unsafe` block: the call into the CRC-32 folding kernel behind
 // runtime CPU-feature detection (`object.rs`, DESIGN.md §5e).
 #![deny(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod admit;
 pub mod backing;

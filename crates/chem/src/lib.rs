@@ -11,8 +11,8 @@
 //! * [`smiles`] — a real SMILES lexer + parser covering the organic subset,
 //!   brackets, branches, ring closures, and aromatics, plus a serializer.
 //! * [`molecule`] — molecular graphs with descriptor calculators
-//!   (molecular weight, rotatable bonds, H-bond donors/acceptors, logP and
-//!   TPSA estimates) feeding the docking and DTBA models.
+//!   (molecular weight, rotatable bonds, H-bond donors/acceptors and a
+//!   logP estimate) feeding the docking and DTBA models.
 //! * [`structure`] — 3-D structures (atom coordinates), geometry utilities
 //!   (centroid, RMSD, grid boxes) used by the docking simulator, and a
 //!   PDB-flavoured text round-trip.
@@ -21,6 +21,7 @@
 // No `unwrap`/`expect` outside tests (DESIGN.md §5i).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod aminoacid;
 pub mod element;

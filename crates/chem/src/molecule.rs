@@ -251,67 +251,6 @@ impl Molecule {
         logp
     }
 
-    /// Topological polar surface area estimate (Ertl-flavoured): additive
-    /// polar-atom contributions in Å².
-    pub fn tpsa_estimate(&self) -> f64 {
-        let mut tpsa = 0.0;
-        for (i, atom) in self.atoms.iter().enumerate() {
-            let h = self.implicit_h(i);
-            tpsa += match atom.element {
-                Element::N => {
-                    if h > 0 {
-                        if atom.aromatic {
-                            15.8
-                        } else {
-                            12.0 + 9.0 * h as f64
-                        }
-                    } else if atom.aromatic {
-                        12.9
-                    } else {
-                        3.2
-                    }
-                }
-                Element::O => {
-                    if h > 0 {
-                        20.2
-                    } else if self.neighbors(i).any(|(_, o)| o == BondOrder::Double) {
-                        17.1
-                    } else {
-                        9.2
-                    }
-                }
-                Element::S => 25.3 * 0.3,
-                Element::P => 13.6 * 0.3,
-                _ => 0.0,
-            };
-        }
-        tpsa
-    }
-
-    /// Count of aromatic atoms.
-    pub fn aromatic_atom_count(&self) -> usize {
-        self.atoms.iter().filter(|a| a.aromatic).count()
-    }
-
-    /// Lipinski rule-of-five violations (0–4): MW > 500, logP > 5,
-    /// donors > 5, acceptors > 10.
-    pub fn lipinski_violations(&self) -> usize {
-        let mut v = 0;
-        if self.molecular_weight() > 500.0 {
-            v += 1;
-        }
-        if self.logp_estimate() > 5.0 {
-            v += 1;
-        }
-        if self.hbond_donors() > 5 {
-            v += 1;
-        }
-        if self.hbond_acceptors() > 10 {
-            v += 1;
-        }
-        v
-    }
-
     fn ring_bond_flags(&self) -> Vec<bool> {
         // A bond is a ring bond iff removing it leaves its endpoints
         // connected. With drug-sized molecules (< 100 atoms) an O(B·(V+E))
@@ -397,7 +336,7 @@ mod tests {
         let m = parse_smiles("c1ccccc1").unwrap();
         assert_eq!(m.ring_count(), 1);
         assert_eq!(m.rotatable_bonds(), 0);
-        assert_eq!(m.aromatic_atom_count(), 6);
+        assert_eq!(m.atoms().iter().filter(|a| a.aromatic).count(), 6);
         // Aromatic CH: one implicit H per carbon.
         assert!((m.molecular_weight() - 78.11).abs() < 0.2);
     }
@@ -409,8 +348,6 @@ mod tests {
         assert_eq!(m.hbond_donors(), 1);
         assert_eq!(m.hbond_acceptors(), 4);
         assert!(m.rotatable_bonds() >= 2);
-        assert_eq!(m.lipinski_violations(), 0);
-        assert!(m.tpsa_estimate() > 40.0 && m.tpsa_estimate() < 90.0);
     }
 
     #[test]
@@ -425,14 +362,6 @@ mod tests {
         let neutral = parse_smiles("CC(=O)O").unwrap();
         let anion = parse_smiles("CC(=O)[O-]").unwrap();
         assert!(anion.logp_estimate() < neutral.logp_estimate());
-    }
-
-    #[test]
-    fn big_greasy_molecule_violates_lipinski() {
-        // A long perhalogenated chain: high MW and logP.
-        let smi = "ClC(Cl)(Cl)C(Cl)(Cl)C(Cl)(Cl)C(Cl)(Cl)C(Cl)(Cl)C(Cl)(Cl)C(Cl)(Cl)C(Cl)(Cl)";
-        let m = parse_smiles(smi).unwrap();
-        assert!(m.lipinski_violations() >= 2);
     }
 
     #[test]

@@ -33,12 +33,6 @@ impl StageBreakdown {
             + self.apply_secs.values().sum::<f64>()
             + self.gather_secs
     }
-
-    /// Everything except the named APPLY stage — the paper's
-    /// "excluding docking" decomposition.
-    pub fn total_excluding(&self, udf: &str) -> f64 {
-        self.total() - self.apply_secs.get(udf).copied().unwrap_or(0.0)
-    }
 }
 
 /// What went wrong for a dropped slice of work under graceful degradation.
@@ -232,13 +226,6 @@ pub struct RecoveryReport {
     pub speculation: SpeculationReport,
 }
 
-impl RecoveryReport {
-    /// Did the recovery plane intervene at all?
-    pub fn intervened(&self) -> bool {
-        self.rollbacks > 0 || self.speculation.launched > 0
-    }
-}
-
 /// What the adaptive planner observed and did during one query. The
 /// estimate-vs-actual boundaries are recorded unconditionally (they feed
 /// EXPLAIN's `estimated vs actual` block and cost nothing); re-plans only
@@ -290,7 +277,5 @@ mod tests {
         b.apply_secs.insert("dtba".into(), 4.0);
         b.gather_secs = 0.5;
         assert!((b.total() - 50.5).abs() < 1e-12);
-        assert!((b.total_excluding("vina_docking") - 10.5).abs() < 1e-12);
-        assert!((b.total_excluding("never-ran") - 50.5).abs() < 1e-12);
     }
 }

@@ -99,48 +99,3 @@ pub struct Query {
     /// Row limit.
     pub limit: Option<usize>,
 }
-
-impl Query {
-    /// All variables any pattern binds.
-    pub fn pattern_variables(&self) -> Vec<&str> {
-        let mut out = Vec::new();
-        for p in &self.patterns {
-            for v in p.variables() {
-                if !out.contains(&v) {
-                    out.push(v);
-                }
-            }
-        }
-        out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pattern_variables_dedup_in_order() {
-        let q = Query {
-            distinct: false,
-            select: vec![],
-            patterns: vec![
-                TriplePatternAst {
-                    s: TermAst::Var("p".into()),
-                    p: TermAst::Iri("a".into()),
-                    o: TermAst::Var("t".into()),
-                },
-                TriplePatternAst {
-                    s: TermAst::Var("c".into()),
-                    p: TermAst::Iri("b".into()),
-                    o: TermAst::Var("p".into()),
-                },
-            ],
-            filters: vec![],
-            stages: vec![],
-            order_by: None,
-            limit: None,
-        };
-        assert_eq!(q.pattern_variables(), vec!["p", "t", "c"]);
-    }
-}

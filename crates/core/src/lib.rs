@@ -28,10 +28,17 @@
 //! * [`workflow`] — the NCNPR drug-re-purposing workflow and the cached
 //!   model-invocation helpers (docking results stashed in the global
 //!   cache, §4).
+//!
+//! API faces no in-tree path calls yet, kept because the paper's
+//! datastore offers them (PAPER.md §1): keyword search over literals
+//! ([`Datastore::keyword_search`], [`Datastore::keyword_search_all`]) and
+//! approximate vector search ([`Datastore::build_ann_index`],
+//! [`Datastore::ann_search`], [`Datastore::vector_count`]).
 
 // Typed errors, never panics, outside tests (DESIGN.md §5i).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod binding;
 pub mod cost;

@@ -108,34 +108,6 @@ pub struct PhysicalPlan {
     pub est_where_rows: u64,
 }
 
-impl PhysicalPlan {
-    /// The hash-partition keys of each pattern join, in join order: entry
-    /// `i − 1` holds the variables shared between the accumulated solution
-    /// schema after patterns `0..i` and pattern `i`; the exchange
-    /// partitions on one of them, and moves only the sides not already
-    /// placed on it (DESIGN.md §5g). An empty entry means a cross product
-    /// (broadcast exchange). EXPLAIN's `exchange:` block surfaces these so
-    /// pipelined channel metrics can be read against the plan.
-    pub fn exchange_keys(&self) -> Vec<Vec<String>> {
-        let mut keys = Vec::new();
-        let mut acc: Vec<String> = Vec::new();
-        for (i, pat) in self.patterns.iter().enumerate() {
-            let vars: Vec<String> = pat.variables().iter().map(|s| s.to_string()).collect();
-            if i > 0 {
-                // Same membership test and order as the executor's
-                // shared-variable computation in `distributed_join`.
-                keys.push(acc.iter().filter(|v| vars.contains(v)).cloned().collect());
-            }
-            for v in vars {
-                if !acc.contains(&v) {
-                    acc.push(v);
-                }
-            }
-        }
-        keys
-    }
-}
-
 fn lower_term(t: &TermAst, ds: &Datastore) -> (Option<ids_graph::TermId>, Option<String>, bool) {
     // Returns (bound id, variable name, impossible).
     match t {
@@ -633,25 +605,6 @@ mod tests {
         let ds = demo_ds();
         let q = parse_query("SELECT ?p WHERE { FILTER(?p == <never:seen>) }").unwrap();
         assert!(lower(&q, &ds).is_err());
-    }
-
-    #[test]
-    fn exchange_keys_follow_join_order() {
-        let ds = demo_ds();
-        let q = parse_query(
-            "SELECT ?p WHERE { ?p <rdf:type> <up:Protein> . ?p <up:reviewed> 1 . \
-             ?c <chembl:inhibits> ?p . }",
-        )
-        .unwrap();
-        let plan = lower(&q, &ds).unwrap();
-        let keys = plan.exchange_keys();
-        assert_eq!(keys.len(), plan.patterns.len() - 1, "one exchange per join");
-        for k in &keys {
-            assert!(!k.is_empty(), "connected patterns must share a join key: {keys:?}");
-        }
-        // A single-pattern plan has no exchanges.
-        let q1 = parse_query("SELECT ?p WHERE { ?p <up:reviewed> 1 . }").unwrap();
-        assert!(lower(&q1, &ds).unwrap().exchange_keys().is_empty());
     }
 
     #[test]

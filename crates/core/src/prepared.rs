@@ -77,7 +77,7 @@ pub(crate) struct PreparedCache {
 impl PreparedCache {
     /// An empty cache reporting to `metrics` (the `ids_prepared_*` series
     /// appear with it, so build it on the first prepare, not at launch).
-    pub fn new(metrics: &MetricsRegistry) -> Self {
+    pub(crate) fn new(metrics: &MetricsRegistry) -> Self {
         Self {
             epoch: None,
             salt: 0,
@@ -94,7 +94,7 @@ impl PreparedCache {
 
     /// Make `epoch` current. If it moved, every entry is stale: drop them
     /// all and take the new epoch's reuse salt from `salt`.
-    pub fn enter(&mut self, epoch: PlanEpoch, salt: impl FnOnce() -> u64) {
+    pub(crate) fn enter(&mut self, epoch: PlanEpoch, salt: impl FnOnce() -> u64) {
         if self.epoch == Some(epoch) {
             return;
         }
@@ -108,12 +108,12 @@ impl PreparedCache {
     }
 
     /// The current epoch's reuse salt.
-    pub fn salt(&self) -> u64 {
+    pub(crate) fn salt(&self) -> u64 {
         self.salt
     }
 
     /// Look `text` up in the current epoch, counting the hit or miss.
-    pub fn get(&mut self, text: &str, reuse: bool) -> Option<Arc<Prepared>> {
+    pub(crate) fn get(&mut self, text: &str, reuse: bool) -> Option<Arc<Prepared>> {
         let slot = self.index[reuse as usize].get(text).and_then(|&i| self.slots.get_mut(i));
         if slot.is_some() { &self.hits } else { &self.misses }.inc();
         slot.map(|s| {
@@ -124,7 +124,7 @@ impl PreparedCache {
 
     /// Cache `prepared` under a `text` that [`Self::get`] just missed,
     /// evicting by second chance when full.
-    pub fn insert(&mut self, text: &str, reuse: bool, prepared: Arc<Prepared>) {
+    pub(crate) fn insert(&mut self, text: &str, reuse: bool, prepared: Arc<Prepared>) {
         let text: Arc<str> = Arc::from(text);
         let slot = Slot { text: text.clone(), reuse, prepared, referenced: false };
         let at = if self.slots.len() < CAPACITY {

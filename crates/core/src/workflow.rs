@@ -134,7 +134,11 @@ pub fn decode_docking_result(b: &[u8]) -> Option<DockingResult> {
     };
     let energy = f64::from_le_bytes(take(&mut i, 8)?.try_into().ok()?);
     let evaluations = u64::from_le_bytes(take(&mut i, 8)?.try_into().ok()?);
-    let n = u64::from_le_bytes(take(&mut i, 8)?.try_into().ok()?) as usize;
+    let n = u64::from_le_bytes(take(&mut i, 8)?.try_into().ok()?);
+    // An atom record is at least 26 bytes (length byte, one-letter symbol,
+    // three coordinates): refuse a count the remaining bytes cannot hold
+    // before it sizes the allocation.
+    let n = usize::try_from(n).ok().filter(|&n| n <= (b.len() - i) / 26)?;
     let mut atoms = Vec::with_capacity(n);
     for _ in 0..n {
         let sym_len = take(&mut i, 1)?[0] as usize;
@@ -499,6 +503,20 @@ mod tests {
     }
 
     #[test]
+    fn decode_refuses_counts_the_bytes_cannot_hold() {
+        let header = |n: u64| {
+            let mut b = [0.0f64.to_le_bytes(), 0u64.to_le_bytes(), n.to_le_bytes()].concat();
+            b.extend_from_slice(&[1, b'C']);
+            b.extend_from_slice(&[0; 24]);
+            b
+        };
+        assert!(decode_docking_result(&header(1)).is_some(), "one well-formed atom");
+        for n in [2, u64::MAX, u64::MAX / 32, 1 << 36] {
+            assert!(decode_docking_result(&header(n)).is_none(), "count {n}");
+        }
+    }
+
+    #[test]
     fn object_names_are_per_target_and_ligand() {
         assert_eq!(docking_object_name("P29274", "CCO"), docking_object_name("P29274", "CCO"));
         assert_ne!(docking_object_name("P29274", "CCO"), docking_object_name("P29274", "CCN"));
@@ -545,7 +563,7 @@ mod tests {
         let out = registry.call("sw_similarity", &[UdfValue::Str("NOT A SEQ 123".into())]).unwrap();
         assert_eq!(out.value, UdfValue::F64(0.0));
         let out = registry.call("vina_docking", &[UdfValue::Str("((((".into())]).unwrap();
-        assert!(out.value.is_null());
+        assert!(matches!(out.value, UdfValue::Null));
     }
 
     #[test]
@@ -836,7 +854,11 @@ mod tests {
 
         fn assert_same_bits(got: &UdfOutput, want: &UdfOutput, what: &str) {
             let bits = |o: &UdfOutput| {
-                (o.value.is_null(), o.value.as_f64().map(f64::to_bits), o.virtual_secs.to_bits())
+                (
+                    matches!(o.value, UdfValue::Null),
+                    o.value.as_f64().map(f64::to_bits),
+                    o.virtual_secs.to_bits(),
+                )
             };
             assert_eq!(bits(got), bits(want), "{what}: {got:?} vs {want:?}");
         }

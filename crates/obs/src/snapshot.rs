@@ -259,37 +259,6 @@ impl MetricsSnapshot {
         }
         out
     }
-
-    /// Compact human-readable block (used by `EXPLAIN ... metrics`).
-    /// Empty snapshots render an explicit placeholder instead of
-    /// nothing.
-    pub fn render_text(&self) -> String {
-        if self.is_empty() {
-            return "  (no metrics recorded)\n".to_string();
-        }
-        let mut out = String::new();
-        for (key, value) in &self.counters {
-            let _ = writeln!(out, "  {} = {}", key.render(), value);
-        }
-        for (key, value) in &self.gauges {
-            let _ = writeln!(out, "  {} = {}", key.render(), value);
-        }
-        for (key, hist) in &self.histograms {
-            let _ = writeln!(
-                out,
-                "  {} = count {} mean {:.3e} min {:.3e} max {:.3e}",
-                key.render(),
-                hist.count,
-                hist.mean(),
-                hist.min,
-                hist.max
-            );
-        }
-        for span in &self.spans {
-            let _ = writeln!(out, "  span {span}");
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -431,6 +400,5 @@ mod tests {
         let snap = MetricsRegistry::new().snapshot();
         assert!(snap.is_empty());
         assert_eq!(snap.render_prometheus(), "");
-        assert!(snap.render_text().contains("no metrics recorded"));
     }
 }

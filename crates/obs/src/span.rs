@@ -5,7 +5,7 @@ use std::fmt;
 use std::sync::{Mutex, PoisonError};
 
 /// Maximum records a [`SpanLog`] retains; older spans are dropped.
-pub const SPAN_LOG_CAPACITY: usize = 4096;
+pub(crate) const SPAN_LOG_CAPACITY: usize = 4096;
 
 /// One completed span on the virtual timeline.
 #[derive(Clone, Debug, PartialEq)]

@@ -50,8 +50,6 @@ pub enum ServeError {
     UnknownTenant(String),
     /// The session id does not exist.
     UnknownSession(u64),
-    /// The session was closed; open a new one.
-    SessionClosed(u64),
     /// Admission control refused the query: the tenant's queue (or the
     /// global in-flight bound) is full. The refusal's back-off hint
     /// estimates the virtual time until a slot frees up under fair-share
@@ -87,11 +85,6 @@ pub enum ServeError {
         /// Rollbacks consumed before the budget blew.
         attempts: u32,
     },
-    /// A scheduler invariant broke (a queue or tenant table mutated out
-    /// from under a check). The service degrades to this typed error —
-    /// metered via `ids_serve_internal_errors_total` — instead of
-    /// panicking, so one bad round cannot take the whole service down.
-    Internal(String),
 }
 
 impl ServeError {
@@ -123,7 +116,6 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::UnknownTenant(t) => write!(f, "unknown tenant {t:?}"),
             ServeError::UnknownSession(s) => write!(f, "unknown session #{s}"),
-            ServeError::SessionClosed(s) => write!(f, "session #{s} is closed"),
             ServeError::Overloaded(r) => {
                 write!(
                     f,
@@ -152,9 +144,6 @@ impl std::fmt::Display for ServeError {
                      retry after {:.3}s",
                     refusal.tenant, refusal.retry_after_secs
                 )
-            }
-            ServeError::Internal(m) => {
-                write!(f, "internal scheduler invariant violated: {m}")
             }
         }
     }
@@ -198,9 +187,6 @@ mod tests {
         assert!(
             ServeError::DeadlineExceeded { tenant: "a".into(), deadline_secs: 1.0 }.is_retryable()
         );
-        let internal = ServeError::Internal("queue drained mid-round".into());
-        assert!(!internal.is_retryable(), "invariant breaks are not client-retryable");
-        assert_eq!(internal.retry_after_secs(), None);
         let rec = ServeError::RecoveryExhausted {
             refusal: Refusal { tenant: "a".into(), retry_after_secs: 1.5 },
             attempts: 4,
@@ -221,8 +207,5 @@ mod tests {
         };
         let msg = shed.to_string();
         assert!(msg.contains("scv") && msg.contains("best_effort") && msg.contains("0.125"));
-        let internal = ServeError::Internal("front vanished".to_string());
-        assert!(internal.to_string().contains("internal scheduler invariant violated"));
-        assert!(internal.to_string().contains("front vanished"));
     }
 }

@@ -50,6 +50,7 @@
 // Typed errors, never panics, outside tests (DESIGN.md §5i).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 //!
 //! Under overload the service degrades by SLO class instead of

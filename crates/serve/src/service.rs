@@ -258,7 +258,6 @@ impl TenantMeters {
 
 struct Session {
     tenant: Arc<str>,
-    open: bool,
 }
 
 /// A deterministic multi-tenant query service over one [`IdsInstance`].
@@ -345,7 +344,7 @@ impl QueryService {
         };
         let id = self.next_session;
         self.next_session += 1;
-        self.sessions.insert(id, Session { tenant: t.name.clone(), open: true });
+        self.sessions.insert(id, Session { tenant: t.name.clone() });
         self.inst
             .metrics()
             .counter_with("ids_serve_sessions_total", "tenant", tenant.to_string())
@@ -353,30 +352,17 @@ impl QueryService {
         Ok(SessionId(id))
     }
 
-    /// Close a session. Already-admitted queries still run to completion;
-    /// new submissions on the session are refused.
-    pub fn close_session(&mut self, session: SessionId) -> Result<(), ServeError> {
-        match self.sessions.get_mut(&session.0) {
-            Some(s) => {
-                s.open = false;
-                Ok(())
-            }
-            None => Err(ServeError::UnknownSession(session.0)),
-        }
-    }
-
     /// Submit a query on a session. Admission control runs here: unknown
-    /// or closed sessions, shed SLO classes, full queues, and parse/plan
-    /// failures are all refused with a typed error; admitted queries are
-    /// parsed, planned, and queued for the scheduler.
+    /// sessions, shed SLO classes, full queues, and parse/plan failures
+    /// are all refused with a typed error; admitted queries are parsed,
+    /// planned, and queued for the scheduler.
     pub fn submit(&mut self, session: SessionId, iql: &str) -> Result<QueryId, ServeError> {
-        let tenant_name = {
-            let s = self.sessions.get(&session.0).ok_or(ServeError::UnknownSession(session.0))?;
-            if !s.open {
-                return Err(ServeError::SessionClosed(session.0));
-            }
-            s.tenant.clone()
-        };
+        let tenant_name = self
+            .sessions
+            .get(&session.0)
+            .ok_or(ServeError::UnknownSession(session.0))?
+            .tenant
+            .clone();
         let total_queued: usize = self.tenants.values().map(|t| t.queue.len()).sum();
         let tenant = self
             .tenants
@@ -542,28 +528,16 @@ impl QueryService {
         // expensive stage can overdraw many quanta) steps at least once
         // per round. Nonzero weight therefore guarantees per-round
         // progress — low classes degrade to slower, never to starved.
+        // The head job leaves the queue for its slice and goes back to the
+        // front only while it is unfinished.
         let mut first_slice_of_round = true;
         while std::mem::take(&mut first_slice_of_round) || tenant.deficit > 0.0 {
             let now = self.inst.cluster().elapsed();
-            let Some(job) = tenant.queue.front_mut() else { break };
+            let Some(mut job) = tenant.queue.pop_front() else { break };
             // Deadline check happens on the scheduler clock, before the
             // next slice is granted.
             if let Some(deadline) = tenant.cfg.deadline_secs {
                 if now - job.enqueued_at > deadline {
-                    // `front_mut` just returned Some, so an empty queue here
-                    // is a broken invariant: meter it and yield the round
-                    // rather than panicking the whole scheduler.
-                    let Some(job) = tenant.queue.pop_front() else {
-                        self.inst
-                            .metrics()
-                            .counter_with(
-                                "ids_serve_internal_errors_total",
-                                "tenant",
-                                name.to_string(),
-                            )
-                            .inc();
-                        break;
-                    };
                     self.inst
                         .metrics()
                         .counter_with("ids_serve_deadline_aborts_total", "tenant", name)
@@ -655,33 +629,10 @@ impl QueryService {
                     );
                 }
                 Ok(StepOutcome::Done(outcome)) => {
-                    // The front was stepped above; losing it now is a broken
-                    // invariant — meter and yield instead of panicking.
-                    let Some(job) = tenant.queue.pop_front() else {
-                        self.inst
-                            .metrics()
-                            .counter_with(
-                                "ids_serve_internal_errors_total",
-                                "tenant",
-                                name.to_string(),
-                            )
-                            .inc();
-                        break;
-                    };
                     done.push(finish(&self.inst, tenant, job, ended_at, Ok(*outcome)));
+                    continue;
                 }
                 Err(e) => {
-                    let Some(job) = tenant.queue.pop_front() else {
-                        self.inst
-                            .metrics()
-                            .counter_with(
-                                "ids_serve_internal_errors_total",
-                                "tenant",
-                                name.to_string(),
-                            )
-                            .inc();
-                        break;
-                    };
                     // A blown recovery budget maps to the typed retryable
                     // refusal: the dead ranks are already retired, so a
                     // resubmission re-plans onto the survivors from the
@@ -711,8 +662,10 @@ impl QueryService {
                         other => ServeError::Exec(other.to_string()),
                     };
                     done.push(finish(&self.inst, tenant, job, ended_at, Err(err)));
+                    continue;
                 }
             }
+            tenant.queue.push_front(job);
         }
     }
 
@@ -1021,14 +974,11 @@ mod tests {
             svc.open_session("mallory").unwrap_err(),
             ServeError::UnknownTenant("mallory".into())
         );
-        let a = svc.open_session("alice").unwrap();
+        svc.open_session("alice").unwrap();
         assert_eq!(
             svc.submit(SessionId(99), Q_PROTEINS).unwrap_err(),
             ServeError::UnknownSession(99)
         );
-        svc.close_session(a).unwrap();
-        assert_eq!(svc.submit(a, Q_PROTEINS).unwrap_err(), ServeError::SessionClosed(a.0));
-        assert_eq!(svc.close_session(SessionId(99)).unwrap_err(), ServeError::UnknownSession(99));
     }
 
     #[test]

@@ -471,13 +471,6 @@ impl FaultPlane {
             .is_some_and(|ws| ws.iter().any(|&(s, e)| e == f64::INFINITY && t >= s))
     }
 
-    /// The virtual time at which `node` dies permanently, if ever.
-    pub fn kill_time(&self, node: NodeId) -> Option<f64> {
-        self.crash_windows
-            .get(node.0 as usize)
-            .and_then(|ws| ws.iter().find(|&&(_, e)| e == f64::INFINITY).map(|&(s, _)| s))
-    }
-
     /// Push a virtual time past any crash window covering it on `node`:
     /// if `t` falls inside a `[start, end)` down window the node cannot
     /// send or receive, so the event is delayed to the window's end.
@@ -786,7 +779,7 @@ mod tests {
         let dead: Vec<u32> = (0..4).filter(|&n| p.node_dead_at(NodeId(n), 1e12)).collect();
         assert!(!dead.is_empty() && dead.len() <= 2, "max_kills caps deaths, got {dead:?}");
         for &n in &dead {
-            let at = p.kill_time(NodeId(n)).expect("dead node has a kill time");
+            let at = p.crash_windows(NodeId(n)).last().expect("dead node has a window").0;
             assert!(!p.node_dead_at(NodeId(n), at - 1e-9), "alive before the kill");
             assert!(p.node_dead_at(NodeId(n), at), "dead from the kill onward");
             assert!(p.node_down_at(NodeId(n), at + 1e9), "permanent window covers all later t");
@@ -794,8 +787,8 @@ mod tests {
         }
         let alive: Vec<u32> = (0..4).filter(|n| !dead.contains(n)).collect();
         for &n in &alive {
-            assert_eq!(p.kill_time(NodeId(n)), None);
             assert!(!p.node_dead_at(NodeId(n), 1e12));
+            assert!(!p.node_dead_at(NodeId(n), f64::MAX), "never dies");
         }
         // Same seed, same schedule.
         let q = FaultPlane::new(17, FaultConfig::permanent_only(5.0, 2), 4, 16, 60.0);
@@ -821,9 +814,9 @@ mod tests {
         assert!(p.node_dead_at(NodeId(0), at) && !p.node_dead_at(NodeId(0), s0));
         // Killing an already-dead node later is a no-op.
         p.schedule_permanent_kill(NodeId(0), at + 5.0);
-        assert_eq!(p.kill_time(NodeId(0)), Some(at));
+        assert!(p.node_dead_at(NodeId(0), at) && !p.node_dead_at(NodeId(0), at - 1e-9));
         // Other nodes untouched.
-        assert!(!p.node_dead_at(NodeId(1), 1e12) || p.kill_time(NodeId(1)).is_some());
+        assert_eq!(p.crash_windows(NodeId(1)), plane(11).crash_windows(NodeId(1)));
     }
 
     #[test]

@@ -30,6 +30,7 @@
 // One `unsafe` block: the lifetime erasure of a phase's worker loop in
 // the resident shard pool (`pool.rs`, DESIGN.md §5n).
 #![deny(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod clock;
 pub mod cluster;

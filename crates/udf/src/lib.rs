@@ -8,7 +8,9 @@
 //! * [`registry`] — the UDF registry: statically linked functions (tracked
 //!   by unique name) and dynamically loaded modules (tracked by module +
 //!   method name) with a module cache and explicit reload, mirroring the
-//!   paper's Python-module lifecycle.
+//!   paper's Python-module lifecycle. The dynamic half
+//!   ([`UdfRegistry::register_dynamic`], [`UdfRegistry::reload_dynamic`])
+//!   is an API face of §2.3 that only tests exercise so far.
 //! * [`profile`] — per-rank UDF profiling: execution count, total execution
 //!   time, and rejection count, "continually updated through the lifetime
 //!   of a running IDS instance" (§2.4.1), kept in one table per instance.
@@ -28,6 +30,7 @@
 // Typed errors, never panics, outside tests (DESIGN.md §5i).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod expr;
 pub mod memo;

@@ -52,11 +52,6 @@ impl UdfValue {
         }
     }
 
-    /// Whether this is `Null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, UdfValue::Null)
-    }
-
     /// Three-way comparison for FILTER operators. Numbers compare
     /// numerically (I64 and F64 interoperate), strings lexically; mixed
     /// kinds return `None`.
@@ -151,7 +146,6 @@ mod tests {
         assert_eq!(UdfValue::I64(7).as_f64(), Some(7.0));
         assert_eq!(UdfValue::Bool(true).as_bool(), Some(true));
         assert_eq!(UdfValue::F64(1.0).as_bool(), None, "no implicit truthiness");
-        assert!(UdfValue::Null.is_null());
         assert_eq!(UdfValue::Str("x".into()).as_str(), Some("x"));
     }
 }

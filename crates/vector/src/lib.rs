@@ -14,6 +14,7 @@
 // No `unwrap`/`expect` outside tests (DESIGN.md §5i).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod ivf;
 pub mod kernel;

@@ -60,7 +60,8 @@ pub fn submit_with_retry(
     let mut waited_secs = 0.0;
     let mut drained = Vec::new();
     let attempts_cap = policy.max_attempts.max(1);
-    for attempt in 1..=attempts_cap {
+    let mut attempt = 1;
+    loop {
         match svc.submit(session, iql) {
             Ok(query) => {
                 return Ok(RetryOutcome {
@@ -89,12 +90,10 @@ pub fn submit_with_retry(
                 if now < target {
                     svc.instance_mut().cluster_mut().charge_all(target - now);
                 }
+                attempt += 1;
             }
         }
     }
-    // max_attempts ≥ 1, so the loop always returns; reaching here means
-    // the bound above was violated.
-    Err(ServeError::Internal("retry loop exited without a verdict".into()))
 }
 
 /// One refusal observed by the open-loop driver.

@@ -24,6 +24,7 @@
 // No `unwrap`/`expect` outside tests (DESIGN.md §5i).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod client;
 pub mod ncnpr;

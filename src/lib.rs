@@ -21,6 +21,7 @@
 // No `unwrap`/`expect` outside tests (DESIGN.md §5i).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub use ids_cache as cache;
 pub use ids_chem as chem;

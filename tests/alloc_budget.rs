@@ -21,7 +21,9 @@
 //! all are pinned at their exact counts.
 //!
 //! Canonicalising a `serve-mix` lookup — what every prepared-cache miss
-//! of the service pays — is pinned at a ceiling too.
+//! of the service pays — is pinned at a ceiling too, and so is a service
+//! submission that hits the prepared cache plus the one-slice scheduler
+//! round that follows it.
 //!
 //! The counter sees every thread, so the tests of this file take one lock
 //! and no other test's allocations are counted.
@@ -34,6 +36,7 @@ use ids::core::workflow::{register_workflow_udfs, Target, WorkflowModels};
 use ids::core::{IdsConfig, IdsInstance};
 use ids::graph::{Dictionary, Term};
 use ids::obs::MetricsRegistry;
+use ids::serve::{QueryService, ServeConfig, TenantConfig};
 use ids::simrt::rng::SplitMix64;
 use ids::simrt::Topology;
 use ids::udf::expr::{CmpOp, EvalCtx};
@@ -115,6 +118,12 @@ const DOCKING_MEMO_HIT_ROW: u64 = 0;
 /// colors, sort orders). The canonicaliser that rendered a string per atom
 /// and per sort comparison made 699.
 const SERVE_LOOKUP_FRAGMENTS: u64 = 34;
+
+/// Allocations of a [`QueryService::submit`] of [`QUERY`] that hits the
+/// prepared cache, plus one `run_round` that steps the new run's first
+/// stage (a 2 048-rank scan): 32 on one worker, in debug and release.
+/// Each helper thread may add [`HELPER_ALLOWANCE`], as for a step.
+const SERVE_HIT_SUBMIT_AND_SLICE: u64 = 32;
 
 /// `serve-mix`'s `pic50` FILTER lookup (`crates/bench/src/bin/perf/serve.rs`).
 const SERVE_FILTER_LOOKUP: &str = "SELECT ?c ?s WHERE { ?c <chembl:inhibits> <up:B0_3> . \
@@ -332,4 +341,43 @@ fn canonicalising_a_serve_mix_lookup_stays_under_its_allocation_ceiling() {
         allocations <= SERVE_LOOKUP_FRAGMENTS,
         "{allocations} allocations, ceiling {SERVE_LOOKUP_FRAGMENTS}"
     );
+}
+
+#[test]
+fn a_prepared_hit_submit_and_one_slice_stay_under_their_allocation_ceiling() {
+    let _counting = ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
+    // A quantum below any stage's cost: every round steps one slice.
+    let cfg = ServeConfig { quantum_secs: 1e-12, ..ServeConfig::default() };
+    let mut svc = QueryService::new(launch(), cfg);
+    svc.register_tenant(TenantConfig::new("t"));
+    let session = svc.open_session("t").unwrap();
+    // Warm-up: the first run prepares the text (a miss), the second hits;
+    // both make the metric series and terms a steady-state run reuses.
+    for _ in 0..2 {
+        svc.submit(session, QUERY).unwrap();
+        svc.run_until_idle();
+    }
+    // The least of a few repetitions: helper threads and the slice log's
+    // growth only ever add.
+    let mut least = u64::MAX;
+    for _ in 0..5 {
+        let (hits_before, slices_before) = (prepared_hits(&svc), svc.trace().len());
+        let before = ALLOCATIONS.load(Relaxed);
+        svc.submit(session, QUERY).unwrap();
+        let done = svc.run_round();
+        let allocations = ALLOCATIONS.load(Relaxed) - before;
+        assert!(done.is_empty(), "one slice does not finish the query");
+        assert_eq!(svc.trace().len() - slices_before, 1, "one slice per round");
+        assert_eq!(prepared_hits(&svc) - hits_before, 1, "the submission hit the prepared cache");
+        least = least.min(allocations);
+        assert_eq!(svc.run_until_idle().len(), 1);
+    }
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
+    let ceiling = SERVE_HIT_SUBMIT_AND_SLICE + HELPER_ALLOWANCE * (workers - 1);
+    eprintln!("allocations of a prepared-hit submit + one slice on {workers} workers: {least}");
+    assert!(least <= ceiling, "{least} allocations, ceiling {ceiling}");
+}
+
+fn prepared_hits(svc: &QueryService) -> u64 {
+    svc.instance().metrics_snapshot().counter("ids_prepared_hits_total", "")
 }

@@ -7,6 +7,9 @@
 //! or 16 ranks, with every combination of `pipelined`, `adaptive`,
 //! `speculation` and `recovery`, fault-free or under chaos with a cache
 //! (at replication 1, and at 2 so reads fail over between replicas).
+//! Two more sweeps call a dynamic UDF in every WHERE, and run with
+//! `degrade` on and a UDF that fails on a seeded subset of rows, which
+//! the oracle drops too.
 //! Both sides must fail, or both return the same rows in the same order.
 
 mod oracle;
@@ -76,17 +79,21 @@ fn mix(args: &[UdfValue]) -> i64 {
 
 /// How the engine side runs: `modes` bits 0–3 switch on `pipelined`,
 /// `adaptive`, `speculation` and `recovery`; `chaos` attaches a cache
-/// keeping `replication` copies of each object, and the fault schedule.
+/// keeping `replication` copies of each object, and the fault schedule;
+/// `degrade` drops failed rows instead of failing the query.
 #[derive(Debug, Clone, Copy)]
 struct Axes {
     ranks: u32,
     modes: u64,
     chaos: bool,
     replication: usize,
+    degrade: bool,
 }
 
-/// An instance at `axes` with `mix` and `sparse` (a `mix` that returns null
-/// a quarter of the time) registered and the graph `load` builds.
+/// An instance at `axes` with `mix`, `sparse` (a `mix` that returns null
+/// a quarter of the time), `flaky` (a `mix` that returns a string, which
+/// no comparison takes, for a subset of values `seed` picks) and the
+/// dynamic `lab.mix` registered, and the graph `load` builds.
 fn launch(axes: Axes, seed: u64, load: impl Fn(&Datastore)) -> IdsInstance {
     let topo = match axes.ranks {
         16 => Topology::new(4, 4),
@@ -111,6 +118,7 @@ fn launch(axes: Axes, seed: u64, load: impl Fn(&Datastore)) -> IdsInstance {
     let opts = inst.exec_options_mut();
     [opts.pipelined, opts.adaptive, opts.speculation, opts.recovery] =
         [0, 1, 2, 3].map(|bit| axes.modes >> bit & 1 == 1);
+    opts.degrade = axes.degrade;
     let reg = inst.registry();
     let sparse = |a: &[UdfValue]| match mix(a) {
         v if v % 4 == 0 => UdfValue::Null,
@@ -118,6 +126,15 @@ fn launch(axes: Axes, seed: u64, load: impl Fn(&Datastore)) -> IdsInstance {
     };
     reg.register_static("mix", Arc::new(|a| UdfOutput::new(UdfValue::I64(mix(a)), 1e-5))).unwrap();
     reg.register_static("sparse", Arc::new(move |a| UdfOutput::new(sparse(a), 2e-5))).unwrap();
+    let flaky = move |a: &[UdfValue]| match mix(a) {
+        v if (v as u64).wrapping_add(seed).is_multiple_of(4) => {
+            UdfValue::Str(format!("no verdict {v}"))
+        }
+        v => UdfValue::I64(v),
+    };
+    reg.register_static("flaky", Arc::new(move |a| UdfOutput::new(flaky(a), 2e-5))).unwrap();
+    let mix_udf = Arc::new(|a: &[UdfValue]| UdfOutput::new(UdfValue::I64(mix(a)), 1e-5));
+    reg.register_dynamic("lab", "mix", 1e-3, mix_udf).unwrap();
     load(inst.datastore());
     inst.datastore().build_indexes();
     inst
@@ -139,10 +156,13 @@ fn random_graph(ds: &Datastore, seed: u64, n: u64) {
     }
 }
 
-/// Query generator state: the variables bound so far, with their kinds.
+/// Query generator state: the variables bound so far, with their kinds,
+/// and the UDF conditions call; any UDF but `mix` is also called by one
+/// WHERE filter of every query.
 struct Gen {
     rng: SplitMix64,
     vars: Vec<(String, Kind)>,
+    udf: &'static str,
 }
 
 impl Gen {
@@ -261,7 +281,10 @@ impl Gen {
             6 => format!("{} && {}", self.cond(depth - 1), self.cond(depth - 1)),
             7 => format!("({} || {})", self.cond(depth - 1), self.cond(depth - 1)),
             8 => format!("!({})", self.cond(depth - 1)),
-            _ => format!("mix({}) {op} {}", self.any_var(), self.rng.next_below(17)),
+            _ => {
+                let udf = self.udf;
+                format!("{udf}({}) {op} {}", self.any_var(), self.rng.next_below(17))
+            }
         }
     }
 
@@ -280,6 +303,11 @@ impl Gen {
             for _ in 0..self.pick(&[0, 0, 0, 1, 1, 2]) {
                 filters.push(format!("FILTER({})", self.cond(1)));
             }
+        }
+        if self.udf != "mix" {
+            let op = self.pick(&["<", ">=", "!="]);
+            let (v, k) = (self.any_var(), self.rng.next_below(17));
+            filters.push(format!("FILTER({}({v}) {op} {k})", self.udf));
         }
         let mut stages = Vec::new();
         for _ in 0..self.rng.next_below(3) {
@@ -331,8 +359,9 @@ fn decode(ds: &Datastore, rows: impl Iterator<Item = Vec<TermId>>) -> Vec<Vec<St
 /// Run `text` on the engine at `axes` and on the oracle over the same
 /// datastore; panic, naming the case, unless they agree. With a cache
 /// attached the query also runs twice through semantic reuse: once
-/// storing checkpoints, once resuming from them.
-fn check(case: &str, axes: Axes, seed: u64, load: impl Fn(&Datastore), text: &str) {
+/// storing checkpoints, once resuming from them. Returns whether the
+/// engine dropped rows (which only `degrade` allows) in any run.
+fn check(case: &str, axes: Axes, seed: u64, load: impl Fn(&Datastore), text: &str) -> bool {
     let mut inst = launch(axes, seed, load);
     let mut runs = vec![("query", inst.query(text))];
     if axes.chaos {
@@ -341,7 +370,8 @@ fn check(case: &str, axes: Axes, seed: u64, load: impl Fn(&Datastore), text: &st
     }
     let ds = inst.datastore().clone();
     let parsed = parse_query(text).unwrap_or_else(|e| panic!("{case}: {text}: {e}"));
-    let want = oracle::evaluate(&parsed, &ds, inst.registry());
+    let want = oracle::evaluate(&parsed, &ds, inst.registry(), axes.degrade);
+    let mut dropped = false;
     for (run, got) in runs {
         let ctx = format!("{case} ({run}) {axes:?}\n  {text}");
         match (got, &want) {
@@ -351,7 +381,8 @@ fn check(case: &str, axes: Axes, seed: u64, load: impl Fn(&Datastore), text: &st
             }
             (Err(e), Ok(a)) => panic!("{ctx}\n  engine: {e}, oracle: {} rows", a.rows.len()),
             (Ok(out), Ok(a)) => {
-                assert!(!out.degraded(), "{ctx}\n  engine dropped rows");
+                dropped |= out.degraded();
+                assert!(axes.degrade || !out.degraded(), "{ctx}\n  engine dropped rows");
                 assert_eq!(out.solutions.vars(), a.vars.as_slice(), "{ctx}\n  column divergence");
                 let engine = decode(&ds, out.solutions.rows().iter().map(<[TermId]>::to_vec));
                 assert_eq!(engine, decode(&ds, a.rows.iter().cloned()), "{ctx}\n  row divergence");
@@ -361,9 +392,11 @@ fn check(case: &str, axes: Axes, seed: u64, load: impl Fn(&Datastore), text: &st
     if let (true, Ok(a)) = (parsed.distinct, &want) {
         // DISTINCT never grows a result.
         let all = Query { distinct: false, ..parsed };
-        let all = oracle::evaluate(&all, &ds, inst.registry()).expect("the non-DISTINCT twin runs");
+        let all = oracle::evaluate(&all, &ds, inst.registry(), axes.degrade)
+            .expect("the non-DISTINCT twin runs");
         assert!(a.rows.len() <= all.rows.len(), "{case}: DISTINCT grew the result");
     }
+    dropped
 }
 
 /// Every mode combination, eight random graphs and queries each, at
@@ -375,18 +408,32 @@ fn sweep(ranks: u32, chaos: bool) {
 /// [`sweep`] with `replication` cache copies under chaos; each factor
 /// above 1 draws its own graphs and queries.
 fn sweep_at(ranks: u32, chaos: bool, replication: usize) {
-    let stream = u64::from(ranks) << 1 | u64::from(chaos) | (replication as u64 - 1) << 32;
+    sweep_calling(ranks, chaos, replication, "mix", false);
+}
+
+/// [`sweep_at`] with conditions calling `udf`, and `degrade` on or off
+/// (when on, some case must drop rows); each `udf` but `mix`, and
+/// `degrade`, draws its own graphs and queries.
+fn sweep_calling(ranks: u32, chaos: bool, replication: usize, udf: &'static str, degrade: bool) {
+    let stream = u64::from(ranks) << 1
+        | u64::from(chaos)
+        | (replication as u64 - 1) << 32
+        | u64::from(udf != "mix") << 33
+        | u64::from(degrade) << 34;
+    let mut dropped = false;
     for case in 0..128 {
         let mut rng = SplitMix64::new(case, stream);
         let graph_seed = rng.next_u64();
         // Mostly 60–200 triples; one graph in eight is tiny or empty.
         let triples =
             if rng.next_below(8) == 0 { rng.next_below(20) } else { 60 + rng.next_below(141) };
-        let mut gen = Gen { rng: rng.split(), vars: Vec::new() };
+        let mut gen = Gen { rng: rng.split(), vars: Vec::new(), udf };
         let name = format!("case {case}, graph {graph_seed}/{triples}");
-        let axes = Axes { ranks, modes: case % 16, chaos, replication };
-        check(&name, axes, graph_seed, |ds| random_graph(ds, graph_seed, triples), &gen.query());
+        let axes = Axes { ranks, modes: case % 16, chaos, replication, degrade };
+        let load = |ds: &Datastore| random_graph(ds, graph_seed, triples);
+        dropped |= check(&name, axes, graph_seed, load, &gen.query());
     }
+    assert!(dropped || !degrade, "no case dropped a row");
 }
 
 macro_rules! sweeps {
@@ -417,11 +464,31 @@ fn engine_matches_oracle_at_sixteen_ranks_under_replicated_chaos() {
     sweep_at(16, true, 2);
 }
 
+// Fault-free sweeps calling `lab.mix`, a dynamic UDF, in every WHERE
+// (each case's fresh instance loads it on the first call, and the stages
+// calling it while unloaded run on one worker), and sweeps with `degrade`
+// on, where the rows `flaky` fails on are dropped and annotated instead of
+// failing the query, and the oracle drops them too.
+macro_rules! calling_sweeps {
+    ($($name:ident: $ranks:expr, $udf:expr, $degrade:expr;)*) => {
+        $(#[test] fn $name() { sweep_calling($ranks, false, 1, $udf, $degrade) })*
+    };
+}
+
+calling_sweeps! {
+    engine_matches_oracle_calling_a_dynamic_udf_at_one_rank: 1, "lab.mix", false;
+    engine_matches_oracle_calling_a_dynamic_udf_at_three_ranks: 3, "lab.mix", false;
+    engine_matches_oracle_calling_a_dynamic_udf_at_sixteen_ranks: 16, "lab.mix", false;
+    engine_matches_oracle_dropping_failed_rows_at_one_rank: 1, "flaky", true;
+    engine_matches_oracle_dropping_failed_rows_at_three_ranks: 3, "flaky", true;
+    engine_matches_oracle_dropping_failed_rows_at_sixteen_ranks: 16, "flaky", true;
+}
+
 /// The pinned cases run at one rank with every switch off and fault-free,
 /// and at 16 ranks with every switch on under chaos (and reuse).
 const PINNED: [Axes; 2] = [
-    Axes { ranks: 1, modes: 0, chaos: false, replication: 1 },
-    Axes { ranks: 16, modes: 15, chaos: true, replication: 1 },
+    Axes { ranks: 1, modes: 0, chaos: false, replication: 1, degrade: false },
+    Axes { ranks: 16, modes: 15, chaos: true, replication: 1, degrade: false },
 ];
 
 /// Entities 0..6 with one `<p:0>` edge each: 0, 2 and 4 loop onto
@@ -482,7 +549,7 @@ fn engine_and_oracle_refuse_the_same_queries() {
             let mut inst = launch(axes, 1, loops);
             assert!(inst.query(text).is_err(), "engine accepted {text}");
             let parsed = parse_query(text).unwrap();
-            let oracle = oracle::evaluate(&parsed, inst.datastore(), inst.registry());
+            let oracle = oracle::evaluate(&parsed, inst.datastore(), inst.registry(), false);
             assert!(oracle.is_err(), "oracle accepted {text}");
         }
     }

@@ -6,9 +6,11 @@
 //! Patterns are matched with a full `scan_all` and joined as nested loops
 //! in the order they are written. WHERE filters and post-WHERE stages run
 //! row by row through `planner::lower_expr` and `Expr::eval` (scalar
-//! expression semantics only). The result is then shaped by the gather
-//! contract (DESIGN.md "Permutation gather"): columns sorted by name, rows
-//! sorted by term id, a stable ORDER BY, then SELECT, DISTINCT and LIMIT.
+//! expression semantics only); with `degrade`, a row whose evaluation
+//! fails is dropped instead of failing the query. The result is then
+//! shaped by the gather contract (DESIGN.md "Permutation gather"):
+//! columns sorted by name, rows sorted by term id, a stable ORDER BY,
+//! then SELECT, DISTINCT and LIMIT.
 
 use ids::core::iql::ast::{Query, StageAst, TermAst, TriplePatternAst};
 use ids::core::planner::lower_expr;
@@ -59,8 +61,15 @@ impl Bindings for Row<'_> {
 }
 
 /// Evaluate `q` over `ds`: `Err` carries the reason, as text, for any
-/// query the engine must also refuse.
-pub fn evaluate(q: &Query, ds: &Datastore, registry: &UdfRegistry) -> Result<Answer, String> {
+/// query the engine must also refuse. With `degrade`, rows whose FILTER or
+/// APPLY evaluation fails are dropped, as the engine's graceful
+/// degradation drops them.
+pub fn evaluate(
+    q: &Query,
+    ds: &Datastore,
+    registry: &UdfRegistry,
+    degrade: bool,
+) -> Result<Answer, String> {
     // Lower every expression first: a bad constant fails the query even
     // when no row would reach it.
     let lower = |e| lower_expr(e, ds).map_err(|e| e.to_string());
@@ -86,10 +95,15 @@ pub fn evaluate(q: &Query, ds: &Datastore, registry: &UdfRegistry) -> Result<Ans
         e.for_each_udf(&mut |u| profiles.intern(u));
     }
     let mut cx = EvalCtx::new(registry, profiles.row_mut(0));
+    // A failed row: dropped under `degrade`, fatal otherwise.
+    let drop_failed = |r: Result<bool, String>| match r {
+        Err(_) if degrade => Ok(false),
+        r => r,
+    };
     let mut kept = Vec::new();
     for row in &table.rows {
         let b = Row { vars: &table.vars, row, ds };
-        if all_true(&filters, &b, &mut cx)? {
+        if drop_failed(all_true(&filters, &b, &mut cx))? {
             kept.push(row.clone());
         }
     }
@@ -100,12 +114,16 @@ pub fn evaluate(q: &Query, ds: &Datastore, registry: &UdfRegistry) -> Result<Ans
             let b = Row { vars: &table.vars, row, ds };
             match bind_as {
                 None => {
-                    if all_true(std::slice::from_ref(expr), &b, &mut cx)? {
+                    if drop_failed(all_true(std::slice::from_ref(expr), &b, &mut cx))? {
                         out.push(row.clone());
                     }
                 }
                 Some(_) => {
-                    let value = expr.eval(&b, &mut cx).map_err(|e| e.to_string())?;
+                    let value = match expr.eval(&b, &mut cx) {
+                        Ok(value) => value,
+                        Err(_) if degrade => continue,
+                        Err(e) => return Err(e.to_string()),
+                    };
                     // A null output drops the row.
                     if let Some(id) = bind(value, ds) {
                         out.push(row.iter().copied().chain([id]).collect());

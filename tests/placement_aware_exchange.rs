@@ -133,7 +133,7 @@ fn check(text: &str, load: fn(&IdsInstance), want_sides: (u64, u64)) {
             let out = inst.query(text).unwrap_or_else(|e| panic!("{ctx}: {e}"));
             let after = sides(&inst);
             let parsed = parse_query(text).unwrap();
-            let want = oracle::evaluate(&parsed, inst.datastore(), inst.registry()).unwrap();
+            let want = oracle::evaluate(&parsed, inst.datastore(), inst.registry(), false).unwrap();
             assert!(!want.rows.is_empty(), "{ctx}: the data must answer the query");
             assert_eq!(out.solutions.vars(), want.vars.as_slice(), "{ctx}");
             let got: Vec<Vec<TermId>> =

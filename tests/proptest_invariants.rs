@@ -146,24 +146,46 @@ proptest! {
     /// Docking-result serialization round-trips exactly.
     #[test]
     fn docking_result_codec(seed in 0u64..500) {
-        let gen = MoleculeGenerator::new(CostModel::free(), seed);
-        let lig = gen.generate(0).molecule;
-        let mut receptor = ids::chem::Structure3D::new();
-        let mut rng = ids::simrt::rng::SplitMix64::new(seed, 2);
-        for _ in 0..20 {
-            receptor.push(
-                ids::chem::Element::C,
-                ids::chem::Vec3::new(
-                    rng.next_range(-10.0, 10.0),
-                    rng.next_range(-10.0, 10.0),
-                    rng.next_range(-10.0, 10.0),
-                ),
-            );
-        }
-        let result = DockingEngine::test_engine().dock(&receptor, &lig);
+        let result = docked(seed);
         let decoded = decode_docking_result(&encode_docking_result(&result)).unwrap();
         prop_assert_eq!(decoded.energy, result.energy);
         prop_assert_eq!(decoded.evaluations, result.evaluations);
         prop_assert_eq!(decoded.pose, result.pose);
     }
+
+    /// Cached bytes are outside input: every truncation of a valid
+    /// encoding is refused, and every single-bit flip decodes (to a result
+    /// or to `None`) without panicking.
+    #[test]
+    fn docking_result_decode_never_panics(seed in 0u64..500) {
+        let bytes = encode_docking_result(&docked(seed)).to_vec();
+        for len in 0..bytes.len() {
+            prop_assert!(decode_docking_result(&bytes[..len]).is_none(), "prefix {}", len);
+        }
+        let mut flipped = bytes.clone();
+        for bit in 0..bytes.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = decode_docking_result(&flipped);
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+}
+
+/// A docking of a generated ligand against a random 20-atom receptor.
+fn docked(seed: u64) -> ids::models::DockingResult {
+    let gen = MoleculeGenerator::new(CostModel::free(), seed);
+    let lig = gen.generate(0).molecule;
+    let mut receptor = ids::chem::Structure3D::new();
+    let mut rng = ids::simrt::rng::SplitMix64::new(seed, 2);
+    for _ in 0..20 {
+        receptor.push(
+            ids::chem::Element::C,
+            ids::chem::Vec3::new(
+                rng.next_range(-10.0, 10.0),
+                rng.next_range(-10.0, 10.0),
+                rng.next_range(-10.0, 10.0),
+            ),
+        );
+    }
+    DockingEngine::test_engine().dock(&receptor, &lig)
 }
