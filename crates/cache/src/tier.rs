@@ -4,8 +4,8 @@
 //! Every DRAM and NVMe tier in the cache manager is a [`TierStore`]:
 //! capacity-accounted object residency with policy-driven victim
 //! selection, for one tier on one node. All byte accounting (`used`,
-//! `capacity`) is mutated *only* inside this module — a CI grep gate
-//! rejects occupancy arithmetic anywhere else in `crates/cache` — so
+//! `capacity`) is mutated *only* inside this module — both are private
+//! fields, so occupancy arithmetic anywhere else does not compile — so
 //! the invariant `used == Σ entry sizes ≤ capacity` is enforceable in
 //! one place ([`TierStore::check_accounting`]) and the eviction policies
 //! (`evict.rs`) stay pure victim-choosers. That check recomputes the sum

@@ -108,7 +108,10 @@ pub fn docking_object_name(target_accession: &str, smiles: &str) -> String {
 
 /// Serialize a docking result for the cache (energy, evaluations, pose).
 pub fn encode_docking_result(r: &DockingResult) -> Bytes {
-    let mut out = Vec::with_capacity(24 + r.pose.len() * 25);
+    // Three 8-byte header words, then per atom its symbol's length byte,
+    // the symbol and three 8-byte coordinates: reserved exactly.
+    let atoms: usize = r.pose.atoms().iter().map(|a| 25 + a.element.symbol().len()).sum();
+    let mut out = Vec::with_capacity(24 + atoms);
     out.extend_from_slice(&r.energy.to_le_bytes());
     out.extend_from_slice(&r.evaluations.to_le_bytes());
     out.extend_from_slice(&(r.pose.len() as u64).to_le_bytes());

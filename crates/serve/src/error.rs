@@ -10,8 +10,8 @@
 //! [`Refusal`] payload constructed through [`Refusal::backoff`]. That is
 //! deliberate: `is_retryable()` and `retry_after_secs()` are derived from
 //! the shared payload, so adding a refusal variant cannot silently drift
-//! the hint formula or the retryability contract (a CI grep gate rejects
-//! hint construction outside this module).
+//! the hint formula or the retryability contract (its fields are private,
+//! so no other module can build one by hand).
 
 use crate::slo::SloClass;
 
@@ -20,10 +20,8 @@ use crate::slo::SloClass;
 /// back off before retrying.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Refusal {
-    /// The tenant whose submission was refused.
-    pub tenant: String,
-    /// Deterministic back-off hint, virtual seconds.
-    pub retry_after_secs: f64,
+    tenant: String,
+    retry_after_secs: f64,
 }
 
 impl Refusal {
@@ -40,6 +38,16 @@ impl Refusal {
         let retry_after_secs =
             (queued_ahead as f64 + 1.0) * quantum_secs / effective_weight.max(1) as f64;
         Self { tenant: tenant.into(), retry_after_secs }
+    }
+
+    /// The tenant whose submission was refused.
+    pub fn tenant(&self) -> &str {
+        &self.tenant
+    }
+
+    /// Deterministic back-off hint, virtual seconds.
+    pub fn retry_after_secs(&self) -> f64 {
+        self.retry_after_secs
     }
 }
 

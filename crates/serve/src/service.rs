@@ -1004,8 +1004,8 @@ mod tests {
         let ServeError::Overloaded(refusal) = &err else {
             panic!("expected overload, got {err}");
         };
-        assert_eq!(refusal.tenant, "alice");
-        assert!(refusal.retry_after_secs > 0.0);
+        assert_eq!(refusal.tenant(), "alice");
+        assert!(refusal.retry_after_secs() > 0.0);
         assert!(err.is_retryable());
         // Draining the queue makes room again.
         svc.run_until_idle();

@@ -20,6 +20,9 @@
 //! and an APPLY row whose ligand the memo has docked does not dock again:
 //! all are pinned at their exact counts.
 //!
+//! Encoding a docking result for the cache reserves its exact length, so
+//! a non-empty pose costs its buffer and the shared copy, never a growth.
+//!
 //! Canonicalising a `serve-mix` lookup — what every prepared-cache miss
 //! of the service pays — is pinned at a ceiling too, and so is a service
 //! submission that hits the prepared cache plus the one-slice scheduler
@@ -29,12 +32,16 @@
 //! and no other test's allocations are counted.
 
 use ids::chem::sequence::ProteinSequence;
+use ids::chem::{parse_smiles, Element, Structure3D, Vec3};
 use ids::core::binding::RowBindings;
 use ids::core::engine::StepOutcome;
 use ids::core::iql::{fragment, parse_query, FragmentSpec};
-use ids::core::workflow::{register_workflow_udfs, Target, WorkflowModels};
+use ids::core::workflow::{
+    decode_docking_result, encode_docking_result, register_workflow_udfs, Target, WorkflowModels,
+};
 use ids::core::{IdsConfig, IdsInstance};
 use ids::graph::{Dictionary, Term};
+use ids::models::DockingEngine;
 use ids::obs::MetricsRegistry;
 use ids::serve::{QueryService, ServeConfig, TenantConfig};
 use ids::simrt::rng::SplitMix64;
@@ -110,6 +117,11 @@ const NCNPR_MEMO_HIT_ROW: u64 = 0;
 /// ligand the memo holds and has docked, measured in debug and release:
 /// as for [`MEMO_HIT_ROW`], and the docked cell returns its energy.
 const DOCKING_MEMO_HIT_ROW: u64 = 0;
+
+/// Allocations of `encode_docking_result` on a non-empty pose: the `Vec`
+/// it fills and the `Arc` the `Bytes` copy it into. A reserve one byte
+/// short per atom made a third, growing the `Vec`.
+const DOCKING_ENCODE: u64 = 2;
 
 /// Allocations of `fragment(Bgp)` + `fragment(Where)` on
 /// [`SERVE_FILTER_LOOKUP`], measured in debug and release: per fragment,
@@ -316,6 +328,37 @@ fn an_apply_row_whose_ligand_the_memo_docked_allocates_nothing() {
     eprintln!("allocations of a memo-hit vina_docking APPLY row: {allocations}");
     assert_eq!(hit, first);
     assert_eq!(allocations, DOCKING_MEMO_HIT_ROW);
+}
+
+#[test]
+fn encoding_a_docked_pose_reserves_its_exact_length() {
+    let _counting = ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut receptor = Structure3D::new();
+    for i in 0..10 {
+        receptor.push(Element::C, Vec3::new(i as f64 * 2.0, 0.0, 0.0));
+    }
+    // One- and two-letter symbols: each atom's record is as long as its
+    // symbol.
+    let ligand = parse_smiles("CC(=O)Oc1ccc(Cl)cc1C(=O)O").unwrap();
+    let result = DockingEngine::test_engine().dock(&receptor, &ligand);
+    assert!(!result.pose.is_empty());
+    // The least of a few repetitions, as for the canonicaliser below: the
+    // harness's own thread can allocate inside the window.
+    let allocations = (0..5)
+        .map(|_| {
+            let before = ALLOCATIONS.load(Relaxed);
+            let bytes = encode_docking_result(&result);
+            let allocations = ALLOCATIONS.load(Relaxed) - before;
+            assert_eq!(
+                decode_docking_result(&bytes).map(|back| back.pose),
+                Some(result.pose.clone())
+            );
+            allocations
+        })
+        .min()
+        .unwrap_or(u64::MAX);
+    eprintln!("allocations of encode_docking_result: {allocations}");
+    assert_eq!(allocations, DOCKING_ENCODE);
 }
 
 #[test]

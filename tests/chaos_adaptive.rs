@@ -12,48 +12,17 @@
 //! `?y <c> ?g`), so the matrix asserts `replans ≥ 1` — and identical
 //! bytes — across 8 straggler seeds × both exchange modes.
 //!
-//! The `CHAOS_ADAPTIVE=aggressive` axis drops the re-plan threshold to
-//! nearly 1× with no row floor, forcing re-plans at every slightly
-//! divergent boundary: byte-identity must still hold.
+//! The second axis, `aggressive`, drops the re-plan threshold to nearly
+//! 1× with no row floor, forcing re-plans at every slightly divergent
+//! boundary: byte-identity must still hold. Both run at every seed.
 
-use ids::core::{IdsConfig, IdsInstance, QueryOutcome, StepOutcome};
+mod chaos;
+
+use chaos::SEEDS;
+use ids::core::{IdsConfig, IdsInstance, StepOutcome};
 use ids::graph::Term;
-use ids::simrt::faults::StragglerConfig;
 use ids::simrt::{FaultConfig, FaultPlane, Topology};
 use std::sync::Arc;
-
-/// The CI seed matrix (ci.sh runs one seed per job via `CHAOS_SEED`).
-fn chaos_seeds() -> Vec<u64> {
-    match std::env::var("CHAOS_SEED") {
-        Ok(s) => vec![s.parse().expect("CHAOS_SEED must be an unsigned integer")],
-        Err(_) => (1..=8).collect(),
-    }
-}
-
-/// The `CHAOS_ADAPTIVE` CI axis: `default` uses the stock re-plan
-/// threshold; `aggressive` re-plans at nearly any divergence. Unset runs
-/// both.
-fn axis() -> Vec<&'static str> {
-    match std::env::var("CHAOS_ADAPTIVE").as_deref() {
-        Err(_) | Ok("") => vec!["default", "aggressive"],
-        Ok("default") => vec!["default"],
-        Ok("aggressive") => vec!["aggressive"],
-        Ok(other) => panic!("unknown CHAOS_ADAPTIVE axis {other:?} (want default|aggressive)"),
-    }
-}
-
-/// Straggler-only noise so each seed exercises a different virtual-time
-/// schedule without perturbing the data plane.
-fn straggler_noise() -> FaultConfig {
-    FaultConfig {
-        crash: None,
-        transient: None,
-        link: None,
-        straggler: Some(StragglerConfig { fraction: 0.25, slowdown: 4.0 }),
-        storage: None,
-        permanent: None,
-    }
-}
 
 const QUERY: &str =
     "SELECT ?x ?v ?y ?g ?h WHERE { ?x <a> ?v . ?y <b> ?v . ?y <c> ?g . ?x <e> ?h . }";
@@ -125,8 +94,10 @@ fn launch(spec: &RunSpec, build: fn(&IdsInstance)) -> IdsInstance {
     let mut cfg = IdsConfig::laptop(topo.total_ranks(), spec.seed);
     cfg.topology = topo;
     let mut inst = IdsInstance::launch(cfg);
-    let plane =
-        FaultPlane::new(spec.seed, straggler_noise(), topo.nodes(), topo.total_ranks(), 10.0);
+    // Straggler-only noise: each seed gives a different virtual-time
+    // schedule without perturbing the data plane.
+    let noise = FaultConfig::stragglers_only(0.25, 4.0);
+    let plane = FaultPlane::new(spec.seed, noise, topo.nodes(), topo.total_ranks(), 10.0);
     inst.attach_faults(Arc::new(plane));
     build(&inst);
     let opts = inst.exec_options_mut();
@@ -139,20 +110,12 @@ fn launch(spec: &RunSpec, build: fn(&IdsInstance)) -> IdsInstance {
     inst
 }
 
-/// Raw term-id rows — the strictest equality there is.
-fn raw_rows(o: &QueryOutcome) -> Vec<Vec<u64>> {
-    o.solutions.rows().iter().map(|r| r.iter().map(|t| t.raw()).collect()).collect()
-}
-
 /// The tentpole matrix: per straggler seed × exchange mode, the adaptive
 /// run must re-plan at least once on the trap dataset and still return
 /// rows byte-identical to the static cost-based run.
 #[test]
 fn trap_dataset_replans_and_stays_byte_identical() {
-    if !axis().contains(&"default") {
-        return;
-    }
-    for seed in chaos_seeds() {
+    for seed in SEEDS {
         for pipelined in [false, true] {
             let label = format!("seed {seed} pipelined {pipelined}");
             let spec = RunSpec { seed, pipelined, adaptive: false, threshold: None };
@@ -165,8 +128,7 @@ fn trap_dataset_replans_and_stays_byte_identical() {
             let mut adap = launch(&spec, build_trap);
             let adap_out = adap.query(QUERY).unwrap_or_else(|e| panic!("{label}: adaptive: {e}"));
             assert_eq!(
-                raw_rows(&adap_out),
-                raw_rows(&stat_out),
+                adap_out.solutions, stat_out.solutions,
                 "{label}: re-planned rows diverged from static plan"
             );
             assert!(
@@ -187,10 +149,7 @@ fn trap_dataset_replans_and_stays_byte_identical() {
 /// threshold never re-plans — adaptivity must not thrash on good plans.
 #[test]
 fn uniform_dataset_never_replans() {
-    if !axis().contains(&"default") {
-        return;
-    }
-    for seed in chaos_seeds() {
+    for seed in SEEDS {
         for pipelined in [false, true] {
             let label = format!("seed {seed} pipelined {pipelined}");
             let spec = RunSpec { seed, pipelined, adaptive: false, threshold: None };
@@ -200,7 +159,7 @@ fn uniform_dataset_never_replans() {
             let spec = RunSpec { seed, pipelined, adaptive: true, threshold: None };
             let mut adap = launch(&spec, build_uniform);
             let adap_out = adap.query(QUERY).unwrap_or_else(|e| panic!("{label}: adaptive: {e}"));
-            assert_eq!(raw_rows(&adap_out), raw_rows(&stat_out), "{label}: rows diverged");
+            assert_eq!(adap_out.solutions, stat_out.solutions, "{label}: rows diverged");
             assert_eq!(
                 adap_out.adaptive.replans, 0,
                 "{label}: exact estimates must not trigger re-plans: {:?}",
@@ -215,10 +174,7 @@ fn uniform_dataset_never_replans() {
 /// slightly divergent boundary on both datasets — bytes must not move.
 #[test]
 fn aggressive_replanning_stays_byte_identical() {
-    if !axis().contains(&"aggressive") {
-        return;
-    }
-    for seed in chaos_seeds() {
+    for seed in SEEDS {
         for pipelined in [false, true] {
             for build in [build_trap as fn(&IdsInstance), build_uniform] {
                 let label = format!("seed {seed} pipelined {pipelined}");
@@ -231,8 +187,7 @@ fn aggressive_replanning_stays_byte_identical() {
                 let adap_out =
                     adap.query(QUERY).unwrap_or_else(|e| panic!("{label}: adaptive: {e}"));
                 assert_eq!(
-                    raw_rows(&adap_out),
-                    raw_rows(&stat_out),
+                    adap_out.solutions, stat_out.solutions,
                     "{label}: aggressive re-planning moved result bytes"
                 );
             }
@@ -245,7 +200,7 @@ fn aggressive_replanning_stays_byte_identical() {
 /// build it — for every later run of the same text.
 #[test]
 fn replanning_run_leaves_the_prepared_entry_untouched() {
-    for seed in chaos_seeds() {
+    for seed in SEEDS {
         let spec = RunSpec { seed, pipelined: false, adaptive: true, threshold: None };
         let mut adap = launch(&spec, build_trap);
         // The first prepare builds the entry and runs on its plan as is.

@@ -12,76 +12,29 @@
 //!    pair reproduces the scheduler slice trace hash and byte-identical
 //!    unsorted per-query rows.
 //!
-//! CI sweeps `CHAOS_SEED` and pins the client count via
-//! `CHAOS_CONCURRENCY`; locally the full matrix runs in one pass.
+//! Both run at every seed, with 4 and with 16 clients.
 
-use ids::cache::{BackingStore, CacheConfig, CacheManager};
-use ids::core::workflow::{
-    install_workflow, repurposing_query, RepurposingThresholds, WorkflowModels,
-};
-use ids::core::{IdsConfig, IdsInstance};
+mod chaos;
+mod ncnpr;
+
+use chaos::SEEDS;
+use ids::cache::CacheConfig;
+use ids::core::workflow::{repurposing_query, RepurposingThresholds};
+use ids::core::{IdsInstance, QueryOutcome};
 use ids::serve::{Completed, QueryService, ServeConfig, TenantConfig};
-use ids::simrt::{FaultConfig, FaultPlane, NetworkModel, Topology};
-use ids::workloads::ncnpr::{build, Band, NcnprConfig};
+use ids::simrt::{FaultConfig, FaultPlane, Topology};
+use ncnpr::query;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-fn chaos_seeds() -> Vec<u64> {
-    match std::env::var("CHAOS_SEED") {
-        Ok(s) => vec![s.parse().expect("CHAOS_SEED must be an unsigned integer")],
-        Err(_) => (1..=8).collect(),
-    }
-}
-
-/// Number of concurrent clients (CI pins this via `CHAOS_CONCURRENCY`).
-fn concurrency() -> usize {
-    match std::env::var("CHAOS_CONCURRENCY") {
-        Ok(s) => s.parse().expect("CHAOS_CONCURRENCY must be an unsigned integer"),
-        Err(_) => 16,
-    }
-}
-
-fn small_config() -> NcnprConfig {
-    NcnprConfig {
-        bands: vec![
-            Band {
-                mutation_rate: 0.0,
-                similarity_range: None,
-                proteins: 3,
-                compounds_per_protein: 4,
-            },
-            Band {
-                mutation_rate: 0.62,
-                similarity_range: Some((0.21, 0.39)),
-                proteins: 5,
-                compounds_per_protein: 2,
-            },
-        ],
-        background_proteins: 10,
-        ..NcnprConfig::default()
-    }
-}
+/// The client counts of the matrix.
+const CLIENTS: [usize; 2] = [4, 16];
 
 fn launch(faults: Option<(u64, FaultConfig)>) -> IdsInstance {
     let topo = Topology::new(4, 2);
-    let cache = Arc::new(CacheManager::new(
-        topo,
-        NetworkModel::slingshot(),
-        CacheConfig::new(2, 64 << 20, 256 << 20).with_replication(2),
-        BackingStore::default_store(),
-    ));
-    let mut cfg = IdsConfig::laptop(topo.total_ranks(), 11);
-    cfg.topology = topo;
-    let mut inst = IdsInstance::launch(cfg);
-    inst.attach_cache(cache);
-    if let Some((seed, fc)) = faults {
-        let plane = Arc::new(FaultPlane::new(seed, fc, topo.nodes(), topo.total_ranks(), 10.0));
-        inst.attach_faults(plane);
-    }
-    let dataset = build(inst.datastore(), &small_config());
-    let target = dataset.target.clone();
-    install_workflow(&mut inst, &target, WorkflowModels::test_models());
-    inst
+    let cache = ncnpr::cache(topo, CacheConfig::new(2, 64 << 20, 256 << 20).with_replication(2));
+    let plane =
+        faults.map(|(seed, fc)| FaultPlane::new(seed, fc, topo.nodes(), topo.total_ranks(), 10.0));
+    ncnpr::launch(topo, Some(cache), plane)
 }
 
 /// Millisecond-scale crash windows (the test workload runs in virtual
@@ -102,11 +55,7 @@ fn bit_rot() -> FaultConfig {
 /// query text four times — plenty of checkpoint overlap.
 fn query_pool() -> Vec<String> {
     vec![
-        repurposing_query(&RepurposingThresholds {
-            sw_similarity: 0.9,
-            min_pic50: 3.0,
-            min_dtba: 3.0,
-        }),
+        query(0.9),
         repurposing_query(&RepurposingThresholds {
             sw_similarity: 0.9,
             min_pic50: 3.5,
@@ -119,10 +68,8 @@ fn query_pool() -> Vec<String> {
 
 /// Sorted, decoded rows — sorted because scheduling and re-balancing may
 /// legitimately shuffle rows across ranks.
-fn extract(c: &Completed, inst: &IdsInstance) -> Vec<Vec<String>> {
+fn sorted_rows(out: &QueryOutcome, inst: &IdsInstance) -> Vec<Vec<String>> {
     let ds = inst.datastore();
-    let out = c.result.as_ref().unwrap_or_else(|e| panic!("query {:?} failed: {e}", c.query));
-    assert!(!out.degraded(), "fault paths must not drop rows");
     let mut rows: Vec<Vec<String>> = out
         .solutions
         .rows()
@@ -131,6 +78,13 @@ fn extract(c: &Completed, inst: &IdsInstance) -> Vec<Vec<String>> {
         .collect();
     rows.sort();
     rows
+}
+
+/// A completed query's [`sorted_rows`]; it must have succeeded whole.
+fn extract(c: &Completed, inst: &IdsInstance) -> Vec<Vec<String>> {
+    let out = c.result.as_ref().unwrap_or_else(|e| panic!("query {:?} failed: {e}", c.query));
+    assert!(!out.degraded(), "fault paths must not drop rows");
+    sorted_rows(out, inst)
 }
 
 /// Fault-free solo baselines, one fresh instance per distinct query text.
@@ -142,22 +96,15 @@ fn solo_baselines() -> BTreeMap<String, Vec<Vec<String>>> {
         }
         let mut inst = launch(None);
         let res = inst.query(&text).unwrap();
-        let ds = inst.datastore();
-        let mut rows: Vec<Vec<String>> = res
-            .solutions
-            .rows()
-            .iter()
-            .map(|r| r.iter().map(|t| ds.decode(*t).unwrap().to_string()).collect())
-            .collect();
-        rows.sort();
-        out.insert(text, rows);
+        out.insert(text, sorted_rows(&res, &inst));
     }
     out
 }
 
-/// Build the service, open `concurrency()` single-query sessions, run to
-/// idle, and return (service, completed, per-query-id query text).
+/// Build the service, open `clients` single-query sessions, run to idle,
+/// and return (service, completed, per-query-id query text).
 fn run_concurrent(
+    clients: usize,
     faults: Option<(u64, FaultConfig)>,
 ) -> (QueryService, Vec<Completed>, Vec<String>) {
     let inst = launch(faults);
@@ -172,7 +119,7 @@ fn run_concurrent(
     );
     let pool = query_pool();
     let mut texts = Vec::new();
-    for i in 0..concurrency() {
+    for i in 0..clients {
         let tenant = format!("client{i:02}");
         svc.register_tenant(TenantConfig::new(tenant.clone()));
         let session = svc.open_session(&tenant).unwrap();
@@ -181,54 +128,61 @@ fn run_concurrent(
         texts.push(text);
     }
     let done = svc.run_until_idle();
-    assert_eq!(done.len(), concurrency(), "every admitted query completes");
+    assert_eq!(done.len(), clients, "every admitted query completes");
     (svc, done, texts)
 }
 
 #[test]
 fn concurrent_clients_under_crash_chaos_match_solo_results() {
     let baselines = solo_baselines();
-    for seed in chaos_seeds() {
-        let (svc, done, texts) = run_concurrent(Some((seed, ms_crashes())));
-        for c in &done {
-            let text = &texts[c.query.0 as usize];
-            assert_eq!(
-                &extract(c, svc.instance()),
-                baselines.get(text).unwrap(),
-                "seed {seed}: query {:?} diverged from the solo fault-free run",
-                c.query
+    for clients in CLIENTS {
+        for seed in SEEDS {
+            let (svc, done, texts) = run_concurrent(clients, Some((seed, ms_crashes())));
+            for c in &done {
+                let text = &texts[c.query.0 as usize];
+                assert_eq!(
+                    &extract(c, svc.instance()),
+                    baselines.get(text).unwrap(),
+                    "seed {seed} clients {clients}: query {:?} diverged from the solo \
+                     fault-free run",
+                    c.query
+                );
+            }
+            let snap = svc.instance().metrics_snapshot();
+            assert!(
+                snap.counter_sum("ids_reuse_hits_total") > 0,
+                "seed {seed}: an overlapping {clients}-client workload must reuse checkpoints"
             );
         }
-        let snap = svc.instance().metrics_snapshot();
-        assert!(
-            snap.counter_sum("ids_reuse_hits_total") > 0,
-            "seed {seed}: an overlapping 16-client workload must reuse checkpoints"
-        );
     }
 }
 
 #[test]
 fn concurrent_clients_under_bit_rot_match_solo_results() {
     let baselines = solo_baselines();
-    for seed in chaos_seeds() {
-        let (svc, done, texts) = run_concurrent(Some((seed, bit_rot())));
-        for c in &done {
-            let text = &texts[c.query.0 as usize];
+    for clients in CLIENTS {
+        for seed in SEEDS {
+            let (svc, done, texts) = run_concurrent(clients, Some((seed, bit_rot())));
+            for c in &done {
+                let text = &texts[c.query.0 as usize];
+                assert_eq!(
+                    &extract(c, svc.instance()),
+                    baselines.get(text).unwrap(),
+                    "seed {seed} clients {clients}: query {:?} diverged under storage rot",
+                    c.query
+                );
+            }
+            // Rot may or may not have hit a cached intermediate this seed;
+            // what matters is that any detection was quarantined, never
+            // served.
+            let snap = svc.instance().metrics_snapshot();
             assert_eq!(
-                &extract(c, svc.instance()),
-                baselines.get(text).unwrap(),
-                "seed {seed}: query {:?} diverged under storage rot",
-                c.query
+                snap.counter("ids_cache_quarantines_total", ""),
+                snap.counter("ids_cache_corruptions_detected_total", "cache"),
+                "seed {seed} clients {clients}: every cache-side detection quarantines \
+                 exactly once"
             );
         }
-        // Rot may or may not have hit a cached intermediate this seed;
-        // what matters is that any detection was quarantined, never served.
-        let snap = svc.instance().metrics_snapshot();
-        assert_eq!(
-            snap.counter("ids_cache_quarantines_total", ""),
-            snap.counter("ids_cache_corruptions_detected_total", "cache"),
-            "seed {seed}: every cache-side detection quarantines exactly once"
-        );
     }
 }
 
@@ -237,26 +191,19 @@ fn concurrent_replay_is_byte_identical() {
     // Same (seed, workload) twice: identical scheduler trace hash and
     // byte-identical unsorted rows, query by query — under fault
     // injection and cross-client reuse.
-    let seed = chaos_seeds()[0];
-    let run = || {
-        let (svc, done, _) = run_concurrent(Some((seed, ms_crashes())));
-        let rows: Vec<Vec<Vec<u64>>> = done
-            .iter()
-            .map(|c| {
-                c.result
-                    .as_ref()
-                    .unwrap()
-                    .solutions
-                    .rows()
-                    .iter()
-                    .map(|r| r.iter().map(|t| t.raw()).collect())
-                    .collect()
-            })
-            .collect();
-        (svc.trace_hash(), rows)
-    };
-    let (h1, r1) = run();
-    let (h2, r2) = run();
-    assert_eq!(h1, h2, "scheduler trace must replay exactly");
-    assert_eq!(r1, r2, "per-query rows must replay byte-identically");
+    for clients in CLIENTS {
+        for seed in SEEDS {
+            let run = || {
+                let (svc, done, _) = run_concurrent(clients, Some((seed, ms_crashes())));
+                let rows: Vec<_> =
+                    done.iter().map(|c| c.result.as_ref().unwrap().solutions.clone()).collect();
+                (svc.trace_hash(), rows)
+            };
+            let (h1, r1) = run();
+            let (h2, r2) = run();
+            let label = format!("seed {seed} clients {clients}");
+            assert_eq!(h1, h2, "{label}: scheduler trace must replay exactly");
+            assert_eq!(r1, r2, "{label}: per-query rows must replay byte-identically");
+        }
+    }
 }

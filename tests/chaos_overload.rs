@@ -17,11 +17,13 @@
 //!    instance, even though elastic resizes re-own shards and re-replicate
 //!    cache objects mid-run.
 //!
-//! CI sweeps `CHAOS_SEED` (1..=8) and the `CHAOS_OVERLOAD=default|burst`
-//! axis; locally the full matrix runs in one pass. `burst` quantizes
-//! arrival times into synchronized clumps — the adversarial arrival
-//! pattern for an occupancy-triggered controller.
+//! Every seed runs under both arrival shapes: `default`, and `burst`,
+//! which quantizes arrival times into synchronized clumps — the
+//! adversarial arrival pattern for an occupancy-triggered controller.
 
+mod chaos;
+
+use chaos::SEEDS;
 use ids::cache::{BackingStore, CacheConfig, CacheManager};
 use ids::core::{IdsConfig, IdsInstance};
 use ids::graph::Term;
@@ -36,21 +38,8 @@ const ARRIVALS: usize = 240;
 /// Offered load as a multiple of the probed fair-weather capacity.
 const OVERLOAD: f64 = 3.0;
 
-fn chaos_seeds() -> Vec<u64> {
-    match std::env::var("CHAOS_SEED") {
-        Ok(s) => vec![s.parse().expect("CHAOS_SEED must be an unsigned integer")],
-        Err(_) => (1..=8).collect(),
-    }
-}
-
-fn chaos_modes() -> Vec<&'static str> {
-    match std::env::var("CHAOS_OVERLOAD") {
-        Ok(s) if s == "default" => vec!["default"],
-        Ok(s) if s == "burst" => vec!["burst"],
-        Ok(s) => panic!("CHAOS_OVERLOAD must be 'default' or 'burst', got {s:?}"),
-        Err(_) => vec!["default", "burst"],
-    }
-}
+/// The arrival shapes of the matrix.
+const MODES: [&str; 2] = ["default", "burst"];
 
 fn query_pool() -> Vec<String> {
     vec![
@@ -274,8 +263,8 @@ fn overload_shedding_is_deterministic_class_ordered_and_result_preserving() {
     let qps = capacity_qps();
     assert!(qps > 0.0);
     let baselines = solo_baselines();
-    for mode in chaos_modes() {
-        for seed in chaos_seeds() {
+    for mode in MODES {
+        for seed in SEEDS {
             let a = run(seed, mode, qps);
             let b = run(seed, mode, qps);
 

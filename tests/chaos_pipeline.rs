@@ -13,57 +13,26 @@
 //! stages differently; rows are compared as sorted decoded multisets,
 //! the same tolerance `chaos_faults.rs` grants dilated clocks.
 
-use ids::cache::{BackingStore, CacheConfig, CacheManager};
-use ids::core::workflow::{
-    install_workflow, repurposing_query, RepurposingThresholds, WorkflowModels,
-};
-use ids::core::{IdsConfig, IdsInstance, QueryOutcome};
-use ids::simrt::{FaultConfig, FaultPlane, NetworkModel, Topology};
-use ids::workloads::ncnpr::{build, Band, NcnprConfig};
-use std::sync::Arc;
+mod chaos;
+mod docked;
+mod ncnpr;
 
-/// The CI seed matrix (ci.sh runs one seed per job via `CHAOS_SEED`).
-fn chaos_seeds() -> Vec<u64> {
-    match std::env::var("CHAOS_SEED") {
-        Ok(s) => vec![s.parse().expect("CHAOS_SEED must be an unsigned integer")],
-        Err(_) => (1..=8).collect(),
-    }
-}
+use chaos::SEEDS;
+use docked::extract;
+use ids::cache::CacheConfig;
+use ids::core::IdsInstance;
+use ids::simrt::faults::StragglerConfig;
+use ids::simrt::{FaultConfig, FaultPlane, Topology};
+use ncnpr::query;
 
 /// Stragglers and crashes only: the two fault classes the streamed
 /// exchange interacts with directly (per-channel delays instead of
 /// whole-stage barriers). Transient/link/storage faults are covered by
 /// `chaos_faults.rs` and `engine_vs_oracle.rs`.
 fn pipeline_chaos() -> FaultConfig {
-    use ids::simrt::faults::{CrashConfig, StragglerConfig};
     FaultConfig {
-        crash: Some(CrashConfig { mean_uptime_secs: 2.0e-3, mean_downtime_secs: 0.5e-3 }),
-        transient: None,
-        link: None,
         straggler: Some(StragglerConfig { fraction: 0.25, slowdown: 4.0 }),
-        storage: None,
-        permanent: None,
-    }
-}
-
-fn small_config() -> NcnprConfig {
-    NcnprConfig {
-        bands: vec![
-            Band {
-                mutation_rate: 0.0,
-                similarity_range: None,
-                proteins: 3,
-                compounds_per_protein: 4,
-            },
-            Band {
-                mutation_rate: 0.62,
-                similarity_range: Some((0.21, 0.39)),
-                proteins: 5,
-                compounds_per_protein: 2,
-            },
-        ],
-        background_proteins: 10,
-        ..NcnprConfig::default()
+        ..FaultConfig::crashes_only(2.0e-3, 0.5e-3)
     }
 }
 
@@ -71,52 +40,12 @@ fn small_config() -> NcnprConfig {
 /// exchange mode pinned; the `chaos_faults.rs` harness plus the
 /// `pipelined` switch.
 fn launch(topo: Topology, faults: Option<(u64, FaultConfig)>, pipelined: bool) -> IdsInstance {
-    let cache = Arc::new(CacheManager::new(
-        topo,
-        NetworkModel::slingshot(),
-        CacheConfig::new(2, 64 << 20, 256 << 20),
-        BackingStore::default_store(),
-    ));
-    let mut cfg = IdsConfig::laptop(topo.total_ranks(), 11);
-    cfg.topology = topo;
-    let mut inst = IdsInstance::launch(cfg);
-    inst.attach_cache(cache);
-    if let Some((seed, fc)) = faults {
-        let plane = Arc::new(FaultPlane::new(seed, fc, topo.nodes(), topo.total_ranks(), 10.0));
-        inst.attach_faults(plane);
-    }
-    let dataset = build(inst.datastore(), &small_config());
-    let target = dataset.target.clone();
-    install_workflow(&mut inst, &target, WorkflowModels::test_models());
+    let cache = ncnpr::cache(topo, CacheConfig::new(2, 64 << 20, 256 << 20));
+    let plane =
+        faults.map(|(seed, fc)| FaultPlane::new(seed, fc, topo.nodes(), topo.total_ranks(), 10.0));
+    let mut inst = ncnpr::launch(topo, Some(cache), plane);
     inst.exec_options_mut().pipelined = pipelined;
     inst
-}
-
-fn query() -> String {
-    repurposing_query(&RepurposingThresholds { sw_similarity: 0.9, min_pic50: 3.0, min_dtba: 3.0 })
-}
-
-/// Raw term-id rows — the strictest equality there is.
-fn raw_rows(o: &QueryOutcome) -> Vec<Vec<u64>> {
-    o.solutions.rows().iter().map(|r| r.iter().map(|t| t.raw()).collect()).collect()
-}
-
-/// Sorted decoded (compound, energy) rows — rank-placement tolerant.
-fn extract(o: &QueryOutcome, inst: &IdsInstance) -> Vec<(String, String)> {
-    let ds = inst.datastore();
-    let mut v: Vec<(String, String)> = o
-        .solutions
-        .rows()
-        .iter()
-        .map(|r| {
-            (
-                ds.decode(r[1]).unwrap().to_string(),
-                format!("{:.12}", ds.decode(r[2]).unwrap().as_f64().unwrap()),
-            )
-        })
-        .collect();
-    v.sort();
-    v
 }
 
 /// Fault-free, streaming is observationally indistinguishable from BSP
@@ -129,10 +58,10 @@ fn extract(o: &QueryOutcome, inst: &IdsInstance) -> Vec<(String, String)> {
 fn fault_free_runs_are_byte_identical() {
     let mut bsp = launch(Topology::new(4, 2), None, false);
     let mut pipe = launch(Topology::new(4, 2), None, true);
-    let bsp_out = bsp.query(&query()).unwrap();
-    let pipe_out = pipe.query(&query()).unwrap();
+    let bsp_out = bsp.query(&query(0.9)).unwrap();
+    let pipe_out = pipe.query(&query(0.9)).unwrap();
     assert_eq!(bsp_out.solutions.vars(), pipe_out.solutions.vars(), "schema divergence");
-    assert_eq!(raw_rows(&bsp_out), raw_rows(&pipe_out), "BSP/pipelined data-plane divergence");
+    assert_eq!(bsp_out.solutions, pipe_out.solutions, "BSP/pipelined data-plane divergence");
     assert_eq!(bsp_out.solutions.len(), 12, "3 proteins x 4 compounds");
     assert!(
         pipe_out.elapsed_secs <= bsp_out.elapsed_secs + 1e-12,
@@ -147,13 +76,13 @@ fn fault_free_runs_are_byte_identical() {
 #[test]
 fn explain_reports_exchange_block_only_when_pipelined() {
     let mut bsp = launch(Topology::new(4, 2), None, false);
-    bsp.query(&query()).unwrap();
-    let plan = bsp.explain(&query()).unwrap();
+    bsp.query(&query(0.9)).unwrap();
+    let plan = bsp.explain(&query(0.9)).unwrap();
     assert!(!plan.contains("exchange:"), "BSP EXPLAIN must not grow an exchange block:\n{plan}");
 
     let mut pipe = launch(Topology::new(4, 2), None, true);
-    pipe.query(&query()).unwrap();
-    let plan = pipe.explain(&query()).unwrap();
+    pipe.query(&query(0.9)).unwrap();
+    let plan = pipe.explain(&query(0.9)).unwrap();
     assert!(plan.contains("exchange:"), "pipelined EXPLAIN lacks the exchange block:\n{plan}");
     assert!(plan.contains("batches streamed:"), "missing batch metrics:\n{plan}");
 }
@@ -167,18 +96,18 @@ fn explain_reports_exchange_block_only_when_pipelined() {
 #[test]
 fn chaos_matrix_bsp_vs_pipelined_parity() {
     let mut base = launch(Topology::new(4, 2), None, true);
-    let base_out = base.query(&query()).unwrap();
+    let base_out = base.query(&query(0.9)).unwrap();
     let expected = extract(&base_out, &base);
     assert_eq!(expected.len(), 12);
 
-    for seed in chaos_seeds() {
+    for seed in SEEDS {
         let mut bsp = launch(Topology::new(4, 2), Some((seed, pipeline_chaos())), false);
         let mut pipe = launch(Topology::new(4, 2), Some((seed, pipeline_chaos())), true);
         let bsp_out = bsp
-            .query(&query())
+            .query(&query(0.9))
             .unwrap_or_else(|e| panic!("seed {seed}: BSP chaos run failed: {e}"));
         let pipe_out = pipe
-            .query(&query())
+            .query(&query(0.9))
             .unwrap_or_else(|e| panic!("seed {seed}: pipelined chaos run failed: {e}"));
         assert!(!pipe_out.degraded(), "seed {seed}: pipelined fault paths must not drop rows");
         assert_eq!(

@@ -13,77 +13,20 @@
 //!   recovery refuses deterministically with the typed
 //!   [`ExecError::CheckpointLost`] — never a panic, never a wrong answer.
 //!
-//! The `CHAOS_RECOVERY=spiteful` axis adds the adversarial schedule: run
-//! once with speculation under stragglers, find the rank that won the
-//! first speculation race, then re-run killing *that* rank's node just
-//! after its win — the worst moment the fault plane can pick.
+//! The spiteful schedule is the second axis: run once with speculation
+//! under stragglers, find the rank that won the first speculation race,
+//! then re-run killing *that* rank's node just after its win — the worst
+//! moment the fault plane can pick. Both run at every seed.
 
-use ids::cache::{BackingStore, CacheConfig, CacheManager};
-use ids::core::workflow::{
-    install_workflow, repurposing_query, RepurposingThresholds, WorkflowModels,
-};
-use ids::core::{
-    ExecError, IdsConfig, IdsInstance, QueryError, QueryOutcome, RunPhase, StepOutcome,
-};
-use ids::simrt::faults::StragglerConfig;
-use ids::simrt::{FaultConfig, FaultPlane, NetworkModel, NodeId, Topology};
-use ids::workloads::ncnpr::{build, Band, NcnprConfig};
+mod chaos;
+mod ncnpr;
+
+use chaos::SEEDS;
+use ids::cache::CacheConfig;
+use ids::core::{ExecError, IdsInstance, QueryError, RunPhase, StepOutcome};
+use ids::simrt::{FaultConfig, FaultPlane, NodeId, Topology};
+use ncnpr::query;
 use std::sync::Arc;
-
-/// The CI seed matrix (ci.sh runs one seed per job via `CHAOS_SEED`).
-fn chaos_seeds() -> Vec<u64> {
-    match std::env::var("CHAOS_SEED") {
-        Ok(s) => vec![s.parse().expect("CHAOS_SEED must be an unsigned integer")],
-        Err(_) => (1..=8).collect(),
-    }
-}
-
-/// The `CHAOS_RECOVERY` CI axis: `default` kills at checkpoint
-/// boundaries; `spiteful` kills the first speculation winner. Unset runs
-/// both.
-fn axis() -> Vec<&'static str> {
-    match std::env::var("CHAOS_RECOVERY").as_deref() {
-        Err(_) | Ok("") => vec!["default", "spiteful"],
-        Ok("default") => vec!["default"],
-        Ok("spiteful") => vec!["spiteful"],
-        Ok(other) => panic!("unknown CHAOS_RECOVERY axis {other:?} (want default|spiteful)"),
-    }
-}
-
-/// Straggler-only noise so each seed exercises a different virtual-time
-/// schedule (and therefore different checkpoint boundaries) without any
-/// random crash windows competing with the scheduled permanent kill.
-fn straggler_noise() -> FaultConfig {
-    FaultConfig {
-        crash: None,
-        transient: None,
-        link: None,
-        straggler: Some(StragglerConfig { fraction: 0.25, slowdown: 4.0 }),
-        storage: None,
-        permanent: None,
-    }
-}
-
-fn small_config() -> NcnprConfig {
-    NcnprConfig {
-        bands: vec![
-            Band {
-                mutation_rate: 0.0,
-                similarity_range: None,
-                proteins: 3,
-                compounds_per_protein: 4,
-            },
-            Band {
-                mutation_rate: 0.62,
-                similarity_range: Some((0.21, 0.39)),
-                proteins: 5,
-                compounds_per_protein: 2,
-            },
-        ],
-        background_proteins: 10,
-        ..NcnprConfig::default()
-    }
-}
 
 /// One run's shape: exchange mode, cache replication factor, straggler
 /// seed, and an optional scheduled permanent kill `(node, at_secs)`.
@@ -102,39 +45,21 @@ struct RunSpec {
 /// immutably afterwards).
 fn launch(spec: RunSpec) -> IdsInstance {
     let topo = Topology::new(4, 2);
-    let cache = Arc::new(CacheManager::new(
-        topo,
-        NetworkModel::slingshot(),
-        CacheConfig::new(2, 64 << 20, 256 << 20).with_replication(spec.replication),
-        BackingStore::default_store(),
-    ));
-    let mut cfg = IdsConfig::laptop(topo.total_ranks(), 11);
-    cfg.topology = topo;
-    let mut inst = IdsInstance::launch(cfg);
-    inst.attach_cache(cache);
-    let mut plane =
-        FaultPlane::new(spec.seed, straggler_noise(), topo.nodes(), topo.total_ranks(), 10.0);
+    let cfg = CacheConfig::new(2, 64 << 20, 256 << 20).with_replication(spec.replication);
+    // Straggler-only noise: each seed gives a different virtual-time
+    // schedule (and so different checkpoint boundaries) with no random
+    // crash windows competing with the scheduled permanent kill.
+    let noise = FaultConfig::stragglers_only(0.25, 4.0);
+    let mut plane = FaultPlane::new(spec.seed, noise, topo.nodes(), topo.total_ranks(), 10.0);
     if let Some((node, at)) = spec.kill {
         plane.schedule_permanent_kill(NodeId(node), at);
     }
-    inst.attach_faults(Arc::new(plane));
-    let dataset = build(inst.datastore(), &small_config());
-    let target = dataset.target.clone();
-    install_workflow(&mut inst, &target, WorkflowModels::test_models());
+    let mut inst = ncnpr::launch(topo, Some(ncnpr::cache(topo, cfg)), Some(plane));
     let opts = inst.exec_options_mut();
     opts.recovery = true;
     opts.speculation = spec.speculation;
     opts.pipelined = spec.pipelined;
     inst
-}
-
-fn query() -> String {
-    repurposing_query(&RepurposingThresholds { sw_similarity: 0.9, min_pic50: 3.0, min_dtba: 3.0 })
-}
-
-/// Raw term-id rows — the strictest equality there is.
-fn raw_rows(o: &QueryOutcome) -> Vec<Vec<u64>> {
-    o.solutions.rows().iter().map(|r| r.iter().map(|t| t.raw()).collect()).collect()
 }
 
 /// Enabling the recovery plane on a fault-free run changes only virtual
@@ -146,11 +71,11 @@ fn fault_free_recovery_is_byte_identical_and_checkpoints() {
         RunSpec { pipelined: false, replication: 2, seed: 1, kill: None, speculation: false };
     let mut plain = launch(base_spec);
     plain.exec_options_mut().recovery = false;
-    let plain_out = plain.query(&query()).unwrap();
+    let plain_out = plain.query(&query(0.9)).unwrap();
 
     let mut rec = launch(base_spec);
-    let rec_out = rec.query(&query()).unwrap();
-    assert_eq!(raw_rows(&plain_out), raw_rows(&rec_out), "recovery plane touched the data plane");
+    let rec_out = rec.query(&query(0.9)).unwrap();
+    assert_eq!(plain_out.solutions, rec_out.solutions, "recovery plane touched the data plane");
     assert_eq!(rec_out.solutions.len(), 12, "3 proteins x 4 compounds");
     assert_eq!(rec_out.recovery.rollbacks, 0, "no faults, no rollbacks");
     assert!(
@@ -167,16 +92,13 @@ fn fault_free_recovery_is_byte_identical_and_checkpoints() {
 /// its fault-free twin.
 #[test]
 fn node_loss_at_every_checkpoint_boundary_resumes_byte_identical() {
-    if !axis().contains(&"default") {
-        return;
-    }
-    for seed in chaos_seeds() {
+    for seed in SEEDS {
         for pipelined in [false, true] {
             for replication in [2usize, 3] {
                 let spec = RunSpec { pipelined, replication, seed, kill: None, speculation: false };
                 let mut base = launch(spec);
-                let base_out = base.query(&query()).unwrap();
-                let expected = raw_rows(&base_out);
+                let base_out = base.query(&query(0.9)).unwrap();
+                let expected = &base_out.solutions;
                 assert_eq!(expected.len(), 12);
                 let boundaries = base_out.recovery.checkpoint_times.clone();
                 assert!(!boundaries.is_empty(), "baseline stored no checkpoints");
@@ -187,11 +109,10 @@ fn node_loss_at_every_checkpoint_boundary_resumes_byte_identical() {
                     );
                     let mut inst = launch(RunSpec { kill: Some((1, t + 1e-9)), ..spec });
                     let out = inst
-                        .query(&query())
+                        .query(&query(0.9))
                         .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
                     assert_eq!(
-                        raw_rows(&out),
-                        expected,
+                        &out.solutions, expected,
                         "{label}: resumed rows diverged from fault-free baseline"
                     );
                     assert!(
@@ -220,19 +141,16 @@ fn node_loss_at_every_checkpoint_boundary_resumes_byte_identical() {
 /// placement luck, and without panicking.
 #[test]
 fn node_loss_with_rf1_fails_typed_not_panic() {
-    if !axis().contains(&"default") {
-        return;
-    }
-    for seed in chaos_seeds() {
+    for seed in SEEDS {
         for pipelined in [false, true] {
             let spec = RunSpec { pipelined, replication: 1, seed, kill: None, speculation: false };
             let mut base = launch(spec);
-            let base_out = base.query(&query()).unwrap();
+            let base_out = base.query(&query(0.9)).unwrap();
             let Some(&(_, t)) = base_out.recovery.checkpoint_times.first() else {
                 panic!("seed {seed}: baseline stored no checkpoints");
             };
             let mut inst = launch(RunSpec { kill: Some((1, t + 1e-9)), ..spec });
-            match inst.query(&query()) {
+            match inst.query(&query(0.9)) {
                 Err(QueryError::Exec(ExecError::CheckpointLost { ordinal, .. })) => {
                     assert!(ordinal >= 0, "seed {seed}: lost checkpoint has an ordinal");
                 }
@@ -253,12 +171,12 @@ fn exhausted_recovery_budget_is_typed() {
     let spec =
         RunSpec { pipelined: false, replication: 2, seed: 1, kill: None, speculation: false };
     let mut base = launch(spec);
-    let base_out = base.query(&query()).unwrap();
+    let base_out = base.query(&query(0.9)).unwrap();
     let &(_, t) = base_out.recovery.checkpoint_times.first().unwrap();
 
     let mut inst = launch(RunSpec { kill: Some((1, t + 1e-9)), ..spec });
     inst.exec_options_mut().max_recoveries = 0;
-    match inst.query(&query()) {
+    match inst.query(&query(0.9)) {
         Err(QueryError::Exec(ExecError::RecoveryExhausted { attempts, .. })) => {
             assert_eq!(attempts, 1, "the first rollback already exceeds a zero budget");
         }
@@ -271,20 +189,16 @@ fn exhausted_recovery_budget_is_typed() {
 /// critical path.
 #[test]
 fn speculation_preserves_bytes_and_saves_time() {
-    if !axis().contains(&"spiteful") {
-        return;
-    }
-    for seed in chaos_seeds() {
+    for seed in SEEDS {
         let plain_spec =
             RunSpec { pipelined: false, replication: 2, seed, kill: None, speculation: false };
         let mut plain = launch(plain_spec);
-        let plain_out = plain.query(&query()).unwrap();
+        let plain_out = plain.query(&query(0.9)).unwrap();
 
         let mut spec = launch(RunSpec { speculation: true, ..plain_spec });
-        let spec_out = spec.query(&query()).unwrap();
+        let spec_out = spec.query(&query(0.9)).unwrap();
         assert_eq!(
-            raw_rows(&plain_out),
-            raw_rows(&spec_out),
+            plain_out.solutions, spec_out.solutions,
             "seed {seed}: speculation touched the data plane"
         );
         if spec_out.recovery.speculation.wins > 0 {
@@ -307,15 +221,12 @@ fn speculation_preserves_bytes_and_saves_time() {
 /// clocks.
 #[test]
 fn killing_the_speculation_winner_still_resumes_byte_identical() {
-    if !axis().contains(&"spiteful") {
-        return;
-    }
-    for seed in chaos_seeds() {
+    for seed in SEEDS {
         let spec =
             RunSpec { pipelined: false, replication: 2, seed, kill: None, speculation: true };
         let mut probe = launch(spec);
-        let probe_out = probe.query(&query()).unwrap();
-        let expected = raw_rows(&probe_out);
+        let probe_out = probe.query(&query(0.9)).unwrap();
+        let expected = &probe_out.solutions;
         let Some((winner, won_at)) = probe_out.recovery.speculation.first_win else {
             // This seed's straggler draw produced no winning hedge —
             // nothing to be spiteful about.
@@ -324,12 +235,11 @@ fn killing_the_speculation_winner_still_resumes_byte_identical() {
         };
         let node = winner / 4; // Topology::new(4, 2): 4 ranks per node.
         let mut inst = launch(RunSpec { kill: Some((node, won_at + 1e-9)), ..spec });
-        let out = inst.query(&query()).unwrap_or_else(|e| {
+        let out = inst.query(&query(0.9)).unwrap_or_else(|e| {
             panic!("seed {seed}: killing speculation winner (rank {winner}) broke recovery: {e}")
         });
         assert_eq!(
-            raw_rows(&out),
-            expected,
+            &out.solutions, expected,
             "seed {seed}: spiteful kill of rank {winner}'s node diverged from baseline"
         );
         assert!(
@@ -347,12 +257,12 @@ fn killing_the_speculation_winner_still_resumes_byte_identical() {
 fn rolled_back_run_leaves_the_prepared_entry_untouched() {
     let spec =
         RunSpec { pipelined: false, replication: 2, seed: 1, kill: None, speculation: false };
-    let base_out = launch(spec).query(&query()).unwrap();
+    let base_out = launch(spec).query(&query(0.9)).unwrap();
     let &(_, t) = base_out.recovery.checkpoint_times.first().expect("baseline checkpoints");
 
     let mut inst = launch(RunSpec { kill: Some((1, t + 1e-9)), ..spec });
-    let mut run = inst.prepare_run(&query(), true).unwrap();
-    let entry = inst.prepared(&query(), true).unwrap();
+    let mut run = inst.prepare_run(&query(0.9), true).unwrap();
+    let entry = inst.prepared(&query(0.9), true).unwrap();
     assert!(entry.reuse.is_some(), "cache attached: reuse checkpoints scheduled");
     let cached = format!("{entry:?}");
     let out = loop {
@@ -361,10 +271,10 @@ fn rolled_back_run_leaves_the_prepared_entry_untouched() {
         }
     };
     assert!(out.recovery.rollbacks >= 1, "kill must force a rollback: {:?}", out.recovery);
-    assert_eq!(raw_rows(&out), raw_rows(&base_out));
-    assert!(Arc::ptr_eq(&entry, &inst.prepared(&query(), true).unwrap()));
+    assert_eq!(out.solutions, base_out.solutions);
+    assert!(Arc::ptr_eq(&entry, &inst.prepared(&query(0.9), true).unwrap()));
     assert_eq!(format!("{entry:?}"), cached);
-    assert_eq!(cached, format!("{:?}", inst.prepare_fresh(&query(), true).unwrap()));
+    assert_eq!(cached, format!("{:?}", inst.prepare_fresh(&query(0.9), true).unwrap()));
 }
 
 /// Every rank's UDF profiles, totals as bits.
@@ -389,24 +299,24 @@ fn rollback_restores_the_profile_table_of_its_target() {
     let spec =
         RunSpec { pipelined: false, replication: 2, seed: 1, kill: None, speculation: false };
     let mut base = launch(spec);
-    base.query(&query()).unwrap();
+    base.query(&query(0.9)).unwrap();
     let warm_end = base.cluster().elapsed();
-    let base_out = base.query(&query()).unwrap();
+    let base_out = base.query(&query(0.9)).unwrap();
     let kills = std::iter::once(warm_end)
         .chain(base_out.recovery.checkpoint_times.iter().map(|&(_, t)| t))
         .collect::<Vec<_>>();
     let mut resumed = Vec::new();
     for t in kills {
         let mut inst = launch(RunSpec { kill: Some((1, t + 1e-9)), ..spec });
-        inst.query(&query()).unwrap();
+        inst.query(&query(0.9)).unwrap();
         // The table as of each completed checkpoint ordinal (−1: query start).
         let mut tables = vec![(-1i64, profile_table(&inst))];
-        let mut run = inst.prepare_run(&query(), false).unwrap();
+        let mut run = inst.prepare_run(&query(0.9), false).unwrap();
         loop {
             let from = run.phase();
             match inst.step_run(&mut run).unwrap() {
                 StepOutcome::Done(out) => {
-                    assert_eq!(raw_rows(&out), raw_rows(&base_out), "kill at {t}");
+                    assert_eq!(out.solutions, base_out.solutions, "kill at {t}");
                     break;
                 }
                 StepOutcome::Recovered { resumed_ordinal, .. } => {

@@ -6,28 +6,22 @@
 //! The contract is the same result equivalence the rest of the chaos
 //! suite enforces: however hard the tiers churn and whatever the fault
 //! schedule does, a query returns byte-identical rows to an all-DRAM
-//! fault-free baseline. CI sweeps `CHAOS_SEED` over the fixed matrix;
-//! locally, every seed runs in one pass when the variable is unset.
+//! fault-free baseline, at every seed.
+
+mod chaos;
+mod docked;
+mod ncnpr;
 
 use bytes::Bytes;
-use ids::cache::{BackingStore, CacheConfig, CacheManager, EvictionKind};
-use ids::core::workflow::{
-    install_workflow, repurposing_query, RepurposingThresholds, WorkflowModels,
-};
-use ids::core::{IdsConfig, IdsInstance, QueryOutcome};
-use ids::simrt::faults::{CrashConfig, StorageConfig};
+use chaos::SEEDS;
+use docked::extract;
+use ids::cache::{CacheConfig, CacheManager, EvictionKind};
+use ids::core::IdsInstance;
+use ids::simrt::faults::StorageConfig;
 use ids::simrt::topology::{NodeId, RankId};
-use ids::simrt::{FaultConfig, FaultPlane, NetworkModel, Topology};
-use ids::workloads::ncnpr::{build, Band, NcnprConfig};
+use ids::simrt::{FaultConfig, FaultPlane, Topology};
+use ncnpr::query;
 use std::sync::Arc;
-
-/// The CI seed matrix (ci.sh runs one seed per job via `CHAOS_SEED`).
-fn chaos_seeds() -> Vec<u64> {
-    match std::env::var("CHAOS_SEED") {
-        Ok(s) => vec![s.parse().expect("CHAOS_SEED must be an unsigned integer")],
-        Err(_) => (1..=8).collect(),
-    }
-}
 
 /// One eviction policy per seed so the full matrix covers all three
 /// without tripling its runtime.
@@ -43,30 +37,8 @@ fn policy_for(seed: u64) -> EvictionKind {
 /// `chaos_faults.rs` for the scaling rationale).
 fn tier_chaos() -> FaultConfig {
     FaultConfig {
-        crash: Some(CrashConfig { mean_uptime_secs: 2.0e-3, mean_downtime_secs: 0.5e-3 }),
         storage: Some(StorageConfig { bit_rot_prob: 0.05, torn_write_prob: 0.0 }),
-        ..FaultConfig::none()
-    }
-}
-
-fn small_config() -> NcnprConfig {
-    NcnprConfig {
-        bands: vec![
-            Band {
-                mutation_rate: 0.0,
-                similarity_range: None,
-                proteins: 3,
-                compounds_per_protein: 4,
-            },
-            Band {
-                mutation_rate: 0.62,
-                similarity_range: Some((0.21, 0.39)),
-                proteins: 5,
-                compounds_per_protein: 2,
-            },
-        ],
-        background_proteins: 10,
-        ..NcnprConfig::default()
+        ..FaultConfig::crashes_only(2.0e-3, 0.5e-3)
     }
 }
 
@@ -77,24 +49,10 @@ fn launch(
     cache_cfg: CacheConfig,
     faults: Option<(u64, FaultConfig)>,
 ) -> (IdsInstance, Arc<CacheManager>) {
-    let cache = Arc::new(CacheManager::new(
-        topo,
-        NetworkModel::slingshot(),
-        cache_cfg,
-        BackingStore::default_store(),
-    ));
-    let mut cfg = IdsConfig::laptop(topo.total_ranks(), 11);
-    cfg.topology = topo;
-    let mut inst = IdsInstance::launch(cfg);
-    inst.attach_cache(Arc::clone(&cache));
-    if let Some((seed, fc)) = faults {
-        let plane = Arc::new(FaultPlane::new(seed, fc, topo.nodes(), topo.total_ranks(), 10.0));
-        inst.attach_faults(plane);
-    }
-    let dataset = build(inst.datastore(), &small_config());
-    let target = dataset.target.clone();
-    install_workflow(&mut inst, &target, WorkflowModels::test_models());
-    (inst, cache)
+    let cache = ncnpr::cache(topo, cache_cfg);
+    let plane =
+        faults.map(|(seed, fc)| FaultPlane::new(seed, fc, topo.nodes(), topo.total_ranks(), 10.0));
+    (ncnpr::launch(topo, Some(Arc::clone(&cache)), plane), cache)
 }
 
 /// An all-DRAM config: tiers so large nothing ever spills.
@@ -109,31 +67,9 @@ fn tier_pressure(eviction: EvictionKind) -> CacheConfig {
     CacheConfig::new(2, 512, 64 << 10).with_eviction(eviction)
 }
 
-fn query() -> String {
-    repurposing_query(&RepurposingThresholds { sw_similarity: 0.9, min_pic50: 3.0, min_dtba: 3.0 })
-}
-
-/// Sorted (compound, energy) rows, as in the rest of the chaos suite.
-fn extract(o: &QueryOutcome, inst: &IdsInstance) -> Vec<(String, String)> {
-    let ds = inst.datastore();
-    let mut v: Vec<(String, String)> = o
-        .solutions
-        .rows()
-        .iter()
-        .map(|r| {
-            (
-                ds.decode(r[1]).unwrap().to_string(),
-                format!("{:.12}", ds.decode(r[2]).unwrap().as_f64().unwrap()),
-            )
-        })
-        .collect();
-    v.sort();
-    v
-}
-
 fn baseline() -> Vec<(String, String)> {
     let (mut inst, _) = launch(Topology::new(4, 2), all_dram(), None);
-    let out = inst.query(&query()).unwrap();
+    let out = inst.query(&query(0.9)).unwrap();
     extract(&out, &inst)
 }
 
@@ -141,20 +77,20 @@ fn baseline() -> Vec<(String, String)> {
 fn tier_pressure_chaos_matrix_preserves_results() {
     let expected = baseline();
     assert_eq!(expected.len(), 12, "3 proteins x 4 compounds");
-    for seed in chaos_seeds() {
+    for seed in SEEDS {
         let eviction = policy_for(seed);
         let (mut inst, cache) =
             launch(Topology::new(4, 2), tier_pressure(eviction), Some((seed, tier_chaos())));
         let ctx = format!("seed {seed} policy {}", eviction.label());
         let cold = inst
-            .query(&query())
+            .query(&query(0.9))
             .unwrap_or_else(|e| panic!("{ctx}: tier-pressure chaos run failed: {e}"));
         assert!(!cold.degraded(), "{ctx}: fault paths must not drop rows");
         assert_eq!(extract(&cold, &inst), expected, "{ctx}: cold divergence");
         // The warm pass reuses (and promotes) whatever pressure left
         // resident, under the same fault schedule.
         inst.reset_clocks();
-        let warm_run = inst.query(&query()).unwrap();
+        let warm_run = inst.query(&query(0.9)).unwrap();
         assert_eq!(extract(&warm_run, &inst), expected, "{ctx}: warm divergence");
         // Prove the run actually lived under tier pressure: the NVMe
         // plane must have been engaged, not just configured.
@@ -176,14 +112,10 @@ fn crash_recovery_under_tier_pressure_keeps_objects_byte_identical() {
     // NVMe retention.
     let topo = Topology::new(2, 4);
     let payload = |i: usize, seed: u64| Bytes::from(vec![(i as u8) ^ (seed as u8); 512]);
-    for seed in chaos_seeds() {
-        let cache = CacheManager::new(
-            topo,
-            NetworkModel::slingshot(),
-            // 64 objects x 512 B = 32 KiB working set over 8 KiB DRAM.
-            CacheConfig::new(2, 8 << 10, 64 << 10).with_eviction(policy_for(seed)),
-            BackingStore::default_store(),
-        );
+    for seed in SEEDS {
+        // 64 objects x 512 B = 32 KiB working set over 8 KiB DRAM.
+        let cfg = CacheConfig::new(2, 8 << 10, 64 << 10).with_eviction(policy_for(seed));
+        let cache = ncnpr::cache(topo, cfg);
         cache.attach_faults(Arc::new(FaultPlane::new(
             seed,
             FaultConfig::storage_only(0.1, 0.0),

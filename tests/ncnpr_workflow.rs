@@ -1,56 +1,20 @@
 //! Integration: the NCNPR drug-re-purposing workflow, spanning
 //! ids-workloads, ids-core, ids-models, and ids-cache.
 
-use ids::cache::{BackingStore, CacheConfig, CacheManager};
-use ids::core::workflow::{
-    docking_object_name, install_workflow, repurposing_query, RepurposingThresholds, WorkflowModels,
-};
-use ids::core::{IdsConfig, IdsInstance};
-use ids::simrt::{NetworkModel, Topology};
-use ids::workloads::ncnpr::{build, Band, NcnprConfig};
+mod docked;
+mod ncnpr;
+
+use docked::extract;
+use ids::cache::CacheConfig;
+use ids::core::workflow::{docking_object_name, repurposing_query, RepurposingThresholds};
+use ids::core::IdsInstance;
+use ids::simrt::Topology;
+use ncnpr::{cache, launch, query};
 use std::sync::Arc;
-
-fn small_config() -> NcnprConfig {
-    NcnprConfig {
-        bands: vec![
-            Band {
-                mutation_rate: 0.0,
-                similarity_range: None,
-                proteins: 3,
-                compounds_per_protein: 4,
-            },
-            Band {
-                mutation_rate: 0.62,
-                similarity_range: Some((0.21, 0.39)),
-                proteins: 5,
-                compounds_per_protein: 2,
-            },
-        ],
-        background_proteins: 10,
-        ..NcnprConfig::default()
-    }
-}
-
-fn launch(topo: Topology, cache: Option<Arc<CacheManager>>) -> IdsInstance {
-    let mut cfg = IdsConfig::laptop(topo.total_ranks(), 11);
-    cfg.topology = topo;
-    let mut inst = IdsInstance::launch(cfg);
-    if let Some(c) = cache {
-        inst.attach_cache(c);
-    }
-    let dataset = build(inst.datastore(), &small_config());
-    let target = dataset.target.clone();
-    install_workflow(&mut inst, &target, WorkflowModels::test_models());
-    inst
-}
-
-fn query(sw: f64) -> String {
-    repurposing_query(&RepurposingThresholds { sw_similarity: sw, min_pic50: 3.0, min_dtba: 3.0 })
-}
 
 #[test]
 fn tight_threshold_selects_only_the_near_identical_band() {
-    let mut inst = launch(Topology::new(1, 4), None);
+    let mut inst = launch(Topology::new(1, 4), None, None);
     let out = inst.query(&query(0.9)).unwrap();
     assert_eq!(out.solutions.len(), 12, "3 proteins x 4 compounds");
     // Every output row carries a finite docking energy.
@@ -63,7 +27,7 @@ fn tight_threshold_selects_only_the_near_identical_band() {
 
 #[test]
 fn loose_threshold_adds_the_low_band() {
-    let mut inst = launch(Topology::new(1, 4), None);
+    let mut inst = launch(Topology::new(1, 4), None, None);
     let out = inst.query(&query(0.2)).unwrap();
     assert_eq!(out.solutions.len(), 12 + 10, "both bands");
 }
@@ -72,7 +36,7 @@ fn loose_threshold_adds_the_low_band() {
 fn background_proteins_never_reach_docking() {
     // Background proteins are unreviewed — the reviewed pattern excludes
     // them regardless of threshold.
-    let mut inst = launch(Topology::new(1, 4), None);
+    let mut inst = launch(Topology::new(1, 4), None, None);
     let out = inst.query(&query(0.0)).unwrap();
     assert_eq!(out.solutions.len(), 22, "bands only, never the background");
 }
@@ -82,36 +46,15 @@ fn cached_and_uncached_runs_agree_exactly() {
     // Determinism contract: a cache hit must be indistinguishable from
     // re-execution.
     let topo = Topology::new(2, 2);
-    let cache = Arc::new(CacheManager::new(
-        topo,
-        NetworkModel::slingshot(),
-        CacheConfig::new(2, 64 << 20, 256 << 20),
-        BackingStore::default_store(),
-    ));
-    let mut cached = launch(topo, Some(Arc::clone(&cache)));
+    let mut cached =
+        launch(topo, Some(cache(topo, CacheConfig::new(2, 64 << 20, 256 << 20))), None);
     let cold = cached.query(&query(0.9)).unwrap();
     cached.reset_clocks();
     let warm = cached.query(&query(0.9)).unwrap();
 
-    let mut uncached_inst = launch(topo, None);
+    let mut uncached_inst = launch(topo, None, None);
     let plain = uncached_inst.query(&query(0.9)).unwrap();
 
-    let extract = |o: &ids::core::QueryOutcome, inst: &IdsInstance| -> Vec<(String, String)> {
-        let ds = inst.datastore();
-        let mut v: Vec<(String, String)> = o
-            .solutions
-            .rows()
-            .iter()
-            .map(|r| {
-                (
-                    ds.decode(r[1]).unwrap().to_string(),
-                    format!("{:.12}", ds.decode(r[2]).unwrap().as_f64().unwrap()),
-                )
-            })
-            .collect();
-        v.sort();
-        v
-    };
     let a = extract(&cold, &cached);
     let b = extract(&warm, &cached);
     let c = extract(&plain, &uncached_inst);
@@ -124,13 +67,8 @@ fn cached_and_uncached_runs_agree_exactly() {
 #[test]
 fn docking_outputs_are_stashed_under_stable_names() {
     let topo = Topology::new(1, 4);
-    let cache = Arc::new(CacheManager::new(
-        topo,
-        NetworkModel::slingshot(),
-        CacheConfig::new(1, 64 << 20, 256 << 20),
-        BackingStore::default_store(),
-    ));
-    let mut inst = launch(topo, Some(Arc::clone(&cache)));
+    let cache = cache(topo, CacheConfig::new(1, 64 << 20, 256 << 20));
+    let mut inst = launch(topo, Some(Arc::clone(&cache)), None);
     let out = inst.query(&query(0.9)).unwrap();
     // Each docked compound's object is findable by its derived name.
     let ds = inst.datastore();
@@ -146,7 +84,7 @@ fn docking_outputs_are_stashed_under_stable_names() {
 
 #[test]
 fn udf_profilers_see_the_whole_chain() {
-    let mut inst = launch(Topology::new(1, 4), None);
+    let mut inst = launch(Topology::new(1, 4), None, None);
     inst.query(&query(0.9)).unwrap();
     let total =
         |name: &str| -> u64 { inst.profilers().filter_map(|p| p.get(name)).map(|p| p.calls).sum() };
@@ -261,7 +199,7 @@ fn prepared_args_persist_across_queries_and_ingest() {
         min_dtba: -1.0e9,
     });
     let topo = Topology::new(2, 4);
-    let mut inst = launch(topo, None);
+    let mut inst = launch(topo, None, None);
     // Band 0's three proteins share the target's sequence: one term.
     let sequences = 1 + 5;
     let (ligands, proteins) = filter_inputs(&mut inst);
@@ -293,7 +231,7 @@ fn prepared_args_persist_across_queries_and_ingest() {
         assert_eq!(prepares(&inst, udf), n, "{udf}: the ingested terms, and only those");
     }
 
-    let mut fresh = launch(topo, None);
+    let mut fresh = launch(topo, None, None);
     ingest_new_candidates(&fresh);
     let want = fresh.query(&text).unwrap();
     assert_eq!(decoded_rows(&inst, &after), decoded_rows(&fresh, &want));
@@ -305,7 +243,7 @@ fn prepared_args_persist_across_queries_and_ingest() {
 /// query docked — with the same rows.
 #[test]
 fn prepared_args_persist_docking_once_per_ligand() {
-    let mut inst = launch(Topology::new(2, 4), None);
+    let mut inst = launch(Topology::new(2, 4), None, None);
     let text = query(0.2);
     let docking_calls = |inst: &IdsInstance| -> u64 {
         inst.profilers().filter_map(|p| p.get("vina_docking")).map(|p| p.calls).sum()
@@ -332,7 +270,7 @@ fn prepared_args_persist_docking_once_per_ligand() {
 #[test]
 fn metrics_reads_never_move_planning() {
     let twin = || {
-        let mut inst = launch(Topology::new(1, 4), None);
+        let mut inst = launch(Topology::new(1, 4), None, None);
         inst.exec_options_mut().adaptive = true;
         inst
     };
@@ -358,7 +296,7 @@ fn metrics_reads_never_move_planning() {
 #[test]
 fn metric_series_do_not_scale_with_ranks() {
     let keys = |ranks: u32| {
-        let mut inst = launch(Topology::new(1, ranks), None);
+        let mut inst = launch(Topology::new(1, ranks), None, None);
         inst.query(&query(0.9)).unwrap();
         let snap = inst.metrics_snapshot();
         let keys: Vec<String> = snap
