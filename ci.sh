@@ -69,6 +69,18 @@ taskset -c 0 scripts/cargo-test-filtered.sh --release --test ncnpr_workflow -- p
 scripts/cargo-test-filtered.sh --release --test alloc_budget -- a_full_ncnpr_filter_row
 taskset -c 0 scripts/cargo-test-filtered.sh --release --test alloc_budget -- a_full_ncnpr_filter_row
 
+echo "==> UDF stage bookkeeping vs its references (ids-udf + root, release)"
+# The throughput re-balance's selection of the largest remainders against
+# the full sort it replaced (ties, k = 0, k = ranks - 1, the count-based
+# fallback, and random rates over up to 2 048 ranks). Then every rank's
+# UDF profile cells and the column order after three NCNPR queries at 64
+# and 4 ranks, against the digest of the executor that recorded into a
+# copy of the whole table. Once on every core, once pinned to one.
+scripts/cargo-test-filtered.sh -p ids-udf --release -- rebalance::tests
+taskset -c 0 scripts/cargo-test-filtered.sh -p ids-udf --release -- rebalance::tests
+scripts/cargo-test-filtered.sh --release --test ncnpr_workflow -- profile_table
+taskset -c 0 scripts/cargo-test-filtered.sh --release --test ncnpr_workflow -- profile_table
+
 echo "==> BGP-kernel exactness at full size (ids-graph + ids-core, release)"
 # The column-at-a-time scan, hash join, gather/append, repartition and
 # result gather against the row-at-a-time loops they replaced (rows,

@@ -18,16 +18,16 @@ use ids_graph::stage::offsets_from_counts;
 use ids_graph::{Dictionary, StageBatch, TermId};
 use ids_obs::MetricsRegistry;
 use ids_simrt::pool::map_shards_with;
-use ids_simrt::sync::lock;
-use ids_simrt::{Cluster, Fanout, RankId, SpeculationReport};
+use ids_simrt::{Cluster, Fanout, RankCtx, RankId, SpeculationReport};
 use ids_udf::expr::EvalCtx;
+use ids_udf::reorder::{estimate_columns, ConjunctEstimate};
 use ids_udf::{
-    order_by_udfs, plan_count_based, plan_throughput_based, ArgMemo, EvalError, Expr, ProfileRow,
-    ProfileRowMut, ProfileTable, UdfRegistry, UdfValue,
+    order_by_estimates, plan_count_based, plan_throughput_based, ArgMemo, EvalError, Expr,
+    ProfileTable, UdfProfile, UdfRegistry, UdfValue,
 };
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 thread_local! {
     static CURRENT_RANK: Cell<u32> = const { Cell::new(0) };
@@ -78,48 +78,64 @@ struct RankPlans {
 /// distinct orders its ranks settled on.
 struct OrderWorker {
     id: usize,
-    est: Vec<ids_udf::reorder::ConjunctEstimate>,
+    est: Vec<ConjunctEstimate>,
     order: Vec<usize>,
     seen: Vec<Vec<usize>>,
 }
 
 impl RankPlans {
-    /// Plans for every row of `profiles` through `expr`, on the shard
-    /// pool. A row is priced at the nominal [`EVAL_SECS_PER_ROW`], not at the
+    /// Plans for every row of `profiles` through `expr`. A row is priced
+    /// at the nominal [`EVAL_SECS_PER_ROW`], not at the
     /// batch-amortized charge the stage actually pays: the rebalance
     /// targets, and every row placement and virtual time downstream of
     /// them, are calibrated against the nominal rate. The expected cost
     /// honours short-circuiting: conjuncts in the rank's order, each
     /// weighted by the chance the earlier ones passed.
+    ///
+    /// Every rank gets a rate, rows or not: the re-balance targets need
+    /// them all. So each conjunct's UDFs are resolved to profile columns
+    /// once, here, and a rank reads its cells by index. A lone expression
+    /// costs a few loads per rank, less than a pool phase, so its rates
+    /// are a loop on this thread; a conjunction's orders run on the shard
+    /// pool.
     fn new(expr: &Expr, profiles: &ProfileTable, opts: &ExecOptions) -> Self {
         let conjuncts = match expr {
             Expr::And(conjuncts) => Some(conjuncts),
             _ => None,
         };
-        // Each conjunct's UDFs (or the whole expression's), resolved once.
-        let udfs: Vec<Vec<&str>> = match conjuncts {
-            Some(c) => c.iter().map(Expr::udf_names).collect(),
-            None => vec![expr.udf_names()],
+        let columns_of = |e: &Expr| {
+            let mut columns = Vec::new();
+            e.for_each_udf(&mut |u| columns.push(profiles.column(u)));
+            columns
         };
-        let cost = |p: ProfileRow<'_>, names: &[&str]| -> f64 {
-            names.iter().map(|n| p.estimated_cost(n, opts.udf_cost_prior)).sum()
+        let (cost_prior, rejection_prior) = (opts.udf_cost_prior, UDF_REJECTION_PRIOR);
+        let rate = |per_solution: f64| 1.0 / per_solution.max(1.0e-12);
+        let Some(conjuncts) = conjuncts else {
+            let udfs = columns_of(expr);
+            let rates = profiles
+                .rows()
+                .map(|p| {
+                    let cost: f64 = udfs.iter().map(|&c| p.estimated_cost_at(c, cost_prior)).sum();
+                    rate(EVAL_SECS_PER_ROW + cost)
+                })
+                .collect();
+            return Self { rates, orders: Vec::new(), pick: Vec::new() };
         };
+        // Each conjunct's UDF columns.
+        let udfs: Vec<Vec<Option<usize>>> = conjuncts.iter().map(columns_of).collect();
         let init = |id| OrderWorker { id, est: Vec::new(), order: Vec::new(), seen: Vec::new() };
         let (per_rank, workers) = map_shards_with(profiles.ranks(), Fanout::Host, init, |w, r| {
             let p = profiles.row(r);
             let mut per_solution = EVAL_SECS_PER_ROW;
-            if conjuncts.is_none() {
-                per_solution += cost(p, &udfs[0]);
-                return (w.id, 0, 1.0 / per_solution.max(1.0e-12));
-            }
-            let prior = UDF_REJECTION_PRIOR;
-            order_by_udfs(&udfs, p, |_| opts.udf_cost_prior, prior, &mut w.est, &mut w.order);
+            w.est.clear();
+            w.est.extend(udfs.iter().map(|c| estimate_columns(c, p, cost_prior, rejection_prior)));
+            order_by_estimates(&w.est, &mut w.order);
+            // A conjunct without UDFs orders as a near-free, even bet, and
+            // in the chain is free and rejects nothing.
             let mut survive = 1.0;
-            for &i in &w.order {
-                let rej =
-                    udfs[i].iter().map(|n| p.estimated_rejection(n, prior)).fold(0.0, f64::max);
-                per_solution += survive * cost(p, &udfs[i]);
-                survive *= 1.0 - rej;
+            for &i in w.order.iter().filter(|&&i| !udfs[i].is_empty()) {
+                per_solution += survive * w.est[i].cost;
+                survive *= 1.0 - w.est[i].rejection;
             }
             let k = match w.seen.iter().position(|o| *o == w.order) {
                 Some(k) => k,
@@ -128,12 +144,9 @@ impl RankPlans {
                     w.seen.len() - 1
                 }
             };
-            (w.id, k, 1.0 / per_solution.max(1.0e-12))
+            (w.id, k, rate(per_solution))
         });
         let rates = per_rank.iter().map(|&(_, _, rate)| rate).collect();
-        let Some(conjuncts) = conjuncts else {
-            return Self { rates, orders: Vec::new(), pick: Vec::new() };
-        };
         // Merge the workers' distinct orders; a rank's entry depends only
         // on its order, never on which worker met it first.
         let mut orders: Vec<(Vec<usize>, Expr)> = Vec::new();
@@ -308,19 +321,63 @@ impl RankDegradation {
     }
 }
 
-/// One rank's share of a FILTER/APPLY stage as its worker returns it: the
-/// rank's output plus its fatal errors, degradation annotations and the
-/// batches it dispatched. The calling thread merges the parts in rank
-/// order, so error text, annotation order and batch series never depend on
-/// which host thread ran which rank.
-struct RankPart<T> {
-    out: T,
+/// One pool worker's share of a FILTER/APPLY stage: the outputs of the
+/// ranks it ran, and the copy of each one's profile row it recorded into,
+/// each rank's after the last. A stage costs a few buffers per worker,
+/// not per rank.
+struct StageWorker<T> {
+    id: u32,
+    out: Vec<T>,
+    /// `width` cells per rank with rows, in the order the worker ran them.
+    cells: Vec<UdfProfile>,
+}
+
+/// Where one rank's share of a stage landed in its worker's buffers, the
+/// batches it dispatched and what went wrong, if anything. A rank without
+/// rows returns the default part, without allocating.
+#[derive(Default)]
+struct RankPart {
+    worker: u32,
+    /// The rank's outputs: `out[out.0..out.0 + out.1]` of its worker.
+    out: (u32, u32),
+    /// The rank's profile row: the `slot`-th in its worker's `cells`.
+    /// `None` for a rank without rows, which records nothing.
+    slot: Option<u32>,
+    batches: u32,
+    trouble: Option<Box<RankTrouble>>,
+}
+
+/// What went wrong on one rank: its fatal errors, the error it stopped
+/// with when it ran out of its stage deadline (which comes after every one
+/// in `errors`), and its degradation annotations.
+struct RankTrouble {
     errors: Vec<String>,
-    /// The error the rank stopped with when it ran out of its stage
-    /// deadline; it comes after every one in `errors`.
     deadline: Option<String>,
     annotations: Vec<ErrorAnnotation>,
-    batches: usize,
+}
+
+/// What a FILTER/APPLY stage kept: every rank's outputs, read in rank
+/// order from the buffers of the workers that made them.
+struct StageOutput<T> {
+    workers: Vec<StageWorker<T>>,
+    /// Per rank: its worker and its outputs' start and count there.
+    ranks: Vec<(u32, u32, u32)>,
+}
+
+impl<T> StageOutput<T> {
+    /// Rank offsets of the outputs; `None` past the `u32` row space.
+    fn offsets(&self) -> Result<Vec<u32>, ExecError> {
+        offsets_from_counts(self.ranks.iter().map(|&(_, _, n)| n as usize))
+            .ok_or_else(stage_overflow)
+    }
+
+    /// Every output, ranks in order, each rank's in the order it made
+    /// them.
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.ranks.iter().flat_map(|&(w, start, n)| {
+            &self.workers[w as usize].out[start as usize..(start + n) as usize]
+        })
+    }
 }
 
 /// A FILTER or APPLY stage as [`PlanRun::step_udf`](super::PlanRun) runs
@@ -397,8 +454,9 @@ fn run_filter_stage(
         cx.metrics.counter_with("ids_engine_reorder_decisions_total", "decision", "kept");
     let plans = plans.filter(|_| reorder);
     if let Some(p) = &plans {
-        let written = |r: &usize| p.orders[p.pick[*r]].0.iter().enumerate().all(|(k, &i)| k == i);
-        let kept = (0..p.pick.len()).filter(written).count() as u64;
+        let written: Vec<bool> =
+            p.orders.iter().map(|(o, _)| o.iter().enumerate().all(|(k, &i)| k == i)).collect();
+        let kept = p.pick.iter().filter(|&&o| written[o]).count() as u64;
         kept_ctr.add(kept);
         reordered_ctr.add(p.pick.len() as u64 - kept);
     }
@@ -414,8 +472,10 @@ fn run_filter_stage(
             Ok(local_expr.eval_bool(bindings, ecx)?.then_some(row))
         },
     )?;
-    let offsets = offsets_from_counts(kept.iter().map(Vec::len)).ok_or_else(stage_overflow)?;
-    Ok((solutions.gather(&kept.concat(), offsets), rebalance))
+    let offsets = kept.offsets()?;
+    let mut sel = Vec::with_capacity(offsets[offsets.len() - 1] as usize);
+    sel.extend(kept.iter().copied());
+    Ok((solutions.gather(&sel, offsets), rebalance))
 }
 
 /// An APPLY output as a worker hands it back: an existing term id, or a
@@ -463,15 +523,15 @@ fn run_apply_stage(
         run_udf_stage(cx, solutions, rates, &call, "apply", &label, |_, row, bindings, ecx| {
             Ok(Bound::of(call.eval(bindings, ecx)?).map(|b| (row, b)))
         })?;
-    let offsets = offsets_from_counts(bound.iter().map(Vec::len)).ok_or_else(stage_overflow)?;
+    let offsets = bound.offsets()?;
     let rows = offsets[offsets.len() - 1] as usize;
     let (mut sel, mut ids) = (Vec::with_capacity(rows), Vec::with_capacity(rows));
-    for (i, b) in bound.into_iter().flatten() {
-        sel.push(i);
+    for (i, b) in bound.iter() {
+        sel.push(*i);
         ids.push(
             match b {
-                Bound::Id(id) => id,
-                Bound::Term(term) => cx.dict.encode(&term),
+                Bound::Id(id) => *id,
+                Bound::Term(term) => cx.dict.encode(term),
             }
             .raw(),
         );
@@ -493,8 +553,8 @@ fn run_apply_stage(
 /// [`ExecOptions::degrade`] on, rows that still fail (or fall past the
 /// stage deadline) are dropped and annotated instead of failing the query.
 /// Workers read their rank's segment in place; the caller builds the next
-/// stage from the re-balanced rows and each rank's outputs, returned in
-/// rank order with the virtual seconds spent re-balancing.
+/// stage from the re-balanced rows and the ranks' outputs, read in rank
+/// order, returned with the virtual seconds spent re-balancing.
 fn run_udf_stage<T: Send, F>(
     cx: &mut UdfStageCx<'_>,
     solutions: StageBatch,
@@ -503,7 +563,7 @@ fn run_udf_stage<T: Send, F>(
     kind: &str,
     label: &str,
     row: F,
-) -> Result<(StageBatch, Vec<Vec<T>>, f64), ExecError>
+) -> Result<(StageBatch, StageOutput<T>, f64), ExecError>
 where
     F: Fn(usize, u32, &RowBindings<'_>, &mut EvalCtx<'_>) -> Result<Option<T>, EvalError> + Sync,
 {
@@ -518,39 +578,43 @@ where
     // lookups, dispatch), amortized across a batch; the UDF's own charged
     // time is real work and is never amortized.
     let eval_overhead = EVAL_SECS_PER_ROW / EVAL_AMORTIZATION;
-    // The stage records into a copy of the table, made here before the
-    // fan-out with a column for every UDF the stage calls (interned on
-    // this thread, so no column depends on the schedule), and committed
-    // only when the stage succeeds. Each rank's worker holds its own row.
-    let mut staged = profiles.clone();
-    calls.for_each_udf(&mut |u| staged.intern(u));
+    // The table's columns plus one for every UDF the stage calls, named on
+    // this thread so no column depends on the schedule. Each rank with
+    // rows records into a copy of its own row; the caller commits the
+    // rows and the new columns only when the stage succeeds.
+    let udfs = calls.udf_names();
+    let columns = profiles.stage_columns(udfs.iter().copied());
     // Each column's prepared UDF resolved once, here, for every row.
-    let memo = memo.stage(registry, &staged);
-    let rows: Vec<Mutex<ProfileRowMut<'_>>> = staged.rows_mut().map(Mutex::new).collect();
+    let memo = memo.stage(registry, columns.names());
     // Ranks run concurrently in no fixed order, so the stage keeps to one
     // worker — the calling thread, ranks in order — whenever call order is
     // observable: with a cache attached (the cache-aware UDFs move LRU and
     // tier state and draw faults per call) or while a called dynamic UDF
     // is not yet loaded (its first caller pays the module-load charge).
-    let serial = cx.cache.is_some() || !calls.udf_names().iter().all(|u| registry.is_loaded(u));
+    let serial = cx.cache.is_some() || !udfs.iter().all(|u| registry.is_loaded(u));
     let fanout = if serial { Fanout::One } else { Fanout::Host };
 
-    let (parts, spec) = cx.cluster.execute_with_speculation(opts.speculation, fanout, |ctx| {
+    let width = columns.names().len();
+    let init = |id: usize| StageWorker { id: id as u32, out: Vec::new(), cells: Vec::new() };
+    let rank = |w: &mut StageWorker<T>, ctx: &mut RankCtx| {
         let r = ctx.rank().index();
-        set_current_rank(ctx.rank());
         let input = solutions.segment(r);
+        let n_rows = input.len();
+        if n_rows == 0 {
+            return RankPart::default();
+        }
+        set_current_rank(ctx.rank());
         let base = solutions.rank_offsets()[r];
-        let mut out: Vec<T> = Vec::new();
+        let StageWorker { id, out, cells } = w;
+        let out_start = out.len();
+        let slot = cells.len() / width.max(1);
+        let mut profile = columns.push_row(profiles, r, cells);
         let mut errors = Vec::new();
         let mut deadline = None;
         let mut deg = RankDegradation::default();
-        // A row poisoned by a panicking worker belongs to a failed stage,
-        // which never commits its profiles.
-        let mut profile = lock(&rows[r]);
 
         let mut spent = 0.0f64;
         let mut batches = 0;
-        let n_rows = input.len();
         for i in 0..n_rows {
             // Batch boundary: the engine dispatches the stage once per
             // batch of rows, not once per row.
@@ -621,39 +685,50 @@ where
                 }
             }
         }
+        let annotations = deg.into_annotations(label, r, opts.stage_deadline_secs);
+        let failed = !errors.is_empty() || deadline.is_some() || !annotations.is_empty();
         RankPart {
-            out,
-            errors,
-            deadline,
-            annotations: deg.into_annotations(label, r, opts.stage_deadline_secs),
+            worker: *id,
+            // A stage's rows fit the `u32` row space, and so do its
+            // outputs and its ranks.
+            out: (out_start as u32, (out.len() - out_start) as u32),
+            slot: Some(slot as u32),
             batches,
+            trouble: failed.then(|| Box::new(RankTrouble { errors, deadline, annotations })),
         }
-    });
-    batch_meter
-        .record(parts.iter().enumerate().map(|(r, p)| (solutions.segment(r).len(), p.batches)));
+    };
+    let (parts, workers, spec) =
+        cx.cluster.execute_with_state(opts.speculation, fanout, init, rank);
+    batch_meter.record(
+        parts.iter().enumerate().map(|(r, p)| (solutions.segment_len(r), p.batches as usize)),
+    );
     note_speculation(cx.recovery, metrics, &spec);
     close_phase(cx.cluster, opts);
 
     // Any error fails the stage with the first one in rank order (and the
     // total count) — a stage deadline error if that first one is a rank's
-    // deadline; otherwise the annotations join the run's.
-    let mut failures = parts.iter().flat_map(|p| {
-        p.errors.iter().map(|e| (e, false)).chain(p.deadline.iter().map(|e| (e, true)))
+    // deadline; otherwise the profiles commit and the annotations join
+    // the run's.
+    let mut failures = parts.iter().filter_map(|p| p.trouble.as_deref()).flat_map(|t| {
+        t.errors.iter().map(|e| (e, false)).chain(t.deadline.iter().map(|e| (e, true)))
     });
     if let Some((first, deadline)) = failures.next() {
         let text = format!("{first} ({} total failures)", 1 + failures.count());
         return Err(if deadline { ExecError::StageDeadline(text) } else { ExecError::msg(text) });
     }
-    let outs = parts
-        .into_iter()
-        .map(|p| {
-            cx.annotations.extend(p.annotations);
-            p.out
-        })
-        .collect();
-    drop(rows);
-    *cx.profiles = staged;
-    Ok((solutions, outs, rebalance))
+    cx.profiles.widen(&columns);
+    let mut ranks = Vec::with_capacity(parts.len());
+    for (r, p) in parts.into_iter().enumerate() {
+        if let Some(trouble) = p.trouble {
+            cx.annotations.extend(trouble.annotations);
+        }
+        if let Some(slot) = p.slot {
+            let at = slot as usize * width;
+            cx.profiles.set_row(r, &workers[p.worker as usize].cells[at..at + width]);
+        }
+        ranks.push((p.worker, p.out.0, p.out.1));
+    }
+    Ok((solutions, StageOutput { workers, ranks }, rebalance))
 }
 
 #[cfg(test)]

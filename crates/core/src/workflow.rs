@@ -902,7 +902,7 @@ mod tests {
             for e in [&sw, &pic50, &dtba, &docking] {
                 e.for_each_udf(&mut |u| profiles.intern(u));
             }
-            let stage = memo.stage(&registry, &profiles);
+            let stage = memo.stage(&registry, profiles.columns());
             let mut seen = std::collections::HashSet::new();
             let mut ligands = std::collections::HashSet::new();
             let mut proteins = std::collections::HashSet::new();

@@ -355,20 +355,25 @@ impl StageBatch {
         let ranks = self.ranks();
         assert_eq!(targets.len(), ranks, "one target per rank");
         let target = |r: usize| usize::try_from(targets[r]).unwrap_or(usize::MAX);
+        let keep = |r: usize| self.segment_len(r).min(target(r));
         let mut moved_bytes = vec![0u64; ranks];
-        // Shipped rows, ranks in order, then row order.
-        let mut surplus: Vec<u32> = Vec::new();
-        let mut fill: Vec<usize> = (0..ranks).map(|r| self.segment_len(r)).collect();
+        // One pass over the ranks: each one's kept rows, the shipped rows
+        // (ranks in order, then row order) and the ranks under target.
+        // Each sized for its most, so none regrows with the rank count.
+        let mut fill: Vec<usize> = Vec::with_capacity(ranks);
+        let mut surplus: Vec<u32> = Vec::with_capacity(self.len());
+        let mut deficits: Vec<usize> = Vec::with_capacity(ranks);
         for (r, bytes) in moved_bytes.iter_mut().enumerate() {
-            let range = self.segment_range(r);
-            if range.len() > target(r) {
-                *bytes = self.byte_size_at(r, range.len() - target(r));
-                surplus.extend(range.start as u32 + target(r) as u32..range.end as u32);
-                fill[r] = target(r);
+            let (range, t) = (self.segment_range(r), target(r));
+            if range.len() > t {
+                *bytes = self.byte_size_at(r, range.len() - t);
+                surplus.extend(range.start as u32 + t as u32..range.end as u32);
+            } else if range.len() < t {
+                deficits.push(r);
             }
+            fill.push(range.len().min(t));
         }
         // Deal the surplus: `dealt[k]` is the receiver of surplus row `k`.
-        let deficits: Vec<usize> = (0..ranks).filter(|&r| fill[r] < target(r)).collect();
         let mut dealt: Vec<u32> = Vec::with_capacity(surplus.len());
         if !deficits.is_empty() {
             let mut di = 0usize;
@@ -389,34 +394,36 @@ impl StageBatch {
         // The new order: each rank's kept rows, then the rows dealt to it
         // in surplus order (a stable counting sort of the dealt rows).
         let offsets = offsets_from_counts(fill.iter().copied())?;
-        let mut next: Vec<usize> =
-            (0..ranks).map(|r| offsets[r] as usize + self.segment_len(r).min(target(r))).collect();
         let mut perm = vec![0u32; offsets[ranks] as usize];
+        let mut next: Vec<usize> = Vec::with_capacity(ranks);
         for (r, &at) in offsets[..ranks].iter().enumerate() {
-            let (start, keep) = (self.offsets[r], self.segment_len(r).min(target(r)));
-            let slots = &mut perm[at as usize..at as usize + keep];
-            for (slot, row) in slots.iter_mut().zip(start..) {
+            let slots = &mut perm[at as usize..at as usize + keep(r)];
+            for (slot, row) in slots.iter_mut().zip(self.offsets[r]..) {
                 *slot = row;
             }
+            next.push(at as usize + slots.len());
         }
         for (&row, &to) in surplus.iter().zip(&dealt) {
             perm[next[to as usize]] = row;
             next[to as usize] += 1;
         }
-        // Widths: a rank keeps its own, and widens on a dealt wide id.
+        // Widths: a rank keeps its own (a narrow segment holds no wide id,
+        // so neither do its kept rows) and widens on a dealt wide id, so
+        // only the dealt rows of a column that holds wide ids are read.
         let mut wide: Vec<Vec<u32>> = Vec::with_capacity(self.cols.len());
         let mut cols = Vec::with_capacity(self.cols.len());
-        for (c, col) in self.cols.iter().enumerate() {
+        for (col, was_wide) in self.cols.iter().zip(&self.wide) {
             let src = col.as_slice();
-            let ranks_wide: Vec<u32> = (0..ranks)
-                .filter(|&r| {
-                    self.segment_width(r, c) == 8
-                        || perm[offsets[r] as usize..offsets[r + 1] as usize]
-                            .iter()
-                            .any(|&row| src.get(row as usize) > u64::from(u32::MAX))
-                })
-                .map(|r| r as u32)
-                .collect();
+            let mut ranks_wide = was_wide.clone();
+            if let ColumnSlice::U64(ids) = src {
+                let widened = surplus
+                    .iter()
+                    .zip(&dealt)
+                    .filter(|&(&row, _)| ids[row as usize] > u64::from(u32::MAX));
+                ranks_wide.extend(widened.map(|(_, &to)| to));
+                ranks_wide.sort_unstable();
+                ranks_wide.dedup();
+            }
             let mut out = if ranks_wide.is_empty() {
                 Column::U32(Vec::with_capacity(perm.len()))
             } else {

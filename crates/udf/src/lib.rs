@@ -42,8 +42,8 @@ pub mod value;
 
 pub use expr::{Bindings, EvalError, Expr};
 pub use memo::{ArgMemo, StageMemo};
-pub use profile::{ProfileRow, ProfileRowMut, ProfileTable, UdfProfile};
+pub use profile::{ProfileRow, ProfileRowMut, ProfileTable, StageColumns, UdfProfile};
 pub use rebalance::{estimate_completion, plan_count_based, plan_throughput_based, RebalancePlan};
 pub use registry::{UdfKind, UdfOutput, UdfRegistry};
-pub use reorder::{order_by_udfs, order_conjuncts};
+pub use reorder::{order_by_estimates, order_conjuncts};
 pub use value::{nan_comparison_count, UdfValue};

@@ -49,7 +49,6 @@
 //!
 //! [`Bindings::key`]: crate::expr::Bindings::key
 
-use crate::profile::ProfileTable;
 use crate::registry::{Form, PreparedInput, PreparedUdf, UdfOutput, UdfRegistry};
 use crate::value::UdfValue;
 use ids_obs::{Counter, MetricsRegistry};
@@ -147,15 +146,18 @@ impl ArgMemo {
     }
 
     /// Resolve a stage's UDFs once, on the calling thread before its
-    /// workers start: each of `profiles`' columns to its slot when
-    /// `registry` holds it as a prepared UDF. Rows of `profiles` then
-    /// evaluate through the result ([`EvalCtx::with_memo`]).
+    /// workers start: each of its profile `columns` (a table's
+    /// [`ProfileTable::columns`] or a stage's [`StageColumns::names`]) to
+    /// its slot when `registry` holds it as a prepared UDF. Profile rows
+    /// with these columns then evaluate through the result
+    /// ([`EvalCtx::with_memo`]).
     ///
     /// [`EvalCtx::with_memo`]: crate::expr::EvalCtx::with_memo
-    pub fn stage(&self, registry: &UdfRegistry, profiles: &ProfileTable) -> StageMemo<'_> {
+    /// [`ProfileTable::columns`]: crate::profile::ProfileTable::columns
+    /// [`StageColumns::names`]: crate::profile::StageColumns::names
+    pub fn stage(&self, registry: &UdfRegistry, columns: &[String]) -> StageMemo<'_> {
         let mut slots = lock(&self.slots);
-        let sites = profiles
-            .columns()
+        let sites = columns
             .iter()
             .map(|udf| {
                 let body = registry.prepared(udf)?;
@@ -235,7 +237,7 @@ mod tests {
     fn eval(e: &Expr, reg: &UdfRegistry, memo: &ArgMemo, id: u64) -> UdfOutput {
         let mut profiles = ProfileTable::new(1);
         e.for_each_udf(&mut |u| profiles.intern(u));
-        let stage = memo.stage(reg, &profiles);
+        let stage = memo.stage(reg, profiles.columns());
         let mut cx = EvalCtx::new(reg, profiles.row_mut(0)).with_memo(&stage);
         let value = e.eval(&Row { id }, &mut cx).unwrap();
         UdfOutput::new(value, cx.charged_secs)
@@ -492,7 +494,7 @@ mod tests {
             let e = Expr::udf("pair", args);
             let mut profiles = ProfileTable::new(1);
             profiles.intern("pair");
-            let stage = memo.stage(&reg, &profiles);
+            let stage = memo.stage(&reg, profiles.columns());
             let mut memoised = EvalCtx::new(&reg, profiles.row_mut(0)).with_memo(&stage);
             let got = e.eval(&Row { id: 1 }, &mut memoised).unwrap_err();
             let mut scalar = ProfileTable::new(1);

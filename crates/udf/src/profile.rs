@@ -82,23 +82,20 @@ impl ProfileTable {
     }
 
     /// Column → UDF name.
-    pub(crate) fn columns(&self) -> &[String] {
+    pub fn columns(&self) -> &[String] {
         &self.names
+    }
+
+    /// `udf`'s column, if it has one: resolve a name once, then read every
+    /// row's cell by index ([`ProfileRow::at`]).
+    pub fn column(&self, udf: &str) -> Option<usize> {
+        self.names.iter().position(|n| n == udf)
     }
 
     /// Give `udf` a column, an empty cell on every row, unless it has one.
     pub fn intern(&mut self, udf: &str) {
-        if self.names.iter().any(|n| n == udf) {
-            return;
-        }
-        let w = self.names.len();
-        let mut cells = Vec::with_capacity(self.ranks * (w + 1));
-        for r in 0..self.ranks {
-            cells.extend_from_slice(&self.cells[r * w..(r + 1) * w]);
-            cells.push(UdfProfile::default());
-        }
-        self.cells = cells;
-        self.names.push(udf.to_string());
+        let stage = self.stage_columns([udf]);
+        self.widen(&stage);
     }
 
     /// Rank `rank`'s row; empty for a rank outside the table.
@@ -117,19 +114,50 @@ impl ProfileTable {
 
     /// Rank `rank`'s row, to record into; empty for a rank outside the table.
     pub fn row_mut(&mut self, rank: usize) -> ProfileRowMut<'_> {
-        self.rows_mut().nth(rank).unwrap_or(ProfileRowMut { names: &[], cells: &mut [] })
+        let w = self.names.len();
+        if rank >= self.ranks {
+            return ProfileRowMut { names: &[], cells: &mut [] };
+        }
+        ProfileRowMut { names: &self.names, cells: &mut self.cells[rank * w..(rank + 1) * w] }
     }
 
-    /// Every rank's row to record into, in rank order (disjoint borrows).
-    pub fn rows_mut(&mut self) -> impl Iterator<Item = ProfileRowMut<'_>> {
+    /// The columns a stage calling `udfs` records into: this table's, then
+    /// one for each UDF without a column yet, in the order first met.
+    pub fn stage_columns<'u>(&self, udfs: impl IntoIterator<Item = &'u str>) -> StageColumns {
+        let mut names = self.names.clone();
+        for udf in udfs {
+            if !names.iter().any(|n| n == udf) {
+                names.push(udf.to_string());
+            }
+        }
+        StageColumns { names, committed: self.names.len() }
+    }
+
+    /// Take a succeeded stage's new columns, an empty cell on every row,
+    /// ahead of writing its rows back with [`Self::set_row`].
+    pub fn widen(&mut self, stage: &StageColumns) {
+        debug_assert_eq!(stage.committed, self.names.len(), "columns of another table state");
+        let (w, wide) = (self.names.len(), stage.names.len());
+        if wide == w {
+            return;
+        }
+        let mut cells = Vec::with_capacity(self.ranks * wide);
+        for r in 0..self.ranks {
+            cells.extend_from_slice(&self.cells[r * w..(r + 1) * w]);
+            cells.resize((r + 1) * wide, UdfProfile::default());
+        }
+        self.cells = cells;
+        self.names.extend_from_slice(&stage.names[w..]);
+    }
+
+    /// Overwrite rank `rank`'s row with `cells` (one per column); a rank
+    /// outside the table, or a row of another width, is ignored.
+    pub fn set_row(&mut self, rank: usize, cells: &[UdfProfile]) {
         let w = self.names.len();
-        let names = self.names.as_slice();
-        let mut rest = self.cells.as_mut_slice();
-        (0..self.ranks).map(move |_| {
-            let (cells, tail) = std::mem::take(&mut rest).split_at_mut(w);
-            rest = tail;
-            ProfileRowMut { names, cells }
-        })
+        debug_assert_eq!(cells.len(), w, "a row of another width");
+        if rank < self.ranks && cells.len() == w {
+            self.cells[rank * w..(rank + 1) * w].copy_from_slice(cells);
+        }
     }
 
     /// The instance-wide view: a one-row table whose cells sum every
@@ -174,8 +202,23 @@ pub struct ProfileRow<'a> {
 impl<'a> ProfileRow<'a> {
     /// Profile for a UDF, if it has any data.
     pub fn get(&self, udf: &str) -> Option<&'a UdfProfile> {
-        let c = self.names.iter().position(|n| n == udf)?;
-        self.cells.get(c).filter(|p| !p.is_empty())
+        self.at(self.column(udf))
+    }
+
+    fn column(&self, udf: &str) -> Option<usize> {
+        self.names.iter().position(|n| n == udf)
+    }
+
+    /// The profile in `column` ([`ProfileTable::column`]), if it has any
+    /// data.
+    pub fn at(&self, column: Option<usize>) -> Option<&'a UdfProfile> {
+        self.cells.get(column?).filter(|p| !p.is_empty())
+    }
+
+    /// Every column's name and cell, in column order, empty cells
+    /// included.
+    pub fn cells(&self) -> impl Iterator<Item = (&'a str, &'a UdfProfile)> {
+        self.names.iter().map(String::as_str).zip(self.cells)
     }
 
     /// Names with profiling data, in column order.
@@ -190,12 +233,59 @@ impl<'a> ProfileRow<'a> {
 
     /// Estimated per-call cost, falling back to `prior` for never-seen UDFs.
     pub fn estimated_cost(&self, udf: &str, prior: f64) -> f64 {
-        self.get(udf).and_then(UdfProfile::mean_cost).unwrap_or(prior)
+        self.estimated_cost_at(self.column(udf), prior)
     }
 
     /// Estimated rejection rate, falling back to `prior`.
     pub fn estimated_rejection(&self, udf: &str, prior: f64) -> f64 {
-        self.get(udf).and_then(UdfProfile::rejection_rate).unwrap_or(prior)
+        self.estimated_rejection_at(self.column(udf), prior)
+    }
+
+    /// [`Self::estimated_cost`] of the UDF in `column`.
+    pub fn estimated_cost_at(&self, column: Option<usize>, prior: f64) -> f64 {
+        self.at(column).and_then(UdfProfile::mean_cost).unwrap_or(prior)
+    }
+
+    /// [`Self::estimated_rejection`] of the UDF in `column`.
+    pub fn estimated_rejection_at(&self, column: Option<usize>, prior: f64) -> f64 {
+        self.at(column).and_then(UdfProfile::rejection_rate).unwrap_or(prior)
+    }
+}
+
+/// The columns one FILTER/APPLY stage records into
+/// ([`ProfileTable::stage_columns`]). The stage leaves the table alone
+/// while it runs: each rank with rows records into a copy of its own row
+/// ([`Self::push_row`]), and the caller writes the new columns and the
+/// rows back ([`ProfileTable::widen`], [`ProfileTable::set_row`]) only
+/// when the stage succeeds, so a failed stage commits no cell and no
+/// column. A copy starts from the committed cells, so its float sums run
+/// in the same order as in the table.
+#[derive(Debug)]
+pub struct StageColumns {
+    names: Vec<String>,
+    /// How many of `names` the table already had.
+    committed: usize,
+}
+
+impl StageColumns {
+    /// Column → UDF name.
+    pub fn names(&self) -> &[String] {
+        &self.names
+    }
+
+    /// Append rank `rank`'s committed row of `table` to `cells`, with an
+    /// empty cell for each new column, and return the copy to record into.
+    pub fn push_row<'a>(
+        &'a self,
+        table: &ProfileTable,
+        rank: usize,
+        cells: &'a mut Vec<UdfProfile>,
+    ) -> ProfileRowMut<'a> {
+        let committed = table.row(rank).cells;
+        let start = cells.len();
+        cells.extend_from_slice(&committed[..committed.len().min(self.committed)]);
+        cells.resize(start + self.names.len(), UdfProfile::default());
+        ProfileRowMut { names: &self.names, cells: &mut cells[start..] }
     }
 }
 
@@ -332,7 +422,8 @@ mod tests {
         for u in udfs {
             t.intern(u);
         }
-        for (r, mut row) in t.rows_mut().enumerate() {
+        for r in 0..ranks {
+            let mut row = t.row_mut(r);
             for (k, u) in udfs.iter().enumerate() {
                 for i in 0..(r * 7 + k * 3) % 5 {
                     row.record_call(u, 0.1 / (1 + r + i + k) as f64 + 1.0e-7 * r as f64);
@@ -376,7 +467,8 @@ mod tests {
             b.intern(u);
         }
         for t in [&mut a, &mut b] {
-            for (r, mut row) in t.rows_mut().enumerate() {
+            for r in 0..3 {
+                let mut row = t.row_mut(r);
                 row.record_call("sw", 0.25 * r as f64);
                 row.record_call("pic50", 1.0);
                 row.record_rejection("dtba");
@@ -398,13 +490,40 @@ mod tests {
     }
 
     #[test]
+    fn a_stage_s_row_copies_written_back_equal_recording_in_place() {
+        let mut direct = filled(5, &["sw", "dtba"]);
+        let mut staged = direct.clone();
+        let stage = staged.stage_columns(["dtba", "pic50", "dtba"]);
+        assert_eq!(stage.names(), ["sw", "dtba", "pic50"]);
+        let mut cells = Vec::new();
+        for r in [1, 3] {
+            let mut row = stage.push_row(&staged, r, &mut cells);
+            row.record_call("pic50", 0.3);
+            row.record_call("sw", 0.1 * r as f64);
+        }
+        // Nothing reaches the table until the caller writes back.
+        assert_eq!(staged, direct);
+        direct.intern("pic50");
+        for r in [1, 3] {
+            let mut row = direct.row_mut(r);
+            row.record_call("pic50", 0.3);
+            row.record_call("sw", 0.1 * r as f64);
+        }
+        staged.widen(&stage);
+        for (k, r) in [1, 3].into_iter().enumerate() {
+            staged.set_row(r, &cells[k * 3..(k + 1) * 3]);
+        }
+        assert_eq!(staged, direct);
+    }
+
+    #[test]
     fn rows_out_of_range_are_empty() {
         let mut t = table(&["sw"]);
         assert!(t.row(1).names().is_empty());
         assert_eq!(t.rows().len(), 1);
         assert_eq!(ProfileTable::default().merged().row(0).names(), Vec::<&str>::new());
         t.row_mut(0).record_call("sw", 1.0);
-        assert_eq!(t.rows_mut().count(), 1);
+        assert!(t.row_mut(1).cells.is_empty());
     }
 
     #[test]

@@ -72,21 +72,35 @@ pub fn plan_throughput_based(total: u64, rates: &[f64]) -> RebalancePlan {
     }
 
     // chunk_size = total / Σ ratios; rank r gets chunk_size * ratio_r.
-    let ratios: Vec<f64> = rates.iter().map(|r| r / slowest).collect();
-    let ratio_sum: f64 = ratios.iter().sum();
+    let ratio = |r: f64| r / slowest;
+    let ratio_sum: f64 = rates.iter().map(|&r| ratio(r)).sum();
     let chunk = total as f64 / ratio_sum;
 
-    // Largest-remainder rounding so targets sum exactly to `total`.
-    let ideal: Vec<f64> = ratios.iter().map(|r| chunk * r).collect();
-    let mut targets: Vec<u64> = ideal.iter().map(|x| x.floor() as u64).collect();
+    // Largest-remainder rounding so targets sum exactly to `total`: the
+    // `k` largest fractional parts get one more each. `total_cmp`, then
+    // the rank index, is a strict total order, so the top-`k` set is
+    // unique and a selection finds the same set a full sort would.
+    let mut targets: Vec<u64> = Vec::with_capacity(rates.len());
+    let mut remainder: Vec<(usize, f64)> = Vec::with_capacity(rates.len());
+    for (i, &r) in rates.iter().enumerate() {
+        let ideal = chunk * ratio(r);
+        targets.push(ideal.floor() as u64);
+        remainder.push((i, ideal - ideal.floor()));
+    }
     let assigned: u64 = targets.iter().sum();
-    let mut remainder: Vec<(usize, f64)> =
-        ideal.iter().enumerate().map(|(i, x)| (i, x - x.floor())).collect();
-    // total_cmp keeps this a strict weak order even for pathological
-    // fractional parts; rank index breaks ties deterministically.
-    remainder.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    for k in 0..(total - assigned) as usize {
-        targets[remainder[k % remainder.len()].0] += 1;
+    let larger = |a: &(usize, f64), b: &(usize, f64)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
+    // Float error can leave `k` at the rank count or past it: every rank
+    // then takes whole rounds, and the largest `k mod ranks` one more.
+    let k = total - assigned;
+    let (rounds, extra) = (k / rates.len() as u64, (k % rates.len() as u64) as usize);
+    if extra > 0 {
+        remainder.select_nth_unstable_by(extra - 1, larger);
+    }
+    for (i, _) in &remainder[..extra] {
+        targets[*i] += 1;
+    }
+    if rounds > 0 {
+        targets.iter_mut().for_each(|t| *t += rounds);
     }
 
     RebalancePlan { strategy: RebalanceStrategy::ThroughputBased, targets }
@@ -102,6 +116,7 @@ pub fn estimate_completion(plan: &RebalancePlan, rates: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// The paper's §2.4.2 worked example: 1.4 M solutions over 900 ranks —
     /// 500 ranks at 100 ops/s, 300 at 200, 100 at 300.
@@ -200,5 +215,93 @@ mod tests {
     fn single_rank_gets_everything() {
         let plan = plan_throughput_based(42, &[123.0]);
         assert_eq!(plan.targets, vec![42]);
+    }
+
+    /// The largest-remainder rounding as a full sort: every fractional
+    /// part ordered by (`total_cmp` descending, rank index), then one more
+    /// solution each to the first `total − assigned`, wrapping round.
+    /// [`plan_throughput_based`]'s selection must give the same targets.
+    fn sorted_targets(total: u64, rates: &[f64]) -> Vec<u64> {
+        let slowest = rates.iter().copied().fold(f64::INFINITY, f64::min);
+        let fastest = rates.iter().copied().fold(0.0, f64::max);
+        if fastest <= slowest * (1.0 + SIMILAR_THROUGHPUT_TOLERANCE) {
+            return plan_count_based(total, rates.len()).targets;
+        }
+        let ratios: Vec<f64> = rates.iter().map(|r| r / slowest).collect();
+        let ratio_sum: f64 = ratios.iter().sum();
+        let chunk = total as f64 / ratio_sum;
+        let ideal: Vec<f64> = ratios.iter().map(|r| chunk * r).collect();
+        let mut targets: Vec<u64> = ideal.iter().map(|x| x.floor() as u64).collect();
+        let assigned: u64 = targets.iter().sum();
+        let mut remainder: Vec<(usize, f64)> =
+            ideal.iter().enumerate().map(|(i, x)| (i, x - x.floor())).collect();
+        remainder.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        for k in 0..(total - assigned) as usize {
+            targets[remainder[k % remainder.len()].0] += 1;
+        }
+        targets
+    }
+
+    /// The solutions the rounding hands out one by one: `total` less the
+    /// sum of the floored ideals.
+    fn handed_out(total: u64, rates: &[f64]) -> u64 {
+        let slowest = rates.iter().copied().fold(f64::INFINITY, f64::min);
+        let ratio_sum: f64 = rates.iter().map(|r| r / slowest).sum();
+        let chunk = total as f64 / ratio_sum;
+        total - rates.iter().map(|r| (chunk * (r / slowest)).floor() as u64).sum::<u64>()
+    }
+
+    #[test]
+    fn selection_equals_the_sort_at_its_edges() {
+        // k = 0: every ideal is whole (ratios 1 and 2, chunk 100).
+        let rates = [100.0, 200.0];
+        assert_eq!(handed_out(300, &rates), 0);
+        assert_eq!(plan_throughput_based(300, &rates).targets, [100, 200]);
+        // k = ranks − 1: ratios 1, 3, 3, 3 and chunk 1.3 leave 1.3, 3.9,
+        // 3.9, 3.9, three of whose fractional parts take one more.
+        let rates = [100.0, 300.0, 300.0, 300.0];
+        assert_eq!(handed_out(13, &rates), 3);
+        assert_eq!(plan_throughput_based(13, &rates).targets, [1, 4, 4, 4]);
+        // Ties: 900 equal fractional parts go to the lowest ranks first.
+        let (total, rates) = (1_400_001, paper_example().1);
+        let plan = plan_throughput_based(total, &rates);
+        assert_eq!(plan.targets, sorted_targets(total, &rates));
+        // The count-based fallback, with its own remainder.
+        let rates = [100.0, 110.0, 119.0];
+        assert_eq!(plan_throughput_based(1001, &rates).targets, [334, 334, 333]);
+        for (total, rates) in [
+            (300, &[100.0, 200.0][..]),
+            (13, &[100.0, 300.0, 300.0, 300.0]),
+            (1001, &[100.0, 110.0, 119.0]),
+            (0, &[100.0, 300.0]),
+        ] {
+            assert_eq!(plan_throughput_based(total, rates).targets, sorted_targets(total, rates));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// On random rates — drawn often from three values, so fractional
+        /// parts tie, and over up to 2 048 ranks — the selection gives
+        /// the sort's targets, whatever `total − assigned` is.
+        #[test]
+        fn selection_gives_the_sorted_targets(
+            total in 0u64..3_000_000,
+            rates in proptest::collection::vec(
+                prop_oneof![Just(100.0), Just(200.0), Just(300.0), 1.0f64..1000.0],
+                1..2049,
+            ),
+            similar in 0u8..4,
+        ) {
+            // One case in four keeps every rank within the tolerance.
+            let rates: Vec<f64> = if similar == 0 {
+                rates.iter().map(|r| 100.0 + r / 100.0).collect()
+            } else {
+                rates
+            };
+            let plan = plan_throughput_based(total, &rates);
+            prop_assert_eq!(plan.targets, sorted_targets(total, &rates));
+        }
     }
 }

@@ -27,6 +27,11 @@ const COST_BAND_RATIO: f64 = 1.2;
 /// zero-cost estimates bucket finitely.
 const MIN_BUCKETABLE_COST: f64 = 1.0e-12;
 
+/// A cost ratio past which two costs' bands differ however the logarithms
+/// round: `log_1.2(1.21) ≈ 1.045`, so the band indices are more than one
+/// apart before rounding, which moves them by far less than 0.045.
+const CLEAR_BAND_RATIO: f64 = 1.21;
+
 /// Geometric cost band for `cost`: `floor(log_{1.2}(cost))`. Two costs
 /// within ~20% of each other land in the same or adjacent bands; equal
 /// bands are treated as "similar cost" by [`order_conjuncts`].
@@ -52,29 +57,43 @@ pub fn estimate_conjunct(
     cost_prior: impl Fn(&str) -> f64,
     rejection_prior: f64,
 ) -> ConjunctEstimate {
-    estimate_udfs(&e.udf_names(), profiler, cost_prior, rejection_prior)
-}
-
-/// [`estimate_conjunct`] of a conjunct calling `udfs` (its
-/// [`Expr::udf_names`], resolved once by the caller).
-pub fn estimate_udfs(
-    udfs: &[&str],
-    profiler: ProfileRow<'_>,
-    cost_prior: impl Fn(&str) -> f64,
-    rejection_prior: f64,
-) -> ConjunctEstimate {
+    let udfs = e.udf_names();
+    if udfs.is_empty() {
+        return FREE_CONJUNCT;
+    }
     let mut cost = 0.0;
     let mut rejection: f64 = 0.0;
-    for u in udfs {
+    for u in &udfs {
         cost += profiler.estimated_cost(u, cost_prior(u));
         rejection = rejection.max(profiler.estimated_rejection(u, rejection_prior));
     }
-    if udfs.is_empty() {
-        // Pure comparisons are vanishingly cheap; give them a tiny epsilon
-        // so they always sort to the front, and a neutral selectivity.
-        cost = 1.0e-9;
-        rejection = 0.5;
+    ConjunctEstimate { cost, rejection }
+}
+
+/// Pure comparisons are vanishingly cheap; give them a tiny epsilon so
+/// they always sort to the front, and a neutral selectivity.
+const FREE_CONJUNCT: ConjunctEstimate = ConjunctEstimate { cost: 1.0e-9, rejection: 0.5 };
+
+/// [`estimate_conjunct`] of a conjunct whose UDFs' profile columns
+/// ([`ProfileTable::column`], resolved once per stage) are `columns`, with
+/// one cost prior for every UDF: the same estimate, reading each cell by
+/// index — one call per rank per conjunct.
+///
+/// [`ProfileTable::column`]: crate::profile::ProfileTable::column
+pub fn estimate_columns(
+    columns: &[Option<usize>],
+    profiler: ProfileRow<'_>,
+    cost_prior: f64,
+    rejection_prior: f64,
+) -> ConjunctEstimate {
+    if columns.is_empty() {
+        return FREE_CONJUNCT;
     }
+    let cost = columns.iter().map(|&c| profiler.estimated_cost_at(c, cost_prior)).sum();
+    let rejection = columns
+        .iter()
+        .map(|&c| profiler.estimated_rejection_at(c, rejection_prior))
+        .fold(0.0, f64::max);
     ConjunctEstimate { cost, rejection }
 }
 
@@ -90,35 +109,40 @@ pub fn order_conjuncts(
     cost_prior: impl Fn(&str) -> f64,
     rejection_prior: f64,
 ) -> Vec<usize> {
-    let names: Vec<Vec<&str>> = conjuncts.iter().map(Expr::udf_names).collect();
+    let est: Vec<ConjunctEstimate> = conjuncts
+        .iter()
+        .map(|c| estimate_conjunct(c, profiler, &cost_prior, rejection_prior))
+        .collect();
     let mut order = Vec::new();
-    order_by_udfs(&names, profiler, cost_prior, rejection_prior, &mut Vec::new(), &mut order);
+    order_by_estimates(&est, &mut order);
     order
 }
 
-/// [`order_conjuncts`] of conjuncts given by their UDF names (`udfs[i]`
-/// is conjunct `i`'s [`Expr::udf_names`], resolved once per stage),
-/// written over `order`; `est` is scratch. The same order, without
-/// allocating once the buffers have grown — one call per rank per stage.
-pub fn order_by_udfs(
-    udfs: &[Vec<&str>],
-    profiler: ProfileRow<'_>,
-    cost_prior: impl Fn(&str) -> f64,
-    rejection_prior: f64,
-    est: &mut Vec<ConjunctEstimate>,
-    order: &mut Vec<usize>,
-) {
-    est.clear();
-    est.extend(udfs.iter().map(|u| estimate_udfs(u, profiler, &cost_prior, rejection_prior)));
+/// [`order_conjuncts`] of conjuncts given by their estimates, written over
+/// `order`, without allocating once `order` has grown — one call per rank
+/// per stage.
+pub fn order_by_estimates(est: &[ConjunctEstimate], order: &mut Vec<usize>) {
     order.clear();
-    order.extend(0..udfs.len());
+    order.extend(0..est.len());
     order.sort_by(|&a, &b| {
-        let (ea, eb) = (est[a], est[b]);
-        cost_bucket(ea.cost)
-            .cmp(&cost_bucket(eb.cost))
-            .then_with(|| eb.rejection.total_cmp(&ea.rejection))
+        compare_bands(est[a].cost, est[b].cost)
+            .then_with(|| est[b].rejection.total_cmp(&est[a].rejection))
             .then_with(|| a.cmp(&b))
     });
+}
+
+/// `cost_bucket(a).cmp(&cost_bucket(b))`, without the logarithms when the
+/// costs are more than [`CLEAR_BAND_RATIO`] apart: then their bands
+/// differ and follow the costs.
+fn compare_bands(a: f64, b: f64) -> std::cmp::Ordering {
+    let (a, b) = (a.max(MIN_BUCKETABLE_COST), b.max(MIN_BUCKETABLE_COST));
+    if b > a * CLEAR_BAND_RATIO {
+        std::cmp::Ordering::Less
+    } else if a > b * CLEAR_BAND_RATIO {
+        std::cmp::Ordering::Greater
+    } else {
+        cost_bucket(a).cmp(&cost_bucket(b))
+    }
 }
 
 /// Apply an order to a conjunction, producing the reordered `Expr::And`.
@@ -265,6 +289,34 @@ mod tests {
         let user_order = expected_chain_cost(&est, &[0, 1]);
         let planner_order = expected_chain_cost(&est, &[1, 0]);
         assert!(planner_order < user_order * 0.2, "{planner_order} vs {user_order}");
+    }
+
+    #[test]
+    fn band_comparison_equals_the_bands() {
+        // Costs at and around band edges, ratios either side of the clear
+        // one, and the clamped, infinite and NaN ends.
+        let mut costs = vec![0.0, 1.0e-13, 1.0e-12, f64::INFINITY, f64::NAN, f64::MAX];
+        for k in -160..200 {
+            let edge = COST_BAND_RATIO.powi(k);
+            for x in [edge, edge * (1.0 - 1.0e-15), edge * (1.0 + 1.0e-15), edge * 1.1] {
+                costs.push(x);
+                for ratio in [1.2, 1.2099999, 1.21, 1.2100001, 1.44] {
+                    costs.push(x * ratio);
+                }
+            }
+        }
+        for &a in &costs {
+            for &b in &costs[costs.len() / 2..costs.len() / 2 + 64] {
+                for (a, b) in [(a, b), (b, a)] {
+                    let want = cost_bucket(a).cmp(&cost_bucket(b));
+                    assert_eq!(compare_bands(a, b), want, "{a:e} vs {b:e}");
+                }
+            }
+            for ratio in [1.2, 1.2099999, 1.21, 1.2100001, 1.44] {
+                let b = a * ratio;
+                assert_eq!(compare_bands(a, b), cost_bucket(a).cmp(&cost_bucket(b)), "{a:e}");
+            }
+        }
     }
 
     #[test]

@@ -149,8 +149,13 @@ const QUERY: &str = "SELECT ?e ?n ?s WHERE { ?e <val> ?v . ?e <next> ?n . \
                      FILTER(keep(?v) > 0.5) } APPLY score(?v) AS ?s";
 
 fn launch() -> IdsInstance {
-    let mut cfg = IdsConfig::laptop(RANKS, 7);
-    cfg.topology = Topology::new(64, 32);
+    launch_on(RANKS / 32)
+}
+
+/// [`launch`] on `nodes` nodes of 32 ranks.
+fn launch_on(nodes: u32) -> IdsInstance {
+    let mut cfg = IdsConfig::laptop(nodes * 32, 7);
+    cfg.topology = Topology::new(nodes, 32);
     let inst = IdsInstance::launch(cfg);
     let ds = inst.datastore();
     for i in 0..ENTITIES {
@@ -212,6 +217,46 @@ fn every_step_of_a_2048_rank_query_allocates_a_few_buffers_per_stage_and_worker(
     }
 }
 
+/// Allocations of each step of a warm run of [`QUERY`] on `nodes` nodes
+/// of 32 ranks, by step label.
+fn step_allocations(nodes: u32) -> Vec<(String, u64)> {
+    let mut inst = launch_on(nodes);
+    inst.query(QUERY).unwrap();
+    let mut run = inst.prepare_run(QUERY, false).unwrap();
+    let mut steps = Vec::new();
+    loop {
+        let label = run.phase_label();
+        let before = ALLOCATIONS.load(Relaxed);
+        let outcome = inst.step_run(&mut run).unwrap();
+        steps.push((label, ALLOCATIONS.load(Relaxed) - before));
+        if let StepOutcome::Done(_) = outcome {
+            return steps;
+        }
+    }
+}
+
+#[test]
+fn udf_steps_allocate_as_much_at_64_ranks_as_at_2048() {
+    let _counting = ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
+    // The FILTER (`where-filter`) and APPLY (`stage0`) steps: re-balance,
+    // per-rank plans and the fan-out over every rank. On one worker what
+    // they allocate is per stage, per worker or per row — the 16 rows
+    // land on the same ranks at both sizes — never per rank.
+    let udf_steps = |nodes| {
+        let steps = step_allocations(nodes);
+        let count = |label: &str| steps.iter().find(|(l, _)| l == label).map(|&(_, n)| n);
+        (count("where-filter").unwrap(), count("stage0").unwrap())
+    };
+    let (small, large) = (udf_steps(2), udf_steps(RANKS / 32));
+    eprintln!("where-filter, stage0 allocations: {small:?} at 64 ranks, {large:?} at {RANKS}");
+    // Each pool helper that joins a phase brings its own worker state.
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
+    let slack = HELPER_ALLOWANCE * (workers - 1);
+    for (step, a, b) in [("where-filter", small.0, large.0), ("stage0", small.1, large.1)] {
+        assert!(a.abs_diff(b) <= slack, "{step}: {a} at 64 ranks, {b} at {RANKS}");
+    }
+}
+
 #[test]
 fn a_filter_row_that_hits_the_memo_allocates_nothing() {
     let _counting = ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
@@ -231,7 +276,7 @@ fn a_filter_row_that_hits_the_memo_allocates_nothing() {
     let bindings = RowBindings::new(&vars, &row, &dict);
     let mut profiles = ProfileTable::new(1);
     profiles.intern("sw_similarity");
-    let stage = memo.stage(&registry, &profiles);
+    let stage = memo.stage(&registry, profiles.columns());
     let mut eval = || {
         let mut cx = EvalCtx::new(&registry, profiles.row_mut(0)).with_memo(&stage);
         let kept = filter.eval_bool(&bindings, &mut cx).unwrap();
@@ -275,7 +320,7 @@ fn a_full_ncnpr_filter_row_that_hits_the_memo_allocates_nothing() {
     let bindings = RowBindings::new(&vars, &row, &dict);
     let mut profiles = ProfileTable::new(1);
     filter.for_each_udf(&mut |u| profiles.intern(u));
-    let stage = memo.stage(&registry, &profiles);
+    let stage = memo.stage(&registry, profiles.columns());
     let mut eval = || {
         let mut cx = EvalCtx::new(&registry, profiles.row_mut(0)).with_memo(&stage);
         let kept = filter.eval_bool(&bindings, &mut cx).unwrap();
@@ -312,7 +357,7 @@ fn an_apply_row_whose_ligand_the_memo_docked_allocates_nothing() {
     let bindings = RowBindings::new(&vars, &row, &dict);
     let mut profiles = ProfileTable::new(1);
     profiles.intern("vina_docking");
-    let stage = memo.stage(&registry, &profiles);
+    let stage = memo.stage(&registry, profiles.columns());
     let mut eval = || {
         let mut cx = EvalCtx::new(&registry, profiles.row_mut(0)).with_memo(&stage);
         let energy = apply.eval(&bindings, &mut cx).unwrap();

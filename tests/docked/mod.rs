@@ -4,7 +4,10 @@ use ids::core::{IdsInstance, QueryOutcome};
 
 /// The (SMILES, docking energy) pairs of a re-purposing result: decoded,
 /// since APPLY mints the energies as new term ids in each instance, and
-/// sorted, since re-balancing may place rows on other ranks.
+/// sorted, since re-balancing may place rows on other ranks. An energy is
+/// written to the bit (its shortest round-trip text): a cached docking
+/// result that APPLY read back is its object's first eight bytes, so a
+/// served copy with any of those bits flipped shows here.
 pub fn extract(o: &QueryOutcome, inst: &IdsInstance) -> Vec<(String, String)> {
     let ds = inst.datastore();
     let mut v: Vec<(String, String)> = o
@@ -14,7 +17,7 @@ pub fn extract(o: &QueryOutcome, inst: &IdsInstance) -> Vec<(String, String)> {
         .map(|r| {
             (
                 ds.decode(r[1]).unwrap().to_string(),
-                format!("{:.12}", ds.decode(r[2]).unwrap().as_f64().unwrap()),
+                format!("{:?}", ds.decode(r[2]).unwrap().as_f64().unwrap()),
             )
         })
         .collect();

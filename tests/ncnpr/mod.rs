@@ -11,7 +11,9 @@ use ids::simrt::{FaultPlane, NetworkModel, Topology};
 use ids::workloads::ncnpr::{build, Band, NcnprConfig};
 use std::sync::Arc;
 
-fn small_config() -> NcnprConfig {
+/// The data set: 3 near-identical and 5 mutated proteins with their
+/// compounds, and 10 background proteins.
+pub fn small_config() -> NcnprConfig {
     NcnprConfig {
         bands: vec![
             Band {

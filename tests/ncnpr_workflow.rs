@@ -6,10 +6,13 @@ mod ncnpr;
 
 use docked::extract;
 use ids::cache::CacheConfig;
-use ids::core::workflow::{docking_object_name, repurposing_query, RepurposingThresholds};
-use ids::core::IdsInstance;
+use ids::core::workflow::{
+    docking_object_name, install_workflow, repurposing_query, RepurposingThresholds, WorkflowModels,
+};
+use ids::core::{IdsConfig, IdsInstance};
 use ids::simrt::Topology;
-use ncnpr::{cache, launch, query};
+use ids::workloads::ncnpr::build;
+use ncnpr::{cache, launch, query, small_config};
 use std::sync::Arc;
 
 #[test]
@@ -313,3 +316,72 @@ fn metric_series_do_not_scale_with_ranks() {
     };
     assert_eq!(keys(4), keys(64));
 }
+
+/// FNV-1a over the profile table: its row count, its column names in
+/// order, then every cell of every row (`calls`, `rejections` and the bits
+/// of `total_secs`), empty cells included.
+fn profile_digest(inst: &IdsInstance) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    mix(&(inst.profilers().len() as u64).to_le_bytes());
+    for (name, _) in inst.profilers().next().into_iter().flat_map(|row| row.cells()) {
+        mix(name.as_bytes());
+        mix(&[0xff]);
+    }
+    for row in inst.profilers() {
+        for (_, cell) in row.cells() {
+            mix(&cell.calls.to_le_bytes());
+            mix(&cell.rejections.to_le_bytes());
+            mix(&cell.total_secs.to_bits().to_le_bytes());
+        }
+    }
+    h
+}
+
+/// The fixture's data set on `topo` with the paper's models, whose calls
+/// charge virtual seconds (the test models' are free).
+fn launch_priced(topo: Topology) -> IdsInstance {
+    let mut cfg = IdsConfig::laptop(topo.total_ranks(), 11);
+    cfg.topology = topo;
+    let mut inst = IdsInstance::launch(cfg);
+    let target = build(inst.datastore(), &small_config()).target;
+    install_workflow(&mut inst, &target, WorkflowModels::paper_models());
+    inst
+}
+
+/// Every rank's UDF profile after three NCNPR queries, bit for bit: the
+/// stages record into per-rank copies of the committed rows and write
+/// them back, and that must leave the cells, the order of each float sum
+/// and the column order exactly as recording into a copy of the whole
+/// table did. At 64 ranks most ranks run a row or none per stage; at 4
+/// each runs several, so a sum taken in another order shows.
+#[test]
+fn profile_table_after_three_queries_is_pinned_bit_for_bit() {
+    for (topo, digest) in
+        [(Topology::new(2, 32), PROFILE_DIGEST_64), (Topology::new(1, 4), PROFILE_DIGEST_4)]
+    {
+        let mut inst = launch_priced(topo);
+        for sw in [0.9, 0.2, 0.9] {
+            inst.query(&query(sw)).unwrap();
+        }
+        let columns: Vec<&str> =
+            inst.profilers().next().unwrap().cells().map(|(name, _)| name).collect();
+        assert_eq!(columns, ["sw_similarity", "pic50", "dtba", "vina_docking"]);
+        for udf in columns {
+            let secs = inst.profilers().filter_map(|row| row.get(udf)).map(|p| p.total_secs);
+            assert!(secs.fold(0.0, f64::max) > 0.0, "{udf} charged no virtual time");
+        }
+        assert_eq!(profile_digest(&inst), digest, "{} ranks", topo.total_ranks());
+    }
+}
+
+/// [`profile_digest`] after the three queries of
+/// `profile_table_after_three_queries_is_pinned_bit_for_bit` at 64 and at
+/// 4 ranks, taken from the executor that recorded into a copy of the
+/// whole table.
+const PROFILE_DIGEST_64: u64 = 0x5330_bd7c_f874_8da4;
+const PROFILE_DIGEST_4: u64 = 0xcfa6_9cba_20e5_018a;
